@@ -10,10 +10,11 @@
 #   3b. clang static analyzer (skipped when the binary is absent): the
 #      path-sensitive CSA checks over src/, driven file-by-file from the
 #      TSan lane's compile_commands.json; any analyzer warning fails.
-#   4. psc-lint: run the flood/rw-clock/queue harnesses with --lint (static
-#      composition lint + online invariant probe), dump their traces, and
-#      replay them offline through psc-lint — any error-severity PSC
-#      diagnostic fails the lane.
+#   4. psc-lint: run the flood/rw-clock/rw-mmt/queue harnesses with --lint
+#      (static composition lint + online invariant probe), dump their
+#      traces, and replay them offline through psc-lint — any
+#      error-severity PSC diagnostic fails the lane. rw-mmt is the run that
+#      reaches the MMT boundmap (PSC105) and the ell-widened PSC106 band.
 #   4b. certify: psc-lint --certify derives interference graphs, bound
 #      certificates, and shard plans for the same three harnesses (PSC2xx,
 #      any error fails), and psc-sim --certify re-runs them with the online
@@ -131,15 +132,20 @@ trap 'rm -rf "$LINT_TMP"' EXIT
   --trace="$LINT_TMP/flood.jsonl" >/dev/null
 "$BUILD_DIR"/tools/psc-sim rw-clock --nodes=3 --ops=10 --lint \
   --trace="$LINT_TMP/rw_clock.jsonl" >/dev/null
+"$BUILD_DIR"/tools/psc-sim rw-mmt --nodes=3 --ops=10 --lint \
+  --trace="$LINT_TMP/rw_mmt.jsonl" >/dev/null
 "$BUILD_DIR"/tools/psc-sim queue --nodes=3 --ops=8 --lint \
   --trace="$LINT_TMP/queue.jsonl" >/dev/null
 
 # Offline: replay the dumped JSONL traces against the same bounds the
-# scenarios ran with (psc-sim defaults: d1=20us d2=300us eps=50us).
+# scenarios ran with (psc-sim defaults: d1=20us d2=300us eps=50us, and
+# ell=10us for rw-mmt).
 "$BUILD_DIR"/tools/psc-lint --trace="$LINT_TMP/flood.jsonl" \
   --d1_us=20 --d2_us=300 --nodes=4
 "$BUILD_DIR"/tools/psc-lint --trace="$LINT_TMP/rw_clock.jsonl" \
   --d1_us=20 --d2_us=300 --eps_us=50 --nodes=3
+"$BUILD_DIR"/tools/psc-lint --trace="$LINT_TMP/rw_mmt.jsonl" \
+  --d1_us=20 --d2_us=300 --eps_us=50 --ell_us=10 --nodes=3
 "$BUILD_DIR"/tools/psc-lint --trace="$LINT_TMP/queue.jsonl" \
   --d1_us=20 --d2_us=300 --eps_us=50 --nodes=3
 

@@ -1,14 +1,31 @@
 #include "analysis/trace_check.hpp"
 
+#include <algorithm>
+#include <cstdlib>
 #include <sstream>
 #include <utility>
 
 #include "analysis/windows.hpp"
-#include "core/relations.hpp"
 
 namespace psc {
 
-TraceChecker::TraceChecker(TraceCheckOptions opts) : opts_(std::move(opts)) {}
+namespace {
+
+// v[i], growing v with default-constructed slots when i is past its end.
+template <typename T>
+T& grown_at(std::vector<T>& v, std::size_t i) {
+  if (i >= v.size()) v.resize(i + 1);
+  return v[i];
+}
+
+}  // namespace
+
+TraceChecker::TraceChecker(TraceCheckOptions opts) : opts_(std::move(opts)) {
+  if (opts_.num_nodes > 0 && opts_.eps >= 0) {
+    order_band_ = opts_.eps + (opts_.ell > 0 ? opts_.ell : 0) + opts_.slack;
+    node_order_.resize(static_cast<std::size_t>(opts_.num_nodes));
+  }
+}
 
 void TraceChecker::emit(DiagCode code, std::string message,
                         std::string machine, Time time) {
@@ -40,10 +57,7 @@ void TraceChecker::observe(const TimedEvent& e) {
   check_channel(e, nc);
   if (opts_.ell >= 0) check_mmt(e, nc);
 
-  if (opts_.check_order && opts_.num_nodes > 0 && opts_.eps >= 0 &&
-      e.clock != kNoClockTag) {
-    clocked_.push_back(e);
-  }
+  if (!node_order_.empty() && e.clock != kNoClockTag) check_order(e);
 }
 
 TraceChecker::NameClass TraceChecker::classify_name(const std::string& nm) {
@@ -184,9 +198,8 @@ void TraceChecker::check_recv(const TimedEvent& e, std::uint64_t uid) {
 void TraceChecker::check_mmt(const TimedEvent& e, NameClass nc) {
   // PSC105 half 1: the clock subsystem C^m fires a TICK at least every ell
   // (its single task class has boundmap [0, ell], enabled from time 0).
-  if (nc == NameClass::kTick && e.action.node != kNoNode) {
-    const auto it = last_tick_.find(e.action.node);
-    const Time prev = it == last_tick_.end() ? 0 : it->second;
+  if (nc == NameClass::kTick && e.action.node >= 0) {  // not kNoNode
+    Time& prev = grown_at(last_tick_, static_cast<std::size_t>(e.action.node));
     if (!mmt_window(opts_.ell).contains(e.time - prev, opts_.slack)) {
       std::ostringstream msg;
       msg << "node " << e.action.node << " tick gap "
@@ -194,51 +207,87 @@ void TraceChecker::check_mmt(const TimedEvent& e, NameClass nc) {
           << format_time(opts_.ell);
       emit(DiagCode::kBoundmapOverrun, msg.str(), "TICK", e.time);
     }
-    last_tick_[e.action.node] = e.time;
+    prev = e.time;
   }
   // PSC105 half 2: an MMT node (recognized by its MMTSTEP taus) performs a
   // step — output or tau — at least every ell. Gaps are measured between
   // consecutive locally controlled events of the same owner; the trailing
   // gap to the run's end is exempt (the run may stop mid-budget).
   if (e.owner >= 0) {
-    if (nc == NameClass::kMmtStep) mmt_owners_.insert(e.owner);
-    const auto it = last_local_.find(e.owner);
-    if (mmt_owners_.count(e.owner) != 0) {
-      const Time prev = it == last_local_.end() ? 0 : it->second;
-      if (!mmt_window(opts_.ell).contains(e.time - prev, opts_.slack)) {
-        std::ostringstream msg;
-        msg << "MMT node (owner " << e.owner << ") step gap "
-            << format_time(e.time - prev) << " > ell "
-            << format_time(opts_.ell);
-        emit(DiagCode::kBoundmapOverrun, msg.str(), e.action.name,
-                    e.time);
-      }
+    OwnerSteps& s = grown_at(owner_steps_, static_cast<std::size_t>(e.owner));
+    if (nc == NameClass::kMmtStep) s.mmt = true;
+    if (s.mmt &&
+        !mmt_window(opts_.ell).contains(e.time - s.last, opts_.slack)) {
+      std::ostringstream msg;
+      msg << "MMT node (owner " << e.owner << ") step gap "
+          << format_time(e.time - s.last) << " > ell "
+          << format_time(opts_.ell);
+      emit(DiagCode::kBoundmapOverrun, msg.str(), e.action.name, e.time);
     }
-    last_local_[e.owner] = e.time;
+    s.last = e.time;
   }
+}
+
+void TraceChecker::check_order(const TimedEvent& e) {
+  const int node = e.action.node;
+  if (node < 0 || node >= opts_.num_nodes) {
+    auto& [times, clocks] = unclassed_[to_string(e.action)];
+    times.push_back(e.time);
+    clocks.push_back(e.clock);
+    return;
+  }
+  NodeOrder& s = node_order_[static_cast<std::size_t>(node)];
+  if (s.failure.empty() && e.clock < s.last_clock) {
+    std::ostringstream msg;
+    msg << "node " << node << " clock decreases from "
+        << format_time(s.last_clock) << " to " << format_time(e.clock)
+        << " at " << to_string(e.action) << " @" << format_time(e.time);
+    s.failure = msg.str();
+  } else if (s.failure.empty() &&
+             std::llabs(e.time - e.clock) > order_band_) {
+    // eq_within's wording for the same positional failure.
+    std::ostringstream msg;
+    msg << "class time perturbation > eps: " << to_string(e.action) << " @"
+        << format_time(e.time) << " vs " << to_string(e.action) << " @"
+        << format_time(e.clock);
+    s.failure = msg.str();
+  }
+  s.last_clock = e.clock;
 }
 
 void TraceChecker::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  if (!opts_.check_order || opts_.num_nodes <= 0 || opts_.eps < 0 ||
-      clocked_.empty()) {
-    return;
-  }
   // PSC106: the clock retiming gamma'_alpha (Def 4.2) — replace each
   // clocked event's time by its clock reading and re-sort — must be
   // =band,kappa-related to the original for kappa = one class per node:
   // every event moves by at most the drift band and per-node order is
-  // preserved (P_eps, Section 4.3).
-  const Duration band =
-      opts_.eps + (opts_.ell > 0 ? opts_.ell : 0) + opts_.slack;
-  const TimedTrace retimed = stable_sort_by_time(retime_by_clock(clocked_));
-  const RelationResult rel =
-      eq_within(clocked_, retimed, band, per_node_classes(opts_.num_nodes));
-  if (!rel.related) {
+  // preserved (P_eps, Section 4.3). Report the first failure in
+  // eq_within's order: the lowest failing node, then the unclassed events.
+  std::string why;
+  for (const NodeOrder& s : node_order_) {
+    if (!s.failure.empty()) {
+      why = s.failure;
+      break;
+    }
+  }
+  // Unclassed events are only bound by action identity and the band, so
+  // each identity's sorted real times are matched to its sorted clocks.
+  for (auto it = unclassed_.begin(); why.empty() && it != unclassed_.end();
+       ++it) {
+    auto& [times, clocks] = it->second;
+    std::sort(times.begin(), times.end());
+    std::sort(clocks.begin(), clocks.end());
+    for (std::size_t j = 0; j < times.size(); ++j) {
+      if (std::llabs(times[j] - clocks[j]) > order_band_) {
+        why = "time perturbation > eps for " + it->first;
+        break;
+      }
+    }
+  }
+  if (!why.empty()) {
     emit(DiagCode::kOrderViolation,
-                "trace is not =eps,kappa-related to its clock retiming: " +
-                    rel.why);
+         "trace is not =eps,kappa-related to its clock retiming: " + why);
   }
 }
 

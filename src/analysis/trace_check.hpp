@@ -20,7 +20,11 @@
 //           recognized MMT node, at most ell apart;
 //   PSC106  per-node order preservation: the trace and its clock-retimed
 //           reordering (gamma'_alpha, Def 4.2) are =band,kappa-related for
-//           kappa = one class per node (Def 2.8, src/core/relations);
+//           kappa = one class per node (Def 2.8). Checked online: a node's
+//           clocked events must carry nondecreasing clock readings, each
+//           within the band of its real time, so the state is O(num_nodes)
+//           plus the (time, clock) pairs of clocked events outside every
+//           node's class;
 //   PSC107  a delivery event whose message uid was never seen sent (warn —
 //           usually a truncated trace).
 //
@@ -34,8 +38,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
+#include <limits>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/diagnostics.hpp"
 #include "analysis/uid_index.hpp"
@@ -55,9 +62,6 @@ struct TraceCheckOptions {
   Duration ell = -1;
   // Node count, needed for the per-node classes of PSC106; 0 disables it.
   int num_nodes = 0;
-  // Run the O(n log n) end-of-trace order check (PSC106). It buffers every
-  // clocked event, so long-running online probes may want it off.
-  bool check_order = true;
   // Grid tolerance: clock trajectories are integer-nanosecond piecewise
   // lines, so clock_at()/time_first_at() round by up to a few ns.
   Duration slack = 4;
@@ -77,7 +81,7 @@ class TraceChecker {
   explicit TraceChecker(TraceCheckOptions opts = {});
 
   void observe(const TimedEvent& e);
-  // End-of-trace checks (PSC106). Idempotent.
+  // Reports PSC106, after every online diagnostic. Idempotent.
   void finalize();
 
   const DiagnosticReport& report() const { return report_; }
@@ -121,15 +125,39 @@ class TraceChecker {
   // buffer release (Lamport condition + Theorem 4.7 window) under Sim 1.
   void check_recv(const TimedEvent& e, std::uint64_t uid);
   void check_mmt(const TimedEvent& e, NameClass nc);
+  // PSC106 for one clocked event.
+  void check_order(const TimedEvent& e);
+
+  // PSC105 state per owner: its last event time (0 before the first, where
+  // the boundmap clock starts) and whether it is a recognized MMT node.
+  struct OwnerSteps {
+    Time last = 0;
+    bool mmt = false;
+  };
+
+  // PSC106 state per node. Clocks are nondecreasing by construction, so a
+  // node's clocked events are already in clock order: the stable clock
+  // re-sort of gamma'_alpha leaves them in place, and =band,kappa reduces
+  // to |time - clock| <= band per event. A clock that goes down fails the
+  // node outright, even when the events it reorders are action-identical.
+  struct NodeOrder {
+    Time last_clock = std::numeric_limits<Time>::min();
+    std::string failure;  // the node's first failure; empty while clean
+  };
 
   std::vector<NameClass> kind_class_;  // ActionKindId -> NameClass memo
   TraceCheckOptions opts_;
   DiagnosticReport report_;
   UidIndex<MsgRecord> msgs_;
-  std::unordered_map<int, Time> last_tick_;     // node -> last TICK time
-  std::unordered_map<int, Time> last_local_;    // owner -> last event time
-  std::unordered_set<int> mmt_owners_;          // owners that emitted MMTSTEP
-  TimedTrace clocked_;  // retained for PSC106 when enabled
+  std::vector<Time> last_tick_;          // node -> last TICK time (0: none)
+  std::vector<OwnerSteps> owner_steps_;  // owner -> PSC105 step state
+  Duration order_band_ = 0;              // PSC106 band: eps + ell + slack
+  std::vector<NodeOrder> node_order_;    // empty when PSC106 is off
+  // Clocked events outside every node's class (node kNoNode or >=
+  // num_nodes): real times and clock readings per action identity, matched
+  // sorted-against-sorted at finalize() as eq_within does.
+  std::map<std::string, std::pair<std::vector<Time>, std::vector<Time>>>
+      unclassed_;
   bool finalized_ = false;
 };
 

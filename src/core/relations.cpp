@@ -26,13 +26,16 @@ int class_of(const Action& a, const std::vector<ActionClass>& klasses) {
   return found;
 }
 
-// Events of `t` belonging to class `k` (kUnclassed selects unclassed ones),
-// in trace order.
-std::vector<const TimedEvent*> select_class(
-    const TimedTrace& t, int k, const std::vector<ActionClass>& klasses) {
-  std::vector<const TimedEvent*> out;
+// Events of `t` grouped by class, each group in trace order: slot k holds
+// class k and the last slot (index klasses.size()) the unclassed events.
+// Each event is classified once.
+std::vector<std::vector<const TimedEvent*>> partition(
+    const TimedTrace& t, const std::vector<ActionClass>& klasses) {
+  std::vector<std::vector<const TimedEvent*>> out(klasses.size() + 1);
   for (const auto& e : t) {
-    if (class_of(e.action, klasses) == k) out.push_back(&e);
+    const int k = class_of(e.action, klasses);
+    out[k == kUnclassed ? klasses.size() : static_cast<std::size_t>(k)]
+        .push_back(&e);
   }
   return out;
 }
@@ -53,10 +56,12 @@ RelationResult eq_within(const TimedTrace& alpha1, const TimedTrace& alpha2,
     return {false, "different lengths: " + std::to_string(alpha1.size()) +
                        " vs " + std::to_string(alpha2.size())};
   }
+  const auto parts1 = partition(alpha1, kappa);
+  const auto parts2 = partition(alpha2, kappa);
   // Classed actions: positional matching per class.
   for (std::size_t k = 0; k < kappa.size(); ++k) {
-    auto xs = select_class(alpha1, static_cast<int>(k), kappa);
-    auto ys = select_class(alpha2, static_cast<int>(k), kappa);
+    const auto& xs = parts1[k];
+    const auto& ys = parts2[k];
     if (xs.size() != ys.size()) {
       return {false, "class " + std::to_string(k) + " sizes differ"};
     }
@@ -71,8 +76,8 @@ RelationResult eq_within(const TimedTrace& alpha1, const TimedTrace& alpha2,
     }
   }
   // Unclassed actions: optimal interval matching per action identity.
-  auto xs = select_class(alpha1, kUnclassed, kappa);
-  auto ys = select_class(alpha2, kUnclassed, kappa);
+  const auto& xs = parts1.back();
+  const auto& ys = parts2.back();
   if (xs.size() != ys.size()) {
     return {false, "unclassed action counts differ"};
   }
@@ -106,10 +111,12 @@ RelationResult shifted_within(const TimedTrace& alpha1,
     return {false, "different lengths: " + std::to_string(alpha1.size()) +
                        " vs " + std::to_string(alpha2.size())};
   }
+  const auto parts1 = partition(alpha1, klasses);
+  const auto parts2 = partition(alpha2, klasses);
   // Class actions: positional; shift into [0, delta].
   for (std::size_t k = 0; k < klasses.size(); ++k) {
-    auto xs = select_class(alpha1, static_cast<int>(k), klasses);
-    auto ys = select_class(alpha2, static_cast<int>(k), klasses);
+    const auto& xs = parts1[k];
+    const auto& ys = parts2[k];
     if (xs.size() != ys.size()) {
       return {false, "class " + std::to_string(k) + " sizes differ"};
     }
@@ -124,8 +131,8 @@ RelationResult shifted_within(const TimedTrace& alpha1,
     }
   }
   // Unclassed actions: exact times, order preserved => positional and equal.
-  auto xs = select_class(alpha1, kUnclassed, klasses);
-  auto ys = select_class(alpha2, kUnclassed, klasses);
+  const auto& xs = parts1.back();
+  const auto& ys = parts2.back();
   if (xs.size() != ys.size()) {
     return {false, "unclassed action counts differ"};
   }

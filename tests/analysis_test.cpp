@@ -6,8 +6,12 @@
 // its stable PSC1xx code — synthetically, then end-to-end on the shipped
 // flood/rw/queue harnesses both online (InvariantProbe) and offline
 // (check_trace over a serialized-and-reparsed trace).
+#include <algorithm>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +20,7 @@
 #include "analysis/trace_check.hpp"
 #include "channel/channel.hpp"
 #include "clock/trajectory.hpp"
+#include "core/relations.hpp"
 #include "core/trace_io.hpp"
 #include "mmt/tick_source.hpp"
 #include "obs/instrument.hpp"
@@ -26,6 +31,7 @@
 #include "rw/queue.hpp"
 #include "transform/buffers.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace psc {
 namespace {
@@ -372,6 +378,177 @@ TEST(TraceCheckTest, PerNodeOrderViolationIsPSC106) {
       ev("B", microseconds(1), 0, kNoNode, /*clock=*/microseconds(2)),
   };
   EXPECT_TRUE(check_trace(ok, opts).empty());
+}
+
+// The buffered PSC106 decision, kept as the oracle for the streaming check:
+// the clocked events against their stable clock retiming, =band,kappa-
+// related with one class per node.
+RelationResult buffered_order_oracle(const TimedTrace& trace, Duration band,
+                                     int nodes) {
+  TimedTrace clocked;
+  for (const TimedEvent& e : trace) {
+    if (e.clock != kNoClockTag) clocked.push_back(e);
+  }
+  return eq_within(clocked, stable_sort_by_time(retime_by_clock(clocked)),
+                   band, per_node_classes(nodes));
+}
+
+// True iff some node in [0, nodes) reads a lower clock than at its previous
+// clocked event.
+bool has_clock_decrease(const TimedTrace& trace, int nodes) {
+  std::vector<Time> last(static_cast<std::size_t>(nodes),
+                         std::numeric_limits<Time>::min());
+  for (const TimedEvent& e : trace) {
+    const int n = e.action.node;
+    if (e.clock == kNoClockTag || n < 0 || n >= nodes) continue;
+    Time& prev = last[static_cast<std::size_t>(n)];
+    if (e.clock < prev) return true;
+    prev = e.clock;
+  }
+  return false;
+}
+
+// A random clocked trace for the PSC106 differential test. Node events get
+// per-node nondecreasing clocks within `band` of real time, with clock ties;
+// each carries its sequence number, so node actions are pairwise distinct
+// and any clock decrease displaces actions eq_within can tell apart.
+// Unclassed events (node kNoNode or past the last node) repeat two
+// identities with clocks anywhere in the band, and some swap clocks with an
+// earlier event of their identity: only a sorted-against-sorted matching
+// still pairs each time with a clock inside the band. Some events are
+// unclocked. Then, per trace, one of: nothing, band violations (possibly on
+// several nodes), a clock decrease, or both.
+TimedTrace random_order_trace(int nodes, Duration band, Rng& rng) {
+  std::vector<Time> last(static_cast<std::size_t>(nodes),
+                         std::numeric_limits<Time>::min());
+  TimedTrace tr;
+  Time t = 0;
+  const std::int64_t n = rng.uniform(10, 60);
+  for (std::int64_t k = 0; k < n; ++k) {
+    t += rng.uniform(0, band);
+    TimedEvent e;
+    e.time = t;
+    e.clock = t + rng.uniform(-band, band);
+    if (rng.flip(0.2)) {
+      const int node =
+          rng.flip(0.5) ? kNoNode : nodes + static_cast<int>(rng.index(2));
+      e.action = make_action(rng.flip(0.5) ? "U" : "V", node);
+      if (rng.flip(0.5)) {
+        for (auto p = tr.rbegin(); p != tr.rend(); ++p) {
+          if (to_string(p->action) == to_string(e.action)) {
+            if (p->clock != kNoClockTag) std::swap(p->clock, e.clock);
+            break;
+          }
+        }
+      }
+    } else {
+      const int node = static_cast<int>(rng.index(nodes));
+      e.action = make_action(rng.flip(0.5) ? "A" : "B", node, {Value{k}});
+      Time& prev = last[static_cast<std::size_t>(node)];
+      if (prev != std::numeric_limits<Time>::min() && rng.flip(0.3) &&
+          std::llabs(t - prev) <= band) {
+        e.clock = prev;  // a clock tie
+      }
+      e.clock = std::max(e.clock, prev);
+      prev = e.clock;
+    }
+    if (rng.flip(0.1)) e.clock = kNoClockTag;
+    tr.push_back(e);
+  }
+  const std::size_t inject = rng.index(4);
+  if (inject == 1 || inject == 3) {
+    for (std::int64_t m = rng.uniform(1, 3); m > 0; --m) {
+      TimedEvent& v = tr[rng.index(tr.size())];
+      // Half the violations sit exactly one past the band.
+      const Duration off =
+          band + 1 + (rng.flip(0.5) ? 0 : rng.uniform(1, band));
+      v.clock = rng.flip(0.5) ? v.time + off : v.time - off;
+    }
+  }
+  if (inject == 2 || inject == 3) {
+    // Pull one node event's clock just below its node's previous reading.
+    const std::size_t i = rng.index(tr.size());
+    TimedEvent& v = tr[i];
+    const bool classed = v.action.node >= 0 && v.action.node < nodes;
+    for (std::size_t j = i; classed && j-- > 0;) {
+      const TimedEvent& p = tr[j];
+      if (p.action.node == v.action.node && p.clock != kNoClockTag) {
+        v.clock = p.clock - 1 - rng.uniform(0, band / 2);
+        break;
+      }
+    }
+  }
+  return tr;
+}
+
+TEST(TraceCheckTest, StreamingOrderCheckMatchesBufferedOracle) {
+  const std::string prefix =
+      "trace is not =eps,kappa-related to its clock retiming: ";
+  int related = 0, decreases = 0, unrelated_in_place = 0, unclassed = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    Rng rng(seed);
+    TraceCheckOptions opts;
+    opts.num_nodes = static_cast<int>(rng.uniform(1, 4));
+    opts.eps = rng.uniform(0, 100);
+    opts.ell = rng.flip(0.5) ? -1 : rng.uniform(1, 50);
+    opts.slack = rng.uniform(0, 4);
+    const Duration band =
+        opts.eps + (opts.ell > 0 ? opts.ell : 0) + opts.slack;
+    const TimedTrace trace = random_order_trace(opts.num_nodes, band, rng);
+
+    const RelationResult oracle =
+        buffered_order_oracle(trace, band, opts.num_nodes);
+    const DiagnosticReport report = check_trace(trace, opts);
+    ASSERT_EQ(report.count(DiagCode::kOrderViolation),
+              oracle.related ? 0u : 1u)
+        << "seed " << seed << ": " << oracle.why;
+    if (oracle.related) {
+      ++related;
+    } else if (has_clock_decrease(trace, opts.num_nodes)) {
+      ++decreases;
+    } else {
+      // No event moves, so the failure and its wording match eq_within's.
+      ++unrelated_in_place;
+      if (oracle.why.rfind("time perturbation > eps for ", 0) == 0) {
+        ++unclassed;
+      }
+      for (const Diagnostic& d : report.diagnostics()) {
+        if (d.code == DiagCode::kOrderViolation) {
+          EXPECT_EQ(d.message, prefix + oracle.why) << "seed " << seed;
+        }
+      }
+    }
+  }
+  // Every branch of the comparison is exercised.
+  EXPECT_GE(related, 50);
+  EXPECT_GE(decreases, 50);
+  EXPECT_GE(unrelated_in_place, 25);
+  EXPECT_GE(unclassed, 5);
+}
+
+TEST(TraceCheckTest, ClockDecreaseOverIdenticalActionsIsPSC106) {
+  // The one case where the streaming check is stricter than the buffered
+  // eq_within it replaced: node 0's clock goes down between two identical
+  // actions. The clock retiming swaps them, but positional matching cannot
+  // tell the copies apart and each position stays inside the band.
+  TraceCheckOptions opts;
+  opts.eps = microseconds(5);
+  opts.num_nodes = 1;
+  const TimedTrace trace{
+      ev("A", 0, 0, kNoNode, /*clock=*/microseconds(2)),
+      ev("A", microseconds(1), 0, kNoNode, /*clock=*/0),
+  };
+  const Duration band = opts.eps + opts.slack;
+  EXPECT_TRUE(buffered_order_oracle(trace, band, opts.num_nodes));
+
+  const DiagnosticReport report = check_trace(trace, opts);
+  ASSERT_EQ(report.count(DiagCode::kOrderViolation), 1u);
+  const std::string& msg = report.diagnostics().front().message;
+  EXPECT_NE(msg.find("node 0 clock decreases from " +
+                     format_time(microseconds(2)) + " to " + format_time(0)),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find(to_string(trace[1].action)), std::string::npos) << msg;
 }
 
 TEST(TraceCheckTest, UnknownDeliveryIsPSC107Warning) {

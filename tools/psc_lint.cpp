@@ -20,7 +20,7 @@
 //
 // Usage:
 //   psc-lint --trace=PATH [--eps_us=N] [--d1_us=N] [--d2_us=N] [--ell_us=N]
-//            [--nodes=N] [--slack_ns=N] [--no-order] [--jsonl=PATH]
+//            [--nodes=N] [--slack_ns=N] [--jsonl=PATH]
 //   psc-lint --certify=flood|rw-clock|queue [--nodes=N] [--d1_us=N]
 //            [--d2_us=N] [--eps_us=N] [--ell_us=N] [--shards=K]
 //            [--source=NAME] [--seed=N] [--jsonl=PATH] [--shard-jsonl=PATH]
@@ -56,7 +56,7 @@ int usage() {
   std::cerr
       << "usage: psc-lint --trace=PATH [--eps_us=N] [--d1_us=N] [--d2_us=N]\n"
          "                [--ell_us=N] [--nodes=N] [--slack_ns=N]\n"
-         "                [--no-order] [--jsonl=PATH]\n"
+         "                [--jsonl=PATH]\n"
          "       psc-lint --certify=flood|rw-clock|queue [--nodes=N]\n"
          "                [--d1_us=N] [--d2_us=N] [--eps_us=N] [--ell_us=N]\n"
          "                [--shards=K] [--source=NAME] [--seed=N]\n"
@@ -279,7 +279,6 @@ int main(int argc, char** argv) {
   if (ell_us >= 0) opts.ell = microseconds(ell_us);
   opts.num_nodes = static_cast<int>(geti(args, "nodes", 0));
   opts.slack = geti(args, "slack_ns", opts.slack);
-  if (args.count("no-order") != 0) opts.check_order = false;
 
   const DiagnosticReport report = check_trace(trace, opts);
 
