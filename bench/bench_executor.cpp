@@ -11,14 +11,16 @@
 // Rows report min-of-`--repeats` ns/event per arm at fixed seeds (probe
 // overheads instead use the median within-repeat ratio — see
 // paired_overhead); both arms must execute the same number of events (the schedulers
-// are trace-equivalent — tests/scheduler_test.cpp proves byte equality).
+// are trace-equivalent — tests/scheduler_test.cpp proves byte equality),
+// and every repeat of one arm must reproduce the same event count and
+// ExecutorStats (see fold()).
 // Each sample re-runs its cell until the timed spans total kMinMeasureNs
 // (after one discarded warmup run), so short cells are no longer
 // single-run timer-noise measurements.
 //
 // A second section sweeps the flood ring from 1k to 1M machines on the
-// wheel and heap calendars (legacy polling only up to kLegacySweepCap
-// machines — it is O(machines) per event) and gates on the wheel staying
+// wheel scheduler (legacy polling only up to kLegacySweepCap machines — it
+// is O(machines) per event) and gates on the wheel staying
 // memory-flat: ns/event at 65,536 machines must be <= 2x its value at
 // 1,024. PSC_BENCH_MAX_MACHINES (or --max-machines) caps the sweep for
 // CI boxes.
@@ -61,15 +63,13 @@ constexpr std::uint64_t kSeed = 42;
 // and will not hold the 10% overhead bar.
 std::uint32_t g_prof_sample = ProfOptions{}.sample_every;
 
-// The three scheduler arms (ExecutorOptions). "sched" rows time the
-// default wheel calendar; the sweep also times the heap calendar.
+// The two scheduler arms, as ExecutorOptions::legacy_scan. "sched" rows
+// time the default wheel scheduler.
 struct SchedArm {
   bool legacy = false;
-  bool heap = false;
 };
-constexpr SchedArm kWheelArm{false, false};
-constexpr SchedArm kHeapArm{false, true};
-constexpr SchedArm kLegacyArm{true, false};
+constexpr SchedArm kWheelArm{false};
+constexpr SchedArm kLegacyArm{true};
 
 // Legacy polling is O(machines) per event; past this many machines one
 // sweep cell alone would take minutes, so the sweep drops that arm.
@@ -98,8 +98,7 @@ std::unique_ptr<Executor> build_flood(int n, SchedArm arm, int target_events) {
                       // at 50M in run_sweep_cell.
                       .max_events = 100'000'000,
                       .record_events = false,
-                      .legacy_scan = arm.legacy,
-                      .heap_calendar = arm.heap});
+                      .legacy_scan = arm.legacy});
   const Graph g = Graph::ring(n);
   ChannelConfig cc;
   cc.d1 = microseconds(50);
@@ -117,8 +116,7 @@ std::unique_ptr<Executor> build_queue(int n, SchedArm arm) {
       ExecutorOptions{.horizon = seconds(30),
                       .seed = kSeed,
                       .record_events = false,
-                      .legacy_scan = arm.legacy,
-                      .heap_calendar = arm.heap});
+                      .legacy_scan = arm.legacy});
   Rng seeder(kSeed ^ 0x9c);
   for (int i = 0; i < n; ++i) {
     QueueClient::Options o;
@@ -144,8 +142,8 @@ struct Arm {
   std::size_t events = 0;
   std::size_t machines = 0;
   Duration min_slack = kTimeMax;  // PSC_OBS arm only
-  ExecutorStats stats;  // from the last repeat (identical across repeats —
-                        // fixed seed, deterministic scheduler)
+  ExecutorStats stats;  // from the last repeat (fold() checks that every
+                        // repeat reproduces it)
   // PSC_PROFILE arm only: the microprofiler's scaled report for the run
   // behind ns_per_event's fold (fold() keeps the latest — deterministic
   // work, and each report is self-consistent with its own wall).
@@ -254,10 +252,27 @@ Arm measure_once(const std::string& workload, int n, SchedArm sched,
   return arm;
 }
 
+// Repeats of one arm compared by fold(), and how many of them diverged.
+int g_repeat_pairs = 0;
+int g_repeat_mismatches = 0;
+
 // Folds one repeat into the aggregate: keep the fastest ns/event (external
 // load only ever adds time, so min-of-repeats is the robust estimator on a
-// shared box), latest counters otherwise (deterministic across repeats).
+// shared box), latest counters otherwise. The counters must be identical
+// across repeats — fixed seed, deterministic scheduler — so each repeat is
+// checked against the last: at sweep cells past kLegacySweepCap this is
+// the only cross-check of the scheduler's work.
 void fold(Arm& agg, const Arm& once) {
+  if (agg.events != 0) {
+    ++g_repeat_pairs;
+    if (once.events != agg.events || once.stats != agg.stats) {
+      ++g_repeat_mismatches;
+      std::printf("  repeat diverged on a %zu-machine arm: %zu vs %zu "
+                  "events, ExecutorStats %s\n",
+                  once.machines, once.events, agg.events,
+                  once.stats == agg.stats ? "equal" : "differ");
+    }
+  }
   const double best = agg.events == 0
                           ? once.ns_per_event
                           : std::min(agg.ns_per_event, once.ns_per_event);
@@ -328,7 +343,6 @@ struct Row {
   // much of the speedup comes from cache hits vs interned routing.
   double fast_path_rate = 0;
   double cache_hit_rate = 0;
-  std::uint64_t wake_stale_pops = 0;
   // PSC_LINT=1 arm: scheduler loop with an online InvariantProbe attached.
   double lint_ns = 0;        // 0 when the arm did not run
   double lint_overhead = 0;  // paired_overhead(): median within-repeat ratio
@@ -420,7 +434,6 @@ Row run_config(const std::string& workload, int n, int repeats,
   row.speedup = legacy.ns_per_event / sched.ns_per_event;
   row.fast_path_rate = sched.stats.fast_path_rate();
   row.cache_hit_rate = sched.stats.cache_hit_rate();
-  row.wake_stale_pops = sched.stats.wake_stale_pops;
   if (lint_arm) {
     row.lint_ns = lint.ns_per_event;
     row.lint_overhead = paired_overhead(lint_r, sched_r);
@@ -456,14 +469,13 @@ Row run_config(const std::string& workload, int n, int repeats,
 // Flood over a ring of n nodes (2n machines): only the wavefront is active
 // at any instant, so per-event cost measures pure scheduler overhead as a
 // function of *registered* machines — exactly the memory-flatness claim.
-// The wheel and heap calendars run at every scale and must execute the
-// same number of events; legacy polling stops at kLegacySweepCap machines.
+// The wheel scheduler runs at every scale; legacy polling stops at
+// kLegacySweepCap machines.
 struct SweepRow {
   int nodes = 0;
   std::size_t machines = 0;
   std::size_t events = 0;
   double sched_ns = 0;   // wheel calendar (the default scheduler)
-  double heap_ns = 0;    // heap calendar (ExecutorOptions::heap_calendar)
   double legacy_ns = 0;  // 0 when the arm was skipped (too many machines)
   // PSC_FLIGHT=1 arm: wheel calendar with the flight recorder on the
   // record path. 0 when the arm did not run.
@@ -528,10 +540,9 @@ SweepRow run_sweep_cell(int n, int repeats, int target_events,
   FlightOptions fo;
   ProfOptions po;  // 1-in-64 default — what PSC_PROFILE=1 deploys
   po.sample_every = g_prof_sample;
-  Arm wheel, heap, legacy, flight, prof;
+  Arm wheel, legacy, flight, prof;
   for (int r = 0; r < repeats; ++r) {
     fold(wheel, measure_sample("flood", n, kWheelArm, cell_target));
-    fold(heap, measure_sample("flood", n, kHeapArm, cell_target));
     if (flight_arm) {
       fold(flight, measure_sample("flood", n, kWheelArm, cell_target,
                                   nullptr, nullptr, &fo));
@@ -541,9 +552,6 @@ SweepRow run_sweep_cell(int n, int repeats, int target_events,
                                 nullptr, nullptr, &po));
     }
   }
-  shape(wheel.events == heap.events,
-        "sweep n=" + std::to_string(n) +
-            ": wheel and heap calendars execute the same event count");
   if (flight_arm) {
     shape(wheel.events == flight.events,
           "sweep n=" + std::to_string(n) +
@@ -562,7 +570,6 @@ SweepRow run_sweep_cell(int n, int repeats, int target_events,
   row.machines = wheel.machines;
   row.events = wheel.events;
   row.sched_ns = wheel.ns_per_event;
-  row.heap_ns = heap.ns_per_event;
   if (flight_arm) {
     row.flight_ns = flight.ns_per_event;
     row.flight_overhead = flight.ns_per_event / wheel.ns_per_event - 1.0;
@@ -650,8 +657,8 @@ SweepRow run_sweep_cell(int n, int repeats, int target_events,
               ": legacy polling executes the same event count");
     row.legacy_ns = legacy.ns_per_event;
   }
-  std::printf("  %8d %9zu %9zu %14.1f %14.1f", n, row.machines, row.events,
-              row.sched_ns, row.heap_ns);
+  std::printf("  %8d %9zu %9zu %14.1f", n, row.machines, row.events,
+              row.sched_ns);
   if (row.legacy_ns > 0) {
     std::printf(" %14.1f", row.legacy_ns);
   } else {
@@ -680,8 +687,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
        << ",\"events\":" << r.events << ",\"legacy_ns_per_event\":"
        << r.legacy_ns << ",\"sched_ns_per_event\":" << r.sched_ns
        << ",\"speedup\":" << r.speedup << ",\"fast_path_rate\":"
-       << r.fast_path_rate << ",\"cache_hit_rate\":" << r.cache_hit_rate
-       << ",\"wake_stale_pops\":" << r.wake_stale_pops;
+       << r.fast_path_rate << ",\"cache_hit_rate\":" << r.cache_hit_rate;
     if (r.lint_ns > 0) {
       os << ",\"lint_ns_per_event\":" << r.lint_ns
          << ",\"lint_overhead\":" << r.lint_overhead;
@@ -701,7 +707,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
     os << "{\"bench\":\"bench_executor\",\"workload\":\"flood_sweep\","
        << "\"nodes\":" << r.nodes << ",\"machines\":" << r.machines
        << ",\"events\":" << r.events << ",\"sched_ns_per_event\":"
-       << r.sched_ns << ",\"heap_ns_per_event\":" << r.heap_ns;
+       << r.sched_ns;
     if (r.legacy_ns > 0) os << ",\"legacy_ns_per_event\":" << r.legacy_ns;
     if (r.flight_ns > 0) {
       os << ",\"flight_ns_per_event\":" << r.flight_ns
@@ -944,9 +950,9 @@ int main(int argc, char** argv) {
            "events-per-machine budget per cell; legacy polling capped at " +
            std::to_string(kLegacySweepCap) +
            " machines; cap via PSC_BENCH_MAX_MACHINES / --max-machines");
-      std::printf("  %8s %9s %9s %14s %14s %14s %10s %10s", "n",
-                  "machines", "events", "wheel ns/ev", "heap ns/ev",
-                  "legacy ns/ev", "cascades", "stale");
+      std::printf("  %8s %9s %9s %14s %14s %10s %10s", "n", "machines",
+                  "events", "wheel ns/ev", "legacy ns/ev", "cascades",
+                  "stale");
       if (flight_arm) std::printf(" %13s %8s", "flight ns/ev", "fly ovh");
       if (prof_arm) std::printf(" %11s %8s", "prof ns/ev", "prof ovh");
       std::printf("\n");
@@ -1122,6 +1128,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  shape(g_repeat_mismatches == 0,
+        "every arm's repeats execute identical event counts and "
+        "ExecutorStats (" + std::to_string(g_repeat_pairs) +
+            " repeat pairs compared)");
   if (!json_path.empty()) write_json(json_path, rows, sweep);
   return finish();
 }

@@ -229,10 +229,6 @@ void SchedulerStatsProbe::on_run_end(Time /*now*/) {
   const ExecutorStats& s = exec_.stats();
   reg_.counter("exec.events").add(s.events);
   reg_.counter("exec.time_advances").add(s.time_advances);
-  reg_.counter("exec.wake.pushes").add(s.wake_pushes);
-  reg_.counter("exec.wake.pops").add(s.wake_pops);
-  reg_.counter("exec.wake.stale_pops").add(s.wake_stale_pops);
-  reg_.counter("exec.wake.compactions").add(s.wake_compactions);
   reg_.counter("exec.wheel.inserts").add(s.wheel.inserts);
   reg_.counter("exec.wheel.due").add(s.wheel.due);
   reg_.counter("exec.wheel.stale_drops").add(s.wheel.stale_drops);

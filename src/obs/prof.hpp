@@ -7,7 +7,7 @@
 // down to the bench noise floor (~2%); it says nothing about where the
 // *baseline* nanoseconds go (wheel advance? dirty re-poll? routing?). The
 // microprofiler answers that directly: the scheduler loop brackets each
-// hot-loop phase — wheel/heap advance, candidate poll, pick, routing,
+// hot-loop phase — wheel advance, candidate poll, pick, routing,
 // machine step, trace record, probe dispatch, online lint, flight record —
 // with cycle-counter reads and accumulates per-phase totals, plus
 // per-action-kind and per-machine-kind attribution of the step phase
@@ -98,7 +98,7 @@ class ChromeTraceWriter;
 // phases) or a time advance (kPoll + kAdvance); the phase totals therefore
 // partition the loop's wall time up to the unbracketed loop framing.
 enum class ProfPhase : std::uint8_t {
-  kAdvance = 0,  // advance_time_wheel / _sched / legacy scan
+  kAdvance = 0,  // advance_time_wheel / legacy scan
   kPoll,         // flush_dirty (candidate re-poll) / legacy gather_enabled
   kPick,         // adversary RNG draw + locate_candidate
   kRoute,        // kind memo/intern/resolve + claimant role validation

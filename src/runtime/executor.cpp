@@ -13,11 +13,6 @@
 namespace psc {
 
 namespace {
-// Min-heap order on wake times.
-constexpr auto kWakeLater = [](const auto& a, const auto& b) {
-  return a.t > b.t;
-};
-
 std::uint64_t next_exec_uid() {
   static std::atomic<std::uint64_t> counter{0};
   return ++counter;
@@ -26,7 +21,6 @@ std::uint64_t next_exec_uid() {
 
 Executor::Executor(ExecutorOptions options)
     : options_(std::move(options)),
-      use_wheel_(!options_.legacy_scan && !options_.heap_calendar),
       exec_uid_(next_exec_uid()),
       flight_(options_.flight),
       prof_(options_.profile),
@@ -172,8 +166,6 @@ void Executor::resolve_kind(ActionKindId id) {
 
 void Executor::reset_sched() {
   dirty_.clear();
-  ne_heap_.clear();
-  ub_heap_.clear();
   ne_wheel_.reset(now_);
   ub_wheel_.reset(now_);
   total_cands_ = 0;
@@ -194,31 +186,12 @@ void Executor::mark_dirty(std::size_t m) {
   }
 }
 
-void Executor::push_wake(std::vector<WakeEntry>& heap, Time t, std::size_t m) {
-  heap.push_back(WakeEntry{t, m, gen_[m]});
-  std::push_heap(heap.begin(), heap.end(), kWakeLater);
-  ++stats_.wake_pushes;
-  // Lazy invalidation lets stale entries pile up; compact once they dominate
-  // (each machine has at most one current-generation entry per heap).
-  if (heap.size() > 4 * machines_.size() + 64) {
-    ++stats_.wake_compactions;
-    std::erase_if(heap, [this](const WakeEntry& e) {
-      return e.gen != gen_[e.machine];
-    });
-    std::make_heap(heap.begin(), heap.end(), kWakeLater);
-  }
-}
-
-void Executor::pop_wake(std::vector<WakeEntry>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), kWakeLater);
-  heap.pop_back();
-  ++stats_.wake_pops;
-}
-
 void Executor::push_wheel(TimingWheel& wheel, Time t, std::size_t m) {
   wheel.insert(t, static_cast<std::uint32_t>(m), gen_[m], stats_.wheel);
-  // Same stale-domination backstop as the heaps (each machine has at most
-  // one current-generation entry per wheel).
+  // Every re-poll files a fresh entry and stales the machine's previous
+  // one, so a machine re-polled many times before its hint comes due piles
+  // up stale entries. Each machine has at most one current-generation entry
+  // per wheel, so past 4x that the wheel is mostly stale: sweep it.
   if (wheel.size() > 4 * machines_.size() + 64) {
     wheel.compact(
         [this](const TimingWheel::Entry& e) { return e.gen == gen_[e.machine]; },
@@ -253,25 +226,13 @@ void Executor::flush_dirty() {
               "machine " << machines_[m]->name() << " reported next_enabled "
                          << format_time(ne) << " not after now "
                          << format_time(now_));
-    if (ne != kTimeMax) {
-      if (use_wheel_) {
-        push_wheel(ne_wheel_, ne, m);
-      } else {
-        push_wake(ne_heap_, ne, m);
-      }
-    }
+    if (ne != kTimeMax) push_wheel(ne_wheel_, ne, m);
     const Time ub = machines_[m]->upper_bound(now_);
     PSC_CHECK(ub >= now_, "machine " << machines_[m]->name()
                                      << " upper_bound in the past: "
                                      << format_time(ub) << " < "
                                      << format_time(now_));
-    if (ub != kTimeMax) {
-      if (use_wheel_) {
-        push_wheel(ub_wheel_, ub, m);
-      } else {
-        push_wake(ub_heap_, ub, m);
-      }
-    }
+    if (ub != kTimeMax) push_wheel(ub_wheel_, ub, m);
   }
   dirty_.clear();
 }
@@ -463,13 +424,16 @@ void Executor::execute_fast(std::size_t machine, std::size_t offset) {
   if (prof_ != nullptr) prof_->count_event();
 }
 
-bool Executor::advance_time_sched() {
-  while (!ne_heap_.empty() &&
-         ne_heap_.front().gen != gen_[ne_heap_.front().machine]) {
-    ++stats_.wake_stale_pops;
-    pop_wake(ne_heap_);
-  }
-  const Time next = ne_heap_.empty() ? kTimeMax : ne_heap_.front().t;
+bool Executor::advance_time_wheel() {
+  // The same decision sequence as the legacy advance_time(): quiesce,
+  // horizon, then the next <= ub deadlock check. The deadlock check, probe
+  // notification and wake set are observable through probes and the RNG
+  // stream, and the trace-equivalence tests pin all three. Both minima must
+  // be exact because `now` jumps straight to `next`.
+  const auto valid = [this](const TimingWheel::Entry& e) {
+    return e.gen == gen_[e.machine];
+  };
+  const Time next = ne_wheel_.earliest(valid, stats_.wheel);
   if (next >= kTimeMax) {
     quiesced_ = true;
     return false;  // nothing will ever enable again
@@ -477,12 +441,7 @@ bool Executor::advance_time_sched() {
   if (next > options_.horizon) {
     return false;  // future work exists but lies beyond the horizon
   }
-  while (!ub_heap_.empty() &&
-         ub_heap_.front().gen != gen_[ub_heap_.front().machine]) {
-    ++stats_.wake_stale_pops;
-    pop_wake(ub_heap_);
-  }
-  const Time ub = ub_heap_.empty() ? kTimeMax : ub_heap_.front().t;
+  const Time ub = ub_wheel_.earliest(valid, stats_.wheel);
   // Urgency consistency: if a machine forbids time passing some bound but
   // nothing becomes enabled by then, the composition is deadlocked — a bug
   // in the model under test, so fail loudly.
@@ -496,52 +455,6 @@ bool Executor::advance_time_sched() {
   if (now_ >= time_probe_wake_) notify_time_probes(prev);
   // Wake everything whose hint has come due; woken machines are re-polled
   // at the new now before the next pick.
-  while (!ne_heap_.empty() && ne_heap_.front().t <= now_) {
-    const WakeEntry e = ne_heap_.front();
-    pop_wake(ne_heap_);
-    if (e.gen == gen_[e.machine]) {
-      mark_dirty(e.machine);
-    } else {
-      ++stats_.wake_stale_pops;
-    }
-  }
-  while (!ub_heap_.empty() && ub_heap_.front().t <= now_) {
-    const WakeEntry e = ub_heap_.front();
-    pop_wake(ub_heap_);
-    if (e.gen == gen_[e.machine]) {
-      mark_dirty(e.machine);
-    } else {
-      ++stats_.wake_stale_pops;
-    }
-  }
-  return true;
-}
-
-bool Executor::advance_time_wheel() {
-  // Identical decision sequence to advance_time_sched (the deadlock check,
-  // probe notification and wake set are observable through probes and the
-  // RNG stream, and the trace-equivalence tests pin all three); only the
-  // calendar data structure differs.
-  const auto valid = [this](const TimingWheel::Entry& e) {
-    return e.gen == gen_[e.machine];
-  };
-  const Time next = ne_wheel_.earliest(valid, stats_.wheel);
-  if (next >= kTimeMax) {
-    quiesced_ = true;
-    return false;  // nothing will ever enable again
-  }
-  if (next > options_.horizon) {
-    return false;  // future work exists but lies beyond the horizon
-  }
-  const Time ub = ub_wheel_.earliest(valid, stats_.wheel);
-  PSC_CHECK(next <= ub,
-            "time deadlock: next enabling at "
-                << format_time(next) << " but an upper bound stops time at "
-                << format_time(ub));
-  const Time prev = now_;
-  now_ = next;
-  ++stats_.time_advances;
-  if (now_ >= time_probe_wake_) notify_time_probes(prev);
   const auto due = [this](std::uint32_t m) { mark_dirty(m); };
   ne_wheel_.advance_to(now_, valid, due, stats_.wheel);
   ub_wheel_.advance_to(now_, valid, due, stats_.wheel);
@@ -576,8 +489,7 @@ void Executor::run_loop_sched() {
       execute_fast(m, offset);
       continue;
     }
-    const bool advanced =
-        use_wheel_ ? advance_time_wheel() : advance_time_sched();
+    const bool advanced = advance_time_wheel();
     if (pr != nullptr) pr->add(ProfPhase::kAdvance, Profiler::ticks() - t0);
     if (!advanced) break;
   }

@@ -22,11 +22,10 @@
 // lives in parallel arrays (structure-of-arrays) sized once at add() time,
 // and candidate buffers are recycled through Machine::enabled_into, so the
 // steady state allocates nothing per event. Seed-for-seed the wheel loop
-// produces byte-identical traces and probe sequences to both the PR 2
-// heap-calendar loop (kept behind ExecutorOptions::heap_calendar) and the
-// legacy polling loop (ExecutorOptions::legacy_scan), which exist for A/B
-// tests and benchmarks. See docs/EXECUTOR.md for the invalidation rules and
-// the equivalence argument.
+// produces byte-identical traces and probe sequences to the legacy polling
+// loop (ExecutorOptions::legacy_scan), the literal Def 2.2 transcription
+// that tests and benchmarks compare it against. See docs/EXECUTOR.md for
+// the invalidation rules and the equivalence argument.
 #pragma once
 
 #include <cstdint>
@@ -59,10 +58,6 @@ struct ExecutorOptions {
   // calendar/dirty-set scheduler. Trace- and probe-equivalent to the
   // default; exists so determinism regressions and benches can A/B the two.
   bool legacy_scan = false;
-  // Runs the PR 2 lazy-min-heap wake calendar instead of the timing wheel
-  // (ignored under legacy_scan, which has no calendar at all). Trace- and
-  // probe-equivalent to the default; the third arm of the scheduler A/B.
-  bool heap_calendar = false;
   // Observers notified on every executed event and time-passage step
   // (non-owning; see obs/probe.hpp). Consumed at construction: the executor
   // stores a single probe list, shared with attach_probe(). With no probes
@@ -94,12 +89,7 @@ struct ExecutorOptions {
 struct ExecutorStats {
   std::uint64_t events = 0;         // executed actions
   std::uint64_t time_advances = 0;  // nu steps
-  // Heap wake calendar (ExecutorOptions::heap_calendar arm only).
-  std::uint64_t wake_pushes = 0;
-  std::uint64_t wake_pops = 0;        // popped entries, valid and stale
-  std::uint64_t wake_stale_pops = 0;  // lazily-invalidated entries discarded
-  std::uint64_t wake_compactions = 0;
-  // Timing-wheel wake calendar (the default arm); see runtime/wheel.hpp.
+  // Timing-wheel wake calendar; see runtime/wheel.hpp.
   WheelStats wheel;
   // Dirty set / per-machine candidate cache. A flush re-polls exactly the
   // dirty machines; every other machine's cached enabled() list is a hit.
@@ -134,6 +124,8 @@ struct ExecutorStats {
                       : static_cast<double>(route_fast) /
                             static_cast<double>(total);
   }
+
+  bool operator==(const ExecutorStats&) const = default;
 };
 
 struct ExecutorReport {
@@ -266,25 +258,16 @@ class Executor {
 
   // --- calendar / dirty-set scheduler -------------------------------------
 
-  struct WakeEntry {
-    Time t;
-    std::size_t machine;
-    std::uint32_t gen;
-  };
-
   void reset_sched();
   void mark_dirty(std::size_t m);
   void flush_dirty();
   // Maps a flat candidate index (machine-ascending, per-machine enabled()
   // order — the legacy gather order) to (machine, offset).
   std::pair<std::size_t, std::size_t> locate_candidate(std::size_t k) const;
-  void push_wake(std::vector<WakeEntry>& heap, Time t, std::size_t m);
-  void pop_wake(std::vector<WakeEntry>& heap);
   void push_wheel(TimingWheel& wheel, Time t, std::size_t m);
 
   void run_loop_sched();
-  bool advance_time_sched();  // heap-calendar arm
-  bool advance_time_wheel();  // timing-wheel arm (default)
+  bool advance_time_wheel();
   void execute_fast(std::size_t machine, std::size_t offset);
   // Finishes an event the caller already owns: fills in the scalar fields
   // (time, clock, owner, visibility), notifies probes, and appends it to
@@ -305,7 +288,6 @@ class Executor {
   void run_loop_legacy();
 
   ExecutorOptions options_;
-  bool use_wheel_ = true;  // !legacy_scan && !heap_calendar
   // Process-unique instance id handed to FlightRecorder::bind (recorders
   // memoize per-executor kind ids; pointer identity is not enough because
   // a freed executor's address can be reused).
@@ -375,12 +357,8 @@ class Executor {
   std::vector<char> in_dirty_;
   HierBitset nonempty_;  // machines with cand_count_[m] > 0
   std::size_t total_cands_ = 0;
-  // Wake calendars: the timing wheel is the default; the PR 2 lazy
-  // min-heaps survive behind ExecutorOptions::heap_calendar.
   TimingWheel ne_wheel_;  // next_enabled hints
   TimingWheel ub_wheel_;  // upper_bound deadlines
-  std::vector<WakeEntry> ne_heap_;
-  std::vector<WakeEntry> ub_heap_;
   // Recycled per-event scratch: the candidate Action is swapped (not moved)
   // into this event and swapped back out on the next pick, so the string /
   // args / message buffers cycle between the scheduler and the machines'

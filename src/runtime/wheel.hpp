@@ -8,12 +8,13 @@
 //                 jump);
 //   advance_to(t) drain every entry that has come due at the new `now`.
 //
-// PR 2 used two lazy min-heaps for this: O(log n) per push/pop with stale
-// entries discarded at the top. At 10^6 machines the heap walk is a chain
-// of data-dependent cache misses per event; this wheel replaces it with
-// O(1)-ish array indexing on the same lazy-cancellation contract (entries
-// carry the owning machine's generation counter; a bumped generation
-// invalidates in place — nothing is ever searched for and removed).
+// Insertion and draining are O(1)-ish array indexing, so per-event cost
+// stays flat as the machine count grows. Cancellation is lazy: entries
+// carry the owning machine's generation counter, and a bumped generation
+// invalidates in place — nothing is ever searched for and removed. The
+// executor bumps a machine's generation on every re-poll and files at most
+// one entry per wheel per re-poll, so each machine has at most one
+// current-generation entry per wheel; every other entry for it is stale.
 //
 // Layout: 11 levels x 64 slots keyed on the 6-bit groups of the absolute
 // Time in ns. An entry lives at the *highest level whose 6-bit group
@@ -44,8 +45,8 @@
 // at most kLevels times over its lifetime, amortized O(1) per event.
 //
 // Entries with t == cur_ (an upper bound that stops time *now*) sit in a
-// dedicated now-bucket that earliest() reports as cur_ — the same answer
-// the heap gave with such an entry at its top.
+// dedicated now-bucket that earliest() reports as cur_: such an entry is
+// the exact minimum, since nothing filed is earlier than cur_.
 #pragma once
 
 #include <array>
@@ -66,6 +67,8 @@ struct WheelStats {
   std::uint64_t stale_drops = 0;  // lazily-cancelled entries discarded
   std::uint64_t cascades = 0;     // entries re-filed at a lower level
   std::uint64_t compactions = 0;  // full stale sweeps
+
+  bool operator==(const WheelStats&) const = default;
 };
 
 class TimingWheel {
@@ -186,7 +189,9 @@ class TimingWheel {
   }
 
   // Sweeps every slot, dropping stale entries — the lazy-cancellation
-  // backstop when stale entries dominate (mirrors the heaps' compaction).
+  // backstop for when stale entries dominate. The caller decides when:
+  // with at most one current-generation entry per machine, size() far
+  // above the machine count means the wheel is mostly stale.
   template <typename Valid>
   void compact(Valid&& valid, WheelStats& st) {
     ++st.compactions;

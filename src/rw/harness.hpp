@@ -52,9 +52,6 @@ struct RwRunConfig {
   // Run on the executor's legacy polling loop (see ExecutorOptions) —
   // determinism regressions A/B the schedulers with this.
   bool legacy_scan = false;
-  // Run on the heap wake calendar instead of the timing wheel, as in
-  // ExecutorOptions — the third scheduler arm of the same A/B tests.
-  bool heap_calendar = false;
   // Lint the composition before the run (ExecutorOptions::validate): any
   // error-severity PSC0xx diagnostic aborts via PSC_CHECK.
   bool validate = false;

@@ -146,8 +146,6 @@ struct QueueRunConfig {
   Time horizon = seconds(30);
   // Run on the executor's legacy polling loop, as in RwRunConfig.
   bool legacy_scan = false;
-  // Run on the heap wake calendar instead of the wheel, as in RwRunConfig.
-  bool heap_calendar = false;
   // Lint the composition before the run, as in RwRunConfig.
   bool validate = false;
   // Observability hookup, as in RwRunConfig (see obs/instrument.hpp).

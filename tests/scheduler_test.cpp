@@ -1,13 +1,14 @@
-// Regression suite for the executor's calendar/dirty-set scheduler: the
-// three scheduler arms — the default timing-wheel calendar, the PR 2 heap
-// calendar (ExecutorOptions::heap_calendar) and the legacy polling loop
-// (ExecutorOptions::legacy_scan) — must be observationally identical:
-// byte-identical TimedTraces and probe sequences for the same seed, on
-// every shipped harness. The interned routing must also preserve the
-// composition compatibility errors and hide() edge cases of the
-// classify() path.
+// Regression suite for the executor's calendar/dirty-set scheduler. The
+// legacy polling loop (ExecutorOptions::legacy_scan) transcribes Def 2.2
+// literally, so it is the reference: the default timing-wheel scheduler
+// must be observationally identical to it — byte-identical TimedTraces and
+// probe sequences for the same seed, on every shipped harness and on a run
+// that drives the wheel through its stale-entry compaction. The interned
+// routing must also preserve the composition compatibility errors and
+// hide() edge cases of the classify() path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -71,23 +72,17 @@ class RecordingProbe final : public Probe {
   std::ostringstream log_;
 };
 
-// The three scheduler arms under test, as (legacy_scan, heap_calendar).
-struct SchedMode {
-  bool legacy;
-  bool heap;
-  const char* name;
-};
-constexpr SchedMode kWheelMode{false, false, "wheel"};
-constexpr SchedMode kHeapMode{false, true, "heap"};
-constexpr SchedMode kLegacyMode{true, false, "legacy"};
-constexpr SchedMode kAltModes[] = {kHeapMode, kLegacyMode};
+// The two scheduler arms under test, as ExecutorOptions::legacy_scan.
+constexpr bool kWheel = false;
+constexpr bool kLegacy = true;
 
-TimedTrace run_flood(const Graph& g, std::uint64_t seed, SchedMode mode,
+const char* arm_name(bool legacy) { return legacy ? "legacy" : "wheel"; }
+
+TimedTrace run_flood(const Graph& g, std::uint64_t seed, bool legacy,
                      Probe* probe, std::size_t* steps = nullptr) {
   Executor exec({.horizon = seconds(10),
                  .seed = seed,
-                 .legacy_scan = mode.legacy,
-                 .heap_calendar = mode.heap,
+                 .legacy_scan = legacy,
                  .probes = probe ? std::vector<Probe*>{probe}
                                  : std::vector<Probe*>{}});
   ChannelConfig cc;
@@ -106,40 +101,32 @@ TEST(SchedulerEquivalence, FloodRingTracesMatchAcrossSchedulers) {
   for (std::uint64_t seed : {1u, 7u, 42u, 2024u}) {
     std::size_t steps_ref = 0;
     const auto ref =
-        run_flood(Graph::ring(8), seed, kWheelMode, nullptr, &steps_ref);
-    for (const SchedMode& mode : kAltModes) {
-      std::size_t steps = 0;
-      const auto got = run_flood(Graph::ring(8), seed, mode, nullptr, &steps);
-      EXPECT_EQ(steps_ref, steps) << mode.name << " seed " << seed;
-      EXPECT_EQ(normalized(ref), normalized(got))
-          << mode.name << " seed " << seed;
-    }
+        run_flood(Graph::ring(8), seed, kWheel, nullptr, &steps_ref);
+    std::size_t steps = 0;
+    const auto got = run_flood(Graph::ring(8), seed, kLegacy, nullptr, &steps);
+    EXPECT_EQ(steps_ref, steps) << "seed " << seed;
+    EXPECT_EQ(normalized(ref), normalized(got)) << "seed " << seed;
   }
 }
 
 TEST(SchedulerEquivalence, FloodCompleteGraphTracesMatchAcrossSchedulers) {
   for (std::uint64_t seed : {7u, 42u, 99u}) {
-    const auto ref = run_flood(Graph::complete(6), seed, kWheelMode, nullptr);
-    for (const SchedMode& mode : kAltModes) {
-      const auto got = run_flood(Graph::complete(6), seed, mode, nullptr);
-      EXPECT_EQ(normalized(ref), normalized(got))
-          << mode.name << " seed " << seed;
-    }
+    const auto ref = run_flood(Graph::complete(6), seed, kWheel, nullptr);
+    const auto got = run_flood(Graph::complete(6), seed, kLegacy, nullptr);
+    EXPECT_EQ(normalized(ref), normalized(got)) << "seed " << seed;
   }
 }
 
 TEST(SchedulerEquivalence, ProbeSequencesMatchAcrossSchedulers) {
   RecordingProbe wheel;
-  run_flood(Graph::ring(6), 42, kWheelMode, &wheel);
+  run_flood(Graph::ring(6), 42, kWheel, &wheel);
   EXPECT_FALSE(wheel.text().empty());
-  for (const SchedMode& mode : kAltModes) {
-    RecordingProbe probe;
-    run_flood(Graph::ring(6), 42, mode, &probe);
-    EXPECT_EQ(wheel.text(), probe.text()) << mode.name;
-  }
+  RecordingProbe legacy;
+  run_flood(Graph::ring(6), 42, kLegacy, &legacy);
+  EXPECT_EQ(wheel.text(), legacy.text());
 }
 
-RwRunConfig rw_cfg(std::uint64_t seed, SchedMode mode) {
+RwRunConfig rw_cfg(std::uint64_t seed, bool legacy) {
   RwRunConfig cfg;
   cfg.num_nodes = 3;
   cfg.d1 = microseconds(20);
@@ -150,32 +137,27 @@ RwRunConfig rw_cfg(std::uint64_t seed, SchedMode mode) {
   cfg.think_max = microseconds(300);
   cfg.horizon = seconds(5);
   cfg.seed = seed;
-  cfg.legacy_scan = mode.legacy;
-  cfg.heap_calendar = mode.heap;
+  cfg.legacy_scan = legacy;
   return cfg;
 }
 
 TEST(SchedulerEquivalence, RwTimedTracesMatchAcrossSchedulers) {
   for (std::uint64_t seed : {7u, 42u, 99u}) {
-    const auto ref = run_rw_timed(rw_cfg(seed, kWheelMode));
-    for (const SchedMode& mode : kAltModes) {
-      const auto got = run_rw_timed(rw_cfg(seed, mode));
-      EXPECT_EQ(normalized(ref.events), normalized(got.events))
-          << mode.name << " seed " << seed;
-    }
+    const auto ref = run_rw_timed(rw_cfg(seed, kWheel));
+    const auto got = run_rw_timed(rw_cfg(seed, kLegacy));
+    EXPECT_EQ(normalized(ref.events), normalized(got.events))
+        << "seed " << seed;
   }
 }
 
 TEST(SchedulerEquivalence, RwClockTracesMatchAcrossSchedulers) {
   for (std::uint64_t seed : {7u, 42u, 99u}) {
     ZigzagDrift dref(0.3);
-    const auto ref = run_rw_clock(rw_cfg(seed, kWheelMode), dref);
-    for (const SchedMode& mode : kAltModes) {
-      ZigzagDrift d(0.3);
-      const auto got = run_rw_clock(rw_cfg(seed, mode), d);
-      EXPECT_EQ(normalized(ref.events), normalized(got.events))
-          << mode.name << " seed " << seed;
-    }
+    const auto ref = run_rw_clock(rw_cfg(seed, kWheel), dref);
+    ZigzagDrift d(0.3);
+    const auto got = run_rw_clock(rw_cfg(seed, kLegacy), d);
+    EXPECT_EQ(normalized(ref.events), normalized(got.events))
+        << "seed " << seed;
   }
 }
 
@@ -183,65 +165,62 @@ TEST(SchedulerEquivalence, RwMmtTracesMatchAcrossSchedulers) {
   PerfectDrift drift;
   for (std::uint64_t seed : {7u, 42u, 99u}) {
     const auto ref =
-        run_rw_mmt(rw_cfg(seed, kWheelMode), drift, microseconds(10), 5);
-    for (const SchedMode& mode : kAltModes) {
-      const auto got = run_rw_mmt(rw_cfg(seed, mode), drift, microseconds(10), 5);
-      EXPECT_EQ(normalized(ref.events), normalized(got.events))
-          << mode.name << " seed " << seed;
-    }
+        run_rw_mmt(rw_cfg(seed, kWheel), drift, microseconds(10), 5);
+    const auto got =
+        run_rw_mmt(rw_cfg(seed, kLegacy), drift, microseconds(10), 5);
+    EXPECT_EQ(normalized(ref.events), normalized(got.events))
+        << "seed " << seed;
   }
 }
 
 // The bound-slack observatory is part of the schedulers' observability
-// contract: for the same seed all three scheduler arms must report identical
+// contract: for the same seed both scheduler arms must report identical
 // min-slack summaries, not just identical traces.
 TEST(SchedulerEquivalence, SlackSummariesMatchAcrossSchedulers) {
   struct SlackRun {
     RwRunResult result;
     MetricsRegistry registry;
   };
-  auto run = [](SchedMode mode) {
+  auto run = [](bool legacy) {
     auto out = std::make_unique<SlackRun>();
     ObsOptions oo;
     oo.registry = &out->registry;
     oo.slack = true;
-    RwRunConfig cfg = rw_cfg(42, mode);
+    RwRunConfig cfg = rw_cfg(42, legacy);
     cfg.obs = &oo;
     ZigzagDrift drift(0.3);
     out->result = run_rw_clock(cfg, drift);
     return out;
   };
 
-  const auto ref = run(kWheelMode);
+  const auto ref = run(kWheel);
   const auto& a = ref->result;
   ASSERT_LT(a.min_slack, kTimeMax);  // the observatory measured something
   EXPECT_GE(a.min_slack, 0);
-  for (const SchedMode& mode : kAltModes) {
-    const auto alt = run(mode);
-    const auto& b = alt->result;
-    EXPECT_EQ(a.min_slack, b.min_slack) << mode.name;
-    EXPECT_EQ(a.min_slack_ceps, b.min_slack_ceps) << mode.name;
-    EXPECT_EQ(a.min_slack_delivery, b.min_slack_delivery) << mode.name;
-    EXPECT_EQ(a.min_slack_thm47, b.min_slack_thm47) << mode.name;
-    EXPECT_EQ(a.min_slack_mmt, b.min_slack_mmt) << mode.name;
-    EXPECT_EQ(a.slack_violations, b.slack_violations) << mode.name;
+  const auto alt = run(kLegacy);
+  const auto& b = alt->result;
+  EXPECT_EQ(a.min_slack, b.min_slack);
+  EXPECT_EQ(a.min_slack_ceps, b.min_slack_ceps);
+  EXPECT_EQ(a.min_slack_delivery, b.min_slack_delivery);
+  EXPECT_EQ(a.min_slack_thm47, b.min_slack_thm47);
+  EXPECT_EQ(a.min_slack_mmt, b.min_slack_mmt);
+  EXPECT_EQ(a.slack_violations, b.slack_violations);
 
-    // The aggregate histograms agree sample-for-sample, too.
-    for (const char* name :
-         {"slack.ceps_ns", "slack.delivery_ns", "slack.thm47_ns"}) {
-      const Histogram* ha = ref->registry.find_histogram(name);
-      const Histogram* hb = alt->registry.find_histogram(name);
-      ASSERT_NE(ha, nullptr) << name;
-      ASSERT_NE(hb, nullptr) << name;
-      EXPECT_EQ(ha->count(), hb->count()) << mode.name << " " << name;
-      EXPECT_EQ(ha->sum(), hb->sum()) << mode.name << " " << name;
-      EXPECT_EQ(ha->buckets(), hb->buckets()) << mode.name << " " << name;
-    }
+  // The aggregate histograms agree sample-for-sample, too.
+  for (const char* name :
+       {"slack.ceps_ns", "slack.delivery_ns", "slack.thm47_ns"}) {
+    const Histogram* ha = ref->registry.find_histogram(name);
+    const Histogram* hb = alt->registry.find_histogram(name);
+    ASSERT_NE(ha, nullptr) << name;
+    ASSERT_NE(hb, nullptr) << name;
+    EXPECT_EQ(ha->count(), hb->count()) << name;
+    EXPECT_EQ(ha->sum(), hb->sum()) << name;
+    EXPECT_EQ(ha->buckets(), hb->buckets()) << name;
   }
 }
 
 TEST(SchedulerEquivalence, QueueClockTracesMatchAcrossSchedulers) {
-  auto run = [](std::uint64_t seed, SchedMode mode) {
+  auto run = [](std::uint64_t seed, bool legacy) {
     QueueRunConfig qc;
     qc.num_nodes = 3;
     qc.d1 = microseconds(20);
@@ -251,18 +230,101 @@ TEST(SchedulerEquivalence, QueueClockTracesMatchAcrossSchedulers) {
     qc.think_max = microseconds(300);
     qc.horizon = seconds(5);
     qc.seed = seed;
-    qc.legacy_scan = mode.legacy;
-    qc.heap_calendar = mode.heap;
+    qc.legacy_scan = legacy;
     ZigzagDrift drift(0.3);
     return run_queue_clock(qc, drift);
   };
   for (std::uint64_t seed : {7u, 11u, 42u}) {
-    const auto ref = run(seed, kWheelMode);
-    for (const SchedMode& mode : kAltModes) {
-      const auto got = run(seed, mode);
-      EXPECT_EQ(normalized(ref.events), normalized(got.events))
-          << mode.name << " seed " << seed;
+    const auto ref = run(seed, kWheel);
+    const auto got = run(seed, kLegacy);
+    EXPECT_EQ(normalized(ref.events), normalized(got.events))
+        << "seed " << seed;
+  }
+}
+
+// --- wheel compaction --------------------------------------------------------
+
+// Works through batches of jobs: every job due by now is enabled, one JOB
+// output at a time. Its next_enabled hint sits at the next batch, far in
+// the future, while it works through the current one, so each of its
+// re-polls at one instant files a fresh wake entry and stales the previous
+// one.
+class Batcher final : public Machine {
+ public:
+  Batcher(int node, Time first, Duration period, int batches, int jobs)
+      : Machine("batcher" + std::to_string(node)), node_(node) {
+    for (int b = 0; b < batches; ++b) {
+      due_.insert(due_.end(), static_cast<std::size_t>(jobs),
+                  first + b * period);
     }
+  }
+  ActionRole classify(const Action& a) const override {
+    return a.name == "JOB" && a.node == node_ ? ActionRole::kOutput
+                                              : ActionRole::kNotMine;
+  }
+  bool declare_signature(SignatureDecl& decl) const override {
+    decl.output("JOB", node_);
+    return true;
+  }
+  void apply_input(const Action&, Time) override {}
+  std::vector<Action> enabled(Time t) const override {
+    if (next_ == due_.size() || due_[next_] > t) return {};
+    const Value job{static_cast<std::int64_t>(next_)};
+    return {make_action("JOB", node_, {job})};
+  }
+  void apply_local(const Action&, Time) override { ++next_; }
+  Time upper_bound(Time) const override {
+    return next_ == due_.size() ? kTimeMax : due_[next_];
+  }
+  Time next_enabled(Time t) const override {
+    const auto first = due_.begin() + static_cast<std::ptrdiff_t>(next_);
+    const auto it = std::upper_bound(first, due_.end(), t);
+    return it == due_.end() ? kTimeMax : *it;
+  }
+
+ private:
+  int node_;
+  std::vector<Time> due_;  // ascending
+  std::size_t next_ = 0;
+};
+
+struct BatchRun {
+  TimedTrace events;
+  std::string probes;
+  ExecutorStats stats;
+};
+
+// Batchers 0 and 1 share batch times, so the adversary interleaves their
+// jobs (the seed matters) and their 80 re-polls at one instant overflow the
+// 4 * 3 + 64 entry backstop, while batcher 2 idles on a valid hint that the
+// compaction must keep. Its batches land 37us later, inside the same coarse
+// wheel slot, so each advance to a shared batch re-files them a level down.
+BatchRun run_batches(std::uint64_t seed, bool legacy) {
+  RecordingProbe probe;
+  Executor exec({.horizon = seconds(1),
+                 .seed = seed,
+                 .legacy_scan = legacy,
+                 .probes = {&probe}});
+  for (int node = 0; node < 3; ++node) {
+    exec.add_owned(std::make_unique<Batcher>(
+        node, microseconds(node == 2 ? 1037 : 1000), milliseconds(1),
+        /*batches=*/4, /*jobs=*/40));
+  }
+  const auto report = exec.run();
+  EXPECT_TRUE(report.quiesced);
+  return {exec.events(), probe.text(), report.stats};
+}
+
+TEST(SchedulerEquivalence, WheelCompactionRunsMatchLegacy) {
+  for (std::uint64_t seed : {1u, 7u, 42u}) {
+    const BatchRun wheel = run_batches(seed, kWheel);
+    EXPECT_GT(wheel.stats.wheel.compactions, 0u) << "seed " << seed;
+    EXPECT_GT(wheel.stats.wheel.cascades, 0u) << "seed " << seed;
+    EXPECT_EQ(wheel.events.size(), 3u * 4u * 40u) << "seed " << seed;
+    const BatchRun legacy = run_batches(seed, kLegacy);
+    EXPECT_EQ(normalized(wheel.events), normalized(legacy.events))
+        << "seed " << seed;
+    EXPECT_EQ(wheel.probes, legacy.probes) << "seed " << seed;
   }
 }
 
@@ -359,28 +421,24 @@ class Spinner final : public Machine {
 };
 
 TEST(SchedulerCap, CapWithStopConditionReportsInsteadOfThrowing) {
-  for (const SchedMode& mode : {kWheelMode, kHeapMode, kLegacyMode}) {
-    Executor exec({.horizon = seconds(1),
-                   .max_events = 100,
-                   .legacy_scan = mode.legacy,
-                   .heap_calendar = mode.heap});
+  for (bool legacy : {kWheel, kLegacy}) {
+    Executor exec(
+        {.horizon = seconds(1), .max_events = 100, .legacy_scan = legacy});
     exec.add_owned(std::make_unique<Spinner>());
     exec.stop_when([] { return false; });  // never fires; cap wins the race
     const auto report = exec.run();
-    EXPECT_TRUE(report.hit_event_cap) << mode.name;
-    EXPECT_EQ(report.steps, 100u) << mode.name;
-    EXPECT_FALSE(report.quiesced) << mode.name;
+    EXPECT_TRUE(report.hit_event_cap) << arm_name(legacy);
+    EXPECT_EQ(report.steps, 100u) << arm_name(legacy);
+    EXPECT_FALSE(report.quiesced) << arm_name(legacy);
   }
 }
 
 TEST(SchedulerCap, CapWithoutStopConditionStillThrows) {
-  for (const SchedMode& mode : {kWheelMode, kHeapMode, kLegacyMode}) {
-    Executor exec({.horizon = seconds(1),
-                   .max_events = 100,
-                   .legacy_scan = mode.legacy,
-                   .heap_calendar = mode.heap});
+  for (bool legacy : {kWheel, kLegacy}) {
+    Executor exec(
+        {.horizon = seconds(1), .max_events = 100, .legacy_scan = legacy});
     exec.add_owned(std::make_unique<Spinner>());
-    EXPECT_THROW(exec.run(), CheckError) << mode.name;
+    EXPECT_THROW(exec.run(), CheckError) << arm_name(legacy);
   }
 }
 

@@ -372,9 +372,6 @@ class ObsSetup {
   static void print_exec_stats(const ExecutorStats& s) {
     std::cout << "scheduler: events=" << s.events
               << " time_advances=" << s.time_advances << "\n"
-              << "  wake: pushes=" << s.wake_pushes << " pops=" << s.wake_pops
-              << " stale=" << s.wake_stale_pops
-              << " compactions=" << s.wake_compactions << "\n"
               << "  dirty: flushes=" << s.dirty_flushes
               << " repolls=" << s.dirty_repolls << " peak=" << s.dirty_peak
               << " cache_hit_rate=" << s.cache_hit_rate() << "\n"
