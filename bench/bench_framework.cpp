@@ -6,10 +6,13 @@
 // trajectory queries. These are the costs a user of the library pays.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "clock/trajectory.hpp"
 #include "core/relations.hpp"
 #include "rw/harness.hpp"
 #include "transform/gamma.hpp"
+#include "util/rng.hpp"
 
 namespace psc {
 namespace {
@@ -97,7 +100,7 @@ void BM_WingGongSequential(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(ops.size()));
 }
-BENCHMARK(BM_WingGongSequential)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_WingGongSequential)->Arg(16)->Arg(64)->Arg(256)->Arg(8192);
 
 void BM_WingGongConcurrent(benchmark::State& state) {
   // Overlapping ops from several procs: the hard case for the search.
@@ -119,6 +122,55 @@ void BM_WingGongConcurrent(benchmark::State& state) {
                           static_cast<std::int64_t>(ops.size()));
 }
 BENCHMARK(BM_WingGongConcurrent)->Arg(4)->Arg(8);
+
+// A history shaped like psc_bench's rw_clock_reads: `procs` closed-loop
+// clients of `per_proc` ops each, 20% writes (~400 units) among reads (~150
+// units) with think times U[0, 200], so every op overlaps ops of other
+// procs. Values come from linearizing each op at a random point inside its
+// interval. Ops are listed client by client, as the rw harness collects
+// them, so the search backtracks.
+void BM_WingGongConcurrent(benchmark::State& state, int procs, int per_proc) {
+  Rng rng(7);
+  std::vector<Operation> ops;
+  std::vector<Time> points;
+  for (int p = 0; p < procs; ++p) {
+    Time t = rng.uniform(0, 200);
+    for (int k = 0; k < per_proc; ++k) {
+      const bool write = rng.flip(0.2);
+      const Time res = t + (write ? 400 : 150) + rng.uniform(0, 20);
+      ops.push_back({p, write ? Operation::Kind::kWrite
+                              : Operation::Kind::kRead,
+                     write ? (std::int64_t{p} << 32) | k : 0, t, res});
+      points.push_back(rng.uniform(t, res));
+      t = res + rng.uniform(0, 200);
+    }
+  }
+  std::vector<std::size_t> order(ops.size());
+  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return points[a] < points[b];
+  });
+  std::int64_t value = 0;
+  for (const std::size_t k : order) {
+    if (ops[k].kind == Operation::Kind::kWrite) {
+      value = ops[k].value;
+    } else {
+      ops[k].value = value;
+    }
+  }
+  std::size_t states = 0;
+  for (auto _ : state) {
+    const auto r = check_linearizable(ops, 0);
+    benchmark::DoNotOptimize(r.ok);
+    if (!r) state.SkipWithError("generated history rejected");
+    states = r.states;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(ops.size()));
+  state.SetLabel("states=" + std::to_string(states));
+}
+BENCHMARK_CAPTURE(BM_WingGongConcurrent, rw_clock_reads, 8, 1024)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_WitnessCheck(benchmark::State& state) {
   const auto ops = sequential_history(static_cast<int>(state.range(0)));

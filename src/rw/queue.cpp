@@ -1,14 +1,13 @@
 #include "rw/queue.hpp"
 
-#include <algorithm>
-#include <map>
-#include <unordered_set>
+#include <sstream>
 
 #include "algos/tobcast.hpp"
 #include "obs/instrument.hpp"
 #include "runtime/composite.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/system.hpp"
+#include "rw/wing_gong.hpp"
 #include "transform/clock_system.hpp"
 #include "util/check.hpp"
 
@@ -232,80 +231,45 @@ Time QueueClient::next_enabled(Time t) const {
 // Checker: Wing-Gong with FIFO semantics
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::string queue_key(const std::vector<std::uint64_t>& mask,
-                      const std::deque<std::int64_t>& q) {
-  std::string key(reinterpret_cast<const char*>(mask.data()),
-                  mask.size() * sizeof(std::uint64_t));
-  for (const auto v : q) {
-    key.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  }
-  return key;
+std::string to_string(const QueueOp& op) {
+  std::ostringstream os;
+  os << (op.kind == QueueOp::Kind::kEnq ? "E" : "D") << op.proc << "("
+     << op.value << ")[" << format_time(op.inv) << "," << format_time(op.res)
+     << "]";
+  return os.str();
 }
 
-struct QueueSearcher {
-  const std::vector<QueueOp>& ops;
-  std::size_t max_states;
-  std::size_t states = 0;
-  bool capped = false;
-  std::unordered_set<std::string> failed;
-  std::vector<std::uint64_t> mask;
+namespace {
 
-  explicit QueueSearcher(const std::vector<QueueOp>& o, std::size_t cap)
-      : ops(o), max_states(cap), mask((o.size() + 63) / 64, 0) {}
+// The FIFO queue as a Wing-Gong object (rw/wing_gong.hpp). A dequeue must
+// return the current front, or -1 when the queue is empty.
+struct Fifo {
+  using Op = QueueOp;
+  std::deque<std::int64_t> q;
 
-  bool done(std::size_t k) const { return (mask[k / 64] >> (k % 64)) & 1; }
-  void set(std::size_t k, bool v) {
-    if (v) {
-      mask[k / 64] |= std::uint64_t{1} << (k % 64);
-    } else {
-      mask[k / 64] &= ~(std::uint64_t{1} << (k % 64));
+  bool step(const QueueOp& op, std::int64_t& popped) {
+    if (op.kind == QueueOp::Kind::kEnq) {
+      q.push_back(op.value);
+      return true;
+    }
+    popped = 0;
+    if (q.empty()) return op.value == -1;
+    if (op.value != q.front()) return false;
+    q.pop_front();
+    popped = 1;
+    return true;
+  }
+  void undo(const QueueOp& op, std::int64_t popped) {
+    if (op.kind == QueueOp::Kind::kEnq) {
+      q.pop_back();
+    } else if (popped != 0) {
+      q.push_front(op.value);
     }
   }
-
-  bool search(std::size_t remaining, std::deque<std::int64_t>& q) {
-    if (remaining == 0) return true;
-    if (++states > max_states) {
-      capped = true;
-      return false;
+  void append_key(std::string& key) const {
+    for (const auto v : q) {
+      key.append(reinterpret_cast<const char*>(&v), sizeof(v));
     }
-    const std::string key = queue_key(mask, q);
-    if (failed.count(key)) return false;
-    Time min_res = kTimeMax;
-    for (std::size_t k = 0; k < ops.size(); ++k) {
-      if (!done(k)) min_res = std::min(min_res, ops[k].res);
-    }
-    for (std::size_t k = 0; k < ops.size(); ++k) {
-      if (done(k) || ops[k].inv > min_res) continue;
-      const auto& op = ops[k];
-      if (op.kind == QueueOp::Kind::kEnq) {
-        q.push_back(op.value);
-        set(k, true);
-        if (search(remaining - 1, q)) return true;
-        set(k, false);
-        q.pop_back();
-      } else {
-        // Dequeue must return the current front, or -1 when empty.
-        if (q.empty()) {
-          if (op.value != -1) continue;
-          set(k, true);
-          if (search(remaining - 1, q)) return true;
-          set(k, false);
-        } else {
-          if (op.value != q.front()) continue;
-          const std::int64_t head = q.front();
-          q.pop_front();
-          set(k, true);
-          if (search(remaining - 1, q)) return true;
-          set(k, false);
-          q.push_front(head);
-        }
-      }
-      if (capped) return false;
-    }
-    failed.insert(key);
-    return false;
   }
 };
 
@@ -313,22 +277,7 @@ struct QueueSearcher {
 
 QueueCheckResult check_linearizable_queue(const std::vector<QueueOp>& ops,
                                           std::size_t max_states) {
-  for (const auto& op : ops) {
-    if (op.inv > op.res) {
-      return {false, true, 0, "operation with inv > res"};
-    }
-  }
-  QueueSearcher s(ops, max_states);
-  std::deque<std::int64_t> q;
-  const bool ok = s.search(ops.size(), q);
-  QueueCheckResult r;
-  r.ok = ok;
-  r.conclusive = !s.capped;
-  r.states = s.states;
-  if (!ok) {
-    r.why = s.capped ? "state cap reached" : "no legal linearization";
-  }
-  return r;
+  return wing_gong(ops, Fifo{}, max_states);
 }
 
 // ---------------------------------------------------------------------------

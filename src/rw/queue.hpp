@@ -11,9 +11,9 @@
 // time, the object is linearizable: ops cost d2' + delta just like a
 // Figure-3 write.
 //
-// check_linearizable_queue is the Wing-Gong search with sequential FIFO
-// semantics (memoized on linearized-set + queue contents), so the claim is
-// machine-checked, not assumed.
+// check_linearizable_queue runs the Wing-Gong search of rw/wing_gong.hpp
+// with sequential FIFO semantics, so the claim is machine-checked, not
+// assumed.
 #pragma once
 
 #include <deque>
@@ -24,6 +24,7 @@
 #include "core/machine.hpp"
 #include "core/trace.hpp"
 #include "runtime/executor.hpp"
+#include "rw/spec.hpp"
 #include "util/rng.hpp"
 
 namespace psc {
@@ -41,14 +42,17 @@ struct QueueOp {
   Time res = 0;
 };
 
-struct QueueCheckResult {
-  bool ok = false;
-  bool conclusive = true;
-  std::size_t states = 0;
-  std::string why;
-  explicit operator bool() const { return ok && conclusive; }
-};
+std::string to_string(const QueueOp& op);
 
+using QueueCheckResult = LinearizabilityResult;
+
+// Linearizability against sequential FIFO semantics (a dequeue returns the
+// front, or -1 when empty), by the Wing-Gong search of rw/wing_gong.hpp
+// that check_linearizable also runs: each state reads only the window of
+// ops overlapping its frontier's response and is memoized exactly on
+// (frontier, linearized ops in the window, queue contents), so a check
+// costs O(states x window). Candidates are tried in `ops` index order,
+// which fixes the search and its `states` count.
 QueueCheckResult check_linearizable_queue(const std::vector<QueueOp>& ops,
                                           std::size_t max_states = 4'000'000);
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
-#include <unordered_set>
 
+#include "rw/wing_gong.hpp"
 #include "util/check.hpp"
 
 namespace psc {
@@ -80,64 +80,22 @@ History extract_history(const TimedTrace& trace) {
 
 namespace {
 
-// Memoization key: bitmask of linearized ops (chunked) + register value.
-std::string memo_key(const std::vector<std::uint64_t>& done,
-                     std::int64_t value) {
-  std::string key(reinterpret_cast<const char*>(done.data()),
-                  done.size() * sizeof(std::uint64_t));
-  key.append(reinterpret_cast<const char*>(&value), sizeof(value));
-  return key;
-}
+// The register as a Wing-Gong object (rw/wing_gong.hpp).
+struct Register {
+  using Op = Operation;
+  std::int64_t value;
 
-struct Searcher {
-  const std::vector<Operation>& ops;
-  std::size_t max_states;
-  std::size_t states = 0;
-  bool capped = false;
-  std::unordered_set<std::string> failed;
-  std::vector<std::uint64_t> done_mask;
-
-  explicit Searcher(const std::vector<Operation>& o, std::size_t cap)
-      : ops(o), max_states(cap), done_mask((o.size() + 63) / 64, 0) {}
-
-  bool is_done(std::size_t k) const {
-    return (done_mask[k / 64] >> (k % 64)) & 1;
+  bool step(const Operation& op, std::int64_t& undo) {
+    if (op.kind == Operation::Kind::kRead) return op.value == value;
+    undo = value;
+    value = op.value;
+    return true;
   }
-  void set_done(std::size_t k, bool v) {
-    if (v) {
-      done_mask[k / 64] |= std::uint64_t{1} << (k % 64);
-    } else {
-      done_mask[k / 64] &= ~(std::uint64_t{1} << (k % 64));
-    }
+  void undo(const Operation& op, std::int64_t undo) {
+    if (op.kind == Operation::Kind::kWrite) value = undo;
   }
-
-  bool search(std::size_t remaining, std::int64_t value) {
-    if (remaining == 0) return true;
-    if (++states > max_states) {
-      capped = true;
-      return false;
-    }
-    const std::string key = memo_key(done_mask, value);
-    if (failed.count(key)) return false;
-    // An op can be linearized next iff no other remaining op's response
-    // precedes its invocation: inv <= min(res over remaining).
-    Time min_res = kTimeMax;
-    for (std::size_t k = 0; k < ops.size(); ++k) {
-      if (!is_done(k)) min_res = std::min(min_res, ops[k].res);
-    }
-    for (std::size_t k = 0; k < ops.size(); ++k) {
-      if (is_done(k) || ops[k].inv > min_res) continue;
-      const auto& op = ops[k];
-      if (op.kind == Operation::Kind::kRead && op.value != value) continue;
-      const std::int64_t next_value =
-          op.kind == Operation::Kind::kWrite ? op.value : value;
-      set_done(k, true);
-      if (search(remaining - 1, next_value)) return true;
-      set_done(k, false);
-      if (capped) return false;
-    }
-    failed.insert(key);
-    return false;
+  void append_key(std::string& key) const {
+    key.append(reinterpret_cast<const char*>(&value), sizeof(value));
   }
 };
 
@@ -146,23 +104,7 @@ struct Searcher {
 LinearizabilityResult check_linearizable(const std::vector<Operation>& ops,
                                          std::int64_t v0,
                                          std::size_t max_states) {
-  for (const auto& op : ops) {
-    if (op.inv > op.res) {
-      return {false, true, 0,
-              "operation with inv > res: " + to_string(op)};
-    }
-  }
-  Searcher s(ops, max_states);
-  const bool ok = s.search(ops.size(), v0);
-  LinearizabilityResult r;
-  r.ok = ok;
-  r.conclusive = !s.capped;
-  r.states = s.states;
-  if (!ok) {
-    r.why = s.capped ? "state cap reached (inconclusive)"
-                     : "no legal linearization exists";
-  }
-  return r;
+  return wing_gong(ops, Register{v0}, max_states);
 }
 
 LinearizabilityResult check_superlinearizable(std::vector<Operation> ops,

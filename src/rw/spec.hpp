@@ -60,10 +60,17 @@ struct LinearizabilityResult {
   explicit operator bool() const { return ok && conclusive; }
 };
 
-// Wing & Gong style backtracking with memoization on
-// (set of linearized ops, register value). Sound and complete for
-// histories up to the state cap. Works for arbitrary (not necessarily
-// unique) written values.
+// Wing & Gong backtracking with register semantics, on the search engine
+// of rw/wing_gong.hpp that check_linearizable_queue also runs. Sound and
+// complete for histories up to the state cap; written values need not be
+// unique. Ops are sorted by invocation once; a state with frontier f (the
+// first op not yet linearized) only reads the window of ops with
+// inv <= res[f], since no other op can be a candidate or hold the minimum
+// response. Failed states are memoized exactly on (f, linearized ops in
+// the window, register value), never on a bare hash. Candidates are tried
+// in `ops` index order, which fixes the search and its `states` count.
+// Cost O(states x window), on an explicit stack. When no linearization
+// exists, `why` names the op at the deepest frontier the search reached.
 LinearizabilityResult check_linearizable(const std::vector<Operation>& ops,
                                          std::int64_t v0,
                                          std::size_t max_states = 4'000'000);

@@ -2,8 +2,10 @@
 // histories: histories built from a hidden sequential execution (with the
 // generating points as ground truth) must be accepted by both the
 // Wing-Gong search and the witness checker; corrupted variants must be
-// rejected by both. Also scale smoke: a 10-node register system run stays
-// checkable.
+// rejected by both. A brute-force oracle that tries every order of small
+// histories must agree with the Wing-Gong search on register and queue
+// histories, and the search's state counts on fixed histories are pinned.
+// Also scale smoke: a 10-node register system run stays checkable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -64,17 +66,23 @@ TEST_P(CheckerCross, CorruptedReadRejectedByBothCheckers) {
   for (int round = 0; round < 10; ++round) {
     auto h = random_register_history(24, 40, rng);
     // Find a read and corrupt it to a value that is never written.
-    bool corrupted = false;
+    const Operation* corrupted = nullptr;
     for (auto& op : h.ops) {
       if (op.kind == Operation::Kind::kRead) {
         op.value = -777;
-        corrupted = true;
+        corrupted = &op;
         break;
       }
     }
-    if (!corrupted) continue;
+    if (corrupted == nullptr) continue;
     EXPECT_FALSE(check_with_points(h.ops, h.points, 0).ok);
-    EXPECT_FALSE(check_linearizable(h.ops, 0).ok);
+    const auto wg = check_linearizable(h.ops, 0);
+    EXPECT_FALSE(wg.ok);
+    EXPECT_TRUE(wg.conclusive);
+    // The search never gets past the corrupted read, so the deepest
+    // frontier it reports is that read.
+    EXPECT_NE(wg.why.find(to_string(*corrupted)), std::string::npos)
+        << "round " << round << ": " << wg.why;
   }
 }
 
@@ -133,6 +141,170 @@ TEST_P(CheckerCross, CorruptedDequeueRejected) {
     }
     if (!corrupted) continue;
     EXPECT_FALSE(check_linearizable_queue(ops).ok);
+  }
+}
+
+// --- brute-force oracle --------------------------------------------------------
+
+// Decides linearizability of a small history (n <= 7) by trying every
+// order of its ops: an order is legal iff it never puts an op before one
+// whose response strictly precedes its invocation, and `legal_sequence`
+// accepts it.
+template <class Op, class Legal>
+bool brute_force_linearizable(const std::vector<Op>& ops,
+                              Legal legal_sequence) {
+  std::vector<std::size_t> perm(ops.size());
+  for (std::size_t k = 0; k < perm.size(); ++k) perm[k] = k;
+  do {
+    bool real_time = true;
+    for (std::size_t i = 0; i < perm.size() && real_time; ++i) {
+      for (std::size_t j = i + 1; j < perm.size() && real_time; ++j) {
+        real_time = !(ops[perm[j]].res < ops[perm[i]].inv);
+      }
+    }
+    if (real_time && legal_sequence(perm)) return true;
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  return false;
+}
+
+template <class Op>
+void shuffle(std::vector<Op>& ops, Rng& rng) {
+  for (std::size_t k = ops.size(); k > 1; --k) {
+    std::swap(ops[k - 1], ops[rng.index(k)]);
+  }
+}
+
+// Small histories on a coarse time grid (so inv/res timestamps tie), with
+// values drawn from {1, 2} (so values are written or enqueued more than
+// once), built from a hidden sequential run and shuffled out of time
+// order. The tests corrupt a read or dequeue in about half the rounds.
+template <class Op, class Make>
+std::vector<Op> small_history(Rng& rng, Make make) {
+  const int n = static_cast<int>(rng.uniform(1, 7));
+  std::vector<Op> ops;
+  Time p = 0;
+  for (int k = 0; k < n; ++k) {
+    p += rng.uniform(0, 2);
+    Op op = make(rng);
+    op.proc = static_cast<int>(rng.index(3));
+    op.inv = std::max<Time>(0, p - rng.uniform(0, 3));
+    op.res = p + rng.uniform(0, 3);
+    ops.push_back(op);
+  }
+  shuffle(ops, rng);
+  return ops;
+}
+
+TEST(CheckerOracle, RegisterAgreesWithBruteForce) {
+  Rng rng(0x0c1e);
+  int accepted = 0, rejected = 0;
+  for (int round = 0; round < 3000; ++round) {
+    std::int64_t reg = 0;
+    auto ops = small_history<Operation>(rng, [&](Rng& r) {
+      Operation op;
+      if (r.flip(0.5)) {
+        op.kind = Operation::Kind::kWrite;
+        op.value = r.uniform(1, 2);
+        reg = op.value;
+      } else {
+        op.kind = Operation::Kind::kRead;
+        op.value = reg;
+      }
+      return op;
+    });
+    if (rng.flip(0.5)) {
+      auto& op = ops[rng.index(ops.size())];
+      if (op.kind == Operation::Kind::kRead) op.value = rng.uniform(0, 3);
+    }
+    const bool oracle = brute_force_linearizable(
+        ops, [&](const std::vector<std::size_t>& order) {
+          std::int64_t value = 0;
+          for (const std::size_t k : order) {
+            if (ops[k].kind == Operation::Kind::kWrite) {
+              value = ops[k].value;
+            } else if (ops[k].value != value) {
+              return false;
+            }
+          }
+          return true;
+        });
+    const auto wg = check_linearizable(ops, 0);
+    ASSERT_TRUE(wg.conclusive);
+    ASSERT_EQ(wg.ok, oracle) << "round " << round;
+    (oracle ? accepted : rejected)++;
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
+}
+
+TEST(CheckerOracle, QueueAgreesWithBruteForce) {
+  Rng rng(0xf1f0);
+  int accepted = 0, rejected = 0;
+  for (int round = 0; round < 3000; ++round) {
+    std::deque<std::int64_t> q;
+    auto ops = small_history<QueueOp>(rng, [&](Rng& r) {
+      QueueOp op;
+      if (r.flip(0.5)) {
+        op.kind = QueueOp::Kind::kEnq;
+        op.value = r.uniform(1, 2);
+        q.push_back(op.value);
+      } else {
+        op.kind = QueueOp::Kind::kDeq;
+        op.value = -1;
+        if (!q.empty()) {
+          op.value = q.front();
+          q.pop_front();
+        }
+      }
+      return op;
+    });
+    if (rng.flip(0.5)) {
+      auto& op = ops[rng.index(ops.size())];
+      if (op.kind == QueueOp::Kind::kDeq) op.value = rng.uniform(-1, 3);
+    }
+    const bool oracle = brute_force_linearizable(
+        ops, [&](const std::vector<std::size_t>& order) {
+          std::deque<std::int64_t> fifo;
+          for (const std::size_t k : order) {
+            if (ops[k].kind == QueueOp::Kind::kEnq) {
+              fifo.push_back(ops[k].value);
+            } else if (fifo.empty()) {
+              if (ops[k].value != -1) return false;
+            } else {
+              if (ops[k].value != fifo.front()) return false;
+              fifo.pop_front();
+            }
+          }
+          return true;
+        });
+    const auto r = check_linearizable_queue(ops);
+    ASSERT_TRUE(r.conclusive);
+    ASSERT_EQ(r.ok, oracle) << "round " << round;
+    (oracle ? accepted : rejected)++;
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
+}
+
+// The search's order is part of its contract: `states` on fixed histories
+// is pinned, so a change in DFS order fails here, not only in a benchmark.
+TEST(CheckerOracle, StateCountsArePinned) {
+  const std::size_t register_states[] = {920, 646, 931};
+  const std::size_t queue_states[] = {8137, 27968, 1835};
+  // Shuffled, so the index order the search tries candidates in is not the
+  // generating order and the search has to backtrack.
+  for (int k = 0; k < 3; ++k) {
+    Rng rng(100 + k);
+    auto h = random_register_history(400, 300, rng);
+    shuffle(h.ops, rng);
+    const auto wg = check_linearizable(h.ops, 0);
+    EXPECT_TRUE(wg.ok) << wg.why;
+    EXPECT_EQ(wg.states, register_states[k]) << "history " << k;
+    auto ops = random_queue_history(120, 300, rng);
+    shuffle(ops, rng);
+    const auto q = check_linearizable_queue(ops);
+    EXPECT_TRUE(q.ok) << q.why;
+    EXPECT_EQ(q.states, queue_states[k]) << "history " << k;
   }
 }
 

@@ -155,6 +155,22 @@ TEST(LinCheckTest, LongChainIsFast) {
   EXPECT_TRUE(r.conclusive);
 }
 
+TEST(LinCheckTest, HugeChainIsIterative) {
+  // 200,000 sequential ops: the search is as deep as the history, so it
+  // must not recurse per linearized op (this also runs under ASan).
+  std::vector<Operation> ops;
+  Time t = 0;
+  for (int k = 0; k < 100'000; ++k) {
+    ops.push_back(wr(0, k + 1, t, t + 1));
+    ops.push_back(rd(1, k + 1, t + 2, t + 3));
+    t += 4;
+  }
+  const auto r = check_linearizable(ops, 0);
+  EXPECT_TRUE(r.ok) << r.why;
+  EXPECT_TRUE(r.conclusive);
+  EXPECT_EQ(r.states, ops.size());
+}
+
 TEST(LinCheckTest, StateCapReportsInconclusive) {
   // Many fully concurrent writes + an impossible read forces the search to
   // exhaust; with a tiny cap it must report inconclusive rather than "no".
