@@ -3,7 +3,7 @@
 // Measures the substrate itself: executor event throughput on the register
 // system in each model, linearizability-checker cost (Wing-Gong search vs
 // the O(n log n) witness check), trace-relation checking, and clock
-// trajectory queries. These are the costs a user of the library pays.
+// trajectory queries (mixed, and each query alone on the benchmark's clock). These are the costs a user of the library pays.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -219,6 +219,39 @@ void BM_TrajectoryQueries(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TrajectoryQueries);
+
+// One clock query at a time on the clock behind the rw_clock_reads
+// workload: ZigzagDrift(0.25), eps = 50us, 30s horizon (~83k breakpoints),
+// with the argument stepping monotonically through the first second as a
+// Simulation 1 node's deadlines do.
+enum class ClockQuery { kClockAt, kTimeFirstAt, kTimeLastAt };
+
+void BM_TrajectoryInverse(benchmark::State& state, ClockQuery query) {
+  Rng rng(1);
+  const auto traj =
+      ZigzagDrift(0.25).generate(microseconds(50), seconds(30), rng);
+  Time x = 0;
+  for (auto _ : state) {
+    x = (x + 37'123) % seconds(1);
+    switch (query) {
+      case ClockQuery::kClockAt:
+        benchmark::DoNotOptimize(traj.clock_at(x));
+        break;
+      case ClockQuery::kTimeFirstAt:
+        benchmark::DoNotOptimize(traj.time_first_at(x));
+        break;
+      case ClockQuery::kTimeLastAt:
+        benchmark::DoNotOptimize(traj.time_last_at(x));
+        break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_TrajectoryInverse, clock_at, ClockQuery::kClockAt);
+BENCHMARK_CAPTURE(BM_TrajectoryInverse, time_first_at,
+                  ClockQuery::kTimeFirstAt);
+BENCHMARK_CAPTURE(BM_TrajectoryInverse, time_last_at,
+                  ClockQuery::kTimeLastAt);
 
 void BM_GammaConstruction(benchmark::State& state) {
   RwRunConfig cfg = bench_config();

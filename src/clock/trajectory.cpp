@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -15,6 +16,22 @@ Time lerp(Time x0, Time y0, Time x1, Time y1, Time x) {
   PSC_CHECK(x0 <= x && x <= x1 && x0 < x1, "lerp out of range");
   const __int128 num = static_cast<__int128>(y1 - y0) * (x - x0);
   return y0 + static_cast<Time>(num / (x1 - x0));
+}
+
+// The segment whose clock range [lo.c, hi.c) holds c. Requires
+// 0 <= c < points.back().c.
+std::pair<Breakpoint, Breakpoint> segment_of_clock(
+    const std::vector<Breakpoint>& points, Time c) {
+  auto it = std::upper_bound(
+      points.begin(), points.end(), c,
+      [](Time x, const Breakpoint& b) { return x < b.c; });
+  return {*(it - 1), *it};
+}
+
+// ceil(k * b / a) for k >= 0 and a, b > 0, exact in 128 bits.
+Time ceil_mul_div(Time k, Time b, Time a) {
+  const __int128 num = static_cast<__int128>(k) * b;
+  return static_cast<Time>((num + a - 1) / a);
 }
 
 }  // namespace
@@ -58,30 +75,13 @@ Time ClockTrajectory::time_first_at(Time c) const {
   if (c <= 0) return 0;
   const auto& last = points_.back();
   if (c >= last.c) return last.t + (c - last.c);
-  // Find the segment whose clock range contains c, then binary-search the
-  // nanosecond grid (robust against interpolation rounding).
-  auto it = std::upper_bound(
-      points_.begin(), points_.end(), c,
-      [](Time x, const Breakpoint& b) { return x < b.c; });
-  const auto& hi = *it;
-  const auto& lo = *(it - 1);
-  if (c == lo.c) {
-    // Earliest time: could even be in an earlier flat-rounded region, but
-    // segments strictly increase, so lo.t is the first grid time with
-    // clock >= lo.c unless the previous segment already reached it; since
-    // breakpoint clocks strictly increase, lo.t is correct.
-    return lo.t;
-  }
-  Time a = lo.t, b = hi.t;  // clock_at(a) < c <= clock_at(b)
-  while (a + 1 < b) {
-    const Time mid = a + (b - a) / 2;
-    if (clock_at(mid) >= c) {
-      b = mid;
-    } else {
-      a = mid;
-    }
-  }
-  return b;
+  // Invert clock_at(lo.t + u) = lo.c + floor(A*u/B) on the segment whose
+  // clock range [lo.c, hi.c) holds c: the least u with floor(A*u/B) >= k is
+  // ceil(k*B/A). Every earlier time reads < lo.c <= c, because breakpoint
+  // clocks strictly increase and interpolation rounds down; so k = 0 gives
+  // lo.t itself.
+  const auto [lo, hi] = segment_of_clock(points_, c);
+  return lo.t + ceil_mul_div(c - lo.c, hi.t - lo.t, hi.c - lo.c);
 }
 
 Time ClockTrajectory::time_last_at(Time c) const {
@@ -90,21 +90,10 @@ Time ClockTrajectory::time_last_at(Time c) const {
   }
   const auto& last = points_.back();
   if (c >= last.c) return last.t + (c - last.c);
-  auto it = std::upper_bound(
-      points_.begin(), points_.end(), c,
-      [](Time x, const Breakpoint& b) { return x < b.c; });
-  const auto& hi = *it;  // clock_at(hi.t) > c
-  const auto& lo = *(it - 1);
-  Time a = lo.t, b = hi.t;  // clock_at(a) <= c < clock_at(b)
-  while (a + 1 < b) {
-    const Time mid = a + (b - a) / 2;
-    if (clock_at(mid) <= c) {
-      a = mid;
-    } else {
-      b = mid;
-    }
-  }
-  return a;
+  // The greatest u with floor(A*u/B) <= k is ceil((k+1)*B/A) - 1; k < A
+  // keeps it below B, inside the segment.
+  const auto [lo, hi] = segment_of_clock(points_, c);
+  return lo.t + ceil_mul_div(c - lo.c + 1, hi.t - lo.t, hi.c - lo.c) - 1;
 }
 
 void ClockTrajectory::validate(Time horizon) const {

@@ -8,11 +8,20 @@
 // We realize the clock as a continuous, nondecreasing, piecewise-linear
 // function c(t) given by breakpoints, strictly increasing across segments.
 // Piecewise linearity gives axiom C4's intermediate states by construction.
-// Times live on the integer nanosecond grid; interpolation rounds down, so
-// c(t) can be flat across a few grid points inside a slow segment — the
-// executor only ever passes time in jumps where this is harmless, and
-// validate() enforces the C_eps band pointwise at breakpoints plus segment
-// analysis in between.
+// Times live on the integer nanosecond grid. Inside a segment from lo to hi,
+// with A = hi.c - lo.c and B = hi.t - lo.t,
+//   c(t) = lo.c + floor(A * (t - lo.t) / B),
+// so c(t) can be flat across a few grid points of a slow segment and skip
+// clock values in a fast one; the executor only ever passes time in jumps
+// where this is harmless. validate() enforces the C_eps band pointwise at
+// breakpoints plus segment analysis in between.
+//
+// Cost: clock_at, time_first_at and time_last_at are each one binary search
+// over the breakpoints plus O(1) 128-bit arithmetic. The two inverses are
+// closed forms of that floor, exact on the grid (no rounding slack):
+// with k = c - lo.c for the segment whose clock range [lo.c, hi.c) holds c,
+//   time_first_at(c) = lo.t + ceil(k * B / A)
+//   time_last_at(c)  = lo.t + ceil((k + 1) * B / A) - 1.
 #pragma once
 
 #include <memory>

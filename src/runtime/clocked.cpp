@@ -14,6 +14,14 @@ ClockedMachine::ClockedMachine(std::unique_ptr<Machine> inner,
   set_clocked(true);
 }
 
+Time ClockedMachine::clock_now(Time t) const {
+  if (t != memo_t_) {
+    memo_c_ = traj_->clock_at(t);
+    memo_t_ = t;
+  }
+  return memo_c_;
+}
+
 ActionRole ClockedMachine::classify(const Action& a) const {
   return inner_->classify(a);
 }
@@ -23,19 +31,23 @@ bool ClockedMachine::declare_signature(SignatureDecl& decl) const {
 }
 
 void ClockedMachine::apply_input(const Action& a, Time t) {
-  inner_->apply_input(a, traj_->clock_at(t));
+  inner_->apply_input(a, clock_now(t));
 }
 
 std::vector<Action> ClockedMachine::enabled(Time t) const {
-  return inner_->enabled(traj_->clock_at(t));
+  return inner_->enabled(clock_now(t));
+}
+
+void ClockedMachine::enabled_into(Time t, std::vector<Action>& out) const {
+  inner_->enabled_into(clock_now(t), out);
 }
 
 void ClockedMachine::apply_local(const Action& a, Time t) {
-  inner_->apply_local(a, traj_->clock_at(t));
+  inner_->apply_local(a, clock_now(t));
 }
 
 Time ClockedMachine::upper_bound(Time t) const {
-  const Time cub = inner_->upper_bound(traj_->clock_at(t));
+  const Time cub = inner_->upper_bound(clock_now(t));
   if (cub >= kTimeMax) return kTimeMax;
   Time ub = traj_->time_last_at(cub);
   // A rate>1 segment of the integer-grid trajectory may skip the exact
@@ -47,7 +59,7 @@ Time ClockedMachine::upper_bound(Time t) const {
 }
 
 Time ClockedMachine::next_enabled(Time t) const {
-  const Time cne = inner_->next_enabled(traj_->clock_at(t));
+  const Time cne = inner_->next_enabled(clock_now(t));
   if (cne >= kTimeMax) return kTimeMax;
   const Time tn = traj_->time_first_at(cne);
   // The clock can sit on one value across a rounding plateau; the inner
@@ -56,7 +68,7 @@ Time ClockedMachine::next_enabled(Time t) const {
 }
 
 Time ClockedMachine::clock_reading(Time t) const {
-  return traj_->clock_at(t);
+  return clock_now(t);
 }
 
 }  // namespace psc

@@ -11,6 +11,10 @@
 // Deadline translation: a clock-time urgency bound cub becomes the last real
 // time at which the clock still reads <= cub; a clock-time enabling hint cne
 // becomes the first real time at which the clock reads >= cne.
+//
+// The executor polls a machine with several calls at one `now`
+// (enabled_into, next_enabled, upper_bound, clock_reading), so the adapter
+// reads its clock once per distinct t and answers the rest from a memo.
 #pragma once
 
 #include <memory>
@@ -38,6 +42,7 @@ class ClockedMachine final : public Machine {
   bool declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
   std::vector<Action> enabled(Time t) const override;
+  void enabled_into(Time t, std::vector<Action>& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;
@@ -55,8 +60,16 @@ class ClockedMachine final : public Machine {
   }
 
  private:
+  // c(t), memoized on the last t asked. The memo is mutable state behind
+  // const methods; that is safe because one executor owns the machine and
+  // calls it from one thread. It starts at (0, 0), which axiom C1 makes
+  // exact for every trajectory.
+  Time clock_now(Time t) const;
+
   std::unique_ptr<Machine> inner_;
   std::shared_ptr<const ClockTrajectory> traj_;
+  mutable Time memo_t_ = 0;
+  mutable Time memo_c_ = 0;
 };
 
 }  // namespace psc

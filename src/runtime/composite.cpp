@@ -1,6 +1,7 @@
 #include "runtime/composite.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/check.hpp"
 
@@ -125,6 +126,15 @@ std::vector<Action> CompositeMachine::enabled(Time t) const {
                std::make_move_iterator(acts.end()));
   }
   return out;
+}
+
+void CompositeMachine::enabled_into(Time t, std::vector<Action>& out) const {
+  out.clear();
+  for (const auto& m : members_) {
+    m->enabled_into(t, scratch_);
+    out.insert(out.end(), std::make_move_iterator(scratch_.begin()),
+               std::make_move_iterator(scratch_.end()));
+  }
 }
 
 void CompositeMachine::apply_local(const Action& a, Time t) {

@@ -46,6 +46,11 @@ class CompositeMachine : public Machine {
   bool declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
   std::vector<Action> enabled(Time t) const override;
+  // enabled()'s sequence, member by member through each member's
+  // enabled_into: `out` keeps its capacity across polls. enabled() stays
+  // separate because MmtNode calls it on every step, where a fresh vector
+  // filled through the scratch costs more than the member-by-member concat.
+  void enabled_into(Time t, std::vector<Action>& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;
@@ -62,6 +67,9 @@ class CompositeMachine : public Machine {
 
   std::vector<std::unique_ptr<Machine>> members_;
   std::unordered_set<std::string> hidden_;
+  // One member's candidates during enabled_into, recycled across polls
+  // (single-threaded: one executor owns the machine).
+  mutable std::vector<Action> scratch_;
 };
 
 }  // namespace psc

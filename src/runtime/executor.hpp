@@ -21,7 +21,8 @@
 // kinds instead of calling classify() on every machine. Per-machine state
 // lives in parallel arrays (structure-of-arrays) sized once at add() time,
 // and candidate buffers are recycled through Machine::enabled_into, so the
-// steady state allocates nothing per event. Seed-for-seed the wheel loop
+// steady state allocates nothing per event for machines that override it
+// (see docs/EXECUTOR.md for which do). Seed-for-seed the wheel loop
 // produces byte-identical traces and probe sequences to the legacy polling
 // loop (ExecutorOptions::legacy_scan), the literal Def 2.2 transcription
 // that tests and benchmarks compare it against. See docs/EXECUTOR.md for

@@ -4,7 +4,9 @@
 // schedules.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <string>
 
 #include "core/trace_io.hpp"
 #include "rw/harness.hpp"
@@ -63,7 +65,7 @@ TEST(DeterminismTest, MmtModelIsSeedDeterministic) {
   EXPECT_EQ(normalized(a.events), normalized(b.events));
 }
 
-TEST(DeterminismTest, QueueIsSeedDeterministic) {
+QueueRunConfig queue_cfg() {
   QueueRunConfig qc;
   qc.num_nodes = 3;
   qc.d1 = microseconds(20);
@@ -73,10 +75,45 @@ TEST(DeterminismTest, QueueIsSeedDeterministic) {
   qc.think_max = microseconds(300);
   qc.horizon = seconds(5);
   qc.seed = 7;
+  return qc;
+}
+
+TEST(DeterminismTest, QueueIsSeedDeterministic) {
   ZigzagDrift d1(0.3), d2(0.3);
-  const auto a = run_queue_clock(qc, d1);
-  const auto b = run_queue_clock(qc, d2);
+  const auto a = run_queue_clock(queue_cfg(), d1);
+  const auto b = run_queue_clock(queue_cfg(), d2);
   EXPECT_EQ(normalized(a.events), normalized(b.events));
+}
+
+// 64-bit FNV-1a: a fixed, platform-independent digest of a trace's text.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char ch : s) {
+    h ^= ch;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The tests above compare two runs of one build; these pin the traces
+// across builds. The constants were read from a build whose clock inverses
+// bisected the nanosecond grid, so any later change to the clock-model path
+// (deadline translation, the adapter's clock reads, the composite's poll)
+// must keep Simulation 1 seed-for-seed identical to it.
+TEST(DeterminismTest, ClockModelTraceIsPinnedAcrossBuilds) {
+  ZigzagDrift drift(0.3);
+  const auto run = run_rw_clock(cfg_for(42), drift);
+  const std::string text = normalized(run.events);
+  EXPECT_EQ(run.events.size(), 180u);
+  EXPECT_EQ(fnv1a(text), 2273367640099847480ULL);
+}
+
+TEST(DeterminismTest, QueueClockTraceIsPinnedAcrossBuilds) {
+  ZigzagDrift drift(0.3);
+  const auto run = run_queue_clock(queue_cfg(), drift);
+  const std::string text = normalized(run.events);
+  EXPECT_EQ(run.events.size(), 432u);
+  EXPECT_EQ(fnv1a(text), 1336714106374535452ULL);
 }
 
 }  // namespace

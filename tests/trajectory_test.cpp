@@ -2,6 +2,10 @@
 // band, inversion properties, and generator sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "clock/trajectory.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -48,6 +52,135 @@ TEST(TrajectoryTest, InverseConsistency) {
     const Time tl = traj.time_last_at(c);
     EXPECT_LE(traj.clock_at(tl), c) << "c=" << c;
     EXPECT_GT(traj.clock_at(tl + 1), c) << "c=" << c;
+  }
+}
+
+// --- inverse oracle -----------------------------------------------------------
+
+// The grid bisection the library ran before its closed-form inverses: find
+// the segment whose clock range holds c, then bisect the nanosecond grid
+// inside it with clock_at. It relies only on clock_at being nondecreasing,
+// so it is the reference the closed forms must match exactly.
+struct Segment {
+  Breakpoint lo, hi;
+};
+
+Segment segment_of_clock(const ClockTrajectory& traj, Time c) {
+  const auto& pts = traj.points();
+  auto it = std::upper_bound(
+      pts.begin(), pts.end(), c,
+      [](Time x, const Breakpoint& b) { return x < b.c; });
+  return {*(it - 1), *it};
+}
+
+Time bisect_time_first_at(const ClockTrajectory& traj, Time c) {
+  if (c <= 0) return 0;
+  const auto& last = traj.points().back();
+  if (c >= last.c) return last.t + (c - last.c);
+  const auto [lo, hi] = segment_of_clock(traj, c);
+  if (c == lo.c) return lo.t;
+  Time a = lo.t, b = hi.t;  // clock_at(a) < c <= clock_at(b)
+  while (a + 1 < b) {
+    const Time mid = a + (b - a) / 2;
+    if (traj.clock_at(mid) >= c) {
+      b = mid;
+    } else {
+      a = mid;
+    }
+  }
+  return b;
+}
+
+Time bisect_time_last_at(const ClockTrajectory& traj, Time c) {
+  const auto& last = traj.points().back();
+  if (c >= last.c) return last.t + (c - last.c);
+  const auto [lo, hi] = segment_of_clock(traj, c);
+  Time a = lo.t, b = hi.t;  // clock_at(a) <= c < clock_at(b)
+  while (a + 1 < b) {
+    const Time mid = a + (b - a) / 2;
+    if (traj.clock_at(mid) <= c) {
+      a = mid;
+    } else {
+      b = mid;
+    }
+  }
+  return a;
+}
+
+void expect_inverses_match_bisection(const ClockTrajectory& traj, Time c,
+                                     const std::string& what) {
+  ASSERT_EQ(traj.time_first_at(c), bisect_time_first_at(traj, c))
+      << what << " time_first_at(" << c << ")";
+  ASSERT_EQ(traj.time_last_at(c), bisect_time_last_at(traj, c))
+      << what << " time_last_at(" << c << ")";
+}
+
+// Hand-made trajectories with awkward segments: rates 1/1000, 1000, 7/3 and
+// 3/7 (so ceil(k*B/A) is rarely exact), length-1 segments in time, and each
+// shape at two scales. Every c from 0 through the final ray is checked,
+// which includes 0 and every breakpoint clock.
+TEST(TrajectoryInverseOracle, AwkwardTrajectoriesEveryClockValue) {
+  const std::vector<std::vector<Breakpoint>> shapes = {
+      // 1/1000, then 1000 over one nanosecond, 7/3, 3/7, a length-1 rate-1.
+      {{0, 0}, {1000, 1}, {1001, 1001}, {1004, 1008}, {1011, 1011},
+       {1012, 1012}},
+      // 7/3 and 3/7 scaled by 1000, then 1000 over one ns, then 1/1000.
+      {{0, 0}, {3000, 7000}, {10000, 10000}, {10001, 11000}, {11001, 11001}},
+      // Starts with a length-1 segment of rate 1000; ends on a 3/7 segment.
+      {{0, 0}, {1, 1000}, {1001, 1001}, {1008, 1004}},
+      // Consecutive length-1 segments of rates 1, 2 and 3.
+      {{0, 0}, {1, 1}, {2, 3}, {3, 6}, {1000, 7}},
+  };
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const ClockTrajectory traj(shapes[i], seconds(1));
+    const std::string what = "shape " + std::to_string(i);
+    const Time last_c = traj.points().back().c;
+    for (Time c = 0; c <= last_c + 10; ++c) {
+      expect_inverses_match_bisection(traj, c, what);
+    }
+  }
+}
+
+// Sampled c over generated trajectories: every breakpoint clock and its
+// neighbours, plus uniform draws through the final ray.
+void expect_sampled_inverses_match(const ClockTrajectory& traj,
+                                   std::size_t stride, int draws,
+                                   std::uint64_t seed,
+                                   const std::string& what) {
+  const auto& pts = traj.points();
+  for (std::size_t i = 0; i < pts.size(); i += stride) {
+    for (Time c : {pts[i].c - 1, pts[i].c, pts[i].c + 1}) {
+      if (c >= 0) expect_inverses_match_bisection(traj, c, what);
+    }
+  }
+  Rng rng(seed);
+  const Time top = pts.back().c + milliseconds(1);
+  for (int k = 0; k < draws; ++k) {
+    expect_inverses_match_bisection(traj, rng.uniform(0, top), what);
+  }
+}
+
+TEST(TrajectoryInverseOracle, StandardDriftModelsSampled) {
+  for (std::uint64_t seed : {1, 7919}) {
+    Rng rng(seed);
+    for (const auto& model : standard_drift_models()) {
+      const auto traj = model->generate(milliseconds(1), seconds(1), rng);
+      expect_sampled_inverses_match(traj, 1, 2000, seed,
+                                    model->name() + " seed " +
+                                        std::to_string(seed));
+    }
+  }
+}
+
+// The clock behind the rw_clock_reads benchmark workload: ZigzagDrift(0.25)
+// at eps = 50us over 30s, ~83k breakpoints.
+TEST(TrajectoryInverseOracle, BenchmarkZigzagSampled) {
+  for (std::uint64_t seed : {1, 7919}) {
+    Rng rng(seed);
+    const auto traj =
+        ZigzagDrift(0.25).generate(microseconds(50), seconds(30), rng);
+    expect_sampled_inverses_match(traj, 97, 20000, seed,
+                                  "zigzag seed " + std::to_string(seed));
   }
 }
 
