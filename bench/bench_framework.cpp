@@ -2,15 +2,20 @@
 //
 // Measures the substrate itself: executor event throughput on the register
 // system in each model, linearizability-checker cost (Wing-Gong search vs
-// the O(n log n) witness check), trace-relation checking, and clock
-// trajectory queries (mixed, and each query alone on the benchmark's clock). These are the costs a user of the library pays.
+// the O(n log n) witness check), trace-relation checking, clock
+// trajectory queries (mixed, and each query alone on the benchmark's clock)
+// and the executor's re-poll of one Simulation 1 node after one input.
+// These are the costs a user of the library pays.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "clock/trajectory.hpp"
 #include "core/relations.hpp"
+#include "rw/algorithm.hpp"
 #include "rw/harness.hpp"
+#include "transform/clock_system.hpp"
 #include "transform/gamma.hpp"
 #include "util/rng.hpp"
 
@@ -252,6 +257,68 @@ BENCHMARK_CAPTURE(BM_TrajectoryInverse, time_first_at,
                   ClockQuery::kTimeFirstAt);
 BENCHMARK_CAPTURE(BM_TrajectoryInverse, time_last_at,
                   ClockQuery::kTimeLastAt);
+
+// The executor's re-poll of one Simulation 1 node after one buffer input,
+// on the rw_clock_reads node shape: Algorithm S with 8 send and 8 receive
+// buffers under ZigzagDrift(0.25), eps = 50us. Each iteration advances time
+// by 1us, applies one ERECVMSG to the next receive buffer (tagged 20ms
+// ahead, so the buffer holds it), then re-polls what the flush would: the
+// parts the input touched, each for its candidates, next_enabled and
+// upper_bound. Every 128 inputs the node is rebuilt outside the timer, so
+// no buffer holds more than 16 messages.
+void BM_ClockNodePoll(benchmark::State& state) {
+  constexpr int kPeers = 8;
+  constexpr int kRebuild = 128;
+  Rng rng(1);
+  const auto traj = std::make_shared<const ClockTrajectory>(
+      ZigzagDrift(0.25).generate(microseconds(50), seconds(30), rng));
+  std::vector<int> peers(kPeers);
+  std::iota(peers.begin(), peers.end(), 0);
+  RwParams params;
+  params.num_nodes = kPeers;
+  params.c = microseconds(40);
+  params.d2_prime = timed_d2(microseconds(300), microseconds(50));
+  params.two_eps = microseconds(100);
+  const auto build = [&] {
+    return make_clock_node(std::make_unique<RwAlgorithm>(params), 0, peers,
+                           peers, traj);
+  };
+  std::vector<Action> inputs;
+  for (int j = 0; j < kPeers; ++j) {
+    const Value v{std::int64_t{1}};
+    inputs.push_back(
+        make_recv(0, j, make_message("UPDATE", {v}), "ERECVMSG"));
+  }
+  auto node = build();
+  std::vector<std::vector<Action>> cands(node->part_count());
+  std::vector<std::uint32_t> touched;
+  Time t = 0;
+  int k = 0;
+  for (auto _ : state) {
+    if (k == kRebuild) {
+      state.PauseTiming();
+      node = build();
+      k = 0;
+      if (t > seconds(29)) t = 0;
+      state.ResumeTiming();
+    }
+    t += microseconds(1);
+    Action& in = inputs[static_cast<std::size_t>(k % kPeers)];
+    in.msg->clock_tag = t + milliseconds(20);
+    node->apply_input(in, t);
+    touched.clear();
+    node->take_touched_parts(touched);
+    for (const std::uint32_t p : touched) {
+      node->part_enabled_into(p, t, cands[p]);
+      benchmark::DoNotOptimize(node->part_next_enabled(p, t));
+      benchmark::DoNotOptimize(node->part_upper_bound(p, t));
+    }
+    benchmark::ClobberMemory();
+    ++k;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ClockNodePoll);
 
 void BM_GammaConstruction(benchmark::State& state) {
   RwRunConfig cfg = bench_config();

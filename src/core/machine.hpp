@@ -21,6 +21,7 @@
 // clock-model machine simply never sees `now`.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -150,6 +151,36 @@ class Machine {
   // becomes enabled, or kTimeMax. Purely an efficiency hint; the executor
   // re-queries enabled() after advancing.
   virtual Time next_enabled(Time /*t*/) const { return kTimeMax; }
+
+  // Parts: a machine assembled from independent members that share its time
+  // parameter (a CompositeMachine) may expose them as parts, so the
+  // executor caches, dirty-marks and wakes each part on its own while the
+  // machine stays the unit of composition. A machine with P > 1 parts
+  // promises, for every t:
+  //   enabled(t)      == the parts' part_enabled_into(p, t) lists
+  //                      concatenated in ascending p;
+  //   next_enabled(t) == min over p of part_next_enabled(p, t);
+  //   upper_bound(t)  == min over p of part_upper_bound(p, t);
+  // and that a part's state changes only inside apply_input/apply_local,
+  // which record it for take_touched_parts. part_count() must be stable
+  // once the machine is added to an executor. The executor calls the part_*
+  // methods only on machines with more than one part.
+  virtual std::size_t part_count() const { return 1; }
+  virtual void part_enabled_into(std::size_t /*part*/, Time t,
+                                 std::vector<Action>& out) const {
+    enabled_into(t, out);
+  }
+  virtual Time part_next_enabled(std::size_t /*part*/, Time t) const {
+    return next_enabled(t);
+  }
+  virtual Time part_upper_bound(std::size_t /*part*/, Time t) const {
+    return upper_bound(t);
+  }
+  // Appends each part changed by apply_input/apply_local since the last
+  // call, once, and forgets them. Between calls the record holds at most
+  // part_count() entries, so a caller that never drains it pays nothing
+  // unbounded.
+  virtual void take_touched_parts(std::vector<std::uint32_t>& /*out*/) {}
 
   // The machine's clock reading at real time t, if it is driven by a clock
   // (clock/MMT models); kNoClockTag otherwise. Used for trace metadata (the

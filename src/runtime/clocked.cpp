@@ -47,7 +47,27 @@ void ClockedMachine::apply_local(const Action& a, Time t) {
 }
 
 Time ClockedMachine::upper_bound(Time t) const {
-  const Time cub = inner_->upper_bound(clock_now(t));
+  return real_upper_bound(inner_->upper_bound(clock_now(t)), t);
+}
+
+Time ClockedMachine::next_enabled(Time t) const {
+  return real_next_enabled(inner_->next_enabled(clock_now(t)), t);
+}
+
+void ClockedMachine::part_enabled_into(std::size_t part, Time t,
+                                       std::vector<Action>& out) const {
+  inner_->part_enabled_into(part, clock_now(t), out);
+}
+
+Time ClockedMachine::part_upper_bound(std::size_t part, Time t) const {
+  return real_upper_bound(inner_->part_upper_bound(part, clock_now(t)), t);
+}
+
+Time ClockedMachine::part_next_enabled(std::size_t part, Time t) const {
+  return real_next_enabled(inner_->part_next_enabled(part, clock_now(t)), t);
+}
+
+Time ClockedMachine::real_upper_bound(Time cub, Time t) const {
   if (cub >= kTimeMax) return kTimeMax;
   Time ub = traj_->time_last_at(cub);
   // A rate>1 segment of the integer-grid trajectory may skip the exact
@@ -58,8 +78,7 @@ Time ClockedMachine::upper_bound(Time t) const {
   return ub < t ? t : ub;
 }
 
-Time ClockedMachine::next_enabled(Time t) const {
-  const Time cne = inner_->next_enabled(clock_now(t));
+Time ClockedMachine::real_next_enabled(Time cne, Time t) const {
   if (cne >= kTimeMax) return kTimeMax;
   const Time tn = traj_->time_first_at(cne);
   // The clock can sit on one value across a rounding plateau; the inner

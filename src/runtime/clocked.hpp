@@ -15,6 +15,13 @@
 // The executor polls a machine with several calls at one `now`
 // (enabled_into, next_enabled, upper_bound, clock_reading), so the adapter
 // reads its clock once per distinct t and answers the rest from a memo.
+//
+// Parts: the adapter has its inner machine's parts (a Simulation 1 node's
+// members) and forwards the part protocol at c(t), translating each part's
+// deadline on its own. Both translations are monotone in the clock
+// deadline, so the minimum of the per-part real-time hints equals the
+// translation of the inner machine's minimum: the executor's per-part wake
+// calendar reaches the same times the whole-node hints did.
 #pragma once
 
 #include <memory>
@@ -48,6 +55,15 @@ class ClockedMachine final : public Machine {
   Time next_enabled(Time t) const override;
   Time clock_reading(Time t) const override;
 
+  std::size_t part_count() const override { return inner_->part_count(); }
+  void part_enabled_into(std::size_t part, Time t,
+                         std::vector<Action>& out) const override;
+  Time part_next_enabled(std::size_t part, Time t) const override;
+  Time part_upper_bound(std::size_t part, Time t) const override;
+  void take_touched_parts(std::vector<std::uint32_t>& out) override {
+    inner_->take_touched_parts(out);
+  }
+
   ModelTraits model_traits() const override {
     ModelTraits tr;
     tr.clock_adapter = true;
@@ -65,6 +81,10 @@ class ClockedMachine final : public Machine {
   // calls it from one thread. It starts at (0, 0), which axiom C1 makes
   // exact for every trajectory.
   Time clock_now(Time t) const;
+  // Real-time forms of a clock-time urgency bound and enabling hint, read
+  // at real time t.
+  Time real_upper_bound(Time cub, Time t) const;
+  Time real_next_enabled(Time cne, Time t) const;
 
   std::unique_ptr<Machine> inner_;
   std::shared_ptr<const ClockTrajectory> traj_;

@@ -13,6 +13,7 @@ CompositeMachine::CompositeMachine(std::string name)
 void CompositeMachine::add(std::unique_ptr<Machine> member) {
   PSC_CHECK(member != nullptr, "null member");
   members_.push_back(std::move(member));
+  touched_flag_.push_back(0);
 }
 
 void CompositeMachine::hide(const std::string& action_name) {
@@ -113,8 +114,11 @@ bool CompositeMachine::declare_signature(SignatureDecl& decl) const {
 }
 
 void CompositeMachine::apply_input(const Action& a, Time t) {
-  for (const auto& m : members_) {
-    if (m->classify(a) == ActionRole::kInput) m->apply_input(a, t);
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (members_[i]->classify(a) == ActionRole::kInput) {
+      members_[i]->apply_input(a, t);
+      touch(i);
+    }
   }
 }
 
@@ -128,20 +132,12 @@ std::vector<Action> CompositeMachine::enabled(Time t) const {
   return out;
 }
 
-void CompositeMachine::enabled_into(Time t, std::vector<Action>& out) const {
-  out.clear();
-  for (const auto& m : members_) {
-    m->enabled_into(t, scratch_);
-    out.insert(out.end(), std::make_move_iterator(scratch_.begin()),
-               std::make_move_iterator(scratch_.end()));
-  }
-}
-
 void CompositeMachine::apply_local(const Action& a, Time t) {
   for (std::size_t i = 0; i < members_.size(); ++i) {
     const ActionRole r = members_[i]->classify(a);
     if (r == ActionRole::kOutput || r == ActionRole::kInternal) {
       members_[i]->apply_local(a, t);
+      touch(i);
       if (r == ActionRole::kOutput) route_internally(i, a, t);
       return;
     }
@@ -156,8 +152,17 @@ void CompositeMachine::route_internally(std::size_t owner, const Action& a,
     if (i == owner) continue;
     if (members_[i]->classify(a) == ActionRole::kInput) {
       members_[i]->apply_input(a, t);
+      touch(i);
     }
   }
+}
+
+void CompositeMachine::take_touched_parts(std::vector<std::uint32_t>& out) {
+  for (const std::uint32_t i : touched_) {
+    touched_flag_[i] = 0;
+    out.push_back(i);
+  }
+  touched_.clear();
 }
 
 Time CompositeMachine::upper_bound(Time t) const {

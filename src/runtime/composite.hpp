@@ -12,8 +12,18 @@
 // reported as internal to the outside; all other member outputs are
 // composite outputs (and are *also* routed internally if another member
 // inputs them).
+//
+// The members are the composite's parts (Machine::part_count): the
+// executor polls, caches and wakes each member separately, and
+// apply_input/apply_local record every member they change — the owner of a
+// local action and each member it is routed to — for take_touched_parts.
+// So one message into one buffer of a Simulation 1 node re-polls that
+// buffer, not all 2n+1 members. enabled/next_enabled/upper_bound still walk
+// every member for callers that drive the composite as one machine (the
+// executor's reference scan and MmtNode's Def 5.1 catch-up).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -46,14 +56,23 @@ class CompositeMachine : public Machine {
   bool declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
   std::vector<Action> enabled(Time t) const override;
-  // enabled()'s sequence, member by member through each member's
-  // enabled_into: `out` keeps its capacity across polls. enabled() stays
-  // separate because MmtNode calls it on every step, where a fresh vector
-  // filled through the scratch costs more than the member-by-member concat.
-  void enabled_into(Time t, std::vector<Action>& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;
+
+  // Parts are members, in add order.
+  std::size_t part_count() const override { return members_.size(); }
+  void part_enabled_into(std::size_t part, Time t,
+                         std::vector<Action>& out) const override {
+    members_[part]->enabled_into(t, out);
+  }
+  Time part_next_enabled(std::size_t part, Time t) const override {
+    return members_[part]->next_enabled(t);
+  }
+  Time part_upper_bound(std::size_t part, Time t) const override {
+    return members_[part]->upper_bound(t);
+  }
+  void take_touched_parts(std::vector<std::uint32_t>& out) override;
 
   std::size_t member_count() const override { return members_.size(); }
   const Machine* member_at(std::size_t idx) const override {
@@ -64,12 +83,21 @@ class CompositeMachine : public Machine {
   // Routes an already-applied local action of member `owner` to other
   // members that input it.
   void route_internally(std::size_t owner, const Action& a, Time t);
+  // Records that member `idx` changed state, once until the next drain.
+  void touch(std::size_t idx) {
+    if (!touched_flag_[idx]) {
+      touched_flag_[idx] = 1;
+      touched_.push_back(static_cast<std::uint32_t>(idx));
+    }
+  }
 
   std::vector<std::unique_ptr<Machine>> members_;
   std::unordered_set<std::string> hidden_;
-  // One member's candidates during enabled_into, recycled across polls
-  // (single-threaded: one executor owns the machine).
-  mutable std::vector<Action> scratch_;
+  // Members changed since the last take_touched_parts, each once (the flag
+  // dedups), so the record stays bounded by the member count even when no
+  // executor drains it, as inside MmtNode.
+  std::vector<std::uint32_t> touched_;
+  std::vector<char> touched_flag_;
 };
 
 }  // namespace psc

@@ -33,13 +33,24 @@ void Executor::add(Machine* machine) {
   PSC_CHECK(machine != nullptr, "null machine");
   const std::size_t m = machines_.size();
   machines_.push_back(machine);
-  cands_.emplace_back();
-  cand_count_.push_back(0);
-  gen_.push_back(0);
   declared_.push_back(0);
   memo_kid_.push_back(kNoKind);
   memo_role_.push_back(ActionRole::kNotMine);
-  in_dirty_.push_back(0);
+  // One scheduler slot per part, after every earlier machine's slots. A
+  // single-part machine is polled whole (kWholeMachine), skipping the
+  // part_* forwarding.
+  const std::size_t parts = machine->part_count();
+  PSC_CHECK(parts >= 1, "machine " << machine->name() << " has no parts");
+  for (std::size_t p = 0; p < parts; ++p) {
+    slots_.push_back({static_cast<std::uint32_t>(m),
+                      parts == 1 ? kWholeMachine
+                                 : static_cast<std::uint32_t>(p)});
+    cands_.emplace_back();
+    cand_count_.push_back(0);
+    gen_.push_back(0);
+    in_dirty_.push_back(0);
+  }
+  part_base_.push_back(static_cast<std::uint32_t>(slots_.size()));
   SignatureDecl decl;
   if (machine->declare_signature(decl)) {
     declared_[m] = 1;
@@ -169,32 +180,37 @@ void Executor::reset_sched() {
   ne_wheel_.reset(now_);
   ub_wheel_.reset(now_);
   total_cands_ = 0;
-  nonempty_.assign(machines_.size());
-  for (std::size_t m = 0; m < machines_.size(); ++m) {
-    cands_[m].clear();
-    cand_count_[m] = 0;
-    ++gen_[m];
-    in_dirty_[m] = 1;
-    dirty_.push_back(m);
+  nonempty_.assign(slot_count());
+  for (std::size_t s = 0; s < slot_count(); ++s) {
+    cands_[s].clear();
+    cand_count_[s] = 0;
+    ++gen_[s];
+    in_dirty_[s] = 1;
+    dirty_.push_back(s);
   }
 }
 
-void Executor::mark_dirty(std::size_t m) {
-  if (!in_dirty_[m]) {
-    in_dirty_[m] = 1;
-    dirty_.push_back(m);
+void Executor::mark_touched_parts(std::size_t m, std::uint32_t base,
+                                  std::uint32_t parts) {
+  touched_.clear();
+  machines_[m]->take_touched_parts(touched_);
+  for (const std::uint32_t p : touched_) {
+    PSC_CHECK(p < parts, "machine " << machines_[m]->name()
+                                    << " reported part " << p << " of "
+                                    << parts);
+    mark_dirty(base + p);
   }
 }
 
-void Executor::push_wheel(TimingWheel& wheel, Time t, std::size_t m) {
-  wheel.insert(t, static_cast<std::uint32_t>(m), gen_[m], stats_.wheel);
-  // Every re-poll files a fresh entry and stales the machine's previous
-  // one, so a machine re-polled many times before its hint comes due piles
-  // up stale entries. Each machine has at most one current-generation entry
-  // per wheel, so past 4x that the wheel is mostly stale: sweep it.
-  if (wheel.size() > 4 * machines_.size() + 64) {
+void Executor::push_wheel(TimingWheel& wheel, Time t, std::size_t s) {
+  wheel.insert(t, static_cast<std::uint32_t>(s), gen_[s], stats_.wheel);
+  // Every re-poll files a fresh entry and stales the slot's previous one,
+  // so a slot re-polled many times before its hint comes due piles up
+  // stale entries. Each slot has at most one current-generation entry per
+  // wheel, so past 4x that the wheel is mostly stale: sweep it.
+  if (wheel.size() > 4 * slot_count() + 64) {
     wheel.compact(
-        [this](const TimingWheel::Entry& e) { return e.gen == gen_[e.machine]; },
+        [this](const TimingWheel::Entry& e) { return e.gen == gen_[e.slot]; },
         stats_.wheel);
   }
 }
@@ -205,44 +221,53 @@ void Executor::flush_dirty() {
     stats_.dirty_repolls += dirty_.size();
     stats_.dirty_peak = std::max<std::uint64_t>(stats_.dirty_peak,
                                                 dirty_.size());
-    stats_.cand_cache_hits += machines_.size() - dirty_.size();
+    stats_.cand_cache_hits += slot_count() - dirty_.size();
   }
   for (std::size_t i = 0; i < dirty_.size(); ++i) {
-    const std::size_t m = dirty_[i];
-    in_dirty_[m] = 0;
-    std::vector<Action>& c = cands_[m];
+    const std::size_t s = dirty_[i];
+    in_dirty_[s] = 0;
+    const Machine* m = machines_[slots_[s].machine];
+    const std::uint32_t part = slots_[s].part;
+    const bool whole = part == kWholeMachine;
+    std::vector<Action>& c = cands_[s];
     total_cands_ -= c.size();
-    machines_[m]->enabled_into(now_, c);
-    total_cands_ += c.size();
-    cand_count_[m] = static_cast<std::uint32_t>(c.size());
-    if (c.empty()) {
-      nonempty_.reset(m);
+    if (whole) {
+      m->enabled_into(now_, c);
     } else {
-      nonempty_.set(m);
+      m->part_enabled_into(part, now_, c);
     }
-    ++gen_[m];
-    const Time ne = machines_[m]->next_enabled(now_);
+    total_cands_ += c.size();
+    cand_count_[s] = static_cast<std::uint32_t>(c.size());
+    if (c.empty()) {
+      nonempty_.reset(s);
+    } else {
+      nonempty_.set(s);
+    }
+    ++gen_[s];
+    const Time ne =
+        whole ? m->next_enabled(now_) : m->part_next_enabled(part, now_);
     PSC_CHECK(ne > now_ || ne == kTimeMax,
-              "machine " << machines_[m]->name() << " reported next_enabled "
+              "machine " << m->name() << " reported next_enabled "
                          << format_time(ne) << " not after now "
                          << format_time(now_));
-    if (ne != kTimeMax) push_wheel(ne_wheel_, ne, m);
-    const Time ub = machines_[m]->upper_bound(now_);
-    PSC_CHECK(ub >= now_, "machine " << machines_[m]->name()
+    if (ne != kTimeMax) push_wheel(ne_wheel_, ne, s);
+    const Time ub =
+        whole ? m->upper_bound(now_) : m->part_upper_bound(part, now_);
+    PSC_CHECK(ub >= now_, "machine " << m->name()
                                      << " upper_bound in the past: "
                                      << format_time(ub) << " < "
                                      << format_time(now_));
-    if (ub != kTimeMax) push_wheel(ub_wheel_, ub, m);
+    if (ub != kTimeMax) push_wheel(ub_wheel_, ub, s);
   }
   dirty_.clear();
 }
 
 std::pair<std::size_t, std::size_t> Executor::locate_candidate(
     std::size_t k) const {
-  for (std::size_t m = nonempty_.next_set(0); m != HierBitset::npos;
-       m = nonempty_.next_set(m + 1)) {
-    const std::size_t n = cand_count_[m];
-    if (k < n) return {m, k};
+  for (std::size_t s = nonempty_.next_set(0); s != HierBitset::npos;
+       s = nonempty_.next_set(s + 1)) {
+    const std::size_t n = cand_count_[s];
+    if (k < n) return {s, k};
     k -= n;
   }
   PSC_CHECK(false, "candidate index " << k << " out of range");
@@ -295,7 +320,7 @@ void Executor::record_event(TimedEvent& e, std::size_t machine,
   }
 }
 
-void Executor::execute_fast(std::size_t machine, std::size_t offset) {
+void Executor::execute_fast(std::size_t slot, std::size_t offset) {
   // The machine is re-polled before the next pick, so the cached entry can
   // be consumed in place. It is *swapped* (not moved) into the recycled
   // scratch event: the previous event's dead Action lands in the candidate
@@ -307,8 +332,9 @@ void Executor::execute_fast(std::size_t machine, std::size_t offset) {
   TimedEvent& ev = scratch_event_;
   Profiler* const pr = prof_iter_;
   std::uint64_t t0 = pr != nullptr ? Profiler::ticks() : 0;
-  std::swap(ev.action, cands_[machine][offset]);
+  std::swap(ev.action, cands_[slot][offset]);
   const Action& a = ev.action;
+  const std::size_t machine = slots_[slot].machine;
   Machine* owner = machines_[machine];
 
   // Per-machine kind memo: a machine that keeps emitting one kind (all of
@@ -372,7 +398,7 @@ void Executor::execute_fast(std::size_t machine, std::size_t offset) {
   }
 
   owner->apply_local(a, now_);
-  mark_dirty(machine);
+  mark_touched(machine);
 
   if (role == ActionRole::kOutput) {
     // Composition compatibility, with the same timing as the legacy scan:
@@ -388,7 +414,7 @@ void Executor::execute_fast(std::size_t machine, std::size_t offset) {
       if (m == machine) continue;
       ++stats_.fanout_inputs;
       machines_[m]->apply_input(a, now_);
-      mark_dirty(m);
+      mark_touched(m);
     }
     // Machines without a declared signature stay on the classify() path.
     for (std::size_t m : generic_) {
@@ -402,7 +428,7 @@ void Executor::execute_fast(std::size_t machine, std::size_t offset) {
                           << " (incompatible composition)");
       if (r == ActionRole::kInput) {
         other->apply_input(a, now_);
-        mark_dirty(m);
+        mark_touched(m);
       }
     }
   }
@@ -431,7 +457,7 @@ bool Executor::advance_time_wheel() {
   // stream, and the trace-equivalence tests pin all three. Both minima must
   // be exact because `now` jumps straight to `next`.
   const auto valid = [this](const TimingWheel::Entry& e) {
-    return e.gen == gen_[e.machine];
+    return e.gen == gen_[e.slot];
   };
   const Time next = ne_wheel_.earliest(valid, stats_.wheel);
   if (next >= kTimeMax) {
@@ -453,9 +479,9 @@ bool Executor::advance_time_wheel() {
   now_ = next;
   ++stats_.time_advances;
   if (now_ >= time_probe_wake_) notify_time_probes(prev);
-  // Wake everything whose hint has come due; woken machines are re-polled
-  // at the new now before the next pick.
-  const auto due = [this](std::uint32_t m) { mark_dirty(m); };
+  // Wake every slot whose hint has come due; woken slots are re-polled at
+  // the new now before the next pick.
+  const auto due = [this](std::uint32_t s) { mark_dirty(s); };
   ne_wheel_.advance_to(now_, valid, due, stats_.wheel);
   ub_wheel_.advance_to(now_, valid, due, stats_.wheel);
   return true;
@@ -484,9 +510,9 @@ void Executor::run_loop_sched() {
     if (total_cands_ > 0) {
       const std::size_t pick =
           total_cands_ == 1 ? 0 : rng_.index(total_cands_);
-      const auto [m, offset] = locate_candidate(pick);
+      const auto [slot, offset] = locate_candidate(pick);
       if (pr != nullptr) pr->add(ProfPhase::kPick, Profiler::ticks() - t0);
-      execute_fast(m, offset);
+      execute_fast(slot, offset);
       continue;
     }
     const bool advanced = advance_time_wheel();

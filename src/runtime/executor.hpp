@@ -14,19 +14,25 @@
 // reproducible and sweepable across seeds.
 //
 // Scheduling: the default inner loop is event-driven rather than scanning —
-// a *dirty set* re-polls only machines whose state an event touched, a
-// *wake calendar* (a hierarchical timing wheel over next_enabled/upper_bound
-// hints; see runtime/wheel.hpp) replaces the per-advance O(machines) scan,
-// and outputs are routed through a subscription index over interned action
-// kinds instead of calling classify() on every machine. Per-machine state
-// lives in parallel arrays (structure-of-arrays) sized once at add() time,
-// and candidate buffers are recycled through Machine::enabled_into, so the
-// steady state allocates nothing per event for machines that override it
-// (see docs/EXECUTOR.md for which do). Seed-for-seed the wheel loop
-// produces byte-identical traces and probe sequences to the legacy polling
-// loop (ExecutorOptions::legacy_scan), the literal Def 2.2 transcription
-// that tests and benchmarks compare it against. See docs/EXECUTOR.md for
-// the invalidation rules and the equivalence argument.
+// a *dirty set* re-polls only the parts of machines whose state an event
+// touched, a *wake calendar* (a hierarchical timing wheel over
+// next_enabled/upper_bound hints; see runtime/wheel.hpp) replaces the
+// per-advance O(machines) scan, and outputs are routed through a
+// subscription index over interned action kinds instead of calling
+// classify() on every machine. The unit of caching is a *slot*: one per
+// part of a multi-part machine (Machine::part_count — a Simulation 1 node's
+// members), one per other machine. Slots are numbered machine-ascending,
+// part-ascending, so the flat candidate list is the legacy one; the machine
+// stays the unit of composition (event owners, probes, composition()).
+// Per-slot state lives in parallel arrays (structure-of-arrays) sized once
+// at add() time, and candidate buffers are recycled through
+// Machine::enabled_into, so the steady state allocates nothing per event
+// for machines that override it (see docs/EXECUTOR.md for which do).
+// Seed-for-seed the wheel loop produces byte-identical traces and probe
+// sequences to the legacy polling loop (ExecutorOptions::legacy_scan), the
+// literal Def 2.2 transcription that tests and benchmarks compare it
+// against. See docs/EXECUTOR.md for the invalidation rules and the
+// equivalence argument.
 #pragma once
 
 #include <cstdint>
@@ -92,12 +98,13 @@ struct ExecutorStats {
   std::uint64_t time_advances = 0;  // nu steps
   // Timing-wheel wake calendar; see runtime/wheel.hpp.
   WheelStats wheel;
-  // Dirty set / per-machine candidate cache. A flush re-polls exactly the
-  // dirty machines; every other machine's cached enabled() list is a hit.
-  std::uint64_t dirty_flushes = 0;     // flushes that re-polled >= 1 machine
-  std::uint64_t dirty_repolls = 0;     // machines re-polled (cache misses)
+  // Dirty set / per-slot candidate cache (a slot is one part of a machine;
+  // see Executor). A flush re-polls exactly the dirty slots; every other
+  // slot's cached candidate list is a hit.
+  std::uint64_t dirty_flushes = 0;     // flushes that re-polled >= 1 slot
+  std::uint64_t dirty_repolls = 0;     // slots re-polled (cache misses)
   std::uint64_t dirty_peak = 0;        // largest single flush
-  std::uint64_t cand_cache_hits = 0;   // machines *not* re-polled at a flush
+  std::uint64_t cand_cache_hits = 0;   // slots *not* re-polled at a flush
   // Interned-action routing.
   std::uint64_t route_fast = 0;      // events owned by declared machines
   std::uint64_t route_classify = 0;  // events owned by classify()-fallback ones
@@ -110,7 +117,7 @@ struct ExecutorStats {
   // this should be ~all events on the shipped harnesses).
   std::uint64_t kind_memo_hits = 0;
 
-  // Fraction of per-flush machine visits served from cache (1 = perfectly
+  // Fraction of per-flush slot visits served from cache (1 = perfectly
   // incremental, 0 = legacy full re-poll behaviour).
   double cache_hit_rate() const {
     const std::uint64_t total = cand_cache_hits + dirty_repolls;
@@ -259,17 +266,46 @@ class Executor {
 
   // --- calendar / dirty-set scheduler -------------------------------------
 
+  // SlotRef::part of a single-part machine's slot: poll the machine whole.
+  static constexpr std::uint32_t kWholeMachine = UINT32_MAX;
+  // Which machine and part a scheduler slot polls (read together, so one
+  // array).
+  struct SlotRef {
+    std::uint32_t machine = 0;
+    std::uint32_t part = kWholeMachine;
+  };
+
+  // Scheduler slots: one per part of every machine added so far.
+  std::size_t slot_count() const { return slots_.size(); }
   void reset_sched();
-  void mark_dirty(std::size_t m);
+  void mark_dirty(std::size_t s) {
+    if (!in_dirty_[s]) {
+      in_dirty_[s] = 1;
+      dirty_.push_back(s);
+    }
+  }
+  // Marks dirty the slots of machine `m` that its last apply_input /
+  // apply_local changed: its one slot, or the parts it reports touched.
+  void mark_touched(std::size_t m) {
+    const std::uint32_t base = part_base_[m];
+    const std::uint32_t parts = part_base_[m + 1] - base;
+    if (parts == 1) {
+      mark_dirty(base);
+    } else {
+      mark_touched_parts(m, base, parts);
+    }
+  }
+  void mark_touched_parts(std::size_t m, std::uint32_t base,
+                          std::uint32_t parts);
   void flush_dirty();
-  // Maps a flat candidate index (machine-ascending, per-machine enabled()
-  // order — the legacy gather order) to (machine, offset).
+  // Maps a flat candidate index (slot-ascending, per-slot enabled() order —
+  // the legacy gather order) to (slot, offset).
   std::pair<std::size_t, std::size_t> locate_candidate(std::size_t k) const;
-  void push_wheel(TimingWheel& wheel, Time t, std::size_t m);
+  void push_wheel(TimingWheel& wheel, Time t, std::size_t s);
 
   void run_loop_sched();
   bool advance_time_wheel();
-  void execute_fast(std::size_t machine, std::size_t offset);
+  void execute_fast(std::size_t slot, std::size_t offset);
   // Finishes an event the caller already owns: fills in the scalar fields
   // (time, clock, owner, visibility), notifies probes, and appends it to
   // the trace when recording. The action is never moved or copied here —
@@ -337,15 +373,20 @@ class Executor {
   std::vector<std::size_t> generic_;  // machines on the classify() fallback
   std::size_t declared_count_ = 0;
 
-  // Per-machine scheduler state, as parallel arrays indexed by machine.
-  // Keeping each field in its own contiguous array (structure-of-arrays)
-  // means the loops that walk one field — locate_candidate over counts,
-  // generation tests from the calendar — stream through packed memory
-  // instead of striding over fat per-machine records.
-  std::vector<std::vector<Action>> cands_;  // cached enabled() per machine
-  std::vector<std::uint32_t> cand_count_;   // cands_[m].size(), packed
-  std::vector<std::uint32_t> gen_;    // bumped per re-poll (lazy calendar
-                                      // invalidation)
+  // Scheduler state, as parallel arrays. Keeping each field in its own
+  // contiguous array (structure-of-arrays) means the loops that walk one
+  // field — locate_candidate over counts, generation tests from the
+  // calendar — stream through packed memory instead of striding over fat
+  // records. Per slot:
+  std::vector<SlotRef> slots_;
+  std::vector<std::vector<Action>> cands_;   // cached candidates per slot
+  std::vector<std::uint32_t> cand_count_;    // cands_[s].size(), packed
+  std::vector<std::uint32_t> gen_;  // bumped per re-poll (lazy calendar
+                                    // invalidation)
+  std::vector<char> in_dirty_;
+  HierBitset nonempty_;  // slots with cand_count_[s] > 0
+  // Per machine: its slots are [part_base_[m], part_base_[m + 1]).
+  std::vector<std::uint32_t> part_base_ = {0};
   std::vector<char> declared_;        // machine declared its signature
   // Per-machine routing memo: the kind and role of the machine's last
   // executed action. A machine that keeps emitting one kind (every machine
@@ -354,9 +395,8 @@ class Executor {
   std::vector<ActionKindId> memo_kid_;
   std::vector<ActionRole> memo_role_;
 
-  std::vector<std::size_t> dirty_;
-  std::vector<char> in_dirty_;
-  HierBitset nonempty_;  // machines with cand_count_[m] > 0
+  std::vector<std::size_t> dirty_;  // slots to re-poll before the next pick
+  std::vector<std::uint32_t> touched_;  // mark_touched scratch
   std::size_t total_cands_ = 0;
   TimingWheel ne_wheel_;  // next_enabled hints
   TimingWheel ub_wheel_;  // upper_bound deadlines

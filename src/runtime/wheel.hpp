@@ -1,7 +1,8 @@
 // Hierarchical timing wheel — the executor's wake calendar.
 //
 // The calendar has to answer two queries per time advance, both over the
-// per-machine hints the scheduler caches at re-poll time:
+// per-slot hints the scheduler caches at re-poll time (a slot is one part
+// of a machine; see runtime/executor.hpp):
 //
 //   earliest()    the minimum valid wake time (exact, because the executor
 //                 jumps `now` straight to it and every probe observes the
@@ -9,11 +10,11 @@
 //   advance_to(t) drain every entry that has come due at the new `now`.
 //
 // Insertion and draining are O(1)-ish array indexing, so per-event cost
-// stays flat as the machine count grows. Cancellation is lazy: entries
-// carry the owning machine's generation counter, and a bumped generation
+// stays flat as the slot count grows. Cancellation is lazy: entries carry
+// the owning slot's generation counter, and a bumped generation
 // invalidates in place — nothing is ever searched for and removed. The
-// executor bumps a machine's generation on every re-poll and files at most
-// one entry per wheel per re-poll, so each machine has at most one
+// executor bumps a slot's generation on every re-poll and files at most
+// one entry per wheel per re-poll, so each slot has at most one
 // current-generation entry per wheel; every other entry for it is stale.
 //
 // Layout: 11 levels x 64 slots keyed on the 6-bit groups of the absolute
@@ -80,7 +81,7 @@ class TimingWheel {
 
   struct Entry {
     Time t = 0;
-    std::uint32_t machine = 0;
+    std::uint32_t slot = 0;  // the executor's scheduler slot
     std::uint32_t gen = 0;
   };
 
@@ -104,10 +105,10 @@ class TimingWheel {
   // Total entries held, stale included (drives the compaction policy).
   std::size_t size() const { return size_; }
 
-  void insert(Time t, std::uint32_t machine, std::uint32_t gen,
+  void insert(Time t, std::uint32_t slot, std::uint32_t gen,
               WheelStats& st) {
     ++st.inserts;
-    file(Entry{t, machine, gen});
+    file(Entry{t, slot, gen});
   }
 
   // Exact minimum valid wake time, or kTimeMax when none. Stale entries
@@ -138,7 +139,7 @@ class TimingWheel {
     return kTimeMax;
   }
 
-  // Advances the wheel to `now`, calling `due(machine)` for every valid
+  // Advances the wheel to `now`, calling `due(slot)` for every valid
   // entry with t <= now and cascading the rest of the cursor slot down.
   template <typename Valid, typename Due>
   void advance_to(Time now, Valid&& valid, Due&& due, WheelStats& st) {
@@ -179,7 +180,7 @@ class TimingWheel {
         ++st.stale_drops;
       } else if (e.t <= now) {
         ++st.due;
-        due(e.machine);
+        due(e.slot);
       } else {
         ++st.cascades;
         file(e);  // lands at a strictly lower level than d
@@ -190,8 +191,8 @@ class TimingWheel {
 
   // Sweeps every slot, dropping stale entries — the lazy-cancellation
   // backstop for when stale entries dominate. The caller decides when:
-  // with at most one current-generation entry per machine, size() far
-  // above the machine count means the wheel is mostly stale.
+  // with at most one current-generation entry per slot, size() far above
+  // the slot count means the wheel is mostly stale.
   template <typename Valid>
   void compact(Valid&& valid, WheelStats& st) {
     ++st.compactions;
@@ -256,7 +257,7 @@ class TimingWheel {
     for (const Entry& e : slot) {
       if (valid(e)) {
         ++st.due;
-        due(e.machine);
+        due(e.slot);
       } else {
         ++st.stale_drops;
       }

@@ -5,7 +5,8 @@
 // probe sequences for the same seed, on every shipped harness and on a run
 // that drives the wheel through its stale-entry compaction. The interned
 // routing must also preserve the composition compatibility errors and
-// hide() edge cases of the classify() path.
+// hide() edge cases of the classify() path, and a multi-part machine (a
+// clock node's members) must be re-polled part by part.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,10 +21,14 @@
 #include "obs/instrument.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
+#include "runtime/clocked.hpp"
+#include "runtime/composite.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/script.hpp"
 #include "runtime/system.hpp"
 #include "rw/harness.hpp"
 #include "rw/queue.hpp"
+#include "transform/buffers.hpp"
 #include "util/check.hpp"
 
 namespace psc {
@@ -150,14 +155,26 @@ TEST(SchedulerEquivalence, RwTimedTracesMatchAcrossSchedulers) {
   }
 }
 
+// The clock-model drifts the equivalence tests sweep: ZigzagDrift(0.3),
+// then every standard_drift_models() model. Clock nodes are scheduled part
+// by part, which relies on a part's enabled set changing only when the part
+// is touched or its own hint comes due; the legacy scan polls whole nodes,
+// so these runs check that rule under every clock shape.
+std::vector<std::unique_ptr<DriftModel>> equivalence_drifts() {
+  std::vector<std::unique_ptr<DriftModel>> out;
+  out.push_back(std::make_unique<ZigzagDrift>(0.3));
+  for (auto& model : standard_drift_models()) out.push_back(std::move(model));
+  return out;
+}
+
 TEST(SchedulerEquivalence, RwClockTracesMatchAcrossSchedulers) {
-  for (std::uint64_t seed : {7u, 42u, 99u}) {
-    ZigzagDrift dref(0.3);
-    const auto ref = run_rw_clock(rw_cfg(seed, kWheel), dref);
-    ZigzagDrift d(0.3);
-    const auto got = run_rw_clock(rw_cfg(seed, kLegacy), d);
-    EXPECT_EQ(normalized(ref.events), normalized(got.events))
-        << "seed " << seed;
+  for (const auto& drift : equivalence_drifts()) {
+    for (std::uint64_t seed : {7u, 42u, 99u}) {
+      const auto ref = run_rw_clock(rw_cfg(seed, kWheel), *drift);
+      const auto got = run_rw_clock(rw_cfg(seed, kLegacy), *drift);
+      EXPECT_EQ(normalized(ref.events), normalized(got.events))
+          << drift->name() << " seed " << seed;
+    }
   }
 }
 
@@ -220,7 +237,7 @@ TEST(SchedulerEquivalence, SlackSummariesMatchAcrossSchedulers) {
 }
 
 TEST(SchedulerEquivalence, QueueClockTracesMatchAcrossSchedulers) {
-  auto run = [](std::uint64_t seed, bool legacy) {
+  auto run = [](std::uint64_t seed, bool legacy, const DriftModel& drift) {
     QueueRunConfig qc;
     qc.num_nodes = 3;
     qc.d1 = microseconds(20);
@@ -231,14 +248,15 @@ TEST(SchedulerEquivalence, QueueClockTracesMatchAcrossSchedulers) {
     qc.horizon = seconds(5);
     qc.seed = seed;
     qc.legacy_scan = legacy;
-    ZigzagDrift drift(0.3);
     return run_queue_clock(qc, drift);
   };
-  for (std::uint64_t seed : {7u, 11u, 42u}) {
-    const auto ref = run(seed, kWheel);
-    const auto got = run(seed, kLegacy);
-    EXPECT_EQ(normalized(ref.events), normalized(got.events))
-        << "seed " << seed;
+  for (const auto& drift : equivalence_drifts()) {
+    for (std::uint64_t seed : {7u, 11u, 42u}) {
+      const auto ref = run(seed, kWheel, *drift);
+      const auto got = run(seed, kLegacy, *drift);
+      EXPECT_EQ(normalized(ref.events), normalized(got.events))
+          << drift->name() << " seed " << seed;
+    }
   }
 }
 
@@ -328,6 +346,163 @@ TEST(SchedulerEquivalence, WheelCompactionRunsMatchLegacy) {
   }
 }
 
+// --- multi-part machines ----------------------------------------------------
+
+// A wheel that holds only live entries must never be compacted: the
+// backstop threshold counts scheduler slots (one per part), not machines.
+// One composite of 100 one-job Batchers is one machine with 100 parts, each
+// holding a live wake entry until its job comes due.
+TEST(SchedulerParts, WheelHoldingOnlyLiveEntriesNeverCompacts) {
+  auto run = [](bool legacy) {
+    RecordingProbe probe;
+    Executor exec({.horizon = seconds(1),
+                   .seed = 3,
+                   .legacy_scan = legacy,
+                   .probes = {&probe}});
+    auto alarms = std::make_unique<CompositeMachine>("alarms");
+    for (int k = 0; k < 100; ++k) {
+      alarms->add(std::make_unique<Batcher>(k, microseconds(k + 1),
+                                            milliseconds(1), /*batches=*/1,
+                                            /*jobs=*/1));
+    }
+    exec.add_owned(std::move(alarms));
+    const auto report = exec.run();
+    EXPECT_TRUE(report.quiesced);
+    return BatchRun{exec.events(), probe.text(), report.stats};
+  };
+  const BatchRun wheel = run(kWheel);
+  EXPECT_EQ(wheel.events.size(), 100u);
+  EXPECT_EQ(wheel.stats.wheel.compactions, 0u);
+  const BatchRun legacy = run(kLegacy);
+  EXPECT_EQ(normalized(wheel.events), normalized(legacy.events));
+  EXPECT_EQ(wheel.probes, legacy.probes);
+}
+
+// Forwards everything to `inner` and counts the polls the executor makes of
+// it (enabled, next_enabled, upper_bound).
+class CountingPart final : public Machine {
+ public:
+  explicit CountingPart(std::unique_ptr<Machine> inner)
+      : Machine(inner->name()), inner_(std::move(inner)) {}
+  ActionRole classify(const Action& a) const override {
+    return inner_->classify(a);
+  }
+  bool declare_signature(SignatureDecl& decl) const override {
+    return inner_->declare_signature(decl);
+  }
+  void apply_input(const Action& a, Time t) override {
+    inner_->apply_input(a, t);
+  }
+  std::vector<Action> enabled(Time t) const override {
+    ++polls_;
+    return inner_->enabled(t);
+  }
+  void apply_local(const Action& a, Time t) override {
+    inner_->apply_local(a, t);
+  }
+  Time upper_bound(Time t) const override {
+    ++polls_;
+    return inner_->upper_bound(t);
+  }
+  Time next_enabled(Time t) const override {
+    ++polls_;
+    return inner_->next_enabled(t);
+  }
+  std::size_t polls() const { return polls_; }
+
+ private:
+  std::unique_ptr<Machine> inner_;
+  mutable std::size_t polls_ = 0;
+};
+
+// Snapshots every member's poll count and the executor's re-poll counter
+// when the buffer input is recorded, and again when the buffer releases it.
+class PollWindowProbe final : public Probe {
+ public:
+  PollWindowProbe(const Executor& exec,
+                  std::vector<const CountingPart*> members)
+      : exec_(exec), members_(std::move(members)) {}
+  void on_event(const TimedEvent& e, const Machine&) override {
+    if (e.action.name == "ERECVMSG") {
+      at_input_ = snapshot();
+    } else if (e.action.name == "RECVMSG") {
+      at_release_ = snapshot();
+    }
+  }
+  struct Snapshot {
+    std::vector<std::size_t> polls;
+    std::uint64_t repolls = 0;
+  };
+  const Snapshot& at_input() const { return at_input_; }
+  const Snapshot& at_release() const { return at_release_; }
+
+ private:
+  Snapshot snapshot() const {
+    Snapshot s;
+    for (const CountingPart* m : members_) s.polls.push_back(m->polls());
+    s.repolls = exec_.stats().dirty_repolls;
+    return s;
+  }
+  const Executor& exec_;
+  std::vector<const CountingPart*> members_;
+  Snapshot at_input_;
+  Snapshot at_release_;
+};
+
+// One ERECVMSG into one Simulation 1 node (the algorithm, a send buffer and
+// two receive buffers under a clock adapter) re-polls only the receive
+// buffer it fed: at the flush after the input and when the buffer's hold
+// expires. The algorithm and the other buffers are not polled until the
+// release routes RECVMSG on, although the node is one executor machine.
+TEST(SchedulerParts, BufferInputRepollsOnlyThatBuffersPart) {
+  Executor exec({.horizon = seconds(1)});
+  auto node = std::make_unique<CompositeMachine>("A^c_0");
+  auto algorithm = std::make_unique<ScriptMachine>(
+      "alg0", std::vector<ScriptMachine::Step>{});
+  algorithm->accept_kind("RECVMSG", 0, 1);
+  algorithm->accept_kind("RECVMSG", 0, 2);
+  std::vector<std::unique_ptr<Machine>> members;
+  members.push_back(std::move(algorithm));
+  members.push_back(std::make_unique<SendBuffer>(0, 1));
+  members.push_back(std::make_unique<ReceiveBuffer>(1, 0));
+  members.push_back(std::make_unique<ReceiveBuffer>(2, 0));
+  std::vector<const CountingPart*> counted;
+  for (auto& m : members) {
+    auto c = std::make_unique<CountingPart>(std::move(m));
+    counted.push_back(c.get());
+    node->add(std::move(c));
+  }
+  node->hide("SENDMSG");
+  node->hide("RECVMSG");
+  exec.add_owned(std::make_unique<ClockedMachine>(
+      std::move(node),
+      std::make_shared<const ClockTrajectory>(ClockTrajectory::perfect())));
+  // The message arrives at clock 100us tagged 300us, so R_1,0 holds it
+  // until its hint comes due at 300us.
+  Message msg = make_message("UPDATE");
+  msg.clock_tag = microseconds(300);
+  exec.add_owned(std::make_unique<ScriptMachine>(
+      "env", std::vector<ScriptMachine::Step>{
+                 {microseconds(100), make_recv(0, 1, msg, "ERECVMSG")}}));
+  PollWindowProbe probe(exec, counted);
+  exec.attach_probe(&probe);
+  exec.run();
+
+  const auto& in = probe.at_input();
+  const auto& out = probe.at_release();
+  ASSERT_EQ(in.polls.size(), 4u);
+  ASSERT_EQ(out.polls.size(), 4u);
+  // R_1,0: one flush after the input, one wake at 300us, three calls each.
+  EXPECT_EQ(out.polls[2] - in.polls[2], 6u);
+  for (std::size_t k : {0u, 1u, 3u}) {
+    EXPECT_EQ(out.polls[k], in.polls[k]) << counted[k]->name();
+  }
+  // The re-polls counted: the env's slot and R_1,0's after the input, then
+  // R_1,0's at the wake.
+  EXPECT_EQ(out.repolls - in.repolls, 3u);
+}
+
+// --- composition-compatibility and hide() edge cases ----------------------
 // --- composition-compatibility and hide() edge cases ----------------------
 
 // A declared machine that emits one "X" output at node 0 and stops.

@@ -28,7 +28,7 @@ struct Harness {
 
   auto valid() {
     return [this](const TimingWheel::Entry& e) {
-      return e.gen == gen[e.machine];
+      return e.gen == gen[e.slot];
     };
   }
   void insert(Time t, std::uint32_t m) { wheel.insert(t, m, gen[m], st); }
