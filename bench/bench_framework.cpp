@@ -4,8 +4,8 @@
 // system in each model, linearizability-checker cost (Wing-Gong search vs
 // the O(n log n) witness check), trace-relation checking, clock
 // trajectory queries (mixed, and each query alone on the benchmark's clock)
-// and the executor's re-poll of one Simulation 1 node after one input.
-// These are the costs a user of the library pays.
+// the executor's re-poll of one Simulation 1 node after one input, and one
+// MMT node step. These are the costs a user of the library pays.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 
 #include "clock/trajectory.hpp"
 #include "core/relations.hpp"
+#include "mmt/mmt_node.hpp"
 #include "rw/algorithm.hpp"
 #include "rw/harness.hpp"
 #include "transform/clock_system.hpp"
@@ -319,6 +320,44 @@ void BM_ClockNodePoll(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ClockNodePoll);
+
+// One TICK + MMTSTEP pair on an idle 4-peer rw MMT node (Algorithm S with
+// 4 send and 4 receive buffers inside M(., ell)), as the executor drives it:
+// each iteration advances real time by ell under a perfect clock, delivers
+// TICK(now), re-polls the node, performs the step it offers and re-polls
+// again. On rw_mmt_writes about 95% of MMT steps are such silent taus.
+void BM_MmtNodeStep(benchmark::State& state) {
+  constexpr int kPeers = 4;
+  const Duration ell = microseconds(5);
+  std::vector<int> peers(kPeers);
+  std::iota(peers.begin(), peers.end(), 0);
+  RwParams params;
+  params.num_nodes = kPeers;
+  params.c = microseconds(40);
+  params.d2_prime = microseconds(500);
+  params.two_eps = microseconds(100);
+  MmtNode node(0,
+               make_node_composite(std::make_unique<RwAlgorithm>(params), 0,
+                                   peers, peers),
+               ell, Rng(1));
+  Action tick = make_action("TICK", 0, {Value{std::int64_t{0}}});
+  std::vector<Action> cands;
+  Time t = 0;
+  for (auto _ : state) {
+    t += ell;
+    tick.args[0] = Value{t};
+    node.apply_input(tick, t);
+    node.enabled_into(t, cands);
+    benchmark::DoNotOptimize(node.next_enabled(t));
+    node.apply_local(cands.at(0), t);
+    node.enabled_into(t, cands);
+    benchmark::DoNotOptimize(node.next_enabled(t));
+    benchmark::DoNotOptimize(node.upper_bound(t));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MmtNodeStep);
 
 void BM_GammaConstruction(benchmark::State& state) {
   RwRunConfig cfg = bench_config();

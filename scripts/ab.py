@@ -18,8 +18,11 @@ process. The arms alternate which goes first from pair to pair, so drift in
 the host's load biases neither.
 
 For each end-to-end metric and each `runtime.phase.*` it prints the median
-and quartiles of both arms, the ratio of the medians (B / A), and in how
-many pairs B was better than A in the metric's own direction. It exits 1
+and quartiles of both arms, the ratio of the medians (B / A), in how many
+pairs B was better than A in the metric's own direction, a 95% bootstrap
+confidence interval of B / A (pairs resampled with replacement, seeded, so
+the output is reproducible) and a verdict: `better` or `worse` when the
+interval lies wholly on one side of 1, else `inconclusive`. It exits 1
 when any iteration fails a check, or when the determinism fingerprint
 (psc_bench/run.py's FINGERPRINT counts) differs between or within the arms.
 """
@@ -28,6 +31,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import shutil
 import statistics
 import subprocess
@@ -48,6 +52,7 @@ FINGERPRINT = (
     "mmt.ticks",
 )
 ITERATION_TIMEOUT_S = 150
+BOOTSTRAP_RESAMPLES = 2000
 
 
 def fail(msg):
@@ -139,6 +144,32 @@ def cell(median, q):
     return f"{median:.4g} [{q[0]:.4g}, {q[1]:.4g}]"
 
 
+def bootstrap_ratio_ci(a, b, level=0.95):
+    """Percentile bootstrap CI of median(b) / median(a) over paired runs."""
+    rng = random.Random(0)
+    n = len(a)
+    ratios = []
+    for _ in range(BOOTSTRAP_RESAMPLES):
+        idx = [rng.randrange(n) for _ in range(n)]
+        ma = statistics.median(a[i] for i in idx)
+        if ma:
+            ratios.append(statistics.median(b[i] for i in idx) / ma)
+    if not ratios:
+        return float("nan"), float("nan")
+    ratios.sort()
+    tail = (1 - level) / 2
+    lo = ratios[int(tail * (len(ratios) - 1))]
+    hi = ratios[int((1 - tail) * (len(ratios) - 1))]
+    return lo, hi
+
+
+def verdict(ci, better):
+    lo, hi = ci
+    if not (hi < 1 or lo > 1):  # the interval contains 1 (or is nan)
+        return "inconclusive"
+    return "better" if (hi < 1) == (better == "lower") else "worse"
+
+
 def compare(binaries, workload, seed, pairs, metrics):
     """Runs the pairs; returns (failed checks, fingerprint mismatches)."""
     runs = {arm: {"plain": [], "traced": []} for arm in binaries}
@@ -177,7 +208,8 @@ def compare(binaries, workload, seed, pairs, metrics):
                                      for k in FINGERPRINT)
           + ("  MISMATCH" if mismatched else "  identical"))
     print(f"{'metric':28s} {'A median [q1, q3]':>30s} "
-          f"{'B median [q1, q3]':>30s} {'B/A':>6s} {'B wins':>7s}")
+          f"{'B median [q1, q3]':>30s} {'B/A':>6s} {'B wins':>7s} "
+          f"{'95% CI of B/A':>16s}  verdict")
     for name, better, mode in metrics:
         a = [r["values"][name] for r in runs[arms[0]][mode]]
         b = [r["values"][name] for r in runs[arms[1]][mode]]
@@ -185,9 +217,11 @@ def compare(binaries, workload, seed, pairs, metrics):
         wins = sum(1 for x, y in zip(a, b)
                    if (y < x if better == "lower" else y > x))
         ratio = mb / ma if ma else float("nan")
+        ci = bootstrap_ratio_ci(a, b)
         print(f"{name:28s} {cell(ma, quartiles(a)):>30s} "
               f"{cell(mb, quartiles(b)):>30s} {ratio:6.3f} "
-              f"{wins:>4d}/{pairs}")
+              f"{wins:>4d}/{pairs} "
+              f"{f'[{ci[0]:.3f}, {ci[1]:.3f}]':>16s}  {verdict(ci, better)}")
     return failed, mismatched
 
 

@@ -45,6 +45,7 @@ class ElectionNode final : public Machine {
   bool claimed() const { return claimed_; }
 
   ActionRole classify(const Action& a) const override;
+  bool declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
   std::vector<Action> enabled(Time now) const override;
   void apply_local(const Action& a, Time now) override;

@@ -21,8 +21,14 @@ HeartbeatSender::HeartbeatSender(int node, int peer, Duration period)
 ActionRole HeartbeatSender::classify(const Action& a) const {
   if (a.node != node_) return ActionRole::kNotMine;
   if (a.name == "CRASH") return ActionRole::kInput;
-  if (a.name == "SENDMSG") return ActionRole::kOutput;
+  if (a.name == "SENDMSG" && a.peer == peer_) return ActionRole::kOutput;
   return ActionRole::kNotMine;
+}
+
+bool HeartbeatSender::declare_signature(SignatureDecl& decl) const {
+  decl.input("CRASH", node_);
+  decl.output("SENDMSG", node_, peer_);
+  return true;
 }
 
 void HeartbeatSender::apply_input(const Action& a, Time /*now*/) {
@@ -72,6 +78,12 @@ ActionRole HeartbeatMonitor::classify(const Action& a) const {
   if (a.name == "RECVMSG" && a.peer == watched_) return ActionRole::kInput;
   if (a.name == "SUSPECT") return ActionRole::kOutput;
   return ActionRole::kNotMine;
+}
+
+bool HeartbeatMonitor::declare_signature(SignatureDecl& decl) const {
+  decl.input("RECVMSG", node_, watched_);
+  decl.output("SUSPECT", node_);
+  return true;
 }
 
 void HeartbeatMonitor::apply_input(const Action& a, Time now) {

@@ -31,6 +31,7 @@ class HeartbeatSender final : public Machine {
   std::size_t sent() const { return sent_; }
 
   ActionRole classify(const Action& a) const override;
+  bool declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
   std::vector<Action> enabled(Time now) const override;
   void apply_local(const Action& a, Time now) override;
@@ -56,6 +57,7 @@ class HeartbeatMonitor final : public Machine {
   std::size_t beats_seen() const { return beats_; }
 
   ActionRole classify(const Action& a) const override;
+  bool declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
   std::vector<Action> enabled(Time now) const override;
   void apply_local(const Action& a, Time now) override;

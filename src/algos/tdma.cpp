@@ -33,6 +33,12 @@ ActionRole TdmaMutex::classify(const Action& a) const {
   return ActionRole::kNotMine;
 }
 
+bool TdmaMutex::declare_signature(SignatureDecl& decl) const {
+  decl.output("GRANT", params_.node);
+  decl.output("RELEASE", params_.node);
+  return true;
+}
+
 void TdmaMutex::apply_input(const Action& a, Time /*now*/) {
   PSC_CHECK(false, "TDMA mutex has no inputs: " << to_string(a));
 }

@@ -42,6 +42,7 @@ class TdmaMutex final : public Machine {
   int leases_taken() const { return leases_; }
 
   ActionRole classify(const Action& a) const override;
+  bool declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
   std::vector<Action> enabled(Time now) const override;
   void apply_local(const Action& a, Time now) override;

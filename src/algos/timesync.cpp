@@ -20,6 +20,12 @@ ActionRole TimeServer::classify(const Action& a) const {
   return ActionRole::kNotMine;
 }
 
+bool TimeServer::declare_signature(SignatureDecl& decl) const {
+  decl.input("RECVMSG", node_);
+  decl.output("SENDMSG", node_);
+  return true;
+}
+
 void TimeServer::apply_input(const Action& a, Time /*clock*/) {
   PSC_CHECK(a.msg && a.msg->kind == "SYNCREQ", "unexpected message");
   pending_.push_back({a.peer, as_int(a.msg->fields.at(0))});
@@ -71,6 +77,12 @@ ActionRole SyncClient::classify(const Action& a) const {
   if (a.name == "RECVMSG" && a.peer == server_) return ActionRole::kInput;
   if (a.name == "SENDMSG" && a.peer == server_) return ActionRole::kOutput;
   return ActionRole::kNotMine;
+}
+
+bool SyncClient::declare_signature(SignatureDecl& decl) const {
+  decl.input("RECVMSG", node_, server_);
+  decl.output("SENDMSG", node_, server_);
+  return true;
 }
 
 void SyncClient::apply_input(const Action& a, Time clock) {

@@ -28,6 +28,7 @@ class TimeServer final : public Machine {
   explicit TimeServer(int node);
 
   ActionRole classify(const Action& a) const override;
+  bool declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time clock) override;
   std::vector<Action> enabled(Time clock) const override;
   void apply_local(const Action& a, Time clock) override;
@@ -61,6 +62,7 @@ class SyncClient final : public Machine {
   const std::vector<SyncSample>& samples() const { return samples_; }
 
   ActionRole classify(const Action& a) const override;
+  bool declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time clock) override;
   std::vector<Action> enabled(Time clock) const override;
   void apply_local(const Action& a, Time clock) override;

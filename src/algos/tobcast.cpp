@@ -18,7 +18,11 @@ TobcastNode::TobcastNode(const TobcastParams& params)
 
 ActionRole TobcastNode::classify(const Action& a) const {
   if (a.node != params_.node) return ActionRole::kNotMine;
-  if (a.name == "TOBCAST" || a.name == "RECVMSG") return ActionRole::kInput;
+  if (a.name == "TOBCAST") return ActionRole::kInput;
+  if (a.name == "RECVMSG") {
+    return a.peer >= 0 && a.peer < params_.num_nodes ? ActionRole::kInput
+                                                     : ActionRole::kNotMine;
+  }
   if (a.name == "SENDMSG" || a.name == "TODELIVER") {
     return ActionRole::kOutput;
   }
@@ -28,7 +32,7 @@ ActionRole TobcastNode::classify(const Action& a) const {
 bool TobcastNode::declare_signature(SignatureDecl& decl) const {
   const int i = params_.node;
   decl.input("TOBCAST", i);
-  decl.input("RECVMSG", i);
+  for (int j = 0; j < params_.num_nodes; ++j) decl.input("RECVMSG", i, j);
   decl.output("SENDMSG", i);
   decl.output("TODELIVER", i);
   return true;

@@ -13,18 +13,6 @@ namespace psc {
 
 namespace {
 
-// Kind-field unification, shared semantics with lint.cpp: kAnyNode is a
-// declaration-side wildcard.
-bool field_unifies(int a, int b) {
-  return a == kAnyNode || b == kAnyNode || a == b;
-}
-
-bool entries_unify(const SignatureDecl::Entry& a,
-                   const SignatureDecl::Entry& b) {
-  return a.name == b.name && field_unifies(a.node, b.node) &&
-         field_unifies(a.peer, b.peer);
-}
-
 bool is_local(ActionRole r) {
   return r == ActionRole::kOutput || r == ActionRole::kInternal;
 }
@@ -129,7 +117,7 @@ bool InterferenceGraph::independent(std::size_t a, std::size_t b) const {
   if (!nodes[a].declared || !nodes[b].declared) return false;
   for (const SignatureDecl::Entry& ea : entries[a]) {
     for (const SignatureDecl::Entry& eb : entries[b]) {
-      if (entries_unify(ea, eb)) return false;
+      if (ea.overlaps(eb)) return false;
     }
   }
   return true;
@@ -207,8 +195,7 @@ InterferenceGraph build_interference_graph(
     const InputBucket& b = it->second;
     const auto try_match = [&](std::size_t input_idx) {
       const OwnedEntry& in = inputs[input_idx];
-      if (field_unifies(l.entry.node, in.entry.node) &&
-          field_unifies(l.entry.peer, in.entry.peer)) {
+      if (l.entry.overlaps(in.entry)) {
         add_edge(l.owner, in.owner, l.entry, in.entry);
       }
     };

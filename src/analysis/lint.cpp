@@ -12,17 +12,6 @@ namespace psc {
 
 namespace {
 
-bool field_unifies(int a, int b) {
-  return a == kAnyNode || b == kAnyNode || a == b;
-}
-
-// Whether two declared entries can match a common action kind.
-bool entries_unify(const SignatureDecl::Entry& a,
-                   const SignatureDecl::Entry& b) {
-  return a.name == b.name && field_unifies(a.node, b.node) &&
-         field_unifies(a.peer, b.peer);
-}
-
 bool is_local(ActionRole r) {
   return r == ActionRole::kOutput || r == ActionRole::kInternal;
 }
@@ -157,7 +146,7 @@ DiagnosticReport lint_composition(const std::vector<const Machine*>& machines,
       if (e.role == ActionRole::kInput) {
         bool shadowed = false;
         for (const SignatureDecl::Entry& l : decl.entries()) {
-          if (is_local(l.role) && entries_unify(l, e)) {
+          if (is_local(l.role) && l.overlaps(e)) {
             shadowed = true;
             break;
           }
@@ -184,7 +173,7 @@ DiagnosticReport lint_composition(const std::vector<const Machine*>& machines,
   auto consider_pair = [&](std::size_t i, std::size_t j) {
     if (i > j) std::swap(i, j);
     if (locals[i].machine == locals[j].machine) return;
-    if (!entries_unify(locals[i].entry, locals[j].entry)) return;
+    if (!locals[i].entry.overlaps(locals[j].entry)) return;
     claimed_pairs.emplace_back(i, j);
   };
   for (const auto& [name, bucket] : local_index.by_name) {
@@ -219,7 +208,7 @@ DiagnosticReport lint_composition(const std::vector<const Machine*>& machines,
     // re-declare routed-internally interfaces); that is a producer.
     bool produced =
         local_index.any_unifiable(in.entry, [&](std::size_t i) {
-          return entries_unify(locals[i].entry, in.entry);
+          return locals[i].entry.overlaps(in.entry);
         });
     if (!produced && in.entry.node == kAnyNode && !opaque.empty()) {
       continue;  // cannot probe opaque machines for a wildcard-node kind
@@ -256,7 +245,7 @@ DiagnosticReport lint_composition(const std::vector<const Machine*>& machines,
     // a member inputs what another member produces (internal routing).
     bool consumed =
         input_index.any_unifiable(out.entry, [&](std::size_t i) {
-          return entries_unify(inputs[i].entry, out.entry);
+          return inputs[i].entry.overlaps(out.entry);
         });
     if (!consumed && out.entry.node == kAnyNode && !opaque.empty()) continue;
     if (!consumed) {

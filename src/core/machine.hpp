@@ -54,6 +54,18 @@ class SignatureDecl {
     int node = kAnyNode;
     int peer = kAnyNode;
     ActionRole role = ActionRole::kNotMine;
+
+    // Whether some action kind is matched by both entries.
+    bool overlaps(const Entry& o) const {
+      return name == o.name &&
+             (node == kAnyNode || o.node == kAnyNode || node == o.node) &&
+             (peer == kAnyNode || o.peer == kAnyNode || peer == o.peer);
+    }
+    // Whether every kind `o` matches is matched by this entry too.
+    bool covers(const Entry& o) const {
+      return name == o.name && (node == kAnyNode || node == o.node) &&
+             (peer == kAnyNode || peer == o.peer);
+    }
   };
 
   void input(std::string name, int node = kAnyNode, int peer = kAnyNode);

@@ -36,8 +36,47 @@ ActionRole MmtNode::classify(const Action& a) const {
   return inner_role;
 }
 
+bool MmtNode::declare_signature(SignatureDecl& decl) const {
+  SignatureDecl inner;
+  if (!inner_->declare_signature(inner)) return false;
+  const SignatureDecl::Entry tick{"TICK", node_, kAnyNode, ActionRole::kInput};
+  const SignatureDecl::Entry step{"MMTSTEP", node_, kAnyNode,
+                                  ActionRole::kInternal};
+  std::vector<SignatureDecl::Entry> kept;
+  for (const SignatureDecl::Entry& e : inner.entries()) {
+    // classify() answers TICK(node)/MMTSTEP(node) before asking inner.
+    if (e.overlaps(tick) || e.overlaps(step)) return false;
+    if (e.role == ActionRole::kInternal) continue;
+    if (e.role == ActionRole::kInput) {
+      bool covered = false;
+      bool overlapped = false;
+      for (const SignatureDecl::Entry& h : inner.entries()) {
+        if (h.role != ActionRole::kInternal || !h.overlaps(e)) continue;
+        overlapped = true;
+        if (h.covers(e)) {
+          covered = true;
+          break;
+        }
+      }
+      if (covered) continue;
+      if (overlapped) return false;
+    }
+    kept.push_back(e);
+  }
+  decl.add(tick.name, tick.node, tick.peer, tick.role);
+  decl.add(step.name, step.node, step.peer, step.role);
+  for (SignatureDecl::Entry& e : kept) {
+    decl.add(std::move(e.name), e.node, e.peer, e.role);
+  }
+  return true;
+}
+
 void MmtNode::catch_up(Time t) {
   const Time target = mmtclock_;
+  if (!inner_dirty_ && target < inner_wake_) {
+    simclock_ = std::max(simclock_, target);
+    return;
+  }
   while (simclock_ <= target) {
     // Drain actions enabled at the current simulated clock.
     bool progressed = true;
@@ -49,7 +88,7 @@ void MmtNode::catch_up(Time t) {
       // the enabled set, so take only the first and re-query.
       Action a = std::move(acts.front());
       const ActionRole role = inner_->classify(a);
-      inner_->apply_local(a, simclock_);
+      inner_local(a);
       if (role == ActionRole::kOutput) {
         pending_.push_back({std::move(a), t});
         stats_.max_pending = std::max(stats_.max_pending, pending_.size());
@@ -57,7 +96,11 @@ void MmtNode::catch_up(Time t) {
       progressed = true;
     }
     const Time nxt = inner_->next_enabled(simclock_);
-    if (nxt > target) break;
+    if (nxt > target) {
+      inner_wake_ = nxt;
+      inner_dirty_ = false;
+      break;
+    }
     PSC_CHECK(nxt > simclock_, "inner machine does not advance");
     simclock_ = nxt;
   }
@@ -75,7 +118,7 @@ void MmtNode::apply_input(const Action& a, Time t) {
   // Def 5.1 input case: catch up to mmtclock first (the input applies to
   // fragstate), then deliver.
   catch_up(t);
-  inner_->apply_input(a, simclock_);
+  inner_input(a);
 }
 
 std::vector<Action> MmtNode::enabled(Time t) const {
@@ -88,6 +131,26 @@ std::vector<Action> MmtNode::enabled(Time t) const {
     }
   }
   return out;
+}
+
+void MmtNode::enabled_into(Time t, std::vector<Action>& out) const {
+  // Same single candidate as enabled(), rebuilt in place so the executor's
+  // re-poll reuses the name, args and message buffers.
+  if (t < next_step_) {
+    out.clear();
+    return;
+  }
+  out.resize(1);
+  Action& a = out[0];
+  if (!pending_.empty()) {
+    a = pending_.front().action;
+  } else {
+    a.name.assign("MMTSTEP");
+    a.node = node_;
+    a.peer = kNoNode;
+    a.args.clear();
+    a.msg.reset();
+  }
 }
 
 void MmtNode::apply_local(const Action& a, Time t) {

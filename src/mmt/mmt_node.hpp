@@ -17,6 +17,14 @@
 // and advance its clock to the next enabling point, until mmtclock is
 // reached; outputs encountered are appended to pending.
 //
+// frag is computed lazily. The slow walk ends where the wrapped machine's
+// next_enabled hint first exceeds mmtclock, and the node keeps that hint
+// (the inner wake). Until the wrapped machine's state changes — an input or
+// a local action applied to it — and while mmtclock stays below the wake,
+// frag is just the passage of time: by the next_enabled contract nothing
+// becomes enabled before the hint, so catch_up only moves simclock. A hint
+// that is early merely sends the next catch_up down the slow walk.
+//
 // The node's single task class (all outputs + tau) has boundmap [0, ell]:
 // a seeded adversary chooses each step time within the budget. At a step,
 // the first pending output is emitted (its effect on the simulated state
@@ -25,6 +33,16 @@
 // catches up. Inputs are applied immediately (the MMT model places no
 // timing constraint on inputs): catch up first, then apply (Def 5.1's input
 // case uses fragstate).
+//
+// The signature is derived from the wrapped machine's declaration:
+// TICK(node) is an input and MMTSTEP(node) internal; the wrapped machine's
+// inputs and outputs cross the boundary unchanged and its internals vanish
+// (they happen silently inside catch_up, so classify says kNotMine). An
+// inner input entry is dropped when a single inner internal entry covers
+// every kind it matches — e.g. the node composite's RECVMSG(i, j), released
+// by the hidden receive buffer R_ji. An input that such an entry covers
+// only in part has no exact per-kind description, so the node then
+// declares nothing and stays on the classify() path.
 #pragma once
 
 #include <deque>
@@ -56,8 +74,10 @@ class MmtNode final : public Machine {
   Time mmtclock() const { return mmtclock_; }
 
   ActionRole classify(const Action& a) const override;
+  bool declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
   std::vector<Action> enabled(Time t) const override;
+  void enabled_into(Time t, std::vector<Action>& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;
@@ -86,6 +106,15 @@ class MmtNode final : public Machine {
   // local actions; outputs are appended to pending. `t` is the real time
   // (for stats only).
   void catch_up(Time t);
+  // The wrapped machine's state changes only through these two.
+  void inner_input(const Action& a) {
+    inner_->apply_input(a, simclock_);
+    inner_dirty_ = true;
+  }
+  void inner_local(const Action& a) {
+    inner_->apply_local(a, simclock_);
+    inner_dirty_ = true;
+  }
   Duration draw_gap();
 
   int node_;
@@ -96,6 +125,11 @@ class MmtNode final : public Machine {
   Time simclock_ = 0;
   Time mmtclock_ = 0;
   Time next_step_;
+  // The lazily computed frag (see the header comment): the next_enabled
+  // hint at which the last slow catch-up stopped, valid while the wrapped
+  // machine is untouched since.
+  Time inner_wake_ = 0;
+  bool inner_dirty_ = true;
   std::deque<PendingOutput> pending_;
   MmtNodeStats stats_;
 };

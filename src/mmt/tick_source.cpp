@@ -50,6 +50,22 @@ std::vector<Action> TickSource::enabled(Time t) const {
   return out;
 }
 
+void TickSource::enabled_into(Time t, std::vector<Action>& out) const {
+  // Same single candidate as enabled(), rebuilt in place.
+  if (t < next_tick_) {
+    out.clear();
+    return;
+  }
+  out.resize(1);
+  Action& a = out[0];
+  a.name.assign("TICK");
+  a.node = node_;
+  a.peer = kNoNode;
+  a.args.resize(1);
+  a.args[0] = Value{traj_->clock_at(t)};
+  a.msg.reset();
+}
+
 void TickSource::apply_local(const Action& /*a*/, Time t) {
   PSC_CHECK(t >= next_tick_, "tick fired early");
   ++ticks_;

@@ -56,20 +56,6 @@ ActionRole CompositeMachine::classify(const Action& a) const {
   return ActionRole::kNotMine;
 }
 
-namespace {
-// Whether two declared entries can match a common action kind: names equal
-// and each of node/peer either equal or wildcarded on one side.
-bool entries_overlap(const SignatureDecl::Entry& a,
-                     const SignatureDecl::Entry& b) {
-  if (a.name != b.name) return false;
-  const bool node_ok = a.node == kAnyNode || b.node == kAnyNode ||
-                       a.node == b.node;
-  const bool peer_ok = a.peer == kAnyNode || b.peer == kAnyNode ||
-                       a.peer == b.peer;
-  return node_ok && peer_ok;
-}
-}  // namespace
-
 bool CompositeMachine::declare_signature(SignatureDecl& decl) const {
   struct Local {
     SignatureDecl::Entry entry;
@@ -93,7 +79,7 @@ bool CompositeMachine::declare_signature(SignatureDecl& decl) const {
   for (std::size_t i = 0; i < locals.size(); ++i) {
     for (std::size_t j = i + 1; j < locals.size(); ++j) {
       if (locals[i].member != locals[j].member &&
-          entries_overlap(locals[i].entry, locals[j].entry)) {
+          locals[i].entry.overlaps(locals[j].entry)) {
         return false;
       }
     }

@@ -23,7 +23,11 @@ RwAlgorithm::RwAlgorithm(const RwParams& params)
 ActionRole RwAlgorithm::classify(const Action& a) const {
   if (a.node != params_.node) return ActionRole::kNotMine;
   if (a.name == "READ" || a.name == "WRITE") return ActionRole::kInput;
-  if (a.name == "RECVMSG") return ActionRole::kInput;
+  // Figure 3's RECVMSG_i(j, m) ranges over j in procs.
+  if (a.name == "RECVMSG") {
+    return a.peer >= 0 && a.peer < params_.num_nodes ? ActionRole::kInput
+                                                     : ActionRole::kNotMine;
+  }
   if (a.name == "RETURN" || a.name == "ACK" || a.name == "SENDMSG") {
     return ActionRole::kOutput;
   }
@@ -34,7 +38,9 @@ ActionRole RwAlgorithm::classify(const Action& a) const {
 bool RwAlgorithm::declare_signature(SignatureDecl& decl) const {
   decl.input("READ", params_.node);
   decl.input("WRITE", params_.node);
-  decl.input("RECVMSG", params_.node);
+  for (int j = 0; j < params_.num_nodes; ++j) {
+    decl.input("RECVMSG", params_.node, j);
+  }
   decl.output("RETURN", params_.node);
   decl.output("ACK", params_.node);
   decl.output("SENDMSG", params_.node);

@@ -52,6 +52,18 @@ ActionRole MultiRwAlgorithm::classify(const Action& a) const {
   return ActionRole::kNotMine;
 }
 
+bool MultiRwAlgorithm::declare_signature(SignatureDecl& decl) const {
+  const int i = params_.base.node;
+  decl.input("READ", i);
+  decl.input("WRITE", i);
+  decl.input("RECVMSG", i);
+  decl.output("RETURN", i);
+  decl.output("ACK", i);
+  decl.output("SENDMSG", i);
+  decl.internal("UPDATE", i);
+  return true;
+}
+
 void MultiRwAlgorithm::apply_input(const Action& a, Time now) {
   const auto& p = params_.base;
   if (a.name == "READ") {
@@ -229,6 +241,14 @@ ActionRole MultiRwClient::classify(const Action& a) const {
   if (a.name == "RETURN" || a.name == "ACK") return ActionRole::kInput;
   if (a.name == "READ" || a.name == "WRITE") return ActionRole::kOutput;
   return ActionRole::kNotMine;
+}
+
+bool MultiRwClient::declare_signature(SignatureDecl& decl) const {
+  decl.input("RETURN", options_.node);
+  decl.input("ACK", options_.node);
+  decl.output("READ", options_.node);
+  decl.output("WRITE", options_.node);
+  return true;
 }
 
 void MultiRwClient::apply_input(const Action& a, Time t) {

@@ -40,6 +40,7 @@ class MultiRwAlgorithm final : public Machine {
   std::int64_t value(std::int64_t obj) const;
 
   ActionRole classify(const Action& a) const override;
+  bool declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
   std::vector<Action> enabled(Time now) const override;
   void apply_local(const Action& a, Time now) override;
@@ -105,6 +106,7 @@ class MultiRwClient final : public Machine {
   bool finished() const { return issued_ == options_.num_ops && !busy_; }
 
   ActionRole classify(const Action& a) const override;
+  bool declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
   std::vector<Action> enabled(Time t) const override;
   void apply_local(const Action& a, Time t) override;

@@ -30,6 +30,18 @@ ActionRole SlicedRw::classify(const Action& a) const {
   return ActionRole::kNotMine;
 }
 
+bool SlicedRw::declare_signature(SignatureDecl& decl) const {
+  const int i = params_.node;
+  decl.input("READ", i);
+  decl.input("WRITE", i);
+  decl.input("RECVMSG", i);
+  decl.output("RETURN", i);
+  decl.output("ACK", i);
+  decl.output("SENDMSG", i);
+  decl.internal("UPDATE", i);
+  return true;
+}
+
 void SlicedRw::apply_input(const Action& a, Time clock) {
   if (a.name == "READ") {
     PSC_CHECK(!read_.active, "alternation violated");

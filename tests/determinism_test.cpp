@@ -108,6 +108,14 @@ TEST(DeterminismTest, ClockModelTraceIsPinnedAcrossBuilds) {
   EXPECT_EQ(fnv1a(text), 2273367640099847480ULL);
 }
 
+TEST(DeterminismTest, MmtModelTraceIsPinnedAcrossBuilds) {
+  ZigzagDrift drift(0.3);
+  const auto run = run_rw_mmt(cfg_for(42), drift, microseconds(10), 5);
+  const std::string text = normalized(run.events);
+  EXPECT_EQ(run.events.size(), 3840u);
+  EXPECT_EQ(fnv1a(text), 6793192959222367438ULL);
+}
+
 TEST(DeterminismTest, QueueClockTraceIsPinnedAcrossBuilds) {
   ZigzagDrift drift(0.3);
   const auto run = run_queue_clock(queue_cfg(), drift);

@@ -3,11 +3,14 @@
 // pipeline on the register algorithm.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 
+#include "core/trace_io.hpp"
 #include "mmt/mmt_system.hpp"
 #include "rw/harness.hpp"
 #include "rw/spec.hpp"
+#include "runtime/composite.hpp"
 #include "runtime/script.hpp"
 #include "util/check.hpp"
 
@@ -177,6 +180,183 @@ TEST(MmtNodeTest, StaleTickIgnored) {
   node.apply_input(make_action("TICK", 0, {Value{std::int64_t{1000}}}), 2000);
   node.apply_input(make_action("TICK", 0, {Value{std::int64_t{500}}}), 2100);
   EXPECT_EQ(node.mmtclock(), 1000);
+}
+
+// --- the catch-up wake memo -----------------------------------------------------
+
+// Echoes IN(node, v) as ECHO(node, v) `delay` clock units after the input.
+class DelayedEcho final : public Machine {
+ public:
+  DelayedEcho(int node, Duration delay)
+      : Machine("echo"), node_(node), delay_(delay) {}
+
+  ActionRole classify(const Action& a) const override {
+    if (a.node != node_) return ActionRole::kNotMine;
+    if (a.name == "IN") return ActionRole::kInput;
+    if (a.name == "ECHO") return ActionRole::kOutput;
+    return ActionRole::kNotMine;
+  }
+  void apply_input(const Action& a, Time clock) override {
+    due_.push_back({clock + delay_, as_int(a.args.at(0))});
+  }
+  std::vector<Action> enabled(Time clock) const override {
+    if (due_.empty() || due_.front().at > clock) return {};
+    return {make_action("ECHO", node_, {Value{due_.front().value}})};
+  }
+  void apply_local(const Action&, Time) override { due_.pop_front(); }
+  Time upper_bound(Time clock) const override {
+    if (due_.empty()) return kTimeMax;
+    return std::max(clock, due_.front().at);
+  }
+  Time next_enabled(Time clock) const override {
+    if (due_.empty() || due_.front().at <= clock) return kTimeMax;
+    return due_.front().at;
+  }
+
+ private:
+  struct Due {
+    Time at;
+    std::int64_t value;
+  };
+  int node_;
+  Duration delay_;
+  std::deque<Due> due_;
+};
+
+// Forwards to a wrapped clock-time machine and counts the enabled() and
+// next_enabled() calls made on it. With early > 0 its next_enabled hint is
+// early — never more than `early` past the query — which the Machine
+// contract allows: the hint only promises that nothing is enabled before it.
+class PollCounter final : public Machine {
+ public:
+  explicit PollCounter(std::unique_ptr<Machine> inner, Duration early = 0)
+      : Machine("count(" + inner->name() + ")"),
+        inner_(std::move(inner)),
+        early_(early) {}
+
+  ActionRole classify(const Action& a) const override {
+    return inner_->classify(a);
+  }
+  void apply_input(const Action& a, Time t) override {
+    inner_->apply_input(a, t);
+  }
+  std::vector<Action> enabled(Time t) const override {
+    ++polls;
+    return inner_->enabled(t);
+  }
+  void apply_local(const Action& a, Time t) override {
+    inner_->apply_local(a, t);
+  }
+  Time upper_bound(Time t) const override { return inner_->upper_bound(t); }
+  Time next_enabled(Time t) const override {
+    ++polls;
+    const Time hint = inner_->next_enabled(t);
+    return early_ > 0 ? std::min(hint, t + early_) : hint;
+  }
+
+  mutable std::size_t polls = 0;
+
+ private:
+  std::unique_ptr<Machine> inner_;
+  Duration early_;
+};
+
+// Drives an MmtNode by hand: TICK(c), then one step `ell` of real time after
+// the previous one (so the step budget is always due). Returns the action
+// the step performed.
+Action tick_and_step(MmtNode& node, Time c, Time& t, Duration ell) {
+  t += ell;
+  node.apply_input(make_action("TICK", 0, {Value{c}}), t);
+  const auto acts = node.enabled(t);
+  PSC_CHECK(acts.size() == 1, "step not due");
+  node.apply_local(acts[0], t);
+  return acts[0];
+}
+
+TEST(MmtNodeMemoTest, StepsBelowTheWakeDoNotPollTheInnerMachine) {
+  const Duration ell = microseconds(5);
+  const Duration period = microseconds(100);
+  auto counter = std::make_unique<PollCounter>(make_emitter(0, period, 3));
+  PollCounter* pc = counter.get();
+  MmtNode node(0, std::move(counter), ell, Rng(1));
+  Time t = 0;
+  // The first step walks (the memo starts dirty) and stops at the emitter's
+  // first due time, `period`.
+  EXPECT_EQ(tick_and_step(node, 0, t, ell).name, "MMTSTEP");
+  EXPECT_GT(pc->polls, 0u);
+  pc->polls = 0;
+  for (Time c = microseconds(1); c < period; c += microseconds(7)) {
+    EXPECT_EQ(tick_and_step(node, c, t, ell).name, "MMTSTEP");
+    EXPECT_EQ(node.simclock(), c);
+  }
+  EXPECT_EQ(pc->polls, 0u);
+  // A tick exactly at the wake must walk: OUT(period) becomes enabled at
+  // clock == period, not after it.
+  EXPECT_EQ(tick_and_step(node, period, t, ell).name, "MMTSTEP");
+  EXPECT_GT(pc->polls, 0u);
+  const auto next = node.enabled(t + ell);
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0], make_action("OUT", 0, {Value{period}}));
+}
+
+TEST(MmtNodeMemoTest, AnInputInvalidatesTheMemo) {
+  const Duration ell = microseconds(5);
+  const Duration delay = microseconds(20);
+  auto counter =
+      std::make_unique<PollCounter>(std::make_unique<DelayedEcho>(0, delay));
+  PollCounter* pc = counter.get();
+  MmtNode node(0, std::move(counter), ell, Rng(1));
+  Time t = 0;
+  tick_and_step(node, microseconds(1), t, ell);
+  pc->polls = 0;
+  // Nothing is scheduled, so the wake is kTimeMax and steps stay silent.
+  tick_and_step(node, microseconds(2), t, ell);
+  EXPECT_EQ(pc->polls, 0u);
+  node.apply_input(make_action("IN", 0, {Value{std::int64_t{7}}}), t);
+  // The echo is due at clock 2us + delay; a tick past it must walk and
+  // find it.
+  EXPECT_EQ(tick_and_step(node, microseconds(2) + delay, t, ell).name,
+            "MMTSTEP");
+  EXPECT_GT(pc->polls, 0u);
+  const auto next = node.enabled(t + ell);
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0], make_action("ECHO", 0, {Value{std::int64_t{7}}}));
+}
+
+TEST(MmtNodeMemoTest, AnEarlyHintGivesTheSameOutputs) {
+  // The same emitter/echo node driven by an exact and by an early
+  // next_enabled hint: the trace is identical, only the poll counts differ.
+  const Duration ell = microseconds(5);
+  auto run = [ell](Duration early, std::size_t* polls) {
+    auto traj =
+        std::make_shared<ClockTrajectory>(ClockTrajectory::perfect());
+    Executor exec({.horizon = milliseconds(3), .seed = 7});
+    auto inner = std::make_unique<CompositeMachine>("inner");
+    inner->add(make_emitter(0, microseconds(40), 50));
+    inner->add(std::make_unique<DelayedEcho>(0, microseconds(13)));
+    auto counter = std::make_unique<PollCounter>(std::move(inner), early);
+    PollCounter* pc = counter.get();
+    exec.add_owned(
+        std::make_unique<MmtNode>(0, std::move(counter), ell, Rng(7)));
+    exec.add_owned(std::make_unique<TickSource>(0, traj, ell, Rng(8)));
+    std::vector<ScriptMachine::Step> script;
+    for (int k = 0; k < 20; ++k) {
+      script.push_back({microseconds(90) * (k + 1),
+                        make_action("IN", 0, {Value{std::int64_t{k}}})});
+    }
+    exec.add_owned(std::make_unique<ScriptMachine>("env", std::move(script)));
+    exec.run();
+    *polls = pc->polls;
+    return trace_to_text(exec.events());
+  };
+  std::size_t exact_polls = 0;
+  std::size_t early_polls = 0;
+  const std::string exact = run(0, &exact_polls);
+  const std::string early = run(microseconds(3), &early_polls);
+  EXPECT_EQ(exact, early);
+  EXPECT_NE(exact.find("OUT"), std::string::npos);
+  EXPECT_NE(exact.find("ECHO"), std::string::npos);
+  EXPECT_GT(early_polls, exact_polls);
 }
 
 // --- Theorem 5.2 pipeline on the register ------------------------------------
