@@ -38,10 +38,9 @@ class TagEcho final : public Machine {
   int violations = 0;
   int received = 0;
 
-  ActionRole classify(const Action& a) const override {
-    if (a.name == "RECVMSG" && a.node == node_) return ActionRole::kInput;
-    if (a.name == "SENDMSG" && a.node == node_) return ActionRole::kOutput;
-    return ActionRole::kNotMine;
+  void declare_signature(SignatureDecl& decl) const override {
+    decl.input("RECVMSG", node_);
+    decl.output("SENDMSG", node_);
   }
   void apply_input(const Action& a, Time clock) override {
     ++received;

@@ -339,9 +339,8 @@ struct Row {
   double legacy_ns = 0;
   double sched_ns = 0;
   double speedup = 0;
-  // Scheduler self-metrics of the incremental arm (ExecutorStats): how
-  // much of the speedup comes from cache hits vs interned routing.
-  double fast_path_rate = 0;
+  // Scheduler self-metric of the incremental arm (ExecutorStats): how
+  // much of the speedup comes from candidate-cache hits.
   double cache_hit_rate = 0;
   // PSC_LINT=1 arm: scheduler loop with an online InvariantProbe attached.
   double lint_ns = 0;        // 0 when the arm did not run
@@ -432,7 +431,6 @@ Row run_config(const std::string& workload, int n, int repeats,
   row.legacy_ns = legacy.ns_per_event;
   row.sched_ns = sched.ns_per_event;
   row.speedup = legacy.ns_per_event / sched.ns_per_event;
-  row.fast_path_rate = sched.stats.fast_path_rate();
   row.cache_hit_rate = sched.stats.cache_hit_rate();
   if (lint_arm) {
     row.lint_ns = lint.ns_per_event;
@@ -447,10 +445,9 @@ Row run_config(const std::string& workload, int n, int repeats,
     row.cert_ns = cert.ns_per_event;
     row.cert_overhead = paired_overhead(cert_r, sched_r);
   }
-  std::printf("  %-6s %5d %9zu %8zu %14.1f %14.1f %9.2fx %6.3f %6.3f",
+  std::printf("  %-6s %5d %9zu %8zu %14.1f %14.1f %9.2fx %6.3f",
               workload.c_str(), n, row.machines, row.events, row.legacy_ns,
-              row.sched_ns, row.speedup, row.fast_path_rate,
-              row.cache_hit_rate);
+              row.sched_ns, row.speedup, row.cache_hit_rate);
   if (lint_arm) {
     std::printf(" %12.1f %+7.1f%%", row.lint_ns, row.lint_overhead * 100.0);
   }
@@ -686,8 +683,8 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
        << "\",\"nodes\":" << r.nodes << ",\"machines\":" << r.machines
        << ",\"events\":" << r.events << ",\"legacy_ns_per_event\":"
        << r.legacy_ns << ",\"sched_ns_per_event\":" << r.sched_ns
-       << ",\"speedup\":" << r.speedup << ",\"fast_path_rate\":"
-       << r.fast_path_rate << ",\"cache_hit_rate\":" << r.cache_hit_rate;
+       << ",\"speedup\":" << r.speedup
+       << ",\"cache_hit_rate\":" << r.cache_hit_rate;
     if (r.lint_ns > 0) {
       os << ",\"lint_ns_per_event\":" << r.lint_ns
          << ",\"lint_overhead\":" << r.lint_overhead;
@@ -847,9 +844,9 @@ int main(int argc, char** argv) {
        " ns/event, probe overheads = median within-repeat ratio (arms "
        "interleaved per repeat; the sweep's flight arm uses the min-ratio), "
        "fixed seed, run() only (assembly excluded)");
-  std::printf("  %-6s %5s %9s %8s %14s %14s %9s %6s %6s", "work", "n",
+  std::printf("  %-6s %5s %9s %8s %14s %14s %9s %6s", "work", "n",
               "machines", "events", "legacy ns/ev", "sched ns/ev", "speedup",
-              "fast", "cache");
+              "cache");
   if (lint_arm) std::printf(" %12s %8s", "lint ns/ev", "lint ovh");
   if (obs_arm) std::printf(" %12s %8s", "obs ns/ev", "obs ovh");
   if (cert_arm) std::printf(" %12s %8s", "cert ns/ev", "cert ovh");

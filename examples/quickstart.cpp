@@ -24,10 +24,10 @@ class Pinger final : public Machine {
       : Machine("pinger"), node_(node), peer_(peer), period_(period),
         remaining_(count) {}
 
-  ActionRole classify(const Action& a) const override {
-    if (a.name == "SENDMSG" && a.node == node_) return ActionRole::kOutput;
-    if (a.name == "RECVMSG" && a.node == node_) return ActionRole::kInput;
-    return ActionRole::kNotMine;
+  // The signature (Def 2.1): SENDMSG is an output, RECVMSG an input.
+  void declare_signature(SignatureDecl& decl) const override {
+    decl.output("SENDMSG", node_);
+    decl.input("RECVMSG", node_);
   }
   void apply_input(const Action& a, Time t) override {
     std::cout << "  [pinger] got " << a.msg->kind << " at "
@@ -65,10 +65,9 @@ class Responder final : public Machine {
   Responder(int node, int peer) : Machine("responder"), node_(node),
                                   peer_(peer) {}
 
-  ActionRole classify(const Action& a) const override {
-    if (a.name == "RECVMSG" && a.node == node_) return ActionRole::kInput;
-    if (a.name == "SENDMSG" && a.node == node_) return ActionRole::kOutput;
-    return ActionRole::kNotMine;
+  void declare_signature(SignatureDecl& decl) const override {
+    decl.input("RECVMSG", node_);
+    decl.output("SENDMSG", node_);
   }
   void apply_input(const Action&, Time) override { ++owed_; }
   std::vector<Action> enabled(Time) const override {

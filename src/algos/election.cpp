@@ -23,28 +23,15 @@ Time ElectionNode::announce_time() const {
          params_.d2_design + params_.margin;
 }
 
-ActionRole ElectionNode::classify(const Action& a) const {
-  if (a.node != params_.node) return ActionRole::kNotMine;
-  // Claims travel between distinct nodes only.
-  if (a.name == "RECVMSG") {
-    return a.peer >= 0 && a.peer < params_.num_nodes && a.peer != a.node
-               ? ActionRole::kInput
-               : ActionRole::kNotMine;
-  }
-  if (a.name == "SENDMSG" || a.name == "LEADER") return ActionRole::kOutput;
-  if (a.name == "CLAIM_SELF") return ActionRole::kInternal;
-  return ActionRole::kNotMine;
-}
-
-bool ElectionNode::declare_signature(SignatureDecl& decl) const {
+void ElectionNode::declare_signature(SignatureDecl& decl) const {
   const int i = params_.node;
+  // Claims travel between distinct nodes only.
   for (int j = 0; j < params_.num_nodes; ++j) {
     if (j != i) decl.input("RECVMSG", i, j);
   }
   decl.output("SENDMSG", i);
   decl.output("LEADER", i);
   decl.internal("CLAIM_SELF", i);
-  return true;
 }
 
 void ElectionNode::apply_input(const Action& a, Time /*now*/) {

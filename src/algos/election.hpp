@@ -44,8 +44,7 @@ class ElectionNode final : public Machine {
   int announced() const { return announced_ ? leader_ : -1; }
   bool claimed() const { return claimed_; }
 
-  ActionRole classify(const Action& a) const override;
-  bool declare_signature(SignatureDecl& decl) const override;
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
   std::vector<Action> enabled(Time now) const override;
   void apply_local(const Action& a, Time now) override;

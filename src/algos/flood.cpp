@@ -39,23 +39,12 @@ std::vector<std::int64_t> FloodNode::due_waves(Time now) const {
   return out;
 }
 
-ActionRole FloodNode::classify(const Action& a) const {
-  if (a.node != params_.node) return ActionRole::kNotMine;
-  if (a.name == "RECVMSG") return ActionRole::kInput;
-  if (a.name == "SENDMSG" || a.name == "DELIVER") return ActionRole::kOutput;
-  if (a.name == "COMPLETE") {
-    return params_.source ? ActionRole::kOutput : ActionRole::kNotMine;
-  }
-  return ActionRole::kNotMine;
-}
-
-bool FloodNode::declare_signature(SignatureDecl& decl) const {
+void FloodNode::declare_signature(SignatureDecl& decl) const {
   const int i = params_.node;
   decl.input("RECVMSG", i);
   decl.output("SENDMSG", i);
   decl.output("DELIVER", i);
   if (params_.source) decl.output("COMPLETE", i);
-  return true;
 }
 
 void FloodNode::apply_input(const Action& a, Time /*now*/) {

@@ -56,8 +56,7 @@ class FloodNode final : public Machine {
   bool delivered() const { return delivered_ > 0; }
   int delivered_waves() const { return delivered_; }
 
-  ActionRole classify(const Action& a) const override;
-  bool declare_signature(SignatureDecl& decl) const override;
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
   std::vector<Action> enabled(Time now) const override;
   void enabled_into(Time now, std::vector<Action>& out) const override;

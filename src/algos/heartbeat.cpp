@@ -18,17 +18,9 @@ HeartbeatSender::HeartbeatSender(int node, int peer, Duration period)
   PSC_CHECK(period_ > 0, "period must be positive");
 }
 
-ActionRole HeartbeatSender::classify(const Action& a) const {
-  if (a.node != node_) return ActionRole::kNotMine;
-  if (a.name == "CRASH") return ActionRole::kInput;
-  if (a.name == "SENDMSG" && a.peer == peer_) return ActionRole::kOutput;
-  return ActionRole::kNotMine;
-}
-
-bool HeartbeatSender::declare_signature(SignatureDecl& decl) const {
+void HeartbeatSender::declare_signature(SignatureDecl& decl) const {
   decl.input("CRASH", node_);
   decl.output("SENDMSG", node_, peer_);
-  return true;
 }
 
 void HeartbeatSender::apply_input(const Action& a, Time /*now*/) {
@@ -73,17 +65,9 @@ HeartbeatMonitor::HeartbeatMonitor(int node, int watched, Duration timeout)
   PSC_CHECK(timeout_ > 0, "timeout must be positive");
 }
 
-ActionRole HeartbeatMonitor::classify(const Action& a) const {
-  if (a.node != node_) return ActionRole::kNotMine;
-  if (a.name == "RECVMSG" && a.peer == watched_) return ActionRole::kInput;
-  if (a.name == "SUSPECT") return ActionRole::kOutput;
-  return ActionRole::kNotMine;
-}
-
-bool HeartbeatMonitor::declare_signature(SignatureDecl& decl) const {
+void HeartbeatMonitor::declare_signature(SignatureDecl& decl) const {
   decl.input("RECVMSG", node_, watched_);
   decl.output("SUSPECT", node_);
-  return true;
 }
 
 void HeartbeatMonitor::apply_input(const Action& a, Time now) {

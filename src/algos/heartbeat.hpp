@@ -30,8 +30,7 @@ class HeartbeatSender final : public Machine {
   bool crashed() const { return crashed_; }
   std::size_t sent() const { return sent_; }
 
-  ActionRole classify(const Action& a) const override;
-  bool declare_signature(SignatureDecl& decl) const override;
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
   std::vector<Action> enabled(Time now) const override;
   void apply_local(const Action& a, Time now) override;
@@ -56,8 +55,7 @@ class HeartbeatMonitor final : public Machine {
   Time suspect_time() const { return suspect_time_; }
   std::size_t beats_seen() const { return beats_; }
 
-  ActionRole classify(const Action& a) const override;
-  bool declare_signature(SignatureDecl& decl) const override;
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
   std::vector<Action> enabled(Time now) const override;
   void apply_local(const Action& a, Time now) override;

@@ -27,16 +27,9 @@ Time TdmaMutex::next_slot_start(Time t) const {
   return base >= t ? base : base + frame;
 }
 
-ActionRole TdmaMutex::classify(const Action& a) const {
-  if (a.node != params_.node) return ActionRole::kNotMine;
-  if (a.name == "GRANT" || a.name == "RELEASE") return ActionRole::kOutput;
-  return ActionRole::kNotMine;
-}
-
-bool TdmaMutex::declare_signature(SignatureDecl& decl) const {
+void TdmaMutex::declare_signature(SignatureDecl& decl) const {
   decl.output("GRANT", params_.node);
   decl.output("RELEASE", params_.node);
-  return true;
 }
 
 void TdmaMutex::apply_input(const Action& a, Time /*now*/) {

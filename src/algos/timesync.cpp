@@ -13,17 +13,9 @@ namespace psc {
 TimeServer::TimeServer(int node)
     : Machine("timeserver_" + std::to_string(node)), node_(node) {}
 
-ActionRole TimeServer::classify(const Action& a) const {
-  if (a.node != node_) return ActionRole::kNotMine;
-  if (a.name == "RECVMSG") return ActionRole::kInput;
-  if (a.name == "SENDMSG") return ActionRole::kOutput;
-  return ActionRole::kNotMine;
-}
-
-bool TimeServer::declare_signature(SignatureDecl& decl) const {
+void TimeServer::declare_signature(SignatureDecl& decl) const {
   decl.input("RECVMSG", node_);
   decl.output("SENDMSG", node_);
-  return true;
 }
 
 void TimeServer::apply_input(const Action& a, Time /*clock*/) {
@@ -72,17 +64,9 @@ SyncClient::SyncClient(int node, int server, Duration period, int count,
   PSC_CHECK(count_ >= 0, "count");
 }
 
-ActionRole SyncClient::classify(const Action& a) const {
-  if (a.node != node_) return ActionRole::kNotMine;
-  if (a.name == "RECVMSG" && a.peer == server_) return ActionRole::kInput;
-  if (a.name == "SENDMSG" && a.peer == server_) return ActionRole::kOutput;
-  return ActionRole::kNotMine;
-}
-
-bool SyncClient::declare_signature(SignatureDecl& decl) const {
+void SyncClient::declare_signature(SignatureDecl& decl) const {
   decl.input("RECVMSG", node_, server_);
   decl.output("SENDMSG", node_, server_);
-  return true;
 }
 
 void SyncClient::apply_input(const Action& a, Time clock) {

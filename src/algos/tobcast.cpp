@@ -16,26 +16,12 @@ TobcastNode::TobcastNode(const TobcastParams& params)
   PSC_CHECK(params_.d2_prime >= 0, "d2_prime");
 }
 
-ActionRole TobcastNode::classify(const Action& a) const {
-  if (a.node != params_.node) return ActionRole::kNotMine;
-  if (a.name == "TOBCAST") return ActionRole::kInput;
-  if (a.name == "RECVMSG") {
-    return a.peer >= 0 && a.peer < params_.num_nodes ? ActionRole::kInput
-                                                     : ActionRole::kNotMine;
-  }
-  if (a.name == "SENDMSG" || a.name == "TODELIVER") {
-    return ActionRole::kOutput;
-  }
-  return ActionRole::kNotMine;
-}
-
-bool TobcastNode::declare_signature(SignatureDecl& decl) const {
+void TobcastNode::declare_signature(SignatureDecl& decl) const {
   const int i = params_.node;
   decl.input("TOBCAST", i);
   for (int j = 0; j < params_.num_nodes; ++j) decl.input("RECVMSG", i, j);
   decl.output("SENDMSG", i);
   decl.output("TODELIVER", i);
-  return true;
 }
 
 void TobcastNode::apply_input(const Action& a, Time now) {

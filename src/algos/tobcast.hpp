@@ -41,8 +41,7 @@ class TobcastNode final : public Machine {
  public:
   explicit TobcastNode(const TobcastParams& params);
 
-  ActionRole classify(const Action& a) const override;
-  bool declare_signature(SignatureDecl& decl) const override;
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
   std::vector<Action> enabled(Time now) const override;
   void apply_local(const Action& a, Time now) override;

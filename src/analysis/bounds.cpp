@@ -232,7 +232,7 @@ BoundCert certify_bounds(const InterferenceGraph& g,
     }
   }
 
-  // --- PSC203/PSC204 over the certified region ----------------------------
+  // --- PSC204 over the certified region -----------------------------------
   Duration path_eps = opts.eps;
   const Machine* eps_setter = nullptr;
   Duration max_ell = -1;
@@ -241,12 +241,6 @@ BoundCert certify_bounds(const InterferenceGraph& g,
     if (!reachable[v]) continue;
     ++reachable_count;
     const FootprintNode& node = g.nodes[v];
-    if (!node.declared) {
-      cert.report.add(DiagCode::kUncertifiedMachine,
-                      "opaque machine on a certified path; its hops certify "
-                      "as [0, 0]",
-                      node.name);
-    }
     if (node.eps >= 0) {
       if (path_eps < 0) {
         path_eps = node.eps;
@@ -296,8 +290,7 @@ BoundCert certify_bounds(const InterferenceGraph& g,
       if (g.nodes[e.from].is_relay()) ++relay_edges;
     }
     std::ostringstream msg;
-    msg << (n - g.opaque_count) << "/" << n << " machines declared, "
-        << relay_edges << "/" << g.edges.size() << " relay edges, "
+    msg << relay_edges << "/" << g.edges.size() << " relay edges, "
         << cert.paths.size() << " path certificate(s) from "
         << cert.sources.size() << " source(s) covering " << reachable_count
         << " machine(s)";

@@ -20,17 +20,13 @@
 //           network can circulate influence in zero time, so no
 //           conservative time window exists (and ROADMAP item 2's PDES
 //           executor could never advance);
-//   PSC203  an opaque (undeclared) machine is reachable from a source: its
-//           hops certify as [0, 0], so path windows through it are
-//           optimistic (warn);
 //   PSC204  machines reachable from the sources report distinct eps — the
 //           C_eps predicate is system-wide, so no single widened window
 //           describes the path;
 //   PSC205  a harvested bound escapes the declared system bound
 //           (channel [d1, d2] outside the declared window, ell above the
 //           declared step bound);
-//   PSC208  coverage summary note (declared/opaque machines, relay edges,
-//           certified paths).
+//   PSC208  coverage summary note (relay edges, certified paths).
 //
 // The runtime counterpart is CertificateProbe: it indexes the per-edge
 // windows by (receiver, sender) and cross-checks every observed delivery

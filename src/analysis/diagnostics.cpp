@@ -31,10 +31,6 @@ const char* to_string(DiagCode code) {
       return "PSC005";
     case DiagCode::kRealTimeUnderClock:
       return "PSC006";
-    case DiagCode::kUndeclaredMachine:
-      return "PSC007";
-    case DiagCode::kDeclClassifyDrift:
-      return "PSC008";
     case DiagCode::kClockDrift:
       return "PSC101";
     case DiagCode::kDeliveryWindow:
@@ -53,8 +49,6 @@ const char* to_string(DiagCode code) {
       return "PSC201";
     case DiagCode::kZeroLookaheadCycle:
       return "PSC202";
-    case DiagCode::kUncertifiedMachine:
-      return "PSC203";
     case DiagCode::kEpsInconsistentPath:
       return "PSC204";
     case DiagCode::kCertContradictsDecl:
@@ -83,10 +77,6 @@ const char* summary(DiagCode code) {
       return "clock adapters disagree on eps (C_eps is system-wide)";
     case DiagCode::kRealTimeUnderClock:
       return "machine reads real time under a clock adapter";
-    case DiagCode::kUndeclaredMachine:
-      return "machine does not declare its signature";
-    case DiagCode::kDeclClassifyDrift:
-      return "declared signature contradicts classify()";
     case DiagCode::kClockDrift:
       return "clock reading outside the C_eps drift band";
     case DiagCode::kDeliveryWindow:
@@ -105,8 +95,6 @@ const char* summary(DiagCode code) {
       return "derived hop window is empty or inverted";
     case DiagCode::kZeroLookaheadCycle:
       return "interference cycle with zero lookahead (unshardable)";
-    case DiagCode::kUncertifiedMachine:
-      return "opaque machine on a certified path (hop assumed [0,0])";
     case DiagCode::kEpsInconsistentPath:
       return "certified path crosses machines with distinct eps";
     case DiagCode::kCertContradictsDecl:
@@ -124,11 +112,9 @@ const char* summary(DiagCode code) {
 Severity default_severity(DiagCode code) {
   switch (code) {
     case DiagCode::kNoConsumer:
-    case DiagCode::kUndeclaredMachine:
     case DiagCode::kCertCoverage:
       return Severity::kNote;
     case DiagCode::kUnknownDelivery:
-    case DiagCode::kUncertifiedMachine:
       return Severity::kWarn;
     default:
       return Severity::kError;

@@ -39,8 +39,7 @@ enum class DiagCode {
   kEndpointMismatch = 4,   // PSC004: name matches, node/peer misaligned
   kEpsMismatch = 5,        // PSC005: clock adapters disagree on eps
   kRealTimeUnderClock = 6, // PSC006: now-reading machine in the clock model
-  kUndeclaredMachine = 7,  // PSC007: machine on the classify() fallback
-  kDeclClassifyDrift = 8,  // PSC008: declaration contradicts classify()
+  // 7 and 8 (PSC007, PSC008) are retired; do not reuse them.
   // --- trace invariants (PSC1xx) ------------------------------------------
   kClockDrift = 101,       // PSC101: |clock - time| outside the C_eps band
   kDeliveryWindow = 102,   // PSC102: channel latency outside [d1, d2]
@@ -52,7 +51,7 @@ enum class DiagCode {
   // --- bound certificates (PSC2xx) ----------------------------------------
   kVacuousHopWindow = 201,     // PSC201: derived hop window is empty/invalid
   kZeroLookaheadCycle = 202,   // PSC202: interference cycle with no lookahead
-  kUncertifiedMachine = 203,   // PSC203: opaque machine on a certified path
+  // 203 (PSC203) is retired; do not reuse it.
   kEpsInconsistentPath = 204,  // PSC204: certified path mixes distinct eps
   kCertContradictsDecl = 205,  // PSC205: harvested bound outside declared one
   kOutsideCertificate = 206,   // PSC206: observation escapes its certificate

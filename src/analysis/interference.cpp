@@ -13,26 +13,6 @@ namespace psc {
 
 namespace {
 
-bool is_local(ActionRole r) {
-  return r == ActionRole::kOutput || r == ActionRole::kInternal;
-}
-
-Action probe_action(const SignatureDecl::Entry& e) {
-  Action a;
-  a.name = e.name;
-  a.node = e.node == kAnyNode ? kNoNode : e.node;
-  a.peer = e.peer == kAnyNode ? kNoNode : e.peer;
-  return a;
-}
-
-ActionRole safe_classify(const Machine& m, const Action& a) {
-  try {
-    return m.classify(a);
-  } catch (const CheckError&) {
-    return ActionRole::kNotMine;
-  }
-}
-
 // Harvest the quantitative bounds from a machine's model_traits tree —
 // the same member_at walk PSC005/PSC006 perform. Relay windows from
 // multiple members widen (min lo, max hi); ell takes the largest reported
@@ -114,7 +94,6 @@ struct Dsu {
 
 bool InterferenceGraph::independent(std::size_t a, std::size_t b) const {
   if (a >= nodes.size() || b >= nodes.size() || a == b) return false;
-  if (!nodes[a].declared || !nodes[b].declared) return false;
   for (const SignatureDecl::Entry& ea : entries[a]) {
     for (const SignatureDecl::Entry& eb : entries[b]) {
       if (ea.overlaps(eb)) return false;
@@ -130,29 +109,23 @@ InterferenceGraph build_interference_graph(
   g.entries.resize(machines.size());
 
   std::vector<OwnedEntry> inputs, locals;
-  std::vector<std::size_t> opaque;
   for (std::size_t i = 0; i < machines.size(); ++i) {
     FootprintNode node;
     node.machine = machines[i];
     node.name = machines[i]->name();
-    SignatureDecl decl;
-    node.declared = machines[i]->declare_signature(decl);
     harvest_bounds(node);
     g.index.emplace(machines[i], i);
-    if (node.declared) {
-      g.entries[i] = decl.entries();
-      for (const SignatureDecl::Entry& e : g.entries[i]) {
-        (e.role == ActionRole::kInput ? inputs : locals)
-            .push_back(OwnedEntry{e, i});
-      }
-    } else {
-      opaque.push_back(i);
-      ++g.opaque_count;
+    SignatureDecl decl;
+    machines[i]->declare_signature(decl);
+    g.entries[i] = decl.entries();
+    for (const SignatureDecl::Entry& e : g.entries[i]) {
+      (e.role == ActionRole::kInput ? inputs : locals)
+          .push_back(OwnedEntry{e, i});
     }
     g.nodes.push_back(std::move(node));
   }
 
-  // --- declared-to-declared edges via the name-bucketed input index -------
+  // --- edges via the name-bucketed input index ----------------------------
   std::unordered_map<std::string, InputBucket> buckets;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     InputBucket& b = buckets[inputs[i].entry.name];
@@ -208,25 +181,6 @@ InterferenceGraph build_interference_graph(
       const auto bn = b.by_node.find(l.entry.node);
       if (bn != b.by_node.end()) {
         for (const std::size_t idx : bn->second) try_match(idx);
-      }
-    }
-  }
-
-  // --- edges touching opaque machines, via classify() probing -------------
-  // O(|opaque| x |declared entries|): opaque machines are the exception
-  // (PSC007 notes them), so this stays far from quadratic in practice.
-  for (const std::size_t o : opaque) {
-    const Machine& m = *machines[o];
-    for (const OwnedEntry& l : locals) {
-      if (l.entry.node == kAnyNode) continue;  // not probeable
-      if (safe_classify(m, probe_action(l.entry)) == ActionRole::kInput) {
-        add_edge(l.owner, o, l.entry, l.entry);
-      }
-    }
-    for (const OwnedEntry& in : inputs) {
-      if (in.entry.node == kAnyNode) continue;
-      if (is_local(safe_classify(m, probe_action(in.entry)))) {
-        add_edge(o, in.owner, in.entry, in.entry);
       }
     }
   }

@@ -23,10 +23,7 @@
 // The build is O(machines + declared entries + edges): input entries are
 // bucketed by kind name (mirroring the executor's routing index), so a
 // 65,536-machine ring certifies in well under a second — this must never
-// become the O(n^2) assembly path PR 7 removed. Opaque machines (no
-// declare_signature) are probed against declared entries like lint does;
-// pairs of opaque machines stay unknown and are surfaced via PSC203/208 by
-// the certificate layer.
+// become the O(n^2) assembly path PR 7 removed.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +42,6 @@ namespace psc {
 struct FootprintNode {
   const Machine* machine = nullptr;
   std::string name;
-  bool declared = false;
   // Relay window [relay_d1, relay_d2] (Figure 1), widened over all relay
   // members in the machine's tree; relay_d2 < 0 means "not a relay".
   Duration relay_d1 = -1;
@@ -80,16 +76,13 @@ struct InterferenceGraph {
   // Adjacency: node index -> indices into `edges`.
   std::vector<std::vector<std::size_t>> out;
   std::vector<std::vector<std::size_t>> in;
-  // Declared entries per node (empty for opaque machines) — kept so
-  // consumers (independence queries, the certificate probe) can key on
+  // Declared entries per node — kept so consumers (independence queries, the certificate probe) can key on
   // concrete kinds without re-walking declarations.
   std::vector<std::vector<SignatureDecl::Entry>> entries;
   std::unordered_map<const Machine*, std::size_t> index;
-  std::size_t opaque_count = 0;
 
-  // Provable independence: both machines declare, and no declared entry of
-  // one unifies with an entry of the other (they share no action kind, in
-  // any role). Opaque machines are never provably independent of anything.
+  // Provable independence: no declared entry of one machine unifies with an
+  // entry of the other (they share no action kind, in any role).
   bool independent(std::size_t a, std::size_t b) const;
 };
 

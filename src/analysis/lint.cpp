@@ -6,15 +6,9 @@
 #include <unordered_map>
 #include <utility>
 
-#include "util/check.hpp"
-
 namespace psc {
 
 namespace {
-
-bool is_local(ActionRole r) {
-  return r == ActionRole::kOutput || r == ActionRole::kInternal;
-}
 
 std::string field_str(int v) {
   if (v == kAnyNode) return "*";
@@ -24,28 +18,6 @@ std::string field_str(int v) {
 
 std::string kind_str(const SignatureDecl::Entry& e) {
   return e.name + "(" + field_str(e.node) + "," + field_str(e.peer) + ")";
-}
-
-// A synthesized argument-free action of the entry's kind, for probing
-// classify() on machines we cannot see into. Wildcard peers probe as
-// kNoNode; wildcard nodes are not probeable (callers skip those entries).
-Action probe_action(const SignatureDecl::Entry& e) {
-  Action a;
-  a.name = e.name;
-  a.node = e.node == kAnyNode ? kNoNode : e.node;
-  a.peer = e.peer == kAnyNode ? kNoNode : e.peer;
-  return a;
-}
-
-// classify() on a hypothetical action; a machine that chokes on the probe
-// (e.g. a composite raising its double-local check) is treated as not
-// recognizing it — the real error surfaces through its own path.
-ActionRole safe_classify(const Machine& m, const Action& a) {
-  try {
-    return m.classify(a);
-  } catch (const CheckError&) {
-    return ActionRole::kNotMine;
-  }
 }
 
 struct DeclaredEntry {
@@ -121,45 +93,12 @@ DiagnosticReport lint_composition(const std::vector<const Machine*>& machines,
 
   // --- collect declarations ------------------------------------------------
   std::vector<DeclaredEntry> inputs, locals;
-  std::vector<const Machine*> opaque;
   for (const Machine* m : machines) {
     SignatureDecl decl;
-    if (!m->declare_signature(decl)) {
-      opaque.push_back(m);
-      if (opts.report_undeclared) {
-        report.add(DiagCode::kUndeclaredMachine,
-                   "stays on the classify() fallback path", m->name());
-      }
-      continue;
-    }
+    m->declare_signature(decl);
     for (const SignatureDecl::Entry& e : decl.entries()) {
       (e.role == ActionRole::kInput ? inputs : locals)
           .push_back(DeclaredEntry{e, m});
-    }
-    // PSC008: the declaration must mirror classify() on its own kinds.
-    // Entries with a wildcard node cannot be synthesized meaningfully, and
-    // input entries shadowed by a same-machine local entry are skipped —
-    // classify()'s local-beats-input rule reports the local role for those
-    // (composition merges re-declare internally routed interfaces).
-    for (const SignatureDecl::Entry& e : decl.entries()) {
-      if (e.node == kAnyNode) continue;
-      if (e.role == ActionRole::kInput) {
-        bool shadowed = false;
-        for (const SignatureDecl::Entry& l : decl.entries()) {
-          if (is_local(l.role) && l.overlaps(e)) {
-            shadowed = true;
-            break;
-          }
-        }
-        if (shadowed) continue;
-      }
-      const ActionRole got = safe_classify(*m, probe_action(e));
-      if (got != e.role) {
-        std::ostringstream msg;
-        msg << "declares " << kind_str(e) << " as " << to_string(e.role)
-            << " but classify() says " << to_string(got);
-        report.add(DiagCode::kDeclClassifyDrift, msg.str(), m->name());
-      }
     }
   }
 
@@ -210,18 +149,6 @@ DiagnosticReport lint_composition(const std::vector<const Machine*>& machines,
         local_index.any_unifiable(in.entry, [&](std::size_t i) {
           return locals[i].entry.overlaps(in.entry);
         });
-    if (!produced && in.entry.node == kAnyNode && !opaque.empty()) {
-      continue;  // cannot probe opaque machines for a wildcard-node kind
-    }
-    if (!produced) {
-      const Action probe = probe_action(in.entry);
-      for (const Machine* m : opaque) {
-        if (is_local(safe_classify(*m, probe))) {
-          produced = true;
-          break;
-        }
-      }
-    }
     if (produced) continue;
     std::ostringstream msg;
     const EntryIndex::Bucket* same_name = local_index.bucket(in.entry.name);
@@ -247,16 +174,6 @@ DiagnosticReport lint_composition(const std::vector<const Machine*>& machines,
         input_index.any_unifiable(out.entry, [&](std::size_t i) {
           return inputs[i].entry.overlaps(out.entry);
         });
-    if (!consumed && out.entry.node == kAnyNode && !opaque.empty()) continue;
-    if (!consumed) {
-      const Action probe = probe_action(out.entry);
-      for (const Machine* m : opaque) {
-        if (safe_classify(*m, probe) == ActionRole::kInput) {
-          consumed = true;
-          break;
-        }
-      }
-    }
     if (!consumed) {
       report.add(DiagCode::kNoConsumer,
                  "no machine consumes " + kind_str(out.entry),

@@ -15,18 +15,7 @@
 //   PSC005  clock adapters whose eps disagree — C_eps (Def 2.5) is a single
 //           system-wide predicate, so mixed-eps clocks void Theorem 4.7;
 //   PSC006  a machine whose transitions read real time placed under a clock
-//           adapter — breaks epsilon-time independence (Def 2.6);
-//   PSC007  an undeclared machine (note, off by default: opting out of
-//           declaration is legitimate, e.g. predicate-based acceptors);
-//   PSC008  a declaration that contradicts classify() on a probe of one of
-//           its own entries (the executor trusts declarations for routing,
-//           so drift silently misroutes events).
-//
-// Opaque (undeclared) machines are probed through classify() with
-// synthesized argument-free actions when deciding producer/consumer
-// questions; a classify() that inspects args or message payloads may
-// therefore not be recognized as a producer (documented in
-// docs/ANALYSIS.md).
+//           adapter — breaks epsilon-time independence (Def 2.6).
 #pragma once
 
 #include <vector>
@@ -41,8 +30,6 @@ struct LintOptions {
   // equal it; when negative, adapters are only required to agree with each
   // other (first one seen sets the expectation).
   Duration eps = -1;
-  // Emit PSC007 notes for machines on the classify() fallback path.
-  bool report_undeclared = false;
 };
 
 // Lints the composition formed by `machines` (non-owning; typically an

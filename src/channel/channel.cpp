@@ -92,20 +92,9 @@ Channel::Channel(int i, int j, Duration d1, Duration d2,
   PSC_CHECK(policy_ != nullptr, "channel needs a delay policy");
 }
 
-ActionRole Channel::classify(const Action& a) const {
-  if (a.name == send_name_ && a.node == i_ && a.peer == j_) {
-    return ActionRole::kInput;
-  }
-  if (a.name == recv_name_ && a.node == j_ && a.peer == i_) {
-    return ActionRole::kOutput;
-  }
-  return ActionRole::kNotMine;
-}
-
-bool Channel::declare_signature(SignatureDecl& decl) const {
+void Channel::declare_signature(SignatureDecl& decl) const {
   decl.input(send_name_, i_, j_);
   decl.output(recv_name_, j_, i_);
-  return true;
 }
 
 void Channel::apply_input(const Action& a, Time t) {

@@ -63,8 +63,7 @@ class Channel final : public Machine {
           std::string send_name = "SENDMSG",
           std::string recv_name = "RECVMSG");
 
-  ActionRole classify(const Action& a) const override;
-  bool declare_signature(SignatureDecl& decl) const override;
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
   std::vector<Action> enabled(Time t) const override;
   void enabled_into(Time t, std::vector<Action>& out) const override;

@@ -33,4 +33,11 @@ void SignatureDecl::internal(std::string name, int node, int peer) {
   add(std::move(name), node, peer, ActionRole::kInternal);
 }
 
+const SignatureDecl& Machine::declare_and_cache() const {
+  SignatureDecl decl;
+  declare_signature(decl);
+  signature_ = std::move(decl);
+  return *signature_;
+}
+
 }  // namespace psc

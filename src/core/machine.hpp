@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,14 +40,11 @@ enum class ActionRole {
 
 const char* to_string(ActionRole role);
 
-// A machine's action signature, declared per *kind* (name, node, peer) for
-// the executor's interned routing fast path. A kAnyNode node/peer matches
-// any value of that field. The declaration must agree with classify(): an
-// entry (k, role) means classify(a) == role for every action a of a kind
-// matched by k, and classify must be kNotMine for every kind no entry
-// matches. Machines that cannot enumerate their signature (e.g. a
-// predicate-based acceptor) simply do not declare and stay on the
-// classify() fallback path.
+// A machine's action signature sig(A) = (in, out, int) (Def 2.1), declared
+// per *kind* (name, node, peer). A kAnyNode node/peer matches any value of
+// that field. The declaration is the machine's one description of its
+// signature: Machine::classify() is derived from it, and the executor
+// interns it into its routing index.
 class SignatureDecl {
  public:
   struct Entry {
@@ -55,6 +53,12 @@ class SignatureDecl {
     int peer = kAnyNode;
     ActionRole role = ActionRole::kNotMine;
 
+    // Whether `a` is of a kind this entry matches. The int fields are
+    // compared first, so most misses cost no string compare.
+    bool matches(const Action& a) const {
+      return (node == kAnyNode || node == a.node) &&
+             (peer == kAnyNode || peer == a.peer) && name == a.name;
+    }
     // Whether some action kind is matched by both entries.
     bool overlaps(const Entry& o) const {
       return name == o.name &&
@@ -121,18 +125,31 @@ class Machine {
 
   const std::string& name() const { return name_; }
 
-  // Membership of `a` in the machine's action signature.
-  virtual ActionRole classify(const Action& a) const = 0;
+  // Appends the machine's signature to `decl`. signature() calls it once
+  // and caches the result; a machine whose signature grows after that
+  // (composite add/hide, ScriptMachine::accept_kind) calls
+  // reset_signature(). Callers that copy the entries anyway (the executor's
+  // routing index, lint) call it directly. Declare only once the machine is
+  // fully assembled.
+  virtual void declare_signature(SignatureDecl& decl) const = 0;
 
-  // Optional enumeration of the signature by action kind, used by the
-  // executor to intern kinds and build its subscription index at add()
-  // time. Append entries to `decl` and return true to opt in; the default
-  // (false) keeps the machine on the per-event classify() fallback path,
-  // which is always correct. When opting in the declaration must exactly
-  // mirror classify() (see SignatureDecl) and must be stable for the
-  // machine's lifetime — declare only after the machine is fully assembled.
-  virtual bool declare_signature(SignatureDecl& /*decl*/) const {
-    return false;
+  // The cached declaration. Inline, like classify(): composites classify
+  // per member on every action they route.
+  const SignatureDecl& signature() const {
+    return signature_ ? *signature_ : declare_and_cache();
+  }
+
+  // Membership of `a` in the machine's action signature, derived from the
+  // declaration: the role of a matching entry, a locally controlled entry
+  // beating an input one, or kNotMine when no entry matches.
+  ActionRole classify(const Action& a) const {
+    ActionRole role = ActionRole::kNotMine;
+    for (const SignatureDecl::Entry& e : signature().entries()) {
+      if (!e.matches(a)) continue;
+      if (e.role != ActionRole::kInput) return e.role;
+      role = ActionRole::kInput;
+    }
+    return role;
   }
 
   // Input effect (input-enabled: must accept any action classified kInput).
@@ -222,10 +239,15 @@ class Machine {
  protected:
   // See clock_reading(): pair with overriding it.
   void set_clocked(bool v) { clocked_ = v; }
+  // Drops the cached declaration; the next use re-declares.
+  void reset_signature() { signature_.reset(); }
 
  private:
+  const SignatureDecl& declare_and_cache() const;
+
   std::string name_;
   bool clocked_ = false;
+  mutable std::optional<SignatureDecl> signature_;
 };
 
 }  // namespace psc

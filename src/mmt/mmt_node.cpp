@@ -18,6 +18,7 @@ MmtNode::MmtNode(int node, std::unique_ptr<Machine> inner, Duration ell,
   PSC_CHECK(min_gap_frac_ > 0 && min_gap_frac_ <= 1.0, "min_gap_frac");
   set_clocked(true);
   next_step_ = draw_gap();
+  signature();  // a wrapped machine the node cannot describe fails here
 }
 
 Duration MmtNode::draw_gap() {
@@ -26,31 +27,22 @@ Duration MmtNode::draw_gap() {
   return rng_.uniform(std::max<Duration>(1, lo), ell_);
 }
 
-ActionRole MmtNode::classify(const Action& a) const {
-  if (a.name == "TICK" && a.node == node_) return ActionRole::kInput;
-  if (a.name == "MMTSTEP" && a.node == node_) return ActionRole::kInternal;
-  const ActionRole inner_role = inner_->classify(a);
-  // The wrapped machine's internal actions happen silently inside
-  // catch_up(); only its inputs and outputs cross the MMT boundary.
-  if (inner_role == ActionRole::kInternal) return ActionRole::kNotMine;
-  return inner_role;
-}
-
-bool MmtNode::declare_signature(SignatureDecl& decl) const {
-  SignatureDecl inner;
-  if (!inner_->declare_signature(inner)) return false;
+void MmtNode::declare_signature(SignatureDecl& decl) const {
   const SignatureDecl::Entry tick{"TICK", node_, kAnyNode, ActionRole::kInput};
   const SignatureDecl::Entry step{"MMTSTEP", node_, kAnyNode,
                                   ActionRole::kInternal};
-  std::vector<SignatureDecl::Entry> kept;
-  for (const SignatureDecl::Entry& e : inner.entries()) {
-    // classify() answers TICK(node)/MMTSTEP(node) before asking inner.
-    if (e.overlaps(tick) || e.overlaps(step)) return false;
+  decl.add(tick.name, tick.node, tick.peer, tick.role);
+  decl.add(step.name, step.node, step.peer, step.role);
+  const std::vector<SignatureDecl::Entry>& inner = inner_->signature().entries();
+  for (const SignatureDecl::Entry& e : inner) {
+    PSC_CHECK(!e.overlaps(tick) && !e.overlaps(step),
+              name() << ": the wrapped machine declares " << e.name
+                     << " at node " << e.node << ", which the MMT node owns");
     if (e.role == ActionRole::kInternal) continue;
     if (e.role == ActionRole::kInput) {
       bool covered = false;
       bool overlapped = false;
-      for (const SignatureDecl::Entry& h : inner.entries()) {
+      for (const SignatureDecl::Entry& h : inner) {
         if (h.role != ActionRole::kInternal || !h.overlaps(e)) continue;
         overlapped = true;
         if (h.covers(e)) {
@@ -59,16 +51,14 @@ bool MmtNode::declare_signature(SignatureDecl& decl) const {
         }
       }
       if (covered) continue;
-      if (overlapped) return false;
+      PSC_CHECK(!overlapped,
+                name() << ": inner input " << e.name << "(" << e.node << ","
+                       << e.peer << ") is only partly shadowed by an inner "
+                                    "internal, so no per-kind signature "
+                                    "describes the node");
     }
-    kept.push_back(e);
+    decl.add(e.name, e.node, e.peer, e.role);
   }
-  decl.add(tick.name, tick.node, tick.peer, tick.role);
-  decl.add(step.name, step.node, step.peer, step.role);
-  for (SignatureDecl::Entry& e : kept) {
-    decl.add(std::move(e.name), e.node, e.peer, e.role);
-  }
-  return true;
 }
 
 void MmtNode::catch_up(Time t) {

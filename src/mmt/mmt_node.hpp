@@ -41,8 +41,9 @@
 // inner input entry is dropped when a single inner internal entry covers
 // every kind it matches — e.g. the node composite's RECVMSG(i, j), released
 // by the hidden receive buffer R_ji. An input that such an entry covers
-// only in part has no exact per-kind description, so the node then
-// declares nothing and stays on the classify() path.
+// only in part has no exact per-kind description, and neither does an inner
+// entry that could match TICK(node) or MMTSTEP(node): the constructor
+// rejects both with a CheckError.
 #pragma once
 
 #include <deque>
@@ -73,8 +74,7 @@ class MmtNode final : public Machine {
   Time simclock() const { return simclock_; }
   Time mmtclock() const { return mmtclock_; }
 
-  ActionRole classify(const Action& a) const override;
-  bool declare_signature(SignatureDecl& decl) const override;
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
   std::vector<Action> enabled(Time t) const override;
   void enabled_into(Time t, std::vector<Action>& out) const override;

@@ -27,14 +27,8 @@ Duration TickSource::draw_gap() {
   return rng_.uniform(std::max<Duration>(1, lo), ell_);
 }
 
-ActionRole TickSource::classify(const Action& a) const {
-  if (a.name == "TICK" && a.node == node_) return ActionRole::kOutput;
-  return ActionRole::kNotMine;
-}
-
-bool TickSource::declare_signature(SignatureDecl& decl) const {
+void TickSource::declare_signature(SignatureDecl& decl) const {
   decl.output("TICK", node_);
-  return true;
 }
 
 void TickSource::apply_input(const Action& a, Time /*t*/) {

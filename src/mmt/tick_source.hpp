@@ -23,8 +23,7 @@ class TickSource final : public Machine {
   TickSource(int node, std::shared_ptr<const ClockTrajectory> trajectory,
              Duration ell, Rng rng, double min_gap_frac = 0.25);
 
-  ActionRole classify(const Action& a) const override;
-  bool declare_signature(SignatureDecl& decl) const override;
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
   std::vector<Action> enabled(Time t) const override;
   void enabled_into(Time t, std::vector<Action>& out) const override;

@@ -239,12 +239,7 @@ void SchedulerStatsProbe::on_run_end(Time /*now*/) {
   reg_.gauge("exec.dirty.peak").set(static_cast<double>(s.dirty_peak));
   reg_.counter("exec.cand.cache_hits").add(s.cand_cache_hits);
   reg_.gauge("exec.cand.cache_hit_rate").set(s.cache_hit_rate());
-  reg_.counter("exec.route.fast").add(s.route_fast);
-  reg_.counter("exec.route.classify").add(s.route_classify);
-  reg_.gauge("exec.route.fast_path_rate").set(s.fast_path_rate());
   reg_.counter("exec.route.fanout_inputs").add(s.fanout_inputs);
-  reg_.counter("exec.route.fanout_classify_calls")
-      .add(s.fanout_classify_calls);
   reg_.counter("exec.kind.hits").add(s.kind_hits);
   reg_.counter("exec.kind.resolves").add(s.kind_resolves);
   reg_.counter("exec.kind.memo_hits").add(s.kind_memo_hits);

@@ -102,7 +102,7 @@ enum class ProfPhase : std::uint8_t {
   kPoll,         // flush_dirty (candidate re-poll) / legacy gather_enabled
   kPick,         // adversary RNG draw + locate_candidate
   kRoute,        // kind memo/intern/resolve + claimant role validation
-  kStep,         // apply_local + dirty marking + subscriber/classify fanout
+  kStep,         // apply_local + dirty marking + subscriber fanout
   kRecord,       // TimedEvent scalar fill + record_events push_back
   kProbe,        // on_event dispatch to non-lint probes
   kLint,         // on_event dispatch to the online invariant checker

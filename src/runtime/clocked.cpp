@@ -22,12 +22,8 @@ Time ClockedMachine::clock_now(Time t) const {
   return memo_c_;
 }
 
-ActionRole ClockedMachine::classify(const Action& a) const {
-  return inner_->classify(a);
-}
-
-bool ClockedMachine::declare_signature(SignatureDecl& decl) const {
-  return inner_->declare_signature(decl);
+void ClockedMachine::declare_signature(SignatureDecl& decl) const {
+  inner_->declare_signature(decl);
 }
 
 void ClockedMachine::apply_input(const Action& a, Time t) {

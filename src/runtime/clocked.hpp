@@ -43,10 +43,9 @@ class ClockedMachine final : public Machine {
   const Machine& inner() const { return *inner_; }
   const ClockTrajectory& trajectory() const { return *traj_; }
 
-  ActionRole classify(const Action& a) const override;
   // The adapter reinterprets time, not the signature: the wrapped machine's
-  // declaration (if any) is the adapter's declaration.
-  bool declare_signature(SignatureDecl& decl) const override;
+  // declaration is the adapter's declaration.
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
   std::vector<Action> enabled(Time t) const override;
   void enabled_into(Time t, std::vector<Action>& out) const override;

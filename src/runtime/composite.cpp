@@ -14,10 +14,12 @@ void CompositeMachine::add(std::unique_ptr<Machine> member) {
   PSC_CHECK(member != nullptr, "null member");
   members_.push_back(std::move(member));
   touched_flag_.push_back(0);
+  reset_signature();
 }
 
 void CompositeMachine::hide(const std::string& action_name) {
   hidden_.insert(action_name);
+  reset_signature();
 }
 
 Machine& CompositeMachine::member(std::size_t idx) {
@@ -30,73 +32,46 @@ const Machine& CompositeMachine::member(std::size_t idx) const {
   return *members_[idx];
 }
 
-ActionRole CompositeMachine::classify(const Action& a) const {
-  bool any_input = false;
-  bool any_local = false;
-  for (const auto& m : members_) {
-    switch (m->classify(a)) {
-      case ActionRole::kOutput:
-      case ActionRole::kInternal:
-        PSC_CHECK(!any_local, "action " << to_string(a)
-                                        << " locally controlled by two "
-                                           "members of " << name());
-        any_local = true;
-        break;
-      case ActionRole::kInput:
-        any_input = true;
-        break;
-      case ActionRole::kNotMine:
-        break;
-    }
-  }
-  if (any_local) {
-    return hidden_.count(a.name) ? ActionRole::kInternal : ActionRole::kOutput;
-  }
-  if (any_input) return ActionRole::kInput;
-  return ActionRole::kNotMine;
-}
-
-bool CompositeMachine::declare_signature(SignatureDecl& decl) const {
+void CompositeMachine::declare_signature(SignatureDecl& decl) const {
   struct Local {
-    SignatureDecl::Entry entry;
+    const SignatureDecl::Entry* entry;
     std::size_t member;
   };
   std::vector<Local> locals;
-  std::vector<SignatureDecl::Entry> inputs;
+  std::vector<const SignatureDecl::Entry*> inputs;
   for (std::size_t i = 0; i < members_.size(); ++i) {
-    SignatureDecl member_decl;
-    if (!members_[i]->declare_signature(member_decl)) return false;
-    for (const SignatureDecl::Entry& e : member_decl.entries()) {
+    for (const SignatureDecl::Entry& e : members_[i]->signature().entries()) {
       if (e.role == ActionRole::kInput) {
-        inputs.push_back(e);
+        inputs.push_back(&e);
       } else {
-        locals.push_back(Local{e, i});
+        locals.push_back(Local{&e, i});
       }
     }
   }
-  // Two members whose local entries can match a common kind must keep the
-  // classify() path so its double-local check still fires per action.
+  // Def 2.2 compatibility: the members' locally controlled actions are
+  // disjoint.
   for (std::size_t i = 0; i < locals.size(); ++i) {
     for (std::size_t j = i + 1; j < locals.size(); ++j) {
-      if (locals[i].member != locals[j].member &&
-          locals[i].entry.overlaps(locals[j].entry)) {
-        return false;
-      }
+      PSC_CHECK(locals[i].member == locals[j].member ||
+                    !locals[i].entry->overlaps(*locals[j].entry),
+                "action " << locals[i].entry->name
+                          << " locally controlled by two members of "
+                          << name() << ": "
+                          << members_[locals[i].member]->name() << " and "
+                          << members_[locals[j].member]->name());
     }
   }
   for (const Local& l : locals) {
-    const ActionRole role = hidden_.count(l.entry.name)
+    const ActionRole role = hidden_.count(l.entry->name)
                                 ? ActionRole::kInternal
                                 : ActionRole::kOutput;
-    decl.add(l.entry.name, l.entry.node, l.entry.peer, role);
+    decl.add(l.entry->name, l.entry->node, l.entry->peer, role);
   }
-  // Inputs shadowed by a local entry are resolved in the executor (a
-  // machine never subscribes to a kind it claims), matching classify()'s
-  // local-beats-input rule.
-  for (const SignatureDecl::Entry& e : inputs) {
-    decl.add(e.name, e.node, e.peer, ActionRole::kInput);
+  // An input a member's local entry also matches stays declared: local
+  // beats input in classify() and in the executor's routing alike.
+  for (const SignatureDecl::Entry* e : inputs) {
+    decl.add(e->name, e->node, e->peer, ActionRole::kInput);
   }
-  return true;
 }
 
 void CompositeMachine::apply_input(const Action& a, Time t) {

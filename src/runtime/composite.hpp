@@ -46,14 +46,11 @@ class CompositeMachine : public Machine {
   const Machine& member(std::size_t idx) const;
   std::size_t size() const { return members_.size(); }
 
-  ActionRole classify(const Action& a) const override;
-  // Merges the members' declarations under composition + hiding semantics
-  // (member-local entries become composite outputs, or internals when
-  // hidden). Opts out — returns false — when any member is undeclared or
-  // when two members' local entries can match a common kind, so the
-  // executor's classify() path keeps raising the double-local error exactly
-  // as before.
-  bool declare_signature(SignatureDecl& decl) const override;
+  // Merges the members' declarations under composition + hiding semantics:
+  // member-local entries become composite outputs, or internals when
+  // hidden, and member inputs stay inputs. Throws CheckError when two
+  // members' local entries can match a common kind (Def 2.2).
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
   std::vector<Action> enabled(Time t) const override;
   void apply_local(const Action& a, Time t) override;

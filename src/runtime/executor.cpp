@@ -33,7 +33,6 @@ void Executor::add(Machine* machine) {
   PSC_CHECK(machine != nullptr, "null machine");
   const std::size_t m = machines_.size();
   machines_.push_back(machine);
-  declared_.push_back(0);
   memo_kid_.push_back(kNoKind);
   memo_role_.push_back(ActionRole::kNotMine);
   // One scheduler slot per part, after every earlier machine's slots. A
@@ -51,21 +50,18 @@ void Executor::add(Machine* machine) {
     in_dirty_.push_back(0);
   }
   part_base_.push_back(static_cast<std::uint32_t>(slots_.size()));
+  // The index keeps its own copy of the entries, so a fresh declaration
+  // serves and the machine's cached one is not needed.
   SignatureDecl decl;
-  if (machine->declare_signature(decl)) {
-    declared_[m] = 1;
-    ++declared_count_;
-    for (const SignatureDecl::Entry& e : decl.entries()) {
-      DeclBucket& b = decls_by_name_[e.name];
-      const DeclRecord rec{e.node, e.peer, e.role, m, decl_seq_++};
-      if (e.node == kAnyNode) {
-        b.any_node.push_back(rec);
-      } else {
-        b.by_node[e.node].push_back(rec);
-      }
+  machine->declare_signature(decl);
+  for (const SignatureDecl::Entry& e : decl.entries()) {
+    DeclBucket& b = decls_by_name_[e.name];
+    const DeclRecord rec{e.node, e.peer, e.role, m, decl_seq_++};
+    if (e.node == kAnyNode) {
+      b.any_node.push_back(rec);
+    } else {
+      b.by_node[e.node].push_back(rec);
     }
-  } else {
-    generic_.push_back(m);
   }
   // The new machine may subscribe to or claim already-interned kinds, so
   // resolved routing lists — and the per-machine memos caching their
@@ -360,36 +356,24 @@ void Executor::execute_fast(std::size_t slot, std::size_t offset) {
     if (memo) ++stats_.kind_memo_hits;
   }
 
+  // The claimant scan validates that the owner's signature locally
+  // controls this kind; its verdict is pure in (machine, kind) while the
+  // composition is fixed, so the memoized role skips the re-validation.
   ActionRole role = ActionRole::kNotMine;
-  if (declared_[machine]) {
-    ++stats_.route_fast;
-    // The claimant scan validates that the declared signature locally
-    // controls this kind; its verdict is pure in (machine, kind) while the
-    // composition is fixed, so the memoized role skips the re-validation.
-    if (memo && memo_role_[machine] != ActionRole::kNotMine) {
-      role = memo_role_[machine];
-    } else {
-      for (const auto& c : k.claimants) {
-        if (c.first == machine) {
-          role = c.second;
-          break;
-        }
-      }
-      PSC_CHECK(role == ActionRole::kOutput || role == ActionRole::kInternal,
-                "machine " << owner->name() << " enabled action "
-                           << to_string(a)
-                           << " not locally controlled by its declared "
-                              "signature");
-      memo_role_[machine] = role;
-    }
+  if (memo && memo_role_[machine] != ActionRole::kNotMine) {
+    role = memo_role_[machine];
   } else {
-    // Undeclared machines make no kind-purity promise — classify() may
-    // inspect argument values — so their role is never memoized.
-    ++stats_.route_classify;
-    role = owner->classify(a);
+    for (const auto& c : k.claimants) {
+      if (c.first == machine) {
+        role = c.second;
+        break;
+      }
+    }
     PSC_CHECK(role == ActionRole::kOutput || role == ActionRole::kInternal,
-              "machine " << owner->name() << " enabled non-local action "
-                         << to_string(a));
+              "machine " << owner->name() << " enabled action "
+                         << to_string(a)
+                         << " not locally controlled by its signature");
+    memo_role_[machine] = role;
   }
   if (pr != nullptr) {
     const std::uint64_t t1 = Profiler::ticks();
@@ -415,21 +399,6 @@ void Executor::execute_fast(std::size_t slot, std::size_t offset) {
       ++stats_.fanout_inputs;
       machines_[m]->apply_input(a, now_);
       mark_touched(m);
-    }
-    // Machines without a declared signature stay on the classify() path.
-    for (std::size_t m : generic_) {
-      if (m == machine) continue;
-      Machine* other = machines_[m];
-      ++stats_.fanout_classify_calls;
-      const ActionRole r = other->classify(a);
-      PSC_CHECK(r != ActionRole::kOutput && r != ActionRole::kInternal,
-                "action " << to_string(a) << " is locally controlled by both "
-                          << owner->name() << " and " << other->name()
-                          << " (incompatible composition)");
-      if (r == ActionRole::kInput) {
-        other->apply_input(a, now_);
-        mark_touched(m);
-      }
     }
   }
   if (pr != nullptr) {

@@ -106,10 +106,11 @@ struct ExecutorStats {
   std::uint64_t dirty_peak = 0;        // largest single flush
   std::uint64_t cand_cache_hits = 0;   // slots *not* re-polled at a flush
   // Interned-action routing.
-  std::uint64_t route_fast = 0;      // events owned by declared machines
-  std::uint64_t route_classify = 0;  // events owned by classify()-fallback ones
+  // Always 0: every machine declares its signature, so no event is routed
+  // through classify(). Kept because psc_bench reports it; it goes with the
+  // next benchmark-definition change (ROADMAP item 7).
+  std::uint64_t route_classify = 0;
   std::uint64_t fanout_inputs = 0;   // inputs applied via the subscriber index
-  std::uint64_t fanout_classify_calls = 0;  // classify() probes of generic machines
   std::uint64_t kind_hits = 0;       // executions served by a resolved kind
   std::uint64_t kind_resolves = 0;   // routing-info cache misses
   // Executions whose kind matched the owner's last-executed kind, skipping
@@ -123,13 +124,6 @@ struct ExecutorStats {
     const std::uint64_t total = cand_cache_hits + dirty_repolls;
     return total == 0 ? 0.0
                       : static_cast<double>(cand_cache_hits) /
-                            static_cast<double>(total);
-  }
-  // Fraction of events routed without any classify() string matching.
-  double fast_path_rate() const {
-    const std::uint64_t total = route_fast + route_classify;
-    return total == 0 ? 0.0
-                      : static_cast<double>(route_fast) /
                             static_cast<double>(total);
   }
 
@@ -159,8 +153,8 @@ class Executor {
 
   // Machines participate in the composition. Non-owning add is for machines
   // the caller wants to inspect after the run; owned machines are destroyed
-  // with the executor. add() interns the machine's declared signature (if
-  // any) into the routing index, so machines must be fully assembled —
+  // with the executor. add() interns the machine's declared signature into
+  // the routing index, so machines must be fully assembled —
   // composite members added, hides applied — before being added here.
   void add(Machine* machine);
   void add_owned(std::unique_ptr<Machine> machine);
@@ -216,7 +210,6 @@ class Executor {
 
   // Introspection for tests and benches.
   std::size_t machine_count() const { return machines_.size(); }
-  std::size_t declared_machine_count() const { return declared_count_; }
   std::size_t interned_kind_count() const { return kinds_.size(); }
   // Scheduler self-metrics so far (also returned in ExecutorReport::stats).
   const ExecutorStats& stats() const { return stats_; }
@@ -253,11 +246,11 @@ class Executor {
   struct KindInfo {
     bool hidden = false;    // name was hide()-den: id test, not string hash
     bool resolved = false;  // routing lists below are populated
-    // Declared machines locally controlling this kind (normally 0 or 1; two
+    // Machines locally controlling this kind (normally 0 or 1; two
     // claimants is the "incompatible composition" error, raised when an
     // output of this kind executes — same timing as the legacy scan).
     std::vector<std::pair<std::size_t, ActionRole>> claimants;
-    // Declared machines inputting this kind, ascending machine index.
+    // Machines inputting this kind, ascending machine index.
     std::vector<std::size_t> subscribers;
   };
 
@@ -370,8 +363,6 @@ class Executor {
   std::vector<KindInfo> kinds_;           // id -> routing info
   std::unordered_map<std::string, DeclBucket> decls_by_name_;
   std::uint64_t decl_seq_ = 0;
-  std::vector<std::size_t> generic_;  // machines on the classify() fallback
-  std::size_t declared_count_ = 0;
 
   // Scheduler state, as parallel arrays. Keeping each field in its own
   // contiguous array (structure-of-arrays) means the loops that walk one
@@ -387,7 +378,6 @@ class Executor {
   HierBitset nonempty_;  // slots with cand_count_[s] > 0
   // Per machine: its slots are [part_base_[m], part_base_[m + 1]).
   std::vector<std::uint32_t> part_base_ = {0};
-  std::vector<char> declared_;        // machine declared its signature
   // Per-machine routing memo: the kind and role of the machine's last
   // executed action. A machine that keeps emitting one kind (every machine
   // in the shipped harnesses) skips the intern hash and the claimant scan

@@ -71,10 +71,7 @@ class MachineFuzzer {
 //
 // Random *declared* environment machines for property tests: a scripted
 // emitter whose schedule is drawn from the rng and whose accepted kinds are
-// registered through ScriptMachine::accept_kind. Every generated machine
-// declares its full signature, so compositions built from them stay off the
-// PSC007 classify()-probe fallback path and inside the static bound
-// certificates (analysis/bounds.hpp).
+// registered through ScriptMachine::accept_kind.
 struct GeneratedMachineOptions {
   int node = 0;
   // Output kind names the schedule draws from (at least one required).

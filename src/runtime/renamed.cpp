@@ -16,6 +16,16 @@ RenamedMachine::RenamedMachine(std::unique_ptr<Machine> inner,
                          << out);
     (void)it;
   }
+  // An unmapped inner name that is also the image of another inner name
+  // would alias at the boundary.
+  for (const SignatureDecl::Entry& e : inner_->signature().entries()) {
+    if (outer_of_inner_.count(e.name) != 0) continue;
+    const auto image = inner_of_outer_.find(e.name);
+    PSC_CHECK(image == inner_of_outer_.end() || image->second == e.name,
+              "renaming aliases " << e.name << ": the inner machine declares "
+                                  << e.name << " and maps " << image->second
+                                  << " onto it");
+  }
 }
 
 Action RenamedMachine::to_inner(const Action& a) const {
@@ -40,35 +50,12 @@ Action RenamedMachine::to_outer(Action a) const {
   return a;
 }
 
-ActionRole RenamedMachine::classify(const Action& a) const {
-  // Names that are images of a renaming belong to the outer signature only
-  // via the mapping; raw inner names must not leak.
-  auto hidden = outer_of_inner_.find(a.name);
-  if (hidden != outer_of_inner_.end() && hidden->second != a.name) {
-    return ActionRole::kNotMine;  // the pre-image name is not ours anymore
-  }
-  return inner_->classify(to_inner(a));
-}
-
-bool RenamedMachine::declare_signature(SignatureDecl& decl) const {
-  SignatureDecl inner_decl;
-  if (!inner_->declare_signature(inner_decl)) return false;
-  for (const SignatureDecl::Entry& e : inner_decl.entries()) {
+void RenamedMachine::declare_signature(SignatureDecl& decl) const {
+  for (const SignatureDecl::Entry& e : inner_->signature().entries()) {
     auto mapped = outer_of_inner_.find(e.name);
-    if (mapped == outer_of_inner_.end()) {
-      // An unmapped inner name that is itself the image of another inner
-      // name is aliased at the boundary (see to_inner's shadowing check);
-      // keep such machines on the classify() path.
-      auto shadowed = inner_of_outer_.find(e.name);
-      if (shadowed != inner_of_outer_.end() && shadowed->second != e.name) {
-        return false;
-      }
-      decl.add(e.name, e.node, e.peer, e.role);
-    } else {
-      decl.add(mapped->second, e.node, e.peer, e.role);
-    }
+    decl.add(mapped == outer_of_inner_.end() ? e.name : mapped->second,
+             e.node, e.peer, e.role);
   }
-  return true;
 }
 
 void RenamedMachine::apply_input(const Action& a, Time t) {

@@ -30,9 +30,8 @@ class RenamedMachine final : public Machine {
 
   Machine& inner() { return *inner_; }
 
-  ActionRole classify(const Action& a) const override;
   // The inner declaration with entry names translated to the outer names.
-  bool declare_signature(SignatureDecl& decl) const override;
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
   std::vector<Action> enabled(Time t) const override;
   void apply_local(const Action& a, Time t) override;

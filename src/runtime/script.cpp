@@ -4,53 +4,20 @@
 
 namespace psc {
 
-ScriptMachine::ScriptMachine(std::string name, std::vector<Step> steps,
-                             std::function<bool(const Action&)> accepts)
-    : Machine(std::move(name)),
-      steps_(std::move(steps)),
-      accepts_(std::move(accepts)) {
+ScriptMachine::ScriptMachine(std::string name, std::vector<Step> steps)
+    : Machine(std::move(name)), steps_(std::move(steps)) {
   for (std::size_t i = 1; i < steps_.size(); ++i) {
     PSC_CHECK(steps_[i - 1].at <= steps_[i].at,
               "script steps must be time-sorted");
   }
 }
 
-namespace {
-
-bool kind_matches(const std::string& name, int node, int peer,
-                  const Action& a) {
-  return name == a.name && (node == kAnyNode || node == a.node) &&
-         (peer == kAnyNode || peer == a.peer);
-}
-
-}  // namespace
-
 void ScriptMachine::accept_kind(std::string name, int node, int peer) {
-  SignatureDecl::Entry e;
-  e.name = std::move(name);
-  e.node = node;
-  e.peer = peer;
-  e.role = ActionRole::kInput;
-  accept_kinds_.push_back(std::move(e));
+  accept_kinds_.push_back({std::move(name), node, peer, ActionRole::kInput});
+  reset_signature();
 }
 
-ActionRole ScriptMachine::classify(const Action& a) const {
-  // Kind-level matching (name/node/peer — args ignored) so synthesized
-  // argless probes of a declared kind classify like the scripted originals.
-  for (const auto& s : steps_) {
-    if (kind_matches(s.action.name, s.action.node, s.action.peer, a)) {
-      return ActionRole::kOutput;
-    }
-  }
-  for (const auto& e : accept_kinds_) {
-    if (kind_matches(e.name, e.node, e.peer, a)) return ActionRole::kInput;
-  }
-  if (accepts_ && accepts_(a)) return ActionRole::kInput;
-  return ActionRole::kNotMine;
-}
-
-bool ScriptMachine::declare_signature(SignatureDecl& decl) const {
-  if (accepts_) return false;  // predicate acceptance is not declarative
+void ScriptMachine::declare_signature(SignatureDecl& decl) const {
   for (const auto& s : steps_) {
     bool seen = false;
     for (const auto& e : decl.entries()) {  // scripts are short; O(k^2) fine
@@ -63,7 +30,6 @@ bool ScriptMachine::declare_signature(SignatureDecl& decl) const {
     if (!seen) decl.output(s.action.name, s.action.node, s.action.peer);
   }
   for (const auto& e : accept_kinds_) decl.input(e.name, e.node, e.peer);
-  return true;
 }
 
 void ScriptMachine::apply_input(const Action& a, Time t) {

@@ -6,7 +6,6 @@
 // as a building block for workload drivers.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/machine.hpp"
@@ -21,27 +20,20 @@ class ScriptMachine final : public Machine {
     Action action;
   };
 
-  // `accepts` decides which foreign actions this machine inputs (may be
-  // empty: pure emitter). Steps must be sorted by time.
-  ScriptMachine(std::string name, std::vector<Step> steps,
-                std::function<bool(const Action&)> accepts = {});
+  // A pure emitter until accept_kind adds inputs. Steps must be sorted by
+  // time.
+  ScriptMachine(std::string name, std::vector<Step> steps);
 
   // Declares a foreign kind this machine inputs (recorded into received()).
-  // Unlike the `accepts` predicate, kinds added here are visible to
-  // declare_signature, so a predicate-free script stays off the PSC007
-  // classify()-probe fallback path and inside bound certificates.
+  // Call before the machine is added to an executor.
   void accept_kind(std::string name, int node = kAnyNode, int peer = kAnyNode);
 
   const TimedTrace& received() const { return received_; }
   std::size_t emitted() const { return next_; }
   bool done() const { return next_ >= steps_.size(); }
 
-  // Full disclosure when the accepted inputs are declarative: the distinct
-  // scripted output kinds plus every accept_kind. A machine carrying an
-  // opaque `accepts` predicate opts out (returns false) — the linter falls
-  // back to probing classify().
-  bool declare_signature(SignatureDecl& decl) const override;
-  ActionRole classify(const Action& a) const override;
+  // The distinct scripted output kinds plus every accept_kind.
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
   std::vector<Action> enabled(Time t) const override;
   void apply_local(const Action& a, Time t) override;
@@ -50,7 +42,6 @@ class ScriptMachine final : public Machine {
 
  private:
   std::vector<Step> steps_;
-  std::function<bool(const Action&)> accepts_;
   std::vector<SignatureDecl::Entry> accept_kinds_;
   std::size_t next_ = 0;
   TimedTrace received_;

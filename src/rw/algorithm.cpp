@@ -20,24 +20,10 @@ RwAlgorithm::RwAlgorithm(const RwParams& params)
   PSC_CHECK(params_.two_eps >= 0, "two_eps must be nonnegative");
 }
 
-ActionRole RwAlgorithm::classify(const Action& a) const {
-  if (a.node != params_.node) return ActionRole::kNotMine;
-  if (a.name == "READ" || a.name == "WRITE") return ActionRole::kInput;
-  // Figure 3's RECVMSG_i(j, m) ranges over j in procs.
-  if (a.name == "RECVMSG") {
-    return a.peer >= 0 && a.peer < params_.num_nodes ? ActionRole::kInput
-                                                     : ActionRole::kNotMine;
-  }
-  if (a.name == "RETURN" || a.name == "ACK" || a.name == "SENDMSG") {
-    return ActionRole::kOutput;
-  }
-  if (a.name == "UPDATE") return ActionRole::kInternal;
-  return ActionRole::kNotMine;
-}
-
-bool RwAlgorithm::declare_signature(SignatureDecl& decl) const {
+void RwAlgorithm::declare_signature(SignatureDecl& decl) const {
   decl.input("READ", params_.node);
   decl.input("WRITE", params_.node);
+  // Figure 3's RECVMSG_i(j, m) ranges over j in procs.
   for (int j = 0; j < params_.num_nodes; ++j) {
     decl.input("RECVMSG", params_.node, j);
   }
@@ -45,7 +31,6 @@ bool RwAlgorithm::declare_signature(SignatureDecl& decl) const {
   decl.output("ACK", params_.node);
   decl.output("SENDMSG", params_.node);
   decl.internal("UPDATE", params_.node);
-  return true;
 }
 
 void RwAlgorithm::apply_input(const Action& a, Time now) {

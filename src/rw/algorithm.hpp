@@ -47,8 +47,7 @@ class RwAlgorithm final : public Machine {
  public:
   explicit RwAlgorithm(const RwParams& params);
 
-  ActionRole classify(const Action& a) const override;
-  bool declare_signature(SignatureDecl& decl) const override;
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
   std::vector<Action> enabled(Time now) const override;
   void apply_local(const Action& a, Time now) override;

@@ -21,19 +21,11 @@ std::int64_t RwClient::fresh_value() {
   return (static_cast<std::int64_t>(options_.node) << 32) | (issued_ + 1);
 }
 
-ActionRole RwClient::classify(const Action& a) const {
-  if (a.node != options_.node) return ActionRole::kNotMine;
-  if (a.name == "RETURN" || a.name == "ACK") return ActionRole::kInput;
-  if (a.name == "READ" || a.name == "WRITE") return ActionRole::kOutput;
-  return ActionRole::kNotMine;
-}
-
-bool RwClient::declare_signature(SignatureDecl& decl) const {
+void RwClient::declare_signature(SignatureDecl& decl) const {
   decl.input("RETURN", options_.node);
   decl.input("ACK", options_.node);
   decl.output("READ", options_.node);
   decl.output("WRITE", options_.node);
-  return true;
 }
 
 void RwClient::apply_input(const Action& a, Time t) {

@@ -38,8 +38,7 @@ class RwClient final : public Machine {
   const std::vector<Operation>& operations() const { return ops_; }
   bool finished() const { return issued_ == options_.num_ops && !busy_; }
 
-  ActionRole classify(const Action& a) const override;
-  bool declare_signature(SignatureDecl& decl) const override;
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
   std::vector<Action> enabled(Time t) const override;
   void apply_local(const Action& a, Time t) override;

@@ -40,19 +40,7 @@ std::int64_t MultiRwAlgorithm::value(std::int64_t obj) const {
   return s ? s->value : params_.base.v0;
 }
 
-ActionRole MultiRwAlgorithm::classify(const Action& a) const {
-  if (a.node != params_.base.node) return ActionRole::kNotMine;
-  if (a.name == "READ" || a.name == "WRITE" || a.name == "RECVMSG") {
-    return ActionRole::kInput;
-  }
-  if (a.name == "RETURN" || a.name == "ACK" || a.name == "SENDMSG") {
-    return ActionRole::kOutput;
-  }
-  if (a.name == "UPDATE") return ActionRole::kInternal;
-  return ActionRole::kNotMine;
-}
-
-bool MultiRwAlgorithm::declare_signature(SignatureDecl& decl) const {
+void MultiRwAlgorithm::declare_signature(SignatureDecl& decl) const {
   const int i = params_.base.node;
   decl.input("READ", i);
   decl.input("WRITE", i);
@@ -61,7 +49,6 @@ bool MultiRwAlgorithm::declare_signature(SignatureDecl& decl) const {
   decl.output("ACK", i);
   decl.output("SENDMSG", i);
   decl.internal("UPDATE", i);
-  return true;
 }
 
 void MultiRwAlgorithm::apply_input(const Action& a, Time now) {
@@ -236,19 +223,11 @@ MultiRwClient::MultiRwClient(const Options& options)
   PSC_CHECK(options_.think_min <= options_.think_max, "think range");
 }
 
-ActionRole MultiRwClient::classify(const Action& a) const {
-  if (a.node != options_.node) return ActionRole::kNotMine;
-  if (a.name == "RETURN" || a.name == "ACK") return ActionRole::kInput;
-  if (a.name == "READ" || a.name == "WRITE") return ActionRole::kOutput;
-  return ActionRole::kNotMine;
-}
-
-bool MultiRwClient::declare_signature(SignatureDecl& decl) const {
+void MultiRwClient::declare_signature(SignatureDecl& decl) const {
   decl.input("RETURN", options_.node);
   decl.input("ACK", options_.node);
   decl.output("READ", options_.node);
   decl.output("WRITE", options_.node);
-  return true;
 }
 
 void MultiRwClient::apply_input(const Action& a, Time t) {

@@ -34,25 +34,13 @@ QueueServer::QueueServer(int node, int num_nodes)
       node_(node),
       num_nodes_(num_nodes) {}
 
-ActionRole QueueServer::classify(const Action& a) const {
-  if (a.node != node_) return ActionRole::kNotMine;
-  if (a.name == "ENQ" || a.name == "DEQ" || a.name == "TODELIVER") {
-    return ActionRole::kInput;
-  }
-  if (a.name == "ENQACK" || a.name == "DEQRET" || a.name == "TOBCAST") {
-    return ActionRole::kOutput;
-  }
-  return ActionRole::kNotMine;
-}
-
-bool QueueServer::declare_signature(SignatureDecl& decl) const {
+void QueueServer::declare_signature(SignatureDecl& decl) const {
   decl.input("ENQ", node_);
   decl.input("DEQ", node_);
   decl.input("TODELIVER", node_);
   decl.output("ENQACK", node_);
   decl.output("DEQRET", node_);
   decl.output("TOBCAST", node_);
-  return true;
 }
 
 void QueueServer::apply_input(const Action& a, Time /*now*/) {
@@ -154,19 +142,11 @@ QueueClient::QueueClient(const Options& options)
   PSC_CHECK(options_.think_min <= options_.think_max, "think range");
 }
 
-ActionRole QueueClient::classify(const Action& a) const {
-  if (a.node != options_.node) return ActionRole::kNotMine;
-  if (a.name == "ENQACK" || a.name == "DEQRET") return ActionRole::kInput;
-  if (a.name == "ENQ" || a.name == "DEQ") return ActionRole::kOutput;
-  return ActionRole::kNotMine;
-}
-
-bool QueueClient::declare_signature(SignatureDecl& decl) const {
+void QueueClient::declare_signature(SignatureDecl& decl) const {
   decl.input("ENQACK", options_.node);
   decl.input("DEQRET", options_.node);
   decl.output("ENQ", options_.node);
   decl.output("DEQ", options_.node);
-  return true;
 }
 
 void QueueClient::apply_input(const Action& a, Time t) {

@@ -62,8 +62,7 @@ class QueueServer final : public Machine {
  public:
   QueueServer(int node, int num_nodes);
 
-  ActionRole classify(const Action& a) const override;
-  bool declare_signature(SignatureDecl& decl) const override;
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
   std::vector<Action> enabled(Time now) const override;
   void apply_local(const Action& a, Time now) override;
@@ -109,8 +108,7 @@ class QueueClient final : public Machine {
   const std::vector<QueueOp>& operations() const { return ops_; }
   bool finished() const { return issued_ == options_.num_ops && !busy_; }
 
-  ActionRole classify(const Action& a) const override;
-  bool declare_signature(SignatureDecl& decl) const override;
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
   std::vector<Action> enabled(Time t) const override;
   void apply_local(const Action& a, Time t) override;

@@ -18,19 +18,7 @@ Time SlicedRw::next_boundary_after(Time t) const {
   return (t / params_.u + 1) * params_.u;
 }
 
-ActionRole SlicedRw::classify(const Action& a) const {
-  if (a.node != params_.node) return ActionRole::kNotMine;
-  if (a.name == "READ" || a.name == "WRITE" || a.name == "RECVMSG") {
-    return ActionRole::kInput;
-  }
-  if (a.name == "RETURN" || a.name == "ACK" || a.name == "SENDMSG") {
-    return ActionRole::kOutput;
-  }
-  if (a.name == "UPDATE") return ActionRole::kInternal;
-  return ActionRole::kNotMine;
-}
-
-bool SlicedRw::declare_signature(SignatureDecl& decl) const {
+void SlicedRw::declare_signature(SignatureDecl& decl) const {
   const int i = params_.node;
   decl.input("READ", i);
   decl.input("WRITE", i);
@@ -39,7 +27,6 @@ bool SlicedRw::declare_signature(SignatureDecl& decl) const {
   decl.output("ACK", i);
   decl.output("SENDMSG", i);
   decl.internal("UPDATE", i);
-  return true;
 }
 
 void SlicedRw::apply_input(const Action& a, Time clock) {

@@ -48,8 +48,7 @@ class SlicedRw final : public Machine {
  public:
   explicit SlicedRw(const SlicedParams& params);
 
-  ActionRole classify(const Action& a) const override;
-  bool declare_signature(SignatureDecl& decl) const override;
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time clock) override;
   std::vector<Action> enabled(Time clock) const override;
   void apply_local(const Action& a, Time clock) override;

@@ -15,20 +15,9 @@ SendBuffer::SendBuffer(int i, int j)
       i_(i),
       j_(j) {}
 
-ActionRole SendBuffer::classify(const Action& a) const {
-  if (a.name == "SENDMSG" && a.node == i_ && a.peer == j_) {
-    return ActionRole::kInput;
-  }
-  if (a.name == "ESENDMSG" && a.node == i_ && a.peer == j_) {
-    return ActionRole::kOutput;
-  }
-  return ActionRole::kNotMine;
-}
-
-bool SendBuffer::declare_signature(SignatureDecl& decl) const {
+void SendBuffer::declare_signature(SignatureDecl& decl) const {
   decl.input("SENDMSG", i_, j_);
   decl.output("ESENDMSG", i_, j_);
-  return true;
 }
 
 void SendBuffer::apply_input(const Action& a, Time clock) {
@@ -68,20 +57,9 @@ ReceiveBuffer::ReceiveBuffer(int j, int i)
       j_(j),
       i_(i) {}
 
-ActionRole ReceiveBuffer::classify(const Action& a) const {
-  if (a.name == "ERECVMSG" && a.node == i_ && a.peer == j_) {
-    return ActionRole::kInput;
-  }
-  if (a.name == "RECVMSG" && a.node == i_ && a.peer == j_) {
-    return ActionRole::kOutput;
-  }
-  return ActionRole::kNotMine;
-}
-
-bool ReceiveBuffer::declare_signature(SignatureDecl& decl) const {
+void ReceiveBuffer::declare_signature(SignatureDecl& decl) const {
   decl.input("ERECVMSG", i_, j_);
   decl.output("RECVMSG", i_, j_);
-  return true;
 }
 
 void ReceiveBuffer::apply_input(const Action& a, Time clock) {

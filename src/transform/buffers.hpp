@@ -34,8 +34,7 @@ class SendBuffer final : public Machine {
   // Buffer on edge i -> j.
   SendBuffer(int i, int j);
 
-  ActionRole classify(const Action& a) const override;
-  bool declare_signature(SignatureDecl& decl) const override;
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time clock) override;
   std::vector<Action> enabled(Time clock) const override;
   void apply_local(const Action& a, Time clock) override;
@@ -64,8 +63,7 @@ class ReceiveBuffer final : public Machine {
   // Buffer at node i for messages from node j.
   ReceiveBuffer(int j, int i);
 
-  ActionRole classify(const Action& a) const override;
-  bool declare_signature(SignatureDecl& decl) const override;
+  void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time clock) override;
   std::vector<Action> enabled(Time clock) const override;
   void apply_local(const Action& a, Time clock) override;

@@ -46,9 +46,7 @@ std::shared_ptr<const ClockTrajectory> perfect_traj(Duration eps) {
 class NowReader final : public Machine {
  public:
   NowReader() : Machine("NowReader") {}
-  ActionRole classify(const Action&) const override {
-    return ActionRole::kNotMine;
-  }
+  void declare_signature(SignatureDecl&) const override {}
   void apply_input(const Action&, Time) override {}
   std::vector<Action> enabled(Time) const override { return {}; }
   void apply_local(const Action&, Time) override {}
@@ -57,22 +55,6 @@ class NowReader final : public Machine {
     t.reads_real_time = true;
     return t;
   }
-};
-
-// Declares an output kind its classify() disowns (PSC008 bait).
-class LyingMachine final : public Machine {
- public:
-  LyingMachine() : Machine("Liar") {}
-  ActionRole classify(const Action&) const override {
-    return ActionRole::kNotMine;
-  }
-  bool declare_signature(SignatureDecl& decl) const override {
-    decl.output("PING", 0);
-    return true;
-  }
-  void apply_input(const Action&, Time) override {}
-  std::vector<Action> enabled(Time) const override { return {}; }
-  void apply_local(const Action&, Time) override {}
 };
 
 // --- Layer 1: seeded composition violations --------------------------------
@@ -139,23 +121,6 @@ TEST(LintTest, RealTimeReadUnderClockIsPSC006) {
             0u);
 }
 
-TEST(LintTest, UndeclaredMachineIsPSC007NoteOnRequest) {
-  NowReader bare;  // does not declare
-  EXPECT_TRUE(lint_composition({&bare}).empty());
-  LintOptions opts;
-  opts.report_undeclared = true;
-  const auto report = lint_composition({&bare}, opts);
-  EXPECT_EQ(report.count(DiagCode::kUndeclaredMachine), 1u);
-  EXPECT_FALSE(report.has_errors());
-}
-
-TEST(LintTest, DeclarationClassifyDriftIsPSC008) {
-  LyingMachine liar;
-  const auto report = lint_composition({&liar});
-  EXPECT_EQ(report.count(DiagCode::kDeclClassifyDrift), 1u);
-  EXPECT_TRUE(report.has_errors());
-}
-
 TEST(LintTest, SwappedEndpointsSurviveRenamingPSC004) {
   // Same endpoint mismatch as SwappedEndpointsArePSC004, but the producer
   // sits behind a RenamedMachine adapter: its declaration is translated to
@@ -172,40 +137,6 @@ TEST(LintTest, SwappedEndpointsSurviveRenamingPSC004) {
                     {{"ESENDMSG", "XSEND"}});
   EXPECT_EQ(lint_composition({&ok, &ch}).count(DiagCode::kEndpointMismatch),
             0u);
-}
-
-// Declaration matches classify() for argless actions but is disowned as
-// soon as an argument is attached.
-class ArgsOnlyLiar final : public Machine {
- public:
-  ArgsOnlyLiar() : Machine("ArgsLiar") {}
-  ActionRole classify(const Action& a) const override {
-    if (a.name == "PING" && a.node == 0 && a.args.empty()) {
-      return ActionRole::kOutput;
-    }
-    return ActionRole::kNotMine;
-  }
-  bool declare_signature(SignatureDecl& decl) const override {
-    decl.output("PING", 0);
-    return true;
-  }
-  void apply_input(const Action&, Time) override {}
-  std::vector<Action> enabled(Time) const override { return {}; }
-  void apply_local(const Action&, Time) override {}
-};
-
-TEST(LintTest, ArgCarryingOnlyDriftEscapesPSC008) {
-  // Known limitation (documented in docs/ANALYSIS.md): the PSC008 probe
-  // synthesizes argless actions per declared kind, so a classify() that
-  // only contradicts its declaration for arg-carrying instances of the
-  // kind is invisible to the static pass. Pinned here so a future
-  // arg-aware probe flips this expectation deliberately.
-  ArgsOnlyLiar liar;
-  const auto report = lint_composition({&liar});
-  EXPECT_EQ(report.count(DiagCode::kDeclClassifyDrift), 0u);
-  Action armed = make_action("PING", 0);
-  armed.args.emplace_back(std::int64_t{1});
-  EXPECT_EQ(liar.classify(armed), ActionRole::kNotMine);  // the lie itself
 }
 
 TEST(LintTest, ExecutorValidateFailsFastOnBadComposition) {

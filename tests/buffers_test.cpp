@@ -141,10 +141,9 @@ class Echo final : public Machine {
         peer_(peer),
         pending_(initiator ? 1 : 0) {}
 
-  ActionRole classify(const Action& a) const override {
-    if (a.name == "RECVMSG" && a.node == node_) return ActionRole::kInput;
-    if (a.name == "SENDMSG" && a.node == node_) return ActionRole::kOutput;
-    return ActionRole::kNotMine;
+  void declare_signature(SignatureDecl& decl) const override {
+    decl.input("RECVMSG", node_);
+    decl.output("SENDMSG", node_);
   }
   void apply_input(const Action&, Time) override { ++pending_; }
   std::vector<Action> enabled(Time) const override {
@@ -246,10 +245,9 @@ class TagEcho final : public Machine {
   int violations() const { return violations_; }
   int received() const { return received_; }
 
-  ActionRole classify(const Action& a) const override {
-    if (a.name == "RECVMSG" && a.node == node_) return ActionRole::kInput;
-    if (a.name == "SENDMSG" && a.node == node_) return ActionRole::kOutput;
-    return ActionRole::kNotMine;
+  void declare_signature(SignatureDecl& decl) const override {
+    decl.input("RECVMSG", node_);
+    decl.output("SENDMSG", node_);
   }
   void apply_input(const Action& a, Time clock) override {
     ++received_;

@@ -17,10 +17,9 @@ class Ponger final : public Machine {
  public:
   explicit Ponger(Duration delay) : Machine("ponger"), delay_(delay) {}
 
-  ActionRole classify(const Action& a) const override {
-    if (a.name == "PING") return ActionRole::kInput;
-    if (a.name == "PONG") return ActionRole::kOutput;
-    return ActionRole::kNotMine;
+  void declare_signature(SignatureDecl& decl) const override {
+    decl.input("PING");
+    decl.output("PONG");
   }
   void apply_input(const Action&, Time t) override {
     due_.push_back(t + delay_);
@@ -111,8 +110,8 @@ TEST(ExecutorTest, EventCapDetectsRunaway) {
   class Spinner final : public Machine {
    public:
     Spinner() : Machine("spinner") {}
-    ActionRole classify(const Action& a) const override {
-      return a.name == "SPIN" ? ActionRole::kInternal : ActionRole::kNotMine;
+    void declare_signature(SignatureDecl& decl) const override {
+      decl.internal("SPIN");
     }
     void apply_input(const Action&, Time) override {}
     std::vector<Action> enabled(Time) const override {
@@ -132,9 +131,7 @@ TEST(ExecutorTest, TimeDeadlockDetected) {
   class Blocker final : public Machine {
    public:
     Blocker() : Machine("blocker") {}
-    ActionRole classify(const Action&) const override {
-      return ActionRole::kNotMine;
-    }
+    void declare_signature(SignatureDecl&) const override {}
     void apply_input(const Action&, Time) override {}
     std::vector<Action> enabled(Time) const override { return {}; }
     void apply_local(const Action&, Time) override {}
@@ -186,10 +183,9 @@ TEST(CompositeTest, MemberToMemberRouting) {
   class Relay final : public Machine {
    public:
     Relay() : Machine("relay") {}
-    ActionRole classify(const Action& a) const override {
-      if (a.name == "PONG") return ActionRole::kInput;
-      if (a.name == "DONE") return ActionRole::kOutput;
-      return ActionRole::kNotMine;
+    void declare_signature(SignatureDecl& decl) const override {
+      decl.input("PONG");
+      decl.output("DONE");
     }
     void apply_input(const Action&, Time) override { pending_ = true; }
     std::vector<Action> enabled(Time) const override {
@@ -255,7 +251,8 @@ TEST(ClockedTest, ClockReadingExposed) {
 // --- ScriptMachine -----------------------------------------------------------
 
 TEST(ScriptTest, RecordsAcceptedInputs) {
-  ScriptMachine s("env", {}, [](const Action& a) { return a.name == "X"; });
+  ScriptMachine s("env", {});
+  s.accept_kind("X");
   EXPECT_EQ(s.classify(make_action("X", 0)), ActionRole::kInput);
   EXPECT_EQ(s.classify(make_action("Y", 0)), ActionRole::kNotMine);
   s.apply_input(make_action("X", 0), 42);

@@ -163,6 +163,23 @@ TEST(RenamedTest, NonInjectiveMapRejected) {
                CheckError);
 }
 
+TEST(RenamedTest, AliasingMapRejected) {
+  // SENDMSG is renamed onto RECVMSG, which the channel also declares under
+  // its own name: two inner names would meet at one outer name.
+  auto ch = std::make_unique<Channel>(0, 1, 0, 10, DelayPolicy::uniform(),
+                                      Rng(1));
+  EXPECT_THROW(RenamedMachine(std::move(ch), {{"SENDMSG", "RECVMSG"}}),
+               CheckError);
+  // A swap aliases nothing: each outer name has one inner name.
+  auto swapped = std::make_unique<Channel>(0, 1, 0, 10,
+                                           DelayPolicy::uniform(), Rng(1));
+  RenamedMachine ren(std::move(swapped),
+                     {{"SENDMSG", "RECVMSG"}, {"RECVMSG", "SENDMSG"}});
+  const Message m = make_message("M");
+  EXPECT_EQ(ren.classify(make_send(0, 1, m, "RECVMSG")), ActionRole::kInput);
+  EXPECT_EQ(ren.classify(make_recv(1, 0, m, "SENDMSG")), ActionRole::kOutput);
+}
+
 TEST(RenamedTest, PassThroughForUnmappedNames) {
   auto ch = std::make_unique<Channel>(0, 1, 0, 10, DelayPolicy::uniform(),
                                       Rng(1));

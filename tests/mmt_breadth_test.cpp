@@ -50,9 +50,6 @@ TEST_P(MmtBreadthSeeds, ElectionSurvivesTheMmtPipeline) {
     return true;
   });
   exec.run();
-  // Every machine declares, so no event is routed through classify().
-  EXPECT_EQ(exec.declared_machine_count(), exec.machine_count());
-  EXPECT_EQ(exec.stats().route_classify, 0u);
   int claims = 0;
   for (const auto* h : handles) {
     EXPECT_EQ(h->announced(), n - 1) << "seed " << GetParam();
@@ -105,8 +102,6 @@ TEST_P(MmtBreadthSeeds, QueueSurvivesTheMmtPipeline) {
     return true;
   });
   exec.run();
-  EXPECT_EQ(exec.declared_machine_count(), exec.machine_count());
-  EXPECT_EQ(exec.stats().route_classify, 0u);
   std::vector<QueueOp> ops;
   for (const auto* c : clients) {
     ops.insert(ops.end(), c->operations().begin(), c->operations().end());

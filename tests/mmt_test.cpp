@@ -69,9 +69,8 @@ class PeriodicEmitter final : public Machine {
   PeriodicEmitter(int node, Duration period, int count)
       : Machine("periodic"), node_(node), period_(period), count_(count) {}
 
-  ActionRole classify(const Action& a) const override {
-    if (a.name == "OUT" && a.node == node_) return ActionRole::kOutput;
-    return ActionRole::kNotMine;
+  void declare_signature(SignatureDecl& decl) const override {
+    decl.output("OUT", node_);
   }
   void apply_input(const Action&, Time) override {}
   std::vector<Action> enabled(Time clock) const override {
@@ -190,11 +189,9 @@ class DelayedEcho final : public Machine {
   DelayedEcho(int node, Duration delay)
       : Machine("echo"), node_(node), delay_(delay) {}
 
-  ActionRole classify(const Action& a) const override {
-    if (a.node != node_) return ActionRole::kNotMine;
-    if (a.name == "IN") return ActionRole::kInput;
-    if (a.name == "ECHO") return ActionRole::kOutput;
-    return ActionRole::kNotMine;
+  void declare_signature(SignatureDecl& decl) const override {
+    decl.input("IN", node_);
+    decl.output("ECHO", node_);
   }
   void apply_input(const Action& a, Time clock) override {
     due_.push_back({clock + delay_, as_int(a.args.at(0))});
@@ -234,8 +231,8 @@ class PollCounter final : public Machine {
         inner_(std::move(inner)),
         early_(early) {}
 
-  ActionRole classify(const Action& a) const override {
-    return inner_->classify(a);
+  void declare_signature(SignatureDecl& decl) const override {
+    inner_->declare_signature(decl);
   }
   void apply_input(const Action& a, Time t) override {
     inner_->apply_input(a, t);

@@ -20,8 +20,8 @@ class Metronome final : public Machine {
                                         period_(period) {}
   int beats = 0;
 
-  ActionRole classify(const Action& a) const override {
-    return a.name == "TICKTOCK" ? ActionRole::kOutput : ActionRole::kNotMine;
+  void declare_signature(SignatureDecl& decl) const override {
+    decl.output("TICKTOCK");
   }
   void apply_input(const Action&, Time) override {}
   std::vector<Action> enabled(Time t) const override {
@@ -97,6 +97,43 @@ TEST(CompositeExtraTest, DuplicateControllerRejectedInClassify) {
   comp.add(std::make_unique<Metronome>(1));
   comp.add(std::make_unique<Metronome>(1));
   EXPECT_THROW(comp.classify(make_action("TICKTOCK", kNoNode)), CheckError);
+}
+
+// Def 2.2 compatibility is a condition on signatures, so a composite whose
+// members both locally control a kind is rejected when it is assembled
+// into an executor, before any event fires.
+TEST(CompositeExtraTest, TwoMembersClaimingAnOutputKindFailAssembly) {
+  auto comp = std::make_unique<CompositeMachine>("c");
+  comp->add(std::make_unique<Metronome>(1));
+  comp->add(std::make_unique<Metronome>(1));
+  Executor exec({.horizon = milliseconds(5)});
+  EXPECT_THROW(exec.add_owned(std::move(comp)), CheckError);
+}
+
+TEST(CompositeExtraTest, TwoMembersClaimingAnInternalKindFailAssembly) {
+  class Stepper final : public Machine {
+   public:
+    explicit Stepper(int node) : Machine("stepper"), node_(node) {}
+    void declare_signature(SignatureDecl& decl) const override {
+      decl.internal("STEP", node_);
+    }
+    void apply_input(const Action&, Time) override {}
+    std::vector<Action> enabled(Time) const override { return {}; }
+    void apply_local(const Action&, Time) override {}
+
+   private:
+    int node_;
+  };
+  CompositeMachine disjoint("disjoint");
+  disjoint.add(std::make_unique<Stepper>(0));
+  disjoint.add(std::make_unique<Stepper>(1));
+  disjoint.hide("STEP");
+  EXPECT_EQ(disjoint.classify(make_action("STEP", 1)), ActionRole::kInternal);
+  CompositeMachine comp("c");
+  comp.add(std::make_unique<Stepper>(0));
+  comp.add(std::make_unique<Stepper>(kAnyNode));
+  comp.hide("STEP");
+  EXPECT_THROW(comp.signature(), CheckError);
 }
 
 // --- graph helpers ------------------------------------------------------------

@@ -35,10 +35,10 @@ ScriptedRun run_scripted(int n, Duration d2, Duration c,
   cc.seed = seed;
   add_timed_system(exec, Graph::complete_with_self_loops(n), cc,
                    make_rw_algorithms(n, p));
-  exec.add_owned(std::make_unique<ScriptMachine>(
-      "env", std::move(steps), [](const Action& a) {
-        return a.name == "RETURN" || a.name == "ACK";
-      }));
+  auto env = std::make_unique<ScriptMachine>("env", std::move(steps));
+  env->accept_kind("RETURN");
+  env->accept_kind("ACK");
+  exec.add_owned(std::move(env));
   exec.run();
   ScriptedRun out;
   out.returns = project_name(exec.events(), "RETURN");

@@ -4,9 +4,9 @@
 // must be observationally identical to it — byte-identical TimedTraces and
 // probe sequences for the same seed, on every shipped harness and on a run
 // that drives the wheel through its stale-entry compaction. The interned
-// routing must also preserve the composition compatibility errors and
-// hide() edge cases of the classify() path, and a multi-part machine (a
-// clock node's members) must be re-polled part by part.
+// routing must also raise the composition compatibility errors and handle
+// hide() edge cases, and a multi-part machine (a clock node's members) must
+// be re-polled part by part.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -276,13 +276,8 @@ class Batcher final : public Machine {
                   first + b * period);
     }
   }
-  ActionRole classify(const Action& a) const override {
-    return a.name == "JOB" && a.node == node_ ? ActionRole::kOutput
-                                              : ActionRole::kNotMine;
-  }
-  bool declare_signature(SignatureDecl& decl) const override {
+  void declare_signature(SignatureDecl& decl) const override {
     decl.output("JOB", node_);
-    return true;
   }
   void apply_input(const Action&, Time) override {}
   std::vector<Action> enabled(Time t) const override {
@@ -384,11 +379,8 @@ class CountingPart final : public Machine {
  public:
   explicit CountingPart(std::unique_ptr<Machine> inner)
       : Machine(inner->name()), inner_(std::move(inner)) {}
-  ActionRole classify(const Action& a) const override {
-    return inner_->classify(a);
-  }
-  bool declare_signature(SignatureDecl& decl) const override {
-    return inner_->declare_signature(decl);
+  void declare_signature(SignatureDecl& decl) const override {
+    inner_->declare_signature(decl);
   }
   void apply_input(const Action& a, Time t) override {
     inner_->apply_input(a, t);
@@ -503,38 +495,13 @@ TEST(SchedulerParts, BufferInputRepollsOnlyThatBuffersPart) {
 }
 
 // --- composition-compatibility and hide() edge cases ----------------------
-// --- composition-compatibility and hide() edge cases ----------------------
 
 // A declared machine that emits one "X" output at node 0 and stops.
 class DeclaredEmitter final : public Machine {
  public:
   explicit DeclaredEmitter(std::string name) : Machine(std::move(name)) {}
-  ActionRole classify(const Action& a) const override {
-    return a.name == "X" && a.node == 0 ? ActionRole::kOutput
-                                        : ActionRole::kNotMine;
-  }
-  bool declare_signature(SignatureDecl& decl) const override {
+  void declare_signature(SignatureDecl& decl) const override {
     decl.output("X", 0);
-    return true;
-  }
-  void apply_input(const Action&, Time) override {}
-  std::vector<Action> enabled(Time) const override {
-    if (done_) return {};
-    return {make_action("X", 0)};
-  }
-  void apply_local(const Action&, Time) override { done_ = true; }
-
- private:
-  bool done_ = false;
-};
-
-// Same machine without a signature declaration (classify() fallback path).
-class GenericEmitter final : public Machine {
- public:
-  explicit GenericEmitter(std::string name) : Machine(std::move(name)) {}
-  ActionRole classify(const Action& a) const override {
-    return a.name == "X" && a.node == 0 ? ActionRole::kOutput
-                                        : ActionRole::kNotMine;
   }
   void apply_input(const Action&, Time) override {}
   std::vector<Action> enabled(Time) const override {
@@ -551,13 +518,6 @@ TEST(SchedulerRouting, TwoDeclaredClaimantsTripIncompatibleComposition) {
   Executor exec({.horizon = seconds(1)});
   exec.add_owned(std::make_unique<DeclaredEmitter>("a"));
   exec.add_owned(std::make_unique<DeclaredEmitter>("b"));
-  EXPECT_THROW(exec.run(), CheckError);
-}
-
-TEST(SchedulerRouting, DeclaredAndGenericClaimantsTripIncompatibleComposition) {
-  Executor exec({.horizon = seconds(1)});
-  exec.add_owned(std::make_unique<DeclaredEmitter>("a"));
-  exec.add_owned(std::make_unique<GenericEmitter>("b"));
   EXPECT_THROW(exec.run(), CheckError);
 }
 
@@ -585,8 +545,8 @@ TEST(SchedulerRouting, HideAfterAddStillAppliesToInternedKinds) {
 class Spinner final : public Machine {
  public:
   Spinner() : Machine("spinner") {}
-  ActionRole classify(const Action& a) const override {
-    return a.name == "SPIN" ? ActionRole::kInternal : ActionRole::kNotMine;
+  void declare_signature(SignatureDecl& decl) const override {
+    decl.internal("SPIN");
   }
   void apply_input(const Action&, Time) override {}
   std::vector<Action> enabled(Time) const override {

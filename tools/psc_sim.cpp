@@ -375,11 +375,7 @@ class ObsSetup {
               << "  dirty: flushes=" << s.dirty_flushes
               << " repolls=" << s.dirty_repolls << " peak=" << s.dirty_peak
               << " cache_hit_rate=" << s.cache_hit_rate() << "\n"
-              << "  routing: fast=" << s.route_fast
-              << " classify=" << s.route_classify
-              << " fast_path_rate=" << s.fast_path_rate()
-              << " fanout_inputs=" << s.fanout_inputs
-              << " fanout_classify=" << s.fanout_classify_calls
+              << "  routing: fanout_inputs=" << s.fanout_inputs
               << " kind_hits=" << s.kind_hits
               << " kind_resolves=" << s.kind_resolves
               << " kind_memo_hits=" << s.kind_memo_hits << "\n"
