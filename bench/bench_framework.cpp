@@ -3,9 +3,10 @@
 // Measures the substrate itself: executor event throughput on the register
 // system in each model, linearizability-checker cost (Wing-Gong search vs
 // the O(n log n) witness check), trace-relation checking, clock
-// trajectory queries (mixed, and each query alone on the benchmark's clock)
-// the executor's re-poll of one Simulation 1 node after one input, and one
-// MMT node step. These are the costs a user of the library pays.
+// trajectory queries (mixed, and each query alone on the benchmark's clock),
+// the benchmark's per-node clock set-up, the executor's re-poll of one
+// Simulation 1 node after one input, and one MMT node step. These are the
+// costs a user of the library pays.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -226,8 +227,23 @@ void BM_TrajectoryQueries(benchmark::State& state) {
 }
 BENCHMARK(BM_TrajectoryQueries);
 
+// One node's clock set-up in the benchmark workloads: generate the
+// ZigzagDrift(0.25) clock at eps = 50us over 30s and validate it.
+void BM_ZigzagGenerate(benchmark::State& state) {
+  Rng rng(1);
+  const ZigzagDrift drift(0.25);
+  for (auto _ : state) {
+    const auto traj = drift.generate(microseconds(50), seconds(30), rng);
+    traj.validate(seconds(30));
+    benchmark::DoNotOptimize(traj.points().data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ZigzagGenerate);
+
 // One clock query at a time on the clock behind the rw_clock_reads
-// workload: ZigzagDrift(0.25), eps = 50us, 30s horizon (~83k breakpoints),
+// workload: ZigzagDrift(0.25), eps = 50us, 30s horizon (~83k breakpoints
+// expanded),
 // with the argument stepping monotonically through the first second as a
 // Simulation 1 node's deadlines do.
 enum class ClockQuery { kClockAt, kTimeFirstAt, kTimeLastAt };

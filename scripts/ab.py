@@ -17,14 +17,16 @@ A pair runs each arm once untraced (the end-to-end metrics) and once traced
 process. The arms alternate which goes first from pair to pair, so drift in
 the host's load biases neither.
 
-For each end-to-end metric and each `runtime.phase.*` it prints the median
-and quartiles of both arms, the ratio of the medians (B / A), in how many
-pairs B was better than A in the metric's own direction, a 95% bootstrap
-confidence interval of B / A (pairs resampled with replacement, seeded, so
-the output is reproducible) and a verdict: `better` or `worse` when the
-interval lies wholly on one side of 1, else `inconclusive`. It exits 1
-when any iteration fails a check, or when the determinism fingerprint
-(psc_bench/run.py's FINGERPRINT counts) differs between or within the arms.
+For each end-to-end metric, each set-up layer (SETUP_LAYERS, the four
+parts of `setup_s`, from the untraced iterations) and each
+`runtime.phase.*` it prints the median and quartiles of both arms, the
+ratio of the medians (B / A), in how many pairs B was better than A in
+the metric's own direction, a 95% bootstrap confidence interval of B / A
+(pairs resampled with replacement, seeded, so the output is reproducible)
+and a verdict: `better` or `worse` when the interval lies wholly on one
+side of 1, else `inconclusive`. It exits 1 when any iteration fails a
+check, or when the determinism fingerprint (psc_bench/run.py's
+FINGERPRINT counts) differs between or within the arms.
 """
 
 import argparse
@@ -50,6 +52,13 @@ FINGERPRINT = (
     "channel.sent",
     "transform.received",
     "mmt.ticks",
+)
+# The layers of `setup_s`, read from the untraced iterations.
+SETUP_LAYERS = (
+    "clock.trajectory_s",
+    "runtime.assemble_s",
+    "analysis.lint_s",
+    "analysis.certify_s",
 )
 ITERATION_TIMEOUT_S = 150
 BOOTSTRAP_RESAMPLES = 2000
@@ -256,6 +265,8 @@ def main():
         binaries[f"{label}:{rev}"] = binary
 
     metrics = [(m["name"], m["better"], "plain") for m in spec["end_to_end"]]
+    metrics += [(m["name"], m["better"], "plain") for m in spec["per_layer"]
+                if m["name"] in SETUP_LAYERS]
     metrics += [(m["name"], m["better"], "traced") for m in spec["per_layer"]
                 if m["name"].startswith("runtime.phase.")
                 or m["name"] == "runtime.self_ns"]

@@ -93,7 +93,7 @@ ClockTrajectory DisciplinedDrift::generate(Duration eps, Time horizon,
                 << " but the system asked for eps = " << format_time(eps));
   auto disciplined = discipline_clock(c, rng);
   // Re-tag the trajectory with the requested (looser) envelope.
-  return ClockTrajectory(disciplined.trajectory.points(), eps);
+  return disciplined.trajectory.with_eps(eps);
 }
 
 }  // namespace psc

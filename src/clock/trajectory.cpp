@@ -52,13 +52,54 @@ ClockTrajectory::ClockTrajectory(std::vector<Breakpoint> points, Duration eps)
     PSC_CHECK(points_[i].c > points_[i - 1].c,
               "axiom C3: clock must strictly increase across segments");
   }
+  period_begin_ = points_.size() - 1;
+  last_ = points_.back();
+}
+
+ClockTrajectory::ClockTrajectory(std::vector<Breakpoint> points,
+                                 std::size_t period_begin,
+                                 std::int64_t segments, Duration eps)
+    : ClockTrajectory(std::move(points), eps) {
+  PSC_CHECK(period_begin < points_.size(),
+            "period_begin " << period_begin << " past the last breakpoint");
+  const Breakpoint start = points_[period_begin];
+  const Duration period = points_.back().t - start.t;
+  PSC_CHECK(period > 0, "period must be positive, got " << period);
+  PSC_CHECK(points_.back().c - start.c == period,
+            "period does not close: t advances " << period << ", c advances "
+                                                 << points_.back().c - start.c);
+  PSC_CHECK(segments >= static_cast<std::int64_t>(points_.size() - 1),
+            "final breakpoint off the pattern: " << segments
+                << " segments end inside the stored breakpoints");
+  // The final breakpoint is expanded index `segments`: r segments into the
+  // period, after q whole periods.
+  const auto per_period = static_cast<std::int64_t>(points_.size() - 1 -
+                                                    period_begin);
+  const std::int64_t beyond =
+      segments - static_cast<std::int64_t>(period_begin);
+  const Breakpoint base = points_[period_begin + beyond % per_period];
+  const std::int64_t q = beyond / per_period;
+  PSC_CHECK(q <= (kTimeMax - std::max(base.t, base.c)) / period,
+            "periodic trajectory of " << segments << " segments overflows");
+  period_begin_ = period_begin;
+  period_ = period;
+  last_ = {base.t + q * period, base.c + q * period};
+}
+
+ClockTrajectory ClockTrajectory::with_eps(Duration eps) const {
+  PSC_CHECK(eps >= 0, "eps must be nonnegative");
+  ClockTrajectory out = *this;
+  out.eps_ = eps;
+  return out;
 }
 
 Time ClockTrajectory::clock_at(Time t) const {
   PSC_CHECK(t >= 0, "clock_at(" << t << ")");
   // Beyond the last breakpoint the clock runs at rate 1.
-  const auto& last = points_.back();
-  if (t >= last.t) return last.c + (t - last.t);
+  if (t >= last_.t) return last_.c + (t - last_.t);
+  // Move t back into the stored period; the answer moves by the same shift.
+  const Time shift = whole_periods(t - points_[period_begin_].t);
+  t -= shift;
   // Binary search for the segment containing t.
   auto it = std::upper_bound(
       points_.begin(), points_.end(), t,
@@ -67,47 +108,52 @@ Time ClockTrajectory::clock_at(Time t) const {
   // because points_.front().t == 0 <= t.
   const auto& hi = *it;
   const auto& lo = *(it - 1);
-  if (t == lo.t) return lo.c;
-  return lerp(lo.t, lo.c, hi.t, hi.c, t);
+  if (t == lo.t) return lo.c + shift;
+  return lerp(lo.t, lo.c, hi.t, hi.c, t) + shift;
 }
 
 Time ClockTrajectory::time_first_at(Time c) const {
   if (c <= 0) return 0;
-  const auto& last = points_.back();
-  if (c >= last.c) return last.t + (c - last.c);
+  if (c >= last_.c) return last_.t + (c - last_.c);
   // Invert clock_at(lo.t + u) = lo.c + floor(A*u/B) on the segment whose
   // clock range [lo.c, hi.c) holds c: the least u with floor(A*u/B) >= k is
   // ceil(k*B/A). Every earlier time reads < lo.c <= c, because breakpoint
   // clocks strictly increase and interpolation rounds down; so k = 0 gives
   // lo.t itself.
-  const auto [lo, hi] = segment_of_clock(points_, c);
-  return lo.t + ceil_mul_div(c - lo.c, hi.t - lo.t, hi.c - lo.c);
+  const Time shift = whole_periods(c - points_[period_begin_].c);
+  const auto [lo, hi] = segment_of_clock(points_, c - shift);
+  return lo.t + shift +
+         ceil_mul_div(c - shift - lo.c, hi.t - lo.t, hi.c - lo.c);
 }
 
 Time ClockTrajectory::time_last_at(Time c) const {
   if (c < 0) {
     PSC_CHECK(false, "time_last_at(" << c << "): clock is never negative");
   }
-  const auto& last = points_.back();
-  if (c >= last.c) return last.t + (c - last.c);
+  if (c >= last_.c) return last_.t + (c - last_.c);
   // The greatest u with floor(A*u/B) <= k is ceil((k+1)*B/A) - 1; k < A
   // keeps it below B, inside the segment.
-  const auto [lo, hi] = segment_of_clock(points_, c);
-  return lo.t + ceil_mul_div(c - lo.c + 1, hi.t - lo.t, hi.c - lo.c) - 1;
+  const Time shift = whole_periods(c - points_[period_begin_].c);
+  const auto [lo, hi] = segment_of_clock(points_, c - shift);
+  return lo.t + shift +
+         ceil_mul_div(c - shift - lo.c + 1, hi.t - lo.t, hi.c - lo.c) - 1;
 }
 
 void ClockTrajectory::validate(Time horizon) const {
   // Within a linear segment |c(t) - t| is extremal at the endpoints, so
   // checking breakpoints (and the horizon point on the final ray) suffices.
-  for (const auto& p : points_) {
+  // On a periodic trajectory the stored breakpoints and last_ carry every
+  // skew value of the expanded list (see the header).
+  const auto check_breakpoint = [&](const Breakpoint& p) {
     PSC_CHECK(std::llabs(p.c - p.t) <= eps_,
               "C_eps violated at breakpoint t=" << format_time(p.t)
                                                 << " c=" << format_time(p.c)
                                                 << " eps=" << format_time(eps_));
-  }
-  const auto& last = points_.back();
-  if (horizon > last.t) {
-    const Time c_end = last.c + (horizon - last.t);
+  };
+  for (const auto& p : points_) check_breakpoint(p);
+  check_breakpoint(last_);
+  if (horizon > last_.t) {
+    const Time c_end = last_.c + (horizon - last_.t);
     PSC_CHECK(std::llabs(c_end - horizon) <= eps_,
               "C_eps violated on final ray");
   }
@@ -172,7 +218,12 @@ ClockTrajectory ZigzagDrift::generate(Duration eps, Time horizon,
     pts.push_back({t, c});
     up = !start_up;
   }
-  while (t < horizon + half) {
+  // Then full swings while t < horizon + half: n of them. They alternate
+  // between two shapes, so once both are written the list repeats with
+  // period (2*half, 2*half), and the rest is the count.
+  const Time swings =
+      t < horizon + half ? (horizon + half - t + half - 1) / half : 0;
+  for (Time i = 0; i < std::min<Time>(swings, 2); ++i) {
     const Time dt = half;
     // Swing across the whole band: skew changes by 2*band.
     const Time dc = up ? dt + 2 * band : dt - 2 * band;
@@ -182,7 +233,8 @@ ClockTrajectory ZigzagDrift::generate(Duration eps, Time horizon,
     pts.push_back({t, c});
     up = !up;
   }
-  return ClockTrajectory(std::move(pts), eps);
+  if (swings < 2) return ClockTrajectory(std::move(pts), eps);
+  return ClockTrajectory(std::move(pts), 1, 1 + swings, eps);
 }
 
 RandomDrift::RandomDrift(double rho, Duration mean_segment, double band_frac)

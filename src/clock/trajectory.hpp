@@ -16,14 +16,35 @@
 // where this is harmless. validate() enforces the C_eps band pointwise at
 // breakpoints plus segment analysis in between.
 //
+// Storage. A trajectory stores its breakpoints, and may store them once per
+// period: a prefix points[0..k), then one period points[k..k+m] that closes,
+// points[k+m] = points[k] + (P, P) with P > 0, and the number of segments
+// of the expanded list. The expanded list repeats the period's m segments,
+// each repeat shifted by (P, P), until that many segments are written; its
+// final breakpoint (last()) is derived from the count. ZigzagDrift, whose
+// clock is periodic after its first half-swing, stores at most 4 points
+// whatever the horizon. Every other generator stores the whole list.
+//
 // Cost: clock_at, time_first_at and time_last_at are each one binary search
-// over the breakpoints plus O(1) 128-bit arithmetic. The two inverses are
-// closed forms of that floor, exact on the grid (no rounding slack):
+// over the stored breakpoints plus O(1) 128-bit arithmetic; on a periodic
+// trajectory the argument is first reduced by whole periods (one 64-bit
+// divide), so a zigzag query searches at most 4 points. The two inverses
+// are closed forms of that floor, exact on the grid (no rounding slack):
 // with k = c - lo.c for the segment whose clock range [lo.c, hi.c) holds c,
 //   time_first_at(c) = lo.t + ceil(k * B / A)
 //   time_last_at(c)  = lo.t + ceil((k + 1) * B / A) - 1.
+// Reducing by whole periods is exact, not an approximation: the segment
+// formula and both inverses are unchanged when t, c, lo and hi all move by
+// (P, P), so every value on [0, inf) equals the expanded list's.
+//
+// validate() on a periodic trajectory checks the stored breakpoints, the
+// final breakpoint and the final ray. The skew c - t is the same at a
+// breakpoint and at its translate by (P, P), so these are exactly the skew
+// values of the expanded list: the same check, not a weaker one.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,6 +69,16 @@ class ClockTrajectory {
   // breakpoint the clock continues at rate 1.
   ClockTrajectory(std::vector<Breakpoint> points, Duration eps);
 
+  // A periodic trajectory (see Storage above): points[period_begin..] is
+  // one period, which must close, and the expanded list has `segments`
+  // segments, at least as many as the stored points span. The final
+  // breakpoint is derived from that count.
+  ClockTrajectory(std::vector<Breakpoint> points, std::size_t period_begin,
+                  std::int64_t segments, Duration eps);
+
+  // The same clock in a different envelope (the period is kept).
+  ClockTrajectory with_eps(Duration eps) const;
+
   Duration eps() const { return eps_; }
 
   // c(t). Requires t >= 0.
@@ -66,11 +97,28 @@ class ClockTrajectory {
   // violation. (C2-C4 hold by construction.)
   void validate(Time horizon) const;
 
+  // The stored breakpoints: the whole list, or for a periodic trajectory
+  // the prefix and one period. Not the expanded list; see last().
   const std::vector<Breakpoint>& points() const { return points_; }
 
+  // The final breakpoint of the expanded list; the clock runs at rate 1
+  // from here on.
+  const Breakpoint& last() const { return last_; }
+
  private:
+  // from_start, a time or clock value minus the period's start (a period
+  // advances both by period_), rounded down to whole periods; 0 before the
+  // period starts, and always 0 without a period.
+  Time whole_periods(Time from_start) const {
+    if (from_start < period_ || period_ == 0) return 0;
+    return from_start - from_start % period_;
+  }
+
   std::vector<Breakpoint> points_;  // at least {(0,0)}
   Duration eps_;
+  std::size_t period_begin_;  // points_.size() - 1 without a period
+  Duration period_ = 0;       // P, or 0 without a period
+  Breakpoint last_;
 };
 
 // Generators for clock behaviours within a C_eps envelope. Each model
@@ -112,7 +160,9 @@ class OffsetDrift final : public DriftModel {
 // Zigzag between +band and -band at rates 1 +/- rho: the clock repeatedly
 // swings across the whole envelope — a hostile but legal clock. The initial
 // swing direction is drawn from rng so different nodes get out-of-phase
-// clocks (maximal inter-node skew).
+// clocks (maximal inter-node skew). After the first half-swing every two
+// swings advance t and c by the same 2 * half, so the trajectory stores one
+// period; horizons shorter than that keep the plain list.
 class ZigzagDrift final : public DriftModel {
  public:
   explicit ZigzagDrift(double rho, double band_frac = 0.9);

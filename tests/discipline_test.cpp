@@ -97,6 +97,21 @@ TEST(DisciplineTest, DriftAdapterHonorsRequestedEps) {
   EXPECT_THROW(drift.generate(microseconds(10), seconds(5), rng), CheckError);
 }
 
+// The adapter re-tags the disciplined clock with the requested envelope;
+// the clock itself is the one discipline_clock built from the same draws.
+TEST(DisciplineTest, DriftAdapterKeepsTheClock) {
+  DisciplineConfig c = base_config();
+  c.horizon = seconds(5);
+  Rng r1(5), r2(5);
+  const auto traj = DisciplinedDrift(c).generate(milliseconds(1), c.horizon,
+                                                 r1);
+  const auto d = discipline_clock(c, r2);
+  EXPECT_EQ(traj.points().size(), d.trajectory.points().size());
+  for (Time t = 0; t <= seconds(7); t += 12'345'678) {
+    EXPECT_EQ(traj.clock_at(t), d.trajectory.clock_at(t)) << t;
+  }
+}
+
 TEST(DisciplineTest, MillisecondClassAccuracyIsCheap) {
   // The claim the paper leans on (Section 1, citing NTP): millisecond
   // accuracy under ordinary parameters. Our defaults land well under 1ms.
