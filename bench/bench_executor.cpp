@@ -373,8 +373,7 @@ Row run_config(const std::string& workload, int n, int repeats,
   // documented off switch (SlackOptions): the aggregate histograms carry
   // the signal; hundreds of per-channel series would measure registry
   // growth, not the probe.
-  so.per_node = false;
-  so.per_channel = false;
+  so.per_entity = false;
 
   // The arms interleave within each repeat rather than running as
   // sequential phases: machine-wide load drift then shifts all arms of a

@@ -13,13 +13,14 @@ while the exported sources are unchanged.
 Per workload (default: every one in BENCHMARK.json) and per seed (default
 1 and 7919) the script runs one warm-up iteration of each arm, then N pairs.
 A pair runs each arm once untraced (the end-to-end metrics) and once traced
-(the per-layer `runtime.phase.*` metrics), every iteration in a fresh
-process. The arms alternate which goes first from pair to pair, so drift in
+(the per-layer `runtime.phase.*` metrics and the online checkers' own
+cost), every iteration in a fresh process. The arms alternate which goes first from pair to pair, so drift in
 the host's load biases neither.
 
 For each end-to-end metric, each set-up layer (SETUP_LAYERS, the four
-parts of `setup_s`, from the untraced iterations) and each
-`runtime.phase.*` it prints the median and quartiles of both arms, the
+parts of `setup_s`, from the untraced iterations), each `runtime.phase.*`
+and each online checker's per-event cost (CHECKER_LAYERS, from the traced
+iterations) it prints the median and quartiles of both arms, the
 ratio of the medians (B / A), in how many pairs B was better than A in
 the metric's own direction, a 95% bootstrap confidence interval of B / A
 (pairs resampled with replacement, seeded, so the output is reproducible)
@@ -59,6 +60,12 @@ SETUP_LAYERS = (
     "runtime.assemble_s",
     "analysis.lint_s",
     "analysis.certify_s",
+)
+# The online checkers' per-event cost, read from the traced iterations.
+CHECKER_LAYERS = (
+    "analysis.invariant.observe_ns",
+    "analysis.cert.observe_ns",
+    "obs.slack.observe_ns",
 )
 ITERATION_TIMEOUT_S = 150
 BOOTSTRAP_RESAMPLES = 2000
@@ -216,7 +223,7 @@ def compare(binaries, workload, seed, pairs, metrics):
     print("fingerprint: " + " ".join(f"{k}={reference[k]:g}"
                                      for k in FINGERPRINT)
           + ("  MISMATCH" if mismatched else "  identical"))
-    print(f"{'metric':28s} {'A median [q1, q3]':>30s} "
+    print(f"{'metric':30s} {'A median [q1, q3]':>30s} "
           f"{'B median [q1, q3]':>30s} {'B/A':>6s} {'B wins':>7s} "
           f"{'95% CI of B/A':>16s}  verdict")
     for name, better, mode in metrics:
@@ -227,7 +234,7 @@ def compare(binaries, workload, seed, pairs, metrics):
                    if (y < x if better == "lower" else y > x))
         ratio = mb / ma if ma else float("nan")
         ci = bootstrap_ratio_ci(a, b)
-        print(f"{name:28s} {cell(ma, quartiles(a)):>30s} "
+        print(f"{name:30s} {cell(ma, quartiles(a)):>30s} "
               f"{cell(mb, quartiles(b)):>30s} {ratio:6.3f} "
               f"{wins:>4d}/{pairs} "
               f"{f'[{ci[0]:.3f}, {ci[1]:.3f}]':>16s}  {verdict(ci, better)}")
@@ -269,7 +276,8 @@ def main():
                 if m["name"] in SETUP_LAYERS]
     metrics += [(m["name"], m["better"], "traced") for m in spec["per_layer"]
                 if m["name"].startswith("runtime.phase.")
-                or m["name"] == "runtime.self_ns"]
+                or m["name"] == "runtime.self_ns"
+                or m["name"] in CHECKER_LAYERS]
     failed = mismatched = 0
     for workload in args.workload or workloads:
         for seed in args.seed or SEEDS:

@@ -360,29 +360,6 @@ void CertificateProbe::harvest(const std::vector<const Machine*>& machines) {
   harvested_ = true;
 }
 
-CertificateProbe::Nc CertificateProbe::classify_name(const std::string& nm) {
-  if (nm.size() == 7) {
-    if (nm[0] == 'S' && nm == "SENDMSG") return Nc::kSend;
-    if (nm[0] == 'R' && nm == "RECVMSG") return Nc::kRecv;
-    return Nc::kOther;
-  }
-  if (nm.size() == 8 && nm[0] == 'E') {
-    if (nm[1] == 'S' && nm == "ESENDMSG") return Nc::kESend;
-    if (nm[1] == 'R' && nm == "ERECVMSG") return Nc::kERecv;
-    return Nc::kOther;
-  }
-  return Nc::kOther;
-}
-
-CertificateProbe::Nc CertificateProbe::name_class(const TimedEvent& e) {
-  if (e.kind < 0) return classify_name(e.action.name);
-  const auto kid = static_cast<std::size_t>(e.kind);
-  if (kid >= kind_class_.size()) kind_class_.resize(kid + 1, Nc::kUnknown);
-  Nc& memo = kind_class_[kid];
-  if (memo == Nc::kUnknown) memo = classify_name(e.action.name);
-  return memo;
-}
-
 void CertificateProbe::emit(DiagCode code, std::string message,
                             std::string machine, Time time) {
   if (popts_.on_violation && default_severity(code) == Severity::kError) {
@@ -393,81 +370,36 @@ void CertificateProbe::emit(DiagCode code, std::string message,
 }
 
 void CertificateProbe::on_event(const TimedEvent& e, const Machine&) {
-  const Nc nc = name_class(e);
-  if (nc == Nc::kOther || !e.action.msg.has_value()) return;
-  const std::uint64_t uid = e.action.msg->uid;
-  switch (nc) {
-    case Nc::kSend:
-      msgs_[uid].send_time = e.time;
-      return;
-    case Nc::kESend: {
-      MsgRec& r = msgs_[uid];
-      r.esend_time = e.time;
-      if (e.action.msg->clock_tag != kNoClockTag) {
-        r.tag = e.action.msg->clock_tag;
-      }
-      return;
-    }
-    case Nc::kERecv: {
-      // Physical leg under Simulation 1: real latency vs the derived
-      // per-edge window.
-      const MsgRec* r = msgs_.find(uid);
-      if (r == nullptr || r->esend_time < 0) return;  // PSC107's business
-      const auto it = by_edge_.find(edge_key(e.action.node, e.action.peer));
-      if (it == by_edge_.end()) return;
-      const Duration lat = e.time - r->esend_time;
-      if (!it->second.real.contains(lat, popts_.slack)) {
-        std::ostringstream msg;
-        msg << "uid " << uid << " crossed " << e.action.peer << " -> "
-            << e.action.node << " in " << format_time(lat)
-            << ", outside its certificate ["
-            << format_time(it->second.real.lo) << ", "
-            << format_time(it->second.real.hi) << "]";
-        emit(DiagCode::kOutsideCertificate, msg.str(), e.action.name, e.time);
-      }
-      return;
-    }
-    case Nc::kRecv: {
-      const MsgRec* r = msgs_.find(uid);
-      if (r == nullptr) return;
-      const auto it = by_edge_.find(edge_key(e.action.node, e.action.peer));
-      if (it == by_edge_.end()) return;
-      const EdgeCert& ec = it->second;
-      if (r->esend_time < 0) {
-        // Timed model: RECVMSG is the physical delivery.
-        if (r->send_time < 0) return;
-        const Duration lat = e.time - r->send_time;
-        if (!ec.real.contains(lat, popts_.slack)) {
-          std::ostringstream msg;
-          msg << "uid " << uid << " crossed " << e.action.peer << " -> "
-              << e.action.node << " in " << format_time(lat)
-              << ", outside its certificate [" << format_time(ec.real.lo)
-              << ", " << format_time(ec.real.hi) << "]";
-          emit(DiagCode::kOutsideCertificate, msg.str(), e.action.name,
-               e.time);
-        }
-        return;
-      }
-      // Simulation 1 release: clock-time latency vs the Thm 4.7 widened
-      // per-edge window (tighter than the system-wide PSC104 band when the
-      // edge's harvested [d1, d2] is tighter than the declared one).
-      if (ec.has_clock && r->tag != kNoClockTag && e.clock != kNoClockTag) {
-        const Duration lat = e.clock - r->tag;
-        if (!ec.clock.contains(lat, popts_.slack)) {
-          std::ostringstream msg;
-          msg << "uid " << uid << " clock-time latency " << format_time(lat)
-              << " on " << e.action.peer << " -> " << e.action.node
-              << " outside its certificate [" << format_time(ec.clock.lo)
-              << ", " << format_time(ec.clock.hi) << "]";
-          emit(DiagCode::kOutsideCertificate, msg.str(), e.action.name,
-               e.time);
-        }
-      }
-      return;
-    }
-    default:
-      return;
+  const Delivery& d = meter_.measure(e).delivery;
+  // Unmatched deliveries are PSC107's business.
+  if (d.leg == Delivery::Leg::kNone || d.leg == Delivery::Leg::kUnmatched) {
+    return;
   }
+  const auto it = by_edge_.find(edge_key(e.action.node, e.action.peer));
+  if (it == by_edge_.end()) return;
+  const EdgeCert& ec = it->second;
+  if (d.leg == Delivery::Leg::kRelease) {
+    // Simulation 1 release: clock-time latency vs the Thm 4.7 widened
+    // per-edge window (tighter than the system-wide PSC104 band when the
+    // edge's harvested [d1, d2] is tighter than the declared one).
+    if (!ec.has_clock || ec.clock.contains(d.latency, kGridTolerance)) return;
+    std::ostringstream msg;
+    msg << "uid " << d.uid << " clock-time latency " << format_time(d.latency)
+        << " on " << e.action.peer << " -> " << e.action.node
+        << " outside its certificate [" << format_time(ec.clock.lo) << ", "
+        << format_time(ec.clock.hi) << "]";
+    emit(DiagCode::kOutsideCertificate, msg.str(), e.action.name, e.time);
+    return;
+  }
+  // Physical delivery (timed RECVMSG or Simulation 1 ERECVMSG): real
+  // latency vs the derived per-edge window.
+  if (ec.real.contains(d.latency, kGridTolerance)) return;
+  std::ostringstream msg;
+  msg << "uid " << d.uid << " crossed " << e.action.peer << " -> "
+      << e.action.node << " in " << format_time(d.latency)
+      << ", outside its certificate [" << format_time(ec.real.lo) << ", "
+      << format_time(ec.real.hi) << "]";
+  emit(DiagCode::kOutsideCertificate, msg.str(), e.action.name, e.time);
 }
 
 }  // namespace psc

@@ -29,11 +29,12 @@
 //   PSC208  coverage summary note (relay edges, certified paths).
 //
 // The runtime counterpart is CertificateProbe: it indexes the per-edge
-// windows by (receiver, sender) and cross-checks every observed delivery
-// against the *derived* window. PSC206 fires when an observation escapes
-// its certificate — even when the global-bound PSC102 check passes,
-// because per-edge harvested windows are at least as tight as the
-// system-wide [d1, d2].
+// windows by (receiver, sender) and evaluates them on the window meter's
+// delivery measurements (analysis/meter.hpp), so every observed delivery
+// is cross-checked against its *derived* window. PSC206 fires when an
+// observation escapes its certificate — even when the global-bound PSC102
+// check passes, because per-edge harvested windows are at least as tight
+// as the system-wide [d1, d2].
 //
 // Everything here is O((V + E) log V): certification of a 65,536-machine
 // composition must stay well under the 5-second gate in
@@ -49,7 +50,7 @@
 
 #include "analysis/diagnostics.hpp"
 #include "analysis/interference.hpp"
-#include "analysis/uid_index.hpp"
+#include "analysis/meter.hpp"
 #include "analysis/windows.hpp"
 #include "core/trace.hpp"
 #include "obs/probe.hpp"
@@ -110,18 +111,16 @@ void write_bound_cert_jsonl(std::ostream& os, const BoundCert& cert,
 // --- runtime cross-check --------------------------------------------------
 
 struct CertProbeOptions {
-  // Grid tolerance, as TraceCheckOptions::slack.
-  Duration slack = 4;
   // Fired synchronously for every PSC206 as it is raised (dump-on-violation
   // hook, same contract as TraceCheckOptions::on_violation).
   std::function<void(const Diagnostic&)> on_violation;
 };
 
 // Online probe that checks observed deliveries against the *derived*
-// per-edge certificates. harvest() must run before the executor starts
-// (RunObserver::attach does it when wired through ObsOptions::cert); the
-// harvest-time derivation diagnostics and the online PSC206s accumulate in
-// one report.
+// per-edge certificates, with kGridTolerance on both real and clock
+// latency. harvest() must run before the executor starts (RunObserver::
+// attach does it when wired through ObsOptions::cert); the harvest-time
+// derivation diagnostics and the online PSC206s accumulate in one report.
 class CertificateProbe final : public Probe {
  public:
   explicit CertificateProbe(BoundCertOptions bopts = {},
@@ -141,28 +140,11 @@ class CertificateProbe final : public Probe {
   void on_event(const TimedEvent& e, const Machine& owner) override;
 
  private:
-  struct MsgRec {
-    Time send_time = -1;
-    Time esend_time = -1;
-    Time tag = kNoClockTag;
-  };
   struct EdgeCert {
     BoundWindow real;
     BoundWindow clock;
     bool has_clock = false;
   };
-  // Minimal name dispatch (send/recv legs only), memoized per interned
-  // kind like TraceChecker::name_class.
-  enum class Nc : std::uint8_t {
-    kOther = 0,
-    kSend,
-    kRecv,
-    kESend,
-    kERecv,
-    kUnknown,
-  };
-  static Nc classify_name(const std::string& name);
-  Nc name_class(const TimedEvent& e);
   static std::uint64_t edge_key(int node, int peer) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(node))
             << 32) |
@@ -176,8 +158,7 @@ class CertificateProbe final : public Probe {
   BoundCert cert_;
   DiagnosticReport report_;
   std::unordered_map<std::uint64_t, EdgeCert> by_edge_;
-  UidIndex<MsgRec> msgs_;
-  std::vector<Nc> kind_class_;
+  WindowMeter meter_{/*mmt_gaps=*/false};
   bool harvested_ = false;
 };
 

@@ -31,9 +31,11 @@
 // Checks whose parameters are unset (negative) are skipped, so the checker
 // runs meaningfully on any model: a timed-model trace gets PSC102 only, a
 // clock-model trace adds PSC101/103/104/106, an MMT trace adds PSC105.
-// Action names follow the library's conventions (SENDMSG/RECVMSG,
-// ESENDMSG/ERECVMSG, TICK, MMTSTEP); renamed systems need their traces
-// translated back before checking.
+// PSC101-105 and PSC107 are window evaluations on the window meter's
+// measurements (analysis/meter.hpp), which also feeds BoundSlackProbe and
+// CertificateProbe. Action names follow the library's conventions
+// (core/msg_class.hpp); renamed systems need their traces translated back
+// before checking.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +47,8 @@
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
-#include "analysis/uid_index.hpp"
+#include "analysis/meter.hpp"
+#include "analysis/windows.hpp"
 #include "core/trace.hpp"
 #include "obs/probe.hpp"
 
@@ -62,9 +65,9 @@ struct TraceCheckOptions {
   Duration ell = -1;
   // Node count, needed for the per-node classes of PSC106; 0 disables it.
   int num_nodes = 0;
-  // Grid tolerance: clock trajectories are integer-nanosecond piecewise
-  // lines, so clock_at()/time_first_at() round by up to a few ns.
-  Duration slack = 4;
+  // Tolerance of the clock-derived checks (PSC101/103/104/105/106); real
+  // delivery latency (PSC102) is exact.
+  Duration slack = kGridTolerance;
   // Fired synchronously for every *error*-severity diagnostic as it is
   // raised (warns and notes do not fire), before the diagnostic lands in
   // the report. This is the dump-on-violation trigger: psc-sim and the
@@ -87,53 +90,17 @@ class TraceChecker {
   const DiagnosticReport& report() const { return report_; }
 
  private:
-  // Real-time and clock-time bookkeeping for one message uid.
-  struct MsgRecord {
-    Time send_time = -1;   // SENDMSG (timed model send)
-    Time esend_time = -1;  // ESENDMSG (physical send under Simulation 1)
-    Time tag = kNoClockTag;  // sender clock tag carried by the message
-  };
-
-  // The checker's own dispatch alphabet: which of the conventional action
-  // names an event carries. Computed per event from the name — or, for
-  // events coming off the executor's interned scheduler path
-  // (TimedEvent::kind >= 0), looked up in a per-kind memo so the per-event
-  // cost is an array index instead of string comparisons. Kind ids are
-  // per-run, so one checker must only ever observe one executor's events
-  // (true for the probe and check_trace forms alike); the name fallback
-  // keeps hand-built and legacy-loop traces working.
-  enum class NameClass : std::uint8_t {
-    kOther = 0,
-    kSend,      // SENDMSG
-    kRecv,      // RECVMSG
-    kESend,     // ESENDMSG
-    kERecv,     // ERECVMSG
-    kTick,      // TICK
-    kMmtStep,   // MMTSTEP
-    kUnknown,   // memo slot not yet computed
-  };
-  static NameClass classify_name(const std::string& name);
-  NameClass name_class(const TimedEvent& e);
-
   // report_.add plus the TraceCheckOptions::on_violation hook for
   // error-severity codes.
   void emit(DiagCode code, std::string message, std::string machine = "",
             Time time = -1);
 
-  void check_channel(const TimedEvent& e, NameClass nc);
-  // RECVMSG leg of check_channel: physical delivery in the timed model,
-  // buffer release (Lamport condition + Theorem 4.7 window) under Sim 1.
-  void check_recv(const TimedEvent& e, std::uint64_t uid);
-  void check_mmt(const TimedEvent& e, NameClass nc);
+  // PSC102 on a physical delivery, PSC103/104 on a Simulation 1 release,
+  // PSC107 on an unmatched one.
+  void check_delivery(const TimedEvent& e, const Delivery& d);
+  void check_gaps(const TimedEvent& e, const Measurement& m);  // PSC105
   // PSC106 for one clocked event.
   void check_order(const TimedEvent& e);
-
-  // PSC105 state per owner: its last event time (0 before the first, where
-  // the boundmap clock starts) and whether it is a recognized MMT node.
-  struct OwnerSteps {
-    Time last = 0;
-    bool mmt = false;
-  };
 
   // PSC106 state per node. Clocks are nondecreasing by construction, so a
   // node's clocked events are already in clock order: the stable clock
@@ -145,14 +112,11 @@ class TraceChecker {
     std::string failure;  // the node's first failure; empty while clean
   };
 
-  std::vector<NameClass> kind_class_;  // ActionKindId -> NameClass memo
   TraceCheckOptions opts_;
   DiagnosticReport report_;
-  UidIndex<MsgRecord> msgs_;
-  std::vector<Time> last_tick_;          // node -> last TICK time (0: none)
-  std::vector<OwnerSteps> owner_steps_;  // owner -> PSC105 step state
-  Duration order_band_ = 0;              // PSC106 band: eps + ell + slack
-  std::vector<NodeOrder> node_order_;    // empty when PSC106 is off
+  WindowMeter meter_;
+  Duration order_band_ = 0;            // PSC106 band: eps + ell + slack
+  std::vector<NodeOrder> node_order_;  // empty when PSC106 is off
   // Clocked events outside every node's class (node kNoNode or >=
   // num_nodes): real times and clock readings per action identity, matched
   // sorted-against-sorted at finalize() as eq_within does.

@@ -1,13 +1,13 @@
-// Dense uid-keyed record store shared by the trace invariant checker
-// (analysis/trace_check.hpp) and the bound-slack observatory
-// (obs/observatory.hpp).
+// Dense uid-keyed record store: the window meter's message ledger
+// (analysis/meter.hpp), which feeds the trace invariant checker, the
+// bound-slack observatory and the certificate probe.
 //
 // Message uids come from one process-global monotone counter, so the uids
 // seen within a single run occupy a contiguous range. A base-offset vector
 // turns the per-message bookkeeping that dominates those probes' hot paths
 // into O(1) indexing — an unordered_map here costs more than the rest of
-// the probe combined (the bench_executor PSC_LINT/PSC_OBS overhead gates
-// hold the probes under 5% of scheduler ns/event).
+// the probe combined (the bench_executor PSC_LINT/PSC_OBS/PSC_CERT
+// overhead gates hold the probes under 5% of scheduler ns/event).
 #pragma once
 
 #include <cstddef>

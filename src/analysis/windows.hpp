@@ -1,8 +1,12 @@
-// The paper's quantitative bounds as closed windows, shared by the trace
-// invariant checker (analysis/trace_check.hpp, pass/fail) and the
-// bound-slack observatory (obs/observatory.hpp, how close did we get).
+// The paper's quantitative bounds as closed windows. The durations they
+// bound are measured once per event by the window meter
+// (analysis/meter.hpp); three online checkers evaluate these windows on
+// its output: the trace invariant checker (analysis/trace_check.hpp,
+// pass/fail), the bound-slack observatory (obs/observatory.hpp, how close
+// did we get) and the certificate probe (analysis/bounds.hpp, per-edge
+// windows derived from the composition).
 //
-// Every theorem the checker enforces is an interval constraint on a
+// Every theorem the checkers enforce is an interval constraint on a
 // measured duration:
 //
 //   C_eps (Def 2.5)       signed skew c(t) - t       in [-eps, +eps]
@@ -13,10 +17,10 @@
 //                                                        d2+2eps]
 //   MMT boundmap (5.1)    tick/step gap              in [0, ell]
 //
-// BoundWindow::slack is the one number both layers need: the signed
+// BoundWindow::slack is the one number every consumer needs: the signed
 // distance from a measurement to the nearest edge of its window. Positive
 // slack is margin (how much adversarial room was left unused), zero is a
-// tight run, negative is a bound violation — the checker reports
+// tight run, negative is a bound violation — the checkers report
 // slack < -tolerance, the observatory histograms the value itself.
 #pragma once
 
@@ -25,6 +29,12 @@
 #include "core/time.hpp"
 
 namespace psc {
+
+// Grid tolerance for clock-derived measurements: clock trajectories are
+// integer-nanosecond piecewise lines, so clock_at()/time_first_at() round
+// by up to a few ns. The default of TraceCheckOptions::slack and the
+// certificate probe's tolerance.
+inline constexpr Duration kGridTolerance = 4;
 
 // Closed interval [lo, hi] over Durations.
 struct BoundWindow {
@@ -35,8 +45,7 @@ struct BoundWindow {
   // -(overshoot) when outside (< 0).
   Duration slack(Duration x) const { return std::min(x - lo, hi - x); }
 
-  // Containment with a symmetric grid tolerance (integer-nanosecond clock
-  // trajectories round by a few ns; see TraceCheckOptions::slack).
+  // Containment with a symmetric tolerance (see kGridTolerance).
   bool contains(Duration x, Duration tolerance = 0) const {
     return slack(x) >= -tolerance;
   }

@@ -28,20 +28,13 @@ const char* to_string(EdgeKind k) {
 
 // --- MessageIndex ---------------------------------------------------------
 
-MessageIndex::Stage MessageIndex::stage_of(std::string_view name) {
-  if (name == "SENDMSG") return Stage::kSend;
-  if (name == "ESENDMSG") return Stage::kESend;
-  if (name == "ERECVMSG") return Stage::kERecv;
-  if (name == "RECVMSG") return Stage::kRecv;
-  return Stage::kNone;
-}
-
 void MessageIndex::observe(const TimedEvent& e, SpanId span) {
   if (!e.action.msg.has_value()) return;
-  const Stage stage = stage_of(e.action.name);
-  if (stage == Stage::kNone) return;
+  const MsgClass stage = msg_class(e.action.name);
+  if (!is_msg_leg(stage)) return;
   Record& rec = map_[e.action.msg->uid];
-  if ((stage == Stage::kSend || stage == Stage::kESend) && rec.send_time < 0) {
+  if ((stage == MsgClass::kSend || stage == MsgClass::kESend) &&
+      rec.send_time < 0) {
     // First send wins: in the clock model SENDMSG and ESENDMSG carry the
     // same uid at the same real time (the send buffer forwards urgently).
     rec.send_time = e.time;
@@ -251,10 +244,11 @@ void CausalTraceProbe::on_event(const TimedEvent& e, const Machine& owner) {
   // [0, ell] step schedule (fed by TICKs), so the wait their outputs spent
   // in the pending queue is tick/step time, not algorithm time.
   if (proc >= last_in_proc_.size()) last_in_proc_.resize(proc + 1, kNoSpan);
+  const MsgClass stage = msg_class(e.action.name);
   if (last_in_proc_[proc] != kNoSpan) {
     CausalEdge pe;
     pe.from = last_in_proc_[proc];
-    pe.kind = (e.action.name != "TICK" &&
+    pe.kind = (stage != MsgClass::kTick &&
                dynamic_cast<const MmtNode*>(&owner) != nullptr)
                   ? EdgeKind::kTick
                   : EdgeKind::kProgram;
@@ -267,17 +261,16 @@ void CausalTraceProbe::on_event(const TimedEvent& e, const Machine& owner) {
   // Simulation-1 buffer.
   bool flow_emitted = false;
   if (e.action.msg.has_value()) {
-    using Stage = MessageIndex::Stage;
-    const Stage stage = MessageIndex::stage_of(e.action.name);
     const MessageIndex::Record* rec =
-        stage == Stage::kNone ? nullptr : index_.find(e.action.msg->uid);
+        is_msg_leg(stage) ? index_.find(e.action.msg->uid) : nullptr;
     if (rec != nullptr && rec->last_span != kNoSpan &&
         rec->last_span != id) {
       CausalEdge me;
       me.from = rec->last_span;
-      if (stage == Stage::kESend) {
+      if (stage == MsgClass::kESend) {
         me.kind = EdgeKind::kBuffer;  // send-buffer forward (urgent, 0ns)
-      } else if (stage == Stage::kRecv && rec->last_stage == Stage::kERecv) {
+      } else if (stage == MsgClass::kRecv &&
+                 rec->last_stage == MsgClass::kERecv) {
         me.kind = EdgeKind::kBuffer;  // Sim1 receive-buffer hold
         const auto rit = releases_.find(e.action.msg->uid);
         if (rit != releases_.end()) {
@@ -292,7 +285,7 @@ void CausalTraceProbe::on_event(const TimedEvent& e, const Machine& owner) {
       if (trace_ != nullptr) {
         // RECVMSG terminates a chain (buffers strip the clock tag and the
         // algorithm consumes m); everything in between is a step.
-        if (stage == Stage::kRecv) {
+        if (stage == MsgClass::kRecv) {
           trace_->flow_end(e.action.msg->kind, e.action.msg->uid, e.time,
                            e.owner);
         } else {
@@ -303,7 +296,7 @@ void CausalTraceProbe::on_event(const TimedEvent& e, const Machine& owner) {
       }
     }
     if (trace_ != nullptr && !flow_emitted &&
-        (stage == Stage::kSend || stage == Stage::kESend)) {
+        (stage == MsgClass::kSend || stage == MsgClass::kESend)) {
       trace_->flow_start(e.action.msg->kind, e.action.msg->uid, e.time,
                          e.owner);
     }

@@ -40,6 +40,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/msg_class.hpp"
 #include "core/trace.hpp"
 #include "obs/probe.hpp"
 
@@ -107,18 +108,13 @@ struct CriticalPath {
 // place; any number of consumers read it.
 class MessageIndex {
  public:
-  enum class Stage : std::uint8_t { kNone, kSend, kESend, kERecv, kRecv };
-
   struct Record {
     Time send_time = -1;         // real time of the first SENDMSG/ESENDMSG
     SpanId send_span = kNoSpan;  // span of that send (kNoSpan if unnumbered)
     Time last_time = -1;         // latest event touching this uid
     SpanId last_span = kNoSpan;
-    Stage last_stage = Stage::kNone;
+    MsgClass last_stage = MsgClass::kOther;  // a message leg once touched
   };
-
-  // SENDMSG/ESENDMSG/ERECVMSG/RECVMSG → stage; anything else kNone.
-  static Stage stage_of(std::string_view name);
 
   // Records `e` when it carries a message; `span` is the event's ordinal
   // (kNoSpan when the feeder does not number events).

@@ -47,6 +47,7 @@
 #include <variant>
 #include <vector>
 
+#include "core/msg_class.hpp"
 #include "core/trace.hpp"
 #include "obs/metrics.hpp"  // percentile_cut — shared percentile walk
 
@@ -129,19 +130,18 @@ class LogHistogram {
 
 // --- the recorded POD ------------------------------------------------------
 
-// How an event's action name relates to the library's messaging
-// conventions; computed once per interned kind (never per event) and stored
-// both in the kind table and in every record, so offline consumers can
-// dispatch without the string table.
-enum class FlightClass : std::uint8_t {
-  kOther = 0,
-  kSend,     // SENDMSG   (user-level send)
-  kRecv,     // RECVMSG   (delivery / Sim1 buffer release)
-  kESend,    // ESENDMSG  (physical send under Simulation 1)
-  kERecv,    // ERECVMSG  (physical delivery under Simulation 1)
-  kTick,     // TICK
-  kMmtStep,  // MMTSTEP
-};
+// An event's MsgClass (core/msg_class.hpp) is computed once per interned
+// kind (never per event) and stored as a raw byte both in the kind table
+// and in every record, so offline consumers can dispatch without the
+// string table. PSCFLT01 snapshots depend on these values.
+static_assert(static_cast<int>(MsgClass::kOther) == 0 &&
+                  static_cast<int>(MsgClass::kSend) == 1 &&
+                  static_cast<int>(MsgClass::kRecv) == 2 &&
+                  static_cast<int>(MsgClass::kESend) == 3 &&
+                  static_cast<int>(MsgClass::kERecv) == 4 &&
+                  static_cast<int>(MsgClass::kTick) == 5 &&
+                  static_cast<int>(MsgClass::kMmtStep) == 6,
+              "MsgClass values are part of the PSCFLT01 snapshot format");
 
 // One ring slot: everything write_trace would emit for the event, with
 // every string replaced by an id into the recorder's intern tables. Two
@@ -171,7 +171,7 @@ struct alignas(16) FlightRecord {
   std::uint8_t flags;
   std::uint8_t nargs;
   std::uint8_t nfields;
-  std::uint8_t cls;  // FlightClass of `kind`, denormalized
+  std::uint8_t cls;  // MsgClass of `kind`, denormalized
   std::uint8_t arg_tag[kSlots];
   std::uint8_t field_tag[kSlots];
   std::int64_t arg[kSlots];
@@ -308,7 +308,7 @@ struct FlightSnapshot {
     std::uint32_t name_id = 0;  // index into strings
     std::int32_t node = kNoNode;
     std::int32_t peer = kNoNode;
-    FlightClass cls = FlightClass::kOther;
+    MsgClass cls = MsgClass::kOther;
   };
 
   std::uint32_t version = 1;
@@ -437,18 +437,6 @@ class FlightRecorder {
   // plus flight.recorded / flight.dropped counters.
   void export_metrics(MetricsRegistry& reg) const;
 
-  // Cold classification of an action name against the library's messaging
-  // conventions; runs once per interned kind.
-  static FlightClass classify_name(const std::string& name) {
-    if (name == "SENDMSG") return FlightClass::kSend;
-    if (name == "RECVMSG") return FlightClass::kRecv;
-    if (name == "ESENDMSG") return FlightClass::kESend;
-    if (name == "ERECVMSG") return FlightClass::kERecv;
-    if (name == "TICK") return FlightClass::kTick;
-    if (name == "MMTSTEP") return FlightClass::kMmtStep;
-    return FlightClass::kOther;
-  }
-
  private:
   static constexpr std::uint32_t kNoFlightKind = ~std::uint32_t{0};
 
@@ -469,7 +457,7 @@ class FlightRecorder {
     std::uint32_t name_id = 0;
     std::int32_t node = kNoNode;
     std::int32_t peer = kNoNode;
-    FlightClass cls = FlightClass::kOther;
+    MsgClass cls = MsgClass::kOther;
     std::uint32_t mkind = 0;       // message-kind memo for the legacy path
     std::uint16_t step_id = 0;     // shared per action name
   };
@@ -593,7 +581,7 @@ class FlightRecorder {
   // to avoid. Collisions simply retake the slow path.
   struct NameRef {
     std::uint32_t id = 0;  // 0 = cache slot empty (id 0 is the reserved "")
-    FlightClass cls = FlightClass::kOther;
+    MsgClass cls = MsgClass::kOther;
     std::uint16_t step_id = 0;
   };
 
@@ -606,7 +594,7 @@ class FlightRecorder {
     if (c.id != 0 && strings_[c.id] == name) return c;
     NameRef r;
     r.id = intern_string(name);
-    r.cls = classify_name(name);
+    r.cls = msg_class(name);
     const auto [it, fresh] = step_by_name_.try_emplace(r.id, std::uint16_t{0});
     if (fresh) {
       it->second = static_cast<std::uint16_t>(steps_.size());
@@ -665,16 +653,16 @@ class FlightRecorder {
     }
     if ((r.flags & FlightRecord::kHasMsg) == 0) return;
     Time t;
-    switch (static_cast<FlightClass>(cls)) {
-      case FlightClass::kSend:
-      case FlightClass::kESend:
+    switch (static_cast<MsgClass>(cls)) {
+      case MsgClass::kSend:
+      case MsgClass::kESend:
         sent_.put(r.uid, e.time);
         break;
-      case FlightClass::kERecv:
+      case MsgClass::kERecv:
         if (sent_.take(r.uid, &t)) chan_.add(e.time - t);
         arrived_.put(r.uid, e.time);
         break;
-      case FlightClass::kRecv:
+      case MsgClass::kRecv:
         if (arrived_.take(r.uid, &t)) {
           hold_.add(e.time - t);
         } else if (sent_.take(r.uid, &t)) {

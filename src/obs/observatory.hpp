@@ -11,16 +11,18 @@
 //
 //   BoundSlackProbe
 //     For every clock reading, delivery, Simulation-1 release, and MMT
-//     tick/step it computes the *signed distance to the governing
-//     theoretical bound* (analysis/windows.hpp): the C_eps drift envelope,
-//     the [d1, d2] delivery band, the Theorem 4.7 clock-time window, and
-//     the MMT [0, ell] boundmap. Positive slack is adversarial room left
-//     unused, zero is a tight schedule, negative is a bound violation (the
-//     same condition PSC101/102/104/105 report). Slack distributions land
-//     in per-kind histograms plus per-node / per-channel min-tracking
-//     gauges, so "minimize slack" is a first-class search signal for
-//     adversarial schedule hunting (ROADMAP item 4) and "min slack >= 0"
-//     is a sweep-cell gate for report generation (tools/psc-report).
+//     tick/step the window meter measures (analysis/meter.hpp, shared with
+//     TraceChecker and CertificateProbe) it computes the *signed distance
+//     to the governing theoretical bound* (analysis/windows.hpp): the C_eps
+//     drift envelope, the [d1, d2] delivery band, the Theorem 4.7
+//     clock-time window, and the MMT [0, ell] boundmap. Positive slack is
+//     adversarial room left unused, zero is a tight schedule, negative is
+//     a bound violation (the same condition PSC101/102/104/105 report).
+//     Slack distributions land in per-kind histograms plus per-node /
+//     per-channel min-tracking gauges, so "minimize slack" is a
+//     first-class search signal for adversarial schedule hunting (ROADMAP
+//     item 4) and "min slack >= 0" is a sweep-cell gate for report
+//     generation (tools/psc-report).
 #pragma once
 
 #include <cstdint>
@@ -28,10 +30,9 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "analysis/uid_index.hpp"
+#include "analysis/meter.hpp"
 #include "analysis/windows.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
@@ -126,11 +127,11 @@ struct SlackOptions {
   Duration d2 = -1;
   // MMT boundmap upper bound; negative disables tick/step slack.
   Duration ell = -1;
-  // Per-node (skew, tick/step) and per-channel (delivery) min-tracking
-  // gauges beside the aggregate histograms. Off for huge assemblies where
-  // per-entity series would dominate the registry.
-  bool per_node = true;
-  bool per_channel = true;
+  // Per-node (skew, Theorem 4.7, tick) and per-channel (delivery)
+  // min-tracking gauges beside the aggregate histograms. Off for huge
+  // assemblies, where registering a gauge per node and channel in every
+  // run costs more than the probe itself.
+  bool per_entity = true;
 };
 
 class BoundSlackProbe final : public Probe {
@@ -154,22 +155,10 @@ class BoundSlackProbe final : public Probe {
   std::uint64_t violations() const { return violations_->value(); }
 
  private:
-  // Same uid bookkeeping as TraceChecker::check_channel — the window math
-  // is shared (analysis/windows.hpp); the matching is re-derived here so
-  // the probe runs standalone on any assembly.
-  struct MsgRecord {
-    Time send_time = -1;
-    Time esend_time = -1;
-    Time tag = kNoClockTag;
-  };
-
-  void feed_ceps(const TimedEvent& e);
-  void feed_channel(const TimedEvent& e, const Machine& owner);
-  // RECVMSG leg of feed_channel: delivery-band slack in the timed model,
-  // Theorem 4.7 window slack for a Simulation 1 buffer release.
-  void feed_recv(const TimedEvent& e, const Machine& owner,
-                 std::uint64_t uid);
-  void feed_mmt(const TimedEvent& e);
+  // Delivery-band slack of a physical delivery, Theorem 4.7 window slack
+  // of a Simulation 1 buffer release.
+  void feed_delivery(const TimedEvent& e, const Delivery& d,
+                     const Machine& owner);
   void feed(Histogram* hist, Duration* min_seen, Duration slack);
   // Per-entity gauges are cached by node id / machine identity so the hot
   // path never builds a name string; the registry name is built once on
@@ -192,10 +181,7 @@ class BoundSlackProbe final : public Probe {
   Duration min_thm47_ = kTimeMax;
   Duration min_mmt_ = kTimeMax;
 
-  UidIndex<MsgRecord> msgs_;
-  std::unordered_map<int, Time> last_tick_;   // node -> last TICK time
-  std::unordered_map<int, Time> last_local_;  // owner -> last event time
-  std::unordered_set<int> mmt_owners_;        // owners that emitted MMTSTEP
+  WindowMeter meter_;
   std::unordered_map<int, Gauge*> ceps_gauges_, thm47_gauges_, mmt_gauges_;
   std::unordered_map<const Machine*, Gauge*> channel_gauges_;
 };

@@ -6,6 +6,7 @@
 
 #include "channel/channel.hpp"
 #include "core/action.hpp"
+#include "core/msg_class.hpp"
 #include "mmt/mmt_node.hpp"
 #include "obs/trace_export.hpp"
 #include "runtime/executor.hpp"
@@ -94,11 +95,8 @@ void ChannelLatencyProbe::on_event(const TimedEvent& e,
   if (index_ == &own_) own_.observe(e, kNoSpan);
   // Only the channel's own delivery is bound by [d1, d2]; the composite's
   // internal RECVMSG (receive buffer -> algorithm) may be held longer.
-  const MessageIndex::Stage stage = MessageIndex::stage_of(e.action.name);
-  if (stage != MessageIndex::Stage::kERecv &&
-      stage != MessageIndex::Stage::kRecv) {
-    return;
-  }
+  const MsgClass stage = msg_class(e.action.name);
+  if (stage != MsgClass::kERecv && stage != MsgClass::kRecv) return;
   if (dynamic_cast<const Channel*>(&owner) == nullptr) return;
   const MessageIndex::Record* rec = index_->find(e.action.msg->uid);
   if (rec == nullptr || rec->send_time < 0) return;
@@ -150,9 +148,10 @@ void Sim1BufferProbe::on_event(const TimedEvent& e, const Machine& /*owner*/) {
   // ERECVMSG: the channel handed (m, c) to the node; the receive buffer may
   // hold it until the local clock reaches c. RECVMSG with the same uid is
   // the release to the algorithm; the difference is the real-time hold.
-  if (e.action.name == "ERECVMSG") {
+  const MsgClass cls = msg_class(e.action.name);
+  if (cls == MsgClass::kERecv) {
     arrived_.emplace(e.action.msg->uid, e.time);
-  } else if (e.action.name == "RECVMSG") {
+  } else if (cls == MsgClass::kRecv) {
     const auto it = arrived_.find(e.action.msg->uid);
     if (it == arrived_.end()) return;
     hold_->add(static_cast<double>(e.time - it->second));
@@ -188,7 +187,7 @@ MmtProbe::MmtProbe(MetricsRegistry& reg) : reg_(reg) {
 void MmtProbe::watch(const MmtNode* node) { nodes_.push_back(node); }
 
 void MmtProbe::on_event(const TimedEvent& e, const Machine& owner) {
-  if (e.action.name == "TICK") {
+  if (msg_class(e.action.name) == MsgClass::kTick) {
     last_tick_[e.action.node] = e.time;
     ticks_->add();
     return;

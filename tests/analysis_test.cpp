@@ -9,21 +9,27 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/bounds.hpp"
 #include "analysis/lint.hpp"
 #include "analysis/trace_check.hpp"
+#include "analysis/windows.hpp"
 #include "channel/channel.hpp"
 #include "clock/trajectory.hpp"
 #include "core/relations.hpp"
 #include "core/trace_io.hpp"
 #include "mmt/tick_source.hpp"
 #include "obs/instrument.hpp"
+#include "obs/observatory.hpp"
 #include "runtime/clocked.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/renamed.hpp"
@@ -184,13 +190,73 @@ TimedEvent msg_ev(const char* name, Time t, int node, int peer,
   return e;
 }
 
-TEST(TraceCheckTest, ClockDriftOutsideBandIsPSC101) {
+// The seeded PSC101/102/104/105 traces with their options, shared by the
+// per-code tests and MeterAgreementTest below.
+TraceCheckOptions drift_opts() {
   TraceCheckOptions opts;
   opts.eps = microseconds(1);
-  TimedTrace trace{
-      ev("A", milliseconds(1), 0, kNoNode, milliseconds(1) + microseconds(10)),
-  };
-  const auto report = check_trace(trace, opts);
+  return opts;
+}
+TimedTrace drift_trace() {
+  return {ev("A", milliseconds(1), 0, kNoNode,
+             milliseconds(1) + microseconds(10))};
+}
+
+TraceCheckOptions delivery_opts() {
+  TraceCheckOptions opts;
+  opts.d1 = microseconds(20);
+  opts.d2 = microseconds(300);
+  return opts;
+}
+// Timed model: SENDMSG -> RECVMSG, delivered way past d2.
+TimedTrace late_delivery_trace() {
+  return {msg_ev("SENDMSG", 0, 0, 1, 7),
+          msg_ev("RECVMSG", microseconds(500), 1, 0, 7)};
+}
+// Under d1 is also a violation.
+TimedTrace early_delivery_trace() {
+  return {msg_ev("SENDMSG", 0, 0, 1, 8),
+          msg_ev("RECVMSG", microseconds(5), 1, 0, 8)};
+}
+// Simulation 1: the physical pair is ESENDMSG -> ERECVMSG.
+TimedTrace sim1_late_delivery_trace() {
+  return {msg_ev("ESENDMSG", 0, 0, 1, 10, /*tag=*/0),
+          msg_ev("ERECVMSG", microseconds(400), 1, 0, 10, /*tag=*/0)};
+}
+
+TraceCheckOptions widened_opts() {
+  TraceCheckOptions opts;
+  opts.eps = microseconds(50);
+  opts.d1 = microseconds(20);
+  opts.d2 = microseconds(300);
+  return opts;
+}
+// Clock-time latency 500us > d2 + 2eps = 400us, while real-time latency
+// stays in [d1, d2] and the release comes after its tag (no PSC102/103).
+TimedTrace widened_window_trace() {
+  const Time tag = microseconds(100);
+  return {msg_ev("ESENDMSG", microseconds(90), 0, 1, 6, tag),
+          msg_ev("ERECVMSG", microseconds(290), 1, 0, 6, tag),
+          msg_ev("RECVMSG", microseconds(310), 1, 0, 6, kNoClockTag,
+                 /*clock=*/tag + microseconds(500))};
+}
+
+TraceCheckOptions boundmap_opts() {
+  TraceCheckOptions opts;
+  opts.ell = microseconds(10);
+  return opts;
+}
+// First tick 50us after time 0 blows the [0, ell] boundmap.
+TimedTrace late_tick_trace() { return {ev("TICK", microseconds(50), 0)}; }
+// An MMT node (recognized by its MMTSTEP) must also step every <= ell.
+TimedTrace step_gap_trace() {
+  return {ev("MMTSTEP", microseconds(5), 0),
+          ev("MMTSTEP", microseconds(40), 0)};
+}
+
+TEST(TraceCheckTest, ClockDriftOutsideBandIsPSC101) {
+  const TraceCheckOptions opts = drift_opts();
+  const auto report = check_trace(drift_trace(), opts);
   EXPECT_EQ(report.count(DiagCode::kClockDrift), 1u);
   // Within the band: clean.
   TimedTrace ok{ev("A", milliseconds(1), 0, kNoNode,
@@ -199,33 +265,21 @@ TEST(TraceCheckTest, ClockDriftOutsideBandIsPSC101) {
 }
 
 TEST(TraceCheckTest, OutOfWindowDeliveryIsPSC102) {
-  TraceCheckOptions opts;
-  opts.d1 = microseconds(20);
-  opts.d2 = microseconds(300);
-  // Timed model: SENDMSG -> RECVMSG, delivered way past d2.
-  TimedTrace late{
-      msg_ev("SENDMSG", 0, 0, 1, 7),
-      msg_ev("RECVMSG", microseconds(500), 1, 0, 7),
-  };
-  EXPECT_EQ(check_trace(late, opts).count(DiagCode::kDeliveryWindow), 1u);
-  // Under d1 is also a violation.
-  TimedTrace early{
-      msg_ev("SENDMSG", 0, 0, 1, 8),
-      msg_ev("RECVMSG", microseconds(5), 1, 0, 8),
-  };
-  EXPECT_EQ(check_trace(early, opts).count(DiagCode::kDeliveryWindow), 1u);
+  const TraceCheckOptions opts = delivery_opts();
+  EXPECT_EQ(check_trace(late_delivery_trace(), opts)
+                .count(DiagCode::kDeliveryWindow),
+            1u);
+  EXPECT_EQ(check_trace(early_delivery_trace(), opts)
+                .count(DiagCode::kDeliveryWindow),
+            1u);
   // In-window: clean.
   TimedTrace ok{
       msg_ev("SENDMSG", 0, 0, 1, 9),
       msg_ev("RECVMSG", microseconds(100), 1, 0, 9),
   };
   EXPECT_TRUE(check_trace(ok, opts).empty());
-  // Simulation 1: the physical pair is ESENDMSG -> ERECVMSG.
-  TimedTrace sim1_late{
-      msg_ev("ESENDMSG", 0, 0, 1, 10, /*tag=*/0),
-      msg_ev("ERECVMSG", microseconds(400), 1, 0, 10, /*tag=*/0),
-  };
-  EXPECT_EQ(check_trace(sim1_late, opts).count(DiagCode::kDeliveryWindow),
+  EXPECT_EQ(check_trace(sim1_late_delivery_trace(), opts)
+                .count(DiagCode::kDeliveryWindow),
             1u);
 }
 
@@ -252,42 +306,24 @@ TEST(TraceCheckTest, BufferReleaseBeforeTagIsPSC103) {
 }
 
 TEST(TraceCheckTest, WidenedWindowViolationIsPSC104) {
-  TraceCheckOptions opts;
-  opts.eps = microseconds(50);
-  opts.d1 = microseconds(20);
-  opts.d2 = microseconds(300);
-  const Time tag = microseconds(100);
-  // Clock-time latency 500us > d2 + 2eps = 400us. Real-time latency is kept
-  // in [d1, d2] and receiver clocks near real time so only PSC104 fires.
-  TimedTrace trace{
-      msg_ev("ESENDMSG", microseconds(90), 0, 1, 6, tag),
-      msg_ev("ERECVMSG", microseconds(290), 1, 0, 6, tag),
-      msg_ev("RECVMSG", microseconds(310), 1, 0, 6, kNoClockTag,
-             /*clock=*/tag + microseconds(500)),
-  };
-  const auto report = check_trace(trace, opts);
+  const auto report = check_trace(widened_window_trace(), widened_opts());
   EXPECT_EQ(report.count(DiagCode::kWidenedWindow), 1u);
   EXPECT_EQ(report.count(DiagCode::kEarlyRelease), 0u);
 }
 
 TEST(TraceCheckTest, BoundmapOverrunIsPSC105) {
-  TraceCheckOptions opts;
-  opts.ell = microseconds(10);
-  // First tick 50us after time 0 blows the [0, ell] boundmap.
-  TimedTrace trace{ev("TICK", microseconds(50), 0)};
-  EXPECT_EQ(check_trace(trace, opts).count(DiagCode::kBoundmapOverrun), 1u);
+  const TraceCheckOptions opts = boundmap_opts();
+  EXPECT_EQ(check_trace(late_tick_trace(), opts)
+                .count(DiagCode::kBoundmapOverrun),
+            1u);
   // Ticks every <= ell: clean.
   TimedTrace ok{
       ev("TICK", microseconds(8), 0),
       ev("TICK", microseconds(16), 0),
   };
   EXPECT_TRUE(check_trace(ok, opts).empty());
-  // An MMT node (recognized by its MMTSTEP) must also step every <= ell.
-  TimedTrace step_gap{
-      ev("MMTSTEP", microseconds(5), 0),
-      ev("MMTSTEP", microseconds(40), 0),
-  };
-  EXPECT_EQ(check_trace(step_gap, opts).count(DiagCode::kBoundmapOverrun),
+  EXPECT_EQ(check_trace(step_gap_trace(), opts)
+                .count(DiagCode::kBoundmapOverrun),
             1u);
 }
 
@@ -662,6 +698,255 @@ TEST(HarnessCleanTest, QueueClockIsClean) {
   const QueueRunResult run = run_queue_clock(cfg, drift);
   const auto offline = check_trace(run.events, tco);
   EXPECT_FALSE(offline.has_errors()) << offline.to_text();
+}
+
+// --- one window meter, three checkers ---------------------------------------
+//
+// TraceChecker, BoundSlackProbe and CertificateProbe evaluate their windows
+// on one WindowMeter's measurements each, so they must agree: a kind's
+// minimum slack is below -tolerance exactly when the checker raises its
+// code, and it equals the worst margin recomputed from the raw trace; a
+// certificate equal to the declared [d1, d2] fires PSC206 on exactly the
+// PSC102/PSC104 events.
+
+// Minimum slack per bound kind; kTimeMax when never measured.
+struct Margins {
+  Duration ceps = kTimeMax;
+  Duration delivery = kTimeMax;
+  Duration thm47 = kTimeMax;
+  Duration mmt = kTimeMax;
+};
+
+// The worst margins of `trace` against `o`'s windows, matched by a plain
+// map walk over the trace (the tag rule: ERECVMSG refreshes the tag).
+Margins worst_margins(const TimedTrace& trace, const TraceCheckOptions& o) {
+  Margins m;
+  auto low = [](Duration& acc, Duration v) { acc = std::min(acc, v); };
+  std::map<std::uint64_t, Time> sent, esent, tag;
+  std::map<int, Time> last_tick, last_event;
+  std::set<int> mmt_owners;
+  for (const TimedEvent& e : trace) {
+    const std::string& name = e.action.name;
+    if (o.eps >= 0 && e.clock != kNoClockTag) {
+      low(m.ceps, ceps_window(o.eps, o.ell).slack(e.clock - e.time));
+    }
+    if (e.action.msg.has_value()) {
+      const std::uint64_t uid = e.action.msg->uid;
+      const Time t = e.action.msg->clock_tag;
+      if (name == "SENDMSG") {
+        sent[uid] = e.time;
+      } else if (name == "ESENDMSG") {
+        esent[uid] = e.time;
+        if (t != kNoClockTag) tag[uid] = t;
+      } else if (name == "ERECVMSG" && esent.count(uid) != 0) {
+        if (t != kNoClockTag) tag[uid] = t;
+        if (o.d2 >= 0) {
+          low(m.delivery,
+              delivery_window(o.d1, o.d2).slack(e.time - esent[uid]));
+        }
+      } else if (name == "RECVMSG" && esent.count(uid) != 0) {
+        if (o.d2 >= 0 && o.eps >= 0 && tag.count(uid) != 0 &&
+            e.clock != kNoClockTag) {
+          low(m.thm47,
+              thm47_window(o.d1, o.d2, o.eps).slack(e.clock - tag[uid]));
+        }
+      } else if (name == "RECVMSG" && sent.count(uid) != 0 && o.d2 >= 0) {
+        low(m.delivery, delivery_window(o.d1, o.d2).slack(e.time - sent[uid]));
+      }
+    }
+    if (o.ell < 0) continue;
+    if (name == "TICK" && e.action.node >= 0) {
+      low(m.mmt, o.ell - (e.time - last_tick[e.action.node]));
+      last_tick[e.action.node] = e.time;
+    }
+    if (e.owner >= 0) {
+      if (name == "MMTSTEP") mmt_owners.insert(e.owner);
+      if (mmt_owners.count(e.owner) != 0) {
+        low(m.mmt, o.ell - (e.time - last_event[e.owner]));
+      }
+      last_event[e.owner] = e.time;
+    }
+  }
+  return m;
+}
+
+// The two ends of the hand-built traces' one channel, 0 -> 1.
+class Endpoint final : public Machine {
+ public:
+  explicit Endpoint(bool sender)
+      : Machine(sender ? "sender" : "receiver"), sender_(sender) {}
+  void declare_signature(SignatureDecl& decl) const override {
+    if (sender_) {
+      decl.output("SENDMSG", 0, 1);
+    } else {
+      decl.input("RECVMSG", 1, 0);
+    }
+  }
+  void apply_input(const Action&, Time) override {}
+  std::vector<Action> enabled(Time) const override { return {}; }
+  void apply_local(const Action&, Time) override {}
+
+ private:
+  bool sender_;
+};
+
+BoundCertOptions cert_opts(const TraceCheckOptions& o) {
+  BoundCertOptions bo;
+  bo.eps = o.eps;
+  bo.d1 = o.d1;
+  bo.d2 = o.d2;
+  return bo;
+}
+
+struct Verdicts {
+  DiagnosticReport lint;
+  Margins slack;
+  DiagnosticReport cert;
+};
+
+// Feeds a hand-built trace through all three checkers. The certificate's
+// one edge is a channel with exactly the declared [d1, d2]; without
+// declared delivery bounds it certifies nothing.
+Verdicts check_three_ways(const TimedTrace& trace, const TraceCheckOptions& o) {
+  Verdicts v;
+  v.lint = check_trace(trace, o);
+  MetricsRegistry reg;
+  BoundSlackProbe slack(
+      reg, SlackOptions{.eps = o.eps, .d1 = o.d1, .d2 = o.d2, .ell = o.ell});
+  CertificateProbe cert(cert_opts(o));
+  Endpoint sender(true), receiver(false);
+  if (o.d2 >= 0) {
+    Channel ch(0, 1, o.d1, o.d2, DelayPolicy::uniform(), Rng(1));
+    cert.harvest({&sender, &ch, &receiver});
+  }
+  for (const TimedEvent& e : trace) {
+    slack.on_event(e, sender);
+    cert.on_event(e, sender);
+  }
+  v.slack = {slack.min_ceps(), slack.min_delivery(), slack.min_thm47(),
+             slack.min_mmt()};
+  v.cert = cert.report();
+  return v;
+}
+
+std::set<std::pair<Time, std::string>> events_of(
+    const DiagnosticReport& r, std::initializer_list<DiagCode> codes) {
+  std::set<std::pair<Time, std::string>> out;
+  for (const Diagnostic& d : r.diagnostics()) {
+    if (std::find(codes.begin(), codes.end(), d.code) != codes.end()) {
+      out.emplace(d.time, d.machine);
+    }
+  }
+  return out;
+}
+
+void expect_agreement(const TimedTrace& trace, const TraceCheckOptions& o,
+                      const Margins& slack, const DiagnosticReport& lint,
+                      const DiagnosticReport& cert) {
+  const Margins worst = worst_margins(trace, o);
+  struct Kind {
+    DiagCode code;
+    Duration min_slack;
+    Duration worst;
+    Duration tolerance;  // PSC102 checks exact real latency
+  };
+  for (const Kind& k : {Kind{DiagCode::kClockDrift, slack.ceps, worst.ceps,
+                             o.slack},
+                        Kind{DiagCode::kDeliveryWindow, slack.delivery,
+                             worst.delivery, 0},
+                        Kind{DiagCode::kWidenedWindow, slack.thm47,
+                             worst.thm47, o.slack},
+                        Kind{DiagCode::kBoundmapOverrun, slack.mmt, worst.mmt,
+                             o.slack}}) {
+    SCOPED_TRACE(to_string(k.code));
+    EXPECT_EQ(k.min_slack, k.worst);
+    EXPECT_EQ(k.min_slack < -k.tolerance, lint.count(k.code) > 0)
+        << "min slack " << k.min_slack << "\n"
+        << lint.to_text();
+  }
+  EXPECT_EQ(
+      events_of(cert, {DiagCode::kOutsideCertificate}),
+      events_of(lint, {DiagCode::kDeliveryWindow, DiagCode::kWidenedWindow}))
+      << cert.to_text() << lint.to_text();
+}
+
+TEST(MeterAgreementTest, SeededTracesAgreeAcrossTheThreeCheckers) {
+  const std::vector<std::pair<TraceCheckOptions, TimedTrace>> cases = {
+      {drift_opts(), drift_trace()},
+      {delivery_opts(), late_delivery_trace()},
+      {delivery_opts(), early_delivery_trace()},
+      {delivery_opts(), sim1_late_delivery_trace()},
+      {widened_opts(), widened_window_trace()},
+      {boundmap_opts(), late_tick_trace()},
+      {boundmap_opts(), step_gap_trace()},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    const auto& [opts, trace] = cases[i];
+    const Verdicts v = check_three_ways(trace, opts);
+    EXPECT_TRUE(v.lint.has_errors());  // every seeded trace violates
+    expect_agreement(trace, opts, v.slack, v.lint, v.cert);
+  }
+}
+
+TEST(MeterAgreementTest, CleanClockAndMmtRunsAgree) {
+  for (const bool mmt : {false, true}) {
+    SCOPED_TRACE(mmt ? "rw-mmt" : "rw-clock");
+    RwRunConfig cfg = small_cfg();
+    if (mmt) cfg.ops_per_node = 4;
+    TraceCheckOptions tco;
+    tco.eps = cfg.eps;
+    tco.d1 = cfg.d1;
+    tco.d2 = cfg.d2;
+    tco.ell = mmt ? microseconds(10) : -1;
+    tco.num_nodes = cfg.num_nodes;
+    InvariantProbe lint(tco);
+    // The harness's channels run on [d1, d2], so the harvested per-edge
+    // windows equal the declared ones.
+    CertificateProbe cert(cert_opts(tco));
+    MetricsRegistry reg;
+    ObsOptions obs;
+    obs.registry = &reg;
+    obs.lint = &lint;
+    obs.cert = &cert;
+    obs.slack = true;
+    cfg.obs = &obs;
+    ZigzagDrift drift(0.3);
+    const RwRunResult run =
+        mmt ? run_rw_mmt(cfg, drift, tco.ell, cfg.num_nodes + 2)
+            : run_rw_clock(cfg, drift);
+    EXPECT_FALSE(lint.report().has_errors()) << lint.report().to_text();
+    EXPECT_FALSE(cert.report().has_errors()) << cert.report().to_text();
+    const Margins slack{run.min_slack_ceps, run.min_slack_delivery,
+                        run.min_slack_thm47, run.min_slack_mmt};
+    // Every kind the model exposes was measured (an MMT node's releases
+    // happen inside its steps).
+    EXPECT_NE(slack.ceps, kTimeMax);
+    EXPECT_NE(slack.delivery, kTimeMax);
+    EXPECT_NE(mmt ? slack.mmt : slack.thm47, kTimeMax);
+    expect_agreement(run.events, tco, slack, lint.report(), cert.report());
+  }
+}
+
+TEST(MeterAgreementTest, ReleaseIsMeasuredAgainstTheDeliveredTag) {
+  // The receive buffer strips the tag before RECVMSG, so a release is
+  // measured against the tag its ERECVMSG delivered. Here that tag (300us)
+  // differs from the one ESENDMSG sent (100us): against it the release at
+  // receiver clock 280us is 20us early; against the sent tag it would be a
+  // clean 180us.
+  const TraceCheckOptions opts = widened_opts();
+  const TimedTrace trace{
+      msg_ev("ESENDMSG", microseconds(90), 0, 1, 11, microseconds(100)),
+      msg_ev("ERECVMSG", microseconds(290), 1, 0, 11, microseconds(300)),
+      msg_ev("RECVMSG", microseconds(310), 1, 0, 11, kNoClockTag,
+             /*clock=*/microseconds(280)),
+  };
+  const Verdicts v = check_three_ways(trace, opts);
+  EXPECT_EQ(v.lint.count(DiagCode::kEarlyRelease), 1u);
+  EXPECT_EQ(v.lint.count(DiagCode::kWidenedWindow), 1u);
+  EXPECT_EQ(v.slack.thm47, -microseconds(20));
+  EXPECT_EQ(v.cert.count(DiagCode::kOutsideCertificate), 1u);
+  expect_agreement(trace, opts, v.slack, v.lint, v.cert);
 }
 
 }  // namespace

@@ -346,11 +346,11 @@ TEST(CausalProbe, SharedIndexLeavesChannelMetricsUnchanged) {
 // --- MessageIndex unit ---------------------------------------------------
 
 TEST(MessageIndex, StageParsingAndFirstSendWins) {
-  EXPECT_EQ(MessageIndex::stage_of("SENDMSG"), MessageIndex::Stage::kSend);
-  EXPECT_EQ(MessageIndex::stage_of("ESENDMSG"), MessageIndex::Stage::kESend);
-  EXPECT_EQ(MessageIndex::stage_of("ERECVMSG"), MessageIndex::Stage::kERecv);
-  EXPECT_EQ(MessageIndex::stage_of("RECVMSG"), MessageIndex::Stage::kRecv);
-  EXPECT_EQ(MessageIndex::stage_of("DELIVER"), MessageIndex::Stage::kNone);
+  EXPECT_EQ(msg_class("SENDMSG"), MsgClass::kSend);
+  EXPECT_EQ(msg_class("ESENDMSG"), MsgClass::kESend);
+  EXPECT_EQ(msg_class("ERECVMSG"), MsgClass::kERecv);
+  EXPECT_EQ(msg_class("RECVMSG"), MsgClass::kRecv);
+  EXPECT_EQ(msg_class("DELIVER"), MsgClass::kOther);
 
   MessageIndex idx;
   const Message m = make_message("PING");
@@ -377,7 +377,7 @@ TEST(MessageIndex, StageParsingAndFirstSendWins) {
   EXPECT_EQ(rec->send_span, 0u);
   EXPECT_EQ(rec->last_time, microseconds(9));
   EXPECT_EQ(rec->last_span, 3u);
-  EXPECT_EQ(rec->last_stage, MessageIndex::Stage::kRecv);
+  EXPECT_EQ(rec->last_stage, MsgClass::kRecv);
   EXPECT_EQ(idx.size(), 1u);
   EXPECT_EQ(idx.find(m.uid + 12345), nullptr);
 }
