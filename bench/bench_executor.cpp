@@ -1,6 +1,7 @@
 // Executor scheduler bench: calendar/dirty-set loop vs the legacy
-// O(machines)-per-event polling loop, on the two workload shapes that
-// bracket the runtime's use (docs/EXECUTOR.md):
+// O(machines)-per-event polling loop (the Def 2.2 reference loop the
+// scheduler tests compare against, tests/support/reference_loop.hpp), on
+// the two workload shapes that bracket the runtime's use (docs/EXECUTOR.md):
 //
 //   flood  — ring of n FloodNodes + n channels (2n machines): sparse
 //            event cascade, worst case for per-event full re-polling;
@@ -48,6 +49,7 @@
 #include "runtime/executor.hpp"
 #include "runtime/system.hpp"
 #include "rw/queue.hpp"
+#include "support/reference_loop.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -63,8 +65,9 @@ constexpr std::uint64_t kSeed = 42;
 // and will not hold the 10% overhead bar.
 std::uint32_t g_prof_sample = ProfOptions{}.sample_every;
 
-// The two scheduler arms, as ExecutorOptions::legacy_scan. "sched" rows
-// time the default wheel scheduler.
+// The two scheduler arms: `legacy` runs the reference loop
+// (run_reference), otherwise Executor::run(). "sched" rows time the wheel
+// scheduler.
 struct SchedArm {
   bool legacy = false;
 };
@@ -85,7 +88,7 @@ int flood_waves(int n, int target_events) {
   return std::max(1, (target_events - 1 + per_wave - 1) / per_wave);
 }
 
-std::unique_ptr<Executor> build_flood(int n, SchedArm arm, int target_events) {
+std::unique_ptr<Executor> build_flood(int n, int target_events) {
   const int waves = flood_waves(n, target_events);
   // Generous horizon: a wave over a 512k ring takes ~65 simulated seconds
   // (one [d1,d2] hop per node); small cells quiesce long before this, so
@@ -97,8 +100,7 @@ std::unique_ptr<Executor> build_flood(int n, SchedArm arm, int target_events) {
                       // default runaway guard); its budget is still capped
                       // at 50M in run_sweep_cell.
                       .max_events = 100'000'000,
-                      .record_events = false,
-                      .legacy_scan = arm.legacy});
+                      .record_events = false});
   const Graph g = Graph::ring(n);
   ChannelConfig cc;
   cc.d1 = microseconds(50);
@@ -111,12 +113,11 @@ std::unique_ptr<Executor> build_flood(int n, SchedArm arm, int target_events) {
   return exec;
 }
 
-std::unique_ptr<Executor> build_queue(int n, SchedArm arm) {
+std::unique_ptr<Executor> build_queue(int n) {
   auto exec = std::make_unique<Executor>(
       ExecutorOptions{.horizon = seconds(30),
                       .seed = kSeed,
-                      .record_events = false,
-                      .legacy_scan = arm.legacy});
+                      .record_events = false});
   Rng seeder(kSeed ^ 0x9c);
   for (int i = 0; i < n; ++i) {
     QueueClient::Options o;
@@ -163,8 +164,8 @@ Arm measure_once(const std::string& workload, int n, SchedArm sched,
                  const ProfOptions* prof = nullptr,
                  const BoundCertOptions* cert = nullptr) {
   Arm arm;
-  auto exec = workload == "flood" ? build_flood(n, sched, target_events)
-                                  : build_queue(n, sched);
+  auto exec = workload == "flood" ? build_flood(n, target_events)
+                                  : build_queue(n);
   std::unique_ptr<InvariantProbe> probe;
   if (lint != nullptr) {
     probe = std::make_unique<InvariantProbe>(*lint);
@@ -214,7 +215,7 @@ Arm measure_once(const std::string& workload, int n, SchedArm sched,
   }
   arm.machines = exec->machine_count();
   const auto t0 = std::chrono::steady_clock::now();
-  const auto report = exec->run();
+  const auto report = sched.legacy ? run_reference(*exec) : exec->run();
   const auto t1 = std::chrono::steady_clock::now();
   PSC_CHECK(report.steps > 0, workload << " n=" << n << " ran no events");
   warn_event_cap(report.hit_event_cap,

@@ -80,7 +80,7 @@ cmake -B "$TSAN_DIR" -S . -G Ninja \
 cmake --build "$TSAN_DIR" -j
 
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
-  -R 'Executor|Scheduler|Wheel|Probes|Causal|Chrome|Metrics|Determinism|FuzzSeeds|Lint|TraceCheck|TraceJsonl|HarnessClean|TimeSeries|BoundSlack|Experiment|Profiler'
+  -R 'Executor|Scheduler|Wheel|Probes|Causal|Chrome|Metrics|Determinism|FuzzSeeds|Lint|TraceCheck|TraceJsonl|HarnessClean|TimeSeries|BoundSlack|Experiment|Profiler|Flight'
 
 # --- lane 3: clang-tidy ------------------------------------------------------
 

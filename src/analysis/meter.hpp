@@ -26,7 +26,7 @@
 //
 // Kind ids are per run, so one meter must only ever measure one
 // executor's events; events without a kind id (hand-built traces, the
-// legacy loop) are classified by name.
+// test-side reference loop) are classified by name.
 #pragma once
 
 #include <cstddef>

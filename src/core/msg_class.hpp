@@ -27,7 +27,7 @@ enum class MsgClass : std::uint8_t {
   kMmtStep,  // MMTSTEP   (an MMT node's step)
 };
 
-// Dispatches on length before comparing bytes: hand-built and legacy-loop
+// Dispatches on length before comparing bytes: hand-built and reference-loop
 // events carry no interned kind, so their consumers classify per event.
 constexpr MsgClass msg_class(std::string_view name) {
   switch (name.size()) {

@@ -166,7 +166,7 @@ class CausalDag {
   void write_jsonl(std::ostream& os) const;
 
   // Canonical text form with message uids normalized by first appearance —
-  // byte-comparable across runs (tests pin legacy-scan vs incremental
+  // byte-comparable across runs (tests pin reference-loop vs wheel
   // scheduler DAG equality with this).
   std::string to_text() const;
 

@@ -60,10 +60,7 @@ FlightSnapshot FlightRecorder::snapshot() const {
   snap.total_recorded = total_recorded();
   snap.dropped = dropped();
   snap.strings = strings_;
-  snap.kinds.reserve(kinds_.size());
-  for (const KindEntry& k : kinds_) {
-    snap.kinds.push_back(FlightSnapshot::Kind{k.name_id, k.node, k.peer, k.cls});
-  }
+  snap.kinds = kinds_;
   snap.records.reserve(static_cast<std::size_t>(retained()));
   for (const Shard& s : shards_) {
     const std::uint64_t n = std::min<std::uint64_t>(s.head, ring_cap_);

@@ -50,6 +50,7 @@
 #include "core/msg_class.hpp"
 #include "core/trace.hpp"
 #include "obs/metrics.hpp"  // percentile_cut — shared percentile walk
+#include "util/check.hpp"
 
 namespace psc {
 
@@ -295,9 +296,6 @@ struct FlightOptions {
   // two). Sharding keeps a chatty region from evicting the whole window;
   // one shard preserves strict global order per ring.
   std::size_t shards = 1;
-  // Feed the latency histograms online from the record path. On by default
-  // — the bench overhead gate measures this configuration.
-  bool histograms = true;
 };
 
 // The decoded-side view of a recorder window: intern tables plus the
@@ -337,7 +335,7 @@ TimedTrace decode_snapshot(const FlightSnapshot& snap);
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(FlightOptions opts = {}) : opts_(opts) {
+  explicit FlightRecorder(FlightOptions opts = {}) {
     ring_cap_ = std::bit_ceil(std::max<std::size_t>(opts.ring_capacity, 2));
     shards_.resize(std::bit_ceil(std::max<std::size_t>(opts.shards, 1)));
     shard_mask_ = static_cast<std::uint32_t>(shards_.size() - 1);
@@ -372,21 +370,13 @@ class FlightRecorder {
   // serialize on DRAM write latency and measured ~4x worse than plain
   // stores here.)
   void record(const TimedEvent& e) {
-    const ActionKindId kid = e.kind;
-    if (kid >= 0) {
-      ExecMemo* m;
-      if (static_cast<std::size_t>(kid) < exec_memo_.size() &&
-          exec_memo_[static_cast<std::size_t>(kid)].fk != kNoFlightKind) {
-        m = &exec_memo_[static_cast<std::size_t>(kid)];
-      } else {
-        m = intern_exec_kind(e);
-      }
-      fill(e, m->fk, m->cls, &m->mkind, m->step_id);
-      return;
-    }
-    const std::uint32_t fk = intern_legacy_kind(e);
-    KindEntry& k = kinds_[fk];
-    fill(e, fk, static_cast<std::uint8_t>(k.cls), &k.mkind, k.step_id);
+    // Every executor event carries its kind id. kNoKind wraps to a huge
+    // index, so it always reaches the slow path, which rejects it.
+    const auto kid = static_cast<std::size_t>(e.kind);
+    ExecMemo& m = kid < exec_memo_.size() && exec_memo_[kid].fk != kNoFlightKind
+                      ? exec_memo_[kid]
+                      : intern_exec_kind(e);
+    fill(e, m);
   }
 
   // --- counters and histograms --------------------------------------------
@@ -453,25 +443,14 @@ class FlightRecorder {
     std::uint16_t step_id = 0;
   };
 
-  struct KindEntry {
-    std::uint32_t name_id = 0;
-    std::int32_t node = kNoNode;
-    std::int32_t peer = kNoNode;
-    MsgClass cls = MsgClass::kOther;
-    std::uint32_t mkind = 0;       // message-kind memo for the legacy path
-    std::uint16_t step_id = 0;     // shared per action name
-  };
-
   struct Shard {
     std::vector<FlightRecord> buf;
     std::uint64_t head = 0;  // total records ever written to this shard
   };
 
-  // Assemble one record in its ring slot and feed the histograms. cls /
-  // mkind_memo / step_id come from the caller's kind row (ExecMemo or
-  // KindEntry).
-  void fill(const TimedEvent& e, std::uint32_t fk, std::uint8_t cls,
-            std::uint32_t* mkind_memo, std::uint16_t step_id) {
+  // Assemble one record in its ring slot and feed the histograms from the
+  // event's kind row.
+  void fill(const TimedEvent& e, ExecMemo& m) {
     Shard& sh = shards_[static_cast<std::uint32_t>(e.owner) & shard_mask_];
     FlightRecord& r = sh.buf[sh.head & ring_mask_];
     ++sh.head;
@@ -483,8 +462,8 @@ class FlightRecorder {
     r.time = e.time;
     r.clock = e.clock;
     r.owner = e.owner;
-    r.kind = fk;
-    r.cls = cls;
+    r.kind = m.fk;
+    r.cls = m.cls;
     std::uint8_t flags = e.visible ? FlightRecord::kVisible : 0;
     const std::vector<Value>& args = e.action.args;
     std::size_t na = args.size();
@@ -497,19 +476,19 @@ class FlightRecorder {
       encode_value(args[i], &r.arg_tag[i], &r.arg[i]);
     }
     if (e.action.msg.has_value()) {
-      const Message& m = *e.action.msg;
+      const Message& msg = *e.action.msg;
       flags |= FlightRecord::kHasMsg;
-      r.uid = m.uid;
-      r.tag = m.clock_tag;
-      r.mkind = msg_kind_id(mkind_memo, m.kind);
-      std::size_t nf = m.fields.size();
+      r.uid = msg.uid;
+      r.tag = msg.clock_tag;
+      r.mkind = msg_kind_id(&m.mkind, msg.kind);
+      std::size_t nf = msg.fields.size();
       if (nf > FlightRecord::kSlots) {
         flags |= FlightRecord::kOverflow;
         nf = FlightRecord::kSlots;
       }
       r.nfields = static_cast<std::uint8_t>(nf);
       for (std::size_t i = 0; i < nf; ++i) {
-        encode_value(m.fields[i], &r.field_tag[i], &r.field[i]);
+        encode_value(msg.fields[i], &r.field_tag[i], &r.field[i]);
       }
     } else {
       r.uid = 0;
@@ -518,33 +497,29 @@ class FlightRecorder {
       r.nfields = 0;
     }
     r.flags = flags;
-    if (opts_.histograms) observe_latencies(e, cls, step_id, r);
+    observe_latencies(e, m.cls, m.step_id, r);
   }
 
-  // Interning slow paths. Inline like the rest of the record path: the
-  // executor (psc_runtime, which cannot link psc_obs) reaches them on a
+  // Interning slow path. Inline like the rest of the record path: the
+  // executor (psc_runtime, which cannot link psc_obs) reaches it on a
   // kind's first occurrence.
   //
-  // Executor-id path: ActionKindId already dedups (name, node, peer) per
-  // run, so there is no hash-map probe here — at million-machine scale a
-  // run interns one kind per few events (kinds are per node/peer) and the
-  // (name, node, peer) map was the single largest record-path cost. The
-  // entry is built straight from the event and memoized by executor id.
+  // ActionKindId already dedups (name, node, peer) per run, so there is no
+  // hash-map probe here — at million-machine scale a run interns one kind
+  // per few events (kinds are per node/peer) and a (name, node, peer) map
+  // was the single largest record-path cost. The entry is built straight
+  // from the event and memoized by executor id.
   // Rebinding the recorder to a new executor may therefore append duplicate
   // (name, node, peer) rows to the kind table; records keep referencing
   // their original row and step histograms are shared per name, so decode,
   // metrics, and aggregation across binds are unaffected.
-  ExecMemo* intern_exec_kind(const TimedEvent& e) {
+  ExecMemo& intern_exec_kind(const TimedEvent& e) {
     const Action& a = e.action;
+    PSC_CHECK(e.kind >= 0, "flight recorder got " << to_string(a)
+                                                   << " without a kind id");
     const NameRef nr = name_ref(a.name);
-    KindEntry k;
-    k.name_id = nr.id;
-    k.node = a.node;
-    k.peer = a.peer;
-    k.cls = nr.cls;
-    k.step_id = nr.step_id;
     const auto fk = static_cast<std::uint32_t>(kinds_.size());
-    kinds_.push_back(k);
+    kinds_.push_back({nr.id, a.node, a.peer, nr.cls});
     const auto kid = static_cast<std::size_t>(e.kind);
     if (kid >= exec_memo_.size()) exec_memo_.resize(kid + 1);
     ExecMemo& m = exec_memo_[kid];
@@ -552,26 +527,7 @@ class FlightRecorder {
     m.mkind = 0;
     m.cls = static_cast<std::uint8_t>(nr.cls);
     m.step_id = nr.step_id;
-    return &m;
-  }
-
-  // Legacy-loop / hand-built events carry no executor kind id, so dedup
-  // falls back to the (name, node, peer) map.
-  std::uint32_t intern_legacy_kind(const TimedEvent& e) {
-    const Action& a = e.action;
-    const auto it = kind_ids_.find(ActionKindView{a.name, a.node, a.peer});
-    if (it != kind_ids_.end()) return it->second;
-    const NameRef nr = name_ref(a.name);
-    KindEntry k;
-    k.name_id = nr.id;
-    k.node = a.node;
-    k.peer = a.peer;
-    k.cls = nr.cls;
-    k.step_id = nr.step_id;
-    const auto fk = static_cast<std::uint32_t>(kinds_.size());
-    kinds_.push_back(k);
-    kind_ids_.emplace(ActionKindKey{a.name, a.node, a.peer}, fk);
-    return fk;
+    return m;
   }
 
   // Per-name intern state (string id, class, shared step histogram),
@@ -674,7 +630,6 @@ class FlightRecorder {
     }
   }
 
-  FlightOptions opts_;
   std::size_t ring_cap_ = 0;
   std::uint64_t ring_mask_ = 0;
   std::uint32_t shard_mask_ = 0;
@@ -682,13 +637,10 @@ class FlightRecorder {
   std::uint64_t seq_ = 0;
 
   // Kind/string intern tables. exec_memo_ maps the bound executor's
-  // ActionKindId to a recorder kind id for O(1) hot lookups; kind_ids_ is
-  // the (name, node, peer) fallback for legacy-loop / hand-built events.
+  // ActionKindId to a recorder kind id for O(1) hot lookups.
   std::uint64_t bound_uid_ = 0;
   std::vector<ExecMemo> exec_memo_;
-  std::unordered_map<ActionKindKey, std::uint32_t, ActionKindHash, ActionKindEq>
-      kind_ids_;
-  std::vector<KindEntry> kinds_;
+  std::vector<FlightSnapshot::Kind> kinds_;
   std::vector<std::string> strings_;
   std::unordered_map<std::string, std::uint32_t> string_ids_;
   std::array<NameRef, 16> name_cache_{};

@@ -10,11 +10,7 @@ namespace psc {
 RunObserver::RunObserver(const ObsOptions* opts) {
   if (opts != nullptr) opts_ = *opts;
   if (opts_.chrome_out != nullptr) {
-    if (opts_.events_in_trace) {
-      chrome_probe_ = std::make_unique<ChromeTraceProbe>(*opts_.chrome_out);
-    } else {
-      bare_writer_ = std::make_unique<ChromeTraceWriter>(*opts_.chrome_out);
-    }
+    chrome_probe_ = std::make_unique<ChromeTraceProbe>(*opts_.chrome_out);
   }
 }
 
@@ -28,8 +24,7 @@ MetricsRegistry* RunObserver::sink() {
 }
 
 ChromeTraceWriter* RunObserver::chrome() {
-  if (chrome_probe_) return &chrome_probe_->writer();
-  return bare_writer_.get();
+  return chrome_probe_ ? &chrome_probe_->writer() : nullptr;
 }
 
 ClockSkewProbe* RunObserver::add_clock_skew(

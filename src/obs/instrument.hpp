@@ -40,9 +40,6 @@ struct ObsOptions {
   // Destination for a Chrome trace_event document; nullptr disables it.
   // The stream must outlive the run.
   std::ostream* chrome_out = nullptr;
-  // When false, the chrome trace carries only counter tracks (no per-event
-  // instants) — useful for long runs where the event stream would dominate.
-  bool events_in_trace = true;
   // Caller-owned causal-tracing probe (obs/causal.hpp). attach() wires it
   // before the metric probes (so ChannelLatencyProbe can read its
   // MessageIndex) and hands it the shared chrome writer for flow events.
@@ -137,8 +134,7 @@ class RunObserver {
   MetricsRegistry* sink();
 
   ObsOptions opts_;
-  std::unique_ptr<ChromeTraceProbe> chrome_probe_;   // when events_in_trace
-  std::unique_ptr<ChromeTraceWriter> bare_writer_;   // counters-only trace
+  std::unique_ptr<ChromeTraceProbe> chrome_probe_;   // when chrome_out
   std::unique_ptr<MetricsRegistry> scratch_;
   std::unique_ptr<TimeSeriesProbe> ts_probe_;        // when opts_.timeseries
   BoundSlackProbe* slack_probe_ = nullptr;           // owned via probes_

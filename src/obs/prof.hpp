@@ -98,8 +98,8 @@ class ChromeTraceWriter;
 // phases) or a time advance (kPoll + kAdvance); the phase totals therefore
 // partition the loop's wall time up to the unbracketed loop framing.
 enum class ProfPhase : std::uint8_t {
-  kAdvance = 0,  // advance_time_wheel / legacy scan
-  kPoll,         // flush_dirty (candidate re-poll) / legacy gather_enabled
+  kAdvance = 0,  // advance_time_wheel
+  kPoll,         // flush_dirty (candidate re-poll)
   kPick,         // adversary RNG draw + locate_candidate
   kRoute,        // kind memo/intern/resolve + claimant role validation
   kStep,         // apply_local + dirty marking + subscriber fanout
@@ -290,12 +290,6 @@ class Profiler {
       slot = intern_slot(kind_slots_, kind_index_, name);
       kind_memo_[k] = slot;
     }
-    pend_slot(pending_kinds_, pending_kind_n_, kind_slots_, slot, dticks);
-  }
-
-  // Same, for the legacy polling loop, which never interns kinds.
-  void add_kind_by_name(const std::string& name, std::uint64_t dticks) {
-    const std::uint32_t slot = intern_slot(kind_slots_, kind_index_, name);
     pend_slot(pending_kinds_, pending_kind_n_, kind_slots_, slot, dticks);
   }
 

@@ -385,7 +385,7 @@ void Executor::execute_fast(std::size_t slot, std::size_t offset) {
   mark_touched(machine);
 
   if (role == ActionRole::kOutput) {
-    // Composition compatibility, with the same timing as the legacy scan:
+    // Composition compatibility, with the same timing as the reference loop:
     // checked only when an output of the kind actually executes.
     for (const auto& c : k.claimants) {
       PSC_CHECK(c.first == machine,
@@ -420,7 +420,7 @@ void Executor::execute_fast(std::size_t slot, std::size_t offset) {
 }
 
 bool Executor::advance_time_wheel() {
-  // The same decision sequence as the legacy advance_time(): quiesce,
+  // The same decision sequence as the reference loop's min-scan: quiesce,
   // horizon, then the next <= ub deadlock check. The deadlock check, probe
   // notification and wake set are observable through probes and the RNG
   // stream, and the trace-equivalence tests pin all three. Both minima must
@@ -491,127 +491,6 @@ void Executor::run_loop_sched() {
   prof_iter_ = nullptr;
 }
 
-// --- legacy polling loop (ExecutorOptions::legacy_scan) -------------------
-
-std::vector<Executor::Candidate> Executor::gather_enabled() const {
-  std::vector<Candidate> out;
-  for (std::size_t m = 0; m < machines_.size(); ++m) {
-    for (auto& a : machines_[m]->enabled(now_)) {
-      out.push_back({m, std::move(a)});
-    }
-  }
-  return out;
-}
-
-void Executor::execute(const Candidate& c) {
-  Machine* owner = machines_[c.machine];
-  Profiler* const pr = prof_iter_;
-  std::uint64_t t0 = pr != nullptr ? Profiler::ticks() : 0;
-  const ActionRole role = owner->classify(c.action);
-  PSC_CHECK(role == ActionRole::kOutput || role == ActionRole::kInternal,
-            "machine " << owner->name() << " enabled non-local action "
-                       << to_string(c.action));
-  if (pr != nullptr) {
-    const std::uint64_t t1 = Profiler::ticks();
-    pr->add(ProfPhase::kRoute, t1 - t0);
-    t0 = t1;
-  }
-  owner->apply_local(c.action, now_);
-  if (role == ActionRole::kOutput) {
-    for (std::size_t m = 0; m < machines_.size(); ++m) {
-      if (m == c.machine) continue;
-      Machine* other = machines_[m];
-      const ActionRole r = other->classify(c.action);
-      PSC_CHECK(r != ActionRole::kOutput && r != ActionRole::kInternal,
-                "action " << to_string(c.action)
-                          << " is locally controlled by both "
-                          << owner->name() << " and " << other->name()
-                          << " (incompatible composition)");
-      if (r == ActionRole::kInput) other->apply_input(c.action, now_);
-    }
-  }
-  if (pr != nullptr) {
-    const std::uint64_t dt = Profiler::ticks() - t0;
-    pr->add(ProfPhase::kStep, dt);
-    // The legacy loop never interns kinds; attribute by action name.
-    pr->add_kind_by_name(c.action.name, dt);
-    pr->add_machine(c.machine, typeid(*owner), dt);
-  }
-  if (sink_events_) {
-    TimedEvent ev;
-    ev.action = c.action;  // the legacy loop keeps its candidate list intact
-    record_event(ev, c.machine, role,
-                 hidden_.find(c.action.name) == hidden_.end());
-  }
-  ++steps_;
-  ++stats_.events;
-  if (prof_ != nullptr) prof_->count_event();
-}
-
-bool Executor::advance_time() {
-  Time next = kTimeMax;
-  Time ub = kTimeMax;
-  for (const Machine* m : machines_) {
-    const Time ne = m->next_enabled(now_);
-    PSC_CHECK(ne > now_ || ne == kTimeMax,
-              "machine " << m->name() << " reported next_enabled "
-                         << format_time(ne) << " not after now "
-                         << format_time(now_));
-    next = std::min(next, ne);
-    const Time b = m->upper_bound(now_);
-    PSC_CHECK(b >= now_, "machine " << m->name()
-                                    << " upper_bound in the past: "
-                                    << format_time(b) << " < "
-                                    << format_time(now_));
-    ub = std::min(ub, b);
-  }
-  if (next >= kTimeMax) {
-    quiesced_ = true;
-    return false;  // nothing will ever enable again
-  }
-  if (next > options_.horizon) {
-    return false;  // future work exists but lies beyond the horizon
-  }
-  PSC_CHECK(next <= ub,
-            "time deadlock: next enabling at "
-                << format_time(next) << " but an upper bound stops time at "
-                << format_time(ub));
-  const Time prev = now_;
-  now_ = next;
-  ++stats_.time_advances;
-  if (now_ >= time_probe_wake_) notify_time_probes(prev);
-  return true;
-}
-
-void Executor::run_loop_legacy() {
-  while (steps_ < options_.max_events) {
-    if (stop_when_ && stop_when_()) break;
-    if (prof_ != nullptr) {
-      prof_iter_ = prof_->begin_iteration() ? prof_ : nullptr;
-    }
-    Profiler* const pr = prof_iter_;
-    std::uint64_t t0 = pr != nullptr ? Profiler::ticks() : 0;
-    auto candidates = gather_enabled();
-    if (pr != nullptr) {
-      const std::uint64_t t1 = Profiler::ticks();
-      pr->add(ProfPhase::kPoll, t1 - t0);
-      t0 = t1;
-    }
-    if (!candidates.empty()) {
-      const std::size_t pick = candidates.size() == 1
-                                   ? 0
-                                   : rng_.index(candidates.size());
-      if (pr != nullptr) pr->add(ProfPhase::kPick, Profiler::ticks() - t0);
-      execute(candidates[pick]);
-      continue;
-    }
-    const bool advanced = advance_time();
-    if (pr != nullptr) pr->add(ProfPhase::kAdvance, Profiler::ticks() - t0);
-    if (!advanced) break;
-  }
-  prof_iter_ = nullptr;
-}
-
 DiagnosticReport Executor::validate_composition(const LintOptions& opts) const {
   return lint_composition(composition(), opts);
 }
@@ -636,6 +515,12 @@ void Executor::notify_time_probes(Time prev) {
 }
 
 ExecutorReport Executor::run() {
+  begin_run();
+  run_loop_sched();
+  return end_run();
+}
+
+void Executor::begin_run() {
   if (options_.validate || env_validate_enabled()) {
     const DiagnosticReport rep = validate_composition();
     PSC_CHECK(!rep.has_errors(),
@@ -671,11 +556,9 @@ ExecutorReport Executor::run() {
     prof_->bind(exec_uid_);
     prof_->run_begin();
   }
-  if (options_.legacy_scan) {
-    run_loop_legacy();
-  } else {
-    run_loop_sched();
-  }
+}
+
+ExecutorReport Executor::end_run() {
   if (prof_ != nullptr) prof_->run_end();
   const bool capped = steps_ >= options_.max_events;
   // With a stop condition registered the cap is a reportable outcome (the

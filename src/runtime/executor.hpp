@@ -22,17 +22,18 @@
 // classify() on every machine. The unit of caching is a *slot*: one per
 // part of a multi-part machine (Machine::part_count — a Simulation 1 node's
 // members), one per other machine. Slots are numbered machine-ascending,
-// part-ascending, so the flat candidate list is the legacy one; the machine
-// stays the unit of composition (event owners, probes, composition()).
+// part-ascending, so the flat candidate list is the reference loop's; the
+// machine stays the unit of composition (event owners, probes,
+// composition()).
 // Per-slot state lives in parallel arrays (structure-of-arrays) sized once
 // at add() time, and candidate buffers are recycled through
 // Machine::enabled_into, so the steady state allocates nothing per event
 // for machines that override it (see docs/EXECUTOR.md for which do).
 // Seed-for-seed the wheel loop produces byte-identical traces and probe
-// sequences to the legacy polling loop (ExecutorOptions::legacy_scan), the
-// literal Def 2.2 transcription that tests and benchmarks compare it
-// against. See docs/EXECUTOR.md for the invalidation rules and the
-// equivalence argument.
+// sequences to the reference loop (tests/support/reference_loop.hpp), the
+// literal Def 2.2 transcription that tests and bench_executor compare it
+// against; no option selects it in production. See docs/EXECUTOR.md for
+// the invalidation rules and the equivalence argument.
 #pragma once
 
 #include <cstdint>
@@ -61,10 +62,6 @@ struct ExecutorOptions {
   std::uint64_t seed = 1;          // adversary seed (tie-breaking)
   std::size_t max_events = 10'000'000;  // runaway guard
   bool record_events = true;
-  // Runs the pre-calendar O(machines)-per-event polling loop instead of the
-  // calendar/dirty-set scheduler. Trace- and probe-equivalent to the
-  // default; exists so determinism regressions and benches can A/B the two.
-  bool legacy_scan = false;
   // Observers notified on every executed event and time-passage step
   // (non-owning; see obs/probe.hpp). Consumed at construction: the executor
   // stores a single probe list, shared with attach_probe(). With no probes
@@ -91,7 +88,7 @@ struct ExecutorOptions {
 // Self-metrics of the calendar/dirty-set scheduler, maintained as plain
 // counter increments on already-touched cache lines (no branches, no
 // allocation — bench_executor's speedup gate doubles as the overhead
-// regression test). The legacy polling loop fills only `events` and
+// regression test). The test-side reference loop fills only `events` and
 // `time_advances`; everything else measures the incremental machinery.
 struct ExecutorStats {
   std::uint64_t events = 0;         // executed actions
@@ -108,7 +105,7 @@ struct ExecutorStats {
   // Interned-action routing.
   // Always 0: every machine declares its signature, so no event is routed
   // through classify(). Kept because psc_bench reports it; it goes with the
-  // next benchmark-definition change (ROADMAP item 7).
+  // next benchmark-definition change (ROADMAP item 10).
   std::uint64_t route_classify = 0;
   std::uint64_t fanout_inputs = 0;   // inputs applied via the subscriber index
   std::uint64_t kind_hits = 0;       // executions served by a resolved kind
@@ -119,7 +116,7 @@ struct ExecutorStats {
   std::uint64_t kind_memo_hits = 0;
 
   // Fraction of per-flush slot visits served from cache (1 = perfectly
-  // incremental, 0 = legacy full re-poll behaviour).
+  // incremental, 0 = every slot re-polled at every flush).
   double cache_hit_rate() const {
     const std::uint64_t total = cand_cache_hits + dirty_repolls;
     return total == 0 ? 0.0
@@ -215,10 +212,9 @@ class Executor {
   const ExecutorStats& stats() const { return stats_; }
 
  private:
-  struct Candidate {
-    std::size_t machine;
-    Action action;
-  };
+  // The Def 2.2 reference loop (tests/support/reference_loop.cpp) drives
+  // an assembled executor's machines, probes and RNG directly.
+  friend class ReferenceLoop;
 
   // --- interned action kinds and the subscription index -------------------
 
@@ -248,7 +244,7 @@ class Executor {
     bool resolved = false;  // routing lists below are populated
     // Machines locally controlling this kind (normally 0 or 1; two
     // claimants is the "incompatible composition" error, raised when an
-    // output of this kind executes — same timing as the legacy scan).
+    // output of this kind executes — same timing as the reference loop).
     std::vector<std::pair<std::size_t, ActionRole>> claimants;
     // Machines inputting this kind, ascending machine index.
     std::vector<std::size_t> subscribers;
@@ -292,10 +288,15 @@ class Executor {
                           std::uint32_t parts);
   void flush_dirty();
   // Maps a flat candidate index (slot-ascending, per-slot enabled() order —
-  // the legacy gather order) to (slot, offset).
+  // the reference loop's gather order) to (slot, offset).
   std::pair<std::size_t, std::size_t> locate_candidate(std::size_t k) const;
   void push_wheel(TimingWheel& wheel, Time t, std::size_t s);
 
+  // run() is begin_run(), the scheduler loop, end_run(): the lint gate,
+  // the per-run probe split and on_run_begin, then the event-cap check,
+  // on_run_end and the report.
+  void begin_run();
+  ExecutorReport end_run();
   void run_loop_sched();
   bool advance_time_wheel();
   void execute_fast(std::size_t slot, std::size_t offset);
@@ -306,16 +307,8 @@ class Executor {
   // attaching a probe adds no per-event Action traffic.
   void record_event(TimedEvent& e, std::size_t machine, ActionRole role,
                     bool visible);
-
-  // --- legacy polling loop (ExecutorOptions::legacy_scan) -----------------
-
-  std::vector<Candidate> gather_enabled() const;
-  void execute(const Candidate& c);
   // Delivers on_time_advance to time_probes_ and re-arms time_probe_wake_.
   void notify_time_probes(Time prev);
-  // Returns false when no further progress is possible before the horizon.
-  bool advance_time();
-  void run_loop_legacy();
 
   ExecutorOptions options_;
   // Process-unique instance id handed to FlightRecorder::bind (recorders

@@ -101,7 +101,7 @@ void watch_node_buffers(Sim1BufferProbe* bp, CausalTraceProbe* cp,
 }  // namespace
 
 RwRunResult run_rw_timed(const RwRunConfig& cfg) {
-  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .legacy_scan = cfg.legacy_scan, .validate = cfg.validate});
+  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .validate = cfg.validate});
   std::vector<RwClient*> clients;
   add_clients(exec, cfg, &clients);
   const Graph g = Graph::complete_with_self_loops(cfg.num_nodes);
@@ -116,7 +116,7 @@ RwRunResult run_rw_timed(const RwRunConfig& cfg) {
 }
 
 RwRunResult run_rw_clock(const RwRunConfig& cfg, const DriftModel& drift) {
-  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .legacy_scan = cfg.legacy_scan, .validate = cfg.validate});
+  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .validate = cfg.validate});
   std::vector<RwClient*> clients;
   add_clients(exec, cfg, &clients);
   const Graph g = Graph::complete_with_self_loops(cfg.num_nodes);
@@ -158,7 +158,7 @@ RwRunResult run_rw_clock(const RwRunConfig& cfg, const DriftModel& drift) {
 }
 
 RwRunResult run_rw_sliced(const RwRunConfig& cfg, const DriftModel& drift) {
-  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .legacy_scan = cfg.legacy_scan, .validate = cfg.validate});
+  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .validate = cfg.validate});
   std::vector<RwClient*> clients;
   add_clients(exec, cfg, &clients);
   const Graph g = Graph::complete(cfg.num_nodes);
@@ -194,7 +194,7 @@ RwRunResult run_rw_sliced(const RwRunConfig& cfg, const DriftModel& drift) {
 
 RwRunResult run_rw_mmt(const RwRunConfig& cfg, const DriftModel& drift,
                        Duration ell, int k) {
-  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .legacy_scan = cfg.legacy_scan, .validate = cfg.validate});
+  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .validate = cfg.validate});
   std::vector<RwClient*> clients;
   add_clients(exec, cfg, &clients);
   const Graph g = Graph::complete_with_self_loops(cfg.num_nodes);
@@ -229,7 +229,7 @@ RwRunResult run_rw_mmt(const RwRunConfig& cfg, const DriftModel& drift,
 
 RwRunResult run_rw_clock_nobuffer(const RwRunConfig& cfg,
                                   const DriftModel& drift) {
-  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .legacy_scan = cfg.legacy_scan, .validate = cfg.validate});
+  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .validate = cfg.validate});
   std::vector<RwClient*> clients;
   add_clients(exec, cfg, &clients);
   const Graph g = Graph::complete_with_self_loops(cfg.num_nodes);

@@ -49,9 +49,6 @@ struct RwRunConfig {
   // Run control.
   std::uint64_t seed = 1;
   Time horizon = seconds(30);
-  // Run on the executor's legacy polling loop (see ExecutorOptions) —
-  // determinism regressions A/B the schedulers with this.
-  bool legacy_scan = false;
   // Lint the composition before the run (ExecutorOptions::validate): any
   // error-severity PSC0xx diagnostic aborts via PSC_CHECK.
   bool validate = false;

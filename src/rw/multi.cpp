@@ -300,7 +300,7 @@ Time MultiRwClient::next_enabled(Time t) const {
 
 MultiRunResult run_multi_rw_clock(const RwRunConfig& cfg,
                                   const DriftModel& drift, int num_objects) {
-  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .legacy_scan = cfg.legacy_scan, .validate = cfg.validate});
+  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .validate = cfg.validate});
   std::vector<MultiRwClient*> clients;
   Rng cl_seeder(cfg.seed ^ 0xc7);
   for (int i = 0; i < cfg.num_nodes; ++i) {

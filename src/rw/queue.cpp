@@ -300,7 +300,7 @@ QueueRunResult collect(Executor& exec,
 }  // namespace
 
 QueueRunResult run_queue_timed(const QueueRunConfig& cfg) {
-  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .legacy_scan = cfg.legacy_scan, .validate = cfg.validate});
+  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .validate = cfg.validate});
   auto clients = add_queue_clients(exec, cfg);
   ChannelConfig cc;
   cc.d1 = cfg.d1;
@@ -316,7 +316,7 @@ QueueRunResult run_queue_timed(const QueueRunConfig& cfg) {
 
 QueueRunResult run_queue_clock(const QueueRunConfig& cfg,
                                const DriftModel& drift) {
-  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .legacy_scan = cfg.legacy_scan, .validate = cfg.validate});
+  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .validate = cfg.validate});
   auto clients = add_queue_clients(exec, cfg);
   std::vector<std::shared_ptr<const ClockTrajectory>> trajs;
   Rng seeder(cfg.seed ^ 0xc1c1c1c1ULL);

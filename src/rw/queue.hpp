@@ -146,8 +146,6 @@ struct QueueRunConfig {
   Duration think_max = milliseconds(1);
   std::uint64_t seed = 1;
   Time horizon = seconds(30);
-  // Run on the executor's legacy polling loop, as in RwRunConfig.
-  bool legacy_scan = false;
   // Lint the composition before the run, as in RwRunConfig.
   bool validate = false;
   // Observability hookup, as in RwRunConfig (see obs/instrument.hpp).

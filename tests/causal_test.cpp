@@ -6,12 +6,11 @@
 //   - carry Simulation-1 buffer-hold (waited) edges exactly when clocks
 //     actually skew — a perfect-clock run has none, and a skewed run has
 //     one per message the receive buffers report as buffered;
-//   - be byte-identical between the legacy polling loop and the
-//     calendar/dirty-set scheduler (to_text(), uid-normalized);
+//   - be byte-identical between the Def 2.2 reference loop and the
+//     wheel scheduler (to_text(), uid-normalized);
 //   - not perturb the run it observes (the probe is read-only).
 #include <gtest/gtest.h>
 
-#include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -26,33 +25,20 @@
 #include "runtime/executor.hpp"
 #include "runtime/system.hpp"
 #include "rw/harness.hpp"
+#include "support/reference_loop.hpp"
 
 namespace psc {
 namespace {
 
-// Message uids come from a process-global counter; normalize them away so
-// traces from separate runs are comparable byte-for-byte.
-std::string normalized(const TimedTrace& events) {
-  TimedTrace copy = events;
-  std::map<std::uint64_t, std::uint64_t> remap;
-  for (auto& e : copy) {
-    if (!e.action.msg) continue;
-    auto [it, fresh] = remap.emplace(e.action.msg->uid, remap.size() + 1);
-    (void)fresh;
-    e.action.msg->uid = it->second;
-  }
-  return trace_to_text(copy);
-}
-
 // Flood system on `g` with `fixed_delay > 0` pinning every channel to a
 // deterministic transit time (so span times are hand-computable); 0 keeps
-// the seeded uniform [d1, d2] policy.
-TimedTrace flood_run(const Graph& g, std::uint64_t seed, bool legacy,
+// the seeded uniform [d1, d2] policy. `reference` runs it on the Def 2.2
+// reference loop instead of Executor::run().
+TimedTrace flood_run(const Graph& g, std::uint64_t seed, bool reference,
                      CausalTraceProbe* probe, Duration fixed_delay,
                      ExecutorReport* out = nullptr) {
   Executor exec({.horizon = seconds(10),
                  .seed = seed,
-                 .legacy_scan = legacy,
                  .probes = probe ? std::vector<Probe*>{probe}
                                  : std::vector<Probe*>{}});
   ChannelConfig cc;
@@ -65,7 +51,7 @@ TimedTrace flood_run(const Graph& g, std::uint64_t seed, bool legacy,
   add_timed_system(exec, g, cc,
                    make_flood_nodes(g, /*source=*/0, 0xf100d,
                                     /*hops_bound=*/g.n, cc.d2, /*margin=*/1));
-  const auto report = exec.run();
+  const auto report = reference ? run_reference(exec) : exec.run();
   if (out != nullptr) *out = report;
   return exec.events();
 }
@@ -233,7 +219,7 @@ TEST(CausalDag, ProbeDoesNotPerturbTrace) {
   const auto b = flood_run(Graph::ring(6), 42, false, nullptr,
                            /*fixed_delay=*/0, &without);
   EXPECT_EQ(with_probe.steps, without.steps);
-  EXPECT_EQ(normalized(a), normalized(b));
+  EXPECT_EQ(trace_to_text(normalize_uids(a)), trace_to_text(normalize_uids(b)));
   EXPECT_EQ(probe.dag().size(), with_probe.steps);
 }
 

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 #include "core/trace_io.hpp"
@@ -29,40 +28,30 @@ RwRunConfig cfg_for(std::uint64_t seed) {
   return cfg;
 }
 
-// Message uids come from a process-global counter, so two runs of the same
-// scenario differ in uids; normalize them away for comparison.
-std::string normalized(const TimedTrace& events) {
-  TimedTrace copy = events;
-  std::map<std::uint64_t, std::uint64_t> remap;
-  for (auto& e : copy) {
-    if (!e.action.msg) continue;
-    auto [it, fresh] = remap.emplace(e.action.msg->uid, remap.size() + 1);
-    (void)fresh;
-    e.action.msg->uid = it->second;
-  }
-  return trace_to_text(copy);
-}
-
 TEST(DeterminismTest, TimedModelIsSeedDeterministic) {
   const auto a = run_rw_timed(cfg_for(42));
   const auto b = run_rw_timed(cfg_for(42));
-  EXPECT_EQ(normalized(a.events), normalized(b.events));
+  EXPECT_EQ(trace_to_text(normalize_uids(a.events)),
+            trace_to_text(normalize_uids(b.events)));
   const auto c = run_rw_timed(cfg_for(43));
-  EXPECT_NE(normalized(a.events), normalized(c.events));
+  EXPECT_NE(trace_to_text(normalize_uids(a.events)),
+            trace_to_text(normalize_uids(c.events)));
 }
 
 TEST(DeterminismTest, ClockModelIsSeedDeterministic) {
   ZigzagDrift d1(0.3), d2(0.3);
   const auto a = run_rw_clock(cfg_for(42), d1);
   const auto b = run_rw_clock(cfg_for(42), d2);
-  EXPECT_EQ(normalized(a.events), normalized(b.events));
+  EXPECT_EQ(trace_to_text(normalize_uids(a.events)),
+            trace_to_text(normalize_uids(b.events)));
 }
 
 TEST(DeterminismTest, MmtModelIsSeedDeterministic) {
   PerfectDrift drift;
   const auto a = run_rw_mmt(cfg_for(42), drift, microseconds(10), 5);
   const auto b = run_rw_mmt(cfg_for(42), drift, microseconds(10), 5);
-  EXPECT_EQ(normalized(a.events), normalized(b.events));
+  EXPECT_EQ(trace_to_text(normalize_uids(a.events)),
+            trace_to_text(normalize_uids(b.events)));
 }
 
 QueueRunConfig queue_cfg() {
@@ -82,7 +71,8 @@ TEST(DeterminismTest, QueueIsSeedDeterministic) {
   ZigzagDrift d1(0.3), d2(0.3);
   const auto a = run_queue_clock(queue_cfg(), d1);
   const auto b = run_queue_clock(queue_cfg(), d2);
-  EXPECT_EQ(normalized(a.events), normalized(b.events));
+  EXPECT_EQ(trace_to_text(normalize_uids(a.events)),
+            trace_to_text(normalize_uids(b.events)));
 }
 
 // 64-bit FNV-1a: a fixed, platform-independent digest of a trace's text.
@@ -103,7 +93,7 @@ std::uint64_t fnv1a(const std::string& s) {
 TEST(DeterminismTest, ClockModelTraceIsPinnedAcrossBuilds) {
   ZigzagDrift drift(0.3);
   const auto run = run_rw_clock(cfg_for(42), drift);
-  const std::string text = normalized(run.events);
+  const std::string text = trace_to_text(normalize_uids(run.events));
   EXPECT_EQ(run.events.size(), 180u);
   EXPECT_EQ(fnv1a(text), 2273367640099847480ULL);
 }
@@ -111,7 +101,7 @@ TEST(DeterminismTest, ClockModelTraceIsPinnedAcrossBuilds) {
 TEST(DeterminismTest, MmtModelTraceIsPinnedAcrossBuilds) {
   ZigzagDrift drift(0.3);
   const auto run = run_rw_mmt(cfg_for(42), drift, microseconds(10), 5);
-  const std::string text = normalized(run.events);
+  const std::string text = trace_to_text(normalize_uids(run.events));
   EXPECT_EQ(run.events.size(), 3840u);
   EXPECT_EQ(fnv1a(text), 6793192959222367438ULL);
 }
@@ -119,7 +109,7 @@ TEST(DeterminismTest, MmtModelTraceIsPinnedAcrossBuilds) {
 TEST(DeterminismTest, QueueClockTraceIsPinnedAcrossBuilds) {
   ZigzagDrift drift(0.3);
   const auto run = run_queue_clock(queue_cfg(), drift);
-  const std::string text = normalized(run.events);
+  const std::string text = trace_to_text(normalize_uids(run.events));
   EXPECT_EQ(run.events.size(), 432u);
   EXPECT_EQ(fnv1a(text), 1336714106374535452ULL);
 }

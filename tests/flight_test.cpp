@@ -18,6 +18,7 @@
 #include "runtime/system.hpp"
 #include "rw/harness.hpp"
 #include "rw/queue.hpp"
+#include "util/check.hpp"
 
 namespace psc {
 namespace {
@@ -217,6 +218,19 @@ TEST(FlightRecorderTest, ChannelHistogramWithinDeliveryWindow) {
   EXPECT_LE(chan.p50(), 200'000 * 1.04);
   EXPECT_GE(chan.p99(), chan.p50());
   EXPECT_LE(chan.p999(), 200'000 * 1.04);
+}
+
+// Every event the executor records carries its interned kind id; the
+// recorder keys its kind table by it, so an event without one is an error
+// rather than a silent second interning path.
+TEST(FlightRecorderTest, EventWithoutKindIdIsRejected) {
+  FlightRecorder rec;
+  TimedEvent e;
+  e.action = make_action("X", 0);
+  e.owner = 0;
+  ASSERT_EQ(e.kind, kNoKind);
+  EXPECT_THROW(rec.record(e), CheckError);
+  EXPECT_EQ(rec.total_recorded(), 0u);
 }
 
 TEST(LogHistogramTest, BucketsAreMonotoneAndPercentilesBound) {

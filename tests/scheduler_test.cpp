@@ -1,12 +1,12 @@
 // Regression suite for the executor's calendar/dirty-set scheduler. The
-// legacy polling loop (ExecutorOptions::legacy_scan) transcribes Def 2.2
-// literally, so it is the reference: the default timing-wheel scheduler
-// must be observationally identical to it — byte-identical TimedTraces and
-// probe sequences for the same seed, on every shipped harness and on a run
-// that drives the wheel through its stale-entry compaction. The interned
-// routing must also raise the composition compatibility errors and handle
-// hide() edge cases, and a multi-part machine (a clock node's members) must
-// be re-polled part by part.
+// Def 2.2 reference loop (tests/support/reference_loop.hpp) transcribes
+// composition literally, so the timing-wheel scheduler behind
+// Executor::run() must be observationally identical to it — byte-identical
+// TimedTraces and probe sequences for the same seed, on every shipped
+// harness and on a run that drives the wheel through its stale-entry
+// compaction. The interned routing must also raise the composition
+// compatibility errors and handle hide() edge cases, and a multi-part
+// machine (a clock node's members) must be re-polled part by part.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,35 +18,27 @@
 
 #include "algos/flood.hpp"
 #include "core/trace_io.hpp"
+#include "mmt/mmt_system.hpp"
 #include "obs/instrument.hpp"
 #include "obs/metrics.hpp"
+#include "obs/observatory.hpp"
 #include "obs/probe.hpp"
 #include "runtime/clocked.hpp"
 #include "runtime/composite.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/script.hpp"
 #include "runtime/system.hpp"
+#include "rw/algorithm.hpp"
+#include "rw/client.hpp"
 #include "rw/harness.hpp"
 #include "rw/queue.hpp"
+#include "support/reference_loop.hpp"
 #include "transform/buffers.hpp"
+#include "transform/clock_system.hpp"
 #include "util/check.hpp"
 
 namespace psc {
 namespace {
-
-// Message uids come from a process-global counter; normalize them away so
-// traces from separate runs are comparable byte-for-byte.
-std::string normalized(const TimedTrace& events) {
-  TimedTrace copy = events;
-  std::map<std::uint64_t, std::uint64_t> remap;
-  for (auto& e : copy) {
-    if (!e.action.msg) continue;
-    auto [it, fresh] = remap.emplace(e.action.msg->uid, remap.size() + 1);
-    (void)fresh;
-    e.action.msg->uid = it->second;
-  }
-  return trace_to_text(copy);
-}
 
 // Serializes the full probe callback sequence (events, time advances, run
 // begin/end) so the two schedulers' observability contract can be compared.
@@ -54,7 +46,7 @@ class RecordingProbe final : public Probe {
  public:
   void on_run_begin(Time now) override { log_ << "begin " << now << "\n"; }
   void on_event(const TimedEvent& e, const Machine& owner) override {
-    // Remap process-global message uids (as normalized() does for traces).
+    // Remap process-global message uids (as normalize_uids does for traces).
     TimedEvent copy = e;
     if (copy.action.msg) {
       auto [it, fresh] =
@@ -77,17 +69,22 @@ class RecordingProbe final : public Probe {
   std::ostringstream log_;
 };
 
-// The two scheduler arms under test, as ExecutorOptions::legacy_scan.
-constexpr bool kWheel = false;
-constexpr bool kLegacy = true;
+// The two scheduler loops under test.
+enum class Loop { kWheel, kReference };
+constexpr Loop kLoops[] = {Loop::kWheel, Loop::kReference};
 
-const char* arm_name(bool legacy) { return legacy ? "legacy" : "wheel"; }
+const char* loop_name(Loop loop) {
+  return loop == Loop::kWheel ? "wheel" : "reference";
+}
 
-TimedTrace run_flood(const Graph& g, std::uint64_t seed, bool legacy,
+ExecutorReport run_on(Executor& exec, Loop loop) {
+  return loop == Loop::kWheel ? exec.run() : run_reference(exec);
+}
+
+TimedTrace run_flood(const Graph& g, std::uint64_t seed, Loop loop,
                      Probe* probe, std::size_t* steps = nullptr) {
   Executor exec({.horizon = seconds(10),
                  .seed = seed,
-                 .legacy_scan = legacy,
                  .probes = probe ? std::vector<Probe*>{probe}
                                  : std::vector<Probe*>{}});
   ChannelConfig cc;
@@ -97,7 +94,7 @@ TimedTrace run_flood(const Graph& g, std::uint64_t seed, bool legacy,
   add_timed_system(exec, g, cc,
                    make_flood_nodes(g, /*source=*/0, 0xf100d,
                                     /*hops_bound=*/g.n, cc.d2, 1));
-  const auto report = exec.run();
+  const auto report = run_on(exec, loop);
   if (steps != nullptr) *steps = report.steps;
   return exec.events();
 }
@@ -106,32 +103,30 @@ TEST(SchedulerEquivalence, FloodRingTracesMatchAcrossSchedulers) {
   for (std::uint64_t seed : {1u, 7u, 42u, 2024u}) {
     std::size_t steps_ref = 0;
     const auto ref =
-        run_flood(Graph::ring(8), seed, kWheel, nullptr, &steps_ref);
+        run_flood(Graph::ring(8), seed, Loop::kWheel, nullptr, &steps_ref);
     std::size_t steps = 0;
-    const auto got = run_flood(Graph::ring(8), seed, kLegacy, nullptr, &steps);
+    const auto got =
+        run_flood(Graph::ring(8), seed, Loop::kReference, nullptr, &steps);
     EXPECT_EQ(steps_ref, steps) << "seed " << seed;
-    EXPECT_EQ(normalized(ref), normalized(got)) << "seed " << seed;
+    EXPECT_EQ(trace_to_text(normalize_uids(ref)),
+              trace_to_text(normalize_uids(got)))
+        << "seed " << seed;
   }
 }
 
 TEST(SchedulerEquivalence, FloodCompleteGraphTracesMatchAcrossSchedulers) {
   for (std::uint64_t seed : {7u, 42u, 99u}) {
-    const auto ref = run_flood(Graph::complete(6), seed, kWheel, nullptr);
-    const auto got = run_flood(Graph::complete(6), seed, kLegacy, nullptr);
-    EXPECT_EQ(normalized(ref), normalized(got)) << "seed " << seed;
+    const auto ref =
+        run_flood(Graph::complete(6), seed, Loop::kWheel, nullptr);
+    const auto got =
+        run_flood(Graph::complete(6), seed, Loop::kReference, nullptr);
+    EXPECT_EQ(trace_to_text(normalize_uids(ref)),
+              trace_to_text(normalize_uids(got)))
+        << "seed " << seed;
   }
 }
 
-TEST(SchedulerEquivalence, ProbeSequencesMatchAcrossSchedulers) {
-  RecordingProbe wheel;
-  run_flood(Graph::ring(6), 42, kWheel, &wheel);
-  EXPECT_FALSE(wheel.text().empty());
-  RecordingProbe legacy;
-  run_flood(Graph::ring(6), 42, kLegacy, &legacy);
-  EXPECT_EQ(wheel.text(), legacy.text());
-}
-
-RwRunConfig rw_cfg(std::uint64_t seed, bool legacy) {
+RwRunConfig rw_cfg(std::uint64_t seed) {
   RwRunConfig cfg;
   cfg.num_nodes = 3;
   cfg.d1 = microseconds(20);
@@ -142,24 +137,151 @@ RwRunConfig rw_cfg(std::uint64_t seed, bool legacy) {
   cfg.think_max = microseconds(300);
   cfg.horizon = seconds(5);
   cfg.seed = seed;
-  cfg.legacy_scan = legacy;
   return cfg;
 }
 
+// --- harness twins --------------------------------------------------------
+
+// The harnesses build, run and drop their executor in one call, so the
+// harness-level equivalence tests assemble each system themselves through
+// the public builders, exactly as run_rw_timed / run_rw_clock / run_rw_mmt
+// / run_queue_clock do (same parameters, seeds and add() order, no probes
+// unless a test attaches one), and run one copy per loop. Every test
+// checks each copy's trace against the harness's own run, which pins the
+// twin to the harness assembly.
+enum class RwModel { kTimed, kClock, kMmt };
+
+// run_rw_mmt's step/tick bound and output-rate constant in these tests.
+constexpr Duration kMmtEll = microseconds(10);
+constexpr int kMmtK = 5;
+
+std::vector<std::shared_ptr<const ClockTrajectory>> twin_trajectories(
+    int num_nodes, Duration eps, Time horizon, std::uint64_t seed,
+    const DriftModel& drift) {
+  std::vector<std::shared_ptr<const ClockTrajectory>> out;
+  Rng seeder(seed ^ 0xc1c1c1c1ULL);
+  for (int i = 0; i < num_nodes; ++i) {
+    Rng r = seeder.split();
+    out.push_back(std::make_shared<ClockTrajectory>(
+        drift.generate(eps, horizon, r)));
+  }
+  return out;
+}
+
+// `drift` is unused in the timed model.
+std::unique_ptr<Executor> assemble_rw(const RwRunConfig& cfg, RwModel model,
+                                      const DriftModel& drift) {
+  auto twin = std::make_unique<Executor>(
+      ExecutorOptions{.horizon = cfg.horizon, .seed = cfg.seed});
+  Executor& exec = *twin;
+  std::vector<RwClient*> clients;
+  ClientOptions co;
+  co.num_ops = cfg.ops_per_node;
+  co.think_min = cfg.think_min;
+  co.think_max = cfg.think_max;
+  co.write_fraction = cfg.write_fraction;
+  for (auto& c :
+       make_clients(cfg.num_nodes, co, cfg.seed ^ 0xc7, &clients)) {
+    exec.add_owned(std::move(c));
+  }
+  RwParams p;
+  p.num_nodes = cfg.num_nodes;
+  p.c = cfg.c;
+  p.delta = cfg.delta;
+  p.d2_prime = model == RwModel::kTimed   ? cfg.d2
+               : model == RwModel::kClock ? timed_d2(cfg.d2, cfg.eps)
+                                          : mmt_d2(cfg.d2, cfg.eps, kMmtK,
+                                                   kMmtEll);
+  p.two_eps = cfg.super ? 2 * cfg.eps : 0;
+  p.v0 = cfg.v0;
+  auto algos = make_rw_algorithms(cfg.num_nodes, p);
+  const Graph g = Graph::complete_with_self_loops(cfg.num_nodes);
+  ChannelConfig cc;
+  cc.d1 = cfg.d1;
+  cc.d2 = cfg.d2;
+  cc.seed = cfg.seed ^ 0xe5e5;
+  if (model == RwModel::kTimed) {
+    add_timed_system(exec, g, cc, std::move(algos));
+    return twin;
+  }
+  const auto trajs = twin_trajectories(cfg.num_nodes, cfg.eps, cfg.horizon,
+                                       cfg.seed, drift);
+  if (model == RwModel::kClock) {
+    add_clock_system(exec, g, cc, std::move(algos), trajs);
+    return twin;
+  }
+  MmtConfig mc;
+  mc.ell = kMmtEll;
+  mc.seed = cfg.seed ^ 0x4d4d54;
+  add_mmt_system(exec, g, cc, std::move(algos), trajs, mc);
+  exec.stop_when([clients] {
+    return std::all_of(clients.begin(), clients.end(),
+                       [](const RwClient* c) { return c->finished(); });
+  });
+  return twin;
+}
+
+// The harness's own run of the same system, on Executor::run().
+RwRunResult run_rw_harness(const RwRunConfig& cfg, RwModel model,
+                           const DriftModel& drift) {
+  if (model == RwModel::kTimed) return run_rw_timed(cfg);
+  if (model == RwModel::kClock) return run_rw_clock(cfg, drift);
+  return run_rw_mmt(cfg, drift, kMmtEll, kMmtK);
+}
+
+// Runs the harness once and a twin on each loop; every twin's normalized
+// trace must equal the harness's.
+void expect_rw_twins_match(const RwRunConfig& cfg, RwModel model,
+                           const DriftModel& drift, const std::string& what) {
+  const std::string harness =
+      trace_to_text(normalize_uids(run_rw_harness(cfg, model, drift).events));
+  for (const Loop loop : kLoops) {
+    const auto twin = assemble_rw(cfg, model, drift);
+    run_on(*twin, loop);
+    EXPECT_EQ(trace_to_text(normalize_uids(twin->events())), harness)
+        << what << " on " << loop_name(loop);
+  }
+}
+
+TEST(SchedulerEquivalence, ProbeSequencesMatchAcrossSchedulers) {
+  RecordingProbe wheel;
+  run_flood(Graph::ring(6), 42, Loop::kWheel, &wheel);
+  EXPECT_FALSE(wheel.text().empty());
+  RecordingProbe reference;
+  run_flood(Graph::ring(6), 42, Loop::kReference, &reference);
+  EXPECT_EQ(wheel.text(), reference.text());
+
+  // The part-by-part Simulation 1 nodes (clock model) and the MMT
+  // tick/step machinery, under a drifting clock.
+  const ZigzagDrift drift(0.3);
+  for (const RwModel model : {RwModel::kClock, RwModel::kMmt}) {
+    RecordingProbe probes[2];
+    for (const Loop loop : kLoops) {
+      const auto twin = assemble_rw(rw_cfg(42), model, drift);
+      RecordingProbe& probe = probes[static_cast<int>(loop)];
+      twin->attach_probe(&probe);
+      run_on(*twin, loop);
+    }
+    const char* what = model == RwModel::kClock ? "rw-clock" : "rw-mmt";
+    EXPECT_NE(probes[0].text().find("event ERECVMSG"), std::string::npos)
+        << what;
+    EXPECT_EQ(probes[0].text(), probes[1].text()) << what;
+  }
+}
+
 TEST(SchedulerEquivalence, RwTimedTracesMatchAcrossSchedulers) {
+  const PerfectDrift unused;
   for (std::uint64_t seed : {7u, 42u, 99u}) {
-    const auto ref = run_rw_timed(rw_cfg(seed, kWheel));
-    const auto got = run_rw_timed(rw_cfg(seed, kLegacy));
-    EXPECT_EQ(normalized(ref.events), normalized(got.events))
-        << "seed " << seed;
+    expect_rw_twins_match(rw_cfg(seed), RwModel::kTimed, unused,
+                          "seed " + std::to_string(seed));
   }
 }
 
 // The clock-model drifts the equivalence tests sweep: ZigzagDrift(0.3),
 // then every standard_drift_models() model. Clock nodes are scheduled part
 // by part, which relies on a part's enabled set changing only when the part
-// is touched or its own hint comes due; the legacy scan polls whole nodes,
-// so these runs check that rule under every clock shape.
+// is touched or its own hint comes due; the reference loop polls whole
+// nodes, so these runs check that rule under every clock shape.
 std::vector<std::unique_ptr<DriftModel>> equivalence_drifts() {
   std::vector<std::unique_ptr<DriftModel>> out;
   out.push_back(std::make_unique<ZigzagDrift>(0.3));
@@ -170,74 +292,68 @@ std::vector<std::unique_ptr<DriftModel>> equivalence_drifts() {
 TEST(SchedulerEquivalence, RwClockTracesMatchAcrossSchedulers) {
   for (const auto& drift : equivalence_drifts()) {
     for (std::uint64_t seed : {7u, 42u, 99u}) {
-      const auto ref = run_rw_clock(rw_cfg(seed, kWheel), *drift);
-      const auto got = run_rw_clock(rw_cfg(seed, kLegacy), *drift);
-      EXPECT_EQ(normalized(ref.events), normalized(got.events))
-          << drift->name() << " seed " << seed;
+      expect_rw_twins_match(rw_cfg(seed), RwModel::kClock, *drift,
+                            drift->name() + " seed " + std::to_string(seed));
     }
   }
 }
 
 TEST(SchedulerEquivalence, RwMmtTracesMatchAcrossSchedulers) {
-  PerfectDrift drift;
+  const PerfectDrift drift;
   for (std::uint64_t seed : {7u, 42u, 99u}) {
-    const auto ref =
-        run_rw_mmt(rw_cfg(seed, kWheel), drift, microseconds(10), 5);
-    const auto got =
-        run_rw_mmt(rw_cfg(seed, kLegacy), drift, microseconds(10), 5);
-    EXPECT_EQ(normalized(ref.events), normalized(got.events))
-        << "seed " << seed;
+    expect_rw_twins_match(rw_cfg(seed), RwModel::kMmt, drift,
+                          "seed " + std::to_string(seed));
   }
 }
 
 // The bound-slack observatory is part of the schedulers' observability
-// contract: for the same seed both scheduler arms must report identical
-// min-slack summaries, not just identical traces.
+// contract: for the same seed both loops must report the min-slack
+// summaries the harness reports, not just identical traces.
 TEST(SchedulerEquivalence, SlackSummariesMatchAcrossSchedulers) {
-  struct SlackRun {
-    RwRunResult result;
-    MetricsRegistry registry;
-  };
-  auto run = [](bool legacy) {
-    auto out = std::make_unique<SlackRun>();
-    ObsOptions oo;
-    oo.registry = &out->registry;
-    oo.slack = true;
-    RwRunConfig cfg = rw_cfg(42, legacy);
-    cfg.obs = &oo;
-    ZigzagDrift drift(0.3);
-    out->result = run_rw_clock(cfg, drift);
-    return out;
-  };
-
-  const auto ref = run(kWheel);
-  const auto& a = ref->result;
+  const RwRunConfig base = rw_cfg(42);
+  const ZigzagDrift drift(0.3);
+  MetricsRegistry harness_registry;
+  ObsOptions oo;
+  oo.registry = &harness_registry;
+  oo.slack = true;
+  RwRunConfig cfg = base;
+  cfg.obs = &oo;
+  const RwRunResult a = run_rw_clock(cfg, drift);
   ASSERT_LT(a.min_slack, kTimeMax);  // the observatory measured something
   EXPECT_GE(a.min_slack, 0);
-  const auto alt = run(kLegacy);
-  const auto& b = alt->result;
-  EXPECT_EQ(a.min_slack, b.min_slack);
-  EXPECT_EQ(a.min_slack_ceps, b.min_slack_ceps);
-  EXPECT_EQ(a.min_slack_delivery, b.min_slack_delivery);
-  EXPECT_EQ(a.min_slack_thm47, b.min_slack_thm47);
-  EXPECT_EQ(a.min_slack_mmt, b.min_slack_mmt);
-  EXPECT_EQ(a.slack_violations, b.slack_violations);
 
-  // The aggregate histograms agree sample-for-sample, too.
-  for (const char* name :
-       {"slack.ceps_ns", "slack.delivery_ns", "slack.thm47_ns"}) {
-    const Histogram* ha = ref->registry.find_histogram(name);
-    const Histogram* hb = alt->registry.find_histogram(name);
-    ASSERT_NE(ha, nullptr) << name;
-    ASSERT_NE(hb, nullptr) << name;
-    EXPECT_EQ(ha->count(), hb->count()) << name;
-    EXPECT_EQ(ha->sum(), hb->sum()) << name;
-    EXPECT_EQ(ha->buckets(), hb->buckets()) << name;
+  for (const Loop loop : kLoops) {
+    // The probe run_rw_clock attaches, with the same model parameters.
+    MetricsRegistry registry;
+    BoundSlackProbe b(registry,
+                      {.eps = base.eps, .d1 = base.d1, .d2 = base.d2});
+    const auto twin = assemble_rw(base, RwModel::kClock, drift);
+    twin->attach_probe(&b);
+    run_on(*twin, loop);
+    const char* what = loop_name(loop);
+    EXPECT_EQ(a.min_slack, b.min_slack()) << what;
+    EXPECT_EQ(a.min_slack_ceps, b.min_ceps()) << what;
+    EXPECT_EQ(a.min_slack_delivery, b.min_delivery()) << what;
+    EXPECT_EQ(a.min_slack_thm47, b.min_thm47()) << what;
+    EXPECT_EQ(a.min_slack_mmt, b.min_mmt()) << what;
+    EXPECT_EQ(a.slack_violations, b.violations()) << what;
+
+    // The aggregate histograms agree sample-for-sample, too.
+    for (const char* name :
+         {"slack.ceps_ns", "slack.delivery_ns", "slack.thm47_ns"}) {
+      const Histogram* ha = harness_registry.find_histogram(name);
+      const Histogram* hb = registry.find_histogram(name);
+      ASSERT_NE(ha, nullptr) << name;
+      ASSERT_NE(hb, nullptr) << name << " " << what;
+      EXPECT_EQ(ha->count(), hb->count()) << name << " " << what;
+      EXPECT_EQ(ha->sum(), hb->sum()) << name << " " << what;
+      EXPECT_EQ(ha->buckets(), hb->buckets()) << name << " " << what;
+    }
   }
 }
 
 TEST(SchedulerEquivalence, QueueClockTracesMatchAcrossSchedulers) {
-  auto run = [](std::uint64_t seed, bool legacy, const DriftModel& drift) {
+  auto config = [](std::uint64_t seed) {
     QueueRunConfig qc;
     qc.num_nodes = 3;
     qc.d1 = microseconds(20);
@@ -247,15 +363,46 @@ TEST(SchedulerEquivalence, QueueClockTracesMatchAcrossSchedulers) {
     qc.think_max = microseconds(300);
     qc.horizon = seconds(5);
     qc.seed = seed;
-    qc.legacy_scan = legacy;
-    return run_queue_clock(qc, drift);
+    return qc;
+  };
+  // run_queue_clock's assembly.
+  auto assemble = [](const QueueRunConfig& qc, const DriftModel& drift) {
+    auto exec = std::make_unique<Executor>(
+        ExecutorOptions{.horizon = qc.horizon, .seed = qc.seed});
+    Rng seeder(qc.seed ^ 0x9c);
+    for (int i = 0; i < qc.num_nodes; ++i) {
+      QueueClient::Options o;
+      o.node = i;
+      o.num_ops = qc.ops_per_node;
+      o.enq_fraction = qc.enq_fraction;
+      o.think_min = qc.think_min;
+      o.think_max = qc.think_max;
+      o.seed = seeder.next();
+      exec->add_owned(std::make_unique<QueueClient>(o));
+    }
+    ChannelConfig cc;
+    cc.d1 = qc.d1;
+    cc.d2 = qc.d2;
+    cc.seed = qc.seed ^ 0x55;
+    add_clock_system(*exec, Graph::complete_with_self_loops(qc.num_nodes), cc,
+                     make_queue_nodes(qc.num_nodes,
+                                      timed_d2(qc.d2, qc.eps), qc.delta),
+                     twin_trajectories(qc.num_nodes, qc.eps, qc.horizon,
+                                       qc.seed, drift));
+    return exec;
   };
   for (const auto& drift : equivalence_drifts()) {
     for (std::uint64_t seed : {7u, 11u, 42u}) {
-      const auto ref = run(seed, kWheel, *drift);
-      const auto got = run(seed, kLegacy, *drift);
-      EXPECT_EQ(normalized(ref.events), normalized(got.events))
-          << drift->name() << " seed " << seed;
+      const QueueRunConfig qc = config(seed);
+      const std::string harness =
+          trace_to_text(normalize_uids(run_queue_clock(qc, *drift).events));
+      for (const Loop loop : kLoops) {
+        const auto exec = assemble(qc, *drift);
+        run_on(*exec, loop);
+        EXPECT_EQ(trace_to_text(normalize_uids(exec->events())), harness)
+            << drift->name() << " seed " << seed << " on "
+            << loop_name(loop);
+      }
     }
   }
 }
@@ -312,32 +459,30 @@ struct BatchRun {
 // 4 * 3 + 64 entry backstop, while batcher 2 idles on a valid hint that the
 // compaction must keep. Its batches land 37us later, inside the same coarse
 // wheel slot, so each advance to a shared batch re-files them a level down.
-BatchRun run_batches(std::uint64_t seed, bool legacy) {
+BatchRun run_batches(std::uint64_t seed, Loop loop) {
   RecordingProbe probe;
-  Executor exec({.horizon = seconds(1),
-                 .seed = seed,
-                 .legacy_scan = legacy,
-                 .probes = {&probe}});
+  Executor exec({.horizon = seconds(1), .seed = seed, .probes = {&probe}});
   for (int node = 0; node < 3; ++node) {
     exec.add_owned(std::make_unique<Batcher>(
         node, microseconds(node == 2 ? 1037 : 1000), milliseconds(1),
         /*batches=*/4, /*jobs=*/40));
   }
-  const auto report = exec.run();
+  const auto report = run_on(exec, loop);
   EXPECT_TRUE(report.quiesced);
   return {exec.events(), probe.text(), report.stats};
 }
 
 TEST(SchedulerEquivalence, WheelCompactionRunsMatchLegacy) {
   for (std::uint64_t seed : {1u, 7u, 42u}) {
-    const BatchRun wheel = run_batches(seed, kWheel);
+    const BatchRun wheel = run_batches(seed, Loop::kWheel);
     EXPECT_GT(wheel.stats.wheel.compactions, 0u) << "seed " << seed;
     EXPECT_GT(wheel.stats.wheel.cascades, 0u) << "seed " << seed;
     EXPECT_EQ(wheel.events.size(), 3u * 4u * 40u) << "seed " << seed;
-    const BatchRun legacy = run_batches(seed, kLegacy);
-    EXPECT_EQ(normalized(wheel.events), normalized(legacy.events))
+    const BatchRun reference = run_batches(seed, Loop::kReference);
+    EXPECT_EQ(trace_to_text(normalize_uids(wheel.events)),
+              trace_to_text(normalize_uids(reference.events)))
         << "seed " << seed;
-    EXPECT_EQ(wheel.probes, legacy.probes) << "seed " << seed;
+    EXPECT_EQ(wheel.probes, reference.probes) << "seed " << seed;
   }
 }
 
@@ -348,12 +493,9 @@ TEST(SchedulerEquivalence, WheelCompactionRunsMatchLegacy) {
 // One composite of 100 one-job Batchers is one machine with 100 parts, each
 // holding a live wake entry until its job comes due.
 TEST(SchedulerParts, WheelHoldingOnlyLiveEntriesNeverCompacts) {
-  auto run = [](bool legacy) {
+  auto run = [](Loop loop) {
     RecordingProbe probe;
-    Executor exec({.horizon = seconds(1),
-                   .seed = 3,
-                   .legacy_scan = legacy,
-                   .probes = {&probe}});
+    Executor exec({.horizon = seconds(1), .seed = 3, .probes = {&probe}});
     auto alarms = std::make_unique<CompositeMachine>("alarms");
     for (int k = 0; k < 100; ++k) {
       alarms->add(std::make_unique<Batcher>(k, microseconds(k + 1),
@@ -361,16 +503,17 @@ TEST(SchedulerParts, WheelHoldingOnlyLiveEntriesNeverCompacts) {
                                             /*jobs=*/1));
     }
     exec.add_owned(std::move(alarms));
-    const auto report = exec.run();
+    const auto report = run_on(exec, loop);
     EXPECT_TRUE(report.quiesced);
     return BatchRun{exec.events(), probe.text(), report.stats};
   };
-  const BatchRun wheel = run(kWheel);
+  const BatchRun wheel = run(Loop::kWheel);
   EXPECT_EQ(wheel.events.size(), 100u);
   EXPECT_EQ(wheel.stats.wheel.compactions, 0u);
-  const BatchRun legacy = run(kLegacy);
-  EXPECT_EQ(normalized(wheel.events), normalized(legacy.events));
-  EXPECT_EQ(wheel.probes, legacy.probes);
+  const BatchRun reference = run(Loop::kReference);
+  EXPECT_EQ(trace_to_text(normalize_uids(wheel.events)),
+            trace_to_text(normalize_uids(reference.events)));
+  EXPECT_EQ(wheel.probes, reference.probes);
 }
 
 // Forwards everything to `inner` and counts the polls the executor makes of
@@ -556,24 +699,22 @@ class Spinner final : public Machine {
 };
 
 TEST(SchedulerCap, CapWithStopConditionReportsInsteadOfThrowing) {
-  for (bool legacy : {kWheel, kLegacy}) {
-    Executor exec(
-        {.horizon = seconds(1), .max_events = 100, .legacy_scan = legacy});
+  for (const Loop loop : kLoops) {
+    Executor exec({.horizon = seconds(1), .max_events = 100});
     exec.add_owned(std::make_unique<Spinner>());
     exec.stop_when([] { return false; });  // never fires; cap wins the race
-    const auto report = exec.run();
-    EXPECT_TRUE(report.hit_event_cap) << arm_name(legacy);
-    EXPECT_EQ(report.steps, 100u) << arm_name(legacy);
-    EXPECT_FALSE(report.quiesced) << arm_name(legacy);
+    const auto report = run_on(exec, loop);
+    EXPECT_TRUE(report.hit_event_cap) << loop_name(loop);
+    EXPECT_EQ(report.steps, 100u) << loop_name(loop);
+    EXPECT_FALSE(report.quiesced) << loop_name(loop);
   }
 }
 
 TEST(SchedulerCap, CapWithoutStopConditionStillThrows) {
-  for (bool legacy : {kWheel, kLegacy}) {
-    Executor exec(
-        {.horizon = seconds(1), .max_events = 100, .legacy_scan = legacy});
+  for (const Loop loop : kLoops) {
+    Executor exec({.horizon = seconds(1), .max_events = 100});
     exec.add_owned(std::make_unique<Spinner>());
-    EXPECT_THROW(exec.run(), CheckError) << arm_name(legacy);
+    EXPECT_THROW(run_on(exec, loop), CheckError) << loop_name(loop);
   }
 }
 
