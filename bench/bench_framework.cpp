@@ -5,8 +5,9 @@
 // the O(n log n) witness check), trace-relation checking, clock
 // trajectory queries (mixed, and each query alone on the benchmark's clock),
 // the benchmark's per-node clock set-up, the executor's re-poll of one
-// Simulation 1 node after one input, and one MMT node step. These are the
-// costs a user of the library pays.
+// Simulation 1 node after one input, one MMT node step, and the wake
+// calendar's re-poll/advance cycle. These are the costs a user of the
+// library pays.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "mmt/mmt_node.hpp"
 #include "rw/algorithm.hpp"
 #include "rw/harness.hpp"
+#include "runtime/wheel.hpp"
 #include "transform/clock_system.hpp"
 #include "transform/gamma.hpp"
 #include "util/rng.hpp"
@@ -374,6 +376,45 @@ void BM_MmtNodeStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MmtNodeStep);
+
+// The executor's wake-calendar cycle on a system that is idle between
+// wakes (the MMT idle step): each iteration takes the earliest wake,
+// advances the wheel to it, re-files every slot that came due a random
+// step gap in [ell/4, ell] later, and re-files one more random slot, as an
+// input re-polling a slot before its wake is due would. The argument is
+// the slot count: 28 is rw_mmt_writes' executor, 65,536 the flood sweep's
+// top scale.
+void BM_WheelRepollAdvance(benchmark::State& state) {
+  const auto slots = static_cast<std::uint32_t>(state.range(0));
+  const Duration ell = microseconds(10);
+  Rng rng(1);
+  TimingWheel wheel;
+  WheelStats st;
+  std::vector<std::uint32_t> gen(slots, 0);
+  const auto valid = [&gen](const TimingWheel::Entry& e) {
+    return e.gen == gen[e.slot];
+  };
+  // The executor's re-poll: bump the generation, file, compact past the
+  // stale-entry threshold.
+  const auto refile = [&](std::uint32_t s, Time now) {
+    ++gen[s];
+    wheel.insert(now + rng.uniform(ell / 4, ell), s, gen[s], st);
+    if (wheel.size() > 4 * std::size_t{slots} + 64) wheel.compact(valid, st);
+  };
+  wheel.reset(0);
+  for (std::uint32_t s = 0; s < slots; ++s) refile(s, 0);
+  std::vector<std::uint32_t> due;
+  for (auto _ : state) {
+    const Time now = wheel.earliest(valid, st);
+    due.clear();
+    wheel.advance_to(
+        now, valid, [&due](std::uint32_t s) { due.push_back(s); }, st);
+    for (const std::uint32_t s : due) refile(s, now);
+    refile(static_cast<std::uint32_t>(rng.index(slots)), now);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WheelRepollAdvance)->Arg(28)->Arg(65536);
 
 void BM_GammaConstruction(benchmark::State& state) {
   RwRunConfig cfg = bench_config();
