@@ -486,7 +486,6 @@ struct SweepRow {
   double flight_overhead = 0;
   // Wheel self-metrics for the cell (deterministic across repeats).
   std::uint64_t wheel_cascades = 0;
-  std::uint64_t wheel_stale_drops = 0;
   // PSC_PROFILE=1 arm: wheel calendar with the sampling microprofiler
   // bracketing every hot-loop phase (default 1-in-64 sampling). 0 / false
   // when the arm did not run.
@@ -644,7 +643,6 @@ SweepRow run_sweep_cell(int n, int repeats, int target_events,
     row.lint_direct = median(ldir_r) / base_min;
   }
   row.wheel_cascades = wheel.stats.wheel.cascades;
-  row.wheel_stale_drops = wheel.stats.wheel.stale_drops;
   if (row.machines <= kLegacySweepCap) {
     for (int r = 0; r < repeats; ++r) {
       fold(legacy, measure_sample("flood", n, kLegacyArm, cell_target));
@@ -661,8 +659,7 @@ SweepRow run_sweep_cell(int n, int repeats, int target_events,
   } else {
     std::printf(" %14s", "-");
   }
-  std::printf(" %10zu %10zu", static_cast<std::size_t>(row.wheel_cascades),
-              static_cast<std::size_t>(row.wheel_stale_drops));
+  std::printf(" %10zu", static_cast<std::size_t>(row.wheel_cascades));
   if (flight_arm) {
     std::printf(" %13.1f %+7.1f%%", row.flight_ns,
                 row.flight_overhead * 100.0);
@@ -715,7 +712,6 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
          << ",\"prof_overhead\":" << r.prof_overhead;
     }
     os << ",\"wheel_cascades\":" << r.wheel_cascades
-       << ",\"wheel_stale_drops\":" << r.wheel_stale_drops
        << ",\"seed\":" << kSeed << "}\n";
   }
   // One `prof` line per profiled sweep cell: the scaled per-phase self-time
@@ -947,9 +943,8 @@ int main(int argc, char** argv) {
            "events-per-machine budget per cell; legacy polling capped at " +
            std::to_string(kLegacySweepCap) +
            " machines; cap via PSC_BENCH_MAX_MACHINES / --max-machines");
-      std::printf("  %8s %9s %9s %14s %14s %10s %10s", "n", "machines",
-                  "events", "wheel ns/ev", "legacy ns/ev", "cascades",
-                  "stale");
+      std::printf("  %8s %9s %9s %14s %14s %10s", "n", "machines", "events",
+                  "wheel ns/ev", "legacy ns/ev", "cascades");
       if (flight_arm) std::printf(" %13s %8s", "flight ns/ev", "fly ovh");
       if (prof_arm) std::printf(" %11s %8s", "prof ns/ev", "prof ovh");
       std::printf("\n");

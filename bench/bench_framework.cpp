@@ -379,8 +379,8 @@ BENCHMARK(BM_MmtNodeStep);
 
 // The executor's wake-calendar cycle on a system that is idle between
 // wakes (the MMT idle step): each iteration takes the earliest wake,
-// advances the wheel to it, re-files every slot that came due a random
-// step gap in [ell/4, ell] later, and re-files one more random slot, as an
+// advances the wheel to it, files every slot that came due a random step
+// gap in [ell/4, ell] later, and moves one more random slot's wake, as an
 // input re-polling a slot before its wake is due would. The argument is
 // the slot count: 28 is rw_mmt_writes' executor, 65,536 the flood sweep's
 // top scale.
@@ -390,25 +390,16 @@ void BM_WheelRepollAdvance(benchmark::State& state) {
   Rng rng(1);
   TimingWheel wheel;
   WheelStats st;
-  std::vector<std::uint32_t> gen(slots, 0);
-  const auto valid = [&gen](const TimingWheel::Entry& e) {
-    return e.gen == gen[e.slot];
-  };
-  // The executor's re-poll: bump the generation, file, compact past the
-  // stale-entry threshold.
   const auto refile = [&](std::uint32_t s, Time now) {
-    ++gen[s];
-    wheel.insert(now + rng.uniform(ell / 4, ell), s, gen[s], st);
-    if (wheel.size() > 4 * std::size_t{slots} + 64) wheel.compact(valid, st);
+    wheel.set(s, now + rng.uniform(ell / 4, ell), st);
   };
-  wheel.reset(0);
+  wheel.reset(0, slots);
   for (std::uint32_t s = 0; s < slots; ++s) refile(s, 0);
   std::vector<std::uint32_t> due;
   for (auto _ : state) {
-    const Time now = wheel.earliest(valid, st);
+    const Time now = wheel.earliest();
     due.clear();
-    wheel.advance_to(
-        now, valid, [&due](std::uint32_t s) { due.push_back(s); }, st);
+    wheel.advance_to(now, [&due](std::uint32_t s) { due.push_back(s); }, st);
     for (const std::uint32_t s : due) refile(s, now);
     refile(static_cast<std::uint32_t>(rng.index(slots)), now);
   }

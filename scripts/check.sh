@@ -60,7 +60,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # Smoke the perf bench under the sanitizers (tiny sweep, no timing claims):
 # catches memory errors on the scheduler hot path that tests may not reach.
 # The smoke run includes the capped flood sweep, so the timing wheel's
-# cascade/compaction paths execute under ASan+UBSan at 1k+ machines.
+# cascade path executes under ASan+UBSan at 1k+ machines.
 # PSC_PROFILE=1 attaches the sampling microprofiler so its record path,
 # report assembly, and exporters also run sanitizer-clean (the smoke run
 # skips the timing gates — no timing claims under ASan).

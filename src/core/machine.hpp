@@ -155,6 +155,15 @@ class Machine {
   // Input effect (input-enabled: must accept any action classified kInput).
   virtual void apply_input(const Action& a, Time t) = 0;
 
+  // True when the last apply_input was *inert*: it changed nothing that
+  // enabled_into, next_enabled, upper_bound or any part_* query reads, so
+  // their results at every t are what they were before it (an inert input
+  // touches no part). Non-virtual, like clocked(): the executor reads it
+  // after each input it fans out and skips the re-poll. A machine that
+  // never calls set_last_input_inert() reports false, so every input it
+  // receives is re-polled. MachineFuzzer's axiom A7 checks the claim.
+  bool last_input_inert() const { return last_input_inert_; }
+
   // Locally controlled actions whose preconditions hold at time t.
   virtual std::vector<Action> enabled(Time t) const = 0;
 
@@ -239,6 +248,9 @@ class Machine {
  protected:
   // See clock_reading(): pair with overriding it.
   void set_clocked(bool v) { clocked_ = v; }
+  // See last_input_inert(): an overrider of apply_input that uses it sets
+  // it on every input, true or false.
+  void set_last_input_inert(bool v) { last_input_inert_ = v; }
   // Drops the cached declaration; the next use re-declares.
   void reset_signature() { signature_.reset(); }
 
@@ -247,6 +259,7 @@ class Machine {
 
   std::string name_;
   bool clocked_ = false;
+  bool last_input_inert_ = false;
   mutable std::optional<SignatureDecl> signature_;
 };
 

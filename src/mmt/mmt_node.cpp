@@ -103,8 +103,12 @@ void MmtNode::apply_input(const Action& a, Time t) {
     // Clock values are monotone; a stale tick (possible only through
     // adversarial scheduling at equal times) is ignored.
     mmtclock_ = std::max(mmtclock_, c);
+    // Inert: enabled_into and both hints read next_step_ and pending_, not
+    // mmtclock_ (the next step's catch_up reads it).
+    set_last_input_inert(true);
     return;
   }
+  set_last_input_inert(false);
   // Def 5.1 input case: catch up to mmtclock first (the input applies to
   // fragstate), then deliver.
   catch_up(t);

@@ -230,9 +230,7 @@ void SchedulerStatsProbe::on_run_end(Time /*now*/) {
   reg_.counter("exec.time_advances").add(s.time_advances);
   reg_.counter("exec.wheel.inserts").add(s.wheel.inserts);
   reg_.counter("exec.wheel.due").add(s.wheel.due);
-  reg_.counter("exec.wheel.stale_drops").add(s.wheel.stale_drops);
   reg_.counter("exec.wheel.cascades").add(s.wheel.cascades);
-  reg_.counter("exec.wheel.compactions").add(s.wheel.compactions);
   reg_.counter("exec.dirty.flushes").add(s.dirty_flushes);
   reg_.counter("exec.dirty.repolls").add(s.dirty_repolls);
   reg_.gauge("exec.dirty.peak").set(static_cast<double>(s.dirty_peak));

@@ -46,7 +46,6 @@ void Executor::add(Machine* machine) {
                                  : static_cast<std::uint32_t>(p)});
     cands_.emplace_back();
     cand_count_.push_back(0);
-    gen_.push_back(0);
     in_dirty_.push_back(0);
   }
   part_base_.push_back(static_cast<std::uint32_t>(slots_.size()));
@@ -173,14 +172,13 @@ void Executor::resolve_kind(ActionKindId id) {
 
 void Executor::reset_sched() {
   dirty_.clear();
-  ne_wheel_.reset(now_);
-  ub_wheel_.reset(now_);
+  ne_wheel_.reset(now_, slot_count());
+  ub_wheel_.reset(now_, slot_count());
   total_cands_ = 0;
   nonempty_.assign(slot_count());
   for (std::size_t s = 0; s < slot_count(); ++s) {
     cands_[s].clear();
     cand_count_[s] = 0;
-    ++gen_[s];
     in_dirty_[s] = 1;
     dirty_.push_back(s);
   }
@@ -195,19 +193,6 @@ void Executor::mark_touched_parts(std::size_t m, std::uint32_t base,
                                     << " reported part " << p << " of "
                                     << parts);
     mark_dirty(base + p);
-  }
-}
-
-void Executor::push_wheel(TimingWheel& wheel, Time t, std::size_t s) {
-  wheel.insert(t, static_cast<std::uint32_t>(s), gen_[s], stats_.wheel);
-  // Every re-poll files a fresh entry and stales the slot's previous one,
-  // so a slot re-polled many times before its hint comes due piles up
-  // stale entries. Each slot has at most one current-generation entry per
-  // wheel, so past 4x that the wheel is mostly stale: sweep it.
-  if (wheel.size() > 4 * slot_count() + 64) {
-    wheel.compact(
-        [this](const TimingWheel::Entry& e) { return e.gen == gen_[e.slot]; },
-        stats_.wheel);
   }
 }
 
@@ -234,26 +219,32 @@ void Executor::flush_dirty() {
     }
     total_cands_ += c.size();
     cand_count_[s] = static_cast<std::uint32_t>(c.size());
-    if (c.empty()) {
+    const bool empty = c.empty();
+    if (empty) {
       nonempty_.reset(s);
     } else {
       nonempty_.set(s);
     }
-    ++gen_[s];
     const Time ne =
         whole ? m->next_enabled(now_) : m->part_next_enabled(part, now_);
     PSC_CHECK(ne > now_ || ne == kTimeMax,
               "machine " << m->name() << " reported next_enabled "
                          << format_time(ne) << " not after now "
                          << format_time(now_));
-    if (ne != kTimeMax) push_wheel(ne_wheel_, ne, s);
     const Time ub =
         whole ? m->upper_bound(now_) : m->part_upper_bound(part, now_);
     PSC_CHECK(ub >= now_, "machine " << m->name()
                                      << " upper_bound in the past: "
                                      << format_time(ub) << " < "
                                      << format_time(now_));
-    if (ub != kTimeMax) push_wheel(ub_wheel_, ub, s);
+    // Wakes are filed only for an empty slot (time passes only when every
+    // slot is empty, and a non-empty one is re-polled before it can be
+    // empty again), and its upper bound only below its next_enabled (one
+    // at or past it neither wakes the slot first nor fails the
+    // next <= ub check).
+    const auto slot = static_cast<std::uint32_t>(s);
+    ne_wheel_.set(slot, empty ? ne : kTimeMax, stats_.wheel);
+    ub_wheel_.set(slot, empty && ub < ne ? ub : kTimeMax, stats_.wheel);
   }
   dirty_.clear();
 }
@@ -398,7 +389,7 @@ void Executor::execute_fast(std::size_t slot, std::size_t offset) {
       if (m == machine) continue;
       ++stats_.fanout_inputs;
       machines_[m]->apply_input(a, now_);
-      mark_touched(m);
+      if (!machines_[m]->last_input_inert()) mark_touched(m);
     }
   }
   if (pr != nullptr) {
@@ -425,10 +416,7 @@ bool Executor::advance_time_wheel() {
   // notification and wake set are observable through probes and the RNG
   // stream, and the trace-equivalence tests pin all three. Both minima must
   // be exact because `now` jumps straight to `next`.
-  const auto valid = [this](const TimingWheel::Entry& e) {
-    return e.gen == gen_[e.slot];
-  };
-  const Time next = ne_wheel_.earliest(valid, stats_.wheel);
+  const Time next = ne_wheel_.earliest();
   if (next >= kTimeMax) {
     quiesced_ = true;
     return false;  // nothing will ever enable again
@@ -436,7 +424,7 @@ bool Executor::advance_time_wheel() {
   if (next > options_.horizon) {
     return false;  // future work exists but lies beyond the horizon
   }
-  const Time ub = ub_wheel_.earliest(valid, stats_.wheel);
+  const Time ub = ub_wheel_.earliest();
   // Urgency consistency: if a machine forbids time passing some bound but
   // nothing becomes enabled by then, the composition is deadlocked — a bug
   // in the model under test, so fail loudly.
@@ -451,8 +439,8 @@ bool Executor::advance_time_wheel() {
   // Wake every slot whose hint has come due; woken slots are re-polled at
   // the new now before the next pick.
   const auto due = [this](std::uint32_t s) { mark_dirty(s); };
-  ne_wheel_.advance_to(now_, valid, due, stats_.wheel);
-  ub_wheel_.advance_to(now_, valid, due, stats_.wheel);
+  ne_wheel_.advance_to(now_, due, stats_.wheel);
+  ub_wheel_.advance_to(now_, due, stats_.wheel);
   return true;
 }
 

@@ -210,6 +210,16 @@ class Executor {
   std::size_t interned_kind_count() const { return kinds_.size(); }
   // Scheduler self-metrics so far (also returned in ExecutorReport::stats).
   const ExecutorStats& stats() const { return stats_; }
+  // Wake calendar: entries held by the next_enabled and upper_bound wheels
+  // (at most one per slot each), and whether slot `s` has one filed (never
+  // while it has candidates).
+  std::pair<std::size_t, std::size_t> wake_entries() const {
+    return {ne_wheel_.size(), ub_wheel_.size()};
+  }
+  bool has_wake(std::size_t s) const {
+    const auto slot = static_cast<std::uint32_t>(s);
+    return ne_wheel_.linked(slot) || ub_wheel_.linked(slot);
+  }
 
  private:
   // The Def 2.2 reference loop (tests/support/reference_loop.cpp) drives
@@ -290,7 +300,6 @@ class Executor {
   // Maps a flat candidate index (slot-ascending, per-slot enabled() order —
   // the reference loop's gather order) to (slot, offset).
   std::pair<std::size_t, std::size_t> locate_candidate(std::size_t k) const;
-  void push_wheel(TimingWheel& wheel, Time t, std::size_t s);
 
   // run() is begin_run(), the scheduler loop, end_run(): the lint gate,
   // the per-run probe split and on_run_begin, then the event-cap check,
@@ -359,14 +368,11 @@ class Executor {
 
   // Scheduler state, as parallel arrays. Keeping each field in its own
   // contiguous array (structure-of-arrays) means the loops that walk one
-  // field — locate_candidate over counts, generation tests from the
-  // calendar — stream through packed memory instead of striding over fat
-  // records. Per slot:
+  // field — locate_candidate over counts — stream through packed memory
+  // instead of striding over fat records. Per slot:
   std::vector<SlotRef> slots_;
   std::vector<std::vector<Action>> cands_;   // cached candidates per slot
   std::vector<std::uint32_t> cand_count_;    // cands_[s].size(), packed
-  std::vector<std::uint32_t> gen_;  // bumped per re-poll (lazy calendar
-                                    // invalidation)
   std::vector<char> in_dirty_;
   HierBitset nonempty_;  // slots with cand_count_[s] > 0
   // Per machine: its slots are [part_base_[m], part_base_[m + 1]).
@@ -381,8 +387,9 @@ class Executor {
   std::vector<std::size_t> dirty_;  // slots to re-poll before the next pick
   std::vector<std::uint32_t> touched_;  // mark_touched scratch
   std::size_t total_cands_ = 0;
+  // One entry per empty slot at most (see flush_dirty).
   TimingWheel ne_wheel_;  // next_enabled hints
-  TimingWheel ub_wheel_;  // upper_bound deadlines
+  TimingWheel ub_wheel_;  // upper_bound deadlines below next_enabled
   // Recycled per-event scratch: the candidate Action is swapped (not moved)
   // into this event and swapped back out on the next pick, so the string /
   // args / message buffers cycle between the scheduler and the machines'

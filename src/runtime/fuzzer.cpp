@@ -28,8 +28,21 @@ FuzzReport MachineFuzzer::run(std::size_t steps) {
         PSC_CHECK(machine_.classify(*a) == ActionRole::kInput,
                   machine_.name() << ": generated input " << to_string(*a)
                                   << " not classified kInput");
+        const std::vector<Action> before = machine_.enabled(now_);
         machine_.apply_input(*a, now_);  // A6: must not throw
         ++report.inputs_injected;
+        if (machine_.last_input_inert()) {
+          // A7: the executor skips the re-poll of an inert input.
+          ++report.inert_inputs;
+          PSC_CHECK(machine_.enabled(now_) == before &&
+                        machine_.next_enabled(now_) == ne &&
+                        machine_.upper_bound(now_) == ub,
+                    machine_.name() << ": input " << to_string(*a)
+                                    << " reported inert but changed "
+                                       "enabled, next_enabled or "
+                                       "upper_bound at "
+                                    << format_time(now_));
+        }
         continue;
       }
     }

@@ -12,7 +12,9 @@
 //       when time reaches it (no false promises that would deadlock the
 //       executor);
 //   A5  apply_local never throws for an action the machine itself offered;
-//   A6  input-enabledness: apply_input accepts any action classified kInput.
+//   A6  input-enabledness: apply_input accepts any action classified kInput;
+//   A7  an input the machine reports inert (Machine::last_input_inert)
+//       leaves enabled, next_enabled and upper_bound unchanged.
 //
 // Corresponds to axioms S1-S5 of Def 2.1 in spirit: S2/S3 are structural in
 // the harness (actions do not move time; time moves forward), S4/S5 hold
@@ -35,6 +37,7 @@ namespace psc {
 struct FuzzReport {
   std::size_t actions_executed = 0;
   std::size_t inputs_injected = 0;
+  std::size_t inert_inputs = 0;  // inputs reported inert (checked by A7)
   std::size_t time_advances = 0;
   Time end_time = 0;
 };

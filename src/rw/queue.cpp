@@ -322,8 +322,10 @@ QueueRunResult run_queue_clock(const QueueRunConfig& cfg,
   Rng seeder(cfg.seed ^ 0xc1c1c1c1ULL);
   for (int i = 0; i < cfg.num_nodes; ++i) {
     Rng r = seeder.split();
-    trajs.push_back(std::make_shared<ClockTrajectory>(
-        drift.generate(cfg.eps, cfg.horizon, r)));
+    auto traj = std::make_shared<ClockTrajectory>(
+        drift.generate(cfg.eps, cfg.horizon, r));
+    traj->validate(cfg.horizon);
+    trajs.push_back(std::move(traj));
   }
   ChannelConfig cc;
   cc.d1 = cfg.d1;

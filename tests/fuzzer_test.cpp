@@ -9,6 +9,7 @@
 #include "algos/heartbeat.hpp"
 #include "algos/tdma.hpp"
 #include "channel/channel.hpp"
+#include "mmt/mmt_node.hpp"
 #include "runtime/fuzzer.hpp"
 #include "runtime/renamed.hpp"
 #include "runtime/script.hpp"
@@ -131,6 +132,33 @@ TEST_P(FuzzSeeds, HeartbeatMachinesSatisfyAxioms) {
     return make_recv(1, 0, make_message("HEARTBEAT"));
   });
   mf.run(2000);
+}
+
+// An MMT node around a scripted clock-time machine that emits OUT every
+// 20us of clock and accepts MSG. A TICK only raises mmtclock, so the node
+// reports it inert and axiom A7 checks that claim; a MSG first catches the
+// script up to mmtclock, which can queue an OUT and change what the node
+// offers, so it is not inert.
+TEST_P(FuzzSeeds, MmtNodeSatisfiesAxioms) {
+  std::vector<ScriptMachine::Step> steps;
+  for (int k = 1; k <= 2000; ++k) {
+    steps.push_back({k * microseconds(20), make_action("OUT", 0)});
+  }
+  auto script = std::make_unique<ScriptMachine>("script0", std::move(steps));
+  script->accept_kind("MSG", 0);
+  MmtNode node(0, std::move(script), microseconds(10), Rng(GetParam()));
+  MachineFuzzer fuzz(node, GetParam());
+  fuzz.set_input_generator([](Time t, Rng& rng) -> std::optional<Action> {
+    if (rng.flip(0.25)) return make_action("MSG", 0);
+    // A clock value within 5us of real time; a stale one is ignored.
+    const Time c =
+        std::max<Time>(0, t + rng.uniform(-microseconds(5), microseconds(5)));
+    return make_action("TICK", 0, {Value{c}});
+  });
+  const auto report = fuzz.run(3000);
+  EXPECT_GT(report.inert_inputs, 100u);
+  EXPECT_LT(report.inert_inputs, report.inputs_injected);
+  EXPECT_GT(node.stats().outputs, 10u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds,

@@ -6,8 +6,10 @@
 #include "runtime/executor.hpp"
 #include "runtime/script.hpp"
 #include "runtime/system.hpp"
+#include "rw/harness.hpp"
 #include "rw/queue.hpp"
 #include "transform/clock_system.hpp"
+#include "util/check.hpp"
 
 namespace psc {
 namespace {
@@ -192,6 +194,28 @@ TEST(QueueSystemTest, DrainedQueueReturnsEverythingFifo) {
   cfg.enq_fraction = 1.0;  // both clients enqueue-only here...
   const auto run = run_queue_timed(cfg);
   EXPECT_TRUE(check_linearizable_queue(run.ops));
+}
+
+// A drift model whose clock leaves the C_eps band: 10 eps fast after 1us.
+class OutOfBandDrift final : public DriftModel {
+ public:
+  OutOfBandDrift() : DriftModel("out-of-band") {}
+  ClockTrajectory generate(Duration eps, Time /*horizon*/,
+                           Rng& /*rng*/) const override {
+    return ClockTrajectory(
+        {{0, 0}, {microseconds(1), microseconds(1) + 10 * eps}}, eps);
+  }
+};
+
+// Both clock-model harnesses validate the trajectories they generate
+// against C_eps before running.
+TEST(QueueSystemTest, ClockRunRejectsTrajectoryOutsideEpsBand) {
+  const OutOfBandDrift drift;
+  EXPECT_THROW(run_queue_clock(queue_config(), drift), CheckError);
+  RwRunConfig rw;
+  rw.num_nodes = 2;
+  rw.ops_per_node = 2;
+  EXPECT_THROW(run_rw_clock(rw, drift), CheckError);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 // composition literally, so the timing-wheel scheduler behind
 // Executor::run() must be observationally identical to it — byte-identical
 // TimedTraces and probe sequences for the same seed, on every shipped
-// harness and on a run that drives the wheel through its stale-entry
-// compaction. The interned routing must also raise the composition
+// harness and on runs that re-poll slots many times before their wakes
+// come due. The wake calendar holds one entry per slot per wheel and none
+// for a slot with candidates, and an inert input (an MMT node's TICK) is
+// not re-polled. The interned routing must also raise the composition
 // compatibility errors and handle hide() edge cases, and a multi-part
 // machine (a clock node's members) must be re-polled part by part.
 #include <gtest/gtest.h>
@@ -407,13 +409,12 @@ TEST(SchedulerEquivalence, QueueClockTracesMatchAcrossSchedulers) {
   }
 }
 
-// --- wheel compaction --------------------------------------------------------
+// --- the wake calendar ------------------------------------------------------
 
 // Works through batches of jobs: every job due by now is enabled, one JOB
 // output at a time. Its next_enabled hint sits at the next batch, far in
-// the future, while it works through the current one, so each of its
-// re-polls at one instant files a fresh wake entry and stales the previous
-// one.
+// the future, while it works through the current one, so it is re-polled
+// many times at one instant with a wake it must not file.
 class Batcher final : public Machine {
  public:
   Batcher(int node, Time first, Duration period, int batches, int jobs)
@@ -448,20 +449,45 @@ class Batcher final : public Machine {
   std::size_t next_ = 0;
 };
 
+// The largest entry count each wake wheel held at any event or time
+// advance, on the wheel loop (the reference loop files no wakes).
+class WakeWatch final : public Probe {
+ public:
+  explicit WakeWatch(const Executor& exec) : exec_(exec) {}
+  void on_event(const TimedEvent&, const Machine&) override { watch(); }
+  void on_time_advance(Time, Time) override { watch(); }
+  std::size_t max_ne() const { return max_ne_; }
+  std::size_t max_ub() const { return max_ub_; }
+
+ private:
+  void watch() {
+    const auto [ne, ub] = exec_.wake_entries();
+    max_ne_ = std::max(max_ne_, ne);
+    max_ub_ = std::max(max_ub_, ub);
+  }
+  const Executor& exec_;
+  std::size_t max_ne_ = 0;
+  std::size_t max_ub_ = 0;
+};
+
 struct BatchRun {
   TimedTrace events;
   std::string probes;
   ExecutorStats stats;
+  std::size_t max_ne = 0;
+  std::size_t max_ub = 0;
 };
 
 // Batchers 0 and 1 share batch times, so the adversary interleaves their
-// jobs (the seed matters) and their 80 re-polls at one instant overflow the
-// 4 * 3 + 64 entry backstop, while batcher 2 idles on a valid hint that the
-// compaction must keep. Its batches land 37us later, inside the same coarse
-// wheel slot, so each advance to a shared batch re-files them a level down.
+// jobs (the seed matters) and re-polls them 80 times at one instant, while
+// batcher 2 idles on a wake the wheel must keep. Its batches land 37us
+// later, inside the same coarse wheel slot, so each advance to a shared
+// batch re-files them a level down.
 BatchRun run_batches(std::uint64_t seed, Loop loop) {
   RecordingProbe probe;
   Executor exec({.horizon = seconds(1), .seed = seed, .probes = {&probe}});
+  WakeWatch wakes(exec);
+  exec.attach_probe(&wakes);
   for (int node = 0; node < 3; ++node) {
     exec.add_owned(std::make_unique<Batcher>(
         node, microseconds(node == 2 ? 1037 : 1000), milliseconds(1),
@@ -469,13 +495,18 @@ BatchRun run_batches(std::uint64_t seed, Loop loop) {
   }
   const auto report = run_on(exec, loop);
   EXPECT_TRUE(report.quiesced);
-  return {exec.events(), probe.text(), report.stats};
+  return {exec.events(), probe.text(), report.stats, wakes.max_ne(),
+          wakes.max_ub()};
 }
 
-TEST(SchedulerEquivalence, WheelCompactionRunsMatchLegacy) {
+TEST(SchedulerEquivalence, BatcherRunsMatchReference) {
   for (std::uint64_t seed : {1u, 7u, 42u}) {
     const BatchRun wheel = run_batches(seed, Loop::kWheel);
-    EXPECT_GT(wheel.stats.wheel.compactions, 0u) << "seed " << seed;
+    // Three slots: the wheels never hold more than one entry per slot.
+    EXPECT_GT(wheel.max_ne, 0u) << "seed " << seed;
+    EXPECT_LE(wheel.max_ne, 3u) << "seed " << seed;
+    EXPECT_LE(wheel.max_ub, 3u) << "seed " << seed;
+    EXPECT_EQ(wheel.stats.wheel.stale_drops, 0u) << "seed " << seed;
     EXPECT_GT(wheel.stats.wheel.cascades, 0u) << "seed " << seed;
     EXPECT_EQ(wheel.events.size(), 3u * 4u * 40u) << "seed " << seed;
     const BatchRun reference = run_batches(seed, Loop::kReference);
@@ -486,16 +517,75 @@ TEST(SchedulerEquivalence, WheelCompactionRunsMatchLegacy) {
   }
 }
 
+// Counts, on the wheel loop, the dirty re-polls between each TICK event
+// and the next probe callback (one flush), and checks at every event that
+// the acting slot, which had candidates at the last flush, holds no wake.
+// Every machine of an MMT system is one slot, so slot == owner.
+class TickRepollWatch final : public Probe {
+ public:
+  explicit TickRepollWatch(const Executor& exec) : exec_(exec) {}
+  void on_event(const TimedEvent& e, const Machine&) override {
+    settle();
+    if (exec_.has_wake(static_cast<std::size_t>(e.owner))) ++woken_actors_;
+    if (e.action.name == "TICK") {
+      ++ticks_;
+      tick_repolls_ = exec_.stats().dirty_repolls;
+    }
+  }
+  void on_time_advance(Time, Time) override { settle(); }
+  std::size_t ticks() const { return ticks_; }
+  std::size_t other_repolls() const { return other_repolls_; }
+  std::size_t woken_actors() const { return woken_actors_; }
+
+ private:
+  // The flush after a TICK re-polls its TickSource and nothing else.
+  void settle() {
+    if (tick_repolls_ == kNone) return;
+    const std::uint64_t n = exec_.stats().dirty_repolls - tick_repolls_;
+    if (n != 1) ++other_repolls_;
+    tick_repolls_ = kNone;
+  }
+  static constexpr std::uint64_t kNone = UINT64_MAX;
+  const Executor& exec_;
+  std::uint64_t tick_repolls_ = kNone;
+  std::size_t ticks_ = 0;
+  std::size_t other_repolls_ = 0;
+  std::size_t woken_actors_ = 0;
+};
+
+// A TICK only raises the MMT node's mmtclock, which neither its candidates
+// nor its hints read, so the node reports the input inert and only the
+// ticking TickSource is re-polled.
+TEST(SchedulerEquivalence, MmtTickRepollsOnlyItsTickSource) {
+  const PerfectDrift drift;
+  const RwRunConfig cfg = rw_cfg(42);
+  const auto twin = assemble_rw(cfg, RwModel::kMmt, drift);
+  for (const Machine* m : twin->composition()) {
+    ASSERT_EQ(m->part_count(), 1u) << m->name();
+  }
+  TickRepollWatch watch(*twin);
+  twin->attach_probe(&watch);
+  twin->run();
+  EXPECT_GT(watch.ticks(), 100u);
+  EXPECT_EQ(watch.other_repolls(), 0u);
+  EXPECT_EQ(watch.woken_actors(), 0u);
+  const auto reference = assemble_rw(cfg, RwModel::kMmt, drift);
+  run_reference(*reference);
+  EXPECT_EQ(trace_to_text(normalize_uids(twin->events())),
+            trace_to_text(normalize_uids(reference->events())));
+}
+
 // --- multi-part machines ----------------------------------------------------
 
-// A wheel that holds only live entries must never be compacted: the
-// backstop threshold counts scheduler slots (one per part), not machines.
-// One composite of 100 one-job Batchers is one machine with 100 parts, each
-// holding a live wake entry until its job comes due.
-TEST(SchedulerParts, WheelHoldingOnlyLiveEntriesNeverCompacts) {
+// The calendar counts scheduler slots (one per part), not machines. One
+// composite of 100 one-job Batchers is one machine with 100 parts, each
+// holding one wake until its job comes due.
+TEST(SchedulerParts, WheelHoldsOneWakePerPart) {
   auto run = [](Loop loop) {
     RecordingProbe probe;
     Executor exec({.horizon = seconds(1), .seed = 3, .probes = {&probe}});
+    WakeWatch wakes(exec);
+    exec.attach_probe(&wakes);
     auto alarms = std::make_unique<CompositeMachine>("alarms");
     for (int k = 0; k < 100; ++k) {
       alarms->add(std::make_unique<Batcher>(k, microseconds(k + 1),
@@ -505,11 +595,13 @@ TEST(SchedulerParts, WheelHoldingOnlyLiveEntriesNeverCompacts) {
     exec.add_owned(std::move(alarms));
     const auto report = run_on(exec, loop);
     EXPECT_TRUE(report.quiesced);
-    return BatchRun{exec.events(), probe.text(), report.stats};
+    return BatchRun{exec.events(), probe.text(), report.stats,
+                    wakes.max_ne(), wakes.max_ub()};
   };
   const BatchRun wheel = run(Loop::kWheel);
   EXPECT_EQ(wheel.events.size(), 100u);
-  EXPECT_EQ(wheel.stats.wheel.compactions, 0u);
+  EXPECT_EQ(wheel.max_ne, 100u);  // every part waits on its own wake
+  EXPECT_LE(wheel.max_ub, 100u);
   const BatchRun reference = run(Loop::kReference);
   EXPECT_EQ(trace_to_text(normalize_uids(wheel.events)),
             trace_to_text(normalize_uids(reference.events)));

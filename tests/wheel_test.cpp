@@ -1,10 +1,11 @@
 // Unit tests for the hierarchical timing wheel (runtime/wheel.hpp): exact
-// minimum queries across levels, the now-bucket, lazy cancellation,
-// overflow cascades, far-future wakes, compaction, and a randomized
-// cross-check against a brute-force reference calendar.
+// minimum queries across levels, the now-bucket, unlinking, overflow
+// cascades, far-future wakes, moving an entry in place, and a randomized
+// cross-check against a brute-force per-slot reference calendar.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include "core/time.hpp"
@@ -14,30 +15,22 @@
 namespace psc {
 namespace {
 
-// Drives a TimingWheel the way the executor does: per-machine generation
-// counters implement lazy cancellation, advances fire due machines.
+// Drives a TimingWheel the way the executor does: one entry per slot, set
+// to the slot's hint or unlinked; advances fire the due slots.
 struct Harness {
   TimingWheel wheel;
   WheelStats st;
-  std::vector<std::uint32_t> gen;
 
-  explicit Harness(std::size_t machines, Time start = 0)
-      : gen(machines, 0) {
-    wheel.reset(start);
+  explicit Harness(std::size_t slots, Time start = 0) {
+    wheel.reset(start, slots);
   }
 
-  auto valid() {
-    return [this](const TimingWheel::Entry& e) {
-      return e.gen == gen[e.slot];
-    };
-  }
-  void insert(Time t, std::uint32_t m) { wheel.insert(t, m, gen[m], st); }
-  Time earliest() { return wheel.earliest(valid(), st); }
-  // Advances to t and returns the due machines, ascending.
+  void set(Time t, std::uint32_t s) { wheel.set(s, t, st); }
+  Time earliest() const { return wheel.earliest(); }
+  // Advances to t and returns the due slots, ascending.
   std::vector<std::uint32_t> advance(Time t) {
     std::vector<std::uint32_t> due;
-    wheel.advance_to(
-        t, valid(), [&due](std::uint32_t m) { due.push_back(m); }, st);
+    wheel.advance_to(t, [&due](std::uint32_t s) { due.push_back(s); }, st);
     std::sort(due.begin(), due.end());
     return due;
   }
@@ -50,7 +43,7 @@ TEST(Wheel, EarliestIsExactMinimumAcrossLevels) {
                                    4095,  4096,      262144,     1'000'003,
                                    1'000'000'007,    seconds(40)};
   for (std::size_t i = 0; i < times.size(); ++i) {
-    h.insert(times[i], static_cast<std::uint32_t>(i));
+    h.set(times[i], static_cast<std::uint32_t>(i));
   }
   EXPECT_EQ(h.earliest(), 5);
   EXPECT_EQ(h.advance(5), (std::vector<std::uint32_t>{0}));
@@ -70,26 +63,30 @@ TEST(Wheel, NowBucketReportsCurrentTime) {
   // An upper bound equal to now (urgent work) must surface as cur, not as
   // a future slot — the executor's deadlock check depends on it.
   Harness h(2, /*start=*/milliseconds(3));
-  h.insert(milliseconds(3), 0);
+  h.set(milliseconds(3), 0);
   EXPECT_EQ(h.earliest(), milliseconds(3));
   // Draining at the same time fires it without moving the cursor.
   EXPECT_EQ(h.advance(milliseconds(3)), (std::vector<std::uint32_t>{0}));
   EXPECT_EQ(h.earliest(), kTimeMax);
 }
 
-TEST(Wheel, LazyCancellationDropsStaleEntries) {
+TEST(Wheel, UnlinkCancelsEntry) {
   Harness h(3);
-  h.insert(50, 0);
-  h.insert(90, 1);
-  h.gen[0] += 1;  // machine 0 re-polled: its entry is now stale
+  h.set(50, 0);
+  h.set(90, 1);
+  h.wheel.unlink(0);  // slot 0 turned non-empty: it holds no wake
+  EXPECT_FALSE(h.wheel.linked(0));
   EXPECT_EQ(h.earliest(), 90);
-  EXPECT_EQ(h.st.stale_drops, 1u);  // dropped in place during the query
-  // A stale entry that had already come due is silently discarded too.
-  h.insert(70, 2);
-  h.gen[2] += 1;
+  EXPECT_EQ(h.wheel.size(), 1u);
+  // An entry unlinked before it came due never fires; set(kTimeMax) is
+  // unlink, and unlinking an unlinked slot does nothing.
+  h.set(70, 2);
+  h.set(kTimeMax, 2);
+  h.wheel.unlink(2);
   EXPECT_EQ(h.advance(90), (std::vector<std::uint32_t>{1}));
-  EXPECT_EQ(h.st.stale_drops, 2u);
   EXPECT_EQ(h.wheel.size(), 0u);
+  EXPECT_EQ(h.st.due, 1u);
+  EXPECT_EQ(h.st.stale_drops, 0u);
 }
 
 TEST(Wheel, OverflowCascadeFiresAtExactTime) {
@@ -98,7 +95,7 @@ TEST(Wheel, OverflowCascadeFiresAtExactTime) {
   // early (a cascade bug fires whole-slot ranges at the slot's start).
   Harness h(1);
   const Time t = 123'456'789'123;  // ~2 minutes, level 6
-  h.insert(t, 0);
+  h.set(t, 0);
   EXPECT_EQ(h.earliest(), t);
   // Sneak up on it through every level boundary below it.
   for (Time step : {t / 2, t - 4096, t - 64, t - 1}) {
@@ -115,9 +112,9 @@ TEST(Wheel, FarFutureWakesNearTimeMax) {
   // query correctly at the top overflow level.
   Harness h(2);
   const Time far = kTimeMax - 1;
-  h.insert(far, 0);
+  h.set(far, 0);
   EXPECT_EQ(h.earliest(), far);
-  h.insert(1000, 1);
+  h.set(1000, 1);
   EXPECT_EQ(h.earliest(), 1000);  // near-term entry wins
   EXPECT_EQ(h.advance(1000), (std::vector<std::uint32_t>{1}));
   EXPECT_EQ(h.earliest(), far);
@@ -129,7 +126,7 @@ TEST(Wheel, AdvanceDrainsDueKeepsFuture) {
   Harness h(6);
   const std::vector<Time> times = {10, 20, 30, 40'000, 50'000, 600'000};
   for (std::size_t i = 0; i < times.size(); ++i) {
-    h.insert(times[i], static_cast<std::uint32_t>(i));
+    h.set(times[i], static_cast<std::uint32_t>(i));
   }
   EXPECT_EQ(h.advance(25), (std::vector<std::uint32_t>{0, 1}));
   EXPECT_EQ(h.earliest(), 30);
@@ -138,70 +135,84 @@ TEST(Wheel, AdvanceDrainsDueKeepsFuture) {
   EXPECT_EQ(h.wheel.size(), 1u);
 }
 
-TEST(Wheel, CompactionSweepsStaleEntries) {
-  Harness h(1);
-  // Pile up stale entries for one machine, as repeated re-polls would.
+TEST(Wheel, MoveRefilesInPlace) {
+  Harness h(2);
+  // Repeated re-polls of one slot move its one entry, across levels too.
   for (int i = 0; i < 100; ++i) {
-    h.insert(1000 + i, 0);
-    h.gen[0] += 1;
+    h.set(1000 + 97 * i, 0);
+    EXPECT_EQ(h.wheel.size(), 1u);
+    EXPECT_EQ(h.earliest(), 1000 + 97 * i);
   }
-  h.insert(5000, 0);  // the only current-generation entry
-  EXPECT_EQ(h.wheel.size(), 101u);
-  h.wheel.compact(h.valid(), h.st);
-  EXPECT_EQ(h.st.compactions, 1u);
-  EXPECT_EQ(h.wheel.size(), 1u);
+  h.set(seconds(3), 0);
+  h.set(5000, 0);
+  EXPECT_EQ(h.st.inserts, 102u);
+  // A re-poll reporting the same hint leaves the entry alone.
+  h.set(5000, 0);
+  EXPECT_EQ(h.st.inserts, 102u);
+  h.set(4000, 1);
+  EXPECT_EQ(h.earliest(), 4000);
+  // Moving past another slot's entry reorders the minimum.
+  h.set(3000, 0);
+  EXPECT_EQ(h.earliest(), 3000);
+  h.set(6000, 0);
+  EXPECT_EQ(h.advance(5000), (std::vector<std::uint32_t>{1}));
+  // Moved into the now-bucket, then out of it, after a cascade.
+  h.set(5000, 0);
   EXPECT_EQ(h.earliest(), 5000);
+  h.set(5500, 0);
+  EXPECT_EQ(h.earliest(), 5500);
+  EXPECT_EQ(h.advance(5500), (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(h.wheel.size(), 0u);
+  EXPECT_EQ(h.earliest(), kTimeMax);
 }
 
 TEST(Wheel, RandomizedAgainstReferenceCalendar) {
-  // Brute-force reference: a flat list of entries filtered per query. The
+  // Brute-force reference: each slot's wake time, scanned per query. The
   // wheel must agree on every earliest() and every advance_to() due set
-  // under a random mix of inserts, cancellations and jumps.
-  struct RefEntry {
-    Time t;
-    std::uint32_t machine;
-    std::uint32_t gen;
-  };
+  // under a random mix of sets (file or move), unlinks and jumps.
   Rng rng(20260809);
   Harness h(8);
-  std::vector<RefEntry> ref;
+  std::map<std::uint32_t, Time> ref;  // slot -> its one wake
   Time cur = 0;
   for (int op = 0; op < 4000; ++op) {
     const double roll = rng.uniform01();
     if (roll < 0.45) {
-      // Insert at a delta spanning all levels (0 .. ~17 minutes).
-      const std::uint32_t m = static_cast<std::uint32_t>(rng.index(8));
+      // File or move at a delta spanning all levels (0 .. ~17 minutes).
+      const std::uint32_t s = static_cast<std::uint32_t>(rng.index(8));
       const Time t = cur + rng.uniform(0, Time{1} << rng.uniform(0, 40));
-      h.insert(t, m);
-      ref.push_back({t, m, h.gen[m]});
+      h.set(t, s);
+      ref[s] = t;
     } else if (roll < 0.65) {
-      // Cancel one machine's entries (the executor's re-poll gen bump).
-      h.gen[rng.index(8)] += 1;
+      // Unlink one slot's entry (the slot turned non-empty).
+      const std::uint32_t s = static_cast<std::uint32_t>(rng.index(8));
+      h.wheel.unlink(s);
+      ref.erase(s);
     } else if (roll < 0.85) {
-      // Query: exact minimum over currently-valid reference entries.
+      // Query: exact minimum over the reference's wakes.
       Time want = kTimeMax;
-      for (const RefEntry& e : ref) {
-        if (e.gen == h.gen[e.machine]) want = std::min(want, e.t);
-      }
+      for (const auto& [s, t] : ref) want = std::min(want, t);
       ASSERT_EQ(h.earliest(), want) << "op " << op;
+      ASSERT_EQ(h.wheel.size(), ref.size()) << "op " << op;
     } else {
       // Advance to a random target ≥ cur; due sets must match exactly.
       const Time target = cur + rng.uniform(0, Time{1} << rng.uniform(0, 36));
       std::vector<std::uint32_t> want;
-      std::vector<RefEntry> keep;
-      for (const RefEntry& e : ref) {
-        if (e.t <= target) {
-          if (e.gen == h.gen[e.machine]) want.push_back(e.machine);
+      for (auto it = ref.begin(); it != ref.end();) {
+        if (it->second <= target) {
+          want.push_back(it->first);  // map order: ascending slot
+          it = ref.erase(it);
         } else {
-          keep.push_back(e);
+          ++it;
         }
       }
-      std::sort(want.begin(), want.end());
       ASSERT_EQ(h.advance(target), want) << "op " << op;
-      ref = std::move(keep);
+      for (std::uint32_t s = 0; s < 8; ++s) {
+        ASSERT_EQ(h.wheel.linked(s), ref.count(s) == 1) << "op " << op;
+      }
       cur = target;
     }
   }
+  EXPECT_EQ(h.st.stale_drops, 0u);
 }
 
 }  // namespace

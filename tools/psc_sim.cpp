@@ -380,9 +380,8 @@ class ObsSetup {
               << " kind_resolves=" << s.kind_resolves
               << " kind_memo_hits=" << s.kind_memo_hits << "\n"
               << "  wheel: inserts=" << s.wheel.inserts
-              << " due=" << s.wheel.due << " stale=" << s.wheel.stale_drops
-              << " cascades=" << s.wheel.cascades
-              << " compactions=" << s.wheel.compactions << "\n";
+              << " due=" << s.wheel.due << " cascades=" << s.wheel.cascades
+              << "\n";
   }
 
   MetricsRegistry registry_;
