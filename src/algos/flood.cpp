@@ -57,73 +57,41 @@ void FloodNode::apply_input(const Action& a, Time /*now*/) {
 
 std::vector<Action> FloodNode::enabled(Time now) const {
   std::vector<Action> out;
-  const int i = params_.node;
-  for (const std::int64_t p : to_deliver_) {
-    out.push_back(make_action("DELIVER", i, {Value{p}}));
-  }
-  for (const std::int64_t p : due_waves(now)) {
-    out.push_back(make_action("DELIVER", i, {Value{p}}));
-  }
-  for (const Relay& r : relays_) {
-    for (int j : r.targets) {
-      out.push_back(make_send(i, j, make_message("FLOOD", {Value{r.payload}})));
-    }
-  }
-  if (params_.source && !announced_ && now >= complete_at()) {
-    out.push_back(make_action("COMPLETE", i));
-  }
+  enabled_into(now, out);
   return out;
 }
 
 void FloodNode::enabled_into(Time now, std::vector<Action>& out) const {
-  // Same sequence as enabled(), built into recycled slots. All the action
-  // and message names here fit in std::string's inline buffer and the args /
-  // payload vectors are resized in place, so a node's steady-state re-poll
-  // allocates nothing. SENDMSG slots still draw a fresh uid per enumeration,
-  // exactly like make_message: uids must stay unique per send actually
-  // executed, and the channel captures the uid of the poll it consumes.
-  std::size_t k = 0;
+  // All the action and message names here fit in std::string's inline
+  // buffer and the args / payload vectors are refilled in place, so a
+  // node's steady-state re-poll allocates nothing. SENDMSG slots still draw
+  // a fresh uid per enumeration, exactly like make_message: uids must stay
+  // unique per send actually executed, and the channel captures the uid of
+  // the poll it consumes.
+  std::size_t n = 0;
   const int i = params_.node;
-  const auto slot = [&out, &k]() -> Action& {
-    if (k == out.size()) out.emplace_back();
-    return out[k++];
-  };
   const auto put_deliver = [&](std::int64_t p) {
-    Action& a = slot();
-    a.name.assign("DELIVER");
-    a.node = i;
-    a.peer = kNoNode;
-    a.args.resize(1);
-    a.args[0] = Value{p};
+    Action& a = candidate_slot(out, n++, "DELIVER", i);
+    a.args.emplace_back(p);
     a.msg.reset();
   };
   for (const std::int64_t p : to_deliver_) put_deliver(p);
   for (const std::int64_t p : due_waves(now)) put_deliver(p);
   for (const Relay& r : relays_) {
     for (int j : r.targets) {
-      Action& a = slot();
-      a.name.assign("SENDMSG");
-      a.node = i;
-      a.peer = j;
-      a.args.clear();
-      if (!a.msg.has_value()) a.msg.emplace();
-      Message& m = *a.msg;
+      Action& a = candidate_slot(out, n++, "SENDMSG", i, j);
+      Message& m = a.msg ? *a.msg : a.msg.emplace();
       m.kind.assign("FLOOD");
-      m.fields.resize(1);
-      m.fields[0] = Value{r.payload};
+      m.fields.clear();
+      m.fields.emplace_back(r.payload);
       m.uid = next_message_uid();
       m.clock_tag = kNoClockTag;
     }
   }
   if (params_.source && !announced_ && now >= complete_at()) {
-    Action& a = slot();
-    a.name.assign("COMPLETE");
-    a.node = i;
-    a.peer = kNoNode;
-    a.args.clear();
-    a.msg.reset();
+    candidate_slot(out, n++, "COMPLETE", i).msg.reset();
   }
-  out.resize(k);
+  out.resize(n);
 }
 
 void FloodNode::apply_local(const Action& a, Time now) {

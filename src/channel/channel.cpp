@@ -114,38 +114,25 @@ void Channel::apply_input(const Action& a, Time t) {
 
 std::vector<Action> Channel::enabled(Time t) const {
   std::vector<Action> out;
-  for (const auto& f : buffer_) {
-    if (f.deliver_at <= t) {
-      // Figure 1 precondition: t in [sent+d1, sent+d2]; deliver_at was
-      // sampled inside that window and upper_bound() stops time at it.
-      out.push_back(make_recv(j_, i_, f.msg, recv_name_.c_str()));
-    }
-  }
+  enabled_into(t, out);
   return out;
 }
 
 void Channel::enabled_into(Time t, std::vector<Action>& out) const {
-  // Same sequence as enabled(), built into recycled slots: in the steady
-  // state a channel's due set has a stable size, so the RECVMSG name, the
-  // args vector and the Message payload buffers are all reused in place and
-  // the scheduler's re-poll performs no allocation.
-  std::size_t k = 0;
+  // In the steady state a channel's due set has a stable size, so the
+  // RECVMSG name, the args vector and the Message payload buffers are all
+  // reused in place and the scheduler's re-poll performs no allocation.
+  std::size_t n = 0;
   for (const auto& f : buffer_) {
     if (f.deliver_at <= t) {
-      if (k == out.size()) out.emplace_back();
-      Action& a = out[k++];
-      a.name.assign(recv_name_);
-      a.node = j_;
-      a.peer = i_;
-      a.args.clear();
-      if (a.msg.has_value()) {
-        *a.msg = f.msg;  // Message copy-assign reuses kind/fields capacity
-      } else {
-        a.msg = f.msg;
-      }
+      // Figure 1 precondition: t in [sent+d1, sent+d2]; deliver_at was
+      // sampled inside that window and upper_bound() stops time at it.
+      // Assigning to an engaged optional copy-assigns the Message, which
+      // reuses its kind/fields capacity.
+      candidate_slot(out, n++, recv_name_, j_, i_).msg = f.msg;
     }
   }
-  out.resize(k);
+  out.resize(n);
 }
 
 void Channel::apply_local(const Action& a, Time t) {

@@ -111,6 +111,26 @@ struct ActionKindEq {
   }
 };
 
+// --- Recycled candidate lists --------------------------------------------
+//
+// A Machine::enabled_into override rebuilds its candidate list in place so
+// the names, args vectors and message payloads already in `out` keep their
+// heap blocks from poll to poll. It fills slots 0, 1, ... through this
+// helper and ends with out.resize(count). Slot `n` (n <= out.size()) is
+// appended when the list is that short, and comes back with its kind set
+// and its args cleared; the caller fills args and sets or resets msg.
+inline Action& candidate_slot(std::vector<Action>& out, std::size_t n,
+                              std::string_view name, int node,
+                              int peer = kNoNode) {
+  if (n == out.size()) out.emplace_back();
+  Action& a = out[n];
+  a.name.assign(name);
+  a.node = node;
+  a.peer = peer;
+  a.args.clear();
+  return a;
+}
+
 // --- Constructors mirroring the paper's notation -------------------------
 
 // SENDMSG_i(j, m): node i sends m toward node j.

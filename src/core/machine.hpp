@@ -133,8 +133,9 @@ class Machine {
   // fully assembled.
   virtual void declare_signature(SignatureDecl& decl) const = 0;
 
-  // The cached declaration. Inline, like classify(): composites classify
-  // per member on every action they route.
+  // The cached declaration. Inline, like classify(): a composite
+  // classifies per member the first time it routes each kind, and
+  // MmtNode's catch-up on every inner action.
   const SignatureDecl& signature() const {
     return signature_ ? *signature_ : declare_and_cache();
   }

@@ -117,34 +117,23 @@ void MmtNode::apply_input(const Action& a, Time t) {
 
 std::vector<Action> MmtNode::enabled(Time t) const {
   std::vector<Action> out;
-  if (t >= next_step_) {
-    if (!pending_.empty()) {
-      out.push_back(pending_.front().action);
-    } else {
-      out.push_back(make_action("MMTSTEP", node_));
-    }
-  }
+  enabled_into(t, out);
   return out;
 }
 
 void MmtNode::enabled_into(Time t, std::vector<Action>& out) const {
-  // Same single candidate as enabled(), rebuilt in place so the executor's
-  // re-poll reuses the name, args and message buffers.
-  if (t < next_step_) {
-    out.clear();
-    return;
+  std::size_t n = 0;
+  if (t >= next_step_) {
+    if (!pending_.empty()) {
+      const Action& p = pending_.front().action;
+      Action& a = candidate_slot(out, n++, p.name, p.node, p.peer);
+      a.args = p.args;
+      a.msg = p.msg;
+    } else {
+      candidate_slot(out, n++, "MMTSTEP", node_).msg.reset();
+    }
   }
-  out.resize(1);
-  Action& a = out[0];
-  if (!pending_.empty()) {
-    a = pending_.front().action;
-  } else {
-    a.name.assign("MMTSTEP");
-    a.node = node_;
-    a.peer = kNoNode;
-    a.args.clear();
-    a.msg.reset();
-  }
+  out.resize(n);
 }
 
 void MmtNode::apply_local(const Action& a, Time t) {

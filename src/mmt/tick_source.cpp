@@ -37,27 +37,18 @@ void TickSource::apply_input(const Action& a, Time /*t*/) {
 
 std::vector<Action> TickSource::enabled(Time t) const {
   std::vector<Action> out;
-  if (t >= next_tick_) {
-    out.push_back(
-        make_action("TICK", node_, {Value{traj_->clock_at(t)}}));
-  }
+  enabled_into(t, out);
   return out;
 }
 
 void TickSource::enabled_into(Time t, std::vector<Action>& out) const {
-  // Same single candidate as enabled(), rebuilt in place.
-  if (t < next_tick_) {
-    out.clear();
-    return;
+  std::size_t n = 0;
+  if (t >= next_tick_) {
+    Action& a = candidate_slot(out, n++, "TICK", node_);
+    a.args.emplace_back(traj_->clock_at(t));
+    a.msg.reset();
   }
-  out.resize(1);
-  Action& a = out[0];
-  a.name.assign("TICK");
-  a.node = node_;
-  a.peer = kNoNode;
-  a.args.resize(1);
-  a.args[0] = Value{traj_->clock_at(t)};
-  a.msg.reset();
+  out.resize(n);
 }
 
 void TickSource::apply_local(const Action& /*a*/, Time t) {

@@ -14,6 +14,7 @@ void CompositeMachine::add(std::unique_ptr<Machine> member) {
   PSC_CHECK(member != nullptr, "null member");
   members_.push_back(std::move(member));
   touched_flag_.push_back(0);
+  routes_.clear();
   reset_signature();
 }
 
@@ -74,12 +75,27 @@ void CompositeMachine::declare_signature(SignatureDecl& decl) const {
   }
 }
 
-void CompositeMachine::apply_input(const Action& a, Time t) {
+const CompositeMachine::Route& CompositeMachine::route(const Action& a) {
+  const auto it = routes_.find(ActionKindView{a.name, a.node, a.peer});
+  if (it != routes_.end()) return it->second;
+  Route r;
   for (std::size_t i = 0; i < members_.size(); ++i) {
-    if (members_[i]->classify(a) == ActionRole::kInput) {
-      members_[i]->apply_input(a, t);
-      touch(i);
+    const ActionRole role = members_[i]->classify(a);
+    if (role == ActionRole::kInput) {
+      r.inputs.push_back(static_cast<std::uint32_t>(i));
+    } else if (role != ActionRole::kNotMine && r.owner == kNoOwner) {
+      r.owner = static_cast<std::uint32_t>(i);
+      r.role = role;
     }
+  }
+  return routes_.emplace(ActionKindKey{a.name, a.node, a.peer}, std::move(r))
+      .first->second;
+}
+
+void CompositeMachine::apply_input(const Action& a, Time t) {
+  for (const std::uint32_t i : route(a).inputs) {
+    members_[i]->apply_input(a, t);
+    touch(i);
   }
 }
 
@@ -94,27 +110,17 @@ std::vector<Action> CompositeMachine::enabled(Time t) const {
 }
 
 void CompositeMachine::apply_local(const Action& a, Time t) {
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    const ActionRole r = members_[i]->classify(a);
-    if (r == ActionRole::kOutput || r == ActionRole::kInternal) {
-      members_[i]->apply_local(a, t);
-      touch(i);
-      if (r == ActionRole::kOutput) route_internally(i, a, t);
-      return;
-    }
-  }
-  PSC_CHECK(false, "no member of " << name() << " controls "
-                                   << to_string(a));
-}
-
-void CompositeMachine::route_internally(std::size_t owner, const Action& a,
-                                        Time t) {
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    if (i == owner) continue;
-    if (members_[i]->classify(a) == ActionRole::kInput) {
-      members_[i]->apply_input(a, t);
-      touch(i);
-    }
+  const Route& r = route(a);
+  PSC_CHECK(r.owner != kNoOwner, "no member of " << name() << " controls "
+                                                 << to_string(a));
+  members_[r.owner]->apply_local(a, t);
+  touch(r.owner);
+  // An output is also routed to the members that input it; the owner
+  // classifies its own kind as local, so it is never among them.
+  if (r.role != ActionRole::kOutput) return;
+  for (const std::uint32_t i : r.inputs) {
+    members_[i]->apply_input(a, t);
+    touch(i);
   }
 }
 

@@ -13,6 +13,13 @@
 // composite outputs (and are *also* routed internally if another member
 // inputs them).
 //
+// Routing reads a per-kind table: for each (name, node, peer) kind, the
+// member that locally controls it (with its role) and the members that
+// input it, in member order. A kind's route is built from the members'
+// classify() the first time the composite sees the kind, looked up after
+// that without building a string, and the table is cleared whenever add()
+// changes the member set. Members' signatures must not change once added.
+//
 // The members are the composite's parts (Machine::part_count): the
 // executor polls, caches and wakes each member separately, and
 // apply_input/apply_local record every member they change — the owner of a
@@ -25,6 +32,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -77,9 +85,15 @@ class CompositeMachine : public Machine {
   }
 
  private:
-  // Routes an already-applied local action of member `owner` to other
-  // members that input it.
-  void route_internally(std::size_t owner, const Action& a, Time t);
+  static constexpr std::uint32_t kNoOwner = UINT32_MAX;
+  // Where one action kind goes inside the composite.
+  struct Route {
+    std::uint32_t owner = kNoOwner;  // member that locally controls the kind
+    ActionRole role = ActionRole::kNotMine;  // owner's role: output/internal
+    std::vector<std::uint32_t> inputs;  // members that input it, ascending
+  };
+  // The route of `a`'s kind, built on first sight.
+  const Route& route(const Action& a);
   // Records that member `idx` changed state, once until the next drain.
   void touch(std::size_t idx) {
     if (!touched_flag_[idx]) {
@@ -90,6 +104,8 @@ class CompositeMachine : public Machine {
 
   std::vector<std::unique_ptr<Machine>> members_;
   std::unordered_set<std::string> hidden_;
+  std::unordered_map<ActionKindKey, Route, ActionKindHash, ActionKindEq>
+      routes_;
   // Members changed since the last take_touched_parts, each once (the flag
   // dedups), so the record stays bounded by the member count even when no
   // executor drains it, as inside MmtNode.

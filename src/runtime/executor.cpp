@@ -33,8 +33,6 @@ void Executor::add(Machine* machine) {
   PSC_CHECK(machine != nullptr, "null machine");
   const std::size_t m = machines_.size();
   machines_.push_back(machine);
-  memo_kid_.push_back(kNoKind);
-  memo_role_.push_back(ActionRole::kNotMine);
   // One scheduler slot per part, after every earlier machine's slots. A
   // single-part machine is polled whole (kWholeMachine), skipping the
   // part_* forwarding.
@@ -47,6 +45,8 @@ void Executor::add(Machine* machine) {
     cands_.emplace_back();
     cand_count_.push_back(0);
     in_dirty_.push_back(0);
+    memo_kid_.push_back(kNoKind);
+    memo_role_.push_back(ActionRole::kNotMine);
   }
   part_base_.push_back(static_cast<std::uint32_t>(slots_.size()));
   // The index keeps its own copy of the entries, so a fresh declaration
@@ -63,7 +63,7 @@ void Executor::add(Machine* machine) {
     }
   }
   // The new machine may subscribe to or claim already-interned kinds, so
-  // resolved routing lists — and the per-machine memos caching their
+  // resolved routing lists — and the per-slot memos caching their
   // conclusions — are stale.
   for (KindInfo& k : kinds_) k.resolved = false;
   std::fill(memo_kid_.begin(), memo_kid_.end(), kNoKind);
@@ -324,9 +324,9 @@ void Executor::execute_fast(std::size_t slot, std::size_t offset) {
   const std::size_t machine = slots_[slot].machine;
   Machine* owner = machines_[machine];
 
-  // Per-machine kind memo: a machine that keeps emitting one kind (all of
-  // them, in the shipped harnesses) skips the interning hash entirely.
-  ActionKindId kid = memo_kid_[machine];
+  // Per-slot kind memo: a slot that keeps emitting one kind (a channel, or
+  // one member of a Simulation 1 node) skips the interning hash entirely.
+  ActionKindId kid = memo_kid_[slot];
   bool memo = kid != kNoKind;
   if (memo) {
     const ActionKindKey& key = kind_keys_[static_cast<std::size_t>(kid)];
@@ -334,8 +334,8 @@ void Executor::execute_fast(std::size_t slot, std::size_t offset) {
   }
   if (!memo) {
     kid = intern(a);
-    memo_kid_[machine] = kid;
-    memo_role_[machine] = ActionRole::kNotMine;  // role not yet validated
+    memo_kid_[slot] = kid;
+    memo_role_[slot] = ActionRole::kNotMine;  // role not yet validated
   }
   ev.kind = kid;
   KindInfo& k = kinds_[static_cast<std::size_t>(kid)];
@@ -351,8 +351,8 @@ void Executor::execute_fast(std::size_t slot, std::size_t offset) {
   // controls this kind; its verdict is pure in (machine, kind) while the
   // composition is fixed, so the memoized role skips the re-validation.
   ActionRole role = ActionRole::kNotMine;
-  if (memo && memo_role_[machine] != ActionRole::kNotMine) {
-    role = memo_role_[machine];
+  if (memo && memo_role_[slot] != ActionRole::kNotMine) {
+    role = memo_role_[slot];
   } else {
     for (const auto& c : k.claimants) {
       if (c.first == machine) {
@@ -364,7 +364,7 @@ void Executor::execute_fast(std::size_t slot, std::size_t offset) {
               "machine " << owner->name() << " enabled action "
                          << to_string(a)
                          << " not locally controlled by its signature");
-    memo_role_[machine] = role;
+    memo_role_[slot] = role;
   }
   if (pr != nullptr) {
     const std::uint64_t t1 = Profiler::ticks();

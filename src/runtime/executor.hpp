@@ -110,9 +110,8 @@ struct ExecutorStats {
   std::uint64_t fanout_inputs = 0;   // inputs applied via the subscriber index
   std::uint64_t kind_hits = 0;       // executions served by a resolved kind
   std::uint64_t kind_resolves = 0;   // routing-info cache misses
-  // Executions whose kind matched the owner's last-executed kind, skipping
-  // even the interning hash (channels and workers emit one kind each, so
-  // this should be ~all events on the shipped harnesses).
+  // Executions whose kind matched the last kind executed from the same
+  // scheduler slot, skipping even the interning hash.
   std::uint64_t kind_memo_hits = 0;
 
   // Fraction of per-flush slot visits served from cache (1 = perfectly
@@ -377,10 +376,12 @@ class Executor {
   HierBitset nonempty_;  // slots with cand_count_[s] > 0
   // Per machine: its slots are [part_base_[m], part_base_[m + 1]).
   std::vector<std::uint32_t> part_base_ = {0};
-  // Per-machine routing memo: the kind and role of the machine's last
-  // executed action. A machine that keeps emitting one kind (every machine
-  // in the shipped harnesses) skips the intern hash and the claimant scan
-  // after its first event. Reset by add(), which can change routing.
+  // Per-slot routing memo: the kind and role of the slot's last executed
+  // action. A slot that keeps emitting one kind skips the intern hash and
+  // the claimant scan after its first event. Kept per slot, not per
+  // machine: each member of a Simulation 1 node emits its own kinds, so a
+  // per-machine memo would miss at almost every change of member. Reset by
+  // add(), which can change routing.
   std::vector<ActionKindId> memo_kid_;
   std::vector<ActionRole> memo_role_;
 

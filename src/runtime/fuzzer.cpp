@@ -9,6 +9,43 @@ namespace psc {
 MachineFuzzer::MachineFuzzer(Machine& machine, std::uint64_t seed)
     : machine_(machine), rng_(seed) {}
 
+namespace {
+
+// Action equality with message uids disregarded: enabled() and
+// enabled_into draw their own uids.
+bool same_but_uid(const Action& a, const Action& b) {
+  if (!a.same_kind(b) || a.args != b.args ||
+      a.msg.has_value() != b.msg.has_value()) {
+    return false;
+  }
+  if (!a.msg) return true;
+  Message m = *b.msg;
+  m.uid = a.msg->uid;
+  return *a.msg == m;
+}
+
+}  // namespace
+
+void MachineFuzzer::poll_recycled() {
+  if (cands_.empty()) cands_.emplace_back();
+  std::swap(stale_, cands_.front());
+  machine_.enabled_into(now_, cands_);
+  const std::vector<Action> fresh = machine_.enabled(now_);
+  std::size_t k = 0;
+  while (k < fresh.size() && k < cands_.size() &&
+         same_but_uid(cands_[k], fresh[k])) {
+    ++k;
+  }
+  const auto show = [k](const std::vector<Action>& v) {
+    return k < v.size() ? to_string(v[k]) : std::string("nothing");
+  };
+  PSC_CHECK(k == fresh.size() && k == cands_.size(),
+            machine_.name() << ": at " << format_time(now_)
+                            << " enabled_into on a recycled buffer gives "
+                            << show(cands_) << " as candidate " << k
+                            << ", enabled() gives " << show(fresh));
+}
+
 FuzzReport MachineFuzzer::run(std::size_t steps) {
   FuzzReport report;
   for (std::size_t s = 0; s < steps; ++s) {
@@ -43,14 +80,17 @@ FuzzReport MachineFuzzer::run(std::size_t steps) {
                                        "upper_bound at "
                                     << format_time(now_));
         }
+        stale_ = std::move(*a);
         continue;
       }
     }
 
-    // Execute an enabled action, if any.
-    auto acts = machine_.enabled(now_);
-    if (!acts.empty()) {
-      const auto& a = acts[rng_.index(acts.size())];
+    // Execute an enabled action, if any, from the recycled buffer as the
+    // executor does.
+    poll_recycled();
+    if (!cands_.empty()) {
+      std::swap(stale_, cands_[rng_.index(cands_.size())]);
+      const Action& a = stale_;
       const ActionRole role = machine_.classify(a);
       PSC_CHECK(role == ActionRole::kOutput || role == ActionRole::kInternal,
                 machine_.name() << ": enabled action " << to_string(a)

@@ -14,7 +14,12 @@
 //   A5  apply_local never throws for an action the machine itself offered;
 //   A6  input-enabledness: apply_input accepts any action classified kInput;
 //   A7  an input the machine reports inert (Machine::last_input_inert)
-//       leaves enabled, next_enabled and upper_bound unchanged.
+//       leaves enabled, next_enabled and upper_bound unchanged;
+//   A8  enabled_into on a recycled candidate buffer equals enabled() in
+//       every field but Message::uid. The buffer is kept across steps and,
+//       as the executor's execute_fast leaves it, holds a stale action (the
+//       last input or executed action) before each poll, so a recycling
+//       override that leaves a field of a reused slot unset fails here.
 //
 // Corresponds to axioms S1-S5 of Def 2.1 in spirit: S2/S3 are structural in
 // the harness (actions do not move time; time moves forward), S4/S5 hold
@@ -62,12 +67,20 @@ class MachineFuzzer {
   FuzzReport run(std::size_t steps);
 
  private:
+  // A8: re-polls cands_ through enabled_into and checks it against
+  // enabled().
+  void poll_recycled();
+
   Machine& machine_;
   Rng rng_;
   InputGen input_gen_;
   double input_prob_ = 0.3;
   Duration max_jump_ = 1'000'000;
   Time now_ = 0;
+  // A8: the recycled candidate buffer, and the stale action swapped into
+  // it before each poll.
+  std::vector<Action> cands_;
+  Action stale_;
 };
 
 // --- generated machines ----------------------------------------------------

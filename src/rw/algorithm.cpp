@@ -78,6 +78,12 @@ bool RwAlgorithm::update_due(Time now) const {
 
 std::vector<Action> RwAlgorithm::enabled(Time now) const {
   std::vector<Action> out;
+  enabled_into(now, out);
+  return out;
+}
+
+void RwAlgorithm::enabled_into(Time now, std::vector<Action>& out) const {
+  std::size_t n = 0;
   const int i = params_.node;
   // Deadlines use >= rather than Figure 3's exact equality: the executor
   // hits deadlines exactly in the timed model, but an integer-grid clock
@@ -86,28 +92,35 @@ std::vector<Action> RwAlgorithm::enabled(Time now) const {
   // discretization (identical in the continuous theory).
   //
   // UPDATE_i: an update record is due.
-  if (update_due(now)) {
-    out.push_back(make_action("UPDATE", i));
-  }
+  const bool due = update_due(now);
+  if (due) candidate_slot(out, n++, "UPDATE", i).msg.reset();
   // RETURN_i(v): read due, and no update due at or before this time (they
   // must be applied first — the "∄ r.update-time = now" precondition).
-  if (read_.active && read_.time <= now && !update_due(now)) {
-    out.push_back(make_action("RETURN", i, {Value{value_}}));
+  if (read_.active && read_.time <= now && !due) {
+    Action& a = candidate_slot(out, n++, "RETURN", i);
+    a.args.emplace_back(value_);
+    a.msg.reset();
   }
   // ACK_i.
   if (write_.status == WriteStatus::kAck && write_.ack_time <= now) {
-    out.push_back(make_action("ACK", i));
+    candidate_slot(out, n++, "ACK", i).msg.reset();
   }
-  // SENDMSG_i(j, UPDATE(v, t)) with t = send_time + d2'.
+  // SENDMSG_i(j, UPDATE(v, t)) with t = send_time + d2'. Each candidate
+  // draws a fresh uid, as make_message does, so every poll draws one per
+  // pending send.
   if (write_.status == WriteStatus::kSend && write_.send_time <= now) {
     for (int j : write_.send_procs) {
-      Message m = make_message(
-          "UPDATE",
-          {Value{write_.send_value}, Value{write_.send_time + params_.d2_prime}});
-      out.push_back(make_send(i, j, std::move(m)));
+      Action& a = candidate_slot(out, n++, "SENDMSG", i, j);
+      Message& m = a.msg ? *a.msg : a.msg.emplace();
+      m.kind.assign("UPDATE");
+      m.fields.clear();
+      m.fields.emplace_back(write_.send_value);
+      m.fields.emplace_back(write_.send_time + params_.d2_prime);
+      m.uid = next_message_uid();
+      m.clock_tag = kNoClockTag;
     }
   }
-  return out;
+  out.resize(n);
 }
 
 void RwAlgorithm::apply_local(const Action& a, Time now) {

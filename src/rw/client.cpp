@@ -17,7 +17,7 @@ RwClient::RwClient(const ClientOptions& options)
             "write_fraction");
 }
 
-std::int64_t RwClient::fresh_value() {
+std::int64_t RwClient::fresh_value() const {
   return (static_cast<std::int64_t>(options_.node) << 32) | (issued_ + 1);
 }
 
@@ -49,21 +49,25 @@ void RwClient::apply_input(const Action& a, Time t) {
 
 std::vector<Action> RwClient::enabled(Time t) const {
   std::vector<Action> out;
+  enabled_into(t, out);
+  return out;
+}
+
+void RwClient::enabled_into(Time t, std::vector<Action>& out) const {
+  std::size_t n = 0;
   if (!busy_ && issued_ < options_.num_ops && next_issue_ <= t) {
     // The choice read-vs-write must be stable across repeated enabled()
     // calls, so derive it from the op sequence number, not a fresh draw.
     Rng probe(options_.seed ^ (0x5bd1e995ULL * (issued_ + 1)));
     const bool write = probe.uniform01() < options_.write_fraction;
+    Action& a = candidate_slot(out, n++, write ? "WRITE" : "READ",
+                               options_.node);
     if (write) {
-      out.push_back(make_action(
-          "WRITE", options_.node,
-          {Value{(static_cast<std::int64_t>(options_.node) << 32) |
-                 (issued_ + 1)}}));
-    } else {
-      out.push_back(make_action("READ", options_.node));
+      a.args.emplace_back(fresh_value());
     }
+    a.msg.reset();
   }
-  return out;
+  out.resize(n);
 }
 
 void RwClient::apply_local(const Action& a, Time t) {

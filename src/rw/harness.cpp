@@ -74,6 +74,16 @@ void add_clients(Executor& exec, const RwRunConfig& cfg,
   for (auto& c : clients) exec.add_owned(std::move(c));
 }
 
+// The executor of a register system with its clients added, before the
+// nodes and channels.
+RwAssembly assembly_with_clients(const RwRunConfig& cfg) {
+  RwAssembly a;
+  a.exec = std::make_unique<Executor>(ExecutorOptions{
+      .horizon = cfg.horizon, .seed = cfg.seed, .validate = cfg.validate});
+  add_clients(*a.exec, cfg, &a.clients);
+  return a;
+}
+
 ChannelConfig channel_config(const RwRunConfig& cfg) {
   ChannelConfig cc;
   cc.d1 = cfg.d1;
@@ -100,48 +110,79 @@ void watch_node_buffers(Sim1BufferProbe* bp, CausalTraceProbe* cp,
 
 }  // namespace
 
-RwRunResult run_rw_timed(const RwRunConfig& cfg) {
-  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .validate = cfg.validate});
-  std::vector<RwClient*> clients;
-  add_clients(exec, cfg, &clients);
+RwAssembly assemble_rw_timed(const RwRunConfig& cfg) {
+  RwAssembly a = assembly_with_clients(cfg);
   const Graph g = Graph::complete_with_self_loops(cfg.num_nodes);
-  add_timed_system(exec, g, channel_config(cfg),
+  add_timed_system(*a.exec, g, channel_config(cfg),
                    make_rw_algorithms(cfg.num_nodes, algo_params(cfg, cfg.d2)));
-  RunObserver observer(cfg.obs);
-  observer.add_channel_latency(cfg.d1, cfg.d2);
-  // No clocks in the timed model: delivery slack only.
-  observer.add_slack({.d1 = cfg.d1, .d2 = cfg.d2});
-  observer.attach(exec);
-  return finish(exec, clients, observer);
+  return a;
 }
 
-RwRunResult run_rw_clock(const RwRunConfig& cfg, const DriftModel& drift) {
-  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .validate = cfg.validate});
-  std::vector<RwClient*> clients;
-  add_clients(exec, cfg, &clients);
+RwAssembly assemble_rw_clock(const RwRunConfig& cfg, const DriftModel& drift) {
+  RwAssembly a = assembly_with_clients(cfg);
   const Graph g = Graph::complete_with_self_loops(cfg.num_nodes);
   // Theorem 4.7: design the algorithm against [max(d1-2eps,0), d2+2eps].
   auto algos = make_rw_algorithms(cfg.num_nodes,
                                   algo_params(cfg, timed_d2(cfg.d2, cfg.eps)));
-  auto trajs = make_trajectories(cfg, drift);
-  const auto handles = add_clock_system(exec, g, channel_config(cfg),
-                                        std::move(algos), trajs);
+  a.trajectories = make_trajectories(cfg, drift);
+  a.clock_nodes = add_clock_system(*a.exec, g, channel_config(cfg),
+                                   std::move(algos), a.trajectories)
+                      .nodes;
+  return a;
+}
+
+RwAssembly assemble_rw_mmt(const RwRunConfig& cfg, const DriftModel& drift,
+                           Duration ell, int k) {
+  RwAssembly a = assembly_with_clients(cfg);
+  const Graph g = Graph::complete_with_self_loops(cfg.num_nodes);
+  auto algos = make_rw_algorithms(
+      cfg.num_nodes, algo_params(cfg, mmt_d2(cfg.d2, cfg.eps, k, ell)));
+  MmtConfig mc;
+  mc.ell = ell;
+  mc.seed = cfg.seed ^ 0x4d4d54;
+  a.trajectories = make_trajectories(cfg, drift);
+  a.mmt_nodes = add_mmt_system(*a.exec, g, channel_config(cfg),
+                               std::move(algos), a.trajectories, mc)
+                    .nodes;
+  // The MMT tick/step machinery never quiesces; stop once every client has
+  // completed its workload.
+  a.exec->stop_when([clients = a.clients] {
+    for (const auto* c : clients) {
+      if (!c->finished()) return false;
+    }
+    return true;
+  });
+  return a;
+}
+
+RwRunResult run_rw_timed(const RwRunConfig& cfg) {
+  RwAssembly a = assemble_rw_timed(cfg);
   RunObserver observer(cfg.obs);
-  observer.add_clock_skew(trajs, cfg.eps);
+  observer.add_channel_latency(cfg.d1, cfg.d2);
+  // No clocks in the timed model: delivery slack only.
+  observer.add_slack({.d1 = cfg.d1, .d2 = cfg.d2});
+  observer.attach(*a.exec);
+  return finish(*a.exec, a.clients, observer);
+}
+
+RwRunResult run_rw_clock(const RwRunConfig& cfg, const DriftModel& drift) {
+  RwAssembly a = assemble_rw_clock(cfg, drift);
+  RunObserver observer(cfg.obs);
+  observer.add_clock_skew(a.trajectories, cfg.eps);
   observer.add_channel_latency(cfg.d1, cfg.d2);
   observer.add_slack({.eps = cfg.eps, .d1 = cfg.d1, .d2 = cfg.d2});
   Sim1BufferProbe* bp = observer.add_buffers();
   CausalTraceProbe* cp = cfg.obs != nullptr ? cfg.obs->causal : nullptr;
   if (bp != nullptr || cp != nullptr) {
-    for (auto* node : handles.nodes) {
+    for (auto* node : a.clock_nodes) {
       watch_node_buffers(bp, cp,
                          dynamic_cast<CompositeMachine&>(node->inner()));
     }
   }
-  observer.attach(exec);
-  auto result = finish(exec, clients, observer);
-  result.trajectories = std::move(trajs);
-  for (auto* node : handles.nodes) {
+  observer.attach(*a.exec);
+  auto result = finish(*a.exec, a.clients, observer);
+  result.trajectories = std::move(a.trajectories);
+  for (auto* node : a.clock_nodes) {
     auto& comp = dynamic_cast<CompositeMachine&>(node->inner());
     for (std::size_t k = 0; k < comp.size(); ++k) {
       if (const auto* rb = dynamic_cast<const ReceiveBuffer*>(&comp.member(k))) {
@@ -194,36 +235,17 @@ RwRunResult run_rw_sliced(const RwRunConfig& cfg, const DriftModel& drift) {
 
 RwRunResult run_rw_mmt(const RwRunConfig& cfg, const DriftModel& drift,
                        Duration ell, int k) {
-  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .validate = cfg.validate});
-  std::vector<RwClient*> clients;
-  add_clients(exec, cfg, &clients);
-  const Graph g = Graph::complete_with_self_loops(cfg.num_nodes);
-  auto algos = make_rw_algorithms(
-      cfg.num_nodes, algo_params(cfg, mmt_d2(cfg.d2, cfg.eps, k, ell)));
-  MmtConfig mc;
-  mc.ell = ell;
-  mc.seed = cfg.seed ^ 0x4d4d54;
-  auto trajs = make_trajectories(cfg, drift);
-  const auto handles =
-      add_mmt_system(exec, g, channel_config(cfg), std::move(algos), trajs, mc);
-  // The MMT tick/step machinery never quiesces; stop once every client has
-  // completed its workload.
-  exec.stop_when([clients] {
-    for (const auto* c : clients) {
-      if (!c->finished()) return false;
-    }
-    return true;
-  });
+  RwAssembly a = assemble_rw_mmt(cfg, drift, ell, k);
   RunObserver observer(cfg.obs);
-  observer.add_clock_skew(trajs, cfg.eps);
+  observer.add_clock_skew(a.trajectories, cfg.eps);
   observer.add_channel_latency(cfg.d1, cfg.d2);
   if (MmtProbe* mp = observer.add_mmt()) {
-    for (const auto* node : handles.nodes) mp->watch(node);
+    for (const auto* node : a.mmt_nodes) mp->watch(node);
   }
   observer.add_slack({.eps = cfg.eps, .d1 = cfg.d1, .d2 = cfg.d2, .ell = ell});
-  observer.attach(exec);
-  auto result = finish(exec, clients, observer);
-  result.trajectories = std::move(trajs);
+  observer.attach(*a.exec);
+  auto result = finish(*a.exec, a.clients, observer);
+  result.trajectories = std::move(a.trajectories);
   return result;
 }
 

@@ -28,6 +28,8 @@
 namespace psc {
 
 struct ObsOptions;  // obs/instrument.hpp
+class ClockedMachine;  // runtime/clocked.hpp
+class MmtNode;         // mmt/mmt_node.hpp
 
 struct RwRunConfig {
   int num_nodes = 3;
@@ -84,6 +86,26 @@ struct RwRunResult {
   Duration min_slack = kTimeMax;  // min over the four kinds
   std::uint64_t slack_violations = 0;
 };
+
+// One register system assembled into its executor but not run, with no
+// observers attached (cfg.obs is not read). The run_rw_timed / clock / mmt
+// harnesses below assemble through these, then attach their observers and
+// run, so a caller that needs the executor itself (to run it on another
+// loop, or attach its own probes) gets the same system from the same
+// per-component seeds.
+struct RwAssembly {
+  std::unique_ptr<Executor> exec;
+  std::vector<RwClient*> clients;  // index = node id; owned by exec
+  // Node clocks (clock/MMT models only).
+  std::vector<std::shared_ptr<const ClockTrajectory>> trajectories;
+  std::vector<ClockedMachine*> clock_nodes;  // clock model only
+  std::vector<MmtNode*> mmt_nodes;           // MMT model only
+};
+
+RwAssembly assemble_rw_timed(const RwRunConfig& cfg);
+RwAssembly assemble_rw_clock(const RwRunConfig& cfg, const DriftModel& drift);
+RwAssembly assemble_rw_mmt(const RwRunConfig& cfg, const DriftModel& drift,
+                           Duration ell, int k);
 
 // Timed model. The algorithm's design bound d2' equals the physical d2.
 RwRunResult run_rw_timed(const RwRunConfig& cfg);

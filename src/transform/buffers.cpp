@@ -27,12 +27,18 @@ void SendBuffer::apply_input(const Action& a, Time clock) {
 
 std::vector<Action> SendBuffer::enabled(Time clock) const {
   std::vector<Action> out;
-  if (!q_.empty() && q_.front().tag == clock) {
-    Message tagged = q_.front().msg;
-    tagged.clock_tag = q_.front().tag;
-    out.push_back(make_send(i_, j_, std::move(tagged), "ESENDMSG"));
-  }
+  enabled_into(clock, out);
   return out;
+}
+
+void SendBuffer::enabled_into(Time clock, std::vector<Action>& out) const {
+  std::size_t n = 0;
+  if (!q_.empty() && q_.front().tag == clock) {
+    Action& a = candidate_slot(out, n++, "ESENDMSG", i_, j_);
+    a.msg = q_.front().msg;
+    a.msg->clock_tag = q_.front().tag;
+  }
+  out.resize(n);
 }
 
 void SendBuffer::apply_local(const Action& a, Time clock) {
@@ -81,15 +87,21 @@ std::size_t ReceiveBuffer::min_index() const {
 
 std::vector<Action> ReceiveBuffer::enabled(Time clock) const {
   std::vector<Action> out;
+  enabled_into(clock, out);
+  return out;
+}
+
+void ReceiveBuffer::enabled_into(Time clock, std::vector<Action>& out) const {
+  std::size_t n = 0;
   if (!q_.empty()) {
     const auto& h = q_[min_index()];
     if (h.msg.clock_tag <= clock) {
-      Message stripped = h.msg;  // deliver m, not (m, c)
-      stripped.clock_tag = kNoClockTag;
-      out.push_back(make_recv(i_, j_, std::move(stripped), "RECVMSG"));
+      Action& a = candidate_slot(out, n++, "RECVMSG", i_, j_);
+      a.msg = h.msg;
+      a.msg->clock_tag = kNoClockTag;  // deliver m, not (m, c)
     }
   }
-  return out;
+  out.resize(n);
 }
 
 void ReceiveBuffer::apply_local(const Action& a, Time clock) {

@@ -4,7 +4,9 @@
 // operator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "algos/heartbeat.hpp"
 #include "algos/tdma.hpp"
@@ -15,6 +17,7 @@
 #include "runtime/script.hpp"
 #include "util/check.hpp"
 #include "rw/algorithm.hpp"
+#include "rw/client.hpp"
 #include "rw/multi.hpp"
 #include "rw/sliced.hpp"
 #include "transform/buffers.hpp"
@@ -70,9 +73,12 @@ TEST_P(FuzzSeeds, RwAlgorithmSatisfiesAxioms) {
   p.d2_prime = microseconds(100);
   p.two_eps = microseconds(20);
   RwAlgorithm algo(p);
-  // Kick one read off directly (the client protocol is exercised at length
-  // by the rw tests; the fuzzer's job is the axioms under message chaos).
+  // Kick one read and one write off directly (the client protocol is
+  // exercised at length by the rw tests; the fuzzer's job is the axioms
+  // under message chaos). The write's SENDMSGs carry messages through
+  // axiom A8's recycled buffer.
   algo.apply_input(make_action("READ", 0), 0);
+  algo.apply_input(make_action("WRITE", 0, {Value{7}}), 0);
   MachineFuzzer fuzz(algo, GetParam());
   fuzz.set_input_generator([](Time t, Rng& rng) -> std::optional<Action> {
     if (!rng.flip(0.5)) return std::nullopt;
@@ -83,6 +89,72 @@ TEST_P(FuzzSeeds, RwAlgorithmSatisfiesAxioms) {
   });
   const auto report = fuzz.run(3000);
   EXPECT_GT(report.actions_executed, 100u);  // updates kept applying
+}
+
+// The generator answers the client's outstanding invocation. It runs at
+// every step (input probability 1) before the fuzzer executes anything,
+// so it sees each READ/WRITE the client offers before the fuzzer issues it.
+TEST_P(FuzzSeeds, RwClientSatisfiesAxioms) {
+  ClientOptions o;
+  o.num_ops = 400;
+  o.think_max = microseconds(20);
+  o.seed = GetParam();
+  RwClient client(o);
+  MachineFuzzer fuzz(client, GetParam());
+  fuzz.set_input_probability(1.0);
+  std::string offered;
+  std::size_t completed = 0;
+  fuzz.set_input_generator(
+      [&](Time t, Rng& rng) -> std::optional<Action> {
+        const bool busy =
+            client.upper_bound(t) == kTimeMax && !client.finished();
+        if (!busy) {
+          const std::vector<Action> offer = client.enabled(t);
+          if (!offer.empty()) offered = offer.front().name;
+          return std::nullopt;
+        }
+        if (!rng.flip(0.5)) return std::nullopt;
+        ++completed;
+        return offered == "READ"
+                   ? make_action("RETURN", 0, {Value{std::int64_t{3}}})
+                   : make_action("ACK", 0);
+      });
+  const auto report = fuzz.run(4000);
+  EXPECT_GT(report.actions_executed, 100u);
+  EXPECT_EQ(client.operations().size(), completed);
+  const auto& ops = client.operations();
+  EXPECT_TRUE(std::any_of(ops.begin(), ops.end(), [](const Operation& op) {
+    return op.kind == Operation::Kind::kWrite;
+  }));
+  EXPECT_TRUE(std::any_of(ops.begin(), ops.end(), [](const Operation& op) {
+    return op.kind == Operation::Kind::kRead;
+  }));
+}
+
+// Every SENDMSG candidate draws one fresh uid, whether the poll builds a
+// fresh list (enabled) or refills a recycled one (enabled_into), so the
+// raw uid sequence does not depend on which the caller uses.
+TEST(RecycledPolls, RwAlgorithmDrawsOneUidPerSendCandidate) {
+  RwParams p;
+  p.node = 0;
+  p.num_nodes = 3;
+  p.d2_prime = microseconds(100);
+  RwAlgorithm algo(p);
+  algo.apply_input(make_action("WRITE", 0, {Value{7}}), 0);
+  std::vector<Action> recycled;
+  const auto uids_drawn = [](const auto& poll) {
+    const std::uint64_t before = next_message_uid();
+    poll();
+    return next_message_uid() - before - 1;
+  };
+  for (std::uint64_t sends = 3; sends > 0; --sends) {
+    std::vector<Action> fresh;
+    EXPECT_EQ(uids_drawn([&] { fresh = algo.enabled(0); }), sends);
+    EXPECT_EQ(uids_drawn([&] { algo.enabled_into(0, recycled); }), sends);
+    ASSERT_EQ(recycled.size(), fresh.size());
+    algo.apply_local(recycled.front(), 0);
+  }
+  EXPECT_EQ(uids_drawn([&] { algo.enabled_into(0, recycled); }), 0u);
 }
 
 TEST_P(FuzzSeeds, SlicedRwSatisfiesAxioms) {

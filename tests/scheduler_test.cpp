@@ -20,7 +20,6 @@
 
 #include "algos/flood.hpp"
 #include "core/trace_io.hpp"
-#include "mmt/mmt_system.hpp"
 #include "obs/instrument.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observatory.hpp"
@@ -30,8 +29,6 @@
 #include "runtime/executor.hpp"
 #include "runtime/script.hpp"
 #include "runtime/system.hpp"
-#include "rw/algorithm.hpp"
-#include "rw/client.hpp"
 #include "rw/harness.hpp"
 #include "rw/queue.hpp"
 #include "support/reference_loop.hpp"
@@ -144,13 +141,14 @@ RwRunConfig rw_cfg(std::uint64_t seed) {
 
 // --- harness twins --------------------------------------------------------
 
-// The harnesses build, run and drop their executor in one call, so the
-// harness-level equivalence tests assemble each system themselves through
-// the public builders, exactly as run_rw_timed / run_rw_clock / run_rw_mmt
-// / run_queue_clock do (same parameters, seeds and add() order, no probes
-// unless a test attaches one), and run one copy per loop. Every test
-// checks each copy's trace against the harness's own run, which pins the
-// twin to the harness assembly.
+// The harness-level equivalence tests run one copy ("twin") of each system
+// per loop. The register twins come from the harness's own assemble_rw_*
+// entry points, which run_rw_timed / run_rw_clock / run_rw_mmt run too.
+// run_queue_clock builds and runs its executor in one call, so the queue
+// twin is assembled here through the public builders, exactly as the
+// harness does (same parameters, seeds and add() order). No twin carries
+// a probe unless a test attaches one. Every test checks each copy's trace
+// against the harness's own run, which pins the twin to the harness.
 enum class RwModel { kTimed, kClock, kMmt };
 
 // run_rw_mmt's step/tick bound and output-rate constant in these tests.
@@ -173,54 +171,9 @@ std::vector<std::shared_ptr<const ClockTrajectory>> twin_trajectories(
 // `drift` is unused in the timed model.
 std::unique_ptr<Executor> assemble_rw(const RwRunConfig& cfg, RwModel model,
                                       const DriftModel& drift) {
-  auto twin = std::make_unique<Executor>(
-      ExecutorOptions{.horizon = cfg.horizon, .seed = cfg.seed});
-  Executor& exec = *twin;
-  std::vector<RwClient*> clients;
-  ClientOptions co;
-  co.num_ops = cfg.ops_per_node;
-  co.think_min = cfg.think_min;
-  co.think_max = cfg.think_max;
-  co.write_fraction = cfg.write_fraction;
-  for (auto& c :
-       make_clients(cfg.num_nodes, co, cfg.seed ^ 0xc7, &clients)) {
-    exec.add_owned(std::move(c));
-  }
-  RwParams p;
-  p.num_nodes = cfg.num_nodes;
-  p.c = cfg.c;
-  p.delta = cfg.delta;
-  p.d2_prime = model == RwModel::kTimed   ? cfg.d2
-               : model == RwModel::kClock ? timed_d2(cfg.d2, cfg.eps)
-                                          : mmt_d2(cfg.d2, cfg.eps, kMmtK,
-                                                   kMmtEll);
-  p.two_eps = cfg.super ? 2 * cfg.eps : 0;
-  p.v0 = cfg.v0;
-  auto algos = make_rw_algorithms(cfg.num_nodes, p);
-  const Graph g = Graph::complete_with_self_loops(cfg.num_nodes);
-  ChannelConfig cc;
-  cc.d1 = cfg.d1;
-  cc.d2 = cfg.d2;
-  cc.seed = cfg.seed ^ 0xe5e5;
-  if (model == RwModel::kTimed) {
-    add_timed_system(exec, g, cc, std::move(algos));
-    return twin;
-  }
-  const auto trajs = twin_trajectories(cfg.num_nodes, cfg.eps, cfg.horizon,
-                                       cfg.seed, drift);
-  if (model == RwModel::kClock) {
-    add_clock_system(exec, g, cc, std::move(algos), trajs);
-    return twin;
-  }
-  MmtConfig mc;
-  mc.ell = kMmtEll;
-  mc.seed = cfg.seed ^ 0x4d4d54;
-  add_mmt_system(exec, g, cc, std::move(algos), trajs, mc);
-  exec.stop_when([clients] {
-    return std::all_of(clients.begin(), clients.end(),
-                       [](const RwClient* c) { return c->finished(); });
-  });
-  return twin;
+  if (model == RwModel::kTimed) return assemble_rw_timed(cfg).exec;
+  if (model == RwModel::kClock) return assemble_rw_clock(cfg, drift).exec;
+  return assemble_rw_mmt(cfg, drift, kMmtEll, kMmtK).exec;
 }
 
 // The harness's own run of the same system, on Executor::run().
