@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <numeric>
 
 #include "clock/trajectory.hpp"
@@ -100,14 +101,32 @@ std::vector<Operation> sequential_history(int n) {
   return ops;
 }
 
-void BM_WingGongSequential(benchmark::State& state) {
-  const auto ops = sequential_history(static_cast<int>(state.range(0)));
+// One Wing-Gong search of `ops` per iteration (each history is
+// linearizable). Labels the bench with the states one search enters and
+// reports `ns_per_state`: wall ns per entered state, timed around the
+// search alone.
+void search_bench(benchmark::State& state, const std::vector<Operation>& ops) {
+  std::size_t states = 0;
+  std::chrono::nanoseconds spent{0};
   for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
     const auto r = check_linearizable(ops, 0);
+    spent += std::chrono::steady_clock::now() - start;
     benchmark::DoNotOptimize(r.ok);
+    if (!r) state.SkipWithError("generated history rejected");
+    states = r.states;
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(ops.size()));
+  state.counters["ns_per_state"] =
+      static_cast<double>(spent.count()) /
+      static_cast<double>(std::max<std::size_t>(
+          1, states * static_cast<std::size_t>(state.iterations())));
+  state.SetLabel("states=" + std::to_string(states));
+}
+
+void BM_WingGongSequential(benchmark::State& state) {
+  search_bench(state, sequential_history(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_WingGongSequential)->Arg(16)->Arg(64)->Arg(256)->Arg(8192);
 
@@ -123,12 +142,7 @@ void BM_WingGongConcurrent(benchmark::State& state) {
       t += 4;
     }
   }
-  for (auto _ : state) {
-    const auto r = check_linearizable(ops, 0);
-    benchmark::DoNotOptimize(r.ok);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(ops.size()));
+  search_bench(state, ops);
 }
 BENCHMARK(BM_WingGongConcurrent)->Arg(4)->Arg(8);
 
@@ -167,16 +181,7 @@ void BM_WingGongConcurrent(benchmark::State& state, int procs, int per_proc) {
       ops[k].value = value;
     }
   }
-  std::size_t states = 0;
-  for (auto _ : state) {
-    const auto r = check_linearizable(ops, 0);
-    benchmark::DoNotOptimize(r.ok);
-    if (!r) state.SkipWithError("generated history rejected");
-    states = r.states;
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(ops.size()));
-  state.SetLabel("states=" + std::to_string(states));
+  search_bench(state, ops);
 }
 BENCHMARK_CAPTURE(BM_WingGongConcurrent, rw_clock_reads, 8, 1024)
     ->Unit(benchmark::kMillisecond);
@@ -363,7 +368,8 @@ void BM_MmtNodeStep(benchmark::State& state) {
   Time t = 0;
   for (auto _ : state) {
     t += ell;
-    tick.args[0] = Value{t};
+    tick.args.clear();
+    tick.args.emplace_back(t);
     node.apply_input(tick, t);
     node.enabled_into(t, cands);
     benchmark::DoNotOptimize(node.next_enabled(t));

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The repo's pre-merge gate, four lanes:
-#   1. ASan+UBSan: full build + full test suite + bench smoke under the
-#      sanitizers.
+#   1. ASan+UBSan: warning-free (-DPSC_WERROR=ON) full build + full test
+#      suite + bench smoke under the sanitizers.
 #   2. ThreadSanitizer: the executor/observability/fuzzer tests under TSan
 #      (build-tsan). The executor is single-threaded by design; this lane
 #      exists to keep it that way.
@@ -48,8 +48,11 @@ SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-fram
 
 # --- lane 1: ASan+UBSan ------------------------------------------------------
 
+# Warnings are errors here as in the main CI build: -O2 plus the sanitizers
+# lets GCC see paths (e.g. -Wmaybe-uninitialized) a plain build does not.
 cmake -B "$BUILD_DIR" -S . -G Ninja \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DPSC_WERROR=ON \
   -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS"
 

@@ -66,11 +66,13 @@ struct LinearizabilityResult {
 // unique. Ops are sorted by invocation once; a state with frontier f (the
 // first op not yet linearized) only reads the window of ops with
 // inv <= res[f], since no other op can be a candidate or hold the minimum
-// response. Failed states are memoized exactly on (f, linearized ops in
-// the window, register value), never on a bare hash. Candidates are tried
-// in `ops` index order, which fixes the search and its `states` count.
-// Cost O(states x window), on an explicit stack. When no linearization
-// exists, `why` names the op at the deepest frontier the search reached.
+// response. Failed states are memoized per frontier f, exactly on
+// (linearized ops in the window, register value), in a small table that f
+// allocates on its first failure; a hit compares the whole key, never a
+// bare hash. Candidates are tried in `ops` index order, which fixes the
+// search and its `states` count. Cost O(states x window), on an explicit
+// stack. When no linearization exists, `why` names the op at the deepest
+// frontier the search reached.
 LinearizabilityResult check_linearizable(const std::vector<Operation>& ops,
                                          std::int64_t v0,
                                          std::size_t max_states = 4'000'000);

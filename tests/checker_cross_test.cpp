@@ -308,6 +308,87 @@ TEST(CheckerOracle, StateCountsArePinned) {
   }
 }
 
+// The history of bench_framework's BM_WingGongConcurrent/rw_clock_reads:
+// `procs` closed-loop clients of `per_proc` ops, 20% writes among reads,
+// values from linearizing each op at a random point inside its interval,
+// listed client by client so the search backtracks and fills its memo.
+std::vector<Operation> clock_reads_history(int procs, int per_proc) {
+  Rng rng(7);
+  std::vector<Operation> ops;
+  std::vector<Time> points;
+  for (int p = 0; p < procs; ++p) {
+    Time t = rng.uniform(0, 200);
+    for (int k = 0; k < per_proc; ++k) {
+      const bool write = rng.flip(0.2);
+      const Time res = t + (write ? 400 : 150) + rng.uniform(0, 20);
+      ops.push_back({p, write ? Operation::Kind::kWrite
+                              : Operation::Kind::kRead,
+                     write ? (std::int64_t{p} << 32) | k : 0, t, res});
+      points.push_back(rng.uniform(t, res));
+      t = res + rng.uniform(0, 200);
+    }
+  }
+  std::vector<std::size_t> order(ops.size());
+  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return points[a] < points[b];
+  });
+  std::int64_t value = 0;
+  for (const std::size_t k : order) {
+    if (ops[k].kind == Operation::Kind::kWrite) {
+      value = ops[k].value;
+    } else {
+      ops[k].value = value;
+    }
+  }
+  return ops;
+}
+
+// A memo that drops, merges or misfiles failed states changes how many
+// states the search enters. Pin that count on a history whose search
+// records a failure in more than half its states: as generated (accepted),
+// and with one read (client 0's 101st op) corrupted to a value no write
+// produced (rejected at that read).
+TEST(CheckerOracle, MemoHeavyHistoryIsPinned) {
+  auto ops = clock_reads_history(8, 1024);
+  const auto wg = check_linearizable(ops, 0);
+  EXPECT_TRUE(wg.ok) << wg.why;
+  EXPECT_EQ(wg.states, 84883u);
+  Operation& read = ops[100];
+  ASSERT_EQ(read.kind, Operation::Kind::kRead);
+  read.value = -777;
+  const auto bad = check_linearizable(ops, 0);
+  EXPECT_FALSE(bad.ok);
+  EXPECT_TRUE(bad.conclusive);
+  EXPECT_EQ(bad.states, 44684u);
+  EXPECT_EQ(bad.why,
+            "no legal linearization exists; the deepest frontier stops at "
+            "R0(-777)[29.997us,30.162us]");
+}
+
+// k mutually concurrent writes of distinct values, then a read of a value
+// none wrote: every set of linearized writes fails, and frontier 0 alone
+// records 2,305 (k = 10) and 11,265 (k = 12) failed states, so its memo
+// table grows from 8 slots to 8,192 and 32,768.
+TEST(CheckerOracle, ManyFailuresAtOneFrontier) {
+  const std::size_t states[] = {23051, 135181};
+  const int writes[] = {10, 12};
+  for (int k = 0; k < 2; ++k) {
+    std::vector<Operation> ops;
+    for (int w = 0; w < writes[k]; ++w) {
+      ops.push_back({w, Operation::Kind::kWrite, w + 1, 0, 100});
+    }
+    ops.push_back({0, Operation::Kind::kRead, 999, 200, 201});
+    const auto r = check_linearizable(ops, 0);
+    EXPECT_FALSE(r.ok);
+    EXPECT_TRUE(r.conclusive);
+    EXPECT_EQ(r.states, states[k]) << writes[k] << " writes";
+    EXPECT_EQ(r.why,
+              "no legal linearization exists; the deepest frontier stops at "
+              "R0(999)[200ns,201ns]");
+  }
+}
+
 // --- scale smoke ---------------------------------------------------------------
 
 TEST(ScaleTest, TenNodeRegisterSystemChecksOut) {
