@@ -38,7 +38,10 @@ ChannelOutcome drive(const char* policy_name, Duration d1, Duration d2,
   std::vector<ScriptMachine::Step> steps;
   std::map<std::uint64_t, Time> sent_at;
   for (int k = 0; k < count; ++k) {
+    // An explicit uid: the script's send keeps it, so each delivery can be
+    // matched to its send.
     Message m = make_message("M");
+    m.uid = static_cast<std::uint64_t>(k) + 1;
     sent_at[m.uid] = k * spacing;
     steps.push_back({k * spacing, make_send(0, 1, std::move(m))});
   }

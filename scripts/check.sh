@@ -24,10 +24,12 @@
 #      bound-slack observatory attached — any cell with negative bound
 #      slack or a linearizability failure makes psc-report exit nonzero.
 #   6. flight replay: record a flood window into the binary flight ring
-#      (psc-sim --flight), decode it with psc-flight, and replay the
-#      decoded window through psc-lint — all under ASan+UBSan, so the
-#      record path, the snapshot codec, and the decoder are
-#      sanitizer-clean and the recorded window lints like a live trace.
+#      (psc-sim --flight), decode it with psc-flight, check the decoded
+#      JSONL byte-for-byte against the same run's live trace (raw message
+#      uids included), and replay the decoded window through psc-lint —
+#      all under ASan+UBSan, so the record path, the snapshot codec, and
+#      the decoder are sanitizer-clean and the recorded window lints like
+#      a live trace.
 #   7. microprofiler overhead gate: the capped machine sweep with the
 #      sampling profiler attached, in a separate *plain* RelWithDebInfo
 #      build (build-bench-prof) — timing under sanitizers is meaningless.
@@ -194,17 +196,20 @@ cmake --build "$BUILD_DIR" -j --target psc-report
 cmake --build "$BUILD_DIR" -j --target psc-flight
 
 # Record a window into the binary ring (sanitizers watch the record path),
-# decode the snapshot back to a JSONL trace, and lint the decoded window
-# against the same bounds lane 4 used for the live trace. The run is clean,
-# so the snapshot here is the run-end dump, not a violation dump. The .fly
-# lands under the build dir (not the mktemp dir) so CI can upload it as an
-# artifact when a later step fails.
+# decode the snapshot back to a JSONL trace, require it to equal the run's
+# live JSONL trace byte for byte (the ring holds the whole run, and message
+# uids are the executor's own, so nothing needs remapping), and lint the
+# decoded window against the same bounds lane 4 used for the live trace.
+# The run is clean, so the snapshot here is the run-end dump, not a
+# violation dump. The .fly lands under the build dir (not the mktemp dir)
+# so CI can upload it as an artifact when a later step fails.
 FLY_DIR="$BUILD_DIR/flight"
 mkdir -p "$FLY_DIR"
 "$BUILD_DIR"/tools/psc-sim flood --nodes=4 --lint \
-  --flight="$FLY_DIR/flood.fly" >/dev/null
+  --flight="$FLY_DIR/flood.fly" --trace="$FLY_DIR/flood_live.jsonl" >/dev/null
 "$BUILD_DIR"/tools/psc-flight "$FLY_DIR/flood.fly" --jsonl \
   --out="$FLY_DIR/flood_flight.jsonl"
+cmp "$FLY_DIR/flood_live.jsonl" "$FLY_DIR/flood_flight.jsonl"
 "$BUILD_DIR"/tools/psc-lint --trace="$FLY_DIR/flood_flight.jsonl" \
   --d1_us=20 --d2_us=300 --nodes=4
 

@@ -64,10 +64,8 @@ std::vector<Action> FloodNode::enabled(Time now) const {
 void FloodNode::enabled_into(Time now, std::vector<Action>& out) const {
   // All the action and message names here fit in std::string's inline
   // buffer and the args / payload vectors are refilled in place, so a
-  // node's steady-state re-poll allocates nothing. SENDMSG slots still draw
-  // a fresh uid per enumeration, exactly like make_message: uids must stay
-  // unique per send actually executed, and the channel captures the uid of
-  // the poll it consumes.
+  // node's steady-state re-poll allocates nothing. SENDMSG slots are offered
+  // unnamed (uid 0): a recycled slot may hold the last event's named action.
   std::size_t n = 0;
   const int i = params_.node;
   const auto put_deliver = [&](std::int64_t p) {
@@ -84,7 +82,7 @@ void FloodNode::enabled_into(Time now, std::vector<Action>& out) const {
       m.kind.assign("FLOOD");
       m.fields.clear();
       m.fields.emplace_back(r.payload);
-      m.uid = next_message_uid();
+      m.uid = 0;
       m.clock_tag = kNoClockTag;
     }
   }

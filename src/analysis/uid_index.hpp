@@ -2,12 +2,14 @@
 // (analysis/meter.hpp), which feeds the trace invariant checker, the
 // bound-slack observatory and the certificate probe.
 //
-// Message uids come from one process-global monotone counter, so the uids
-// seen within a single run occupy a contiguous range. A base-offset vector
-// turns the per-message bookkeeping that dominates those probes' hot paths
-// into O(1) indexing — an unordered_map here costs more than the rest of
-// the probe combined (the bench_executor PSC_LINT/PSC_OBS/PSC_CERT
-// overhead gates hold the probes under 5% of scheduler ns/event).
+// Each executor names the messages it sends 1, 2, ... in first-send order
+// (name_message, core/action.hpp), so a run's uids are dense from 1 and
+// the ledger holds one record per message sent. A base-offset vector turns
+// the per-message bookkeeping that dominates those probes' hot paths into
+// O(1) indexing — an unordered_map here costs more than the rest of the
+// probe combined (the bench_executor PSC_LINT/PSC_OBS/PSC_CERT overhead
+// gates hold the probes under 5% of scheduler ns/event). The base offset
+// serves hand-built traces whose uids start elsewhere.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +26,8 @@ template <typename Record>
 class UidIndex {
  public:
   // Get-or-create the record for `uid`. The two common cases — revisiting
-  // a live uid and appending the next uid from the monotone counter — stay
-  // on vector-indexing / push_back fast paths.
+  // a live uid and appending the next uid the executor names — stay on
+  // vector-indexing / push_back fast paths.
   Record& operator[](std::uint64_t uid) {
     if (!recs_.empty() && uid >= base_) {
       const std::size_t i = static_cast<std::size_t>(uid - base_);

@@ -99,6 +99,7 @@ void Channel::declare_signature(SignatureDecl& decl) const {
 
 void Channel::apply_input(const Action& a, Time t) {
   PSC_CHECK(a.msg.has_value(), "send without message: " << to_string(a));
+  PSC_CHECK(a.msg->uid != 0, "send of an unnamed message: " << to_string(a));
   const Duration delay = policy_->sample(d1_, d2_, rng_);
   PSC_CHECK(d1_ <= delay && delay <= d2_,
             "policy " << policy_->name() << " returned delay " << delay

@@ -27,6 +27,17 @@ std::string to_string(const Action& a) {
   return os.str();
 }
 
+bool matches_offer(const Action& offered, const Action& performed) {
+  if (!offered.msg || offered.msg->uid != 0 || !performed.msg) {
+    return offered == performed;
+  }
+  const Message& o = *offered.msg;
+  const Message& p = *performed.msg;
+  return offered.same_kind(performed) && offered.args == performed.args &&
+         o.kind == p.kind && o.fields == p.fields &&
+         o.clock_tag == p.clock_tag;
+}
+
 Action make_send(int i, int j, Message m, const char* name) {
   Action a;
   a.name = name;

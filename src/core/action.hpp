@@ -47,6 +47,24 @@ struct Action {
 
 std::string to_string(const Action& a);
 
+// --- Naming messages -----------------------------------------------------
+//
+// A machine offers the messages it sends unnamed (Message::uid 0). The
+// driver that performs an action — the executor, the test-side reference
+// loop, the MachineFuzzer — names its message first, before the owner and
+// the receivers apply it, from a counter of its own that starts at 1. A
+// message that already has a uid (one a channel or buffer forwards) keeps
+// it.
+inline void name_message(Action& a, std::uint64_t& next_uid) {
+  if (a.msg && a.msg->uid == 0) a.msg->uid = next_uid++;
+}
+
+// True iff `performed` is the action `offered` as a driver performs it:
+// equal in every field, except that an unnamed offered message matches
+// whatever uid the driver gave it. For machines that check the action they
+// are asked to apply against one they offered.
+bool matches_offer(const Action& offered, const Action& performed);
+
 // --- Interned action kinds ----------------------------------------------
 //
 // An action *kind* is the (name, node, peer) triple — exactly the identity

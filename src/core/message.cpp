@@ -1,20 +1,13 @@
 #include "core/message.hpp"
 
-#include <atomic>
 #include <sstream>
 
 namespace psc {
-
-std::uint64_t next_message_uid() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
 
 Message make_message(std::string kind, std::vector<Value> fields) {
   Message m;
   m.kind = std::move(kind);
   m.fields = std::move(fields);
-  m.uid = next_message_uid();
   return m;
 }
 

@@ -1,7 +1,10 @@
 // Messages exchanged over edges.
 //
 // Section 3 of the paper assumes every message sent in an execution is
-// *unique*; we realize that with a per-process-wide uid. In the clock model
+// *unique*. A sender offers its messages unnamed (uid 0 = not yet sent);
+// the executor names each when the event that first carries it is
+// performed (name_message, core/action.hpp), and forwarders keep that uid,
+// so every leg of one message carries one uid. In the clock model
 // (Section 4) messages travel as pairs (m, c) where c is the sender's clock
 // at send time; `clock_tag` holds that c (kNoClockTag in the timed model).
 #pragma once
@@ -20,7 +23,7 @@ inline constexpr Time kNoClockTag = -1;
 struct Message {
   std::string kind;           // e.g. "UPDATE", "ELECT"
   std::vector<Value> fields;  // algorithm-defined payload
-  std::uint64_t uid = 0;      // uniqueness (paper Section 3 assumption)
+  std::uint64_t uid = 0;      // 0 until sent (paper Section 3 uniqueness)
   Time clock_tag = kNoClockTag;  // c in (m, c); set by the send buffer
 
   bool operator==(const Message& o) const {
@@ -29,10 +32,7 @@ struct Message {
   }
 };
 
-// Allocates process-wide unique message ids.
-std::uint64_t next_message_uid();
-
-// Builds a message with a fresh uid.
+// Builds an unnamed message (uid 0): the event that sends it names it.
 Message make_message(std::string kind, std::vector<Value> fields = {});
 
 std::string to_string(const Message& m);

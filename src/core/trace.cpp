@@ -1,9 +1,7 @@
 #include "core/trace.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <sstream>
-#include <unordered_map>
 
 namespace psc {
 
@@ -61,18 +59,6 @@ Time ltime(const TimedTrace& events) {
   Time t = 0;
   for (const auto& e : events) t = std::max(t, e.time);
   return t;
-}
-
-TimedTrace normalize_uids(TimedTrace events) {
-  std::unordered_map<std::uint64_t, std::uint64_t> remap;
-  for (TimedEvent& e : events) {
-    if (!e.action.msg.has_value()) continue;
-    const auto [it, fresh] =
-        remap.emplace(e.action.msg->uid, remap.size() + 1);
-    (void)fresh;
-    e.action.msg->uid = it->second;
-  }
-  return events;
 }
 
 std::size_t max_events_in_window(const TimedTrace& events, Duration window) {

@@ -58,12 +58,6 @@ bool is_time_ordered(const TimedTrace& events);
 // ltime of a finite trace: max event time (0 if empty).
 Time ltime(const TimedTrace& events);
 
-// Remap message uids to first-occurrence order (1, 2, 3, ...). Message uids
-// come from a process-global counter, so two otherwise identical runs in one
-// process disagree on raw uids; normalizing both sides makes trace text
-// comparable (scheduler pinning, flight-recorder decode checks).
-TimedTrace normalize_uids(TimedTrace events);
-
 // The Lemma 4.3 / Section 5.3 output-rate measurement: the largest number
 // of events in `events` within any half-open time window of length
 // `window` (sliding over event times). The MMT transformation requires at

@@ -143,7 +143,7 @@ void MmtNode::apply_local(const Action& a, Time t) {
     PSC_CHECK(pending_.empty(), "tau step with pending outputs");
     catch_up(t);
   } else {
-    PSC_CHECK(!pending_.empty() && pending_.front().action == a,
+    PSC_CHECK(!pending_.empty() && matches_offer(pending_.front().action, a),
               "MMT output out of order: " << to_string(a));
     const Duration delay = t - pending_.front().enqueued_at;
     stats_.max_emit_delay = std::max(stats_.max_emit_delay, delay);

@@ -1,7 +1,6 @@
 #include "obs/causal.hpp"
 
 #include <algorithm>
-#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -167,59 +166,41 @@ CriticalPath CausalDag::critical_path(SpanId sink) const {
   return out;
 }
 
-namespace {
-
-void write_span_json(std::ostream& os, const CausalDag& dag, SpanId i,
-                     std::uint64_t uid) {
-  const CausalSpan& s = dag.span(i);
-  os << "{\"span\":" << i << ",\"name\":\"" << json_escape(dag.name(i))
-     << "\"";
-  if (s.node != kNoNode) os << ",\"node\":" << s.node;
-  if (s.peer != kNoNode) os << ",\"peer\":" << s.peer;
-  os << ",\"owner\":" << s.owner << ",\"t_ns\":" << s.time;
-  if (s.clock != kNoClockTag) os << ",\"clock_ns\":" << s.clock;
-  if (uid != 0) os << ",\"uid\":" << uid;
-  os << ",\"proc\":" << s.proc << ",\"vc\":[";
-  const std::vector<std::uint32_t>& vc = dag.vector_clock(i);
-  for (std::size_t p = 0; p < vc.size(); ++p) {
-    os << (p ? "," : "") << vc[p];
-  }
-  os << "],\"preds\":[";
-  const std::vector<CausalEdge>& in = dag.preds(i);
-  for (std::size_t k = 0; k < in.size(); ++k) {
-    const CausalEdge& e = in[k];
-    os << (k ? "," : "") << "{\"span\":" << e.from << ",\"kind\":\""
-       << to_string(e.kind) << "\",\"dur_ns\":"
-       << (dag.span(i).time - dag.span(e.from).time);
-    if (e.kind == EdgeKind::kBuffer) {
-      os << ",\"clock_hold_ns\":" << e.clock_hold
-         << ",\"waited\":" << (e.waited ? "true" : "false");
-    }
-    os << "}";
-  }
-  os << "]}";
-}
-
-}  // namespace
-
 void CausalDag::write_jsonl(std::ostream& os) const {
   for (SpanId i = 0; i < spans_.size(); ++i) {
-    write_span_json(os, *this, i, spans_[i].uid);
-    os << "\n";
+    const CausalSpan& s = spans_[i];
+    os << "{\"span\":" << i << ",\"name\":\"" << json_escape(name(i))
+       << "\"";
+    if (s.node != kNoNode) os << ",\"node\":" << s.node;
+    if (s.peer != kNoNode) os << ",\"peer\":" << s.peer;
+    os << ",\"owner\":" << s.owner << ",\"t_ns\":" << s.time;
+    if (s.clock != kNoClockTag) os << ",\"clock_ns\":" << s.clock;
+    if (s.uid != 0) os << ",\"uid\":" << s.uid;
+    os << ",\"proc\":" << s.proc << ",\"vc\":[";
+    const std::vector<std::uint32_t>& vc = vector_clock(i);
+    for (std::size_t p = 0; p < vc.size(); ++p) {
+      os << (p ? "," : "") << vc[p];
+    }
+    os << "],\"preds\":[";
+    const std::vector<CausalEdge>& in = preds(i);
+    for (std::size_t k = 0; k < in.size(); ++k) {
+      const CausalEdge& e = in[k];
+      os << (k ? "," : "") << "{\"span\":" << e.from << ",\"kind\":\""
+         << to_string(e.kind) << "\",\"dur_ns\":"
+         << (s.time - spans_[e.from].time);
+      if (e.kind == EdgeKind::kBuffer) {
+        os << ",\"clock_hold_ns\":" << e.clock_hold
+           << ",\"waited\":" << (e.waited ? "true" : "false");
+      }
+      os << "}";
+    }
+    os << "]}\n";
   }
 }
 
 std::string CausalDag::to_text() const {
   std::ostringstream os;
-  std::map<std::uint64_t, std::uint64_t> remap;  // uid → first-appearance id
-  for (SpanId i = 0; i < spans_.size(); ++i) {
-    std::uint64_t uid = spans_[i].uid;
-    if (uid != 0) {
-      uid = remap.emplace(uid, remap.size() + 1).first->second;
-    }
-    write_span_json(os, *this, i, uid);
-    os << "\n";
-  }
+  write_jsonl(os);
   return os.str();
 }
 

@@ -165,9 +165,9 @@ class CausalDag {
   // predecessor edges with kinds and durations.
   void write_jsonl(std::ostream& os) const;
 
-  // Canonical text form with message uids normalized by first appearance —
-  // byte-comparable across runs (tests pin reference-loop vs wheel
-  // scheduler DAG equality with this).
+  // write_jsonl as a string. Message uids are the executor's, dense from 1
+  // in first-send order, so the text is byte-comparable across runs (tests
+  // pin reference-loop vs wheel scheduler DAG equality with this).
   std::string to_text() const;
 
   // --- construction (driven by CausalTraceProbe) ---

@@ -29,8 +29,8 @@
 // ObsOptions::flight), run, then snapshot()/dump()/export_metrics(). One
 // recorder may observe several executors in sequence (the psc-report sweep
 // reuses one per cell across seeds): bind() drops the per-executor kind
-// memo while the recorder's own kind/string tables and histograms keep
-// aggregating.
+// memo, per-owner step state and in-flight message ledgers while the
+// recorder's own kind/string tables and histograms keep aggregating.
 #pragma once
 
 #include <algorithm>
@@ -243,6 +243,11 @@ class UidTimeMap {
 
   std::size_t size() const { return size_; }
 
+  void clear() {
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
+  }
+
  private:
   static constexpr std::uint64_t kEmpty = 0;
 
@@ -348,13 +353,19 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   // Called by the executor at attach and at run() start with its unique
-  // instance id: kind ids in TimedEvent::kind are per-executor, so the memo
-  // translating them must reset when the recorder changes hands. The
-  // recorder's own tables and histograms persist across binds.
+  // instance id: kind ids in TimedEvent::kind, owner indices and message
+  // uids are per-executor, so the memo translating kinds, the per-owner
+  // last event times and the in-flight message ledgers must reset when the
+  // recorder changes hands (a message the last executor left in flight
+  // would otherwise match a uid of the next). The recorder's own tables
+  // and histograms persist across binds.
   void bind(std::uint64_t exec_uid) {
     if (exec_uid == bound_uid_) return;
     bound_uid_ = exec_uid;
     std::fill(exec_memo_.begin(), exec_memo_.end(), ExecMemo{});
+    last_time_.clear();
+    sent_.clear();
+    arrived_.clear();
   }
 
   // The hot path: one POD into the owner's shard ring plus the online

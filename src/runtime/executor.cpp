@@ -320,6 +320,9 @@ void Executor::execute_fast(std::size_t slot, std::size_t offset) {
   Profiler* const pr = prof_iter_;
   std::uint64_t t0 = pr != nullptr ? Profiler::ticks() : 0;
   std::swap(ev.action, cands_[slot][offset]);
+  // Named before the owner and the receivers apply it, so a composite's
+  // members, the channels and the buffers all see the sent uid.
+  name_message(ev.action, next_msg_uid_);
   const Action& a = ev.action;
   const std::size_t machine = slots_[slot].machine;
   Machine* owner = machines_[machine];

@@ -354,6 +354,9 @@ class Executor {
   Time now_ = 0;
   std::size_t steps_ = 0;
   bool quiesced_ = false;
+  // The uid name_message gives the next unnamed message this executor
+  // sends: uids are dense from 1 in the order messages are first sent.
+  std::uint64_t next_msg_uid_ = 1;
   TimedTrace events_;
   ExecutorStats stats_;
 

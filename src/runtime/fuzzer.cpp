@@ -9,31 +9,13 @@ namespace psc {
 MachineFuzzer::MachineFuzzer(Machine& machine, std::uint64_t seed)
     : machine_(machine), rng_(seed) {}
 
-namespace {
-
-// Action equality with message uids disregarded: enabled() and
-// enabled_into draw their own uids.
-bool same_but_uid(const Action& a, const Action& b) {
-  if (!a.same_kind(b) || a.args != b.args ||
-      a.msg.has_value() != b.msg.has_value()) {
-    return false;
-  }
-  if (!a.msg) return true;
-  Message m = *b.msg;
-  m.uid = a.msg->uid;
-  return *a.msg == m;
-}
-
-}  // namespace
-
 void MachineFuzzer::poll_recycled() {
   if (cands_.empty()) cands_.emplace_back();
   std::swap(stale_, cands_.front());
   machine_.enabled_into(now_, cands_);
   const std::vector<Action> fresh = machine_.enabled(now_);
   std::size_t k = 0;
-  while (k < fresh.size() && k < cands_.size() &&
-         same_but_uid(cands_[k], fresh[k])) {
+  while (k < fresh.size() && k < cands_.size() && cands_[k] == fresh[k]) {
     ++k;
   }
   const auto show = [k](const std::vector<Action>& v) {
@@ -62,6 +44,7 @@ FuzzReport MachineFuzzer::run(std::size_t steps) {
     // Maybe inject an input.
     if (input_gen_ && rng_.flip(input_prob_)) {
       if (auto a = input_gen_(now_, rng_)) {
+        name_message(*a, next_uid_);
         PSC_CHECK(machine_.classify(*a) == ActionRole::kInput,
                   machine_.name() << ": generated input " << to_string(*a)
                                   << " not classified kInput");
@@ -90,6 +73,7 @@ FuzzReport MachineFuzzer::run(std::size_t steps) {
     poll_recycled();
     if (!cands_.empty()) {
       std::swap(stale_, cands_[rng_.index(cands_.size())]);
+      name_message(stale_, next_uid_);
       const Action& a = stale_;
       const ActionRole role = machine_.classify(a);
       PSC_CHECK(role == ActionRole::kOutput || role == ActionRole::kInternal,

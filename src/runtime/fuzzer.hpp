@@ -16,10 +16,15 @@
 //   A7  an input the machine reports inert (Machine::last_input_inert)
 //       leaves enabled, next_enabled and upper_bound unchanged;
 //   A8  enabled_into on a recycled candidate buffer equals enabled() in
-//       every field but Message::uid. The buffer is kept across steps and,
-//       as the executor's execute_fast leaves it, holds a stale action (the
-//       last input or executed action) before each poll, so a recycling
-//       override that leaves a field of a reused slot unset fails here.
+//       every field. The buffer is kept across steps and, as the
+//       executor's execute_fast leaves it, holds a stale action (the last
+//       input or executed action, its message named) before each poll, so
+//       a recycling override that leaves a field of a reused slot unset —
+//       a send's uid included — fails here.
+//
+// Like the executor, the fuzzer names the message of each input it injects
+// and each action it executes (name_message in core/action.hpp) before the
+// machine applies it.
 //
 // Corresponds to axioms S1-S5 of Def 2.1 in spirit: S2/S3 are structural in
 // the harness (actions do not move time; time moves forward), S4/S5 hold
@@ -81,6 +86,8 @@ class MachineFuzzer {
   // it before each poll.
   std::vector<Action> cands_;
   Action stale_;
+  // The uid name_message gives the next unnamed message.
+  std::uint64_t next_uid_ = 1;
 };
 
 // --- generated machines ----------------------------------------------------

@@ -48,7 +48,7 @@ std::vector<Action> ScriptMachine::enabled(Time t) const {
 }
 
 void ScriptMachine::apply_local(const Action& a, Time /*t*/) {
-  PSC_CHECK(next_ < steps_.size() && steps_[next_].action == a,
+  PSC_CHECK(next_ < steps_.size() && matches_offer(steps_[next_].action, a),
             "script executed out of order: " << to_string(a));
   ++next_;
 }

@@ -105,9 +105,8 @@ void RwAlgorithm::enabled_into(Time now, std::vector<Action>& out) const {
   if (write_.status == WriteStatus::kAck && write_.ack_time <= now) {
     candidate_slot(out, n++, "ACK", i).msg.reset();
   }
-  // SENDMSG_i(j, UPDATE(v, t)) with t = send_time + d2'. Each candidate
-  // draws a fresh uid, as make_message does, so every poll draws one per
-  // pending send.
+  // SENDMSG_i(j, UPDATE(v, t)) with t = send_time + d2', offered unnamed:
+  // a recycled slot may hold the last event's named action.
   if (write_.status == WriteStatus::kSend && write_.send_time <= now) {
     for (int j : write_.send_procs) {
       Action& a = candidate_slot(out, n++, "SENDMSG", i, j);
@@ -116,7 +115,7 @@ void RwAlgorithm::enabled_into(Time now, std::vector<Action>& out) const {
       m.fields.clear();
       m.fields.emplace_back(write_.send_value);
       m.fields.emplace_back(write_.send_time + params_.d2_prime);
-      m.uid = next_message_uid();
+      m.uid = 0;
       m.clock_tag = kNoClockTag;
     }
   }

@@ -13,7 +13,13 @@
 namespace psc {
 namespace {
 
-Message msg(const char* kind = "M") { return make_message(kind); }
+// A message as the buffers receive it: named by the event that sent it,
+// with a uid the tests choose so they can tell messages apart.
+Message msg(std::uint64_t uid = 1) {
+  Message m = make_message("M");
+  m.uid = uid;
+  return m;
+}
 
 // --- SendBuffer --------------------------------------------------------------
 
@@ -35,7 +41,7 @@ TEST(SendBufferTest, TagsWithSendClockAndForwardsImmediately) {
 
 TEST(SendBufferTest, FifoOrderPreserved) {
   SendBuffer sb(0, 1);
-  const Message m1 = msg(), m2 = msg();
+  const Message m1 = msg(1), m2 = msg(2);
   sb.apply_input(make_send(0, 1, m1), 10);
   sb.apply_input(make_send(0, 1, m2), 10);
   auto acts = sb.enabled(10);
@@ -67,8 +73,8 @@ TEST(SendBufferTest, ClassifiesOnlyItsEdge) {
 
 // --- ReceiveBuffer -----------------------------------------------------------
 
-Message tagged(Time c, const char* kind = "M") {
-  Message m = make_message(kind);
+Message tagged(Time c, std::uint64_t uid = 1) {
+  Message m = msg(uid);
   m.clock_tag = c;
   return m;
 }
@@ -104,7 +110,7 @@ TEST(ReceiveBufferTest, HoldsUntilClockReachesTag) {
 TEST(ReceiveBufferTest, DeliversInTagOrderDespiteArrivalOrder) {
   // A reordering channel can make a later-tagged message arrive first.
   ReceiveBuffer rb(1, 0);
-  const Message late = tagged(200), early = tagged(120);
+  const Message late = tagged(200, 1), early = tagged(120, 2);
   rb.apply_input(make_recv(0, 1, late, "ERECVMSG"), 80);
   rb.apply_input(make_recv(0, 1, early, "ERECVMSG"), 90);
   auto acts = rb.enabled(150);

@@ -316,12 +316,14 @@ TEST(CertifyTest, ObservedLatencyOutsideCertificateIsPSC206) {
   };
   // In-window delivery: clean.
   Message m1 = make_message("M");
+  m1.uid = 1;
   const Message m1c = m1;
   feed(make_send(0, 1, std::move(m1)), 0);
   feed(make_recv(1, 0, Message(m1c)), microseconds(80));
   EXPECT_EQ(probe.report().count(DiagCode::kOutsideCertificate), 0u);
   // 150us: inside the declared [20us, 300us], outside the certificate.
   Message m2 = make_message("M");
+  m2.uid = 2;
   const Message m2c = m2;
   feed(make_send(0, 1, std::move(m2)), microseconds(1000));
   feed(make_recv(1, 0, Message(m2c)), microseconds(1150));

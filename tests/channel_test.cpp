@@ -12,6 +12,14 @@ namespace {
 
 Action send(int i, int j, const Message& m) { return make_send(i, j, m); }
 
+// A message named as an executor would have named it before the channel
+// sees it (Channel::apply_input rejects uid 0).
+Message named(std::uint64_t uid) {
+  Message m = make_message("M");
+  m.uid = uid;
+  return m;
+}
+
 // Runs one channel fed by a script of sends; returns delivered RECVMSG
 // events (from the executor trace).
 TimedTrace run_channel(std::unique_ptr<DelayPolicy> policy,
@@ -33,8 +41,11 @@ class ChannelDelayTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ChannelDelayTest, DeliveryWithinWindowNoLossNoDup) {
   const Duration d1 = microseconds(10), d2 = microseconds(50);
   std::vector<std::pair<Time, Message>> sends;
+  // Explicit uids: the script's sends keep them, so the deliveries can be
+  // matched to their sends by uid.
   for (int k = 0; k < 50; ++k) {
-    sends.emplace_back(k * microseconds(3), make_message("M"));
+    sends.emplace_back(k * microseconds(3),
+                       named(static_cast<std::uint64_t>(k) + 1));
   }
   const auto recvs =
       run_channel(DelayPolicy::uniform(), sends, d1, d2, GetParam());
@@ -147,13 +158,23 @@ TEST(ChannelTest, BadBoundsRejected) {
 
 TEST(ChannelTest, FixedPolicyOutsideBoundsRejected) {
   Channel ch(0, 1, 10, 20, DelayPolicy::fixed(25), Rng(1));
+  EXPECT_THROW(ch.apply_input(send(0, 1, named(1)), 0), CheckError);
+}
+
+// Every send reaches a channel through the event that names its message; an
+// unnamed one bypassed naming and could not be told from another send.
+TEST(ChannelTest, UnnamedMessageRejected) {
+  Channel ch(0, 1, 5, 9, DelayPolicy::always_max(), Rng(1));
   EXPECT_THROW(ch.apply_input(send(0, 1, make_message("M")), 0), CheckError);
+  EXPECT_EQ(ch.stats().sent, 0u);
+  ch.apply_input(send(0, 1, named(1)), 0);
+  EXPECT_EQ(ch.stats().sent, 1u);
 }
 
 TEST(ChannelTest, UpperBoundStopsTimeAtDeadline) {
   Channel ch(0, 1, 5, 9, DelayPolicy::always_max(), Rng(1));
   EXPECT_EQ(ch.upper_bound(0), kTimeMax);
-  ch.apply_input(send(0, 1, make_message("M")), 100);
+  ch.apply_input(send(0, 1, named(1)), 100);
   EXPECT_EQ(ch.upper_bound(100), 109);
   EXPECT_EQ(ch.next_enabled(100), 109);
 }

@@ -6,6 +6,8 @@
 #include "core/time.hpp"
 #include "core/trace.hpp"
 #include "core/value.hpp"
+#include "runtime/executor.hpp"
+#include "runtime/script.hpp"
 #include "util/check.hpp"
 
 namespace psc {
@@ -57,11 +59,23 @@ TEST(ValueTest, ToString) {
 
 // --- message ---------------------------------------------------------------
 
+// Paper Section 3: all sent messages are unique. Two equal messages are
+// offered unnamed; the executor names each when its send is performed.
 TEST(MessageTest, UidsAreUnique) {
-  const Message a = make_message("UPDATE", {Value{std::int64_t{1}}});
-  const Message b = make_message("UPDATE", {Value{std::int64_t{1}}});
-  EXPECT_NE(a.uid, b.uid);
-  EXPECT_FALSE(a == b);  // paper Section 3: all sent messages are unique
+  const Message m = make_message("UPDATE", {Value{std::int64_t{1}}});
+  EXPECT_EQ(m.uid, 0u);
+  Executor exec({.horizon = microseconds(10)});
+  exec.add_owned(std::make_unique<ScriptMachine>(
+      "env", std::vector<ScriptMachine::Step>{
+                 {microseconds(1), make_send(0, 1, m)},
+                 {microseconds(2), make_send(0, 1, m)}}));
+  exec.run();
+  ASSERT_EQ(exec.events().size(), 2u);
+  const Message& a = *exec.events()[0].action.msg;
+  const Message& b = *exec.events()[1].action.msg;
+  EXPECT_EQ(a.uid, 1u);
+  EXPECT_EQ(b.uid, 2u);
+  EXPECT_FALSE(a == b);
 }
 
 TEST(MessageTest, EqualityIncludesClockTag) {
@@ -105,6 +119,38 @@ TEST(ActionTest, EqualityAndSameKind) {
   Action d = make_action("READ", 3, {Value{std::int64_t{9}}});
   EXPECT_FALSE(a == d);       // args differ
   EXPECT_TRUE(a.same_kind(d));  // but same identity up to parameters
+}
+
+TEST(ActionTest, NameMessageNamesOnlyUnnamedMessages) {
+  std::uint64_t next = 1;
+  Action read = make_action("READ", 0);
+  name_message(read, next);  // no message: nothing to name
+  Action s = make_send(0, 1, make_message("M"));
+  name_message(s, next);
+  EXPECT_EQ(s.msg->uid, 1u);
+  name_message(s, next);  // a forwarded message keeps its uid
+  EXPECT_EQ(s.msg->uid, 1u);
+  EXPECT_EQ(next, 2u);
+}
+
+TEST(ActionTest, MatchesOfferAcceptsTheNamedOfferOnly) {
+  const Action offered = make_send(0, 1, make_message("M"));
+  Action performed = offered;
+  performed.msg->uid = 7;
+  EXPECT_TRUE(matches_offer(offered, performed));
+  EXPECT_TRUE(matches_offer(offered, offered));
+  EXPECT_TRUE(matches_offer(performed, performed));
+  // A named offer must be performed with its own uid.
+  Action other = performed;
+  other.msg->uid = 8;
+  EXPECT_FALSE(matches_offer(performed, other));
+  // Any other field still has to agree.
+  Action elsewhere = performed;
+  elsewhere.peer = 2;
+  EXPECT_FALSE(matches_offer(offered, elsewhere));
+  Action retagged = performed;
+  retagged.msg->clock_tag = 5;
+  EXPECT_FALSE(matches_offer(offered, retagged));
 }
 
 TEST(ActionTest, ToStringFormat) {

@@ -1,6 +1,8 @@
 // Reproducibility guarantees: identical seeds give bit-identical event
 // traces in every model (the property that makes seed sweeps meaningful
-// and failures replayable), and different seeds actually explore different
+// and failures replayable), raw message uids included — two runs in one
+// process compare without any remapping, because each executor names its
+// messages from 1 — and different seeds actually explore different
 // schedules.
 #include <gtest/gtest.h>
 
@@ -31,27 +33,23 @@ RwRunConfig cfg_for(std::uint64_t seed) {
 TEST(DeterminismTest, TimedModelIsSeedDeterministic) {
   const auto a = run_rw_timed(cfg_for(42));
   const auto b = run_rw_timed(cfg_for(42));
-  EXPECT_EQ(trace_to_text(normalize_uids(a.events)),
-            trace_to_text(normalize_uids(b.events)));
+  EXPECT_EQ(trace_to_text(a.events), trace_to_text(b.events));
   const auto c = run_rw_timed(cfg_for(43));
-  EXPECT_NE(trace_to_text(normalize_uids(a.events)),
-            trace_to_text(normalize_uids(c.events)));
+  EXPECT_NE(trace_to_text(a.events), trace_to_text(c.events));
 }
 
 TEST(DeterminismTest, ClockModelIsSeedDeterministic) {
   ZigzagDrift d1(0.3), d2(0.3);
   const auto a = run_rw_clock(cfg_for(42), d1);
   const auto b = run_rw_clock(cfg_for(42), d2);
-  EXPECT_EQ(trace_to_text(normalize_uids(a.events)),
-            trace_to_text(normalize_uids(b.events)));
+  EXPECT_EQ(trace_to_text(a.events), trace_to_text(b.events));
 }
 
 TEST(DeterminismTest, MmtModelIsSeedDeterministic) {
   PerfectDrift drift;
   const auto a = run_rw_mmt(cfg_for(42), drift, microseconds(10), 5);
   const auto b = run_rw_mmt(cfg_for(42), drift, microseconds(10), 5);
-  EXPECT_EQ(trace_to_text(normalize_uids(a.events)),
-            trace_to_text(normalize_uids(b.events)));
+  EXPECT_EQ(trace_to_text(a.events), trace_to_text(b.events));
 }
 
 QueueRunConfig queue_cfg() {
@@ -71,8 +69,7 @@ TEST(DeterminismTest, QueueIsSeedDeterministic) {
   ZigzagDrift d1(0.3), d2(0.3);
   const auto a = run_queue_clock(queue_cfg(), d1);
   const auto b = run_queue_clock(queue_cfg(), d2);
-  EXPECT_EQ(trace_to_text(normalize_uids(a.events)),
-            trace_to_text(normalize_uids(b.events)));
+  EXPECT_EQ(trace_to_text(a.events), trace_to_text(b.events));
 }
 
 // 64-bit FNV-1a: a fixed, platform-independent digest of a trace's text.
@@ -93,7 +90,7 @@ std::uint64_t fnv1a(const std::string& s) {
 TEST(DeterminismTest, ClockModelTraceIsPinnedAcrossBuilds) {
   ZigzagDrift drift(0.3);
   const auto run = run_rw_clock(cfg_for(42), drift);
-  const std::string text = trace_to_text(normalize_uids(run.events));
+  const std::string text = trace_to_text(run.events);
   EXPECT_EQ(run.events.size(), 180u);
   EXPECT_EQ(fnv1a(text), 2273367640099847480ULL);
 }
@@ -101,7 +98,7 @@ TEST(DeterminismTest, ClockModelTraceIsPinnedAcrossBuilds) {
 TEST(DeterminismTest, MmtModelTraceIsPinnedAcrossBuilds) {
   ZigzagDrift drift(0.3);
   const auto run = run_rw_mmt(cfg_for(42), drift, microseconds(10), 5);
-  const std::string text = trace_to_text(normalize_uids(run.events));
+  const std::string text = trace_to_text(run.events);
   EXPECT_EQ(run.events.size(), 3840u);
   EXPECT_EQ(fnv1a(text), 6793192959222367438ULL);
 }
@@ -109,7 +106,7 @@ TEST(DeterminismTest, MmtModelTraceIsPinnedAcrossBuilds) {
 TEST(DeterminismTest, QueueClockTraceIsPinnedAcrossBuilds) {
   ZigzagDrift drift(0.3);
   const auto run = run_queue_clock(queue_cfg(), drift);
-  const std::string text = trace_to_text(normalize_uids(run.events));
+  const std::string text = trace_to_text(run.events);
   EXPECT_EQ(run.events.size(), 432u);
   EXPECT_EQ(fnv1a(text), 1336714106374535452ULL);
 }

@@ -4,8 +4,10 @@
 // percentiles inside the configured delivery window.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -22,14 +24,6 @@
 
 namespace psc {
 namespace {
-
-// Message uids come from a process-global counter, so a decoded snapshot
-// and a live trace from *different* runs only match after normalization;
-// within one run they agree exactly, but normalizing both sides keeps every
-// comparison on the same footing.
-std::string normalized_text(const TimedTrace& events) {
-  return trace_to_text(normalize_uids(events));
-}
 
 struct FloodRun {
   FlightRecorder rec;
@@ -60,7 +54,7 @@ TEST(FlightRecorderTest, FloodDecodeMatchesLiveTrace) {
     EXPECT_EQ(run.rec.total_recorded(), run.events.size());
     EXPECT_EQ(run.rec.dropped(), 0u);
     const TimedTrace decoded = decode_snapshot(run.rec.snapshot());
-    EXPECT_EQ(normalized_text(decoded), normalized_text(run.events))
+    EXPECT_EQ(trace_to_text(decoded), trace_to_text(run.events))
         << "flood seed " << seed;
   }
 }
@@ -73,8 +67,7 @@ TEST(FlightRecorderTest, SnapshotRoundTripsThroughFile) {
   ASSERT_TRUE(is.good());
   const FlightSnapshot snap = read_snapshot(is);
   EXPECT_EQ(snap.total_recorded, run.events.size());
-  EXPECT_EQ(normalized_text(decode_snapshot(snap)),
-            normalized_text(run.events));
+  EXPECT_EQ(trace_to_text(decode_snapshot(snap)), trace_to_text(run.events));
   std::remove(path.c_str());
 }
 
@@ -93,7 +86,7 @@ TEST(FlightRecorderTest, RwClockDecodeMatchesLiveTrace) {
     ASSERT_GT(run.events.size(), 0u);
     EXPECT_EQ(rec.total_recorded(), run.events.size());
     const TimedTrace decoded = decode_snapshot(rec.snapshot());
-    EXPECT_EQ(normalized_text(decoded), normalized_text(run.events))
+    EXPECT_EQ(trace_to_text(decoded), trace_to_text(run.events))
         << "rw-clock seed " << seed;
   }
 }
@@ -113,7 +106,7 @@ TEST(FlightRecorderTest, QueueDecodeMatchesLiveTrace) {
     ASSERT_GT(run.events.size(), 0u);
     EXPECT_EQ(rec.total_recorded(), run.events.size());
     const TimedTrace decoded = decode_snapshot(rec.snapshot());
-    EXPECT_EQ(normalized_text(decoded), normalized_text(run.events))
+    EXPECT_EQ(trace_to_text(decoded), trace_to_text(run.events))
         << "queue seed " << seed;
   }
 }
@@ -218,6 +211,75 @@ TEST(FlightRecorderTest, ChannelHistogramWithinDeliveryWindow) {
   EXPECT_LE(chan.p50(), 200'000 * 1.04);
   EXPECT_GE(chan.p99(), chan.p50());
   EXPECT_LE(chan.p999(), 200'000 * 1.04);
+}
+
+std::size_t count_named(const TimedTrace& events, const char* name) {
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(), [name](const TimedEvent& e) {
+        return e.action.name == name;
+      }));
+}
+
+// The step samples a run books: one per event after its owner's first.
+std::size_t step_gaps(const TimedTrace& events) {
+  std::set<int> owners;
+  for (const TimedEvent& e : events) owners.insert(e.owner);
+  return events.size() - owners.size();
+}
+
+// Message uids and owner indices are per executor, so a recorder that
+// observes several runs (psc-report reuses one per sweep cell) must forget
+// what the last run left behind: the clock-model run below is cut while
+// messages sit in its channels and receive buffers, and the timed run
+// after it reuses their uids and owner indices. A stale arrival would book
+// a timed delivery as a buffer hold and drop its channel sample, and a
+// stale owner time would book a step gap across the two runs.
+TEST(FlightRecorderTest, RebindForgetsMessagesLeftInFlight) {
+  FlightRecorder rec;
+  ObsOptions oo;
+  oo.flight = &rec;
+  RwRunConfig cfg;
+  cfg.num_nodes = 3;
+  cfg.d1 = microseconds(10);
+  cfg.d2 = microseconds(60);
+  cfg.eps = microseconds(100);
+  cfg.ops_per_node = 40;
+  cfg.think_max = microseconds(50);
+  cfg.write_fraction = 1.0;
+  cfg.seed = 2;
+  cfg.obs = &oo;
+
+  RwRunConfig cut = cfg;
+  cut.horizon = microseconds(1100);
+  OpposingOffsetDrift drift;
+  const RwRunResult first = run_rw_clock(cut, drift);
+  // The cut left messages in flight: some ESENDMSG never arrived, and some
+  // arrival was never released by its receive buffer.
+  const std::size_t arrived = count_named(first.events, "ERECVMSG");
+  ASSERT_LT(arrived, count_named(first.events, "ESENDMSG"));
+  ASSERT_LT(count_named(first.events, "RECVMSG"), arrived);
+
+  RwRunConfig timed = cfg;
+  timed.super = false;  // Algorithm L: the timed model has no eps to wait
+  const RwRunResult second = run_rw_timed(timed);
+  const std::size_t delivered = count_named(second.events, "RECVMSG");
+  ASSERT_GT(delivered, 0u);
+
+  const LogHistogram& chan = rec.channel_hist();
+  EXPECT_EQ(chan.count(), arrived + delivered);
+  EXPECT_GE(chan.min(), static_cast<std::uint64_t>(cfg.d1));
+  EXPECT_LE(chan.max(), static_cast<std::uint64_t>(cfg.d2));
+  EXPECT_EQ(rec.hold_hist().count(), count_named(first.events, "RECVMSG"));
+
+  std::set<std::string> names;
+  for (const RwRunResult* run : {&first, &second}) {
+    for (const TimedEvent& e : run->events) names.insert(e.action.name);
+  }
+  std::uint64_t steps = 0;
+  for (const std::string& n : names) {
+    if (const LogHistogram* h = rec.step_hist(n)) steps += h->count();
+  }
+  EXPECT_EQ(steps, step_gaps(first.events) + step_gaps(second.events));
 }
 
 // Every event the executor records carries its interned kind id; the

@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 
+#include "algos/flood.hpp"
 #include "algos/heartbeat.hpp"
 #include "algos/tdma.hpp"
 #include "channel/channel.hpp"
@@ -131,30 +132,63 @@ TEST_P(FuzzSeeds, RwClientSatisfiesAxioms) {
   }));
 }
 
-// Every SENDMSG candidate draws one fresh uid, whether the poll builds a
-// fresh list (enabled) or refills a recycled one (enabled_into), so the
-// raw uid sequence does not depend on which the caller uses.
-TEST(RecycledPolls, RwAlgorithmDrawsOneUidPerSendCandidate) {
+// Polls are pure: a machine offers its sends unnamed (uid 0) on every
+// poll, whether the poll builds a fresh list (enabled) or refills a
+// recycled one (enabled_into) whose slots still hold named messages from
+// earlier events, and the two lists agree in every field. Performing one
+// send at a time, named as the executor names it, leaves the others
+// offered.
+void expect_pure_polls(Machine& m, std::size_t sends) {
+  std::uint64_t next_uid = 1;
+  Action named = make_send(0, 1, make_message("STALE"));
+  name_message(named, next_uid);
+  std::vector<Action> recycled(sends + 2, named);
+  for (; sends > 0; --sends) {
+    for (int k = 0; k < 3; ++k) {
+      const std::vector<Action> fresh = m.enabled(0);
+      m.enabled_into(0, recycled);
+      EXPECT_EQ(recycled, fresh) << m.name() << " poll " << k;
+      std::size_t offered = 0;
+      for (const Action& a : fresh) {
+        if (a.name != "SENDMSG") continue;
+        ++offered;
+        ASSERT_TRUE(a.msg.has_value());
+        EXPECT_EQ(a.msg->uid, 0u) << to_string(a);
+      }
+      EXPECT_EQ(offered, sends) << m.name() << " poll " << k;
+    }
+    const auto send = std::find_if(
+        recycled.begin(), recycled.end(),
+        [](const Action& a) { return a.name == "SENDMSG"; });
+    ASSERT_NE(send, recycled.end());
+    name_message(*send, next_uid);
+    m.apply_local(*send, 0);
+  }
+  m.enabled_into(0, recycled);
+  EXPECT_TRUE(std::none_of(recycled.begin(), recycled.end(),
+                           [](const Action& a) { return a.name == "SENDMSG"; }))
+      << m.name();
+}
+
+TEST(RecycledPolls, SendsAreOfferedUnnamedOnEveryPoll) {
   RwParams p;
   p.node = 0;
   p.num_nodes = 3;
   p.d2_prime = microseconds(100);
   RwAlgorithm algo(p);
   algo.apply_input(make_action("WRITE", 0, {Value{7}}), 0);
-  std::vector<Action> recycled;
-  const auto uids_drawn = [](const auto& poll) {
-    const std::uint64_t before = next_message_uid();
-    poll();
-    return next_message_uid() - before - 1;
-  };
-  for (std::uint64_t sends = 3; sends > 0; --sends) {
-    std::vector<Action> fresh;
-    EXPECT_EQ(uids_drawn([&] { fresh = algo.enabled(0); }), sends);
-    EXPECT_EQ(uids_drawn([&] { algo.enabled_into(0, recycled); }), sends);
-    ASSERT_EQ(recycled.size(), fresh.size());
-    algo.apply_local(recycled.front(), 0);
-  }
-  EXPECT_EQ(uids_drawn([&] { algo.enabled_into(0, recycled); }), 0u);
+  expect_pure_polls(algo, 3);  // a write updates every node, itself included
+
+  FloodParams f;
+  f.source = true;
+  f.peers = {1, 2, 3};
+  f.d2_design = milliseconds(1);
+  FloodNode flood(f);
+  const std::vector<Action> first = flood.enabled(0);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(first.front().name, "DELIVER");
+  flood.apply_local(first.front(), 0);
+  expect_pure_polls(flood, 3);
 }
 
 TEST_P(FuzzSeeds, SlicedRwSatisfiesAxioms) {
@@ -243,7 +277,8 @@ TEST(RenamedTest, TranslatesBothDirections) {
   auto ch = std::make_unique<Channel>(0, 1, 0, microseconds(10),
                                       DelayPolicy::always_min(), Rng(1));
   RenamedMachine ren(std::move(ch), {{"SENDMSG", "IN"}, {"RECVMSG", "OUT"}});
-  const Message m = make_message("M");
+  Message m = make_message("M");
+  m.uid = 1;  // sent, so named
   EXPECT_EQ(ren.classify(make_send(0, 1, m, "IN")), ActionRole::kInput);
   EXPECT_EQ(ren.classify(make_recv(1, 0, m, "OUT")), ActionRole::kOutput);
   // The raw inner names are no longer part of the signature.

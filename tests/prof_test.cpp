@@ -24,9 +24,9 @@ namespace psc {
 namespace {
 
 // Records the exact probe-visible sequence so two runs can be compared
-// byte-for-byte (uids normalized by the caller via the trace instead; here
-// event order + names + times suffice because the profiled and unprofiled
-// runs share one deterministic scheduler).
+// byte-for-byte (uids are compared through the trace instead; here event
+// order + names + times suffice because the profiled and unprofiled runs
+// share one deterministic scheduler).
 class SequenceProbe final : public Probe {
  public:
   void on_event(const TimedEvent& e, const Machine& /*owner*/) override {
@@ -158,10 +158,7 @@ TEST(Profiler, DoesNotPerturbTraceOrProbeSequence) {
   Profiler prof(ProfOptions{.sample_every = 4});
   FloodRun profiled(7, &prof, /*with_probe=*/true);
   ASSERT_GT(bare.events.size(), 0u);
-  // Message uids come from a process-global counter, so normalize both
-  // sides before comparing (same convention as flight_test).
-  EXPECT_EQ(trace_to_text(normalize_uids(bare.events)),
-            trace_to_text(normalize_uids(profiled.events)));
+  EXPECT_EQ(trace_to_text(bare.events), trace_to_text(profiled.events));
   EXPECT_EQ(bare.probe_seq, profiled.probe_seq);
   EXPECT_EQ(bare.report.end_time, profiled.report.end_time);
   EXPECT_EQ(bare.report.steps, profiled.report.steps);

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -45,16 +44,8 @@ class RecordingProbe final : public Probe {
  public:
   void on_run_begin(Time now) override { log_ << "begin " << now << "\n"; }
   void on_event(const TimedEvent& e, const Machine& owner) override {
-    // Remap process-global message uids (as normalize_uids does for traces).
-    TimedEvent copy = e;
-    if (copy.action.msg) {
-      auto [it, fresh] =
-          remap_.emplace(copy.action.msg->uid, remap_.size() + 1);
-      (void)fresh;
-      copy.action.msg->uid = it->second;
-    }
-    log_ << "event " << to_string(copy.action) << " t=" << copy.time
-         << " owner=" << owner.name() << " vis=" << copy.visible << "\n";
+    log_ << "event " << to_string(e.action) << " t=" << e.time
+         << " owner=" << owner.name() << " vis=" << e.visible << "\n";
   }
   void on_time_advance(Time from, Time to) override {
     log_ << "advance " << from << " -> " << to << "\n";
@@ -64,7 +55,6 @@ class RecordingProbe final : public Probe {
   std::string text() const { return log_.str(); }
 
  private:
-  std::map<std::uint64_t, std::uint64_t> remap_;
   std::ostringstream log_;
 };
 
@@ -107,8 +97,7 @@ TEST(SchedulerEquivalence, FloodRingTracesMatchAcrossSchedulers) {
     const auto got =
         run_flood(Graph::ring(8), seed, Loop::kReference, nullptr, &steps);
     EXPECT_EQ(steps_ref, steps) << "seed " << seed;
-    EXPECT_EQ(trace_to_text(normalize_uids(ref)),
-              trace_to_text(normalize_uids(got)))
+    EXPECT_EQ(trace_to_text(ref), trace_to_text(got))
         << "seed " << seed;
   }
 }
@@ -119,8 +108,7 @@ TEST(SchedulerEquivalence, FloodCompleteGraphTracesMatchAcrossSchedulers) {
         run_flood(Graph::complete(6), seed, Loop::kWheel, nullptr);
     const auto got =
         run_flood(Graph::complete(6), seed, Loop::kReference, nullptr);
-    EXPECT_EQ(trace_to_text(normalize_uids(ref)),
-              trace_to_text(normalize_uids(got)))
+    EXPECT_EQ(trace_to_text(ref), trace_to_text(got))
         << "seed " << seed;
   }
 }
@@ -184,16 +172,16 @@ RwRunResult run_rw_harness(const RwRunConfig& cfg, RwModel model,
   return run_rw_mmt(cfg, drift, kMmtEll, kMmtK);
 }
 
-// Runs the harness once and a twin on each loop; every twin's normalized
-// trace must equal the harness's.
+// Runs the harness once and a twin on each loop; every twin's raw trace
+// must equal the harness's.
 void expect_rw_twins_match(const RwRunConfig& cfg, RwModel model,
                            const DriftModel& drift, const std::string& what) {
   const std::string harness =
-      trace_to_text(normalize_uids(run_rw_harness(cfg, model, drift).events));
+      trace_to_text(run_rw_harness(cfg, model, drift).events);
   for (const Loop loop : kLoops) {
     const auto twin = assemble_rw(cfg, model, drift);
     run_on(*twin, loop);
-    EXPECT_EQ(trace_to_text(normalize_uids(twin->events())), harness)
+    EXPECT_EQ(trace_to_text(twin->events()), harness)
         << what << " on " << loop_name(loop);
   }
 }
@@ -350,11 +338,11 @@ TEST(SchedulerEquivalence, QueueClockTracesMatchAcrossSchedulers) {
     for (std::uint64_t seed : {7u, 11u, 42u}) {
       const QueueRunConfig qc = config(seed);
       const std::string harness =
-          trace_to_text(normalize_uids(run_queue_clock(qc, *drift).events));
+          trace_to_text(run_queue_clock(qc, *drift).events);
       for (const Loop loop : kLoops) {
         const auto exec = assemble(qc, *drift);
         run_on(*exec, loop);
-        EXPECT_EQ(trace_to_text(normalize_uids(exec->events())), harness)
+        EXPECT_EQ(trace_to_text(exec->events()), harness)
             << drift->name() << " seed " << seed << " on "
             << loop_name(loop);
       }
@@ -463,8 +451,7 @@ TEST(SchedulerEquivalence, BatcherRunsMatchReference) {
     EXPECT_GT(wheel.stats.wheel.cascades, 0u) << "seed " << seed;
     EXPECT_EQ(wheel.events.size(), 3u * 4u * 40u) << "seed " << seed;
     const BatchRun reference = run_batches(seed, Loop::kReference);
-    EXPECT_EQ(trace_to_text(normalize_uids(wheel.events)),
-              trace_to_text(normalize_uids(reference.events)))
+    EXPECT_EQ(trace_to_text(wheel.events), trace_to_text(reference.events))
         << "seed " << seed;
     EXPECT_EQ(wheel.probes, reference.probes) << "seed " << seed;
   }
@@ -524,8 +511,7 @@ TEST(SchedulerEquivalence, MmtTickRepollsOnlyItsTickSource) {
   EXPECT_EQ(watch.woken_actors(), 0u);
   const auto reference = assemble_rw(cfg, RwModel::kMmt, drift);
   run_reference(*reference);
-  EXPECT_EQ(trace_to_text(normalize_uids(twin->events())),
-            trace_to_text(normalize_uids(reference->events())));
+  EXPECT_EQ(trace_to_text(twin->events()), trace_to_text(reference->events()));
 }
 
 // --- multi-part machines ----------------------------------------------------
@@ -556,8 +542,7 @@ TEST(SchedulerParts, WheelHoldsOneWakePerPart) {
   EXPECT_EQ(wheel.max_ne, 100u);  // every part waits on its own wake
   EXPECT_LE(wheel.max_ub, 100u);
   const BatchRun reference = run(Loop::kReference);
-  EXPECT_EQ(trace_to_text(normalize_uids(wheel.events)),
-            trace_to_text(normalize_uids(reference.events)));
+  EXPECT_EQ(trace_to_text(wheel.events), trace_to_text(reference.events));
   EXPECT_EQ(wheel.probes, reference.probes);
 }
 

@@ -51,6 +51,7 @@ class ReferenceLoop {
   }
 
   void execute(Candidate& c) {
+    name_message(c.action, x_.next_msg_uid_);
     Machine* owner = x_.machines_[c.machine];
     const ActionRole role = owner->classify(c.action);
     PSC_CHECK(role == ActionRole::kOutput || role == ActionRole::kInternal,

@@ -1,16 +1,15 @@
 // psc-flight: offline decoder for flight-recorder snapshots (obs/flight.hpp).
 //
 // Reads a binary .fly snapshot (written by FlightRecorder::dump, psc-sim
-// --flight, or the dump-on-violation hook) and reconstructs the normalized
-// TimedEvent stream, so the recorded window flows into the same offline
-// tooling as a live trace dump: psc-lint, the causal DAG, golden diffs.
+// --flight, or the dump-on-violation hook) and reconstructs the executor's
+// TimedEvent stream, raw message uids included, so the recorded window
+// flows into the same offline tooling as a live trace dump: psc-lint, the
+// causal DAG, golden diffs.
 //
 //   psc-flight <snapshot.fly> [options]
 //     --out=PATH     write the decoded trace to PATH (default: stdout)
 //     --jsonl        emit JSON Lines (psc-lint's interchange form) instead
 //                    of the plain-text trace format
-//     --normalize    remap message uids to first-occurrence order (1,2,...)
-//                    so decoded windows diff cleanly across runs
 //     --stats        print a snapshot summary (records, drops, kinds,
 //                    histogram state) to stderr and skip the trace output
 //                    unless --out was given explicitly
@@ -27,8 +26,7 @@ namespace {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " <snapshot.fly> [--out=PATH] [--jsonl] [--normalize]"
-               " [--stats]\n";
+            << " <snapshot.fly> [--out=PATH] [--jsonl] [--stats]\n";
   return 2;
 }
 
@@ -38,7 +36,6 @@ int main(int argc, char** argv) {
   std::string in_path;
   std::string out_path;
   bool jsonl = false;
-  bool normalize = false;
   bool stats = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -47,8 +44,6 @@ int main(int argc, char** argv) {
       out_path = arg.substr(6);
     } else if (arg == "--jsonl") {
       jsonl = true;
-    } else if (arg == "--normalize") {
-      normalize = true;
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -79,8 +74,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  psc::TimedTrace trace = psc::decode_snapshot(snap);
-  if (normalize) trace = psc::normalize_uids(std::move(trace));
+  const psc::TimedTrace trace = psc::decode_snapshot(snap);
 
   if (stats) {
     std::cerr << "snapshot " << in_path << ": " << snap.records.size()
