@@ -15,9 +15,9 @@
 #      traces, and replay them offline through psc-lint — any
 #      error-severity PSC diagnostic fails the lane. rw-mmt is the run that
 #      reaches the MMT boundmap (PSC105) and the ell-widened PSC106 band.
-#   4b. certify: psc-lint --certify derives interference graphs, bound
-#      certificates, and shard plans for the same three harnesses (PSC2xx,
-#      any error fails), and psc-sim --certify re-runs them with the online
+#   4b. certify: psc-lint --certify derives interference graphs and bound
+#      certificates for the same three harnesses (PSC2xx, any error
+#      fails), and psc-sim --certify re-runs them with the online
 #      CertificateProbe checking every delivery against its derived window
 #      (PSC206).
 #   5. psc-report: the CI sweep (configs/rw_sweep_smoke.cfg) with the
@@ -156,13 +156,13 @@ trap 'rm -rf "$LINT_TMP"' EXIT
 
 # --- lane 4b: bound certificates + online certificate probe ------------------
 
-# Static: derive the interference graph, per-hop/per-path certificates, and
-# a shard plan for each harness; any PSC2xx error (vacuous window,
-# zero-lookahead cycle, eps-inconsistent path, declaration contradiction,
-# unprovable shard floor) exits nonzero. The JSONL certificates land under
-# the mktemp dir and are round-trip-checked by the versioned header line.
+# Static: derive the interference graph and per-hop/per-path certificates
+# for each harness; any PSC2xx error (vacuous window, zero-lookahead cycle,
+# eps-inconsistent path, declaration contradiction) exits nonzero. The
+# JSONL certificates land under the mktemp dir and are round-trip-checked
+# by the versioned header line.
 "$BUILD_DIR"/tools/psc-lint --certify=flood --nodes=4 \
-  --d1_us=20 --d2_us=300 --shards=2 --jsonl="$LINT_TMP/cert_flood.jsonl"
+  --d1_us=20 --d2_us=300 --jsonl="$LINT_TMP/cert_flood.jsonl"
 "$BUILD_DIR"/tools/psc-lint --certify=rw-clock --nodes=3 \
   --d1_us=20 --d2_us=300 --eps_us=50 --jsonl="$LINT_TMP/cert_rw.jsonl"
 "$BUILD_DIR"/tools/psc-lint --certify=queue --nodes=3 \

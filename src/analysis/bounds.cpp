@@ -180,7 +180,7 @@ BoundCert certify_bounds(const InterferenceGraph& g,
 
   // --- PSC202: zero-lookahead cycles through a relay ----------------------
   // Machines at one node may interact instantaneously (client <-> algorithm
-  // pairs form legitimate zero-lookahead cycles and simply co-shard); the
+  // pairs form legitimate zero-lookahead cycles); the
   // pathology is a *network* cycle: a relay inside a zero-lookahead SCC
   // means influence can circulate through channels in zero time, so no
   // conservative time window exists.

@@ -18,8 +18,7 @@
 //   PSC201  a hop window is inverted/vacuous (relay_d1 > relay_d2);
 //   PSC202  a cycle of zero-lookahead edges passes through a relay — the
 //           network can circulate influence in zero time, so no
-//           conservative time window exists (and ROADMAP item 2's PDES
-//           executor could never advance);
+//           conservative time window exists;
 //   PSC204  machines reachable from the sources report distinct eps — the
 //           C_eps predicate is system-wide, so no single widened window
 //           describes the path;

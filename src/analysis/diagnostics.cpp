@@ -55,8 +55,6 @@ const char* to_string(DiagCode code) {
       return "PSC205";
     case DiagCode::kOutsideCertificate:
       return "PSC206";
-    case DiagCode::kShardLookaheadLow:
-      return "PSC207";
     case DiagCode::kCertCoverage:
       return "PSC208";
   }
@@ -101,8 +99,6 @@ const char* summary(DiagCode code) {
       return "harvested bound contradicts the declared system bound";
     case DiagCode::kOutsideCertificate:
       return "observed quantity outside its derived certificate window";
-    case DiagCode::kShardLookaheadLow:
-      return "shard plan's cross-shard lookahead below the required floor";
     case DiagCode::kCertCoverage:
       return "certification coverage summary";
   }

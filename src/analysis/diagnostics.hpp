@@ -55,7 +55,7 @@ enum class DiagCode {
   kEpsInconsistentPath = 204,  // PSC204: certified path mixes distinct eps
   kCertContradictsDecl = 205,  // PSC205: harvested bound outside declared one
   kOutsideCertificate = 206,   // PSC206: observation escapes its certificate
-  kShardLookaheadLow = 207,    // PSC207: shard plan under the lookahead floor
+  // 207 (PSC207) is retired; do not reuse it.
   kCertCoverage = 208,         // PSC208: certification coverage summary
 };
 

@@ -1,13 +1,7 @@
 #include "analysis/interference.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <numeric>
-#include <ostream>
-#include <sstream>
 #include <string>
-
-#include "util/check.hpp"
 
 namespace psc {
 
@@ -53,41 +47,6 @@ struct OwnedEntry {
 struct InputBucket {
   std::vector<std::size_t> any_node;                       // into `inputs`
   std::unordered_map<int, std::vector<std::size_t>> by_node;
-};
-
-void json_escape(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char ch : s) {
-    if (ch == '"' || ch == '\\') os << '\\';
-    os << ch;
-  }
-  os << '"';
-}
-
-// Minimal numeric field scraper for our own JSONL (inverts what
-// write_shard_plan_jsonl emits; not a general JSON parser).
-long long scrape_num(const std::string& line, const std::string& key,
-                     long long fallback) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return fallback;
-  return std::stoll(line.substr(pos + needle.size()));
-}
-
-// Union-find with path halving, for merging zero-lookahead edge endpoints.
-struct Dsu {
-  std::vector<std::size_t> parent;
-  explicit Dsu(std::size_t n) : parent(n) {
-    std::iota(parent.begin(), parent.end(), std::size_t{0});
-  }
-  std::size_t find(std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  }
-  void unite(std::size_t a, std::size_t b) { parent[find(a)] = find(b); }
 };
 
 }  // namespace
@@ -192,122 +151,6 @@ InterferenceGraph build_interference_graph(
     g.in[g.edges[e].to].push_back(e);
   }
   return g;
-}
-
-ShardPlan synthesize_shards(const InterferenceGraph& g, int k,
-                            Duration required_floor,
-                            DiagnosticReport* report) {
-  ShardPlan plan;
-  const std::size_t n = g.nodes.size();
-  plan.num_shards = std::max(k, 1);
-  plan.shard_of.assign(n, 0);
-  plan.shard_sizes.assign(static_cast<std::size_t>(plan.num_shards), 0);
-  if (n == 0) return plan;
-
-  // Zero-lookahead edges must never be cut: merge their endpoints.
-  Dsu dsu(n);
-  for (const FootprintEdge& e : g.edges) {
-    if (e.lookahead <= 0) dsu.unite(e.from, e.to);
-  }
-
-  // Clusters in first-appearance (machine add) order. Harness assemblies
-  // add machines along the topology, so contiguous packing keeps rings and
-  // grids in contiguous shards and the cuts on genuine channel edges.
-  std::vector<int> cluster_of(n, -1);
-  std::vector<std::size_t> cluster_sizes;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t root = dsu.find(i);
-    if (cluster_of[root] < 0) {
-      cluster_of[root] = static_cast<int>(cluster_sizes.size());
-      cluster_sizes.push_back(0);
-    }
-    cluster_of[i] = cluster_of[root];
-    ++cluster_sizes[static_cast<std::size_t>(cluster_of[i])];
-  }
-
-  // Pack clusters into shards contiguously, balancing machine counts.
-  std::vector<int> shard_of_cluster(cluster_sizes.size(), 0);
-  std::size_t remaining = n;
-  int shard = 0;
-  std::size_t filled = 0;
-  for (std::size_t c = 0; c < cluster_sizes.size(); ++c) {
-    const int shards_left = plan.num_shards - shard;
-    const std::size_t target =
-        (remaining + static_cast<std::size_t>(shards_left) - 1) /
-        static_cast<std::size_t>(shards_left);
-    shard_of_cluster[c] = shard;
-    filled += cluster_sizes[c];
-    remaining -= cluster_sizes[c];
-    if (filled >= target && shard + 1 < plan.num_shards) {
-      ++shard;
-      filled = 0;
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    plan.shard_of[i] =
-        shard_of_cluster[static_cast<std::size_t>(cluster_of[i])];
-    ++plan.shard_sizes[static_cast<std::size_t>(plan.shard_of[i])];
-  }
-
-  for (const FootprintEdge& e : g.edges) {
-    if (plan.shard_of[e.from] == plan.shard_of[e.to]) continue;
-    ++plan.cut_edges;
-    if (plan.min_cut_lookahead < 0 ||
-        e.lookahead < plan.min_cut_lookahead) {
-      plan.min_cut_lookahead = e.lookahead;
-    }
-  }
-
-  if (report != nullptr && required_floor >= 0 && plan.cut_edges > 0 &&
-      plan.min_cut_lookahead < required_floor) {
-    std::ostringstream msg;
-    msg << "K=" << plan.num_shards << " plan has min cross-shard lookahead "
-        << format_time(plan.min_cut_lookahead) << " < required "
-        << format_time(required_floor);
-    report->add(DiagCode::kShardLookaheadLow, msg.str());
-  }
-  return plan;
-}
-
-void write_shard_plan_jsonl(std::ostream& os, const ShardPlan& plan,
-                            const InterferenceGraph& g) {
-  os << "{\"type\":\"shard_plan\",\"shards\":" << plan.num_shards
-     << ",\"machines\":" << plan.shard_of.size()
-     << ",\"cut_edges\":" << plan.cut_edges
-     << ",\"min_cut_lookahead_ns\":" << plan.min_cut_lookahead << "}\n";
-  for (std::size_t i = 0; i < plan.shard_of.size(); ++i) {
-    os << "{\"type\":\"shard_assign\",\"index\":" << i << ",\"machine\":";
-    json_escape(os, i < g.nodes.size() ? g.nodes[i].name : "");
-    os << ",\"shard\":" << plan.shard_of[i] << "}\n";
-  }
-}
-
-ShardPlan read_shard_plan_jsonl(std::istream& is) {
-  ShardPlan plan;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.find("\"type\":\"shard_plan\"") != std::string::npos) {
-      plan.num_shards = static_cast<int>(scrape_num(line, "shards", 0));
-      plan.shard_of.assign(
-          static_cast<std::size_t>(scrape_num(line, "machines", 0)), 0);
-      plan.cut_edges =
-          static_cast<std::size_t>(scrape_num(line, "cut_edges", 0));
-      plan.min_cut_lookahead = scrape_num(line, "min_cut_lookahead_ns", -1);
-    } else if (line.find("\"type\":\"shard_assign\"") != std::string::npos) {
-      const auto idx = static_cast<std::size_t>(scrape_num(line, "index", -1));
-      if (idx < plan.shard_of.size()) {
-        plan.shard_of[idx] = static_cast<int>(scrape_num(line, "shard", 0));
-      }
-    }
-  }
-  plan.shard_sizes.assign(
-      static_cast<std::size_t>(std::max(plan.num_shards, 0)), 0);
-  for (const int s : plan.shard_of) {
-    if (s >= 0 && s < plan.num_shards) {
-      ++plan.shard_sizes[static_cast<std::size_t>(s)];
-    }
-  }
-  return plan;
 }
 
 }  // namespace psc

@@ -11,14 +11,10 @@
 // *lookahead* — the minimum real time between any input to the producer and
 // this output crossing the edge (d1 for relays, 0 otherwise).
 //
-// Two consumers sit on top:
-//
-//   - bounds.hpp propagates the per-hop windows into end-to-end
-//     certificates (shortest/widest path, Theorem 4.7 widening);
-//   - synthesize_shards() colors the graph into K shards for the
-//     conservative PDES executor of ROADMAP item 2, proving that every
-//     cross-shard edge has lookahead >= the required floor (machines joined
-//     by zero-lookahead edges are never separated).
+// bounds.hpp propagates the per-hop windows into end-to-end certificates
+// (shortest/widest path, Theorem 4.7 widening), and independent() answers
+// whether two machines can ever interact (the independence relation a
+// partial-order reduction prunes on).
 //
 // The build is O(machines + declared entries + edges): input entries are
 // bucketed by kind name (mirroring the executor's routing index), so a
@@ -28,12 +24,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/diagnostics.hpp"
 #include "core/machine.hpp"
 
 namespace psc {
@@ -88,37 +82,5 @@ struct InterferenceGraph {
 
 InterferenceGraph build_interference_graph(
     const std::vector<const Machine*>& machines);
-
-// --- shard plan -----------------------------------------------------------
-
-struct ShardPlan {
-  int num_shards = 0;
-  std::vector<int> shard_of;  // graph node index -> shard id in [0, K)
-  std::vector<std::size_t> shard_sizes;
-  std::size_t cut_edges = 0;
-  // Minimum lookahead over cross-shard edges; -1 when no edge is cut.
-  // This is the sound conservative time-window for the PDES executor:
-  // shards may advance min_cut_lookahead past a barrier without
-  // coordination.
-  Duration min_cut_lookahead = -1;
-};
-
-// Colors the graph into (at most) k shards. Endpoints of zero-lookahead
-// edges are union-find-merged first, so they always land in one shard and
-// every cut edge contributes its full relay lookahead; clusters are then
-// packed contiguously in machine order, balancing machine counts. When
-// required_floor >= 0 and the plan's min cut lookahead falls below it,
-// PSC207 is raised on `report`.
-ShardPlan synthesize_shards(const InterferenceGraph& g, int k,
-                            Duration required_floor = -1,
-                            DiagnosticReport* report = nullptr);
-
-// JSONL export/import of a shard plan (one summary line, then one
-// assignment line per machine). read_shard_plan_jsonl inverts
-// write_shard_plan_jsonl exactly (machine names are carried for humans but
-// assignments key on the graph node index).
-void write_shard_plan_jsonl(std::ostream& os, const ShardPlan& plan,
-                            const InterferenceGraph& g);
-ShardPlan read_shard_plan_jsonl(std::istream& is);
 
 }  // namespace psc

@@ -105,8 +105,8 @@ struct ModelTraits {
   // accepted input is re-emitted as an output after a delay guaranteed to
   // lie in [relay_d1, relay_d2]. relay_d2 < 0 means "not a relay". The
   // bound-certificate analyzer (analysis/bounds.hpp) harvests these to
-  // derive per-hop delivery windows, and the shard synthesizer uses
-  // relay_d1 as the edge's lookahead.
+  // derive per-hop delivery windows, with relay_d1 as the edge's
+  // lookahead.
   Duration relay_d1 = -1;
   Duration relay_d2 = -1;
   // Upper bound on the gap between this machine's enabled locally

@@ -21,9 +21,9 @@
 // a critical path through the DAG is also a latency attribution.
 //
 // Components:
-//   MessageIndex      the uid → send/last-event index, the single source
-//                     of truth for message matching (ChannelLatencyProbe
-//                     shares it instead of keeping a private map);
+//   MessageIndex      the uid → send/last-event index the probe matches
+//                     message edges with (channel latency is the window
+//                     meter's, analysis/meter.hpp);
 //   CausalDag         compact in-memory DAG with vector-clock stamping,
 //                     happens-before queries, critical-path extraction,
 //                     and JSONL export;
@@ -102,10 +102,11 @@ struct CriticalPath {
 
 // --- MessageIndex ---------------------------------------------------------
 
-// uid → send/last-event index over the run's message actions. Exactly one
-// feeder calls observe() per event (CausalTraceProbe when present, else
-// the probe that owns the index), so send→deliver matching lives in one
-// place; any number of consumers read it.
+// uid → send/last-event index over the run's message actions, fed by
+// CausalTraceProbe once per event and readable through its index().
+// Its first send is the same real time as the window meter's: in the clock
+// model SENDMSG and ESENDMSG share one instant, and in the MMT model
+// SENDMSG is never an event.
 class MessageIndex {
  public:
   struct Record {

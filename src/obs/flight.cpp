@@ -62,16 +62,9 @@ FlightSnapshot FlightRecorder::snapshot() const {
   snap.strings = strings_;
   snap.kinds = kinds_;
   snap.records.reserve(static_cast<std::size_t>(retained()));
-  for (const Shard& s : shards_) {
-    const std::uint64_t n = std::min<std::uint64_t>(s.head, ring_cap_);
-    for (std::uint64_t i = s.head - n; i < s.head; ++i) {
-      snap.records.push_back(s.buf[i & ring_mask_]);
-    }
+  for (std::uint64_t i = seq_ - retained(); i < seq_; ++i) {
+    snap.records.push_back(ring_[i & ring_mask_]);
   }
-  std::sort(snap.records.begin(), snap.records.end(),
-            [](const FlightRecord& a, const FlightRecord& b) {
-              return a.seq < b.seq;
-            });
   return snap;
 }
 

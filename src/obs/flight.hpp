@@ -7,11 +7,11 @@
 // violation would be most interesting. The flight recorder is the cheap
 // substitute that can stay on: the executor writes one fixed-size 128-byte
 // POD per event (interned kind id, owner, uid, times, value slots — no
-// strings, no allocation) into per-machine-shard ring buffers, so the
-// last-N-events window is always available for a crash-style dump, and
-// HDR-style log-bucketed latency histograms (channel delivery, Simulation-1
-// buffer hold, per-action-name step latency) are fed online from the same
-// PODs. bench_executor gates the whole record path under 25% of scheduler
+// strings, no allocation) into one ring buffer, so the last-N-events
+// window is always available for a crash-style dump, and HDR-style
+// log-bucketed latency histograms (channel delivery, Simulation-1 buffer
+// hold, per-action-name step latency) are fed online from the same PODs.
+// bench_executor gates the whole record path under 25% of scheduler
 // ns/event at >= 65,536 machines — roughly 4x cheaper than the
 // record_events TimedEvent stream it replaces (docs/OBSERVABILITY.md,
 // "Cost").
@@ -289,23 +289,19 @@ class UidTimeMap {
 // --- snapshot --------------------------------------------------------------
 
 struct FlightOptions {
-  // Records retained per shard (rounded up to a power of two). The default
-  // 8 Ki-record ring is 1 MB/shard: small enough to stay resident in the
-  // last-level cache, so the steady-state ring walk costs cache writes
-  // instead of DRAM streaming (measured ~2x recorder overhead for an 8 MB
-  // ring on the sweep cell). Deeper forensic windows are a knob away
-  // (psc-sim --flight-ring=N); the dump-on-violation window rarely needs
-  // more than a few thousand events of look-behind.
+  // Records retained (rounded up to a power of two). The default 8 Ki-record
+  // ring is 1 MB: small enough to stay resident in the last-level cache, so
+  // the steady-state ring walk costs cache writes instead of DRAM streaming
+  // (measured ~2x recorder overhead for an 8 MB ring on the sweep cell).
+  // Deeper forensic windows are a knob away (psc-sim --flight-ring=N); the
+  // dump-on-violation window rarely needs more than a few thousand events
+  // of look-behind.
   std::size_t ring_capacity = std::size_t{1} << 13;
-  // Ring shards, selected by owner machine index (rounded up to a power of
-  // two). Sharding keeps a chatty region from evicting the whole window;
-  // one shard preserves strict global order per ring.
-  std::size_t shards = 1;
 };
 
 // The decoded-side view of a recorder window: intern tables plus the
-// retained records merged across shards in seq order. This is exactly what
-// the "PSCFLT01" file carries.
+// retained records in seq order. This is exactly what the "PSCFLT01" file
+// carries.
 struct FlightSnapshot {
   struct Kind {
     std::uint32_t name_id = 0;  // index into strings
@@ -342,10 +338,8 @@ class FlightRecorder {
  public:
   explicit FlightRecorder(FlightOptions opts = {}) {
     ring_cap_ = std::bit_ceil(std::max<std::size_t>(opts.ring_capacity, 2));
-    shards_.resize(std::bit_ceil(std::max<std::size_t>(opts.shards, 1)));
-    shard_mask_ = static_cast<std::uint32_t>(shards_.size() - 1);
     ring_mask_ = ring_cap_ - 1;
-    for (Shard& s : shards_) s.buf.resize(ring_cap_);
+    ring_.resize(ring_cap_);
     strings_.emplace_back();  // id 0: reserved (means "absent")
   }
 
@@ -368,9 +362,9 @@ class FlightRecorder {
     arrived_.clear();
   }
 
-  // The hot path: one POD into the owner's shard ring plus the online
-  // latency histograms. No strings are hashed and nothing allocates once
-  // the run's kinds have been seen (first occurrence of a kind, a message
+  // The hot path: one POD into the ring plus the online latency
+  // histograms. No strings are hashed and nothing allocates once the
+  // run's kinds have been seen (first occurrence of a kind, a message
   // kind, or a string payload takes the interning slow path). Everything
   // the per-event fill needs — flight kind id, class, the message-kind
   // memo, the step-histogram id — lives in one 12-byte ExecMemo row, so an
@@ -394,13 +388,10 @@ class FlightRecorder {
 
   std::uint64_t total_recorded() const { return seq_; }
   std::uint64_t retained() const {
-    std::uint64_t n = 0;
-    for (const Shard& s : shards_) n += std::min<std::uint64_t>(s.head, ring_cap_);
-    return n;
+    return std::min<std::uint64_t>(seq_, ring_cap_);
   }
   std::uint64_t dropped() const { return seq_ - retained(); }
   std::size_t ring_capacity() const { return ring_cap_; }
-  std::size_t shard_count() const { return shards_.size(); }
 
   // SENDMSG->RECVMSG (timed model) / ESENDMSG->ERECVMSG (Simulation 1)
   // channel latency.
@@ -428,7 +419,7 @@ class FlightRecorder {
 
   // --- cold half (flight.cpp) ---------------------------------------------
 
-  // The retained window, shards merged in seq order, with the intern tables.
+  // The retained window in seq order, with the intern tables.
   FlightSnapshot snapshot() const;
   // snapshot() serialized to `path`; false (with no partial file kept
   // guarantee) when the file cannot be written.
@@ -454,17 +445,10 @@ class FlightRecorder {
     std::uint16_t step_id = 0;
   };
 
-  struct Shard {
-    std::vector<FlightRecord> buf;
-    std::uint64_t head = 0;  // total records ever written to this shard
-  };
-
   // Assemble one record in its ring slot and feed the histograms from the
   // event's kind row.
   void fill(const TimedEvent& e, ExecMemo& m) {
-    Shard& sh = shards_[static_cast<std::uint32_t>(e.owner) & shard_mask_];
-    FlightRecord& r = sh.buf[sh.head & ring_mask_];
-    ++sh.head;
+    FlightRecord& r = ring_[seq_ & ring_mask_];
     // Value slots past nargs/nfields keep whatever bytes the evicted record
     // left; their tags are zeroed below (one 8-byte store covers both tag
     // arrays), and decoders must only trust tagged slots.
@@ -643,9 +627,8 @@ class FlightRecorder {
 
   std::size_t ring_cap_ = 0;
   std::uint64_t ring_mask_ = 0;
-  std::uint32_t shard_mask_ = 0;
-  std::vector<Shard> shards_;
-  std::uint64_t seq_ = 0;
+  std::vector<FlightRecord> ring_;
+  std::uint64_t seq_ = 0;  // records ever written; the next record's seq
 
   // Kind/string intern tables. exec_memo_ maps the bound executor's
   // ActionKindId to a recorder kind id for O(1) hot lookups.

@@ -42,11 +42,7 @@ ChannelLatencyProbe* RunObserver::add_channel_latency(Duration d1,
                                                       Duration d2) {
   MetricsRegistry* reg = sink();
   if (reg == nullptr) return nullptr;
-  // With a causal probe in play its MessageIndex is the single matching
-  // index; attach() wires the causal probe first so it is fed in time.
-  const MessageIndex* shared =
-      opts_.causal != nullptr ? &opts_.causal->index() : nullptr;
-  auto p = std::make_unique<ChannelLatencyProbe>(*reg, d1, d2, shared);
+  auto p = std::make_unique<ChannelLatencyProbe>(*reg, d1, d2);
   ChannelLatencyProbe* out = p.get();
   probes_.push_back(std::move(p));
   return out;
@@ -78,12 +74,6 @@ BoundSlackProbe* RunObserver::add_slack(const SlackOptions& slack_opts) {
   slack_probe_ = p.get();
   probes_.push_back(std::move(p));
   return slack_probe_;
-}
-
-Probe* RunObserver::add(std::unique_ptr<Probe> probe) {
-  Probe* out = probe.get();
-  probes_.push_back(std::move(probe));
-  return out;
 }
 
 void RunObserver::attach(Executor& exec) {

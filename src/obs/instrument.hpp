@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "clock/trajectory.hpp"
+#include "obs/causal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observatory.hpp"
 #include "obs/probes.hpp"
@@ -41,9 +42,9 @@ struct ObsOptions {
   // The stream must outlive the run.
   std::ostream* chrome_out = nullptr;
   // Caller-owned causal-tracing probe (obs/causal.hpp). attach() wires it
-  // before the metric probes (so ChannelLatencyProbe can read its
-  // MessageIndex) and hands it the shared chrome writer for flow events.
-  // The caller keeps it to query the DAG after the run.
+  // right after the chrome probe, so the flow events it writes into the
+  // shared chrome writer land in an open document, and before the metric
+  // probes. The caller keeps it to query the DAG after the run.
   CausalTraceProbe* causal = nullptr;
   // Snapshot the executor's scheduler self-metrics (ExecutorStats) into the
   // registry at run end. Off by default so runs that pin exact registry
@@ -118,13 +119,9 @@ class RunObserver {
   // The slack probe constructed by add_slack (nullptr when none) — read
   // min-slack summaries from it after the run.
   const BoundSlackProbe* slack() const { return slack_probe_; }
-  // Any custom probe (takes ownership).
-  Probe* add(std::unique_ptr<Probe> probe);
-
   // Attaches every probe to the executor: event-trace probe first (so
   // later probes may stream into an open document), then the caller's
-  // causal probe (so probes sharing its MessageIndex read a fed index),
-  // then the constructed metric probes.
+  // causal probe and checkers, then the constructed metric probes.
   void attach(Executor& exec);
 
  private:

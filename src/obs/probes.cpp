@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "channel/channel.hpp"
 #include "core/action.hpp"
 #include "core/msg_class.hpp"
 #include "mmt/mmt_node.hpp"
@@ -73,9 +72,8 @@ void ClockSkewProbe::on_event(const TimedEvent& e, const Machine& /*owner*/) {
 // --- ChannelLatencyProbe ---------------------------------------------------
 
 ChannelLatencyProbe::ChannelLatencyProbe(MetricsRegistry& reg, Duration d1,
-                                         Duration d2,
-                                         const MessageIndex* shared)
-    : d1_(d1), d2_(d2), index_(shared != nullptr ? shared : &own_) {
+                                         Duration d2)
+    : d1_(d1), d2_(d2) {
   const double lo = static_cast<double>(d1);
   const double hi = static_cast<double>(std::max(d2, d1 + 1));
   latency_ = &reg.histogram("channel.latency_ns",
@@ -87,23 +85,17 @@ ChannelLatencyProbe::ChannelLatencyProbe(MetricsRegistry& reg, Duration d1,
 }
 
 void ChannelLatencyProbe::on_event(const TimedEvent& e,
-                                   const Machine& owner) {
-  if (!e.action.msg.has_value()) return;
-  // Feed the private index when no shared one was given (a shared index is
-  // fed by its owner, attached before us — feeding it twice would be a bug,
-  // and const-ness enforces that we cannot).
-  if (index_ == &own_) own_.observe(e, kNoSpan);
-  // Only the channel's own delivery is bound by [d1, d2]; the composite's
-  // internal RECVMSG (receive buffer -> algorithm) may be held longer.
-  const MsgClass stage = msg_class(e.action.name);
-  if (stage != MsgClass::kERecv && stage != MsgClass::kRecv) return;
-  if (dynamic_cast<const Channel*>(&owner) == nullptr) return;
-  const MessageIndex::Record* rec = index_->find(e.action.msg->uid);
-  if (rec == nullptr || rec->send_time < 0) return;
-  const Duration latency = e.time - rec->send_time;
-  latency_->add(static_cast<double>(latency));
+                                   const Machine& /*owner*/) {
+  // Only the channel's own delivery is bound by [d1, d2]; the Simulation 1
+  // release (receive buffer -> algorithm RECVMSG) is the meter's kRelease
+  // leg and may be held longer.
+  const Delivery& d = meter_.measure(e).delivery;
+  if (d.leg != Delivery::Leg::kTimed && d.leg != Delivery::Leg::kPhysical) {
+    return;
+  }
+  latency_->add(static_cast<double>(d.latency));
   delivered_->add();
-  if (latency < d1_ || latency > d2_) violations_->add();
+  if (d.latency < d1_ || d.latency > d2_) violations_->add();
 }
 
 // --- Sim1BufferProbe -------------------------------------------------------

@@ -3,15 +3,13 @@
 //   ClockSkewProbe      |c_i(t) - t| per node vs. the configured eps — the
 //                       C_eps predicate (Def 2.5) as a live gauge.
 //   ChannelLatencyProbe per-message channel delay vs. [d1, d2] — the edge
-//                       automaton's delivery window (Figure 1). Sends and
-//                       deliveries are matched exactly by message uid
-//                       (Section 3's uniqueness assumption, made load-
-//                       bearing) through a MessageIndex (obs/causal.hpp) —
-//                       either a shared one fed by a CausalTraceProbe or a
-//                       private one the probe feeds itself; only deliveries
-//                       performed by a Channel machine are validated, so
-//                       the probe is correct in the timed, clock, and MMT
-//                       assemblies alike.
+//                       automaton's delivery window (Figure 1). A delivery
+//                       is the window meter's (analysis/meter.hpp) kTimed
+//                       SENDMSG -> RECVMSG or kPhysical ESENDMSG -> ERECVMSG
+//                       leg, matched by message uid (Section 3's uniqueness
+//                       assumption) — the same legs PSC102 and
+//                       slack.delivery_ns evaluate, so the probe is correct
+//                       in the timed, clock, and MMT assemblies alike.
 //   Sim1BufferProbe     Simulation 1's cost: receive/send-buffer occupancy
 //                       over time plus per-message hold time (ERECVMSG ->
 //                       RECVMSG), the quantity Section 7.2 argues is small.
@@ -31,8 +29,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "analysis/meter.hpp"
 #include "clock/trajectory.hpp"
-#include "obs/causal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
 
@@ -76,12 +74,7 @@ class ChannelLatencyProbe final : public Probe {
  public:
   // [d1, d2] are the *physical* bounds of the channels in the composition
   // (what Channel was constructed with), not the algorithm's design bounds.
-  // With `shared` set the probe reads send times from an index fed by
-  // someone attached earlier in the probe list (the CausalTraceProbe);
-  // otherwise it owns and feeds a private one. Either way the uid-matching
-  // logic lives in MessageIndex — there is exactly one implementation.
-  ChannelLatencyProbe(MetricsRegistry& reg, Duration d1, Duration d2,
-                      const MessageIndex* shared = nullptr);
+  ChannelLatencyProbe(MetricsRegistry& reg, Duration d1, Duration d2);
 
   void on_event(const TimedEvent& e, const Machine& owner) override;
 
@@ -90,8 +83,7 @@ class ChannelLatencyProbe final : public Probe {
 
  private:
   Duration d1_, d2_;
-  const MessageIndex* index_;  // shared or &own_
-  MessageIndex own_;           // fed only when no shared index was given
+  WindowMeter meter_{/*mmt_gaps=*/false};
   Histogram* latency_;
   Counter* delivered_;
   Counter* violations_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 #include "obs/flight.hpp"
@@ -486,15 +484,6 @@ DiagnosticReport Executor::validate_composition(const LintOptions& opts) const {
   return lint_composition(composition(), opts);
 }
 
-namespace {
-bool env_validate_enabled() {
-  // Read once at executor construction, before any run() — no concurrent
-  // environment mutation to race with.
-  const char* v = std::getenv("PSC_VALIDATE");  // NOLINT(concurrency-mt-unsafe)
-  return v != nullptr && *v != '\0' && std::string_view(v) != "0";
-}
-}  // namespace
-
 void Executor::notify_time_probes(Time prev) {
   // Deliver the advance, then re-arm the wake from each probe's declared
   // next interest (0 = every advance, so default probes are never skipped).
@@ -512,7 +501,7 @@ ExecutorReport Executor::run() {
 }
 
 void Executor::begin_run() {
-  if (options_.validate || env_validate_enabled()) {
+  if (options_.validate) {
     const DiagnosticReport rep = validate_composition();
     PSC_CHECK(!rep.has_errors(),
               "composition lint failed:\n" << rep.to_text());

@@ -69,8 +69,7 @@ struct ExecutorOptions {
   // uninstrumented hot path is unchanged.
   std::vector<Probe*> probes = {};
   // Lint the composition (src/analysis/lint.hpp) at the start of run() and
-  // fail fast (PSC_CHECK) on any error-severity diagnostic. Also enabled by
-  // setting the PSC_VALIDATE environment variable to anything but "0".
+  // fail fast (PSC_CHECK) on any error-severity diagnostic.
   bool validate = false;
   // Always-on binary flight recorder (obs/flight.hpp): every executed
   // event is written as one fixed-size POD into the recorder's ring
@@ -186,7 +185,7 @@ class Executor {
 
   // Lints the composition as assembled so far (all machines added, hides
   // applied) without running it; see src/analysis/lint.hpp for the codes.
-  // run() calls this when ExecutorOptions::validate or PSC_VALIDATE is set.
+  // run() calls this when ExecutorOptions::validate is set.
   DiagnosticReport validate_composition(const LintOptions& opts = {}) const;
 
   // Runs until the horizon, quiescence, the stop_when predicate, or the

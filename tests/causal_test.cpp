@@ -97,7 +97,7 @@ TEST(CausalDag, FloodRingFixedDelaySpans) {
   EXPECT_EQ(dag.process_count(), 3u);  // every action carries a node id
 
   // Every channel edge spans exactly the fixed transit time, and the
-  // shared MessageIndex knows each delivered uid's first-send time.
+  // probe's MessageIndex knows each delivered uid's first-send time.
   const std::size_t channel_edges = count_edges(dag, EdgeKind::kChannel);
   EXPECT_EQ(channel_edges, 3u);
   for (SpanId i = 0; i < static_cast<SpanId>(dag.size()); ++i) {
@@ -304,12 +304,12 @@ TEST(CausalProbe, TickEdgesOnlyInMmtRuns) {
   EXPECT_GT(count_edges(mmt_probe.dag(), EdgeKind::kTick), 0u);
 }
 
-// --- ChannelLatencyProbe on the shared MessageIndex ----------------------
+// --- the causal probe beside the metric probes -------------------------
 
-TEST(CausalProbe, SharedIndexLeavesChannelMetricsUnchanged) {
-  // Same seeded run twice: once with the causal probe feeding the shared
-  // MessageIndex, once with ChannelLatencyProbe on its private copy. The
-  // channel metrics must not notice the difference.
+TEST(CausalProbe, CausalProbeLeavesChannelMetricsUnchanged) {
+  // Same seeded run twice, with and without the causal probe attached. The
+  // metrics (the channel latencies among them) must not notice the
+  // difference.
   auto metrics_text = [](bool with_causal) {
     CausalTraceProbe probe;
     MetricsRegistry reg;

@@ -7,15 +7,12 @@
 //     hop window (201), zero-lookahead relay cycle (202), eps-inconsistent
 //     path (204), harvested bound outside the declared system bound (205),
 //     observed latency outside a derived certificate (206, via
-//     CertificateProbe), shard floor violation (207), and the coverage
-//     summary note (208);
-//   - scale: the shard synthesizer on a 1k-machine flood ring (K = 2/8/16,
-//     cross-shard lookahead >= min d1, JSONL round-trip) and the 65,536-
-//     machine certification-time gate (< 5 s — certification must never
-//     become the O(n^2) assembly path PR 7 removed).
+//     CertificateProbe), and the coverage summary note (208);
+//   - scale: the 65,536-machine certification-time gate (< 5 s —
+//     certification must never become the O(n^2) assembly path PR 7
+//     removed).
 #include <chrono>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -348,21 +345,6 @@ TEST(CertifyTest, CertificateProbeOnLiveFloodRunStaysClean) {
   EXPECT_GT(exec.events().size(), 0u);
 }
 
-TEST(CertifyTest, ShardFloorViolationIsPSC207) {
-  Executor exec({.horizon = seconds(1)});
-  assemble_flood(exec, 8, microseconds(20), microseconds(300));
-  const InterferenceGraph g = build_interference_graph(exec.composition());
-  // Floor above the achievable cross-shard lookahead (the ring's d1).
-  DiagnosticReport bad;
-  synthesize_shards(g, 4, milliseconds(1), &bad);
-  EXPECT_EQ(bad.count(DiagCode::kShardLookaheadLow), 1u);
-  EXPECT_TRUE(bad.has_errors());
-  // Floor at d1 is provable: clean.
-  DiagnosticReport good;
-  synthesize_shards(g, 4, microseconds(20), &good);
-  EXPECT_EQ(good.count(DiagCode::kShardLookaheadLow), 0u);
-}
-
 TEST(CertifyTest, CoverageSummaryIsPSC208Note) {
   Executor exec({.horizon = seconds(1)});
   assemble_flood(exec, 4, microseconds(20), microseconds(300));
@@ -374,44 +356,13 @@ TEST(CertifyTest, CoverageSummaryIsPSC208Note) {
   EXPECT_GE(cert.report.notes(), 1u);
 }
 
-// --- shard synthesis at scale ----------------------------------------------
-
-TEST(CertifyTest, ShardPlanProvesRingLookaheadAcrossK) {
-  // 512 flood nodes + 512 ring channels = 1024 machines.
-  Executor exec({.horizon = seconds(1)});
-  const Duration d1 = microseconds(20);
-  assemble_flood(exec, 512, d1, microseconds(300));
-  const InterferenceGraph g = build_interference_graph(exec.composition());
-  ASSERT_EQ(g.nodes.size(), 1024u);
-  for (const int k : {2, 8, 16}) {
-    DiagnosticReport report;
-    const ShardPlan plan = synthesize_shards(g, k, d1, &report);
-    EXPECT_EQ(plan.num_shards, k);
-    EXPECT_TRUE(report.empty()) << report.to_text();
-    EXPECT_GE(plan.min_cut_lookahead, d1) << "K=" << k;
-    EXPECT_GT(plan.cut_edges, 0u);
-    std::size_t total = 0;
-    for (const std::size_t s : plan.shard_sizes) total += s;
-    EXPECT_EQ(total, g.nodes.size());
-
-    // JSONL round-trip.
-    std::ostringstream os;
-    write_shard_plan_jsonl(os, plan, g);
-    std::istringstream is(os.str());
-    const ShardPlan back = read_shard_plan_jsonl(is);
-    EXPECT_EQ(back.num_shards, plan.num_shards);
-    EXPECT_EQ(back.shard_of, plan.shard_of);
-    EXPECT_EQ(back.shard_sizes, plan.shard_sizes);
-    EXPECT_EQ(back.cut_edges, plan.cut_edges);
-    EXPECT_EQ(back.min_cut_lookahead, plan.min_cut_lookahead);
-  }
-}
+// --- certification at scale ------------------------------------------------
 
 TEST(CertifyTest, CertificationScalesTo65536Machines) {
   // 32768 flood nodes + 32768 channels. The whole static pipeline — wiring
-  // lint, graph build, certificates, shard plan — must finish in < 5 s
-  // (the lint and build are name-bucketed; anything quadratic blows this
-  // gate by orders of magnitude).
+  // lint, graph build, certificates — must finish in < 5 s (the lint and
+  // build are name-bucketed; anything quadratic blows this gate by orders
+  // of magnitude).
   Executor exec({.horizon = seconds(1)});
   assemble_flood(exec, 32768, microseconds(20), microseconds(300));
   const auto machines = exec.composition();
@@ -424,18 +375,13 @@ TEST(CertifyTest, CertificationScalesTo65536Machines) {
   opts.d1 = microseconds(20);
   opts.d2 = microseconds(300);
   const BoundCert cert = certify_bounds(g, opts);
-  DiagnosticReport shard_report;
-  const ShardPlan plan = synthesize_shards(g, 16, microseconds(20),
-                                           &shard_report);
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - t0);
 
   EXPECT_FALSE(wiring.has_errors());
   EXPECT_FALSE(cert.report.has_errors());
-  EXPECT_TRUE(shard_report.empty());
   EXPECT_EQ(g.nodes.size(), 65536u);
   EXPECT_EQ(cert.paths.size(), 65535u);
-  EXPECT_GE(plan.min_cut_lookahead, microseconds(20));
   EXPECT_LT(elapsed.count(), 5000) << "certification took " << elapsed.count()
                                    << "ms — quadratic path regression";
 }

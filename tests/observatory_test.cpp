@@ -246,6 +246,35 @@ TEST(BoundSlack, OffByDefaultLeavesRegistryUntouched) {
   EXPECT_EQ(reg.find_counter("slack.violations"), nullptr);
 }
 
+// ChannelLatencyProbe and the slack probe read the same window-meter
+// delivery legs: they count the same deliveries, and the channel probe
+// books a [d1, d2] violation exactly when delivery slack goes negative.
+TEST(BoundSlack, ChannelLatencyAndDeliverySlackCountTheSameDeliveries) {
+  for (const bool clocked : {false, true}) {
+    SCOPED_TRACE(clocked ? "rw_clock" : "rw_timed");
+    MetricsRegistry reg;
+    ObsOptions oo;
+    oo.registry = &reg;
+    oo.slack = true;
+
+    RwRunConfig cfg = slack_cfg(13);
+    cfg.obs = &oo;
+    const RwRunResult run =
+        clocked ? run_rw_clock(cfg, PerfectDrift()) : run_rw_timed(cfg);
+    EXPECT_FALSE(run.ops.empty());
+
+    const Counter* delivered = reg.find_counter("channel.delivered");
+    const Counter* violations = reg.find_counter("channel.latency_violations");
+    const Histogram* slack = reg.find_histogram("slack.delivery_ns");
+    ASSERT_NE(delivered, nullptr);
+    ASSERT_NE(violations, nullptr);
+    ASSERT_NE(slack, nullptr);
+    EXPECT_GT(delivered->value(), 0u);
+    EXPECT_EQ(delivered->value(), slack->count());
+    EXPECT_EQ(violations->value() == 0, run.min_slack_delivery >= 0);
+  }
+}
+
 // End-to-end: a TimeSeries wired through ObsOptions samples the slack
 // histograms as they fill; the final boundary sample must agree with the
 // registry's end-of-run state.

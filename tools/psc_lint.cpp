@@ -13,26 +13,28 @@
 //                  compositions (flood | rw-clock | queue) *without running
 //                  it*, runs the PSC0xx composition lint plus the PSC2xx
 //                  bound-certificate derivation (interference graph, per-hop
-//                  and source->sink windows, optional K-shard plan), and
-//                  reports. --jsonl dumps the certificate, --shard-jsonl the
-//                  shard plan; --shards=K asks the synthesizer to prove
-//                  cross-shard lookahead >= the composition's min d1.
+//                  and source->sink windows), and reports. --jsonl dumps
+//                  the certificate.
 //
 // Usage:
 //   psc-lint --trace=PATH [--eps_us=N] [--d1_us=N] [--d2_us=N] [--ell_us=N]
 //            [--nodes=N] [--slack_ns=N] [--jsonl=PATH]
 //   psc-lint --certify=flood|rw-clock|queue [--nodes=N] [--d1_us=N]
-//            [--d2_us=N] [--eps_us=N] [--ell_us=N] [--shards=K]
-//            [--source=NAME] [--seed=N] [--jsonl=PATH] [--shard-jsonl=PATH]
+//            [--d2_us=N] [--eps_us=N] [--ell_us=N] [--source=NAME]
+//            [--seed=N] [--jsonl=PATH]
 //
-// Checks whose parameters are omitted are skipped. JSONL output starts with
-// a versioned header line ({"tool":...,"format":...,"ranges":...}) so dumps
-// are self-describing for the regression corpus. Exit status: 0 clean (or
-// warnings/notes only), 1 error-severity diagnostics, 2 usage/IO failure.
+// Checks whose parameters are omitted are skipped; a flag the mode does not
+// know is a usage failure. JSONL output starts with a versioned header line
+// ({"tool":...,"format":...,"ranges":...}) so dumps are self-describing for
+// the regression corpus. Exit status: 0 clean (or warnings/notes only),
+// 1 error-severity diagnostics, 2 usage/IO failure.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "analysis/bounds.hpp"
 #include "analysis/interference.hpp"
@@ -59,10 +61,17 @@ int usage() {
          "                [--jsonl=PATH]\n"
          "       psc-lint --certify=flood|rw-clock|queue [--nodes=N]\n"
          "                [--d1_us=N] [--d2_us=N] [--eps_us=N] [--ell_us=N]\n"
-         "                [--shards=K] [--source=NAME] [--seed=N]\n"
-         "                [--jsonl=PATH] [--shard-jsonl=PATH]\n";
+         "                [--source=NAME] [--seed=N] [--jsonl=PATH]\n";
   return 2;
 }
+
+// Each mode's flags, the mode's own key included.
+constexpr std::string_view kTraceKeys[] = {
+    "trace", "eps_us", "d1_us", "d2_us", "ell_us", "nodes", "slack_ns",
+    "jsonl"};
+constexpr std::string_view kCertifyKeys[] = {
+    "certify", "nodes", "d1_us", "d2_us", "eps_us", "ell_us", "source",
+    "seed", "jsonl"};
 
 std::map<std::string, std::string> parse_args(int argc, char** argv) {
   std::map<std::string, std::string> args;
@@ -80,6 +89,17 @@ std::map<std::string, std::string> parse_args(int argc, char** argv) {
     }
   }
   return args;
+}
+
+// A flag outside the mode's list is a usage failure, not silently dropped.
+void require_known(const std::map<std::string, std::string>& args,
+                   std::span<const std::string_view> known) {
+  for (const auto& [key, value] : args) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      std::cerr << "psc-lint: unknown flag --" << key << "\n";
+      std::exit(usage());
+    }
+  }
 }
 
 std::int64_t geti(const std::map<std::string, std::string>& a,
@@ -189,14 +209,6 @@ int run_certify(const std::map<std::string, std::string>& args,
   if (src_it != args.end()) bopts.sources.push_back(src_it->second);
   const BoundCert cert = certify_bounds(graph, bopts);
 
-  DiagnosticReport shard_report;
-  ShardPlan plan;
-  const int shards = static_cast<int>(geti(args, "shards", 0));
-  if (shards > 0) {
-    // The PDES floor (ROADMAP item 2): cross-shard lookahead >= min d1.
-    plan = synthesize_shards(graph, shards, cfg.d1, &shard_report);
-  }
-
   const auto jsonl_it = args.find("jsonl");
   if (jsonl_it != args.end()) {
     std::ofstream out(jsonl_it->second);
@@ -207,39 +219,18 @@ int run_certify(const std::map<std::string, std::string>& args,
     write_jsonl_header(out, "psc-lint", "bound-cert");
     write_bound_cert_jsonl(out, cert, graph);
     wiring.write_jsonl(out);
-    shard_report.write_jsonl(out);
-  }
-  const auto shard_it = args.find("shard-jsonl");
-  if (shard_it != args.end()) {
-    if (shards <= 0) {
-      std::cerr << "psc-lint: --shard-jsonl requires --shards=K\n";
-      return 2;
-    }
-    std::ofstream out(shard_it->second);
-    if (!out) {
-      std::cerr << "psc-lint: cannot write " << shard_it->second << "\n";
-      return 2;
-    }
-    write_jsonl_header(out, "psc-lint", "shard-plan");
-    write_shard_plan_jsonl(out, plan, graph);
   }
 
   std::cout << "psc-lint: certified " << scenario << " (" << cfg.nodes
             << " nodes, " << graph.nodes.size() << " machines, "
             << graph.edges.size() << " edges): " << cert.paths.size()
             << " path certificate(s)\n";
-  if (shards > 0) {
-    std::cout << "shard plan K=" << plan.num_shards << ": " << plan.cut_edges
-              << " cut edge(s), min cross-shard lookahead "
-              << format_time(plan.min_cut_lookahead) << "\n";
-  }
   bool clean = true;
-  const DiagnosticReport* reports[] = {&wiring, &cert.report, &shard_report};
-  for (const DiagnosticReport* r : reports) {
+  for (const DiagnosticReport* r : {&wiring, &cert.report}) {
     if (!r->empty()) std::cout << r->to_text();
     clean = clean && !r->has_errors();
   }
-  if (clean && wiring.empty() && cert.report.empty() && shard_report.empty()) {
+  if (clean && wiring.empty() && cert.report.empty()) {
     std::cout << "clean: no diagnostics\n";
   }
   return clean ? 0 : 1;
@@ -250,9 +241,13 @@ int run_certify(const std::map<std::string, std::string>& args,
 int main(int argc, char** argv) {
   const auto args = parse_args(argc, argv);
   const auto certify_it = args.find("certify");
-  if (certify_it != args.end()) return run_certify(args, certify_it->second);
+  if (certify_it != args.end()) {
+    require_known(args, kCertifyKeys);
+    return run_certify(args, certify_it->second);
+  }
   const auto trace_it = args.find("trace");
   if (trace_it == args.end()) return usage();
+  require_known(args, kTraceKeys);
 
   TimedTrace trace;
   try {

@@ -48,7 +48,7 @@
 //                        run end — or immediately, at the first PSC1xx
 //                        error, when --lint is also set (dump-on-violation).
 //                        Decode snapshots with psc-flight.
-//   --flight-ring=N      per-shard ring capacity in records [8192]
+//   --flight-ring=N      ring capacity in records [8192]
 //
 // Microprofiler (docs/OBSERVABILITY.md):
 //   --profile[=PATH]     sample the executor hot loop (per-phase cycle
@@ -617,7 +617,7 @@ void print_usage(std::ostream& os) {
         "  --flight[=PATH]      always-on binary ring of recent events; .fly\n"
         "                       snapshot at run end or on first violation\n"
         "                       when --lint is set [psc-flight.fly]\n"
-        "  --flight-ring=N      per-shard ring capacity in records [8192]\n"
+        "  --flight-ring=N      ring capacity in records [8192]\n"
         "  --profile[=PATH]     per-phase executor self-time table at run\n"
         "                       end; PATH also gets flamegraph.pl-compatible\n"
         "                       folded stacks; with --chrome-trace adds\n"
