@@ -33,11 +33,12 @@ class Pinger final : public Machine {
     std::cout << "  [pinger] got " << a.msg->kind << " at "
               << format_time(t) << "\n";
   }
-  std::vector<Action> enabled(Time t) const override {
+  // Preconditions: overwrite `out` with the local actions enabled at t.
+  void enabled_into(Time t, std::vector<Action>& out) const override {
+    out.clear();
     if (remaining_ > 0 && t >= next_) {
-      return {make_send(node_, peer_, make_message("PING"))};
+      out.push_back(make_send(node_, peer_, make_message("PING")));
     }
-    return {};
   }
   void apply_local(const Action&, Time) override {
     next_ += period_;
@@ -70,9 +71,9 @@ class Responder final : public Machine {
     decl.output("SENDMSG", node_);
   }
   void apply_input(const Action&, Time) override { ++owed_; }
-  std::vector<Action> enabled(Time) const override {
-    if (owed_ > 0) return {make_send(node_, peer_, make_message("PONG"))};
-    return {};
+  void enabled_into(Time, std::vector<Action>& out) const override {
+    out.clear();
+    if (owed_ > 0) out.push_back(make_send(node_, peer_, make_message("PONG")));
   }
   void apply_local(const Action&, Time) override { --owed_; }
   Time upper_bound(Time t) const override {

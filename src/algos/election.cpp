@@ -41,8 +41,8 @@ void ElectionNode::apply_input(const Action& a, Time /*now*/) {
   if (!claimed_ && claimer > params_.node) suppressed_ = true;
 }
 
-std::vector<Action> ElectionNode::enabled(Time now) const {
-  std::vector<Action> out;
+void ElectionNode::enabled_into(Time now, std::vector<Action>& out) const {
+  out.clear();
   const int i = params_.node;
   // Claim our slot (internal): nobody higher spoke before it arrived.
   if (!claimed_ && !suppressed_ && now >= claim_time()) {
@@ -62,7 +62,6 @@ std::vector<Action> ElectionNode::enabled(Time now) const {
     out.push_back(
         make_action("LEADER", i, {Value{std::int64_t{leader}}}));
   }
-  return out;
 }
 
 void ElectionNode::apply_local(const Action& a, Time now) {

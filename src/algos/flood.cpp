@@ -55,12 +55,6 @@ void FloodNode::apply_input(const Action& a, Time /*now*/) {
   to_deliver_.push_back(p);
 }
 
-std::vector<Action> FloodNode::enabled(Time now) const {
-  std::vector<Action> out;
-  enabled_into(now, out);
-  return out;
-}
-
 void FloodNode::enabled_into(Time now, std::vector<Action>& out) const {
   // All the action and message names here fit in std::string's inline
   // buffer and the args / payload vectors are refilled in place, so a

@@ -28,12 +28,11 @@ void HeartbeatSender::apply_input(const Action& a, Time /*now*/) {
   crashed_ = true;
 }
 
-std::vector<Action> HeartbeatSender::enabled(Time now) const {
-  std::vector<Action> out;
+void HeartbeatSender::enabled_into(Time now, std::vector<Action>& out) const {
+  out.clear();
   if (!crashed_ && now >= next_beat_) {
     out.push_back(make_send(node_, peer_, make_message("HEARTBEAT")));
   }
-  return out;
 }
 
 void HeartbeatSender::apply_local(const Action& /*a*/, Time now) {
@@ -77,13 +76,12 @@ void HeartbeatMonitor::apply_input(const Action& a, Time now) {
   if (!suspected_) deadline_ = now + timeout_;
 }
 
-std::vector<Action> HeartbeatMonitor::enabled(Time now) const {
-  std::vector<Action> out;
+void HeartbeatMonitor::enabled_into(Time now, std::vector<Action>& out) const {
+  out.clear();
   if (!suspected_ && now >= deadline_) {
     out.push_back(
         make_action("SUSPECT", node_, {Value{std::int64_t{watched_}}}));
   }
-  return out;
 }
 
 void HeartbeatMonitor::apply_local(const Action& /*a*/, Time now) {

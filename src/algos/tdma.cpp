@@ -36,8 +36,8 @@ void TdmaMutex::apply_input(const Action& a, Time /*now*/) {
   PSC_CHECK(false, "TDMA mutex has no inputs: " << to_string(a));
 }
 
-std::vector<Action> TdmaMutex::enabled(Time now) const {
-  std::vector<Action> out;
+void TdmaMutex::enabled_into(Time now, std::vector<Action>& out) const {
+  out.clear();
   const int i = params_.node;
   if (!holding_ && leases_ < params_.max_leases && now >= grant_at_) {
     out.push_back(
@@ -47,7 +47,6 @@ std::vector<Action> TdmaMutex::enabled(Time now) const {
     out.push_back(make_action(
         "RELEASE", i, {Value{static_cast<std::int64_t>(leases_ - 1)}}));
   }
-  return out;
 }
 
 void TdmaMutex::apply_local(const Action& a, Time now) {

@@ -23,14 +23,13 @@ void TimeServer::apply_input(const Action& a, Time /*clock*/) {
   pending_.push_back({a.peer, as_int(a.msg->fields.at(0))});
 }
 
-std::vector<Action> TimeServer::enabled(Time clock) const {
-  std::vector<Action> out;
+void TimeServer::enabled_into(Time clock, std::vector<Action>& out) const {
+  out.clear();
   for (const auto& p : pending_) {
     out.push_back(make_send(
         node_, p.client,
         make_message("SYNCRESP", {Value{p.probe_id}, Value{clock}})));
   }
-  return out;
 }
 
 void TimeServer::apply_local(const Action& a, Time /*clock*/) {
@@ -87,14 +86,13 @@ void SyncClient::apply_input(const Action& a, Time clock) {
   next_probe_ = clock + period_;
 }
 
-std::vector<Action> SyncClient::enabled(Time clock) const {
-  std::vector<Action> out;
+void SyncClient::enabled_into(Time clock, std::vector<Action>& out) const {
+  out.clear();
   if (!awaiting_ && sent_ < count_ && clock >= next_probe_) {
     out.push_back(make_send(
         node_, server_,
         make_message("SYNCREQ", {Value{static_cast<std::int64_t>(sent_)}})));
   }
-  return out;
 }
 
 void SyncClient::apply_local(const Action& /*a*/, Time clock) {

@@ -61,8 +61,8 @@ std::size_t TobcastNode::next_due(Time now) const {
   return best;
 }
 
-std::vector<Action> TobcastNode::enabled(Time now) const {
-  std::vector<Action> out;
+void TobcastNode::enabled_into(Time now, std::vector<Action>& out) const {
+  out.clear();
   const int i = params_.node;
   for (const auto& o : outgoing_) {
     for (int j : o.targets) {
@@ -78,7 +78,6 @@ std::vector<Action> TobcastNode::enabled(Time now) const {
         "TODELIVER", i,
         {Value{p.value}, Value{static_cast<std::int64_t>(p.sender)}}));
   }
-  return out;
 }
 
 void TobcastNode::apply_local(const Action& a, Time now) {

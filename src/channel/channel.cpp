@@ -113,12 +113,6 @@ void Channel::apply_input(const Action& a, Time t) {
   ++stats_.sent;
 }
 
-std::vector<Action> Channel::enabled(Time t) const {
-  std::vector<Action> out;
-  enabled_into(t, out);
-  return out;
-}
-
 void Channel::enabled_into(Time t, std::vector<Action>& out) const {
   // In the steady state a channel's due set has a stable size, so the
   // RECVMSG name, the args vector and the Message payload buffers are all

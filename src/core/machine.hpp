@@ -165,21 +165,23 @@ class Machine {
   // receives is re-polled. MachineFuzzer's axiom A7 checks the claim.
   bool last_input_inert() const { return last_input_inert_; }
 
-  // Locally controlled actions whose preconditions hold at time t.
-  virtual std::vector<Action> enabled(Time t) const = 0;
+  // Overwrites `out` with the locally controlled actions whose
+  // preconditions hold at time t, in the machine's candidate order (the
+  // adversary's pick order depends on it). `out` holds whatever the last
+  // poll left there, so a machine can recycle its heap blocks (strings, arg
+  // vectors, message fields) across polls instead of rebuilding them — the
+  // scheduler's steady state then performs no malloc/free per event.
+  virtual void enabled_into(Time t, std::vector<Action>& out) const = 0;
 
-  // Allocation-aware variant: overwrite `out` with exactly what enabled(t)
-  // would return. The executor re-polls through this so machines can recycle
-  // the candidate buffer's heap blocks (strings, arg vectors, message
-  // fields) across polls instead of rebuilding them — the scheduler's
-  // steady state then performs no malloc/free per event. The default
-  // forwards to enabled(); overriders must produce the identical sequence
-  // (the adversary's pick order depends on it).
-  virtual void enabled_into(Time t, std::vector<Action>& out) const {
-    out = enabled(t);
+  // The same list in a fresh vector, for callers that poll once.
+  std::vector<Action> enabled(Time t) const {
+    std::vector<Action> out;
+    enabled_into(t, out);
+    return out;
   }
 
-  // Effect of a locally controlled action previously reported by enabled().
+  // Effect of a locally controlled action previously reported by
+  // enabled_into().
   virtual void apply_local(const Action& a, Time t) = 0;
 
   // nu-precondition: largest time to which time-passage is allowed.
@@ -188,7 +190,7 @@ class Machine {
 
   // Earliest strictly-future time at which a currently-disabled local action
   // becomes enabled, or kTimeMax. Purely an efficiency hint; the executor
-  // re-queries enabled() after advancing.
+  // re-polls after advancing.
   virtual Time next_enabled(Time /*t*/) const { return kTimeMax; }
 
   // Parts: a machine assembled from independent members that share its time
@@ -196,7 +198,7 @@ class Machine {
   // executor caches, dirty-marks and wakes each part on its own while the
   // machine stays the unit of composition. A machine with P > 1 parts
   // promises, for every t:
-  //   enabled(t)      == the parts' part_enabled_into(p, t) lists
+  //   enabled_into(t) == the parts' part_enabled_into(p, t) lists
   //                      concatenated in ascending p;
   //   next_enabled(t) == min over p of part_next_enabled(p, t);
   //   upper_bound(t)  == min over p of part_upper_bound(p, t);

@@ -61,6 +61,15 @@ void MmtNode::declare_signature(SignatureDecl& decl) const {
   }
 }
 
+bool MmtNode::poll_first_part() {
+  const std::size_t parts = inner_->part_count();
+  for (std::size_t p = 0; p < parts; ++p) {
+    inner_->part_enabled_into(p, simclock_, scratch_);
+    if (!scratch_.empty()) return true;
+  }
+  return false;
+}
+
 void MmtNode::catch_up(Time t) {
   const Time target = mmtclock_;
   if (!inner_dirty_ && target < inner_wake_) {
@@ -68,22 +77,18 @@ void MmtNode::catch_up(Time t) {
     return;
   }
   while (simclock_ <= target) {
-    // Drain actions enabled at the current simulated clock.
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      auto acts = inner_->enabled(simclock_);
-      if (acts.empty()) break;
-      // Deterministic order: as reported. Applying one action can change
-      // the enabled set, so take only the first and re-query.
-      Action a = std::move(acts.front());
+    // Drain actions enabled at the current simulated clock, in the order
+    // the wrapped machine reports them: the first candidate of its first
+    // part that has one. Applying one action can change the enabled set,
+    // so take only that one and re-query.
+    while (poll_first_part()) {
+      const Action& a = scratch_.front();
       const ActionRole role = inner_->classify(a);
       inner_local(a);
       if (role == ActionRole::kOutput) {
-        pending_.push_back({std::move(a), t});
+        pending_.push_back({a, t});
         stats_.max_pending = std::max(stats_.max_pending, pending_.size());
       }
-      progressed = true;
     }
     const Time nxt = inner_->next_enabled(simclock_);
     if (nxt > target) {
@@ -113,12 +118,6 @@ void MmtNode::apply_input(const Action& a, Time t) {
   // fragstate), then deliver.
   catch_up(t);
   inner_input(a);
-}
-
-std::vector<Action> MmtNode::enabled(Time t) const {
-  std::vector<Action> out;
-  enabled_into(t, out);
-  return out;
 }
 
 void MmtNode::enabled_into(Time t, std::vector<Action>& out) const {

@@ -76,7 +76,6 @@ class MmtNode final : public Machine {
 
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
-  std::vector<Action> enabled(Time t) const override;
   void enabled_into(Time t, std::vector<Action>& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
@@ -106,6 +105,10 @@ class MmtNode final : public Machine {
   // local actions; outputs are appended to pending. `t` is the real time
   // (for stats only).
   void catch_up(Time t);
+  // Polls the wrapped machine's parts in order at simclock into scratch_,
+  // stopping at the first with a candidate; false when none has one. Its
+  // front is the front of the whole machine's enabled_into list.
+  bool poll_first_part();
   // The wrapped machine's state changes only through these two.
   void inner_input(const Action& a) {
     inner_->apply_input(a, simclock_);
@@ -130,6 +133,8 @@ class MmtNode final : public Machine {
   // machine is untouched since.
   Time inner_wake_ = 0;
   bool inner_dirty_ = true;
+  // The catch-up's recycled candidate buffer.
+  std::vector<Action> scratch_;
   std::deque<PendingOutput> pending_;
   MmtNodeStats stats_;
 };

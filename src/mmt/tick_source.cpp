@@ -35,12 +35,6 @@ void TickSource::apply_input(const Action& a, Time /*t*/) {
   PSC_CHECK(false, "TickSource has no inputs: " << to_string(a));
 }
 
-std::vector<Action> TickSource::enabled(Time t) const {
-  std::vector<Action> out;
-  enabled_into(t, out);
-  return out;
-}
-
 void TickSource::enabled_into(Time t, std::vector<Action>& out) const {
   std::size_t n = 0;
   if (t >= next_tick_) {

@@ -30,10 +30,6 @@ void ClockedMachine::apply_input(const Action& a, Time t) {
   inner_->apply_input(a, clock_now(t));
 }
 
-std::vector<Action> ClockedMachine::enabled(Time t) const {
-  return inner_->enabled(clock_now(t));
-}
-
 void ClockedMachine::enabled_into(Time t, std::vector<Action>& out) const {
   inner_->enabled_into(clock_now(t), out);
 }

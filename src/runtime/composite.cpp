@@ -99,14 +99,14 @@ void CompositeMachine::apply_input(const Action& a, Time t) {
   }
 }
 
-std::vector<Action> CompositeMachine::enabled(Time t) const {
-  std::vector<Action> out;
+void CompositeMachine::enabled_into(Time t, std::vector<Action>& out) const {
+  out.clear();
+  std::vector<Action> acts;
   for (const auto& m : members_) {
-    auto acts = m->enabled(t);
+    m->enabled_into(t, acts);
     out.insert(out.end(), std::make_move_iterator(acts.begin()),
                std::make_move_iterator(acts.end()));
   }
-  return out;
 }
 
 void CompositeMachine::apply_local(const Action& a, Time t) {

@@ -25,9 +25,11 @@
 // apply_input/apply_local record every member they change — the owner of a
 // local action and each member it is routed to — for take_touched_parts.
 // So one message into one buffer of a Simulation 1 node re-polls that
-// buffer, not all 2n+1 members. enabled/next_enabled/upper_bound still walk
-// every member for callers that drive the composite as one machine (the
-// executor's reference scan and MmtNode's Def 5.1 catch-up).
+// buffer, not all 2n+1 members. enabled_into/next_enabled/upper_bound still
+// walk every member for callers that drive the composite as one machine (a
+// one-member composite under the executor, the test-side reference loop,
+// the fuzzer); MmtNode's Def 5.1 catch-up polls it part by part but reads
+// the whole next_enabled hint.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +62,7 @@ class CompositeMachine : public Machine {
   // members' local entries can match a common kind (Def 2.2).
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
-  std::vector<Action> enabled(Time t) const override;
+  void enabled_into(Time t, std::vector<Action>& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;

@@ -25,7 +25,7 @@ void MachineFuzzer::poll_recycled() {
             machine_.name() << ": at " << format_time(now_)
                             << " enabled_into on a recycled buffer gives "
                             << show(cands_) << " as candidate " << k
-                            << ", enabled() gives " << show(fresh));
+                            << ", a fresh buffer gives " << show(fresh));
 }
 
 FuzzReport MachineFuzzer::run(std::size_t steps) {

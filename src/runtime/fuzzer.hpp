@@ -15,12 +15,12 @@
 //   A6  input-enabledness: apply_input accepts any action classified kInput;
 //   A7  an input the machine reports inert (Machine::last_input_inert)
 //       leaves enabled, next_enabled and upper_bound unchanged;
-//   A8  enabled_into on a recycled candidate buffer equals enabled() in
-//       every field. The buffer is kept across steps and, as the
-//       executor's execute_fast leaves it, holds a stale action (the last
-//       input or executed action, its message named) before each poll, so
-//       a recycling override that leaves a field of a reused slot unset —
-//       a send's uid included — fails here.
+//   A8  enabled_into on a recycled candidate buffer equals enabled_into on
+//       a fresh one (enabled()) in every field. The buffer is kept across
+//       steps and, as the executor's execute_fast leaves it, holds a stale
+//       action (the last input or executed action, its message named)
+//       before each poll, so a recycling machine that leaves a field of a
+//       reused slot unset — a send's uid included — fails here.
 //
 // Like the executor, the fuzzer names the message of each input it injects
 // and each action it executes (name_message in core/action.hpp) before the
@@ -72,8 +72,8 @@ class MachineFuzzer {
   FuzzReport run(std::size_t steps);
 
  private:
-  // A8: re-polls cands_ through enabled_into and checks it against
-  // enabled().
+  // A8: re-polls cands_ through enabled_into and checks it against a poll
+  // into a fresh vector.
   void poll_recycled();
 
   Machine& machine_;

@@ -44,12 +44,6 @@ Action RenamedMachine::to_inner(const Action& a) const {
   return r;
 }
 
-Action RenamedMachine::to_outer(Action a) const {
-  auto it = outer_of_inner_.find(a.name);
-  if (it != outer_of_inner_.end()) a.name = it->second;
-  return a;
-}
-
 void RenamedMachine::declare_signature(SignatureDecl& decl) const {
   for (const SignatureDecl::Entry& e : inner_->signature().entries()) {
     auto mapped = outer_of_inner_.find(e.name);
@@ -62,12 +56,12 @@ void RenamedMachine::apply_input(const Action& a, Time t) {
   inner_->apply_input(to_inner(a), t);
 }
 
-std::vector<Action> RenamedMachine::enabled(Time t) const {
-  auto acts = inner_->enabled(t);
-  std::vector<Action> out;
-  out.reserve(acts.size());
-  for (auto& a : acts) out.push_back(to_outer(std::move(a)));
-  return out;
+void RenamedMachine::enabled_into(Time t, std::vector<Action>& out) const {
+  inner_->enabled_into(t, out);
+  for (Action& a : out) {
+    const auto it = outer_of_inner_.find(a.name);
+    if (it != outer_of_inner_.end()) a.name = it->second;
+  }
 }
 
 void RenamedMachine::apply_local(const Action& a, Time t) {

@@ -33,7 +33,7 @@ class RenamedMachine final : public Machine {
   // The inner declaration with entry names translated to the outer names.
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
-  std::vector<Action> enabled(Time t) const override;
+  void enabled_into(Time t, std::vector<Action>& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;
@@ -46,7 +46,6 @@ class RenamedMachine final : public Machine {
 
  private:
   Action to_inner(const Action& a) const;
-  Action to_outer(Action a) const;
 
   std::unique_ptr<Machine> inner_;
   std::map<std::string, std::string> outer_of_inner_;

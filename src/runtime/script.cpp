@@ -39,12 +39,11 @@ void ScriptMachine::apply_input(const Action& a, Time t) {
   received_.push_back(std::move(e));
 }
 
-std::vector<Action> ScriptMachine::enabled(Time t) const {
-  std::vector<Action> out;
+void ScriptMachine::enabled_into(Time t, std::vector<Action>& out) const {
+  out.clear();
   if (next_ < steps_.size() && steps_[next_].at <= t) {
     out.push_back(steps_[next_].action);
   }
-  return out;
 }
 
 void ScriptMachine::apply_local(const Action& a, Time /*t*/) {

@@ -76,12 +76,6 @@ bool RwAlgorithm::update_due(Time now) const {
                      });
 }
 
-std::vector<Action> RwAlgorithm::enabled(Time now) const {
-  std::vector<Action> out;
-  enabled_into(now, out);
-  return out;
-}
-
 void RwAlgorithm::enabled_into(Time now, std::vector<Action>& out) const {
   std::size_t n = 0;
   const int i = params_.node;

@@ -49,7 +49,6 @@ class RwAlgorithm final : public Machine {
 
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
-  std::vector<Action> enabled(Time now) const override;
   void enabled_into(Time now, std::vector<Action>& out) const override;
   void apply_local(const Action& a, Time now) override;
   Time upper_bound(Time now) const override;

@@ -47,12 +47,6 @@ void RwClient::apply_input(const Action& a, Time t) {
   next_issue_ = t + think;
 }
 
-std::vector<Action> RwClient::enabled(Time t) const {
-  std::vector<Action> out;
-  enabled_into(t, out);
-  return out;
-}
-
 void RwClient::enabled_into(Time t, std::vector<Action>& out) const {
   std::size_t n = 0;
   if (!busy_ && issued_ < options_.num_ops && next_issue_ <= t) {

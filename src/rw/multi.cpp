@@ -102,8 +102,8 @@ bool MultiRwAlgorithm::any_update_due(Time now) const {
   return false;
 }
 
-std::vector<Action> MultiRwAlgorithm::enabled(Time now) const {
-  std::vector<Action> out;
+void MultiRwAlgorithm::enabled_into(Time now, std::vector<Action>& out) const {
+  out.clear();
   const int i = params_.base.node;
   if (any_update_due(now)) {
     out.push_back(make_action("UPDATE", i));
@@ -125,7 +125,6 @@ std::vector<Action> MultiRwAlgorithm::enabled(Time now) const {
       out.push_back(make_send(i, j, std::move(m)));
     }
   }
-  return out;
 }
 
 void MultiRwAlgorithm::apply_local(const Action& a, Time now) {
@@ -249,8 +248,8 @@ void MultiRwClient::apply_input(const Action& a, Time t) {
   next_issue_ = t + think;
 }
 
-std::vector<Action> MultiRwClient::enabled(Time t) const {
-  std::vector<Action> out;
+void MultiRwClient::enabled_into(Time t, std::vector<Action>& out) const {
+  out.clear();
   if (!busy_ && issued_ < options_.num_ops && next_issue_ <= t) {
     Rng probe(options_.seed ^ (0x9e3779b9ULL * (issued_ + 1)));
     const bool write = probe.uniform01() < options_.write_fraction;
@@ -265,7 +264,6 @@ std::vector<Action> MultiRwClient::enabled(Time t) const {
       out.push_back(make_action("READ", options_.node, {Value{obj}}));
     }
   }
-  return out;
 }
 
 void MultiRwClient::apply_local(const Action& a, Time t) {

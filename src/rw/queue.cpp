@@ -78,8 +78,8 @@ void QueueServer::apply_input(const Action& a, Time /*now*/) {
   }
 }
 
-std::vector<Action> QueueServer::enabled(Time /*now*/) const {
-  std::vector<Action> out;
+void QueueServer::enabled_into(Time /*now*/, std::vector<Action>& out) const {
+  out.clear();
   if (bcast_ready_) {
     out.push_back(make_action("TOBCAST", node_, {Value{pending_bcast_}}));
   }
@@ -90,7 +90,6 @@ std::vector<Action> QueueServer::enabled(Time /*now*/) const {
       out.push_back(make_action("DEQRET", node_, {Value{response_value_}}));
     }
   }
-  return out;
 }
 
 void QueueServer::apply_local(const Action& a, Time /*now*/) {
@@ -167,8 +166,8 @@ void QueueClient::apply_input(const Action& a, Time t) {
   next_issue_ = t + think;
 }
 
-std::vector<Action> QueueClient::enabled(Time t) const {
-  std::vector<Action> out;
+void QueueClient::enabled_into(Time t, std::vector<Action>& out) const {
+  out.clear();
   if (!busy_ && issued_ < options_.num_ops && next_issue_ <= t) {
     Rng probe(options_.seed ^ (0x2545f49ULL * (issued_ + 1)));
     if (probe.uniform01() < options_.enq_fraction) {
@@ -179,7 +178,6 @@ std::vector<Action> QueueClient::enabled(Time t) const {
       out.push_back(make_action("DEQ", options_.node));
     }
   }
-  return out;
 }
 
 void QueueClient::apply_local(const Action& a, Time t) {

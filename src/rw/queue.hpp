@@ -64,7 +64,7 @@ class QueueServer final : public Machine {
 
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
-  std::vector<Action> enabled(Time now) const override;
+  void enabled_into(Time now, std::vector<Action>& out) const override;
   void apply_local(const Action& a, Time now) override;
   Time upper_bound(Time now) const override;
 
@@ -110,7 +110,7 @@ class QueueClient final : public Machine {
 
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
-  std::vector<Action> enabled(Time t) const override;
+  void enabled_into(Time t, std::vector<Action>& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;

@@ -71,8 +71,8 @@ Time SlicedRw::due_boundary(Time clock) const {
   return due;
 }
 
-std::vector<Action> SlicedRw::enabled(Time clock) const {
-  std::vector<Action> out;
+void SlicedRw::enabled_into(Time clock, std::vector<Action>& out) const {
+  out.clear();
   const int i = params_.node;
   const bool read_due = read_.active && read_.ret_at <= clock;
   const Time due = due_boundary(clock);
@@ -98,7 +98,6 @@ std::vector<Action> SlicedRw::enabled(Time clock) const {
       out.push_back(make_send(i, j, std::move(m)));
     }
   }
-  return out;
 }
 
 void SlicedRw::apply_local(const Action& a, Time clock) {

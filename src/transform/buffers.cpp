@@ -25,12 +25,6 @@ void SendBuffer::apply_input(const Action& a, Time clock) {
   q_.push_back({*a.msg, clock});
 }
 
-std::vector<Action> SendBuffer::enabled(Time clock) const {
-  std::vector<Action> out;
-  enabled_into(clock, out);
-  return out;
-}
-
 void SendBuffer::enabled_into(Time clock, std::vector<Action>& out) const {
   std::size_t n = 0;
   if (!q_.empty() && q_.front().tag == clock) {
@@ -83,12 +77,6 @@ std::size_t ReceiveBuffer::min_index() const {
     if (q_[k].msg.clock_tag < q_[best].msg.clock_tag) best = k;
   }
   return best;
-}
-
-std::vector<Action> ReceiveBuffer::enabled(Time clock) const {
-  std::vector<Action> out;
-  enabled_into(clock, out);
-  return out;
 }
 
 void ReceiveBuffer::enabled_into(Time clock, std::vector<Action>& out) const {

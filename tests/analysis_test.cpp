@@ -54,7 +54,9 @@ class NowReader final : public Machine {
   NowReader() : Machine("NowReader") {}
   void declare_signature(SignatureDecl&) const override {}
   void apply_input(const Action&, Time) override {}
-  std::vector<Action> enabled(Time) const override { return {}; }
+  void enabled_into(Time, std::vector<Action>& out) const override {
+    out.clear();
+  }
   void apply_local(const Action&, Time) override {}
   ModelTraits model_traits() const override {
     ModelTraits t;
@@ -783,7 +785,9 @@ class Endpoint final : public Machine {
     }
   }
   void apply_input(const Action&, Time) override {}
-  std::vector<Action> enabled(Time) const override { return {}; }
+  void enabled_into(Time, std::vector<Action>& out) const override {
+    out.clear();
+  }
   void apply_local(const Action&, Time) override {}
 
  private:

@@ -152,11 +152,11 @@ class Echo final : public Machine {
     decl.output("SENDMSG", node_);
   }
   void apply_input(const Action&, Time) override { ++pending_; }
-  std::vector<Action> enabled(Time) const override {
+  void enabled_into(Time, std::vector<Action>& out) const override {
+    out.clear();
     if (pending_ > 0 && sent_ < 40) {
-      return {make_send(node_, peer_, make_message("ECHO"))};
+      out.push_back(make_send(node_, peer_, make_message("ECHO")));
     }
-    return {};
   }
   void apply_local(const Action&, Time) override {
     --pending_;
@@ -261,11 +261,12 @@ class TagEcho final : public Machine {
     if (sent_at > clock) ++violations_;
     ++pending_;
   }
-  std::vector<Action> enabled(Time clock) const override {
+  void enabled_into(Time clock, std::vector<Action>& out) const override {
+    out.clear();
     if (pending_ > 0 && sent_ < max_sends_) {
-      return {make_send(node_, peer_, make_message("TAG", {Value{clock}}))};
+      out.push_back(
+          make_send(node_, peer_, make_message("TAG", {Value{clock}})));
     }
-    return {};
   }
   void apply_local(const Action&, Time) override {
     --pending_;

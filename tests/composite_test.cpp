@@ -30,7 +30,9 @@ class Recorder final : public Machine {
   void apply_input(const Action& a, Time /*t*/) override {
     log_.push_back(name() + " in " + a.name);
   }
-  std::vector<Action> enabled(Time /*t*/) const override { return {}; }
+  void enabled_into(Time /*t*/, std::vector<Action>& out) const override {
+    out.clear();
+  }
   void apply_local(const Action& a, Time /*t*/) override {
     log_.push_back(name() + " local " + a.name);
   }

@@ -24,15 +24,14 @@ class Ponger final : public Machine {
   void apply_input(const Action&, Time t) override {
     due_.push_back(t + delay_);
   }
-  std::vector<Action> enabled(Time t) const override {
-    std::vector<Action> out;
+  void enabled_into(Time t, std::vector<Action>& out) const override {
+    out.clear();
     for (Time d : due_) {
       if (d <= t) {
         out.push_back(make_action("PONG", 0, {Value{d}}));
         break;
       }
     }
-    return out;
   }
   void apply_local(const Action&, Time t) override {
     for (auto it = due_.begin(); it != due_.end(); ++it) {
@@ -114,8 +113,8 @@ TEST(ExecutorTest, EventCapDetectsRunaway) {
       decl.internal("SPIN");
     }
     void apply_input(const Action&, Time) override {}
-    std::vector<Action> enabled(Time) const override {
-      return {make_action("SPIN", kNoNode)};
+    void enabled_into(Time, std::vector<Action>& out) const override {
+      out.assign(1, make_action("SPIN", kNoNode));
     }
     void apply_local(const Action&, Time) override {}
   };
@@ -133,7 +132,9 @@ TEST(ExecutorTest, TimeDeadlockDetected) {
     Blocker() : Machine("blocker") {}
     void declare_signature(SignatureDecl&) const override {}
     void apply_input(const Action&, Time) override {}
-    std::vector<Action> enabled(Time) const override { return {}; }
+    void enabled_into(Time, std::vector<Action>& out) const override {
+      out.clear();
+    }
     void apply_local(const Action&, Time) override {}
     Time upper_bound(Time t) const override { return t; }  // time frozen
   };
@@ -188,9 +189,9 @@ TEST(CompositeTest, MemberToMemberRouting) {
       decl.output("DONE");
     }
     void apply_input(const Action&, Time) override { pending_ = true; }
-    std::vector<Action> enabled(Time) const override {
-      return pending_ ? std::vector<Action>{make_action("DONE", kNoNode)}
-                      : std::vector<Action>{};
+    void enabled_into(Time, std::vector<Action>& out) const override {
+      out.clear();
+      if (pending_) out.push_back(make_action("DONE", kNoNode));
     }
     void apply_local(const Action&, Time) override { pending_ = false; }
     Time upper_bound(Time t) const override {

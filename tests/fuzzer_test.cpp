@@ -1,18 +1,24 @@
 // Axiom property tests: the MachineFuzzer drives every machine class in
-// the library through randomized schedules and checks the executable
-// automaton axioms (see runtime/fuzzer.hpp). Also tests the renaming
-// operator.
+// the library — each algorithm, channel, buffer, client and adapter, and
+// the Simulation 1 node composite bare, clocked and under the MMT wrapper —
+// through randomized schedules and checks the executable automaton axioms
+// (see runtime/fuzzer.hpp). Also tests the renaming operator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <string>
 
+#include "algos/election.hpp"
 #include "algos/flood.hpp"
 #include "algos/heartbeat.hpp"
 #include "algos/tdma.hpp"
+#include "algos/timesync.hpp"
+#include "algos/tobcast.hpp"
 #include "channel/channel.hpp"
+#include "clock/trajectory.hpp"
 #include "mmt/mmt_node.hpp"
+#include "mmt/tick_source.hpp"
 #include "runtime/fuzzer.hpp"
 #include "runtime/renamed.hpp"
 #include "runtime/script.hpp"
@@ -20,8 +26,10 @@
 #include "rw/algorithm.hpp"
 #include "rw/client.hpp"
 #include "rw/multi.hpp"
+#include "rw/queue.hpp"
 #include "rw/sliced.hpp"
 #include "transform/buffers.hpp"
+#include "transform/clock_system.hpp"
 
 namespace psc {
 namespace {
@@ -265,6 +273,308 @@ TEST_P(FuzzSeeds, MmtNodeSatisfiesAxioms) {
   EXPECT_GT(report.inert_inputs, 100u);
   EXPECT_LT(report.inert_inputs, report.inputs_injected);
   EXPECT_GT(node.stats().outputs, 10u);
+}
+
+TEST_P(FuzzSeeds, ElectionNodeSatisfiesAxioms) {
+  ElectionParams p;
+  p.node = 1;
+  p.num_nodes = 3;
+  p.slot = microseconds(100);
+  p.d2_design = microseconds(60);
+  ElectionNode node(p);
+  MachineFuzzer fuzz(node, GetParam());
+  // Claims from either neighbour: node 2's may suppress this node's own.
+  fuzz.set_input_generator([](Time, Rng& rng) -> std::optional<Action> {
+    if (!rng.flip(0.02)) return std::nullopt;
+    const int j = rng.flip(0.5) ? 0 : 2;
+    return make_recv(1, j, make_message("CLAIM", {Value{std::int64_t{j}}}));
+  });
+  fuzz.run(2000);
+  EXPECT_GE(node.announced(), 1);
+}
+
+TEST_P(FuzzSeeds, TobcastNodeSatisfiesAxioms) {
+  TobcastParams p;
+  p.node = 0;
+  p.num_nodes = 2;
+  p.d2_prime = microseconds(100);
+  p.delta = microseconds(5);
+  TobcastNode node(p);
+  MachineFuzzer fuzz(node, GetParam());
+  std::int64_t seq = 0;
+  fuzz.set_input_generator([&seq](Time t, Rng& rng) -> std::optional<Action> {
+    if (rng.flip(0.3)) return make_action("TOBCAST", 0, {Value{t}});
+    if (!rng.flip(0.5)) return std::nullopt;
+    const int j = static_cast<int>(rng.index(2));
+    const Time ts = std::max<Time>(0, t - rng.uniform(0, microseconds(100)));
+    return make_recv(0, j, make_message("TOMSG", {Value{rng.uniform(0, 99)},
+                                                  Value{ts}, Value{seq++}}));
+  });
+  const auto report = fuzz.run(3000);
+  EXPECT_GT(report.actions_executed, 100u);
+}
+
+TEST_P(FuzzSeeds, TimeSyncMachinesSatisfyAxioms) {
+  TimeServer server(0);
+  MachineFuzzer sf(server, GetParam());
+  std::int64_t probe = 0;
+  sf.set_input_generator([&probe](Time, Rng& rng) -> std::optional<Action> {
+    if (!rng.flip(0.5)) return std::nullopt;
+    const int j = 1 + static_cast<int>(rng.index(2));
+    return make_recv(0, j, make_message("SYNCREQ", {Value{probe++}}));
+  });
+  EXPECT_GT(sf.run(2000).actions_executed, 100u);
+
+  // The server answers the client's outstanding probe, whose id is the
+  // number of probes completed so far; a stale id is ignored.
+  SyncClient client(1, 0, microseconds(50), 200, microseconds(5));
+  MachineFuzzer cf(client, GetParam());
+  cf.set_input_generator([&client](Time t, Rng& rng) -> std::optional<Action> {
+    if (!rng.flip(0.5)) return std::nullopt;
+    const auto id = static_cast<std::int64_t>(client.samples().size()) -
+                    (rng.flip(0.2) ? 1 : 0);
+    return make_recv(1, 0, make_message("SYNCRESP", {Value{id}, Value{t}}));
+  });
+  cf.run(3000);
+  EXPECT_GT(client.samples().size(), 10u);
+}
+
+// The generator plays the client and the broadcast layer: one ENQ or DEQ
+// at a time, the server's own TODELIVER once it has broadcast the
+// payload, and other nodes' deliveries at any time. It runs at every step
+// before the fuzzer executes anything, so it sees each offered TOBCAST and
+// response.
+TEST_P(FuzzSeeds, QueueServerSatisfiesAxioms) {
+  QueueServer server(0, 2);
+  MachineFuzzer fuzz(server, GetParam());
+  fuzz.set_input_probability(1.0);
+  bool outstanding = false;
+  std::optional<std::int64_t> payload;  // the outstanding op's broadcast
+  bool delivered = false;
+  std::size_t completed = 0;
+  fuzz.set_input_generator([&](Time t, Rng& rng) -> std::optional<Action> {
+    bool responding = false;
+    for (const Action& a : server.enabled(t)) {
+      if (a.name == "TOBCAST") payload = as_int(a.args.at(0));
+      if (a.name == "ENQACK" || a.name == "DEQRET") responding = true;
+    }
+    if (delivered && !responding) {
+      ++completed;
+      outstanding = delivered = false;
+    }
+    if (!rng.flip(0.3)) return std::nullopt;
+    if (rng.flip(0.3)) {
+      return make_action("TODELIVER", 0,
+                         {Value{rng.uniform(0, 99)}, Value{std::int64_t{1}}});
+    }
+    if (!outstanding) {
+      outstanding = true;
+      payload.reset();
+      return rng.flip(0.5)
+                 ? make_action("ENQ", 0, {Value{rng.uniform(0, 99)}})
+                 : make_action("DEQ", 0);
+    }
+    if (!payload || delivered) return std::nullopt;
+    delivered = true;
+    return make_action("TODELIVER", 0,
+                       {Value{*payload}, Value{std::int64_t{0}}});
+  });
+  fuzz.run(3000);
+  EXPECT_GT(completed, 20u);
+}
+
+// As for RwClient: the generator answers the outstanding invocation.
+TEST_P(FuzzSeeds, QueueClientSatisfiesAxioms) {
+  QueueClient::Options o;
+  o.num_ops = 400;
+  o.think_max = microseconds(20);
+  o.seed = GetParam();
+  QueueClient client(o);
+  MachineFuzzer fuzz(client, GetParam());
+  fuzz.set_input_probability(1.0);
+  std::string offered;
+  fuzz.set_input_generator([&](Time t, Rng& rng) -> std::optional<Action> {
+    const bool busy = client.upper_bound(t) == kTimeMax && !client.finished();
+    if (!busy) {
+      const std::vector<Action> offer = client.enabled(t);
+      if (!offer.empty()) offered = offer.front().name;
+      return std::nullopt;
+    }
+    if (!rng.flip(0.5)) return std::nullopt;
+    return offered == "DEQ"
+               ? make_action("DEQRET", 0, {Value{std::int64_t{-1}}})
+               : make_action("ENQACK", 0);
+  });
+  fuzz.run(4000);
+  EXPECT_GT(client.operations().size(), 50u);
+}
+
+TEST_P(FuzzSeeds, MultiRwAlgorithmSatisfiesAxioms) {
+  MultiRwParams p;
+  p.base.node = 0;
+  p.base.num_nodes = 2;
+  p.base.c = microseconds(10);
+  p.base.d2_prime = microseconds(100);
+  p.base.two_eps = microseconds(20);
+  MultiRwAlgorithm algo(p);
+  algo.apply_input(make_action("READ", 0, {Value{std::int64_t{1}}}), 0);
+  algo.apply_input(
+      make_action("WRITE", 0, {Value{std::int64_t{0}}, Value{7}}), 0);
+  MachineFuzzer fuzz(algo, GetParam());
+  fuzz.set_input_generator([](Time t, Rng& rng) -> std::optional<Action> {
+    if (!rng.flip(0.5)) return std::nullopt;
+    Message m = make_message(
+        "MUPDATE", {Value{rng.uniform(0, 2)}, Value{rng.uniform(0, 1 << 20)},
+                    Value{t + rng.uniform(0, microseconds(200))}});
+    return make_recv(0, 1, std::move(m));
+  });
+  const auto report = fuzz.run(3000);
+  EXPECT_GT(report.actions_executed, 100u);
+}
+
+// As for RwClient; a response names the invocation's object, which the
+// generator reads off the offered READ/WRITE.
+TEST_P(FuzzSeeds, MultiRwClientSatisfiesAxioms) {
+  MultiRwClient::Options o;
+  o.num_objects = 3;
+  o.num_ops = 400;
+  o.think_max = microseconds(20);
+  o.seed = GetParam();
+  MultiRwClient client(o);
+  MachineFuzzer fuzz(client, GetParam());
+  fuzz.set_input_probability(1.0);
+  Action offered;
+  fuzz.set_input_generator([&](Time t, Rng& rng) -> std::optional<Action> {
+    const bool busy = client.upper_bound(t) == kTimeMax && !client.finished();
+    if (!busy) {
+      const std::vector<Action> offer = client.enabled(t);
+      if (!offer.empty()) offered = offer.front();
+      return std::nullopt;
+    }
+    if (!rng.flip(0.5)) return std::nullopt;
+    const Value obj = offered.args.at(0);
+    return offered.name == "READ"
+               ? make_action("RETURN", 0, {obj, Value{std::int64_t{3}}})
+               : make_action("ACK", 0, {obj});
+  });
+  fuzz.run(4000);
+  EXPECT_GT(client.operations().size(), 50u);
+}
+
+TEST_P(FuzzSeeds, TickSourceSatisfiesAxioms) {
+  Rng r(GetParam());
+  auto traj = std::make_shared<ClockTrajectory>(
+      ZigzagDrift(0.3).generate(microseconds(50), seconds(5), r));
+  TickSource ticks(0, traj, microseconds(10), Rng(GetParam()));
+  MachineFuzzer fuzz(ticks, GetParam());
+  const auto report = fuzz.run(3000);
+  EXPECT_GT(report.actions_executed, 100u);
+}
+
+TEST_P(FuzzSeeds, FloodNodeSatisfiesAxioms) {
+  FloodParams p;
+  p.source = true;
+  p.peers = {1, 2};
+  p.hops_bound = 2;
+  p.d2_design = microseconds(100);
+  p.waves = 50;
+  p.wave_gap = microseconds(30);
+  FloodNode node(p);
+  MachineFuzzer fuzz(node, GetParam());
+  fuzz.set_input_generator([](Time, Rng& rng) -> std::optional<Action> {
+    if (!rng.flip(0.3)) return std::nullopt;
+    const int j = 1 + static_cast<int>(rng.index(2));
+    return make_recv(0, j, make_message("FLOOD", {Value{rng.uniform(0, 60)}}));
+  });
+  const auto report = fuzz.run(3000);
+  EXPECT_GT(report.actions_executed, 100u);
+}
+
+TEST_P(FuzzSeeds, RenamedMachineSatisfiesAxioms) {
+  RenamedMachine ren(
+      std::make_unique<Channel>(0, 1, microseconds(5), microseconds(50),
+                                DelayPolicy::uniform(), Rng(GetParam())),
+      {{"SENDMSG", "IN"}, {"RECVMSG", "OUT"}});
+  MachineFuzzer fuzz(ren, GetParam());
+  fuzz.set_input_generator([](Time, Rng& rng) -> std::optional<Action> {
+    if (rng.flip(0.7)) return make_send(0, 1, make_message("M"), "IN");
+    return std::nullopt;
+  });
+  const auto report = fuzz.run(3000);
+  EXPECT_GT(report.actions_executed, 100u);
+}
+
+// The Simulation 1 node of algorithm S at node 0 of two: the algorithm, a
+// send buffer per out-peer and a receive buffer per in-peer, with
+// SENDMSG/RECVMSG hidden. One READ and one WRITE start it off; the
+// generator feeds physical ERECVMSGs of UPDATEs whose clock tags straddle
+// the receiving clock, so some are held.
+std::unique_ptr<CompositeMachine> sim1_rw_node() {
+  RwParams p;
+  p.node = 0;
+  p.num_nodes = 2;
+  p.c = microseconds(10);
+  p.d2_prime = microseconds(100);
+  p.two_eps = microseconds(20);
+  auto node = make_node_composite(std::make_unique<RwAlgorithm>(p), 0,
+                                  {0, 1}, {0, 1});
+  node->apply_input(make_action("READ", 0), 0);
+  node->apply_input(make_action("WRITE", 0, {Value{7}}), 0);
+  return node;
+}
+
+std::optional<Action> sim1_update(Time clock, Rng& rng) {
+  Message m = make_message(
+      "UPDATE", {Value{rng.uniform(0, 1 << 20)},
+                 Value{clock + rng.uniform(0, microseconds(200))}});
+  m.clock_tag = std::max<Time>(
+      0, clock + rng.uniform(-microseconds(50), microseconds(50)));
+  return make_recv(0, static_cast<int>(rng.index(2)), std::move(m),
+                   "ERECVMSG");
+}
+
+TEST_P(FuzzSeeds, Sim1NodeCompositeSatisfiesAxioms) {
+  auto node = sim1_rw_node();
+  ASSERT_GT(node->part_count(), 1u);
+  MachineFuzzer fuzz(*node, GetParam());
+  fuzz.set_input_generator([](Time t, Rng& rng) -> std::optional<Action> {
+    if (!rng.flip(0.5)) return std::nullopt;
+    return sim1_update(t, rng);
+  });
+  const auto report = fuzz.run(3000);
+  EXPECT_GT(report.actions_executed, 100u);
+}
+
+TEST_P(FuzzSeeds, ClockedSim1NodeSatisfiesAxioms) {
+  Rng r(GetParam());
+  auto traj = std::make_shared<const ClockTrajectory>(
+      ZigzagDrift(0.3).generate(microseconds(10), seconds(5), r));
+  ClockedMachine node(sim1_rw_node(), traj);
+  MachineFuzzer fuzz(node, GetParam());
+  fuzz.set_input_generator([&traj](Time t, Rng& rng) -> std::optional<Action> {
+    if (!rng.flip(0.5)) return std::nullopt;
+    return sim1_update(traj->clock_at(t), rng);
+  });
+  const auto report = fuzz.run(3000);
+  EXPECT_GT(report.actions_executed, 100u);
+}
+
+// MmtNode's catch-up drains the multi-part node part by part; A7 checks
+// its inert TICKs and A8 its recycled polls.
+TEST_P(FuzzSeeds, MmtNodeOverSim1NodeSatisfiesAxioms) {
+  MmtNode node(0, sim1_rw_node(), microseconds(10), Rng(GetParam()));
+  ASSERT_GT(node.inner().part_count(), 1u);
+  MachineFuzzer fuzz(node, GetParam());
+  fuzz.set_input_generator([](Time t, Rng& rng) -> std::optional<Action> {
+    if (rng.flip(0.25)) return sim1_update(t, rng);
+    const Time c =
+        std::max<Time>(0, t + rng.uniform(-microseconds(5), microseconds(5)));
+    return make_action("TICK", 0, {Value{c}});
+  });
+  const auto report = fuzz.run(3000);
+  EXPECT_GT(report.inert_inputs, 100u);
+  // The write's two ESENDMSGs and ACK, and the read's RETURN.
+  EXPECT_GE(node.stats().outputs, 4u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds,

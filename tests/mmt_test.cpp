@@ -73,11 +73,11 @@ class PeriodicEmitter final : public Machine {
     decl.output("OUT", node_);
   }
   void apply_input(const Action&, Time) override {}
-  std::vector<Action> enabled(Time clock) const override {
+  void enabled_into(Time clock, std::vector<Action>& out) const override {
+    out.clear();
     if (emitted_ < count_ && next_due_ <= clock) {
-      return {make_action("OUT", node_, {Value{next_due_}})};
+      out.push_back(make_action("OUT", node_, {Value{next_due_}}));
     }
-    return {};
   }
   void apply_local(const Action&, Time) override {
     ++emitted_;
@@ -196,9 +196,10 @@ class DelayedEcho final : public Machine {
   void apply_input(const Action& a, Time clock) override {
     due_.push_back({clock + delay_, as_int(a.args.at(0))});
   }
-  std::vector<Action> enabled(Time clock) const override {
-    if (due_.empty() || due_.front().at > clock) return {};
-    return {make_action("ECHO", node_, {Value{due_.front().value}})};
+  void enabled_into(Time clock, std::vector<Action>& out) const override {
+    out.clear();
+    if (due_.empty() || due_.front().at > clock) return;
+    out.push_back(make_action("ECHO", node_, {Value{due_.front().value}}));
   }
   void apply_local(const Action&, Time) override { due_.pop_front(); }
   Time upper_bound(Time clock) const override {
@@ -220,7 +221,7 @@ class DelayedEcho final : public Machine {
   std::deque<Due> due_;
 };
 
-// Forwards to a wrapped clock-time machine and counts the enabled() and
+// Forwards to a wrapped clock-time machine and counts the enabled_into() and
 // next_enabled() calls made on it. With early > 0 its next_enabled hint is
 // early — never more than `early` past the query — which the Machine
 // contract allows: the hint only promises that nothing is enabled before it.
@@ -237,9 +238,9 @@ class PollCounter final : public Machine {
   void apply_input(const Action& a, Time t) override {
     inner_->apply_input(a, t);
   }
-  std::vector<Action> enabled(Time t) const override {
+  void enabled_into(Time t, std::vector<Action>& out) const override {
     ++polls;
-    return inner_->enabled(t);
+    inner_->enabled_into(t, out);
   }
   void apply_local(const Action& a, Time t) override {
     inner_->apply_local(a, t);

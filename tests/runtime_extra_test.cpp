@@ -24,9 +24,9 @@ class Metronome final : public Machine {
     decl.output("TICKTOCK");
   }
   void apply_input(const Action&, Time) override {}
-  std::vector<Action> enabled(Time t) const override {
-    if (t >= next_) return {make_action("TICKTOCK", kNoNode)};
-    return {};
+  void enabled_into(Time t, std::vector<Action>& out) const override {
+    out.clear();
+    if (t >= next_) out.push_back(make_action("TICKTOCK", kNoNode));
   }
   void apply_local(const Action&, Time) override {
     ++beats;
@@ -118,7 +118,9 @@ TEST(CompositeExtraTest, TwoMembersClaimingAnInternalKindFailAssembly) {
       decl.internal("STEP", node_);
     }
     void apply_input(const Action&, Time) override {}
-    std::vector<Action> enabled(Time) const override { return {}; }
+    void enabled_into(Time, std::vector<Action>& out) const override {
+      out.clear();
+    }
     void apply_local(const Action&, Time) override {}
 
    private:

@@ -369,10 +369,11 @@ class Batcher final : public Machine {
     decl.output("JOB", node_);
   }
   void apply_input(const Action&, Time) override {}
-  std::vector<Action> enabled(Time t) const override {
-    if (next_ == due_.size() || due_[next_] > t) return {};
+  void enabled_into(Time t, std::vector<Action>& out) const override {
+    out.clear();
+    if (next_ == due_.size() || due_[next_] > t) return;
     const Value job{static_cast<std::int64_t>(next_)};
-    return {make_action("JOB", node_, {job})};
+    out.push_back(make_action("JOB", node_, {job}));
   }
   void apply_local(const Action&, Time) override { ++next_; }
   Time upper_bound(Time) const override {
@@ -547,7 +548,7 @@ TEST(SchedulerParts, WheelHoldsOneWakePerPart) {
 }
 
 // Forwards everything to `inner` and counts the polls the executor makes of
-// it (enabled, next_enabled, upper_bound).
+// it (enabled_into, next_enabled, upper_bound).
 class CountingPart final : public Machine {
  public:
   explicit CountingPart(std::unique_ptr<Machine> inner)
@@ -558,9 +559,9 @@ class CountingPart final : public Machine {
   void apply_input(const Action& a, Time t) override {
     inner_->apply_input(a, t);
   }
-  std::vector<Action> enabled(Time t) const override {
+  void enabled_into(Time t, std::vector<Action>& out) const override {
     ++polls_;
-    return inner_->enabled(t);
+    inner_->enabled_into(t, out);
   }
   void apply_local(const Action& a, Time t) override {
     inner_->apply_local(a, t);
@@ -677,9 +678,9 @@ class DeclaredEmitter final : public Machine {
     decl.output("X", 0);
   }
   void apply_input(const Action&, Time) override {}
-  std::vector<Action> enabled(Time) const override {
-    if (done_) return {};
-    return {make_action("X", 0)};
+  void enabled_into(Time, std::vector<Action>& out) const override {
+    out.clear();
+    if (!done_) out.push_back(make_action("X", 0));
   }
   void apply_local(const Action&, Time) override { done_ = true; }
 
@@ -722,8 +723,8 @@ class Spinner final : public Machine {
     decl.internal("SPIN");
   }
   void apply_input(const Action&, Time) override {}
-  std::vector<Action> enabled(Time) const override {
-    return {make_action("SPIN", kNoNode)};
+  void enabled_into(Time, std::vector<Action>& out) const override {
+    out.assign(1, make_action("SPIN", kNoNode));
   }
   void apply_local(const Action&, Time) override {}
 };

@@ -303,7 +303,9 @@ TEST(SignatureExactness, LocalEntryBeatsInputEntry) {
       decl.output("X");
     }
     void apply_input(const Action&, Time) override {}
-    std::vector<Action> enabled(Time) const override { return {}; }
+    void enabled_into(Time, std::vector<Action>& out) const override {
+      out.clear();
+    }
     void apply_local(const Action&, Time) override {}
   };
   const Both m;

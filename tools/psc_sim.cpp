@@ -17,7 +17,8 @@
 // Keys (defaults in brackets): nodes[3] ops[20] d1_us[20] d2_us[300]
 // eps_us[50] c_us[40] ell_us[10] write_frac[0.5] drift[zigzag] seed[1]
 // super[1] trace[""]   (drift: perfect|offset+|offset-|zigzag|random|
-// opposing|disciplined)
+// opposing|disciplined). A key not listed here, or a numeric value that
+// does not parse whole or lies out of its range, exits 2 naming the flag.
 //
 // Observability (docs/OBSERVABILITY.md):
 //   --metrics-out=PATH   dump the run's metrics registry as JSONL
@@ -58,12 +59,16 @@
 //                        per-phase totals stream as counter tracks; with
 //                        --metrics-out the exec.prof.* gauges join the dump.
 //   --prof-sample=N      profile every N-th scheduler iteration [64]
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "algos/flood.hpp"
 #include "analysis/bounds.hpp"
@@ -83,6 +88,77 @@ using namespace psc;
 
 namespace {
 
+constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kMaxCount = std::numeric_limits<int>::max();
+// Microsecond flags become nanosecond Durations.
+constexpr std::int64_t kMaxUs = kMaxInt64 / 1000;
+
+// Every key print_usage lists. A numeric key's value must parse whole and
+// lie in [lo, hi]; a text key takes any value (a bare flag reads "1").
+struct KeySpec {
+  enum Kind { kText, kInt, kReal };
+  std::string_view name;
+  Kind kind = kText;
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+};
+constexpr KeySpec kKeys[] = {
+    {"nodes", KeySpec::kInt, 1, kMaxCount},
+    {"ops", KeySpec::kInt, 0, kMaxCount},
+    {"d1_us", KeySpec::kInt, 0, kMaxUs},
+    {"d2_us", KeySpec::kInt, 0, kMaxUs},
+    {"eps_us", KeySpec::kInt, 0, kMaxUs},
+    {"c_us", KeySpec::kInt, 0, kMaxUs},
+    {"ell_us", KeySpec::kInt, 1, kMaxUs},
+    {"margin_us", KeySpec::kInt, 0, kMaxUs},
+    {"write_frac", KeySpec::kReal, 0, 1},
+    {"drift"},
+    {"seed", KeySpec::kInt, 0, kMaxInt64},
+    {"super", KeySpec::kInt, 0, 1},
+    {"trace"},
+    {"metrics-out"},
+    {"chrome-trace"},
+    {"causal-trace"},
+    {"critical-path"},
+    {"exec-stats"},
+    {"lint"},
+    {"certify"},
+    {"flight"},
+    {"flight-ring", KeySpec::kInt, 1, kMaxCount},
+    {"profile"},
+    {"prof-sample", KeySpec::kInt, 1,
+     std::numeric_limits<std::uint32_t>::max()},
+};
+
+// Whether `value` parses whole as a T in [lo, hi].
+template <typename T>
+bool in_range(const std::string& value, T lo, T hi) {
+  T v{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  return ec == std::errc{} && ptr == end && v >= lo && v <= hi;
+}
+
+// Exits 2 naming the flag unless `key` is listed and its value fits.
+void check_key(const std::string& key, const std::string& value) {
+  for (const KeySpec& k : kKeys) {
+    if (k.name != key) continue;
+    const bool ok =
+        k.kind == KeySpec::kText ||
+        (k.kind == KeySpec::kInt ? in_range(value, k.lo, k.hi)
+                                 : in_range(value, static_cast<double>(k.lo),
+                                            static_cast<double>(k.hi)));
+    if (ok) return;
+    std::cerr << "psc-sim: --" << key << "=" << value << " is not "
+              << (k.kind == KeySpec::kInt ? "an integer" : "a number")
+              << " in [" << k.lo << ", " << k.hi << "]\n";
+    std::exit(2);
+  }
+  std::cerr << "psc-sim: unknown flag --" << key
+            << " (psc-sim --help lists them)\n";
+  std::exit(2);
+}
+
 std::map<std::string, std::string> parse_args(int argc, char** argv) {
   std::map<std::string, std::string> args;
   for (int k = 2; k < argc; ++k) {
@@ -92,11 +168,10 @@ std::map<std::string, std::string> parse_args(int argc, char** argv) {
       std::exit(2);
     }
     const auto eq = s.find('=');
-    if (eq == std::string::npos) {
-      args.insert_or_assign(s.substr(2), std::string("1"));
-    } else {
-      args.insert_or_assign(s.substr(2, eq - 2), s.substr(eq + 1));
-    }
+    std::string key = s.substr(2, eq == std::string::npos ? eq : eq - 2);
+    std::string value = eq == std::string::npos ? "1" : s.substr(eq + 1);
+    check_key(key, value);
+    args.insert_or_assign(std::move(key), std::move(value));
   }
   return args;
 }
@@ -192,9 +267,8 @@ class ObsSetup {
       // Bare --profile parses as "1": table only, no folded-stack file.
       if (profile_path_ == "1") profile_path_.clear();
       ProfOptions po;
-      const auto n = geti(args, "prof-sample",
-                          static_cast<std::int64_t>(po.sample_every));
-      if (n > 0) po.sample_every = static_cast<std::uint32_t>(n);
+      po.sample_every = static_cast<std::uint32_t>(geti(
+          args, "prof-sample", static_cast<std::int64_t>(po.sample_every)));
       prof_.emplace(po);
       opts_.profile = &*prof_;
     }
