@@ -47,7 +47,7 @@ class TagEcho final : public Machine {
     if (as_int(a.msg->fields.at(0)) > clock) ++violations;
     ++pending_;
   }
-  void enabled_into(Time clock, std::vector<Action>& out) const override {
+  void enabled_into(Time clock, Candidates& out) const override {
     out.clear();
     if (pending_ > 0 && sent_ < max_sends_) {
       out.push_back(

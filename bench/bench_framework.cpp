@@ -5,23 +5,29 @@
 // the O(n log n) witness check), trace-relation checking, clock
 // trajectory queries (mixed, and each query alone on the benchmark's clock),
 // the benchmark's per-node clock set-up, the executor's re-poll of one
-// Simulation 1 node after one input, one MMT node step, and the wake
-// calendar's re-poll/advance cycle. These are the costs a user of the
-// library pays.
+// Simulation 1 node after one input, one MMT node step, the wake
+// calendar's re-poll/advance cycle, and the primitives under the scheduler
+// and the online checkers: the non-empty-slot bitset, the uid ledger, the
+// log-bucketed latency histogram and the window meter's per-event
+// measure. These are the costs a user of the library pays.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <numeric>
 
+#include "analysis/meter.hpp"
+#include "analysis/uid_index.hpp"
 #include "clock/trajectory.hpp"
 #include "core/relations.hpp"
 #include "mmt/mmt_node.hpp"
+#include "obs/flight.hpp"
 #include "rw/algorithm.hpp"
 #include "rw/harness.hpp"
 #include "runtime/wheel.hpp"
 #include "transform/clock_system.hpp"
 #include "transform/gamma.hpp"
+#include "util/hier_bitset.hpp"
 #include "util/rng.hpp"
 
 namespace psc {
@@ -314,7 +320,7 @@ void BM_ClockNodePoll(benchmark::State& state) {
         make_recv(0, j, make_message("UPDATE", {v}), "ERECVMSG"));
   }
   auto node = build();
-  std::vector<std::vector<Action>> cands(node->part_count());
+  std::vector<Candidates> cands(node->part_count());
   std::vector<std::uint32_t> touched;
   Time t = 0;
   int k = 0;
@@ -364,7 +370,7 @@ void BM_MmtNodeStep(benchmark::State& state) {
                                    peers, peers),
                ell, Rng(1));
   Action tick = make_action("TICK", 0, {Value{std::int64_t{0}}});
-  std::vector<Action> cands;
+  Candidates cands;
   Time t = 0;
   for (auto _ : state) {
     t += ell;
@@ -373,7 +379,7 @@ void BM_MmtNodeStep(benchmark::State& state) {
     node.apply_input(tick, t);
     node.enabled_into(t, cands);
     benchmark::DoNotOptimize(node.next_enabled(t));
-    node.apply_local(cands.at(0), t);
+    node.apply_local(cands[0], t);
     node.enabled_into(t, cands);
     benchmark::DoNotOptimize(node.next_enabled(t));
     benchmark::DoNotOptimize(node.upper_bound(t));
@@ -412,6 +418,102 @@ void BM_WheelRepollAdvance(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WheelRepollAdvance)->Arg(28)->Arg(65536);
+
+// The executor's set of slots with candidates: each iteration sets or
+// clears one random slot, as a re-poll does, and finds the first set slot
+// at or after a random one, as the pick's walk does. The argument is the
+// slot count (28: rw_mmt_writes' executor; 2^20: the flood sweep's top).
+void BM_HierBitset(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(1);
+  HierBitset bits;
+  bits.assign(n);
+  for (std::size_t i = 0; i < n; i += 8) bits.set(i);
+  for (auto _ : state) {
+    const std::size_t i = rng.index(n);
+    if (bits.test(i)) {
+      bits.reset(i);
+    } else {
+      bits.set(i);
+    }
+    benchmark::DoNotOptimize(bits.next_set(rng.index(n)));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HierBitset)->Arg(28)->Arg(65536)->Arg(1 << 20);
+
+// The window meter's message ledger: each iteration records the next uid
+// (a send) and looks up one of the last `window` uids (a delivery leg).
+// The ledger starts over every 2^16 uids, so memory stays bounded; the
+// argument is the in-flight window.
+void BM_UidIndex(benchmark::State& state) {
+  struct Record {
+    Time sent = -1;
+  };
+  constexpr std::uint64_t kUids = std::uint64_t{1} << 16;
+  const auto window = static_cast<std::uint64_t>(state.range(0));
+  Rng rng(1);
+  UidIndex<Record> ledger;
+  std::uint64_t next = 1;
+  for (auto _ : state) {
+    if (next > kUids) {
+      ledger = UidIndex<Record>{};
+      next = 1;
+    }
+    ledger[next].sent = static_cast<Time>(next);
+    const std::uint64_t back = rng.index(std::min(window, next));
+    benchmark::DoNotOptimize(ledger.find(next - back));
+    ++next;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_UidIndex)->Arg(16)->Arg(4096);
+
+// The flight recorder's latency histogram: one add() per iteration of a
+// latency drawn log-uniformly from 1 ns to ~1 ms, so every octave's
+// buckets are in play.
+void BM_LogHistogram(benchmark::State& state) {
+  Rng rng(1);
+  std::vector<std::int64_t> latencies(4096);
+  for (std::int64_t& v : latencies) {
+    v = std::int64_t{1} << rng.uniform(0, 19);
+    v += rng.uniform(0, v);
+  }
+  LogHistogram h;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    h.add(latencies[k++ & (latencies.size() - 1)]);
+  }
+  benchmark::DoNotOptimize(h.p99());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LogHistogram);
+
+// WindowMeter::measure, the per-event pass every online checker makes, on
+// a recorded register run: one event per iteration, cycling through the
+// trace with one meter (later passes re-measure the same uids).
+enum class MeterTrace { kClock, kMmt };
+
+void BM_WindowMeterMeasure(benchmark::State& state, MeterTrace model) {
+  RwRunConfig cfg = bench_config();
+  cfg.ops_per_node = 8;
+  const ZigzagDrift drift(0.25);
+  const RwRunResult run =
+      model == MeterTrace::kClock
+          ? run_rw_clock(cfg, drift)
+          : run_rw_mmt(cfg, drift, microseconds(5), cfg.num_nodes + 2);
+  const TimedTrace& events = run.events;
+  WindowMeter meter;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(&meter.measure(events[k]));
+    if (++k == events.size()) k = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel("events=" + std::to_string(events.size()));
+}
+BENCHMARK_CAPTURE(BM_WindowMeterMeasure, rw_clock, MeterTrace::kClock);
+BENCHMARK_CAPTURE(BM_WindowMeterMeasure, rw_mmt, MeterTrace::kMmt);
 
 void BM_GammaConstruction(benchmark::State& state) {
   RwRunConfig cfg = bench_config();

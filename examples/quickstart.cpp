@@ -34,7 +34,7 @@ class Pinger final : public Machine {
               << format_time(t) << "\n";
   }
   // Preconditions: overwrite `out` with the local actions enabled at t.
-  void enabled_into(Time t, std::vector<Action>& out) const override {
+  void enabled_into(Time t, Candidates& out) const override {
     out.clear();
     if (remaining_ > 0 && t >= next_) {
       out.push_back(make_send(node_, peer_, make_message("PING")));
@@ -71,7 +71,7 @@ class Responder final : public Machine {
     decl.output("SENDMSG", node_);
   }
   void apply_input(const Action&, Time) override { ++owed_; }
-  void enabled_into(Time, std::vector<Action>& out) const override {
+  void enabled_into(Time, Candidates& out) const override {
     out.clear();
     if (owed_ > 0) out.push_back(make_send(node_, peer_, make_message("PONG")));
   }

@@ -41,7 +41,7 @@ void ElectionNode::apply_input(const Action& a, Time /*now*/) {
   if (!claimed_ && claimer > params_.node) suppressed_ = true;
 }
 
-void ElectionNode::enabled_into(Time now, std::vector<Action>& out) const {
+void ElectionNode::enabled_into(Time now, Candidates& out) const {
   out.clear();
   const int i = params_.node;
   // Claim our slot (internal): nobody higher spoke before it arrived.
@@ -73,7 +73,7 @@ void ElectionNode::apply_local(const Action& a, Time now) {
     for (int j = 0; j < params_.num_nodes; ++j) {
       if (j != i) send_targets_.push_back(j);
     }
-  } else if (a.name == "SENDMSG") {
+  } else if (a.name == names::kSendMsg) {
     auto it = std::find(send_targets_.begin(), send_targets_.end(), a.peer);
     PSC_CHECK(it != send_targets_.end(), "duplicate claim send");
     send_targets_.erase(it);

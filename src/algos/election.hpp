@@ -46,7 +46,7 @@ class ElectionNode final : public Machine {
 
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
-  void enabled_into(Time now, std::vector<Action>& out) const override;
+  void enabled_into(Time now, Candidates& out) const override;
   void apply_local(const Action& a, Time now) override;
   Time upper_bound(Time now) const override;
   Time next_enabled(Time now) const override;

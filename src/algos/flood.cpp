@@ -55,15 +55,15 @@ void FloodNode::apply_input(const Action& a, Time /*now*/) {
   to_deliver_.push_back(p);
 }
 
-void FloodNode::enabled_into(Time now, std::vector<Action>& out) const {
-  // All the action and message names here fit in std::string's inline
-  // buffer and the args / payload vectors are refilled in place, so a
-  // node's steady-state re-poll allocates nothing. SENDMSG slots are offered
-  // unnamed (uid 0): a recycled slot may hold the last event's named action.
-  std::size_t n = 0;
+void FloodNode::enabled_into(Time now, Candidates& out) const {
+  // The message kind fits in std::string's inline buffer and the args /
+  // payload vectors are refilled in place, so a node's steady-state re-poll
+  // allocates nothing. SENDMSG slots are offered unnamed (uid 0): a
+  // recycled slot may hold the last event's named action.
+  out.clear();
   const int i = params_.node;
   const auto put_deliver = [&](std::int64_t p) {
-    Action& a = candidate_slot(out, n++, "DELIVER", i);
+    Action& a = out.slot(names::kDeliver, i);
     a.args.emplace_back(p);
     a.msg.reset();
   };
@@ -71,7 +71,7 @@ void FloodNode::enabled_into(Time now, std::vector<Action>& out) const {
   for (const std::int64_t p : due_waves(now)) put_deliver(p);
   for (const Relay& r : relays_) {
     for (int j : r.targets) {
-      Action& a = candidate_slot(out, n++, "SENDMSG", i, j);
+      Action& a = out.slot(names::kSendMsg, i, j);
       Message& m = a.msg ? *a.msg : a.msg.emplace();
       m.kind.assign("FLOOD");
       m.fields.clear();
@@ -81,13 +81,12 @@ void FloodNode::enabled_into(Time now, std::vector<Action>& out) const {
     }
   }
   if (params_.source && !announced_ && now >= complete_at()) {
-    candidate_slot(out, n++, "COMPLETE", i).msg.reset();
+    out.slot(names::kComplete, i).msg.reset();
   }
-  out.resize(n);
 }
 
 void FloodNode::apply_local(const Action& a, Time now) {
-  if (a.name == "DELIVER") {
+  if (a.name == names::kDeliver) {
     const std::int64_t p = as_int(a.args.at(0));
     const auto it = std::find(to_deliver_.begin(), to_deliver_.end(), p);
     if (it != to_deliver_.end()) {
@@ -101,7 +100,7 @@ void FloodNode::apply_local(const Action& a, Time now) {
     }
     ++delivered_;
     relays_.push_back({p, params_.peers});
-  } else if (a.name == "SENDMSG") {
+  } else if (a.name == names::kSendMsg) {
     PSC_CHECK(a.msg.has_value(), "SENDMSG without message");
     const std::int64_t p = as_int(a.msg->fields.at(0));
     const auto rit =
@@ -112,7 +111,7 @@ void FloodNode::apply_local(const Action& a, Time now) {
     PSC_CHECK(tit != rit->targets.end(), "duplicate relay");
     rit->targets.erase(tit);
     if (rit->targets.empty()) relays_.erase(rit);
-  } else if (a.name == "COMPLETE") {
+  } else if (a.name == names::kComplete) {
     PSC_CHECK(params_.source && !announced_ && now >= complete_at(),
               "COMPLETE out of turn");
     announced_ = true;
@@ -179,10 +178,10 @@ bool flood_safe(const TimedTrace& trace, int n, int waves) {
   Time first_complete = kTimeMax;
   int delivers = 0;
   for (const auto& e : trace) {
-    if (e.action.name == "DELIVER") {
+    if (e.action.name == names::kDeliver) {
       ++delivers;
       last_deliver = std::max(last_deliver, e.time);
-    } else if (e.action.name == "COMPLETE") {
+    } else if (e.action.name == names::kComplete) {
       first_complete = std::min(first_complete, e.time);
     }
   }

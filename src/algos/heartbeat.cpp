@@ -28,7 +28,7 @@ void HeartbeatSender::apply_input(const Action& a, Time /*now*/) {
   crashed_ = true;
 }
 
-void HeartbeatSender::enabled_into(Time now, std::vector<Action>& out) const {
+void HeartbeatSender::enabled_into(Time now, Candidates& out) const {
   out.clear();
   if (!crashed_ && now >= next_beat_) {
     out.push_back(make_send(node_, peer_, make_message("HEARTBEAT")));
@@ -76,7 +76,7 @@ void HeartbeatMonitor::apply_input(const Action& a, Time now) {
   if (!suspected_) deadline_ = now + timeout_;
 }
 
-void HeartbeatMonitor::enabled_into(Time now, std::vector<Action>& out) const {
+void HeartbeatMonitor::enabled_into(Time now, Candidates& out) const {
   out.clear();
   if (!suspected_ && now >= deadline_) {
     out.push_back(

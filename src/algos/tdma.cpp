@@ -36,7 +36,7 @@ void TdmaMutex::apply_input(const Action& a, Time /*now*/) {
   PSC_CHECK(false, "TDMA mutex has no inputs: " << to_string(a));
 }
 
-void TdmaMutex::enabled_into(Time now, std::vector<Action>& out) const {
+void TdmaMutex::enabled_into(Time now, Candidates& out) const {
   out.clear();
   const int i = params_.node;
   if (!holding_ && leases_ < params_.max_leases && now >= grant_at_) {

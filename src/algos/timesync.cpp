@@ -23,7 +23,7 @@ void TimeServer::apply_input(const Action& a, Time /*clock*/) {
   pending_.push_back({a.peer, as_int(a.msg->fields.at(0))});
 }
 
-void TimeServer::enabled_into(Time clock, std::vector<Action>& out) const {
+void TimeServer::enabled_into(Time clock, Candidates& out) const {
   out.clear();
   for (const auto& p : pending_) {
     out.push_back(make_send(
@@ -86,7 +86,7 @@ void SyncClient::apply_input(const Action& a, Time clock) {
   next_probe_ = clock + period_;
 }
 
-void SyncClient::enabled_into(Time clock, std::vector<Action>& out) const {
+void SyncClient::enabled_into(Time clock, Candidates& out) const {
   out.clear();
   if (!awaiting_ && sent_ < count_ && clock >= next_probe_) {
     out.push_back(make_send(

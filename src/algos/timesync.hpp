@@ -29,7 +29,7 @@ class TimeServer final : public Machine {
 
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time clock) override;
-  void enabled_into(Time clock, std::vector<Action>& out) const override;
+  void enabled_into(Time clock, Candidates& out) const override;
   void apply_local(const Action& a, Time clock) override;
   Time upper_bound(Time clock) const override;
 
@@ -62,7 +62,7 @@ class SyncClient final : public Machine {
 
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time clock) override;
-  void enabled_into(Time clock, std::vector<Action>& out) const override;
+  void enabled_into(Time clock, Candidates& out) const override;
   void apply_local(const Action& a, Time clock) override;
   Time upper_bound(Time clock) const override;
   Time next_enabled(Time clock) const override;

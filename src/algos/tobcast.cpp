@@ -61,7 +61,7 @@ std::size_t TobcastNode::next_due(Time now) const {
   return best;
 }
 
-void TobcastNode::enabled_into(Time now, std::vector<Action>& out) const {
+void TobcastNode::enabled_into(Time now, Candidates& out) const {
   out.clear();
   const int i = params_.node;
   for (const auto& o : outgoing_) {
@@ -81,7 +81,7 @@ void TobcastNode::enabled_into(Time now, std::vector<Action>& out) const {
 }
 
 void TobcastNode::apply_local(const Action& a, Time now) {
-  if (a.name == "SENDMSG") {
+  if (a.name == names::kSendMsg) {
     const Time ts = as_int(a.msg->fields.at(1));
     const std::int64_t seq = as_int(a.msg->fields.at(2));
     auto it = std::find_if(outgoing_.begin(), outgoing_.end(),

@@ -388,7 +388,7 @@ void CertificateProbe::on_event(const TimedEvent& e, const Machine&) {
         << " on " << e.action.peer << " -> " << e.action.node
         << " outside its certificate [" << format_time(ec.clock.lo) << ", "
         << format_time(ec.clock.hi) << "]";
-    emit(DiagCode::kOutsideCertificate, msg.str(), e.action.name, e.time);
+    emit(DiagCode::kOutsideCertificate, msg.str(), e.action.name.str(), e.time);
     return;
   }
   // Physical delivery (timed RECVMSG or Simulation 1 ERECVMSG): real
@@ -399,7 +399,7 @@ void CertificateProbe::on_event(const TimedEvent& e, const Machine&) {
       << e.action.node << " in " << format_time(d.latency)
       << ", outside its certificate [" << format_time(ec.real.lo) << ", "
       << format_time(ec.real.hi) << "]";
-  emit(DiagCode::kOutsideCertificate, msg.str(), e.action.name, e.time);
+  emit(DiagCode::kOutsideCertificate, msg.str(), e.action.name.str(), e.time);
 }
 
 }  // namespace psc

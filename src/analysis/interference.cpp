@@ -85,7 +85,7 @@ InterferenceGraph build_interference_graph(
   }
 
   // --- edges via the name-bucketed input index ----------------------------
-  std::unordered_map<std::string, InputBucket> buckets;
+  std::unordered_map<ActionName, InputBucket> buckets;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     InputBucket& b = buckets[inputs[i].entry.name];
     if (inputs[i].entry.node == kAnyNode) {
@@ -97,14 +97,14 @@ InterferenceGraph build_interference_graph(
 
   // One edge per (from, to, kind name); names per machine pair stay tiny,
   // so the dedup check is a short vector scan.
-  std::unordered_map<std::uint64_t, std::vector<std::string>> edge_names;
+  std::unordered_map<std::uint64_t, std::vector<ActionName>> edge_names;
   const auto add_edge = [&](std::size_t from, std::size_t to,
                             const SignatureDecl::Entry& local,
                             const SignatureDecl::Entry& input) {
     if (from == to) return;  // self-routing is a composite's inside
     const std::uint64_t key =
         (static_cast<std::uint64_t>(from) << 32) | static_cast<std::uint32_t>(to);
-    std::vector<std::string>& names = edge_names[key];
+    std::vector<ActionName>& names = edge_names[key];
     if (std::find(names.begin(), names.end(), local.name) != names.end()) {
       return;
     }
@@ -112,7 +112,7 @@ InterferenceGraph build_interference_graph(
     FootprintEdge e;
     e.from = from;
     e.to = to;
-    e.name = local.name;
+    e.name = local.name.str();
     e.node = local.node != kAnyNode ? local.node : input.node;
     e.peer = local.peer != kAnyNode ? local.peer : input.peer;
     const FootprintNode& producer = g.nodes[from];

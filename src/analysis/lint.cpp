@@ -17,7 +17,7 @@ std::string field_str(int v) {
 }
 
 std::string kind_str(const SignatureDecl::Entry& e) {
-  return e.name + "(" + field_str(e.node) + "," + field_str(e.peer) + ")";
+  return e.name.str() + "(" + field_str(e.node) + "," + field_str(e.peer) + ")";
 }
 
 struct DeclaredEntry {
@@ -35,7 +35,7 @@ struct EntryIndex {
     std::unordered_map<int, std::vector<std::size_t>> by_node;
     std::size_t first = 0;  // earliest entry index carrying this name
   };
-  std::unordered_map<std::string, Bucket> by_name;
+  std::unordered_map<ActionName, Bucket> by_name;
 
   explicit EntryIndex(const std::vector<DeclaredEntry>& entries) {
     for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -52,7 +52,7 @@ struct EntryIndex {
 
   // Candidate entries whose node field can unify with `probe`'s; the name
   // match is implied by the bucket. Returns nullptr when the name is absent.
-  const Bucket* bucket(const std::string& name) const {
+  const Bucket* bucket(ActionName name) const {
     auto it = by_name.find(name);
     return it == by_name.end() ? nullptr : &it->second;
   }

@@ -2,16 +2,6 @@
 
 namespace psc {
 
-MsgClass WindowMeter::resolve(const TimedEvent& e) {
-  const MsgClass cls = msg_class(e.action.name);
-  if (e.kind >= 0) {
-    const auto kid = static_cast<std::size_t>(e.kind);
-    if (kid >= kind_class_.size()) kind_class_.resize(kid + 1, kUnresolved);
-    kind_class_[kid] = static_cast<std::uint8_t>(cls);
-  }
-  return cls;
-}
-
 void WindowMeter::deliver(const TimedEvent& e, MsgClass cls, Delivery& d) {
   const Message& msg = *e.action.msg;
   d.uid = msg.uid;

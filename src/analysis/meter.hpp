@@ -13,8 +13,9 @@
 //   - the MMT boundmap gaps (Def 5.1): a node's TICK gap and the step gap
 //     of an owner recognized as an MMT node by its MMTSTEP.
 //
-// The meter owns the only per-message record, per-kind name-class memo
-// and last-tick / last-step state of the online checkers. TraceChecker
+// The meter owns the only per-message record and last-tick / last-step
+// state of the online checkers; an event's name class is its interned
+// name's (ActionName::msg_class, core/action.hpp). TraceChecker
 // (pass/fail with a grid tolerance), BoundSlackProbe (BoundWindow::slack
 // histograms) and CertificateProbe (per-edge certificates) each hold one
 // and only evaluate their windows on its output.
@@ -24,9 +25,6 @@
 // tag before the RECVMSG release, so the release is measured against the
 // tag as delivered).
 //
-// Kind ids are per run, so one meter must only ever measure one
-// executor's events; events without a kind id (hand-built traces, the
-// test-side reference loop) are classified by name.
 #pragma once
 
 #include <cstddef>
@@ -73,8 +71,8 @@ class WindowMeter {
   // Events must arrive in execution order; the result is valid until the
   // next call. Every online checker calls this on every event, so the
   // result is written in place (value-initializing a fresh one per event
-  // cost more than the measuring) and only a kind's first sighting and the
-  // message legs run out of line.
+  // cost more than the measuring) and only the message legs run out of
+  // line.
   const Measurement& measure(const TimedEvent& e) {
     Measurement& m = last_;
     m.skew = e.clock != kNoClockTag ? std::optional<Duration>(e.clock - e.time)
@@ -84,7 +82,7 @@ class WindowMeter {
     m.step_gap.reset();
     const bool msg = e.action.msg.has_value();
     if (!msg && !mmt_gaps_) return m;
-    const MsgClass cls = classify(e);
+    const MsgClass cls = e.action.name.msg_class();
     if (msg && is_msg_leg(cls)) deliver(e, cls, m.delivery);
     if (mmt_gaps_) gaps(e, cls, m);
     return m;
@@ -101,19 +99,6 @@ class WindowMeter {
     bool mmt = false;
   };
 
-  // kind_class_ slot not yet resolved (no MsgClass has this value).
-  static constexpr std::uint8_t kUnresolved = 0xff;
-
-  MsgClass classify(const TimedEvent& e) {
-    const auto kid = static_cast<std::size_t>(e.kind);
-    if (e.kind >= 0 && kid < kind_class_.size() &&
-        kind_class_[kid] != kUnresolved) {
-      return static_cast<MsgClass>(kind_class_[kid]);
-    }
-    return resolve(e);
-  }
-  // classify's slow path: events without a kind id, and first sightings.
-  MsgClass resolve(const TimedEvent& e);
   // Sets d.uid, and d.leg with its fields for a delivery.
   void deliver(const TimedEvent& e, MsgClass cls, Delivery& d);
 
@@ -139,7 +124,6 @@ class WindowMeter {
 
   bool mmt_gaps_;
   Measurement last_;
-  std::vector<std::uint8_t> kind_class_;  // ActionKindId -> MsgClass memo
   UidIndex<MsgRecord> msgs_;
   std::vector<Time> last_tick_;          // node -> last TICK time
   std::vector<OwnerSteps> owner_steps_;  // owner -> step state

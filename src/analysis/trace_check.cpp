@@ -37,7 +37,7 @@ void TraceChecker::observe(const TimedEvent& e) {
           << format_time(e.time) << " (skew "
           << format_time(std::llabs(*m.skew)) << " > band "
           << format_time(w.hi + opts_.slack) << ")";
-      emit(DiagCode::kClockDrift, msg.str(), e.action.name, e.time);
+      emit(DiagCode::kClockDrift, msg.str(), e.action.name.str(), e.time);
     }
   }
   if (m.delivery.leg != Delivery::Leg::kNone) check_delivery(e, m.delivery);
@@ -46,15 +46,15 @@ void TraceChecker::observe(const TimedEvent& e) {
 }
 
 void TraceChecker::check_delivery(const TimedEvent& e, const Delivery& d) {
-  const std::string& name = e.action.name;
+  const ActionName name = e.action.name;
   switch (d.leg) {
     case Delivery::Leg::kUnmatched:
       emit(DiagCode::kUnknownDelivery,
-           name + " of uid " + std::to_string(d.uid) +
-               (msg_class(name) == MsgClass::kERecv
+           name.str() + " of uid " + std::to_string(d.uid) +
+               (name.msg_class() == MsgClass::kERecv
                     ? " with no matching ESENDMSG"
                     : " with no matching send"),
-           name, e.time);
+           name.str(), e.time);
       return;
     case Delivery::Leg::kTimed:
     case Delivery::Leg::kPhysical: {
@@ -67,7 +67,7 @@ void TraceChecker::check_delivery(const TimedEvent& e, const Delivery& d) {
         msg << "uid " << d.uid << " delivered after "
             << format_time(d.latency) << ", outside [" << format_time(w.lo)
             << ", " << format_time(w.hi) << "]";
-        emit(DiagCode::kDeliveryWindow, msg.str(), name, e.time);
+        emit(DiagCode::kDeliveryWindow, msg.str(), name.str(), e.time);
       }
       return;
     }
@@ -79,7 +79,7 @@ void TraceChecker::check_delivery(const TimedEvent& e, const Delivery& d) {
         msg << "uid " << d.uid << " released at receiver clock "
             << format_time(e.clock) << " before its send tag "
             << format_time(d.tag);
-        emit(DiagCode::kEarlyRelease, msg.str(), name, e.time);
+        emit(DiagCode::kEarlyRelease, msg.str(), name.str(), e.time);
       }
       // PSC104: Theorem 4.7 — in the simulated timed execution, clock-time
       // delivery latency lies in [max(d1 - 2eps, 0), d2 + 2eps].
@@ -90,7 +90,7 @@ void TraceChecker::check_delivery(const TimedEvent& e, const Delivery& d) {
         msg << "uid " << d.uid << " clock-time latency "
             << format_time(d.latency) << " outside [" << format_time(w.lo)
             << ", " << format_time(w.hi) << "]";
-        emit(DiagCode::kWidenedWindow, msg.str(), name, e.time);
+        emit(DiagCode::kWidenedWindow, msg.str(), name.str(), e.time);
       }
       return;
     }
@@ -115,7 +115,7 @@ void TraceChecker::check_gaps(const TimedEvent& e, const Measurement& m) {
     std::ostringstream msg;
     msg << "MMT node (owner " << e.owner << ") step gap "
         << format_time(*m.step_gap) << " > ell " << format_time(opts_.ell);
-    emit(DiagCode::kBoundmapOverrun, msg.str(), e.action.name, e.time);
+    emit(DiagCode::kBoundmapOverrun, msg.str(), e.action.name.str(), e.time);
   }
 }
 

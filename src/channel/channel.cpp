@@ -77,7 +77,7 @@ std::unique_ptr<DelayPolicy> DelayPolicy::fixed(Duration d) {
 
 Channel::Channel(int i, int j, Duration d1, Duration d2,
                  std::unique_ptr<DelayPolicy> policy, Rng rng,
-                 std::string send_name, std::string recv_name)
+                 ActionName send_name, ActionName recv_name)
     : Machine("E_" + std::to_string(i) + "," + std::to_string(j)),
       i_(i),
       j_(j),
@@ -85,8 +85,8 @@ Channel::Channel(int i, int j, Duration d1, Duration d2,
       d2_(d2),
       policy_(std::move(policy)),
       rng_(rng),
-      send_name_(std::move(send_name)),
-      recv_name_(std::move(recv_name)) {
+      send_name_(send_name),
+      recv_name_(recv_name) {
   PSC_CHECK(0 <= d1_ && d1_ <= d2_, "bad delay bounds [" << d1_ << "," << d2_
                                                          << "]");
   PSC_CHECK(policy_ != nullptr, "channel needs a delay policy");
@@ -113,21 +113,19 @@ void Channel::apply_input(const Action& a, Time t) {
   ++stats_.sent;
 }
 
-void Channel::enabled_into(Time t, std::vector<Action>& out) const {
-  // In the steady state a channel's due set has a stable size, so the
-  // RECVMSG name, the args vector and the Message payload buffers are all
-  // reused in place and the scheduler's re-poll performs no allocation.
-  std::size_t n = 0;
+void Channel::enabled_into(Time t, Candidates& out) const {
+  // The retained candidates keep their Message payload buffers, so the
+  // scheduler's re-poll copies into them instead of allocating.
+  out.clear();
   for (const auto& f : buffer_) {
     if (f.deliver_at <= t) {
       // Figure 1 precondition: t in [sent+d1, sent+d2]; deliver_at was
       // sampled inside that window and upper_bound() stops time at it.
       // Assigning to an engaged optional copy-assigns the Message, which
       // reuses its kind/fields capacity.
-      candidate_slot(out, n++, recv_name_, j_, i_).msg = f.msg;
+      out.slot(recv_name_, j_, i_).msg = f.msg;
     }
   }
-  out.resize(n);
 }
 
 void Channel::apply_local(const Action& a, Time t) {

@@ -60,12 +60,12 @@ class Channel final : public Machine {
   // (SENDMSG/RECVMSG) or the clock-model interface (ESENDMSG/ERECVMSG).
   Channel(int i, int j, Duration d1, Duration d2,
           std::unique_ptr<DelayPolicy> policy, Rng rng,
-          std::string send_name = "SENDMSG",
-          std::string recv_name = "RECVMSG");
+          ActionName send_name = names::kSendMsg,
+          ActionName recv_name = names::kRecvMsg);
 
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
-  void enabled_into(Time t, std::vector<Action>& out) const override;
+  void enabled_into(Time t, Candidates& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;
@@ -96,7 +96,7 @@ class Channel final : public Machine {
   Duration d1_, d2_;
   std::unique_ptr<DelayPolicy> policy_;
   Rng rng_;
-  std::string send_name_, recv_name_;
+  ActionName send_name_, recv_name_;
   std::vector<InFlight> buffer_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t delivered_hwm_ = 0;  // highest seq delivered so far

@@ -16,21 +16,21 @@ const char* to_string(ActionRole role) {
   return "?";
 }
 
-void SignatureDecl::add(std::string name, int node, int peer,
+void SignatureDecl::add(ActionName name, int node, int peer,
                         ActionRole role) {
-  entries_.push_back(Entry{std::move(name), node, peer, role});
+  entries_.push_back(Entry{name, node, peer, role});
 }
 
-void SignatureDecl::input(std::string name, int node, int peer) {
-  add(std::move(name), node, peer, ActionRole::kInput);
+void SignatureDecl::input(ActionName name, int node, int peer) {
+  add(name, node, peer, ActionRole::kInput);
 }
 
-void SignatureDecl::output(std::string name, int node, int peer) {
-  add(std::move(name), node, peer, ActionRole::kOutput);
+void SignatureDecl::output(ActionName name, int node, int peer) {
+  add(name, node, peer, ActionRole::kOutput);
 }
 
-void SignatureDecl::internal(std::string name, int node, int peer) {
-  add(std::move(name), node, peer, ActionRole::kInternal);
+void SignatureDecl::internal(ActionName name, int node, int peer) {
+  add(name, node, peer, ActionRole::kInternal);
 }
 
 const SignatureDecl& Machine::declare_and_cache() const {

@@ -48,13 +48,12 @@ const char* to_string(ActionRole role);
 class SignatureDecl {
  public:
   struct Entry {
-    std::string name;
+    ActionName name;
     int node = kAnyNode;
     int peer = kAnyNode;
     ActionRole role = ActionRole::kNotMine;
 
-    // Whether `a` is of a kind this entry matches. The int fields are
-    // compared first, so most misses cost no string compare.
+    // Whether `a` is of a kind this entry matches.
     bool matches(const Action& a) const {
       return (node == kAnyNode || node == a.node) &&
              (peer == kAnyNode || peer == a.peer) && name == a.name;
@@ -72,10 +71,10 @@ class SignatureDecl {
     }
   };
 
-  void input(std::string name, int node = kAnyNode, int peer = kAnyNode);
-  void output(std::string name, int node = kAnyNode, int peer = kAnyNode);
-  void internal(std::string name, int node = kAnyNode, int peer = kAnyNode);
-  void add(std::string name, int node, int peer, ActionRole role);
+  void input(ActionName name, int node = kAnyNode, int peer = kAnyNode);
+  void output(ActionName name, int node = kAnyNode, int peer = kAnyNode);
+  void internal(ActionName name, int node = kAnyNode, int peer = kAnyNode);
+  void add(ActionName name, int node, int peer, ActionRole role);
 
   const std::vector<Entry>& entries() const { return entries_; }
 
@@ -167,17 +166,18 @@ class Machine {
 
   // Overwrites `out` with the locally controlled actions whose
   // preconditions hold at time t, in the machine's candidate order (the
-  // adversary's pick order depends on it). `out` holds whatever the last
-  // poll left there, so a machine can recycle its heap blocks (strings, arg
-  // vectors, message fields) across polls instead of rebuilding them — the
-  // scheduler's steady state then performs no malloc/free per event.
-  virtual void enabled_into(Time t, std::vector<Action>& out) const = 0;
+  // adversary's pick order depends on it). `out` retains the Actions
+  // earlier polls left there (see Candidates in core/action.hpp): a machine
+  // that fills it through out.slot() reuses their arg vectors and message
+  // blocks instead of allocating, and one that uses clear() + push_back
+  // copies into them.
+  virtual void enabled_into(Time t, Candidates& out) const = 0;
 
   // The same list in a fresh vector, for callers that poll once.
   std::vector<Action> enabled(Time t) const {
-    std::vector<Action> out;
+    Candidates out;
     enabled_into(t, out);
-    return out;
+    return out.to_vector();
   }
 
   // Effect of a locally controlled action previously reported by
@@ -208,7 +208,7 @@ class Machine {
   // methods only on machines with more than one part.
   virtual std::size_t part_count() const { return 1; }
   virtual void part_enabled_into(std::size_t /*part*/, Time t,
-                                 std::vector<Action>& out) const {
+                                 Candidates& out) const {
     enabled_into(t, out);
   }
   virtual Time part_next_enabled(std::size_t /*part*/, Time t) const {

@@ -24,8 +24,8 @@ struct TimedEvent {
   // The executor's interned id for action's (name, node, peer) kind, when
   // the event came off the interned scheduler path; kNoKind otherwise (the
   // test-side reference loop, or events built by hand in tests). Ids are local
-  // to one executor run — consumers must treat this as a per-run cache key
-  // for string dispatch, never as a stable identity across runs.
+  // to one executor run — consumers must treat this as a per-run cache key,
+  // never as a stable identity across runs.
   ActionKindId kind = kNoKind;
 };
 

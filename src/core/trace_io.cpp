@@ -12,7 +12,7 @@ namespace {
 
 // Escapes spaces/backslashes/colons in strings so tokens stay whitespace-
 // separated and field-separators unambiguous.
-std::string escape(const std::string& s) {
+std::string escape(std::string_view s) {
   std::string out;
   for (const char ch : s) {
     switch (ch) {
@@ -215,7 +215,7 @@ TimedTrace trace_from_text(const std::string& text) {
 
 namespace {
 
-void write_json_string(std::ostream& os, const std::string& s) {
+void write_json_string(std::ostream& os, std::string_view s) {
   os << '"';
   for (const char ch : s) {
     switch (ch) {

@@ -28,8 +28,9 @@ Duration MmtNode::draw_gap() {
 }
 
 void MmtNode::declare_signature(SignatureDecl& decl) const {
-  const SignatureDecl::Entry tick{"TICK", node_, kAnyNode, ActionRole::kInput};
-  const SignatureDecl::Entry step{"MMTSTEP", node_, kAnyNode,
+  const SignatureDecl::Entry tick{names::kTick, node_, kAnyNode,
+                                  ActionRole::kInput};
+  const SignatureDecl::Entry step{names::kMmtStep, node_, kAnyNode,
                                   ActionRole::kInternal};
   decl.add(tick.name, tick.node, tick.peer, tick.role);
   decl.add(step.name, step.node, step.peer, step.role);
@@ -86,7 +87,9 @@ void MmtNode::catch_up(Time t) {
       const ActionRole role = inner_->classify(a);
       inner_local(a);
       if (role == ActionRole::kOutput) {
-        pending_.push_back({a, t});
+        PendingOutput& p = pending_.push_back();
+        p.action = a;
+        p.enqueued_at = t;
         stats_.max_pending = std::max(stats_.max_pending, pending_.size());
       }
     }
@@ -103,7 +106,7 @@ void MmtNode::catch_up(Time t) {
 }
 
 void MmtNode::apply_input(const Action& a, Time t) {
-  if (a.name == "TICK") {
+  if (a.name == names::kTick) {
     const Time c = as_int(a.args.at(0));
     // Clock values are monotone; a stale tick (possible only through
     // adversarial scheduling at equal times) is ignored.
@@ -120,25 +123,24 @@ void MmtNode::apply_input(const Action& a, Time t) {
   inner_input(a);
 }
 
-void MmtNode::enabled_into(Time t, std::vector<Action>& out) const {
-  std::size_t n = 0;
+void MmtNode::enabled_into(Time t, Candidates& out) const {
+  out.clear();
   if (t >= next_step_) {
     if (!pending_.empty()) {
       const Action& p = pending_.front().action;
-      Action& a = candidate_slot(out, n++, p.name, p.node, p.peer);
+      Action& a = out.slot(p.name, p.node, p.peer);
       a.args = p.args;
       a.msg = p.msg;
     } else {
-      candidate_slot(out, n++, "MMTSTEP", node_).msg.reset();
+      out.slot(names::kMmtStep, node_).msg.reset();
     }
   }
-  out.resize(n);
 }
 
 void MmtNode::apply_local(const Action& a, Time t) {
   PSC_CHECK(t >= next_step_, "MMT step fired early");
   ++stats_.steps;
-  if (a.name == "MMTSTEP") {
+  if (a.name == names::kMmtStep) {
     PSC_CHECK(pending_.empty(), "tau step with pending outputs");
     catch_up(t);
   } else {

@@ -46,10 +46,10 @@
 // rejects both with a CheckError.
 #pragma once
 
-#include <deque>
 #include <memory>
 
 #include "core/machine.hpp"
+#include "util/recycling_queue.hpp"
 #include "util/rng.hpp"
 
 namespace psc {
@@ -76,7 +76,7 @@ class MmtNode final : public Machine {
 
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
-  void enabled_into(Time t, std::vector<Action>& out) const override;
+  void enabled_into(Time t, Candidates& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;
@@ -134,8 +134,8 @@ class MmtNode final : public Machine {
   Time inner_wake_ = 0;
   bool inner_dirty_ = true;
   // The catch-up's recycled candidate buffer.
-  std::vector<Action> scratch_;
-  std::deque<PendingOutput> pending_;
+  Candidates scratch_;
+  RecyclingQueue<PendingOutput> pending_;
   MmtNodeStats stats_;
 };
 

@@ -35,14 +35,13 @@ void TickSource::apply_input(const Action& a, Time /*t*/) {
   PSC_CHECK(false, "TickSource has no inputs: " << to_string(a));
 }
 
-void TickSource::enabled_into(Time t, std::vector<Action>& out) const {
-  std::size_t n = 0;
+void TickSource::enabled_into(Time t, Candidates& out) const {
+  out.clear();
   if (t >= next_tick_) {
-    Action& a = candidate_slot(out, n++, "TICK", node_);
+    Action& a = out.slot(names::kTick, node_);
     a.args.emplace_back(traj_->clock_at(t));
     a.msg.reset();
   }
-  out.resize(n);
 }
 
 void TickSource::apply_local(const Action& /*a*/, Time t) {

@@ -29,7 +29,7 @@ const char* to_string(EdgeKind k) {
 
 void MessageIndex::observe(const TimedEvent& e, SpanId span) {
   if (!e.action.msg.has_value()) return;
-  const MsgClass stage = msg_class(e.action.name);
+  const MsgClass stage = e.action.name.msg_class();
   if (!is_msg_leg(stage)) return;
   Record& rec = map_[e.action.msg->uid];
   if ((stage == MsgClass::kSend || stage == MsgClass::kESend) &&
@@ -51,10 +51,10 @@ const MessageIndex::Record* MessageIndex::find(std::uint64_t uid) const {
 
 // --- CausalDag ------------------------------------------------------------
 
-std::uint32_t CausalDag::intern_name(const std::string& n) {
+std::uint32_t CausalDag::intern_name(ActionName n) {
   const auto [it, fresh] =
       name_ids_.emplace(n, static_cast<std::uint32_t>(names_.size()));
-  if (fresh) names_.push_back(n);
+  if (fresh) names_.push_back(n.str());
   return it->second;
 }
 
@@ -225,7 +225,7 @@ void CausalTraceProbe::on_event(const TimedEvent& e, const Machine& owner) {
   // [0, ell] step schedule (fed by TICKs), so the wait their outputs spent
   // in the pending queue is tick/step time, not algorithm time.
   if (proc >= last_in_proc_.size()) last_in_proc_.resize(proc + 1, kNoSpan);
-  const MsgClass stage = msg_class(e.action.name);
+  const MsgClass stage = e.action.name.msg_class();
   if (last_in_proc_[proc] != kNoSpan) {
     CausalEdge pe;
     pe.from = last_in_proc_[proc];

@@ -179,14 +179,14 @@ class CausalDag {
   void stamp(SpanId to);
 
  private:
-  std::uint32_t intern_name(const std::string& n);
+  std::uint32_t intern_name(ActionName n);
   std::uint32_t intern_proc(int node, int owner);
 
   std::vector<CausalSpan> spans_;
   std::vector<std::vector<CausalEdge>> preds_;
   std::vector<std::vector<std::uint32_t>> vcs_;
   std::vector<std::string> names_;
-  std::unordered_map<std::string, std::uint32_t> name_ids_;
+  std::unordered_map<ActionName, std::uint32_t> name_ids_;
   std::unordered_map<std::int64_t, std::uint32_t> proc_ids_;
   std::size_t procs_ = 0;
 };

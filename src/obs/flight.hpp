@@ -536,7 +536,7 @@ class FlightRecorder {
     std::uint16_t step_id = 0;
   };
 
-  NameRef name_ref(const std::string& name) {
+  NameRef name_ref(std::string_view name) {
     const std::size_t h =
         (name.size() * 7 +
          (name.empty() ? 0u : static_cast<unsigned char>(name.front()))) &

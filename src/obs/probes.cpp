@@ -140,7 +140,7 @@ void Sim1BufferProbe::on_event(const TimedEvent& e, const Machine& /*owner*/) {
   // ERECVMSG: the channel handed (m, c) to the node; the receive buffer may
   // hold it until the local clock reaches c. RECVMSG with the same uid is
   // the release to the algorithm; the difference is the real-time hold.
-  const MsgClass cls = msg_class(e.action.name);
+  const MsgClass cls = e.action.name.msg_class();
   if (cls == MsgClass::kERecv) {
     arrived_.emplace(e.action.msg->uid, e.time);
   } else if (cls == MsgClass::kRecv) {
@@ -179,7 +179,7 @@ MmtProbe::MmtProbe(MetricsRegistry& reg) : reg_(reg) {
 void MmtProbe::watch(const MmtNode* node) { nodes_.push_back(node); }
 
 void MmtProbe::on_event(const TimedEvent& e, const Machine& owner) {
-  if (msg_class(e.action.name) == MsgClass::kTick) {
+  if (e.action.name.msg_class() == MsgClass::kTick) {
     last_tick_[e.action.node] = e.time;
     ticks_->add();
     return;

@@ -281,13 +281,13 @@ class Profiler {
   // executor's kind ids are positional per executor; slots here are keyed
   // by action *name* (node/peer collapsed — a flood over 65k nodes has 65k
   // SEND kinds but one SEND row is what a profile wants).
-  void add_kind(ActionKindId kid, const std::string& name,
+  void add_kind(ActionKindId kid, std::string_view name,
                 std::uint64_t dticks) {
     const auto k = static_cast<std::size_t>(kid);
     if (k >= kind_memo_.size()) kind_memo_.resize(k + 1, kNoSlot);
     std::uint32_t slot = kind_memo_[k];
     if (slot == kNoSlot) {
-      slot = intern_slot(kind_slots_, kind_index_, name);
+      slot = intern_slot(kind_slots_, kind_index_, std::string(name));
       kind_memo_[k] = slot;
     }
     pend_slot(pending_kinds_, pending_kind_n_, kind_slots_, slot, dticks);

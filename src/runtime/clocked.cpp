@@ -30,7 +30,7 @@ void ClockedMachine::apply_input(const Action& a, Time t) {
   inner_->apply_input(a, clock_now(t));
 }
 
-void ClockedMachine::enabled_into(Time t, std::vector<Action>& out) const {
+void ClockedMachine::enabled_into(Time t, Candidates& out) const {
   inner_->enabled_into(clock_now(t), out);
 }
 
@@ -47,7 +47,7 @@ Time ClockedMachine::next_enabled(Time t) const {
 }
 
 void ClockedMachine::part_enabled_into(std::size_t part, Time t,
-                                       std::vector<Action>& out) const {
+                                       Candidates& out) const {
   inner_->part_enabled_into(part, clock_now(t), out);
 }
 

@@ -47,7 +47,7 @@ class ClockedMachine final : public Machine {
   // declaration is the adapter's declaration.
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
-  void enabled_into(Time t, std::vector<Action>& out) const override;
+  void enabled_into(Time t, Candidates& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;
@@ -55,7 +55,7 @@ class ClockedMachine final : public Machine {
 
   std::size_t part_count() const override { return inner_->part_count(); }
   void part_enabled_into(std::size_t part, Time t,
-                         std::vector<Action>& out) const override;
+                         Candidates& out) const override;
   Time part_next_enabled(std::size_t part, Time t) const override;
   Time part_upper_bound(std::size_t part, Time t) const override;
   void take_touched_parts(std::vector<std::uint32_t>& out) override {

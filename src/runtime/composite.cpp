@@ -1,7 +1,6 @@
 #include "runtime/composite.hpp"
 
 #include <algorithm>
-#include <iterator>
 
 #include "util/check.hpp"
 
@@ -18,7 +17,7 @@ void CompositeMachine::add(std::unique_ptr<Machine> member) {
   reset_signature();
 }
 
-void CompositeMachine::hide(const std::string& action_name) {
+void CompositeMachine::hide(ActionName action_name) {
   hidden_.insert(action_name);
   reset_signature();
 }
@@ -76,7 +75,8 @@ void CompositeMachine::declare_signature(SignatureDecl& decl) const {
 }
 
 const CompositeMachine::Route& CompositeMachine::route(const Action& a) {
-  const auto it = routes_.find(ActionKindView{a.name, a.node, a.peer});
+  const KindKey key = kind_key(a);
+  const auto it = routes_.find(key);
   if (it != routes_.end()) return it->second;
   Route r;
   for (std::size_t i = 0; i < members_.size(); ++i) {
@@ -88,8 +88,7 @@ const CompositeMachine::Route& CompositeMachine::route(const Action& a) {
       r.role = role;
     }
   }
-  return routes_.emplace(ActionKindKey{a.name, a.node, a.peer}, std::move(r))
-      .first->second;
+  return routes_.emplace(key, std::move(r)).first->second;
 }
 
 void CompositeMachine::apply_input(const Action& a, Time t) {
@@ -99,13 +98,11 @@ void CompositeMachine::apply_input(const Action& a, Time t) {
   }
 }
 
-void CompositeMachine::enabled_into(Time t, std::vector<Action>& out) const {
+void CompositeMachine::enabled_into(Time t, Candidates& out) const {
   out.clear();
-  std::vector<Action> acts;
   for (const auto& m : members_) {
-    m->enabled_into(t, acts);
-    out.insert(out.end(), std::make_move_iterator(acts.begin()),
-               std::make_move_iterator(acts.end()));
+    m->enabled_into(t, scratch_);
+    for (const Action& a : scratch_) out.push_back(a);
   }
 }
 

@@ -16,9 +16,10 @@
 // Routing reads a per-kind table: for each (name, node, peer) kind, the
 // member that locally controls it (with its role) and the members that
 // input it, in member order. A kind's route is built from the members'
-// classify() the first time the composite sees the kind, looked up after
-// that without building a string, and the table is cleared whenever add()
-// changes the member set. Members' signatures must not change once added.
+// classify() the first time the composite sees the kind, looked up by its
+// packed kind key (core/action.hpp) after that, and the table is cleared
+// whenever add() changes the member set. Members' signatures must not
+// change once added.
 //
 // The members are the composite's parts (Machine::part_count): the
 // executor polls, caches and wakes each member separately, and
@@ -49,7 +50,7 @@ class CompositeMachine : public Machine {
   // Members are applied in the order added. The composite owns them.
   void add(std::unique_ptr<Machine> member);
   // Hide an action name inside the composite (output -> internal).
-  void hide(const std::string& action_name);
+  void hide(ActionName action_name);
 
   // Access to members for inspection in tests (index = add order).
   Machine& member(std::size_t idx);
@@ -62,7 +63,7 @@ class CompositeMachine : public Machine {
   // members' local entries can match a common kind (Def 2.2).
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
-  void enabled_into(Time t, std::vector<Action>& out) const override;
+  void enabled_into(Time t, Candidates& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;
@@ -70,7 +71,7 @@ class CompositeMachine : public Machine {
   // Parts are members, in add order.
   std::size_t part_count() const override { return members_.size(); }
   void part_enabled_into(std::size_t part, Time t,
-                         std::vector<Action>& out) const override {
+                         Candidates& out) const override {
     members_[part]->enabled_into(t, out);
   }
   Time part_next_enabled(std::size_t part, Time t) const override {
@@ -105,9 +106,10 @@ class CompositeMachine : public Machine {
   }
 
   std::vector<std::unique_ptr<Machine>> members_;
-  std::unordered_set<std::string> hidden_;
-  std::unordered_map<ActionKindKey, Route, ActionKindHash, ActionKindEq>
-      routes_;
+  std::unordered_set<ActionName> hidden_;
+  std::unordered_map<KindKey, Route> routes_;
+  // enabled_into's per-member poll buffer.
+  mutable Candidates scratch_;
   // Members changed since the last take_touched_parts, each once (the flag
   // dedups), so the record stays bounded by the member count even when no
   // executor drains it, as inside MmtNode.

@@ -43,6 +43,7 @@ void Executor::add(Machine* machine) {
     cands_.emplace_back();
     cand_count_.push_back(0);
     in_dirty_.push_back(0);
+    memo_key_.push_back(0);
     memo_kid_.push_back(kNoKind);
     memo_role_.push_back(ActionRole::kNotMine);
   }
@@ -72,12 +73,12 @@ void Executor::add_owned(std::unique_ptr<Machine> machine) {
   owned_.push_back(std::move(machine));
 }
 
-void Executor::hide(const std::string& action_name) {
+void Executor::hide(ActionName action_name) {
   hidden_.insert(action_name);
   // Assemblies hide after add(): keep already-interned kinds in sync so the
   // per-event visibility test stays a plain flag read.
-  for (std::size_t i = 0; i < kind_keys_.size(); ++i) {
-    if (kind_keys_[i].name == action_name) kinds_[i].hidden = true;
+  for (std::size_t i = 0; i < kind_refs_.size(); ++i) {
+    if (kind_refs_[i].name == action_name) kinds_[i].hidden = true;
   }
 }
 
@@ -102,26 +103,23 @@ void Executor::attach_profiler(Profiler* prof) {
 
 // --- interned action kinds and the subscription index ---------------------
 
-ActionKindId Executor::intern(const Action& a) {
-  const ActionKindView view{a.name, a.node, a.peer};
-  auto it = kind_ids_.find(view);
-  if (it != kind_ids_.end()) return it->second;
-  const ActionKindId id = static_cast<ActionKindId>(kinds_.size());
-  ActionKindKey key{a.name, a.node, a.peer};
-  kind_ids_.emplace(key, id);
-  kind_keys_.push_back(std::move(key));
+ActionKindId Executor::intern(const Action& a, KindKey key) {
+  const auto [it, fresh] =
+      kind_ids_.try_emplace(key, static_cast<ActionKindId>(kinds_.size()));
+  if (!fresh) return it->second;
+  kind_refs_.push_back({a.name, a.node, a.peer});
   KindInfo info;
   info.hidden = hidden_.find(a.name) != hidden_.end();
   kinds_.push_back(std::move(info));
-  return id;
+  return it->second;
 }
 
 void Executor::resolve_kind(ActionKindId id) {
   KindInfo& k = kinds_[static_cast<std::size_t>(id)];
   k.claimants.clear();
   k.subscribers.clear();
-  const ActionKindKey& key = kind_keys_[static_cast<std::size_t>(id)];
-  const auto bucket = decls_by_name_.find(key.name);
+  const KindRef& kind = kind_refs_[static_cast<std::size_t>(id)];
+  const auto bucket = decls_by_name_.find(kind.name);
   if (bucket != decls_by_name_.end()) {
     // Only records declared for this kind's node (or for any node) can
     // match; merge those two lists back into global declaration order so
@@ -129,7 +127,7 @@ void Executor::resolve_kind(ActionKindId id) {
     // would have built them. Both lists are seq-ascending by construction,
     // and seq order is machine-ascending, so the back() test still dedups.
     static const std::vector<DeclRecord> kNone;
-    const auto it = bucket->second.by_node.find(key.node);
+    const auto it = bucket->second.by_node.find(kind.node);
     const std::vector<DeclRecord>& exact =
         it != bucket->second.by_node.end() ? it->second : kNone;
     const std::vector<DeclRecord>& any = bucket->second.any_node;
@@ -140,7 +138,7 @@ void Executor::resolve_kind(ActionKindId id) {
           j >= any.size() || (i < exact.size() && exact[i].seq < any[j].seq)
               ? exact[i++]
               : any[j++];
-      if (d.peer != kAnyNode && d.peer != key.peer) continue;
+      if (d.peer != kAnyNode && d.peer != kind.peer) continue;
       if (d.role == ActionRole::kInput) {
         if (k.subscribers.empty() || k.subscribers.back() != d.machine) {
           k.subscribers.push_back(d.machine);
@@ -208,7 +206,7 @@ void Executor::flush_dirty() {
     const Machine* m = machines_[slots_[s].machine];
     const std::uint32_t part = slots_[s].part;
     const bool whole = part == kWholeMachine;
-    std::vector<Action>& c = cands_[s];
+    Candidates& c = cands_[s];
     total_cands_ -= c.size();
     if (whole) {
       m->enabled_into(now_, c);
@@ -309,15 +307,15 @@ void Executor::execute_fast(std::size_t slot, std::size_t offset) {
   // The machine is re-polled before the next pick, so the cached entry can
   // be consumed in place. It is *swapped* (not moved) into the recycled
   // scratch event: the previous event's dead Action lands in the candidate
-  // slot about to be overwritten by the re-poll, so the string/args/message
+  // slot about to be overwritten by the re-poll, so the args/message
   // buffers cycle between the scheduler and the machines' candidate lists
-  // and the steady state never touches the allocator. record_event then
+  // instead of going through the allocator. record_event then
   // only fills in scalar fields, so attaching a probe adds no per-event
   // Action traffic either.
   TimedEvent& ev = scratch_event_;
   Profiler* const pr = prof_iter_;
   std::uint64_t t0 = pr != nullptr ? Profiler::ticks() : 0;
-  std::swap(ev.action, cands_[slot][offset]);
+  swap(ev.action, cands_[slot][offset]);
   // Named before the owner and the receivers apply it, so a composite's
   // members, the channels and the buffers all see the sent uid.
   name_message(ev.action, next_msg_uid_);
@@ -327,14 +325,12 @@ void Executor::execute_fast(std::size_t slot, std::size_t offset) {
 
   // Per-slot kind memo: a slot that keeps emitting one kind (a channel, or
   // one member of a Simulation 1 node) skips the interning hash entirely.
+  const KindKey key = kind_key(a);
   ActionKindId kid = memo_kid_[slot];
-  bool memo = kid != kNoKind;
-  if (memo) {
-    const ActionKindKey& key = kind_keys_[static_cast<std::size_t>(kid)];
-    memo = key.node == a.node && key.peer == a.peer && key.name == a.name;
-  }
+  const bool memo = kid != kNoKind && memo_key_[slot] == key;
   if (!memo) {
-    kid = intern(a);
+    kid = intern(a, key);
+    memo_key_[slot] = key;
     memo_kid_[slot] = kid;
     memo_role_[slot] = ActionRole::kNotMine;  // role not yet validated
   }
@@ -399,7 +395,7 @@ void Executor::execute_fast(std::size_t slot, std::size_t offset) {
     // The step span is the one worth splitting: route/record are uniform,
     // but apply_local + fanout cost is a property of the machine and the
     // action kind it emitted.
-    pr->add_kind(kid, kind_keys_[static_cast<std::size_t>(kid)].name, dt);
+    pr->add_kind(kid, a.name, dt);
     pr->add_machine(machine, typeid(*owner), dt);
   }
 

@@ -26,9 +26,13 @@
 // machine stays the unit of composition (event owners, probes,
 // composition()).
 // Per-slot state lives in parallel arrays (structure-of-arrays) sized once
-// at add() time, and candidate buffers are recycled through
-// Machine::enabled_into, so the steady state allocates nothing per event
-// for machines that override it (see docs/EXECUTOR.md for which do).
+// at add() time. Each slot's Candidates list keeps its Actions across
+// polls and the picked one is swapped into the event, so actions cost no
+// allocation per event and their names no string work; what still
+// allocates is message state kept by the machines (in-flight records,
+// queued messages). Measured per event inside run() on the MMT register
+// workload: 0.07 heap allocations, and 0 with no operations in flight
+// (tests/alloc_test.cpp; docs/EXECUTOR.md has the figures).
 // Seed-for-seed the wheel loop produces byte-identical traces and probe
 // sequences to the reference loop (tests/support/reference_loop.hpp), the
 // literal Def 2.2 transcription that tests and bench_executor compare it
@@ -158,7 +162,7 @@ class Executor {
   // invisible (they still drive inputs — hiding only reclassifies
   // output -> internal). Hiding a name no machine ever declares or emits is
   // a no-op.
-  void hide(const std::string& action_name);
+  void hide(ActionName action_name);
 
   // Optional early-stop condition, checked between events. Needed for
   // systems that never quiesce on their own (the MMT model's tick/step
@@ -258,7 +262,7 @@ class Executor {
     std::vector<std::size_t> subscribers;
   };
 
-  ActionKindId intern(const Action& a);
+  ActionKindId intern(const Action& a, KindKey key);
   void resolve_kind(ActionKindId id);
 
   // --- calendar / dirty-set scheduler -------------------------------------
@@ -348,7 +352,7 @@ class Executor {
   Time time_probe_wake_ = kTimeMax;
   std::vector<Machine*> machines_;
   std::vector<std::unique_ptr<Machine>> owned_;
-  std::unordered_set<std::string> hidden_;
+  std::unordered_set<ActionName> hidden_;
   std::function<bool()> stop_when_;
   Time now_ = 0;
   std::size_t steps_ = 0;
@@ -360,11 +364,15 @@ class Executor {
   ExecutorStats stats_;
 
   // Interning / routing state.
-  std::unordered_map<ActionKindKey, ActionKindId, ActionKindHash, ActionKindEq>
-      kind_ids_;
-  std::vector<ActionKindKey> kind_keys_;  // id -> key
-  std::vector<KindInfo> kinds_;           // id -> routing info
-  std::unordered_map<std::string, DeclBucket> decls_by_name_;
+  struct KindRef {
+    ActionName name;
+    int node = kNoNode;
+    int peer = kNoNode;
+  };
+  std::unordered_map<KindKey, ActionKindId> kind_ids_;
+  std::vector<KindRef> kind_refs_;  // id -> kind
+  std::vector<KindInfo> kinds_;     // id -> routing info
+  std::unordered_map<ActionName, DeclBucket> decls_by_name_;
   std::uint64_t decl_seq_ = 0;
 
   // Scheduler state, as parallel arrays. Keeping each field in its own
@@ -372,18 +380,19 @@ class Executor {
   // field — locate_candidate over counts — stream through packed memory
   // instead of striding over fat records. Per slot:
   std::vector<SlotRef> slots_;
-  std::vector<std::vector<Action>> cands_;   // cached candidates per slot
+  std::vector<Candidates> cands_;            // cached candidates per slot
   std::vector<std::uint32_t> cand_count_;    // cands_[s].size(), packed
   std::vector<char> in_dirty_;
   HierBitset nonempty_;  // slots with cand_count_[s] > 0
   // Per machine: its slots are [part_base_[m], part_base_[m + 1]).
   std::vector<std::uint32_t> part_base_ = {0};
-  // Per-slot routing memo: the kind and role of the slot's last executed
-  // action. A slot that keeps emitting one kind skips the intern hash and
-  // the claimant scan after its first event. Kept per slot, not per
-  // machine: each member of a Simulation 1 node emits its own kinds, so a
-  // per-machine memo would miss at almost every change of member. Reset by
-  // add(), which can change routing.
+  // Per-slot routing memo: the kind key, id and role of the slot's last
+  // executed action. A slot that keeps emitting one kind skips the intern
+  // hash and the claimant scan after its first event. Kept per slot, not
+  // per machine: each member of a Simulation 1 node emits its own kinds, so
+  // a per-machine memo would miss at almost every change of member. Reset
+  // by add(), which can change routing.
+  std::vector<KindKey> memo_key_;
   std::vector<ActionKindId> memo_kid_;
   std::vector<ActionRole> memo_role_;
 
@@ -394,8 +403,8 @@ class Executor {
   TimingWheel ne_wheel_;  // next_enabled hints
   TimingWheel ub_wheel_;  // upper_bound deadlines below next_enabled
   // Recycled per-event scratch: the candidate Action is swapped (not moved)
-  // into this event and swapped back out on the next pick, so the string /
-  // args / message buffers cycle between the scheduler and the machines'
+  // into this event and swapped back out on the next pick, so the args /
+  // message buffers cycle between the scheduler and the machines'
   // candidate lists instead of hitting the allocator each event.
   TimedEvent scratch_event_;
 };

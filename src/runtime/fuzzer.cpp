@@ -7,25 +7,49 @@
 namespace psc {
 
 MachineFuzzer::MachineFuzzer(Machine& machine, std::uint64_t seed)
-    : machine_(machine), rng_(seed) {}
+    : machine_(machine), rng_(seed), stuff_rng_(seed ^ 0xa8a8a8a8ULL) {}
 
-void MachineFuzzer::poll_recycled() {
-  if (cands_.empty()) cands_.emplace_back();
-  std::swap(stale_, cands_.front());
-  machine_.enabled_into(now_, cands_);
+void MachineFuzzer::poll_recycled(FuzzReport& report) {
   const std::vector<Action> fresh = machine_.enabled(now_);
+  if (cands_.empty() && cands_.retained() > 0 && !fresh.empty()) {
+    ++report.recycled_refills;
+  }
+  if (stuff_rng_.flip(0.5)) {
+    // Every retained Action, and one past the poll, goes stale with a named
+    // message and args, so no field of a reused slot is left to chance.
+    Action stale = stale_;
+    if (!stale.msg) {
+      stale.msg = make_message("STALE", {Value{std::string("stale")}});
+    }
+    if (stale.msg->uid == 0) stale.msg->uid = ~std::uint64_t{0};
+    if (stale.args.empty()) stale.args.emplace_back(std::int64_t{-1});
+    const std::size_t fill = std::max(cands_.retained(), fresh.size() + 1);
+    cands_.clear();
+    for (std::size_t k = 0; k < fill; ++k) cands_.push_back(stale);
+    cands_.clear();
+  } else {
+    // As execute_fast leaves it: the front holds the last event's action.
+    if (cands_.retained() == 0) {
+      cands_.push_back(Action{});
+      cands_.clear();
+    }
+    swap(stale_, cands_[0]);
+  }
+  machine_.enabled_into(now_, cands_);
   std::size_t k = 0;
   while (k < fresh.size() && k < cands_.size() && cands_[k] == fresh[k]) {
     ++k;
   }
-  const auto show = [k](const std::vector<Action>& v) {
-    return k < v.size() ? to_string(v[k]) : std::string("nothing");
+  const auto show = [k](const Action* begin, const Action* end) {
+    return begin + k < end ? to_string(begin[k]) : std::string("nothing");
   };
   PSC_CHECK(k == fresh.size() && k == cands_.size(),
             machine_.name() << ": at " << format_time(now_)
-                            << " enabled_into on a recycled buffer gives "
-                            << show(cands_) << " as candidate " << k
-                            << ", a fresh buffer gives " << show(fresh));
+                            << " enabled_into on a recycled list gives "
+                            << show(cands_.begin(), cands_.end())
+                            << " as candidate " << k
+                            << ", a fresh list gives "
+                            << show(fresh.data(), fresh.data() + fresh.size()));
 }
 
 FuzzReport MachineFuzzer::run(std::size_t steps) {
@@ -70,9 +94,9 @@ FuzzReport MachineFuzzer::run(std::size_t steps) {
 
     // Execute an enabled action, if any, from the recycled buffer as the
     // executor does.
-    poll_recycled();
+    poll_recycled(report);
     if (!cands_.empty()) {
-      std::swap(stale_, cands_[rng_.index(cands_.size())]);
+      swap(stale_, cands_[rng_.index(cands_.size())]);
       name_message(stale_, next_uid_);
       const Action& a = stale_;
       const ActionRole role = machine_.classify(a);

@@ -15,12 +15,18 @@
 //   A6  input-enabledness: apply_input accepts any action classified kInput;
 //   A7  an input the machine reports inert (Machine::last_input_inert)
 //       leaves enabled, next_enabled and upper_bound unchanged;
-//   A8  enabled_into on a recycled candidate buffer equals enabled_into on
-//       a fresh one (enabled()) in every field. The buffer is kept across
-//       steps and, as the executor's execute_fast leaves it, holds a stale
-//       action (the last input or executed action, its message named)
-//       before each poll, so a recycling machine that leaves a field of a
-//       reused slot unset — a send's uid included — fails here.
+//   A8  enabled_into on a recycled candidate list equals enabled_into on
+//       a fresh one (enabled()) in every field. The list (Candidates) is
+//       kept across steps, so it empties and refills as the machine's
+//       enabled set does, and its retained Actions survive both. Before
+//       each poll it holds stale Actions: either as the executor's
+//       execute_fast leaves it (the last input or executed action swapped
+//       into its front), or, on a coin flip from a stream of its own that
+//       leaves the schedule's draws alone, in every retained position and
+//       at least one more than the poll fills, each with a named message
+//       and non-empty args. A recycling machine that
+//       leaves a field of a reused slot unset — a send's uid, a reset
+//       message — fails here.
 //
 // Like the executor, the fuzzer names the message of each input it injects
 // and each action it executes (name_message in core/action.hpp) before the
@@ -48,6 +54,10 @@ struct FuzzReport {
   std::size_t actions_executed = 0;
   std::size_t inputs_injected = 0;
   std::size_t inert_inputs = 0;  // inputs reported inert (checked by A7)
+  // A8 polls that refilled a list the previous poll left empty while it
+  // still retained Actions (the path an executor slot takes after its own
+  // step empties it).
+  std::size_t recycled_refills = 0;
   std::size_t time_advances = 0;
   Time end_time = 0;
 };
@@ -73,8 +83,8 @@ class MachineFuzzer {
 
  private:
   // A8: re-polls cands_ through enabled_into and checks it against a poll
-  // into a fresh vector.
-  void poll_recycled();
+  // into a fresh list.
+  void poll_recycled(FuzzReport& report);
 
   Machine& machine_;
   Rng rng_;
@@ -82,10 +92,12 @@ class MachineFuzzer {
   double input_prob_ = 0.3;
   Duration max_jump_ = 1'000'000;
   Time now_ = 0;
-  // A8: the recycled candidate buffer, and the stale action swapped into
-  // it before each poll.
-  std::vector<Action> cands_;
+  // A8: the recycled candidate list, the stale action swapped into it
+  // before each poll, and the coin that picks the polls that fill it with
+  // stale actions first.
+  Candidates cands_;
   Action stale_;
+  Rng stuff_rng_;
   // The uid name_message gives the next unnamed message.
   std::uint64_t next_uid_ = 1;
 };

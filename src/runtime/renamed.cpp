@@ -7,10 +7,10 @@ namespace psc {
 RenamedMachine::RenamedMachine(std::unique_ptr<Machine> inner,
                                std::map<std::string, std::string> outer_of_inner)
     : Machine("ren(" + inner->name() + ")"),
-      inner_(std::move(inner)),
-      outer_of_inner_(std::move(outer_of_inner)) {
+      inner_(std::move(inner)) {
   set_clocked(inner_->clocked());
-  for (const auto& [in, out] : outer_of_inner_) {
+  for (const auto& [in, out] : outer_of_inner) {
+    outer_of_inner_.emplace(in, out);
     const auto [it, fresh] = inner_of_outer_.emplace(out, in);
     PSC_CHECK(fresh, "renaming is not injective: two inner names map to "
                          << out);
@@ -56,7 +56,7 @@ void RenamedMachine::apply_input(const Action& a, Time t) {
   inner_->apply_input(to_inner(a), t);
 }
 
-void RenamedMachine::enabled_into(Time t, std::vector<Action>& out) const {
+void RenamedMachine::enabled_into(Time t, Candidates& out) const {
   inner_->enabled_into(t, out);
   for (Action& a : out) {
     const auto it = outer_of_inner_.find(a.name);

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 
 #include "core/machine.hpp"
 
@@ -33,7 +34,7 @@ class RenamedMachine final : public Machine {
   // The inner declaration with entry names translated to the outer names.
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
-  void enabled_into(Time t, std::vector<Action>& out) const override;
+  void enabled_into(Time t, Candidates& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;
@@ -48,8 +49,8 @@ class RenamedMachine final : public Machine {
   Action to_inner(const Action& a) const;
 
   std::unique_ptr<Machine> inner_;
-  std::map<std::string, std::string> outer_of_inner_;
-  std::map<std::string, std::string> inner_of_outer_;
+  std::unordered_map<ActionName, ActionName> outer_of_inner_;
+  std::unordered_map<ActionName, ActionName> inner_of_outer_;
 };
 
 }  // namespace psc

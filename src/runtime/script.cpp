@@ -12,8 +12,8 @@ ScriptMachine::ScriptMachine(std::string name, std::vector<Step> steps)
   }
 }
 
-void ScriptMachine::accept_kind(std::string name, int node, int peer) {
-  accept_kinds_.push_back({std::move(name), node, peer, ActionRole::kInput});
+void ScriptMachine::accept_kind(ActionName name, int node, int peer) {
+  accept_kinds_.push_back({name, node, peer, ActionRole::kInput});
   reset_signature();
 }
 
@@ -39,7 +39,7 @@ void ScriptMachine::apply_input(const Action& a, Time t) {
   received_.push_back(std::move(e));
 }
 
-void ScriptMachine::enabled_into(Time t, std::vector<Action>& out) const {
+void ScriptMachine::enabled_into(Time t, Candidates& out) const {
   out.clear();
   if (next_ < steps_.size() && steps_[next_].at <= t) {
     out.push_back(steps_[next_].action);

@@ -26,7 +26,7 @@ class ScriptMachine final : public Machine {
 
   // Declares a foreign kind this machine inputs (recorded into received()).
   // Call before the machine is added to an executor.
-  void accept_kind(std::string name, int node = kAnyNode, int peer = kAnyNode);
+  void accept_kind(ActionName name, int node = kAnyNode, int peer = kAnyNode);
 
   const TimedTrace& received() const { return received_; }
   std::size_t emitted() const { return next_; }
@@ -35,7 +35,7 @@ class ScriptMachine final : public Machine {
   // The distinct scripted output kinds plus every accept_kind.
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
-  void enabled_into(Time t, std::vector<Action>& out) const override;
+  void enabled_into(Time t, Candidates& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;

@@ -84,9 +84,16 @@ class TimingWheel {
   static constexpr std::uint64_t kSlotMask = kSlots - 1;
 
   // Empties the wheel, re-bases it at `cur` (the executor's `now`) and
-  // sizes it for slots 0 .. slots - 1, none of them filed.
+  // sizes it for slots 0 .. slots - 1, none of them filed. Every bucket
+  // keeps room for kBucketReserve entries: buckets are keyed on absolute
+  // time, so a run keeps reaching buckets it has not used before (a
+  // level-4 bucket first every 16.7 ms of simulated time), and without the
+  // room each first use would allocate mid-run.
   void reset(Time cur, std::size_t slots) {
-    for (std::vector<Entry>& b : buckets_) b.clear();
+    for (std::vector<Entry>& b : buckets_) {
+      b.clear();
+      b.reserve(kBucketReserve);
+    }
     occ_ = {};
     where_.assign(slots, Where{});
     cur_ = cur;
@@ -172,6 +179,7 @@ class TimingWheel {
       occ_[l] = 0;
     }
     const int cursor = static_cast<int>((now >> (d * kLevelBits)) & kSlotMask);
+    std::uint32_t split = kNone;  // the cursor bucket, if occupied
     for (std::uint64_t bits = occ_[d]; bits != 0; bits &= bits - 1) {
       const int s = std::countr_zero(bits);
       if (s > cursor) break;  // ascending: the rest stays at this level
@@ -179,8 +187,8 @@ class TimingWheel {
         drain(buckets_[bucket_at(d, s)], due, st);
       } else {
         // The cursor bucket straddles `now`: re-split after re-basing.
-        cascade_.clear();
-        cascade_.swap(buckets_[bucket_at(d, s)]);
+        split = bucket_at(d, s);
+        cascade_.swap(buckets_[split]);
       }
       occ_[d] &= ~(std::uint64_t{1} << s);
     }
@@ -196,11 +204,16 @@ class TimingWheel {
         file(e);  // lands at a strictly lower level than d
       }
     }
+    // Hand the borrowed buffer back (nothing was filed into the cursor
+    // bucket meanwhile), so every bucket keeps its own capacity and the
+    // steady state allocates nothing.
     cascade_.clear();
+    if (split != kNone) cascade_.swap(buckets_[split]);
   }
 
  private:
   static constexpr std::uint32_t kNone = UINT32_MAX;
+  static constexpr std::size_t kBucketReserve = 8;
   static constexpr std::uint32_t kNowBucket = kLevels * kSlots;
 
   struct Entry {

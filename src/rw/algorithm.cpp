@@ -34,11 +34,11 @@ void RwAlgorithm::declare_signature(SignatureDecl& decl) const {
 }
 
 void RwAlgorithm::apply_input(const Action& a, Time now) {
-  if (a.name == "READ") {
+  if (a.name == names::kRead) {
     PSC_CHECK(!read_.active, "alternation violated: READ while READ pending");
     read_.active = true;
     read_.time = now + params_.c + params_.two_eps + params_.delta;
-  } else if (a.name == "WRITE") {
+  } else if (a.name == names::kWrite) {
     PSC_CHECK(write_.status == WriteStatus::kInactive,
               "alternation violated: WRITE while WRITE pending");
     write_.status = WriteStatus::kSend;
@@ -47,7 +47,7 @@ void RwAlgorithm::apply_input(const Action& a, Time now) {
     for (int j = 0; j < params_.num_nodes; ++j) write_.send_procs.insert(j);
     write_.send_time = now;
     write_.ack_time = now + params_.d2_prime - params_.c;
-  } else if (a.name == "RECVMSG") {
+  } else if (a.name == names::kRecvMsg) {
     PSC_CHECK(a.msg && a.msg->kind == "UPDATE",
               "unexpected message " << to_string(a));
     const int j = a.peer;  // sender
@@ -76,8 +76,8 @@ bool RwAlgorithm::update_due(Time now) const {
                      });
 }
 
-void RwAlgorithm::enabled_into(Time now, std::vector<Action>& out) const {
-  std::size_t n = 0;
+void RwAlgorithm::enabled_into(Time now, Candidates& out) const {
+  out.clear();
   const int i = params_.node;
   // Deadlines use >= rather than Figure 3's exact equality: the executor
   // hits deadlines exactly in the timed model, but an integer-grid clock
@@ -87,23 +87,23 @@ void RwAlgorithm::enabled_into(Time now, std::vector<Action>& out) const {
   //
   // UPDATE_i: an update record is due.
   const bool due = update_due(now);
-  if (due) candidate_slot(out, n++, "UPDATE", i).msg.reset();
+  if (due) out.slot(names::kUpdate, i).msg.reset();
   // RETURN_i(v): read due, and no update due at or before this time (they
   // must be applied first — the "∄ r.update-time = now" precondition).
   if (read_.active && read_.time <= now && !due) {
-    Action& a = candidate_slot(out, n++, "RETURN", i);
+    Action& a = out.slot(names::kReturn, i);
     a.args.emplace_back(value_);
     a.msg.reset();
   }
   // ACK_i.
   if (write_.status == WriteStatus::kAck && write_.ack_time <= now) {
-    candidate_slot(out, n++, "ACK", i).msg.reset();
+    out.slot(names::kAck, i).msg.reset();
   }
   // SENDMSG_i(j, UPDATE(v, t)) with t = send_time + d2', offered unnamed:
   // a recycled slot may hold the last event's named action.
   if (write_.status == WriteStatus::kSend && write_.send_time <= now) {
     for (int j : write_.send_procs) {
-      Action& a = candidate_slot(out, n++, "SENDMSG", i, j);
+      Action& a = out.slot(names::kSendMsg, i, j);
       Message& m = a.msg ? *a.msg : a.msg.emplace();
       m.kind.assign("UPDATE");
       m.fields.clear();
@@ -113,12 +113,11 @@ void RwAlgorithm::enabled_into(Time now, std::vector<Action>& out) const {
       m.clock_tag = kNoClockTag;
     }
   }
-  out.resize(n);
 }
 
 void RwAlgorithm::apply_local(const Action& a, Time now) {
   const int i = params_.node;
-  if (a.name == "UPDATE") {
+  if (a.name == names::kUpdate) {
     // Apply the *earliest* due record first: if the clock jumped past
     // several update times at once they must take effect in time order.
     auto it = updates_.end();
@@ -131,16 +130,16 @@ void RwAlgorithm::apply_local(const Action& a, Time now) {
     PSC_CHECK(it != updates_.end(), "UPDATE with nothing due");
     value_ = it->value;
     updates_.erase(it);
-  } else if (a.name == "RETURN") {
+  } else if (a.name == names::kReturn) {
     PSC_CHECK(read_.active && read_.time <= now, "RETURN not due");
     PSC_CHECK(!update_due(now), "RETURN before same-time UPDATE");
     PSC_CHECK(as_int(a.args.at(0)) == value_, "RETURN of stale value");
     read_.active = false;
-  } else if (a.name == "ACK") {
+  } else if (a.name == names::kAck) {
     PSC_CHECK(write_.status == WriteStatus::kAck && write_.ack_time <= now,
               "ACK not due");
     write_.status = WriteStatus::kInactive;
-  } else if (a.name == "SENDMSG") {
+  } else if (a.name == names::kSendMsg) {
     PSC_CHECK(write_.status == WriteStatus::kSend &&
                   write_.send_time <= now,
               "SENDMSG outside the send phase");

@@ -31,7 +31,7 @@ void RwClient::declare_signature(SignatureDecl& decl) const {
 void RwClient::apply_input(const Action& a, Time t) {
   PSC_CHECK(busy_, "response with no outstanding invocation at node "
                        << options_.node);
-  if (a.name == "RETURN") {
+  if (a.name == names::kReturn) {
     PSC_CHECK(current_.kind == Operation::Kind::kRead, "RETURN for a WRITE");
     current_.value = as_int(a.args.at(0));
   } else {
@@ -47,21 +47,19 @@ void RwClient::apply_input(const Action& a, Time t) {
   next_issue_ = t + think;
 }
 
-void RwClient::enabled_into(Time t, std::vector<Action>& out) const {
-  std::size_t n = 0;
+void RwClient::enabled_into(Time t, Candidates& out) const {
+  out.clear();
   if (!busy_ && issued_ < options_.num_ops && next_issue_ <= t) {
     // The choice read-vs-write must be stable across repeated enabled()
     // calls, so derive it from the op sequence number, not a fresh draw.
     Rng probe(options_.seed ^ (0x5bd1e995ULL * (issued_ + 1)));
     const bool write = probe.uniform01() < options_.write_fraction;
-    Action& a = candidate_slot(out, n++, write ? "WRITE" : "READ",
-                               options_.node);
+    Action& a = out.slot(write ? names::kWrite : names::kRead, options_.node);
     if (write) {
       a.args.emplace_back(fresh_value());
     }
     a.msg.reset();
   }
-  out.resize(n);
 }
 
 void RwClient::apply_local(const Action& a, Time t) {
@@ -69,7 +67,7 @@ void RwClient::apply_local(const Action& a, Time t) {
   current_ = Operation{};
   current_.proc = options_.node;
   current_.inv = t;
-  if (a.name == "WRITE") {
+  if (a.name == names::kWrite) {
     current_.kind = Operation::Kind::kWrite;
     current_.value = as_int(a.args.at(0));
   } else {

@@ -198,10 +198,9 @@ RwRunResult run_rw_clock(const RwRunConfig& cfg, const DriftModel& drift) {
   return result;
 }
 
-RwRunResult run_rw_sliced(const RwRunConfig& cfg, const DriftModel& drift) {
-  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .validate = cfg.validate});
-  std::vector<RwClient*> clients;
-  add_clients(exec, cfg, &clients);
+RwAssembly assemble_rw_sliced(const RwRunConfig& cfg,
+                              const DriftModel& drift) {
+  RwAssembly a = assembly_with_clients(cfg);
   const Graph g = Graph::complete(cfg.num_nodes);
   SlicedParams sp;
   sp.num_nodes = cfg.num_nodes;
@@ -209,27 +208,34 @@ RwRunResult run_rw_sliced(const RwRunConfig& cfg, const DriftModel& drift) {
   sp.d2 = cfg.d2;
   sp.v0 = cfg.v0;
   auto algos = make_sliced_algorithms(cfg.num_nodes, sp);
-  auto trajs = make_trajectories(cfg, drift);
+  a.trajectories = make_trajectories(cfg, drift);
   for (int i = 0; i < cfg.num_nodes; ++i) {
-    exec.add_owned(std::make_unique<ClockedMachine>(
+    auto node = std::make_unique<ClockedMachine>(
         std::move(algos[static_cast<std::size_t>(i)]),
-        trajs[static_cast<std::size_t>(i)]));
+        a.trajectories[static_cast<std::size_t>(i)]);
+    a.clock_nodes.push_back(node.get());
+    a.exec->add_owned(std::move(node));
   }
   Rng seeder(cfg.seed ^ 0xe5e5);
   ChannelConfig cc = channel_config(cfg);
   for (const auto& [i, j] : g.edges) {
-    exec.add_owned(std::make_unique<Channel>(i, j, cc.d1, cc.d2, cc.policy(),
-                                             seeder.split()));
+    a.exec->add_owned(std::make_unique<Channel>(i, j, cc.d1, cc.d2,
+                                                cc.policy(), seeder.split()));
   }
-  exec.hide("SENDMSG");
-  exec.hide("RECVMSG");
+  a.exec->hide(names::kSendMsg);
+  a.exec->hide(names::kRecvMsg);
+  return a;
+}
+
+RwRunResult run_rw_sliced(const RwRunConfig& cfg, const DriftModel& drift) {
+  RwAssembly a = assemble_rw_sliced(cfg, drift);
   RunObserver observer(cfg.obs);
-  observer.add_clock_skew(trajs, cfg.eps);
+  observer.add_clock_skew(a.trajectories, cfg.eps);
   observer.add_channel_latency(cfg.d1, cfg.d2);
   observer.add_slack({.eps = cfg.eps, .d1 = cfg.d1, .d2 = cfg.d2});
-  observer.attach(exec);
-  auto result = finish(exec, clients, observer);
-  result.trajectories = std::move(trajs);
+  observer.attach(*a.exec);
+  auto result = finish(*a.exec, a.clients, observer);
+  result.trajectories = std::move(a.trajectories);
   return result;
 }
 

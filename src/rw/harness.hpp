@@ -89,10 +89,10 @@ struct RwRunResult {
 
 // One register system assembled into its executor but not run, with no
 // observers attached (cfg.obs is not read). The run_rw_timed / clock / mmt
-// harnesses below assemble through these, then attach their observers and
-// run, so a caller that needs the executor itself (to run it on another
-// loop, or attach its own probes) gets the same system from the same
-// per-component seeds.
+// / sliced harnesses below assemble through these, then attach their
+// observers and run, so a caller that needs the executor itself (to run it
+// on another loop, or attach its own probes) gets the same system from the
+// same per-component seeds.
 struct RwAssembly {
   std::unique_ptr<Executor> exec;
   std::vector<RwClient*> clients;  // index = node id; owned by exec
@@ -106,6 +106,8 @@ RwAssembly assemble_rw_timed(const RwRunConfig& cfg);
 RwAssembly assemble_rw_clock(const RwRunConfig& cfg, const DriftModel& drift);
 RwAssembly assemble_rw_mmt(const RwRunConfig& cfg, const DriftModel& drift,
                            Duration ell, int k);
+RwAssembly assemble_rw_sliced(const RwRunConfig& cfg,
+                              const DriftModel& drift);
 
 // Timed model. The algorithm's design bound d2' equals the physical d2.
 RwRunResult run_rw_timed(const RwRunConfig& cfg);

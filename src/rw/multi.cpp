@@ -53,12 +53,12 @@ void MultiRwAlgorithm::declare_signature(SignatureDecl& decl) const {
 
 void MultiRwAlgorithm::apply_input(const Action& a, Time now) {
   const auto& p = params_.base;
-  if (a.name == "READ") {
+  if (a.name == names::kRead) {
     PSC_CHECK(!read_.active, "alternation violated");
     read_.active = true;
     read_.obj = as_int(a.args.at(0));
     read_.time = now + p.c + p.two_eps + p.delta;
-  } else if (a.name == "WRITE") {
+  } else if (a.name == names::kWrite) {
     PSC_CHECK(write_.status == WriteStatus::kInactive, "alternation violated");
     write_.status = WriteStatus::kSend;
     write_.obj = as_int(a.args.at(0));
@@ -67,7 +67,7 @@ void MultiRwAlgorithm::apply_input(const Action& a, Time now) {
     write_.ack_time = now + p.d2_prime - p.c;
     write_.send_procs.clear();
     for (int j = 0; j < p.num_nodes; ++j) write_.send_procs.push_back(j);
-  } else if (a.name == "RECVMSG") {
+  } else if (a.name == names::kRecvMsg) {
     PSC_CHECK(a.msg && a.msg->kind == "MUPDATE", "unexpected message");
     const std::int64_t obj = as_int(a.msg->fields.at(0));
     const std::int64_t v = as_int(a.msg->fields.at(1));
@@ -102,7 +102,7 @@ bool MultiRwAlgorithm::any_update_due(Time now) const {
   return false;
 }
 
-void MultiRwAlgorithm::enabled_into(Time now, std::vector<Action>& out) const {
+void MultiRwAlgorithm::enabled_into(Time now, Candidates& out) const {
   out.clear();
   const int i = params_.base.node;
   if (any_update_due(now)) {
@@ -128,7 +128,7 @@ void MultiRwAlgorithm::enabled_into(Time now, std::vector<Action>& out) const {
 }
 
 void MultiRwAlgorithm::apply_local(const Action& a, Time now) {
-  if (a.name == "UPDATE") {
+  if (a.name == names::kUpdate) {
     // Earliest due record across all objects; ties resolved object-wise
     // (records of different objects commute).
     ObjectState* best_state = nullptr;
@@ -146,15 +146,15 @@ void MultiRwAlgorithm::apply_local(const Action& a, Time now) {
     PSC_CHECK(best_state != nullptr, "UPDATE with nothing due");
     best_state->value = best->value;
     best_state->updates.erase(best);
-  } else if (a.name == "RETURN") {
+  } else if (a.name == names::kReturn) {
     PSC_CHECK(read_.active && read_.time <= now, "RETURN not due");
     PSC_CHECK(as_int(a.args.at(0)) == read_.obj, "RETURN of wrong object");
     read_.active = false;
-  } else if (a.name == "ACK") {
+  } else if (a.name == names::kAck) {
     PSC_CHECK(write_.status == WriteStatus::kAck && write_.ack_time <= now,
               "ACK not due");
     write_.status = WriteStatus::kInactive;
-  } else if (a.name == "SENDMSG") {
+  } else if (a.name == names::kSendMsg) {
     PSC_CHECK(write_.status == WriteStatus::kSend, "SENDMSG out of phase");
     auto it = std::find(write_.send_procs.begin(), write_.send_procs.end(),
                         a.peer);
@@ -232,7 +232,7 @@ void MultiRwClient::declare_signature(SignatureDecl& decl) const {
 void MultiRwClient::apply_input(const Action& a, Time t) {
   PSC_CHECK(busy_, "response with no outstanding invocation");
   PSC_CHECK(as_int(a.args.at(0)) == current_.obj, "response for wrong object");
-  if (a.name == "RETURN") {
+  if (a.name == names::kReturn) {
     PSC_CHECK(current_.kind == Operation::Kind::kRead, "RETURN for WRITE");
     current_.value = as_int(a.args.at(1));
   } else {
@@ -248,7 +248,7 @@ void MultiRwClient::apply_input(const Action& a, Time t) {
   next_issue_ = t + think;
 }
 
-void MultiRwClient::enabled_into(Time t, std::vector<Action>& out) const {
+void MultiRwClient::enabled_into(Time t, Candidates& out) const {
   out.clear();
   if (!busy_ && issued_ < options_.num_ops && next_issue_ <= t) {
     Rng probe(options_.seed ^ (0x9e3779b9ULL * (issued_ + 1)));
@@ -272,7 +272,7 @@ void MultiRwClient::apply_local(const Action& a, Time t) {
   current_.proc = options_.node;
   current_.inv = t;
   current_.obj = as_int(a.args.at(0));
-  if (a.name == "WRITE") {
+  if (a.name == names::kWrite) {
     current_.kind = Operation::Kind::kWrite;
     current_.value = as_int(a.args.at(1));
   } else {

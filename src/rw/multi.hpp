@@ -41,7 +41,7 @@ class MultiRwAlgorithm final : public Machine {
 
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
-  void enabled_into(Time now, std::vector<Action>& out) const override;
+  void enabled_into(Time now, Candidates& out) const override;
   void apply_local(const Action& a, Time now) override;
   Time upper_bound(Time now) const override;
   Time next_enabled(Time now) const override;
@@ -106,7 +106,7 @@ class MultiRwClient final : public Machine {
 
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
-  void enabled_into(Time t, std::vector<Action>& out) const override;
+  void enabled_into(Time t, Candidates& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;

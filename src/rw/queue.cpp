@@ -78,7 +78,7 @@ void QueueServer::apply_input(const Action& a, Time /*now*/) {
   }
 }
 
-void QueueServer::enabled_into(Time /*now*/, std::vector<Action>& out) const {
+void QueueServer::enabled_into(Time /*now*/, Candidates& out) const {
   out.clear();
   if (bcast_ready_) {
     out.push_back(make_action("TOBCAST", node_, {Value{pending_bcast_}}));
@@ -166,7 +166,7 @@ void QueueClient::apply_input(const Action& a, Time t) {
   next_issue_ = t + think;
 }
 
-void QueueClient::enabled_into(Time t, std::vector<Action>& out) const {
+void QueueClient::enabled_into(Time t, Candidates& out) const {
   out.clear();
   if (!busy_ && issued_ < options_.num_ops && next_issue_ <= t) {
     Rng probe(options_.seed ^ (0x2545f49ULL * (issued_ + 1)));
@@ -312,34 +312,43 @@ QueueRunResult run_queue_timed(const QueueRunConfig& cfg) {
   return collect(exec, clients);
 }
 
-QueueRunResult run_queue_clock(const QueueRunConfig& cfg,
-                               const DriftModel& drift) {
-  Executor exec({.horizon = cfg.horizon, .seed = cfg.seed, .validate = cfg.validate});
-  auto clients = add_queue_clients(exec, cfg);
-  std::vector<std::shared_ptr<const ClockTrajectory>> trajs;
+QueueAssembly assemble_queue_clock(const QueueRunConfig& cfg,
+                                   const DriftModel& drift) {
+  QueueAssembly a;
+  a.exec = std::make_unique<Executor>(ExecutorOptions{
+      .horizon = cfg.horizon, .seed = cfg.seed, .validate = cfg.validate});
+  a.clients = add_queue_clients(*a.exec, cfg);
   Rng seeder(cfg.seed ^ 0xc1c1c1c1ULL);
   for (int i = 0; i < cfg.num_nodes; ++i) {
     Rng r = seeder.split();
     auto traj = std::make_shared<ClockTrajectory>(
         drift.generate(cfg.eps, cfg.horizon, r));
     traj->validate(cfg.horizon);
-    trajs.push_back(std::move(traj));
+    a.trajectories.push_back(std::move(traj));
   }
   ChannelConfig cc;
   cc.d1 = cfg.d1;
   cc.d2 = cfg.d2;
   cc.seed = cfg.seed ^ 0x55;
-  const auto handles = add_clock_system(
-      exec, Graph::complete_with_self_loops(cfg.num_nodes), cc,
-      make_queue_nodes(cfg.num_nodes, timed_d2(cfg.d2, cfg.eps), cfg.delta),
-      trajs);
+  a.nodes = add_clock_system(
+                *a.exec, Graph::complete_with_self_loops(cfg.num_nodes), cc,
+                make_queue_nodes(cfg.num_nodes, timed_d2(cfg.d2, cfg.eps),
+                                 cfg.delta),
+                a.trajectories)
+                .nodes;
+  return a;
+}
+
+QueueRunResult run_queue_clock(const QueueRunConfig& cfg,
+                               const DriftModel& drift) {
+  QueueAssembly a = assemble_queue_clock(cfg, drift);
   RunObserver observer(cfg.obs);
-  observer.add_clock_skew(trajs, cfg.eps);
+  observer.add_clock_skew(a.trajectories, cfg.eps);
   observer.add_channel_latency(cfg.d1, cfg.d2);
   Sim1BufferProbe* bp = observer.add_buffers();
   CausalTraceProbe* cp = cfg.obs != nullptr ? cfg.obs->causal : nullptr;
   if (bp != nullptr || cp != nullptr) {
-    for (auto* node : handles.nodes) {
+    for (auto* node : a.nodes) {
       auto& comp = dynamic_cast<CompositeMachine&>(node->inner());
       for (std::size_t k = 0; k < comp.size(); ++k) {
         if (auto* rb = dynamic_cast<ReceiveBuffer*>(&comp.member(k))) {
@@ -352,8 +361,8 @@ QueueRunResult run_queue_clock(const QueueRunConfig& cfg,
       }
     }
   }
-  observer.attach(exec);
-  return collect(exec, clients);
+  observer.attach(*a.exec);
+  return collect(*a.exec, a.clients);
 }
 
 }  // namespace psc

@@ -64,7 +64,7 @@ class QueueServer final : public Machine {
 
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time now) override;
-  void enabled_into(Time now, std::vector<Action>& out) const override;
+  void enabled_into(Time now, Candidates& out) const override;
   void apply_local(const Action& a, Time now) override;
   Time upper_bound(Time now) const override;
 
@@ -110,7 +110,7 @@ class QueueClient final : public Machine {
 
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time t) override;
-  void enabled_into(Time t, std::vector<Action>& out) const override;
+  void enabled_into(Time t, Candidates& out) const override;
   void apply_local(const Action& a, Time t) override;
   Time upper_bound(Time t) const override;
   Time next_enabled(Time t) const override;
@@ -157,5 +157,18 @@ QueueRunResult run_queue_timed(const QueueRunConfig& cfg);
 // Clock model via Simulation 1 (d2' = d2 + 2 eps).
 QueueRunResult run_queue_clock(const QueueRunConfig& cfg,
                                const DriftModel& drift);
+
+class ClockedMachine;  // runtime/clocked.hpp
+
+// The clock-model queue system assembled into its executor but not run
+// (cfg.obs is not read); run_queue_clock assembles through it.
+struct QueueAssembly {
+  std::unique_ptr<Executor> exec;
+  std::vector<QueueClient*> clients;  // index = node id; owned by exec
+  std::vector<std::shared_ptr<const ClockTrajectory>> trajectories;
+  std::vector<ClockedMachine*> nodes;  // index = node id
+};
+QueueAssembly assemble_queue_clock(const QueueRunConfig& cfg,
+                                   const DriftModel& drift);
 
 }  // namespace psc

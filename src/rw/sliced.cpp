@@ -30,13 +30,13 @@ void SlicedRw::declare_signature(SignatureDecl& decl) const {
 }
 
 void SlicedRw::apply_input(const Action& a, Time clock) {
-  if (a.name == "READ") {
+  if (a.name == names::kRead) {
     PSC_CHECK(!read_.active, "alternation violated");
     read_.active = true;
     // First boundary >= T, plus 3u: worst case 4u, best case 3u.
     const Time at_or_after = ((clock + params_.u - 1) / params_.u) * params_.u;
     read_.ret_at = at_or_after + 3 * params_.u;
-  } else if (a.name == "WRITE") {
+  } else if (a.name == names::kWrite) {
     PSC_CHECK(write_.status == WriteStatus::kInactive, "alternation violated");
     write_.status = WriteStatus::kSend;
     write_.value = as_int(a.args.at(0));
@@ -46,9 +46,11 @@ void SlicedRw::apply_input(const Action& a, Time clock) {
     for (int j = 0; j < params_.num_nodes; ++j) {
       if (j != params_.node) write_.send_procs.push_back(j);
     }
+    // A lone node has no peer to send to: nothing would ever leave kSend.
+    if (write_.send_procs.empty()) write_.status = WriteStatus::kWaitAck;
     // The writer applies its own update locally (no self-message needed).
     pending_.push_back({params_.node, write_.value, write_.boundary});
-  } else if (a.name == "RECVMSG") {
+  } else if (a.name == names::kRecvMsg) {
     PSC_CHECK(a.msg && a.msg->kind == "SUPDATE", "unexpected message");
     const std::int64_t v = as_int(a.msg->fields.at(0));
     const Time boundary = as_int(a.msg->fields.at(1));
@@ -71,7 +73,7 @@ Time SlicedRw::due_boundary(Time clock) const {
   return due;
 }
 
-void SlicedRw::enabled_into(Time clock, std::vector<Action>& out) const {
+void SlicedRw::enabled_into(Time clock, Candidates& out) const {
   out.clear();
   const int i = params_.node;
   const bool read_due = read_.active && read_.ret_at <= clock;
@@ -101,7 +103,7 @@ void SlicedRw::enabled_into(Time clock, std::vector<Action>& out) const {
 }
 
 void SlicedRw::apply_local(const Action& a, Time clock) {
-  if (a.name == "UPDATE") {
+  if (a.name == names::kUpdate) {
     // Apply the earliest due boundary; ties by ascending proc so the
     // largest proc id wins — identical at every node.
     auto it = pending_.end();
@@ -115,15 +117,15 @@ void SlicedRw::apply_local(const Action& a, Time clock) {
     PSC_CHECK(it != pending_.end(), "UPDATE with nothing due");
     value_ = it->value;
     pending_.erase(it);
-  } else if (a.name == "RETURN") {
+  } else if (a.name == names::kReturn) {
     PSC_CHECK(read_.active && read_.ret_at <= clock, "RETURN not due");
     read_.active = false;
-  } else if (a.name == "ACK") {
+  } else if (a.name == names::kAck) {
     PSC_CHECK(write_.status == WriteStatus::kWaitAck &&
                   write_.ack_at <= clock,
               "ACK not due");
     write_.status = WriteStatus::kInactive;
-  } else if (a.name == "SENDMSG") {
+  } else if (a.name == names::kSendMsg) {
     PSC_CHECK(write_.status == WriteStatus::kSend, "SENDMSG out of phase");
     auto it = std::find(write_.send_procs.begin(), write_.send_procs.end(),
                         a.peer);

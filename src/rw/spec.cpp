@@ -20,10 +20,10 @@ std::string to_string(const Operation& op) {
 namespace {
 
 bool is_invocation(const Action& a) {
-  return a.name == "READ" || a.name == "WRITE";
+  return a.name == names::kRead || a.name == names::kWrite;
 }
 bool is_response(const Action& a) {
-  return a.name == "RETURN" || a.name == "ACK";
+  return a.name == names::kReturn || a.name == names::kAck;
 }
 
 }  // namespace
@@ -38,8 +38,9 @@ bool alternation_ok(const TimedTrace& trace) {
     } else if (is_response(a)) {
       auto it = open.find(a.node);
       if (it == open.end()) return false;
-      const bool match = (it->second->name == "READ" && a.name == "RETURN") ||
-                         (it->second->name == "WRITE" && a.name == "ACK");
+      const ActionName inv = it->second->name;
+      const bool match = (inv == names::kRead && a.name == names::kReturn) ||
+                         (inv == names::kWrite && a.name == names::kAck);
       if (!match) return false;
       open.erase(it);
     }
@@ -58,16 +59,16 @@ History extract_history(const TimedTrace& trace) {
   std::map<int, Pending> open;
   for (const auto& e : trace) {
     const Action& a = e.action;
-    if (a.name == "READ") {
+    if (a.name == names::kRead) {
       open[a.node] = {Operation::Kind::kRead, 0, e.time};
-    } else if (a.name == "WRITE") {
+    } else if (a.name == names::kWrite) {
       open[a.node] = {Operation::Kind::kWrite, as_int(a.args.at(0)), e.time};
-    } else if (a.name == "RETURN") {
+    } else if (a.name == names::kReturn) {
       const auto& p = open.at(a.node);
       h.complete.push_back({a.node, Operation::Kind::kRead,
                             as_int(a.args.at(0)), p.inv, e.time});
       open.erase(a.node);
-    } else if (a.name == "ACK") {
+    } else if (a.name == names::kAck) {
       const auto& p = open.at(a.node);
       h.complete.push_back(
           {a.node, Operation::Kind::kWrite, p.value, p.inv, e.time});

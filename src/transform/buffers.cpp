@@ -22,17 +22,18 @@ void SendBuffer::declare_signature(SignatureDecl& decl) const {
 
 void SendBuffer::apply_input(const Action& a, Time clock) {
   PSC_CHECK(a.msg.has_value(), "SENDMSG without message");
-  q_.push_back({*a.msg, clock});
+  Tagged& q = q_.push_back();
+  q.msg = *a.msg;
+  q.tag = clock;
 }
 
-void SendBuffer::enabled_into(Time clock, std::vector<Action>& out) const {
-  std::size_t n = 0;
+void SendBuffer::enabled_into(Time clock, Candidates& out) const {
+  out.clear();
   if (!q_.empty() && q_.front().tag == clock) {
-    Action& a = candidate_slot(out, n++, "ESENDMSG", i_, j_);
+    Action& a = out.slot(names::kESendMsg, i_, j_);
     a.msg = q_.front().msg;
     a.msg->clock_tag = q_.front().tag;
   }
-  out.resize(n);
 }
 
 void SendBuffer::apply_local(const Action& a, Time clock) {
@@ -79,17 +80,16 @@ std::size_t ReceiveBuffer::min_index() const {
   return best;
 }
 
-void ReceiveBuffer::enabled_into(Time clock, std::vector<Action>& out) const {
-  std::size_t n = 0;
+void ReceiveBuffer::enabled_into(Time clock, Candidates& out) const {
+  out.clear();
   if (!q_.empty()) {
     const auto& h = q_[min_index()];
     if (h.msg.clock_tag <= clock) {
-      Action& a = candidate_slot(out, n++, "RECVMSG", i_, j_);
+      Action& a = out.slot(names::kRecvMsg, i_, j_);
       a.msg = h.msg;
       a.msg->clock_tag = kNoClockTag;  // deliver m, not (m, c)
     }
   }
-  out.resize(n);
 }
 
 void ReceiveBuffer::apply_local(const Action& a, Time clock) {

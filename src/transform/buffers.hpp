@@ -21,11 +21,11 @@
 // (see DESIGN.md).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "core/machine.hpp"
+#include "util/recycling_queue.hpp"
 
 namespace psc {
 
@@ -36,7 +36,7 @@ class SendBuffer final : public Machine {
 
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time clock) override;
-  void enabled_into(Time clock, std::vector<Action>& out) const override;
+  void enabled_into(Time clock, Candidates& out) const override;
   void apply_local(const Action& a, Time clock) override;
   Time upper_bound(Time clock) const override;
 
@@ -48,7 +48,7 @@ class SendBuffer final : public Machine {
     Time tag;  // clock value at SENDMSG time
   };
   int i_, j_;
-  std::deque<Tagged> q_;
+  RecyclingQueue<Tagged> q_;
 };
 
 struct ReceiveBufferStats {
@@ -65,7 +65,7 @@ class ReceiveBuffer final : public Machine {
 
   void declare_signature(SignatureDecl& decl) const override;
   void apply_input(const Action& a, Time clock) override;
-  void enabled_into(Time clock, std::vector<Action>& out) const override;
+  void enabled_into(Time clock, Candidates& out) const override;
   void apply_local(const Action& a, Time clock) override;
   Time upper_bound(Time clock) const override;
   Time next_enabled(Time clock) const override;

@@ -50,9 +50,9 @@ Sim1Check check_simulation1(
   result.delays_ok = true;
   for (const auto& e : clocked) {
     if (!e.action.msg) continue;
-    if (e.action.name == "SENDMSG") {
+    if (e.action.name == names::kSendMsg) {
       send_clock[e.action.msg->uid] = e.clock;
-    } else if (e.action.name == "RECVMSG") {
+    } else if (e.action.name == names::kRecvMsg) {
       const auto it = send_clock.find(e.action.msg->uid);
       if (it == send_clock.end()) continue;  // message born before logging
       const Duration delay = e.clock - it->second;

@@ -54,7 +54,7 @@ class NowReader final : public Machine {
   NowReader() : Machine("NowReader") {}
   void declare_signature(SignatureDecl&) const override {}
   void apply_input(const Action&, Time) override {}
-  void enabled_into(Time, std::vector<Action>& out) const override {
+  void enabled_into(Time, Candidates& out) const override {
     out.clear();
   }
   void apply_local(const Action&, Time) override {}
@@ -728,7 +728,7 @@ Margins worst_margins(const TimedTrace& trace, const TraceCheckOptions& o) {
   std::map<int, Time> last_tick, last_event;
   std::set<int> mmt_owners;
   for (const TimedEvent& e : trace) {
-    const std::string& name = e.action.name;
+    const ActionName name = e.action.name;
     if (o.eps >= 0 && e.clock != kNoClockTag) {
       low(m.ceps, ceps_window(o.eps, o.ell).slack(e.clock - e.time));
     }
@@ -785,7 +785,7 @@ class Endpoint final : public Machine {
     }
   }
   void apply_input(const Action&, Time) override {}
-  void enabled_into(Time, std::vector<Action>& out) const override {
+  void enabled_into(Time, Candidates& out) const override {
     out.clear();
   }
   void apply_local(const Action&, Time) override {}

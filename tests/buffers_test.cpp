@@ -152,7 +152,7 @@ class Echo final : public Machine {
     decl.output("SENDMSG", node_);
   }
   void apply_input(const Action&, Time) override { ++pending_; }
-  void enabled_into(Time, std::vector<Action>& out) const override {
+  void enabled_into(Time, Candidates& out) const override {
     out.clear();
     if (pending_ > 0 && sent_ < 40) {
       out.push_back(make_send(node_, peer_, make_message("ECHO")));
@@ -261,7 +261,7 @@ class TagEcho final : public Machine {
     if (sent_at > clock) ++violations_;
     ++pending_;
   }
-  void enabled_into(Time clock, std::vector<Action>& out) const override {
+  void enabled_into(Time clock, Candidates& out) const override {
     out.clear();
     if (pending_ > 0 && sent_ < max_sends_) {
       out.push_back(

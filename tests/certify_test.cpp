@@ -108,7 +108,7 @@ class DeclMachine final : public Machine {
   }
   ModelTraits model_traits() const override { return traits_; }
   void apply_input(const Action&, Time) override {}
-  void enabled_into(Time, std::vector<Action>& out) const override {
+  void enabled_into(Time, Candidates& out) const override {
     out.clear();
   }
   void apply_local(const Action&, Time) override {}

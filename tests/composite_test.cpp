@@ -28,13 +28,13 @@ class Recorder final : public Machine {
     for (const auto& e : entries_) decl.add(e.name, e.node, e.peer, e.role);
   }
   void apply_input(const Action& a, Time /*t*/) override {
-    log_.push_back(name() + " in " + a.name);
+    log_.push_back(name() + " in " + a.name.str());
   }
-  void enabled_into(Time /*t*/, std::vector<Action>& out) const override {
+  void enabled_into(Time /*t*/, Candidates& out) const override {
     out.clear();
   }
   void apply_local(const Action& a, Time /*t*/) override {
-    log_.push_back(name() + " local " + a.name);
+    log_.push_back(name() + " local " + a.name.str());
   }
 
  private:

@@ -24,7 +24,7 @@ class Ponger final : public Machine {
   void apply_input(const Action&, Time t) override {
     due_.push_back(t + delay_);
   }
-  void enabled_into(Time t, std::vector<Action>& out) const override {
+  void enabled_into(Time t, Candidates& out) const override {
     out.clear();
     for (Time d : due_) {
       if (d <= t) {
@@ -113,8 +113,9 @@ TEST(ExecutorTest, EventCapDetectsRunaway) {
       decl.internal("SPIN");
     }
     void apply_input(const Action&, Time) override {}
-    void enabled_into(Time, std::vector<Action>& out) const override {
-      out.assign(1, make_action("SPIN", kNoNode));
+    void enabled_into(Time, Candidates& out) const override {
+      out.clear();
+      out.push_back(make_action("SPIN", kNoNode));
     }
     void apply_local(const Action&, Time) override {}
   };
@@ -132,7 +133,7 @@ TEST(ExecutorTest, TimeDeadlockDetected) {
     Blocker() : Machine("blocker") {}
     void declare_signature(SignatureDecl&) const override {}
     void apply_input(const Action&, Time) override {}
-    void enabled_into(Time, std::vector<Action>& out) const override {
+    void enabled_into(Time, Candidates& out) const override {
       out.clear();
     }
     void apply_local(const Action&, Time) override {}
@@ -189,7 +190,7 @@ TEST(CompositeTest, MemberToMemberRouting) {
       decl.output("DONE");
     }
     void apply_input(const Action&, Time) override { pending_ = true; }
-    void enabled_into(Time, std::vector<Action>& out) const override {
+    void enabled_into(Time, Candidates& out) const override {
       out.clear();
       if (pending_) out.push_back(make_action("DONE", kNoNode));
     }

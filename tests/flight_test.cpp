@@ -273,7 +273,7 @@ TEST(FlightRecorderTest, RebindForgetsMessagesLeftInFlight) {
 
   std::set<std::string> names;
   for (const RwRunResult* run : {&first, &second}) {
-    for (const TimedEvent& e : run->events) names.insert(e.action.name);
+    for (const TimedEvent& e : run->events) names.insert(e.action.name.str());
   }
   std::uint64_t steps = 0;
   for (const std::string& n : names) {

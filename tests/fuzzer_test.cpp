@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "algos/election.hpp"
@@ -17,6 +18,7 @@
 #include "algos/tobcast.hpp"
 #include "channel/channel.hpp"
 #include "clock/trajectory.hpp"
+#include "core/trace_io.hpp"
 #include "mmt/mmt_node.hpp"
 #include "mmt/tick_source.hpp"
 #include "runtime/fuzzer.hpp"
@@ -46,6 +48,7 @@ TEST_P(FuzzSeeds, ChannelSatisfiesAxioms) {
   });
   const auto report = fuzz.run(3000);
   EXPECT_GT(report.actions_executed, 100u);
+  EXPECT_GT(report.recycled_refills, 10u);
 }
 
 TEST_P(FuzzSeeds, SendBufferSatisfiesAxioms) {
@@ -55,7 +58,7 @@ TEST_P(FuzzSeeds, SendBufferSatisfiesAxioms) {
     if (rng.flip(0.5)) return make_send(0, 1, make_message("M"));
     return std::nullopt;
   });
-  fuzz.run(2000);
+  EXPECT_GT(fuzz.run(2000).recycled_refills, 10u);
 }
 
 TEST_P(FuzzSeeds, ReceiveBufferSatisfiesAxioms) {
@@ -72,6 +75,7 @@ TEST_P(FuzzSeeds, ReceiveBufferSatisfiesAxioms) {
   });
   const auto report = fuzz.run(3000);
   EXPECT_GT(report.inputs_injected, 100u);
+  EXPECT_GT(report.recycled_refills, 10u);
 }
 
 TEST_P(FuzzSeeds, RwAlgorithmSatisfiesAxioms) {
@@ -98,6 +102,7 @@ TEST_P(FuzzSeeds, RwAlgorithmSatisfiesAxioms) {
   });
   const auto report = fuzz.run(3000);
   EXPECT_GT(report.actions_executed, 100u);  // updates kept applying
+  EXPECT_GT(report.recycled_refills, 10u);
 }
 
 // The generator answers the client's outstanding invocation. It runs at
@@ -130,6 +135,7 @@ TEST_P(FuzzSeeds, RwClientSatisfiesAxioms) {
       });
   const auto report = fuzz.run(4000);
   EXPECT_GT(report.actions_executed, 100u);
+  EXPECT_GT(report.recycled_refills, 10u);
   EXPECT_EQ(client.operations().size(), completed);
   const auto& ops = client.operations();
   EXPECT_TRUE(std::any_of(ops.begin(), ops.end(), [](const Operation& op) {
@@ -150,12 +156,13 @@ void expect_pure_polls(Machine& m, std::size_t sends) {
   std::uint64_t next_uid = 1;
   Action named = make_send(0, 1, make_message("STALE"));
   name_message(named, next_uid);
-  std::vector<Action> recycled(sends + 2, named);
+  Candidates recycled;
+  for (std::size_t k = 0; k < sends + 2; ++k) recycled.push_back(named);
   for (; sends > 0; --sends) {
     for (int k = 0; k < 3; ++k) {
       const std::vector<Action> fresh = m.enabled(0);
       m.enabled_into(0, recycled);
-      EXPECT_EQ(recycled, fresh) << m.name() << " poll " << k;
+      EXPECT_EQ(recycled.to_vector(), fresh) << m.name() << " poll " << k;
       std::size_t offered = 0;
       for (const Action& a : fresh) {
         if (a.name != "SENDMSG") continue;
@@ -197,6 +204,106 @@ TEST(RecycledPolls, SendsAreOfferedUnnamedOnEveryPoll) {
   ASSERT_EQ(first.front().name, "DELIVER");
   flood.apply_local(first.front(), 0);
   expect_pure_polls(flood, 3);
+}
+
+// The retention path as an executor slot takes it (axiom A8): a poll into
+// a list that retains more stale Actions than the poll fills, each with a
+// named message and args; the machine's own steps, each consuming the
+// front candidate as execute_fast does (swapping a stale Action in), until
+// a poll comes back empty; then a later poll that refills the retained
+// Actions. Every poll equals a fresh one in every field.
+Action stale_action() {
+  Action a = make_send(
+      7, 8, make_message("STALE", {Value{std::string("m")}, Value{1.5}}));
+  a.args = {Value{std::int64_t{-1}}, Value{std::string("stale")}};
+  a.msg->uid = 4242;
+  a.msg->clock_tag = 777;
+  return a;
+}
+
+void expect_retention(Machine& m, Time t) {
+  Candidates out;
+  for (int k = 0; k < 6; ++k) out.push_back(stale_action());
+  out.clear();
+  if (m.enabled(t).empty()) t = m.next_enabled(t);
+  const auto poll = [&](const char* what) {
+    m.enabled_into(t, out);
+    EXPECT_EQ(out.to_vector(), m.enabled(t))
+        << m.name() << ": " << what << " poll at " << format_time(t);
+  };
+  poll("stuffed");
+  ASSERT_FALSE(out.empty()) << m.name();
+  ASSERT_LT(out.size(), out.retained()) << m.name();
+  std::uint64_t next_uid = 1;
+  while (!out.empty()) {
+    Action performed = stale_action();
+    swap(performed, out[0]);
+    name_message(performed, next_uid);
+    m.apply_local(performed, t);
+    poll("drained");
+  }
+  EXPECT_EQ(out.retained(), 6u) << m.name();
+  t = m.next_enabled(t);
+  ASSERT_LT(t, kTimeMax) << m.name();
+  poll("refilled");
+  EXPECT_FALSE(out.empty()) << m.name();
+}
+
+TEST(RecycledPolls, RetainedActionsSurviveAnEmptyPollAndRefill) {
+  Rng r(3);
+  auto traj = std::make_shared<ClockTrajectory>(
+      ZigzagDrift(0.3).generate(microseconds(50), seconds(1), r));
+  TickSource ticks(0, traj, microseconds(10), Rng(5));
+  expect_retention(ticks, 0);
+
+  Channel ch(0, 1, microseconds(5), microseconds(50), DelayPolicy::uniform(),
+             Rng(7));
+  for (std::uint64_t uid = 1; uid <= 3; ++uid) {
+    Action send = make_send(0, 1, make_message("M", {Value{std::int64_t{2}}}));
+    send.msg->uid = uid;
+    ch.apply_input(send, 0);
+  }
+  expect_retention(ch, 0);
+
+  RwParams p;
+  p.node = 0;
+  p.num_nodes = 3;
+  p.d2_prime = microseconds(100);
+  RwAlgorithm algo(p);
+  algo.apply_input(make_action("WRITE", 0, {Value{7}}), 0);
+  expect_retention(algo, 0);
+}
+
+// Interned names read back from a trace are the names written: the same
+// id, so they compare, hash and pack into kind keys as the originals do.
+TEST(RecycledPolls, ActionNamesRoundTripThroughTraceIo) {
+  const ActionName fresh("ROUND_TRIP_ONLY");
+  const ActionName spaced("A NAME:WITH\\ESCAPES");
+  TimedTrace trace;
+  for (const ActionName name :
+       {names::kSendMsg, names::kTick, fresh, spaced}) {
+    TimedEvent e;
+    e.time = static_cast<Time>(trace.size());
+    e.action.name = name;
+    e.action.node = 1;
+    trace.push_back(e);
+  }
+  std::stringstream text;
+  write_trace(text, trace);
+  std::stringstream jsonl;
+  write_trace_jsonl(jsonl, trace);
+  for (const TimedTrace& back : {read_trace(text), read_trace_jsonl(jsonl)}) {
+    ASSERT_EQ(back.size(), trace.size());
+    for (std::size_t k = 0; k < trace.size(); ++k) {
+      const ActionName want = trace[k].action.name;
+      const ActionName got = back[k].action.name;
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(got.id(), want.id()) << want;
+      EXPECT_EQ(got.view(), want.view());
+      EXPECT_EQ(got.msg_class(), want.msg_class()) << want;
+      EXPECT_EQ(kind_key(back[k].action), kind_key(trace[k].action)) << want;
+    }
+  }
 }
 
 TEST_P(FuzzSeeds, SlicedRwSatisfiesAxioms) {
@@ -273,6 +380,7 @@ TEST_P(FuzzSeeds, MmtNodeSatisfiesAxioms) {
   EXPECT_GT(report.inert_inputs, 100u);
   EXPECT_LT(report.inert_inputs, report.inputs_injected);
   EXPECT_GT(node.stats().outputs, 10u);
+  EXPECT_GT(report.recycled_refills, 10u);
 }
 
 TEST_P(FuzzSeeds, ElectionNodeSatisfiesAxioms) {
@@ -469,6 +577,7 @@ TEST_P(FuzzSeeds, TickSourceSatisfiesAxioms) {
   MachineFuzzer fuzz(ticks, GetParam());
   const auto report = fuzz.run(3000);
   EXPECT_GT(report.actions_executed, 100u);
+  EXPECT_GT(report.recycled_refills, 10u);
 }
 
 TEST_P(FuzzSeeds, FloodNodeSatisfiesAxioms) {
@@ -488,6 +597,7 @@ TEST_P(FuzzSeeds, FloodNodeSatisfiesAxioms) {
   });
   const auto report = fuzz.run(3000);
   EXPECT_GT(report.actions_executed, 100u);
+  EXPECT_GT(report.recycled_refills, 10u);
 }
 
 TEST_P(FuzzSeeds, RenamedMachineSatisfiesAxioms) {

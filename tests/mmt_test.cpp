@@ -73,7 +73,7 @@ class PeriodicEmitter final : public Machine {
     decl.output("OUT", node_);
   }
   void apply_input(const Action&, Time) override {}
-  void enabled_into(Time clock, std::vector<Action>& out) const override {
+  void enabled_into(Time clock, Candidates& out) const override {
     out.clear();
     if (emitted_ < count_ && next_due_ <= clock) {
       out.push_back(make_action("OUT", node_, {Value{next_due_}}));
@@ -196,7 +196,7 @@ class DelayedEcho final : public Machine {
   void apply_input(const Action& a, Time clock) override {
     due_.push_back({clock + delay_, as_int(a.args.at(0))});
   }
-  void enabled_into(Time clock, std::vector<Action>& out) const override {
+  void enabled_into(Time clock, Candidates& out) const override {
     out.clear();
     if (due_.empty() || due_.front().at > clock) return;
     out.push_back(make_action("ECHO", node_, {Value{due_.front().value}}));
@@ -238,7 +238,7 @@ class PollCounter final : public Machine {
   void apply_input(const Action& a, Time t) override {
     inner_->apply_input(a, t);
   }
-  void enabled_into(Time t, std::vector<Action>& out) const override {
+  void enabled_into(Time t, Candidates& out) const override {
     ++polls;
     inner_->enabled_into(t, out);
   }

@@ -24,7 +24,7 @@ class Metronome final : public Machine {
     decl.output("TICKTOCK");
   }
   void apply_input(const Action&, Time) override {}
-  void enabled_into(Time t, std::vector<Action>& out) const override {
+  void enabled_into(Time t, Candidates& out) const override {
     out.clear();
     if (t >= next_) out.push_back(make_action("TICKTOCK", kNoNode));
   }
@@ -118,7 +118,7 @@ TEST(CompositeExtraTest, TwoMembersClaimingAnInternalKindFailAssembly) {
       decl.internal("STEP", node_);
     }
     void apply_input(const Action&, Time) override {}
-    void enabled_into(Time, std::vector<Action>& out) const override {
+    void enabled_into(Time, Candidates& out) const override {
       out.clear();
     }
     void apply_local(const Action&, Time) override {}

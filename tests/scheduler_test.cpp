@@ -369,7 +369,7 @@ class Batcher final : public Machine {
     decl.output("JOB", node_);
   }
   void apply_input(const Action&, Time) override {}
-  void enabled_into(Time t, std::vector<Action>& out) const override {
+  void enabled_into(Time t, Candidates& out) const override {
     out.clear();
     if (next_ == due_.size() || due_[next_] > t) return;
     const Value job{static_cast<std::int64_t>(next_)};
@@ -559,7 +559,7 @@ class CountingPart final : public Machine {
   void apply_input(const Action& a, Time t) override {
     inner_->apply_input(a, t);
   }
-  void enabled_into(Time t, std::vector<Action>& out) const override {
+  void enabled_into(Time t, Candidates& out) const override {
     ++polls_;
     inner_->enabled_into(t, out);
   }
@@ -678,7 +678,7 @@ class DeclaredEmitter final : public Machine {
     decl.output("X", 0);
   }
   void apply_input(const Action&, Time) override {}
-  void enabled_into(Time, std::vector<Action>& out) const override {
+  void enabled_into(Time, Candidates& out) const override {
     out.clear();
     if (!done_) out.push_back(make_action("X", 0));
   }
@@ -723,8 +723,9 @@ class Spinner final : public Machine {
     decl.internal("SPIN");
   }
   void apply_input(const Action&, Time) override {}
-  void enabled_into(Time, std::vector<Action>& out) const override {
-    out.assign(1, make_action("SPIN", kNoNode));
+  void enabled_into(Time, Candidates& out) const override {
+    out.clear();
+    out.push_back(make_action("SPIN", kNoNode));
   }
   void apply_local(const Action&, Time) override {}
 };

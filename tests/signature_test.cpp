@@ -47,7 +47,7 @@ bool is_local(ActionRole r) {
 // wrapper's TICK and MMTSTEP.
 void collect_names(const Machine& m, std::set<std::string>& names) {
   for (const SignatureDecl::Entry& e : m.signature().entries()) {
-    names.insert(e.name);
+    names.insert(e.name.str());
   }
   for (std::size_t k = 0; k < m.member_count(); ++k) {
     collect_names(*m.member_at(k), names);
@@ -74,7 +74,7 @@ void for_each_kind(const Machine& m, int n, Fn fn) {
 }
 
 std::string kind_str(const Action& a) {
-  return a.name + "(" + std::to_string(a.node) + "," +
+  return a.name.str() + "(" + std::to_string(a.node) + "," +
          std::to_string(a.peer) + ")";
 }
 
@@ -88,7 +88,7 @@ ActionRole composite_fold(const CompositeMachine& c,
   for (std::size_t k = 0; k < c.size(); ++k) {
     const ActionRole r = c.member(k).classify(a);
     if (is_local(r)) {
-      return hidden.count(a.name) != 0 ? ActionRole::kInternal
+      return hidden.count(a.name.str()) != 0 ? ActionRole::kInternal
                                        : ActionRole::kOutput;
     }
     if (r == ActionRole::kInput) any_input = true;
@@ -212,7 +212,7 @@ TEST(SignatureExactness, ClockedAndRenamedFoldThroughTheirInner) {
         image = true;
       }
     }
-    if (image || outer_of_inner.count(a.name) == 0) {
+    if (image || outer_of_inner.count(a.name.str()) == 0) {
       want = inner.classify(inner_a);
     }
     EXPECT_EQ(to_string(ren.classify(a)), to_string(want)) << kind_str(a);
@@ -303,7 +303,7 @@ TEST(SignatureExactness, LocalEntryBeatsInputEntry) {
       decl.output("X");
     }
     void apply_input(const Action&, Time) override {}
-    void enabled_into(Time, std::vector<Action>& out) const override {
+    void enabled_into(Time, Candidates& out) const override {
       out.clear();
     }
     void apply_local(const Action&, Time) override {}

@@ -19,6 +19,9 @@
 // super[1] trace[""]   (drift: perfect|offset+|offset-|zigzag|random|
 // opposing|disciplined). A key not listed here, or a numeric value that
 // does not parse whole or lies out of its range, exits 2 naming the flag.
+// So do values that each fit but together make no system (a d1_us above
+// d2_us, a c_us the design bound cannot hold): the scenario is assembled
+// once before it runs, and a failed assembly names the flags it read.
 //
 // Observability (docs/OBSERVABILITY.md):
 //   --metrics-out=PATH   dump the run's metrics registry as JSONL
@@ -82,6 +85,7 @@
 #include "runtime/system.hpp"
 #include "rw/harness.hpp"
 #include "rw/queue.hpp"
+#include "util/check.hpp"
 #include "util/stats.hpp"
 
 using namespace psc;
@@ -192,6 +196,33 @@ std::string gets(const std::map<std::string, std::string>& a,
                  const std::string& key, const std::string& def) {
   auto it = a.find(key);
   return it == a.end() ? def : it->second;
+}
+
+// "--key=value" for a numeric flag with the value this run uses, marked
+// when it is the default.
+std::string shown(const std::map<std::string, std::string>& a,
+                  const std::string& key, std::int64_t value) {
+  return "--" + key + "=" + std::to_string(value) +
+         (a.count(key) == 0 ? " (default)" : "");
+}
+
+std::int64_t in_us(Duration d) { return d / microseconds(1); }
+
+// Runs `assemble`, a scenario's assembly without its run. A CheckError it
+// throws comes from the flag values, so it exits 2 naming `flags` (the ones
+// the assembly read, as shown() prints them), like a range error.
+template <typename Assemble>
+void check_assembles(const std::string& scenario,
+                     const std::vector<std::string>& flags,
+                     Assemble assemble) {
+  try {
+    assemble();
+  } catch (const CheckError& e) {
+    std::cerr << "psc-sim: " << scenario << " does not assemble from";
+    for (const std::string& f : flags) std::cerr << ' ' << f;
+    std::cerr << ": " << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 std::unique_ptr<DriftModel> make_drift(const std::string& name) {
@@ -528,6 +559,24 @@ int run_register(const std::string& scenario,
   }
   cfg.obs = obs.options();
 
+  std::vector<std::string> flags = {shown(args, "nodes", cfg.num_nodes),
+                                    shown(args, "d1_us", in_us(cfg.d1)),
+                                    shown(args, "d2_us", in_us(cfg.d2)),
+                                    shown(args, "eps_us", in_us(cfg.eps)),
+                                    shown(args, "c_us", in_us(cfg.c))};
+  if (scenario == "rw-mmt") flags.push_back(shown(args, "ell_us", in_us(ell)));
+  check_assembles(scenario, flags, [&] {
+    if (scenario == "rw-timed") {
+      assemble_rw_timed(cfg);
+    } else if (scenario == "rw-clock") {
+      assemble_rw_clock(cfg, *drift);
+    } else if (scenario == "rw-sliced") {
+      assemble_rw_sliced(cfg, *drift);
+    } else {
+      assemble_rw_mmt(cfg, *drift, ell, cfg.num_nodes + 2);
+    }
+  });
+
   RwRunResult run;
   if (scenario == "rw-timed") {
     run = run_rw_timed(cfg);
@@ -582,6 +631,12 @@ int run_queue(const std::map<std::string, std::string>& args) {
     obs.enable_cert(bo);
   }
   cfg.obs = obs.options();
+  check_assembles("queue",
+                  {shown(args, "nodes", cfg.num_nodes),
+                   shown(args, "d1_us", in_us(cfg.d1)),
+                   shown(args, "d2_us", in_us(cfg.d2)),
+                   shown(args, "eps_us", in_us(cfg.eps))},
+                  [&] { assemble_queue_clock(cfg, *drift); });
   const auto run = run_queue_clock(cfg, *drift);
   std::cout << "queue: " << run.ops.size() << " operations, "
             << run.events.size() << " events\n";
@@ -621,14 +676,21 @@ int run_flood(const std::map<std::string, std::string>& args) {
   }
 
   Executor exec({.horizon = seconds(60), .seed = seed, .validate = lint});
-  const Graph g = Graph::ring(n);
-  ChannelConfig cc;
-  cc.d1 = d1;
-  cc.d2 = d2;
-  cc.seed = seed ^ 0xf100d;
-  add_timed_system(exec, g, cc,
-                   make_flood_nodes(g, /*source=*/0, /*payload=*/42,
-                                    /*hops_bound=*/g.n, d2, margin));
+  check_assembles("flood",
+                  {shown(args, "nodes", n), shown(args, "d1_us", in_us(d1)),
+                   shown(args, "d2_us", in_us(d2)),
+                   shown(args, "margin_us", in_us(margin))},
+                  [&] {
+                    const Graph g = Graph::ring(n);
+                    ChannelConfig cc;
+                    cc.d1 = d1;
+                    cc.d2 = d2;
+                    cc.seed = seed ^ 0xf100d;
+                    add_timed_system(
+                        exec, g, cc,
+                        make_flood_nodes(g, /*source=*/0, /*payload=*/42,
+                                         /*hops_bound=*/g.n, d2, margin));
+                  });
   RunObserver observer(obs.options());
   observer.add_channel_latency(d1, d2);
   observer.attach(exec);
