@@ -7,9 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 
 #include "core/trace_io.hpp"
+#include "obs/causal.hpp"
+#include "obs/flight.hpp"
+#include "obs/instrument.hpp"
+#include "obs/metrics.hpp"
 #include "rw/harness.hpp"
 #include "rw/queue.hpp"
 
@@ -109,6 +114,68 @@ TEST(DeterminismTest, QueueClockTraceIsPinnedAcrossBuilds) {
   const std::string text = trace_to_text(run.events);
   EXPECT_EQ(run.events.size(), 432u);
   EXPECT_EQ(fnv1a(text), 1336714106374535452ULL);
+}
+
+// The observability outputs of one cfg_for(42) run with the causal probe,
+// a flight recorder whose ring holds the whole run and a registry (which
+// attaches the channel, Simulation 1 and MMT probes) all on.
+struct ObservedRun {
+  std::uint64_t events = 0;
+  std::string dag;       // CausalDag::to_text()
+  std::string snapshot;  // write_snapshot bytes
+  std::string metrics;   // registry JSONL after FlightRecorder::export_metrics
+};
+
+template <typename RunFn>
+ObservedRun observe_run(RunFn run) {
+  MetricsRegistry reg;
+  CausalTraceProbe causal;
+  FlightRecorder flight({.ring_capacity = std::size_t{1} << 13});
+  ObsOptions oo;
+  oo.registry = &reg;
+  oo.causal = &causal;
+  oo.flight = &flight;
+  RwRunConfig cfg = cfg_for(42);
+  cfg.obs = &oo;
+  const RwRunResult res = run(cfg);
+  EXPECT_EQ(flight.dropped(), 0u);
+  EXPECT_EQ(flight.total_recorded(), res.events.size());
+  ObservedRun out;
+  out.events = res.events.size();
+  out.dag = causal.dag().to_text();
+  std::ostringstream snap;
+  write_snapshot(snap, flight.snapshot());
+  out.snapshot = snap.str();
+  flight.export_metrics(reg);
+  std::ostringstream metrics;
+  reg.write_jsonl(metrics);
+  out.metrics = metrics.str();
+  return out;
+}
+
+// Pins what the observability layer derives from the pinned traces above:
+// a change to how the recorder, the causal index or the probes look up
+// names and uids must leave every output byte-identical.
+TEST(DeterminismTest, ClockModelObservabilityIsPinnedAcrossBuilds) {
+  const ObservedRun o = observe_run([](const RwRunConfig& cfg) {
+    ZigzagDrift drift(0.3);
+    return run_rw_clock(cfg, drift);
+  });
+  EXPECT_EQ(o.events, 180u);
+  EXPECT_EQ(fnv1a(o.dag), 18243569999467700571ULL);
+  EXPECT_EQ(fnv1a(o.snapshot), 10336008634846367771ULL);
+  EXPECT_EQ(fnv1a(o.metrics), 9208900292309019210ULL);
+}
+
+TEST(DeterminismTest, MmtModelObservabilityIsPinnedAcrossBuilds) {
+  const ObservedRun o = observe_run([](const RwRunConfig& cfg) {
+    ZigzagDrift drift(0.3);
+    return run_rw_mmt(cfg, drift, microseconds(10), 5);
+  });
+  EXPECT_EQ(o.events, 3840u);
+  EXPECT_EQ(fnv1a(o.dag), 1213085631828105935ULL);
+  EXPECT_EQ(fnv1a(o.snapshot), 15183780269629329630ULL);
+  EXPECT_EQ(fnv1a(o.metrics), 849259457694747550ULL);
 }
 
 }  // namespace
