@@ -23,13 +23,13 @@
 #   5. psc-report: the CI sweep (configs/rw_sweep_smoke.cfg) with the
 #      bound-slack observatory attached — any cell with negative bound
 #      slack or a linearizability failure makes psc-report exit nonzero.
-#   6. flight replay: record a flood window into the binary flight ring
-#      (psc-sim --flight), decode it with psc-flight, check the decoded
-#      JSONL byte-for-byte against the same run's live trace (raw message
-#      uids included), and replay the decoded window through psc-lint —
-#      all under ASan+UBSan, so the record path, the snapshot codec, and
-#      the decoder are sanitizer-clean and the recorded window lints like
-#      a live trace.
+#   6. flight replay: record flood, rw-clock and rw-mmt windows into the
+#      binary flight ring (psc-sim --flight), decode each with psc-flight,
+#      check the decoded JSONL byte-for-byte against the same run's live
+#      trace (raw message uids included), and replay the decoded window
+#      through psc-lint — all under ASan+UBSan, so the record path, the
+#      snapshot codec, and the decoder are sanitizer-clean and the
+#      recorded window lints like a live trace.
 #   7. microprofiler overhead gate: the capped machine sweep with the
 #      sampling profiler attached, in a separate *plain* RelWithDebInfo
 #      build (build-bench-prof) — timing under sanitizers is meaningless.
@@ -212,6 +212,21 @@ mkdir -p "$FLY_DIR"
 cmp "$FLY_DIR/flood_live.jsonl" "$FLY_DIR/flood_flight.jsonl"
 "$BUILD_DIR"/tools/psc-lint --trace="$FLY_DIR/flood_flight.jsonl" \
   --d1_us=20 --d2_us=300 --nodes=4
+
+# The same replay for the clock and MMT models (Simulation 1's buffer legs,
+# TICK/MMTSTEP). A default rw-mmt run records 8,779 events, more than the
+# default 8,192-record ring, so both runs size the ring to hold the run.
+for sc in rw-clock rw-mmt; do
+  "$BUILD_DIR"/tools/psc-sim "$sc" --lint --flight="$FLY_DIR/$sc.fly" \
+    --flight-ring=16384 --trace="$FLY_DIR/${sc}_live.jsonl" >/dev/null
+  "$BUILD_DIR"/tools/psc-flight "$FLY_DIR/$sc.fly" --jsonl \
+    --out="$FLY_DIR/${sc}_flight.jsonl"
+  cmp "$FLY_DIR/${sc}_live.jsonl" "$FLY_DIR/${sc}_flight.jsonl"
+done
+"$BUILD_DIR"/tools/psc-lint --trace="$FLY_DIR/rw-clock_flight.jsonl" \
+  --d1_us=20 --d2_us=300 --eps_us=50 --nodes=3
+"$BUILD_DIR"/tools/psc-lint --trace="$FLY_DIR/rw-mmt_flight.jsonl" \
+  --d1_us=20 --d2_us=300 --eps_us=50 --ell_us=10 --nodes=3
 
 # --- lane 7: microprofiler overhead gate --------------------------------------
 

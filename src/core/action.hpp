@@ -108,6 +108,16 @@ inline constexpr std::string_view kSeededNames[] = {
     "READ", "WRITE",   "RETURN",  "ACK",      "UPDATE",   "DELIVER", "COMPLETE",
 };
 inline constexpr std::size_t kSeededCount = std::size(kSeededNames);
+// The class each name's text spells, independent of its id.
+constexpr MsgClass msg_class(std::string_view name) {
+  if (name == "SENDMSG") return MsgClass::kSend;
+  if (name == "RECVMSG") return MsgClass::kRecv;
+  if (name == "ESENDMSG") return MsgClass::kESend;
+  if (name == "ERECVMSG") return MsgClass::kERecv;
+  if (name == "TICK") return MsgClass::kTick;
+  if (name == "MMTSTEP") return MsgClass::kMmtStep;
+  return MsgClass::kOther;
+}
 constexpr bool seeded_classes_agree() {
   for (std::size_t i = 0; i < kSeededCount; ++i) {
     const MsgClass want = i >= 1 && i <= 6 ? static_cast<MsgClass>(i)

@@ -31,7 +31,7 @@ void MessageIndex::observe(const TimedEvent& e, SpanId span) {
   if (!e.action.msg.has_value()) return;
   const MsgClass stage = e.action.name.msg_class();
   if (!is_msg_leg(stage)) return;
-  Record& rec = map_[e.action.msg->uid];
+  Record& rec = rows_[e.action.msg->uid];
   if ((stage == MsgClass::kSend || stage == MsgClass::kESend) &&
       rec.send_time < 0) {
     // First send wins: in the clock model SENDMSG and ESENDMSG carry the
@@ -45,18 +45,11 @@ void MessageIndex::observe(const TimedEvent& e, SpanId span) {
 }
 
 const MessageIndex::Record* MessageIndex::find(std::uint64_t uid) const {
-  const auto it = map_.find(uid);
-  return it == map_.end() ? nullptr : &it->second;
+  const Record* rec = rows_.find(uid);
+  return rec != nullptr && is_msg_leg(rec->last_stage) ? rec : nullptr;
 }
 
 // --- CausalDag ------------------------------------------------------------
-
-std::uint32_t CausalDag::intern_name(ActionName n) {
-  const auto [it, fresh] =
-      name_ids_.emplace(n, static_cast<std::uint32_t>(names_.size()));
-  if (fresh) names_.push_back(n.str());
-  return it->second;
-}
 
 std::uint32_t CausalDag::intern_proc(int node, int owner) {
   // Process = the action's node; node-less actions get a pseudo-process
@@ -73,7 +66,7 @@ std::uint32_t CausalDag::intern_proc(int node, int owner) {
 SpanId CausalDag::add_span(const TimedEvent& e) {
   const SpanId id = static_cast<SpanId>(spans_.size());
   CausalSpan s;
-  s.name_id = intern_name(e.action.name);
+  s.name = e.action.name;
   s.node = e.action.node;
   s.peer = e.action.peer;
   s.owner = e.owner;
@@ -123,7 +116,7 @@ bool CausalDag::happens_before(SpanId a, SpanId b) const {
 
 SpanId CausalDag::find_last(std::string_view name) const {
   for (std::size_t i = spans_.size(); i-- > 0;) {
-    if (names_[spans_[i].name_id] == name) return static_cast<SpanId>(i);
+    if (spans_[i].name == name) return static_cast<SpanId>(i);
   }
   return kNoSpan;
 }
@@ -210,10 +203,12 @@ void CausalTraceProbe::watch(ReceiveBuffer* rb) {
   PSC_CHECK(rb != nullptr, "null receive buffer");
   rb->set_release_hook([this](const Message& m, Time arrived_clock,
                               Time released_clock) {
-    // Stashed until the matching RECVMSG event reaches on_event (the
+    // Noted until the matching RECVMSG event reaches on_event (the
     // executor applies effects before notifying probes).
-    releases_[m.uid] = Release{released_clock - arrived_clock,
-                               m.clock_tag > arrived_clock};
+    MessageIndex::Record& rec = index_.rows_[m.uid];
+    rec.released = true;
+    rec.waited = m.clock_tag > arrived_clock;
+    rec.clock_hold = released_clock - arrived_clock;
   });
 }
 
@@ -242,8 +237,8 @@ void CausalTraceProbe::on_event(const TimedEvent& e, const Machine& owner) {
   // Simulation-1 buffer.
   bool flow_emitted = false;
   if (e.action.msg.has_value()) {
-    const MessageIndex::Record* rec =
-        is_msg_leg(stage) ? index_.find(e.action.msg->uid) : nullptr;
+    MessageIndex::Record* rec =
+        is_msg_leg(stage) ? index_.rows_.find(e.action.msg->uid) : nullptr;
     if (rec != nullptr && rec->last_span != kNoSpan &&
         rec->last_span != id) {
       CausalEdge me;
@@ -253,11 +248,10 @@ void CausalTraceProbe::on_event(const TimedEvent& e, const Machine& owner) {
       } else if (stage == MsgClass::kRecv &&
                  rec->last_stage == MsgClass::kERecv) {
         me.kind = EdgeKind::kBuffer;  // Sim1 receive-buffer hold
-        const auto rit = releases_.find(e.action.msg->uid);
-        if (rit != releases_.end()) {
-          me.clock_hold = rit->second.clock_hold;
-          me.waited = rit->second.waited;
-          releases_.erase(rit);
+        if (rec->released) {
+          me.clock_hold = rec->clock_hold;
+          me.waited = rec->waited;
+          rec->released = false;
         }
       } else {
         me.kind = EdgeKind::kChannel;

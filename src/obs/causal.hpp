@@ -21,9 +21,10 @@
 // a critical path through the DAG is also a latency attribution.
 //
 // Components:
-//   MessageIndex      the uid → send/last-event index the probe matches
-//                     message edges with (channel latency is the window
-//                     meter's, analysis/meter.hpp);
+//   MessageIndex      the uid → send/last-event row the probe matches
+//                     message edges with, kept in a dense UidIndex
+//                     (channel latency is the window meter's,
+//                     analysis/meter.hpp);
 //   CausalDag         compact in-memory DAG with vector-clock stamping,
 //                     happens-before queries, critical-path extraction,
 //                     and JSONL export;
@@ -40,6 +41,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "analysis/uid_index.hpp"
 #include "core/msg_class.hpp"
 #include "core/trace.hpp"
 #include "obs/probe.hpp"
@@ -76,7 +78,7 @@ struct CausalEdge {
 };
 
 struct CausalSpan {
-  std::uint32_t name_id = 0;  // interned action name (CausalDag::name)
+  ActionName name;
   int node = kNoNode;
   int peer = kNoNode;
   int owner = -1;            // executing machine index
@@ -102,11 +104,12 @@ struct CriticalPath {
 
 // --- MessageIndex ---------------------------------------------------------
 
-// uid → send/last-event index over the run's message actions, fed by
+// uid → send/last-event row over the run's message actions, fed by
 // CausalTraceProbe once per event and readable through its index().
 // Its first send is the same real time as the window meter's: in the clock
 // model SENDMSG and ESENDMSG share one instant, and in the MMT model
-// SENDMSG is never an event.
+// SENDMSG is never an event. Uids are dense from 1 per executor, so the
+// rows live in a UidIndex.
 class MessageIndex {
  public:
   struct Record {
@@ -115,18 +118,24 @@ class MessageIndex {
     Time last_time = -1;         // latest event touching this uid
     SpanId last_span = kNoSpan;
     MsgClass last_stage = MsgClass::kOther;  // a message leg once touched
+    // A receive-buffer release reported ahead of its RECVMSG event
+    // (CausalTraceProbe::watch), pending until that event consumes it.
+    bool released = false;
+    bool waited = false;  // the message's tag was ahead of the clock
+    Duration clock_hold = 0;
   };
 
   // Records `e` when it carries a message; `span` is the event's ordinal
   // (kNoSpan when the feeder does not number events).
   void observe(const TimedEvent& e, SpanId span);
 
+  // The row of a uid some message leg touched; nullptr otherwise.
   const Record* find(std::uint64_t uid) const;
-  std::size_t size() const { return map_.size(); }
-  void clear() { map_.clear(); }
 
  private:
-  std::unordered_map<std::uint64_t, Record> map_;
+  friend class CausalTraceProbe;  // notes and consumes buffer releases
+
+  UidIndex<Record> rows_;
 };
 
 // --- CausalDag ------------------------------------------------------------
@@ -136,9 +145,7 @@ class CausalDag {
   std::size_t size() const { return spans_.size(); }
   const CausalSpan& span(SpanId id) const { return spans_[id]; }
   const std::vector<CausalEdge>& preds(SpanId id) const { return preds_[id]; }
-  const std::string& name(SpanId id) const {
-    return names_[spans_[id].name_id];
-  }
+  ActionName name(SpanId id) const { return spans_[id].name; }
   std::size_t process_count() const { return procs_; }
 
   // Vector clock of a span: slot p counts the spans of process p in the
@@ -179,14 +186,11 @@ class CausalDag {
   void stamp(SpanId to);
 
  private:
-  std::uint32_t intern_name(ActionName n);
   std::uint32_t intern_proc(int node, int owner);
 
   std::vector<CausalSpan> spans_;
   std::vector<std::vector<CausalEdge>> preds_;
   std::vector<std::vector<std::uint32_t>> vcs_;
-  std::vector<std::string> names_;
-  std::unordered_map<ActionName, std::uint32_t> name_ids_;
   std::unordered_map<std::int64_t, std::uint32_t> proc_ids_;
   std::size_t procs_ = 0;
 };
@@ -203,8 +207,8 @@ class CausalTraceProbe final : public Probe {
   void set_trace(ChromeTraceWriter* trace) { trace_ = trace; }
 
   // Installs a release hook on a Simulation-1 receive buffer so kBuffer
-  // edges carry the clock-time hold and the waited flag. Non-owning; the
-  // buffer must outlive the run.
+  // edges carry the clock-time hold and the waited flag (noted on the
+  // message's index row). Non-owning; the buffer must outlive the run.
   void watch(ReceiveBuffer* rb);
 
   const CausalDag& dag() const { return dag_; }
@@ -213,16 +217,10 @@ class CausalTraceProbe final : public Probe {
   void on_event(const TimedEvent& e, const Machine& owner) override;
 
  private:
-  struct Release {  // pending receive-buffer release info, keyed by uid
-    Duration clock_hold = 0;
-    bool waited = false;
-  };
-
   CausalDag dag_;
   MessageIndex index_;
   ChromeTraceWriter* trace_ = nullptr;
   std::vector<SpanId> last_in_proc_;  // proc index → latest span
-  std::unordered_map<std::uint64_t, Release> releases_;
 };
 
 }  // namespace psc

@@ -34,7 +34,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -131,8 +130,8 @@ class LogHistogram {
 
 // --- the recorded POD ------------------------------------------------------
 
-// An event's MsgClass (core/msg_class.hpp) is computed once per interned
-// kind (never per event) and stored as a raw byte both in the kind table
+// An event's MsgClass (core/msg_class.hpp) is read off its action name's id
+// once per interned kind and stored as a raw byte both in the kind table
 // and in every record, so offline consumers can dispatch without the
 // string table. PSCFLT01 snapshots depend on these values.
 static_assert(static_cast<int>(MsgClass::kOther) == 0 &&
@@ -401,19 +400,20 @@ class FlightRecorder {
   // Gap to the owner's previous event, bucketed by the name of the later
   // event; nullptr until an event with that name is recorded.
   const LogHistogram* step_hist(std::string_view name) const {
-    const auto it = string_ids_.find(std::string(name));
-    if (it == string_ids_.end()) return nullptr;
-    const auto sit = step_by_name_.find(it->second);
-    return sit == step_by_name_.end() ? nullptr : steps_[sit->second].get();
+    for (const StepHist& s : steps_) {
+      if (strings_[s.sid] == name) return s.hist.get();
+    }
+    return nullptr;
   }
-  // Action names with a step histogram, intern order.
+  // Action names with a step histogram, in string-intern order.
   std::vector<std::string> step_names() const {
-    std::vector<std::pair<std::uint32_t, std::string>> named;
-    for (const auto& [id, h] : step_by_name_) named.emplace_back(id, strings_[id]);
-    std::sort(named.begin(), named.end());
+    std::vector<std::uint32_t> sids;
+    sids.reserve(steps_.size());
+    for (const StepHist& s : steps_) sids.push_back(s.sid);
+    std::sort(sids.begin(), sids.end());
     std::vector<std::string> out;
-    out.reserve(named.size());
-    for (auto& [id, n] : named) out.push_back(std::move(n));
+    out.reserve(sids.size());
+    for (const std::uint32_t sid : sids) out.push_back(strings_[sid]);
     return out;
   }
 
@@ -512,47 +512,38 @@ class FlightRecorder {
     const Action& a = e.action;
     PSC_CHECK(e.kind >= 0, "flight recorder got " << to_string(a)
                                                    << " without a kind id");
-    const NameRef nr = name_ref(a.name);
+    const NameRow nr = name_row(a.name);
+    const MsgClass cls = a.name.msg_class();
     const auto fk = static_cast<std::uint32_t>(kinds_.size());
-    kinds_.push_back({nr.id, a.node, a.peer, nr.cls});
+    kinds_.push_back({nr.sid, a.node, a.peer, cls});
     const auto kid = static_cast<std::size_t>(e.kind);
     if (kid >= exec_memo_.size()) exec_memo_.resize(kid + 1);
     ExecMemo& m = exec_memo_[kid];
     m.fk = fk;
     m.mkind = 0;
-    m.cls = static_cast<std::uint8_t>(nr.cls);
+    m.cls = static_cast<std::uint8_t>(cls);
     m.step_id = nr.step_id;
     return m;
   }
 
-  // Per-name intern state (string id, class, shared step histogram),
-  // fronted by a small direct-mapped cache: workloads use a handful of
-  // action names but intern thousands of (name, node, peer) kinds, and two
-  // hash-map probes per intern is exactly the cost intern_exec_kind exists
-  // to avoid. Collisions simply retake the slow path.
-  struct NameRef {
-    std::uint32_t id = 0;  // 0 = cache slot empty (id 0 is the reserved "")
-    MsgClass cls = MsgClass::kOther;
+  // Per-name state, indexed by ActionName::id(): workloads use a handful of
+  // action names but intern thousands of (name, node, peer) kinds, so a
+  // kind's intern reads its name's string and step histogram here. Name ids
+  // are process-wide, so the rows outlive rebinds like the tables they
+  // point into.
+  struct NameRow {
+    std::uint32_t sid = 0;  // string id; 0 = name not seen yet
     std::uint16_t step_id = 0;
   };
 
-  NameRef name_ref(std::string_view name) {
-    const std::size_t h =
-        (name.size() * 7 +
-         (name.empty() ? 0u : static_cast<unsigned char>(name.front()))) &
-        (name_cache_.size() - 1);
-    NameRef& c = name_cache_[h];
-    if (c.id != 0 && strings_[c.id] == name) return c;
-    NameRef r;
-    r.id = intern_string(name);
-    r.cls = msg_class(name);
-    const auto [it, fresh] = step_by_name_.try_emplace(r.id, std::uint16_t{0});
-    if (fresh) {
-      it->second = static_cast<std::uint16_t>(steps_.size());
-      steps_.push_back(std::make_unique<LogHistogram>());
+  NameRow name_row(ActionName name) {
+    if (name.id() >= names_.size()) names_.resize(name.id() + 1);
+    NameRow& r = names_[name.id()];
+    if (r.sid == 0) {
+      r.sid = intern_string(name);
+      r.step_id = static_cast<std::uint16_t>(steps_.size());
+      steps_.push_back({r.sid, std::make_unique<LogHistogram>()});
     }
-    r.step_id = it->second;
-    if (r.id != 0) c = r;
     return r;
   }
 
@@ -600,7 +591,7 @@ class FlightRecorder {
       if (o >= last_time_.size()) last_time_.resize(o + 1, Time{-1});
       const Time last = last_time_[o];
       last_time_[o] = e.time;
-      if (last >= 0) steps_[step_id]->add(e.time - last);
+      if (last >= 0) steps_[step_id].hist->add(e.time - last);
     }
     if ((r.flags & FlightRecord::kHasMsg) == 0) return;
     Time t;
@@ -637,14 +628,16 @@ class FlightRecorder {
   std::vector<FlightSnapshot::Kind> kinds_;
   std::vector<std::string> strings_;
   std::unordered_map<std::string, std::uint32_t> string_ids_;
-  std::array<NameRef, 16> name_cache_{};
+  std::vector<NameRow> names_;  // ActionName::id() -> its row
 
   // Online latency state.
+  struct StepHist {
+    std::uint32_t sid = 0;  // the action name's string id
+    std::unique_ptr<LogHistogram> hist;
+  };
   LogHistogram chan_;
   LogHistogram hold_;
-  std::vector<std::unique_ptr<LogHistogram>> steps_;  // step_id -> histogram
-  std::unordered_map<std::uint32_t, std::uint16_t>
-      step_by_name_;                // name string id -> step_id
+  std::vector<StepHist> steps_;     // step_id -> histogram
   std::vector<Time> last_time_;     // owner -> previous event time (-1 none)
   UidTimeMap sent_;                 // uid -> SENDMSG/ESENDMSG time
   UidTimeMap arrived_;              // uid -> ERECVMSG time (Simulation 1)

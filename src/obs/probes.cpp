@@ -142,12 +142,13 @@ void Sim1BufferProbe::on_event(const TimedEvent& e, const Machine& /*owner*/) {
   // the release to the algorithm; the difference is the real-time hold.
   const MsgClass cls = e.action.name.msg_class();
   if (cls == MsgClass::kERecv) {
-    arrived_.emplace(e.action.msg->uid, e.time);
+    Arrival& a = arrived_[e.action.msg->uid];
+    if (a.t < 0) a.t = e.time;
   } else if (cls == MsgClass::kRecv) {
-    const auto it = arrived_.find(e.action.msg->uid);
-    if (it == arrived_.end()) return;
-    hold_->add(static_cast<double>(e.time - it->second));
-    arrived_.erase(it);
+    Arrival* a = arrived_.find(e.action.msg->uid);
+    if (a == nullptr || a->t < 0) return;
+    hold_->add(static_cast<double>(e.time - a->t));
+    a->t = -1;
   }
 }
 
@@ -179,16 +180,21 @@ MmtProbe::MmtProbe(MetricsRegistry& reg) : reg_(reg) {
 void MmtProbe::watch(const MmtNode* node) { nodes_.push_back(node); }
 
 void MmtProbe::on_event(const TimedEvent& e, const Machine& owner) {
+  const int node = e.action.node;
   if (e.action.name.msg_class() == MsgClass::kTick) {
-    last_tick_[e.action.node] = e.time;
+    if (node >= 0) {
+      const auto i = static_cast<std::size_t>(node);
+      if (i >= last_tick_.size()) last_tick_.resize(i + 1, Time{-1});
+      last_tick_[i] = e.time;
+    }
     ticks_->add();
     return;
   }
-  if (e.action.node == kNoNode) return;
+  if (node < 0 || static_cast<std::size_t>(node) >= last_tick_.size()) return;
   if (dynamic_cast<const MmtNode*>(&owner) == nullptr) return;
-  const auto it = last_tick_.find(e.action.node);
-  if (it == last_tick_.end()) return;
-  tick_to_action_->add(static_cast<double>(e.time - it->second));
+  const Time last = last_tick_[static_cast<std::size_t>(node)];
+  if (last < 0) return;
+  tick_to_action_->add(static_cast<double>(e.time - last));
 }
 
 void MmtProbe::on_run_end(Time /*now*/) {

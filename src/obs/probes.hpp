@@ -26,10 +26,10 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/meter.hpp"
+#include "analysis/uid_index.hpp"
 #include "clock/trajectory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
@@ -107,6 +107,10 @@ class Sim1BufferProbe final : public Probe {
  private:
   void sample_occupancy(Time t);
 
+  struct Arrival {
+    Time t = -1;  // ERECVMSG time; -1 while none is pending
+  };
+
   std::vector<const ReceiveBuffer*> recv_;
   std::vector<const SendBuffer*> send_;
   ChromeTraceWriter* trace_;
@@ -114,7 +118,7 @@ class Sim1BufferProbe final : public Probe {
   Gauge* recv_occupancy_;
   Gauge* send_occupancy_;
   Histogram* hold_;  // per-message ERECVMSG -> RECVMSG hold time (real ns)
-  std::unordered_map<std::uint64_t, Time> arrived_;  // uid -> ERECVMSG time
+  UidIndex<Arrival> arrived_;  // uid -> pending ERECVMSG
   std::int64_t last_recv_occ_ = -1;
   std::int64_t last_send_occ_ = -1;
 };
@@ -132,7 +136,7 @@ class MmtProbe final : public Probe {
  private:
   MetricsRegistry& reg_;
   std::vector<const MmtNode*> nodes_;
-  std::unordered_map<int, Time> last_tick_;  // node -> last TICK time
+  std::vector<Time> last_tick_;  // node -> last TICK time (-1 none)
   Histogram* tick_to_action_;
   Counter* ticks_;
 };

@@ -85,13 +85,15 @@ ProfReport Profiler::report() const {
   std::vector<ProfEntry> kinds;
   kinds.reserve(kind_slots_.size());
   for (const Slot& s : kind_slots_) {
-    kinds.push_back(ProfEntry{s.name, s.count, sc.ns(s.ticks, s.count)});
+    kinds.push_back(
+        ProfEntry{std::string(s.name), s.count, sc.ns(s.ticks, s.count)});
   }
   r.kinds = scaled_slots(kinds);
   std::vector<ProfEntry> machines;
   machines.reserve(machine_slots_.size());
   for (const Slot& s : machine_slots_) {
-    machines.push_back(ProfEntry{s.name, s.count, sc.ns(s.ticks, s.count)});
+    machines.push_back(
+        ProfEntry{std::string(s.name), s.count, sc.ns(s.ticks, s.count)});
   }
   r.machines = scaled_slots(machines);
   return r;

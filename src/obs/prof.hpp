@@ -10,9 +10,9 @@
 // hot-loop phase — wheel advance, candidate poll, pick, routing,
 // machine step, trace record, probe dispatch, online lint, flight record —
 // with cycle-counter reads and accumulates per-phase totals, plus
-// per-action-kind and per-machine-kind attribution of the step phase
-// (reusing the interned TimedEvent::kind ids from PR 7, memoized here the
-// same way FlightRecorder memoizes them).
+// per-action-name and per-machine-type attribution of the step phase (a
+// name's slot is found through its process-wide ActionName id, a machine's
+// through its per-executor index).
 //
 // Timer cost is real (two rdtsc reads per phase, ~6 phases per event), so
 // full instrumentation of every iteration would itself be a ~40-75% "arm".
@@ -63,8 +63,8 @@
 // Executor::attach_profiler (RunObserver::attach does the latter from
 // ObsOptions::profile), run, then report()/export_metrics(). One profiler
 // may observe several executors in sequence (bench repeats aggregate into
-// one): bind() drops the per-executor kind/machine memos while the
-// profiler's own slot tables keep accumulating.
+// one): bind() drops the per-executor machine memo while the profiler's own
+// slot tables keep accumulating.
 #pragma once
 
 #include <chrono>
@@ -223,15 +223,14 @@ class Profiler {
     return best < 0 ? 0.0 : best;
   }
 
-  // Associates the profiler with one executor instance. Kind ids and
-  // machine indices are dense *per executor*, so the memo arrays mapping
-  // them to profiler slots reset when the executor changes — the slot
-  // tables themselves (keyed by name) keep aggregating across runs. Same
-  // contract as FlightRecorder::bind.
+  // Associates the profiler with one executor instance. Machine indices
+  // are dense *per executor*, so the memo mapping them to profiler slots
+  // resets when the executor changes — the slot tables themselves keep
+  // aggregating across runs. Action-name ids are process-wide and need no
+  // reset. Same contract as FlightRecorder::bind.
   void bind(std::uint64_t exec_uid) {
     if (exec_uid == bound_uid_) return;
     bound_uid_ = exec_uid;
-    kind_memo_.clear();
     machine_memo_.clear();
   }
 
@@ -277,18 +276,18 @@ class Profiler {
     ++pending_phase_hits_[i];
   }
 
-  // Attributes a sampled step span to the event's interned kind. The
-  // executor's kind ids are positional per executor; slots here are keyed
-  // by action *name* (node/peer collapsed — a flood over 65k nodes has 65k
-  // SEND kinds but one SEND row is what a profile wants).
-  void add_kind(ActionKindId kid, std::string_view name,
-                std::uint64_t dticks) {
-    const auto k = static_cast<std::size_t>(kid);
-    if (k >= kind_memo_.size()) kind_memo_.resize(k + 1, kNoSlot);
-    std::uint32_t slot = kind_memo_[k];
+  // Attributes a sampled step span to the event's action name. Slots are
+  // keyed by name, node/peer collapsed (a flood over 65k nodes has 65k SEND
+  // kinds but one SEND row is what a profile wants), and found by the
+  // name's process-wide id.
+  void add_kind(ActionName name, std::uint64_t dticks) {
+    if (name.id() >= name_slots_.size()) {
+      name_slots_.resize(name.id() + 1, kNoSlot);
+    }
+    std::uint32_t& slot = name_slots_[name.id()];
     if (slot == kNoSlot) {
-      slot = intern_slot(kind_slots_, kind_index_, std::string(name));
-      kind_memo_[k] = slot;
+      slot = static_cast<std::uint32_t>(kind_slots_.size());
+      kind_slots_.push_back(Slot{name.view(), 0, 0});
     }
     pend_slot(pending_kinds_, pending_kind_n_, kind_slots_, slot, dticks);
   }
@@ -302,7 +301,10 @@ class Profiler {
     }
     std::uint32_t slot = machine_memo_[machine];
     if (slot == kNoSlot) {
-      slot = intern_slot(machine_slots_, machine_index_, type_name(type));
+      const auto [it, fresh] = machine_index_.try_emplace(
+          type_name(type), static_cast<std::uint32_t>(machine_slots_.size()));
+      if (fresh) machine_slots_.push_back(Slot{it->first, 0, 0});
+      slot = it->second;
       machine_memo_[machine] = slot;
     }
     pend_slot(pending_machines_, pending_machine_n_, machine_slots_, slot,
@@ -326,8 +328,10 @@ class Profiler {
   }
   // Sampled hits attributed to one kind/machine name (0 when never seen).
   std::uint64_t kind_count(std::string_view name) const {
-    const auto it = kind_index_.find(std::string(name));
-    return it == kind_index_.end() ? 0 : kind_slots_[it->second].count;
+    for (const Slot& s : kind_slots_) {
+      if (s.name == name) return s.count;
+    }
+    return 0;
   }
   std::uint64_t machine_count(std::string_view name) const {
     const auto it = machine_index_.find(std::string(name));
@@ -356,8 +360,10 @@ class Profiler {
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
+  // `name` views the action-name table (kinds) or a machine_index_ key
+  // (machines); both outlive the profiler's use of it.
   struct Slot {
-    std::string name;
+    std::string_view name;
     std::uint64_t ticks = 0;
     std::uint64_t count = 0;
   };
@@ -426,18 +432,6 @@ class Profiler {
     }
     pending_kind_n_ = 0;
     pending_machine_n_ = 0;
-  }
-
-  static std::uint32_t intern_slot(
-      std::vector<Slot>& slots,
-      std::unordered_map<std::string, std::uint32_t>& index,
-      const std::string& name) {
-    const auto it = index.find(name);
-    if (it != index.end()) return it->second;
-    const auto id = static_cast<std::uint32_t>(slots.size());
-    slots.push_back(Slot{name, 0, 0});
-    index.emplace(name, id);
-    return id;
   }
 
   // Demangled type name with the library namespace stripped; cold path,
@@ -531,11 +525,10 @@ class Profiler {
   double cpu_ns_ = 0;
   std::uint64_t phase_ticks_[kProfPhaseCount] = {};
   std::uint64_t phase_hits_[kProfPhaseCount] = {};
-  std::vector<std::uint32_t> kind_memo_;     // executor kind id -> slot
+  std::vector<std::uint32_t> name_slots_;    // ActionName::id() -> slot
   std::vector<std::uint32_t> machine_memo_;  // machine index -> slot
   std::vector<Slot> kind_slots_;
   std::vector<Slot> machine_slots_;
-  std::unordered_map<std::string, std::uint32_t> kind_index_;
   std::unordered_map<std::string, std::uint32_t> machine_index_;
 };
 

@@ -395,7 +395,7 @@ void Executor::execute_fast(std::size_t slot, std::size_t offset) {
     // The step span is the one worth splitting: route/record are uniform,
     // but apply_local + fanout cost is a property of the machine and the
     // action kind it emitted.
-    pr->add_kind(kid, a.name, dt);
+    pr->add_kind(a.name, dt);
     pr->add_machine(machine, typeid(*owner), dt);
   }
 

@@ -332,11 +332,11 @@ TEST(CausalProbe, CausalProbeLeavesChannelMetricsUnchanged) {
 // --- MessageIndex unit ---------------------------------------------------
 
 TEST(MessageIndex, StageParsingAndFirstSendWins) {
-  EXPECT_EQ(msg_class("SENDMSG"), MsgClass::kSend);
-  EXPECT_EQ(msg_class("ESENDMSG"), MsgClass::kESend);
-  EXPECT_EQ(msg_class("ERECVMSG"), MsgClass::kERecv);
-  EXPECT_EQ(msg_class("RECVMSG"), MsgClass::kRecv);
-  EXPECT_EQ(msg_class("DELIVER"), MsgClass::kOther);
+  EXPECT_EQ(ActionName("SENDMSG").msg_class(), MsgClass::kSend);
+  EXPECT_EQ(ActionName("ESENDMSG").msg_class(), MsgClass::kESend);
+  EXPECT_EQ(ActionName("ERECVMSG").msg_class(), MsgClass::kERecv);
+  EXPECT_EQ(ActionName("RECVMSG").msg_class(), MsgClass::kRecv);
+  EXPECT_EQ(ActionName("DELIVER").msg_class(), MsgClass::kOther);
 
   MessageIndex idx;
   Message m = make_message("PING");
@@ -365,8 +365,67 @@ TEST(MessageIndex, StageParsingAndFirstSendWins) {
   EXPECT_EQ(rec->last_time, microseconds(9));
   EXPECT_EQ(rec->last_span, 3u);
   EXPECT_EQ(rec->last_stage, MsgClass::kRecv);
-  EXPECT_EQ(idx.size(), 1u);
+  // The index holds exactly the one uid it was fed.
+  EXPECT_EQ(idx.find(m.uid - 1), nullptr);
+  EXPECT_EQ(idx.find(m.uid + 1), nullptr);
   EXPECT_EQ(idx.find(m.uid + 12345), nullptr);
+}
+
+// A hand-built stream whose uids start above 1 and arrive out of order:
+// the rows sit at an offset base, an earlier uid seen later is inserted in
+// front, and a gap leaves untouched uids that find() still reports absent.
+TEST(MessageIndex, UidsAboveOneOutOfOrder) {
+  MessageIndex idx;
+  const auto leg = [&idx](ActionName name, std::uint64_t uid, Time t,
+                          SpanId span) {
+    Message m = make_message("PING");
+    m.uid = uid;
+    TimedEvent e;
+    e.action = make_send(0, 1, m, name);  // the index reads name and uid
+    e.time = t;
+    idx.observe(e, span);
+  };
+  leg(names::kSendMsg, 7, microseconds(1), 0);
+  leg(names::kSendMsg, 5, microseconds(2), 1);    // front of the base
+  leg(names::kESendMsg, 10, microseconds(3), 2);  // past a gap
+  leg(names::kERecvMsg, 5, microseconds(4), 3);
+  leg(names::kRecvMsg, 7, microseconds(5), 4);
+
+  // A message action that is no leg, and a leg without a message, add no
+  // row.
+  TimedEvent deliver;
+  Message m = make_message("PING");
+  m.uid = 8;
+  deliver.action = make_send(0, 1, m, "DELIVER");
+  idx.observe(deliver, 5);
+  TimedEvent bare;
+  bare.action = make_action(names::kSendMsg, 0);
+  idx.observe(bare, 6);
+
+  const MessageIndex::Record* r5 = idx.find(5);
+  ASSERT_NE(r5, nullptr);
+  EXPECT_EQ(r5->send_time, microseconds(2));
+  EXPECT_EQ(r5->send_span, 1u);
+  EXPECT_EQ(r5->last_time, microseconds(4));
+  EXPECT_EQ(r5->last_span, 3u);
+  EXPECT_EQ(r5->last_stage, MsgClass::kERecv);
+
+  const MessageIndex::Record* r7 = idx.find(7);
+  ASSERT_NE(r7, nullptr);
+  EXPECT_EQ(r7->send_time, microseconds(1));
+  EXPECT_EQ(r7->send_span, 0u);
+  EXPECT_EQ(r7->last_span, 4u);
+  EXPECT_EQ(r7->last_stage, MsgClass::kRecv);
+
+  const MessageIndex::Record* r10 = idx.find(10);
+  ASSERT_NE(r10, nullptr);
+  EXPECT_EQ(r10->send_time, microseconds(3));
+  EXPECT_EQ(r10->send_span, 2u);
+  EXPECT_EQ(r10->last_stage, MsgClass::kESend);
+
+  for (const std::uint64_t absent : {0u, 1u, 4u, 6u, 8u, 9u, 11u}) {
+    EXPECT_EQ(idx.find(absent), nullptr) << "uid " << absent;
+  }
 }
 
 }  // namespace
