@@ -810,8 +810,8 @@ int main(int argc, char** argv) {
   // lane), with harvesting kept outside the timed span.
   const bool cert_arm = env_flag("PSC_CERT");
   // PSC_FLIGHT=1: add a flight-recorder arm to the flood sweep — the
-  // always-on binary ring plus latency histograms on the record path — and
-  // gate its overhead at million-machine scale (see the sweep section).
+  // always-on binary ring on the record path — and gate its overhead at
+  // million-machine scale (see the sweep section).
   const bool flight_arm = env_flag("PSC_FLIGHT");
   // PSC_PROFILE=1: add a microprofiler arm to the flood sweep — the wheel
   // scheduler with sampling per-phase cycle attribution — print its
@@ -979,25 +979,25 @@ int main(int argc, char** argv) {
         // merely enabling the executor's event sink (~2%: TimedEvent scalar
         // fills with no consumer), and below the online lint probe (~9% at
         // this cell) — 3% of a ~370 ns/event loop is ~11 ns, less than one
-        // 128-byte record's stores. The measured floor of the shipped
-        // design (kind memo + in-slot assembly + LLC-resident ring + three
-        // histogram feeds) is ~18% here, vs ~78% for the record_events
-        // TimedEvent stream the recorder replaces — so the gate is set at
-        // 25%: green at the measured floor with noise margin, and a
+        // 128-byte record's stores. The design (kind memo + in-slot
+        // assembly + LLC-resident ring) measured ~18% here while it also fed
+        // three latency histograms, vs ~78% for the record_events TimedEvent
+        // stream the recorder replaces — so the gate is set at 25%: green
+        // at the measured floor with noise margin, and a
         // tripwire for regressions of the kind it exists to catch (the
         // pre-optimization recorder measured ~70%). Small cells are
         // timer-noise-bound, so the gate starts at 65,536 machines (the
         // same threshold as the memory-flatness gate).
         //
-        // Above 262,144 machines the recorder's per-machine state stops
-        // fitting anywhere: last-event times (8 B/machine) and the in-flight
-        // uid map together pass 10 MB and every messaging event pays
-        // DRAM-random probes the bare scheduler does not (the ring itself
-        // stays 1 MB — it is the latency matching that scales with machine
-        // count). Measured: +30% at 1,048,576 machines vs +19% at 65,536.
-        // Those cells get a looser 50% bound: still a regression tripwire
-        // (pre-optimization was ~70% even at LLC scale) without gating on
-        // the box's DRAM latency.
+        // Above 262,144 machines the bound is 50%. It was set while the
+        // recorder also matched latencies: its last-event times (8 B/machine)
+        // and in-flight uid map passed 10 MB, and every messaging event paid
+        // DRAM-random probes the bare scheduler does not (measured +30% at
+        // 1,048,576 machines vs +19% at 65,536). The recorder now keeps no
+        // per-machine or per-message state (the ring stays 1 MB), but the
+        // bound stays until those cells are measured again: still a
+        // regression tripwire (pre-optimization was ~70% even at LLC scale)
+        // without gating on the box's DRAM latency.
         if (flight_arm) {
           for (const SweepRow& r : sweep) {
             if (r.machines < 65'536) continue;

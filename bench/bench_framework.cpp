@@ -7,9 +7,9 @@
 // the benchmark's per-node clock set-up, the executor's re-poll of one
 // Simulation 1 node after one input, one MMT node step, the wake
 // calendar's re-poll/advance cycle, and the primitives under the scheduler
-// and the online checkers: the non-empty-slot bitset, the uid ledger, the
-// log-bucketed latency histogram and the window meter's per-event
-// measure. These are the costs a user of the library pays.
+// and the online checkers: the non-empty-slot bitset, the uid ledger and
+// the window meter's per-event measure. These are the costs a user of the
+// library pays.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 #include "clock/trajectory.hpp"
 #include "core/relations.hpp"
 #include "mmt/mmt_node.hpp"
-#include "obs/flight.hpp"
 #include "rw/algorithm.hpp"
 #include "rw/harness.hpp"
 #include "runtime/wheel.hpp"
@@ -468,26 +467,6 @@ void BM_UidIndex(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_UidIndex)->Arg(16)->Arg(4096);
-
-// The flight recorder's latency histogram: one add() per iteration of a
-// latency drawn log-uniformly from 1 ns to ~1 ms, so every octave's
-// buckets are in play.
-void BM_LogHistogram(benchmark::State& state) {
-  Rng rng(1);
-  std::vector<std::int64_t> latencies(4096);
-  for (std::int64_t& v : latencies) {
-    v = std::int64_t{1} << rng.uniform(0, 19);
-    v += rng.uniform(0, v);
-  }
-  LogHistogram h;
-  std::size_t k = 0;
-  for (auto _ : state) {
-    h.add(latencies[k++ & (latencies.size() - 1)]);
-  }
-  benchmark::DoNotOptimize(h.p99());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LogHistogram);
 
 // WindowMeter::measure, the per-event pass every online checker makes, on
 // a recorded register run: one event per iteration, cycling through the

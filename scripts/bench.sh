@@ -21,11 +21,11 @@
 # Flight recorder (see docs/OBSERVABILITY.md "Flight recorder"):
 #   PSC_FLIGHT=1 bench_executor adds a flight-recorder arm to the machine
 #                sweep — the scheduler loop writing every event into the
-#                binary ring with latency histograms on — and gates its
-#                overhead < 25% ns/event at >= 65,536 machines, < 50%
-#                above 262,144 where the recorder's per-machine latency
-#                state outgrows the cache (measured ~18% at 65,536, ~30%
-#                at 1M, vs ~78% for the record_events trace stream; see
+#                binary ring — and gates its overhead < 25% ns/event at
+#                >= 65,536 machines, < 50% above 262,144 (measured ~18%
+#                at 65,536, ~30% at 1M while the recorder also fed
+#                latency histograms, vs ~78% for the record_events trace
+#                stream; see
 #                docs/OBSERVABILITY.md "Flight recorder"). psc-sim
 #                exposes the same recorder as --flight[=PATH].
 #

@@ -2,9 +2,7 @@
 // ledger (analysis/meter.hpp), which feeds the trace invariant checker, the
 // bound-slack observatory and the certificate probe; the causal message
 // index (obs/causal.hpp); and the Simulation 1 buffer probe's pending
-// arrivals (obs/probes.hpp). The flight recorder keeps its own UidTimeMap
-// (obs/flight.hpp): it holds only the messages in flight, where a UidIndex
-// would keep a row for every message the run ever sent.
+// arrivals (obs/probes.hpp).
 //
 // Each executor names the messages it sends 1, 2, ... in first-send order
 // (name_message, core/action.hpp), so a run's uids are dense from 1 and

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "clock/discipline.hpp"
-#include "obs/flight.hpp"
 #include "obs/instrument.hpp"
 #include "rw/harness.hpp"
 #include "util/check.hpp"
@@ -169,15 +168,12 @@ CellResult run_cell(const SweepConfig& sweep, const std::string& algo,
   const auto drift = make_drift(sweep.drift);
 
   // One registry per cell: every seed's observatory probes aggregate into
-  // the same slack histograms. The flight recorder rides along the same
-  // way — one ring per cell, every seed's deliveries land in its channel
-  // histogram — to feed the cost table's p99 channel-delivery column.
+  // the same slack histograms, and every seed's channel deliveries into the
+  // channel.latency_ns histogram behind the cost table's chan p99 column.
   MetricsRegistry reg;
-  FlightRecorder flight;
   ObsOptions oo;
   oo.registry = &reg;
   oo.slack = true;
-  oo.flight = &flight;
   oo.profile = prof;  // sweep-wide aggregation (null unless cfg.profile)
 
   RwRunConfig rc;
@@ -231,24 +227,23 @@ CellResult run_cell(const SweepConfig& sweep, const std::string& algo,
   cell.read_p99 = reads.percentile(99);
   cell.write_p50 = writes.percentile(50);
   cell.write_p99 = writes.percentile(99);
-  if (flight.channel_hist().count() > 0) {
-    cell.chan_p99 = static_cast<double>(flight.channel_hist().p99());
+  if (const Histogram* chan = reg.find_histogram("channel.latency_ns")) {
+    cell.chan_p99 = chan->p99();
   }
 
   if (algo == "L") {
-    // Lemma 6.1/6.2 (timed model): d2' = d2.
-    cell.bound_read = c + delta;
-    cell.bound_write = d2 - c;
+    cell.bound_read = bound_read_timed(rc);
+    cell.bound_write = bound_write_timed(rc);
   } else if (algo == "S") {
-    cell.bound_read = 2 * eps + delta + c;
-    cell.bound_write = d2 + 2 * eps - c;
+    cell.bound_read = bound_read_clock(rc);
+    cell.bound_write = bound_write_clock(rc);
   } else if (algo == "baseline") {
-    cell.bound_read = 8 * eps;            // 4u, u = 2 eps
-    cell.bound_write = d2 + 6 * eps;      // d2 + 3u
+    cell.bound_read = bound_read_sliced(rc);
+    cell.bound_write = bound_write_sliced(rc);
   } else {
     // Theorem 5.2 with k = 1: d2' = d2 + 2 eps + ell.
-    cell.bound_read = 2 * eps + delta + c;
-    cell.bound_write = d2 + 2 * eps + ell - c;
+    cell.bound_read = bound_read_clock(rc);
+    cell.bound_write = bound_write_clock(rc) + ell;
   }
   return cell;
 }

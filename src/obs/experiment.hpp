@@ -5,8 +5,8 @@
 // Section 6 harnesses with the bound-slack observatory attached
 // (obs/observatory.hpp, one MetricsRegistry per cell aggregating all its
 // seeds) and collects the Section 6.3 cost table: p50/p99 read and write
-// latency (plus p99 channel-delivery latency from the flight recorder)
-// latency against the paper's bound, per algorithm:
+// latency (plus p99 channel-delivery latency from the channel.latency_ns
+// histogram) against the paper's bound, per algorithm:
 //
 //   L         Lemma 6.1/6.2: algorithm L in the timed model
 //             (read <= c + delta, write <= d2 - c)
@@ -84,8 +84,9 @@ struct CellResult {
   // Latency percentiles in ns (NaN when that kind had no samples).
   double read_p50 = 0, read_p99 = 0, write_p50 = 0, write_p99 = 0;
   // p99 channel-delivery latency in ns across the cell's seeds, from the
-  // flight recorder's log-bucketed histogram (NaN when no deliveries were
-  // matched — quantized upward by < ~3%, one sub-bucket).
+  // cell registry's channel.latency_ns histogram (NaN when no deliveries
+  // were measured; interpolated in its bucket and clamped to the observed
+  // [min, max]).
   double chan_p99 = std::numeric_limits<double>::quiet_NaN();
   // The paper's per-operation worst-case bound for this cell.
   Duration bound_read = 0, bound_write = 0;

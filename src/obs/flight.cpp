@@ -78,19 +78,6 @@ bool FlightRecorder::dump(const std::string& path) const {
 void FlightRecorder::export_metrics(MetricsRegistry& reg) const {
   reg.gauge("flight.recorded").set(static_cast<double>(total_recorded()));
   reg.gauge("flight.dropped").set(static_cast<double>(dropped()));
-  const auto put = [&reg](const std::string& prefix, const LogHistogram& h) {
-    if (h.count() == 0) return;
-    reg.gauge(prefix + ".count").set(static_cast<double>(h.count()));
-    reg.gauge(prefix + ".p50_ns").set(static_cast<double>(h.p50()));
-    reg.gauge(prefix + ".p99_ns").set(static_cast<double>(h.p99()));
-    reg.gauge(prefix + ".p999_ns").set(static_cast<double>(h.p999()));
-    reg.gauge(prefix + ".max_ns").set(static_cast<double>(h.max()));
-  };
-  put("flight.channel", chan_);
-  put("flight.hold", hold_);
-  for (const std::string& name : step_names()) {
-    put("flight.step." + name, *step_hist(name));
-  }
 }
 
 void write_snapshot(std::ostream& os, const FlightSnapshot& snap) {

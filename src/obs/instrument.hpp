@@ -73,8 +73,8 @@ struct ObsOptions {
   TimeSeries* timeseries = nullptr;
   // Caller-owned binary flight recorder (obs/flight.hpp). attach() hands it
   // to Executor::attach_flight — not a Probe: the executor writes its ring
-  // directly from the record path. The caller keeps it to snapshot/dump or
-  // export histogram percentiles after the run.
+  // directly from the record path. The caller keeps it to snapshot/dump
+  // after the run.
   FlightRecorder* flight = nullptr;
   // Caller-owned sampling microprofiler (obs/prof.hpp). attach() hands it
   // to Executor::attach_profiler — like the flight recorder, not a Probe:

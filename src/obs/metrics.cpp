@@ -80,19 +80,23 @@ double Histogram::percentile(double p) const {
   // NaN on empty data, matching Samples::percentile: a zero-sample series
   // still renders (write_jsonl maps non-finite values to 0).
   if (n_ == 0) return std::numeric_limits<double>::quiet_NaN();
-  const PercentileCut cut =
-      percentile_cut(buckets_.data(), buckets_.size(), n_, p);
-  if (!cut.valid) return max_;
-  // Interpolate inside the selected bucket: [lower, upper].
-  const std::size_t b = cut.bucket;
-  const double lower = b == 0 ? min_ : bounds_[b - 1];
-  const double upper = b < bounds_.size() ? bounds_[b] : max_;
   const double target =
       std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(n_);
-  const double frac = (target - static_cast<double>(cut.below)) /
-                      static_cast<double>(buckets_[b]);
-  const double v = lower + (upper - lower) * std::clamp(frac, 0.0, 1.0);
-  return std::clamp(v, min_, max_);
+  std::uint64_t seen = 0;
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    if (buckets_[b] == 0) continue;
+    const std::uint64_t below = seen;
+    seen += buckets_[b];
+    if (static_cast<double>(seen) < target) continue;
+    // Interpolate inside the selected bucket: [lower, upper].
+    const double lower = b == 0 ? min_ : bounds_[b - 1];
+    const double upper = b < bounds_.size() ? bounds_[b] : max_;
+    const double frac = (target - static_cast<double>(below)) /
+                        static_cast<double>(buckets_[b]);
+    const double v = lower + (upper - lower) * std::clamp(frac, 0.0, 1.0);
+    return std::clamp(v, min_, max_);
+  }
+  return max_;  // p rounded past the last sample
 }
 
 MetricId MetricsRegistry::intern(std::string_view name) {

@@ -32,42 +32,6 @@ namespace psc {
 
 using MetricId = std::uint32_t;
 
-// Shared percentile bucket walk: locates the bucket holding the p-th
-// percentile sample of `total` samples spread over `buckets[0..n)`, and how
-// many samples precede that bucket (for interpolation). Every histogram in
-// the tree (obs::Histogram's fixed bounds, the flight recorder's HDR-style
-// LogHistogram) does this same walk; what differs is only how a bucket
-// index maps back to a value, which stays with the caller. `valid` is false
-// when total == 0 (no samples) or the walk fell off the end (floating-point
-// edge when p rounds past the last sample) — callers then fall back to
-// their observed max.
-struct PercentileCut {
-  std::size_t bucket = 0;
-  std::uint64_t below = 0;
-  bool valid = false;
-};
-
-inline PercentileCut percentile_cut(const std::uint64_t* buckets,
-                                    std::size_t n, std::uint64_t total,
-                                    double p) {
-  PercentileCut cut;
-  if (total == 0) return cut;
-  p = std::clamp(p, 0.0, 100.0);
-  const double target = p / 100.0 * static_cast<double>(total);
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < n; ++b) {
-    if (buckets[b] == 0) continue;
-    cut.below = seen;
-    seen += buckets[b];
-    if (static_cast<double>(seen) >= target) {
-      cut.bucket = b;
-      cut.valid = true;
-      return cut;
-    }
-  }
-  return cut;  // valid == false: caller clamps to its max
-}
-
 class Counter {
  public:
   void add(std::uint64_t n = 1) { v_ += n; }

@@ -59,12 +59,12 @@
 // MetricsRegistry export, folded-stack/flamegraph and table rendering, the
 // Chrome counter-track probe — lives in prof.cpp inside psc_obs.
 //
-// Wiring: construct a Profiler, hand it to ExecutorOptions::profile or
-// Executor::attach_profiler (RunObserver::attach does the latter from
-// ObsOptions::profile), run, then report()/export_metrics(). One profiler
-// may observe several executors in sequence (bench repeats aggregate into
-// one): bind() drops the per-executor machine memo while the profiler's own
-// slot tables keep accumulating.
+// Wiring: construct a Profiler, hand it to Executor::attach_profiler
+// (RunObserver::attach does this from ObsOptions::profile), run, then
+// report()/export_metrics(). One profiler may observe several executors in
+// sequence (bench repeats aggregate into one): bind() drops the
+// per-executor machine memo while the profiler's own slot tables keep
+// accumulating.
 #pragma once
 
 #include <chrono>

@@ -20,8 +20,6 @@ std::uint64_t next_exec_uid() {
 Executor::Executor(ExecutorOptions options)
     : options_(std::move(options)),
       exec_uid_(next_exec_uid()),
-      flight_(options_.flight),
-      prof_(options_.profile),
       rng_(options_.seed),
       probes_(std::move(options_.probes)) {}
 

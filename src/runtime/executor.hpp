@@ -75,17 +75,6 @@ struct ExecutorOptions {
   // Lint the composition (src/analysis/lint.hpp) at the start of run() and
   // fail fast (PSC_CHECK) on any error-severity diagnostic.
   bool validate = false;
-  // Always-on binary flight recorder (obs/flight.hpp): every executed
-  // event is written as one fixed-size POD into the recorder's ring
-  // buffers, independently of record_events and the probe list. Non-owning;
-  // attach_flight() is the post-construction equivalent.
-  FlightRecorder* flight = nullptr;
-  // Sampling microprofiler (obs/prof.hpp): the scheduler loop brackets its
-  // hot-loop phases with cycle-counter reads on 1-in-N sampled iterations
-  // and attributes step time per action kind / machine type. Non-owning;
-  // attach_profiler() is the post-construction equivalent. With no profiler
-  // attached the per-iteration cost is one null-pointer test.
-  Profiler* profile = nullptr;
 };
 
 // Self-metrics of the calendar/dirty-set scheduler, maintained as plain
@@ -174,15 +163,20 @@ class Executor {
   // drift apart). Non-owning; the probe must outlive the run.
   void attach_probe(Probe* probe);
 
-  // Attaches (or, with nullptr, detaches) the binary flight recorder —
-  // same slot as ExecutorOptions::flight. Non-owning; must outlive the
-  // run. run() bind()s the recorder to this executor instance so its
-  // per-executor kind memo resets when a recorder is reused across runs.
+  // Attaches (or, with nullptr, detaches) the always-on binary flight
+  // recorder (obs/flight.hpp): every executed event is written as one
+  // fixed-size POD into the recorder's ring, independently of record_events
+  // and the probe list. Non-owning; must outlive the run. run() bind()s the
+  // recorder to this executor instance so its per-executor kind memo resets
+  // when a recorder is reused across runs.
   void attach_flight(FlightRecorder* flight);
 
-  // Attaches (or, with nullptr, detaches) the sampling microprofiler —
-  // same slot as ExecutorOptions::profile. Non-owning; must outlive the
-  // run. run() bind()s the profiler to this executor instance so its
+  // Attaches (or, with nullptr, detaches) the sampling microprofiler
+  // (obs/prof.hpp): the scheduler loop brackets its hot-loop phases with
+  // cycle-counter reads on 1-in-N sampled iterations and attributes step
+  // time per action kind / machine type. With no profiler attached the
+  // per-iteration cost is one null-pointer test. Non-owning; must outlive
+  // the run. run() bind()s the profiler to this executor instance so its
   // per-executor kind/machine memos reset when one profiler aggregates
   // several executors.
   void attach_profiler(Profiler* prof);

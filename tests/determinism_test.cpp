@@ -164,7 +164,7 @@ TEST(DeterminismTest, ClockModelObservabilityIsPinnedAcrossBuilds) {
   EXPECT_EQ(o.events, 180u);
   EXPECT_EQ(fnv1a(o.dag), 18243569999467700571ULL);
   EXPECT_EQ(fnv1a(o.snapshot), 10336008634846367771ULL);
-  EXPECT_EQ(fnv1a(o.metrics), 9208900292309019210ULL);
+  EXPECT_EQ(fnv1a(o.metrics), 10378759462477976259ULL);
 }
 
 TEST(DeterminismTest, MmtModelObservabilityIsPinnedAcrossBuilds) {
@@ -175,7 +175,7 @@ TEST(DeterminismTest, MmtModelObservabilityIsPinnedAcrossBuilds) {
   EXPECT_EQ(o.events, 3840u);
   EXPECT_EQ(fnv1a(o.dag), 1213085631828105935ULL);
   EXPECT_EQ(fnv1a(o.snapshot), 15183780269629329630ULL);
-  EXPECT_EQ(fnv1a(o.metrics), 849259457694747550ULL);
+  EXPECT_EQ(fnv1a(o.metrics), 13232878899596098305ULL);
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
 // Flight recorder (obs/flight.hpp): the always-on binary ring must decode
 // back to exactly the event stream the probes saw, dump a usable window on
-// an invariant violation, evict oldest-first, and report channel-latency
-// percentiles inside the configured delivery window.
+// an invariant violation, evict oldest-first, and record runs observed in
+// sequence one after the other.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 
@@ -199,20 +198,6 @@ TEST(FlightRecorderTest, RingEvictsOldestAndKeepsLastWindow) {
   EXPECT_EQ(trace_to_text(decoded), trace_to_text(tail));
 }
 
-TEST(FlightRecorderTest, ChannelHistogramWithinDeliveryWindow) {
-  FloodRun run(1);
-  const LogHistogram& chan = run.rec.channel_hist();
-  ASSERT_GT(chan.count(), 0u);
-  // Flood's ring carries every hop through a [50us, 200us] channel; the
-  // log-bucketed histogram quantizes upward by < 1 sub-bucket (~3%).
-  EXPECT_GE(chan.min(), 50'000);
-  EXPECT_LE(chan.max(), 200'000);
-  EXPECT_GE(chan.p50(), 50'000);
-  EXPECT_LE(chan.p50(), 200'000 * 1.04);
-  EXPECT_GE(chan.p99(), chan.p50());
-  EXPECT_LE(chan.p999(), 200'000 * 1.04);
-}
-
 std::size_t count_named(const TimedTrace& events, const char* name) {
   return static_cast<std::size_t>(
       std::count_if(events.begin(), events.end(), [name](const TimedEvent& e) {
@@ -220,66 +205,78 @@ std::size_t count_named(const TimedTrace& events, const char* name) {
       }));
 }
 
-// The step samples a run books: one per event after its owner's first.
-std::size_t step_gaps(const TimedTrace& events) {
-  std::set<int> owners;
-  for (const TimedEvent& e : events) owners.insert(e.owner);
-  return events.size() - owners.size();
-}
+// Two runs observed in sequence, as psc-report observes one cell's seeds:
+// a clock-model run cut while messages sit in its channels and receive
+// buffers, then a timed run that reuses their uids and owner indices.
+struct CutThenTimed {
+  RwRunConfig cfg;
+  RwRunResult first, second;
 
-// Message uids and owner indices are per executor, so a recorder that
-// observes several runs (psc-report reuses one per sweep cell) must forget
-// what the last run left behind: the clock-model run below is cut while
-// messages sit in its channels and receive buffers, and the timed run
-// after it reuses their uids and owner indices. A stale arrival would book
-// a timed delivery as a buffer hold and drop its channel sample, and a
-// stale owner time would book a step gap across the two runs.
-TEST(FlightRecorderTest, RebindForgetsMessagesLeftInFlight) {
-  FlightRecorder rec;
+  explicit CutThenTimed(const ObsOptions& oo) {
+    cfg.num_nodes = 3;
+    cfg.d1 = microseconds(10);
+    cfg.d2 = microseconds(60);
+    cfg.eps = microseconds(100);
+    cfg.ops_per_node = 40;
+    cfg.think_max = microseconds(50);
+    cfg.write_fraction = 1.0;
+    cfg.seed = 2;
+    cfg.obs = &oo;
+
+    RwRunConfig cut = cfg;
+    cut.horizon = microseconds(1100);
+    OpposingOffsetDrift drift;
+    first = run_rw_clock(cut, drift);
+
+    RwRunConfig timed = cfg;
+    timed.super = false;  // Algorithm L: the timed model has no eps to wait
+    second = run_rw_timed(timed);
+  }
+};
+
+// One recorder rebound across both runs holds exactly the two traces, one
+// after the other.
+TEST(FlightRecorderTest, RebindRecordsRunsInSequence) {
+  FlightRecorder rec({.ring_capacity = std::size_t{1} << 16});
   ObsOptions oo;
   oo.flight = &rec;
-  RwRunConfig cfg;
-  cfg.num_nodes = 3;
-  cfg.d1 = microseconds(10);
-  cfg.d2 = microseconds(60);
-  cfg.eps = microseconds(100);
-  cfg.ops_per_node = 40;
-  cfg.think_max = microseconds(50);
-  cfg.write_fraction = 1.0;
-  cfg.seed = 2;
-  cfg.obs = &oo;
+  const CutThenTimed runs(oo);
+  ASSERT_GT(runs.first.events.size(), 0u);
+  ASSERT_GT(runs.second.events.size(), 0u);
+  EXPECT_EQ(rec.dropped(), 0u);
 
-  RwRunConfig cut = cfg;
-  cut.horizon = microseconds(1100);
-  OpposingOffsetDrift drift;
-  const RwRunResult first = run_rw_clock(cut, drift);
+  TimedTrace both = runs.first.events;
+  both.insert(both.end(), runs.second.events.begin(),
+              runs.second.events.end());
+  EXPECT_EQ(trace_to_text(decode_snapshot(rec.snapshot())),
+            trace_to_text(both));
+}
+
+// One registry shared by both runs (psc-report's per-cell pattern)
+// measures each run's own messages: the cut run's undelivered sends and
+// unreleased arrivals must not pair with the timed run's reused uids.
+TEST(SharedRegistryTest, CutRunLeavesNoMessageToTheNext) {
+  MetricsRegistry reg;
+  ObsOptions oo;
+  oo.registry = &reg;
+  const CutThenTimed runs(oo);
   // The cut left messages in flight: some ESENDMSG never arrived, and some
   // arrival was never released by its receive buffer.
-  const std::size_t arrived = count_named(first.events, "ERECVMSG");
-  ASSERT_LT(arrived, count_named(first.events, "ESENDMSG"));
-  ASSERT_LT(count_named(first.events, "RECVMSG"), arrived);
-
-  RwRunConfig timed = cfg;
-  timed.super = false;  // Algorithm L: the timed model has no eps to wait
-  const RwRunResult second = run_rw_timed(timed);
-  const std::size_t delivered = count_named(second.events, "RECVMSG");
+  const std::size_t arrived = count_named(runs.first.events, "ERECVMSG");
+  const std::size_t released = count_named(runs.first.events, "RECVMSG");
+  ASSERT_LT(arrived, count_named(runs.first.events, "ESENDMSG"));
+  ASSERT_LT(released, arrived);
+  const std::size_t delivered = count_named(runs.second.events, "RECVMSG");
   ASSERT_GT(delivered, 0u);
 
-  const LogHistogram& chan = rec.channel_hist();
-  EXPECT_EQ(chan.count(), arrived + delivered);
-  EXPECT_GE(chan.min(), static_cast<std::uint64_t>(cfg.d1));
-  EXPECT_LE(chan.max(), static_cast<std::uint64_t>(cfg.d2));
-  EXPECT_EQ(rec.hold_hist().count(), count_named(first.events, "RECVMSG"));
-
-  std::set<std::string> names;
-  for (const RwRunResult* run : {&first, &second}) {
-    for (const TimedEvent& e : run->events) names.insert(e.action.name.str());
-  }
-  std::uint64_t steps = 0;
-  for (const std::string& n : names) {
-    if (const LogHistogram* h = rec.step_hist(n)) steps += h->count();
-  }
-  EXPECT_EQ(steps, step_gaps(first.events) + step_gaps(second.events));
+  const Histogram* chan = reg.find_histogram("channel.latency_ns");
+  ASSERT_NE(chan, nullptr);
+  EXPECT_EQ(chan->count(), arrived + delivered);
+  EXPECT_GE(chan->min(), static_cast<double>(runs.cfg.d1));
+  EXPECT_LE(chan->max(), static_cast<double>(runs.cfg.d2));
+  const Histogram* hold = reg.find_histogram("sim1.recv.hold_ns");
+  ASSERT_NE(hold, nullptr);
+  EXPECT_EQ(hold->count(), released);
 }
 
 // Every event the executor records carries its interned kind id; the
@@ -293,47 +290,6 @@ TEST(FlightRecorderTest, EventWithoutKindIdIsRejected) {
   ASSERT_EQ(e.kind, kNoKind);
   EXPECT_THROW(rec.record(e), CheckError);
   EXPECT_EQ(rec.total_recorded(), 0u);
-}
-
-TEST(LogHistogramTest, BucketsAreMonotoneAndPercentilesBound) {
-  LogHistogram h;
-  for (std::int64_t v : {1, 1, 2, 3, 100, 1000, 1000000}) h.add(v);
-  EXPECT_EQ(h.count(), 7u);
-  EXPECT_EQ(h.min(), 1);
-  EXPECT_EQ(h.max(), 1000000);
-  EXPECT_LE(h.p50(), h.p99());
-  EXPECT_LE(h.p99(), h.p999());
-  // The top percentile is clamped to the observed maximum, not the bucket
-  // upper edge.
-  EXPECT_EQ(h.p999(), 1000000);
-  // Index must be monotone nondecreasing in the value.
-  std::size_t prev = 0;
-  for (std::int64_t v = 1; v < 1'000'000; v = v * 3 / 2 + 1) {
-    const std::size_t i = LogHistogram::index(v);
-    EXPECT_GE(i, prev) << "index not monotone at " << v;
-    EXPECT_LE(static_cast<std::uint64_t>(v), LogHistogram::bucket_max(i))
-        << "value above its bucket edge at " << v;
-    prev = i;
-  }
-}
-
-TEST(UidTimeMapTest, PutTakeSurvivesGrowthAndTombstones) {
-  UidTimeMap m;
-  for (std::uint64_t u = 0; u < 3000; ++u) m.put(u, static_cast<Time>(u * 7));
-  for (std::uint64_t u = 0; u < 3000; u += 2) {
-    Time t = -1;
-    EXPECT_TRUE(m.take(u, &t));
-    EXPECT_EQ(t, static_cast<Time>(u * 7));
-  }
-  for (std::uint64_t u = 0; u < 3000; u += 2) {
-    Time t = -1;
-    EXPECT_FALSE(m.take(u, &t)) << u;  // already taken
-  }
-  for (std::uint64_t u = 1; u < 3000; u += 2) {
-    Time t = -1;
-    EXPECT_TRUE(m.take(u, &t)) << u;
-    EXPECT_EQ(t, static_cast<Time>(u * 7));
-  }
 }
 
 }  // namespace

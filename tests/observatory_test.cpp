@@ -383,12 +383,12 @@ TEST(Experiment, RunSweepProducesGatedCells) {
   // Lemma 6.1/6.2 bounds for L.
   EXPECT_EQ(cell.bound_read, cell.c + cell.delta);
   EXPECT_EQ(cell.bound_write, cell.d2 - cell.c);
-  // The flight recorder matched deliveries: p99 channel latency sits in
-  // the configured [d1, d2] band (log-bucket quantization rounds up by
-  // < one sub-bucket, ~3%).
+  // The channel.latency_ns histogram measured deliveries: its p99 sits in
+  // the configured [d1, d2] band (the estimate is clamped to the observed
+  // [min, max]).
   ASSERT_TRUE(std::isfinite(cell.chan_p99));
   EXPECT_GE(cell.chan_p99, static_cast<double>(cell.d1));
-  EXPECT_LE(cell.chan_p99, static_cast<double>(cell.d2) * 1.04);
+  EXPECT_LE(cell.chan_p99, static_cast<double>(cell.d2));
   // Slack was measured and the gate passes.
   ASSERT_LT(result.min_slack(), kTimeMax);
   EXPECT_GE(result.min_slack(), 0);

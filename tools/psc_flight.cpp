@@ -11,7 +11,7 @@
 //     --jsonl        emit JSON Lines (psc-lint's interchange form) instead
 //                    of the plain-text trace format
 //     --stats        print a snapshot summary (records, drops, kinds,
-//                    histogram state) to stderr and skip the trace output
+//                    strings, window) to stderr and skip the trace output
 //                    unless --out was given explicitly
 #include <cstring>
 #include <fstream>
