@@ -155,8 +155,7 @@ struct Arm {
 // One timed run of one arm; only run() is timed. `lint` attaches an online
 // InvariantProbe (analysis/trace_check.hpp) with the workload's own
 // [d1, d2] — the PSC_LINT=1 overhead arm. `slack` attaches the bound-slack
-// observatory plus a 10ms-cadence TimeSeries over its registry
-// (obs/observatory.hpp) — the PSC_OBS=1 overhead arm.
+// observatory (obs/observatory.hpp) — the PSC_OBS=1 overhead arm.
 Arm measure_once(const std::string& workload, int n, SchedArm sched,
                  int target_events, const TraceCheckOptions* lint = nullptr,
                  const SlackOptions* slack = nullptr,
@@ -202,16 +201,10 @@ Arm measure_once(const std::string& workload, int n, SchedArm sched,
   }
   std::unique_ptr<MetricsRegistry> reg;
   std::unique_ptr<BoundSlackProbe> slack_probe;
-  std::unique_ptr<TimeSeries> ts;
-  std::unique_ptr<TimeSeriesProbe> ts_probe;
   if (slack != nullptr) {
     reg = std::make_unique<MetricsRegistry>();
     slack_probe = std::make_unique<BoundSlackProbe>(*reg, *slack);
-    ts = std::make_unique<TimeSeries>(
-        *reg, TimeSeriesOptions{.cadence = milliseconds(10)});
-    ts_probe = std::make_unique<TimeSeriesProbe>(*ts);
     exec->attach_probe(slack_probe.get());
-    exec->attach_probe(ts_probe.get());
   }
   arm.machines = exec->machine_count();
   const auto t0 = std::chrono::steady_clock::now();
@@ -346,8 +339,8 @@ struct Row {
   // PSC_LINT=1 arm: scheduler loop with an online InvariantProbe attached.
   double lint_ns = 0;        // 0 when the arm did not run
   double lint_overhead = 0;  // paired_overhead(): median within-repeat ratio
-  // PSC_OBS=1 arm: scheduler loop with the bound-slack observatory +
-  // time-series probes attached.
+  // PSC_OBS=1 arm: scheduler loop with the bound-slack observatory
+  // attached.
   double obs_ns = 0;         // 0 when the arm did not run
   double obs_overhead = 0;   // paired_overhead(): median within-repeat ratio
   Duration min_slack = kTimeMax;
@@ -803,7 +796,7 @@ int main(int argc, char** argv) {
   // PSC_LINT=1: add a third arm per config — the scheduler loop with an
   // online invariant checker attached — and gate its overhead.
   const bool lint_arm = env_flag("PSC_LINT");
-  // PSC_OBS=1: same idea for the bound-slack observatory + time series.
+  // PSC_OBS=1: same idea for the bound-slack observatory.
   const bool obs_arm = env_flag("PSC_OBS");
   // PSC_CERT=1: same idea for the certificate probe — each delivery is
   // checked against its statically derived per-edge window (the PSC206

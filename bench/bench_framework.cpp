@@ -6,21 +6,27 @@
 // trajectory queries (mixed, and each query alone on the benchmark's clock),
 // the benchmark's per-node clock set-up, the executor's re-poll of one
 // Simulation 1 node after one input, one MMT node step, the wake
-// calendar's re-poll/advance cycle, and the primitives under the scheduler
-// and the online checkers: the non-empty-slot bitset, the uid ledger and
-// the window meter's per-event measure. These are the costs a user of the
-// library pays.
+// calendar's re-poll/advance cycle, the primitives under the scheduler
+// and the online checkers — the non-empty-slot bitset, the uid ledger, the
+// window meter's per-event measure and the slack histogram's add — and
+// each online checker replayed over a recorded run. These are the costs a
+// user of the library pays.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <numeric>
 
+#include "analysis/bounds.hpp"
 #include "analysis/meter.hpp"
+#include "analysis/trace_check.hpp"
 #include "analysis/uid_index.hpp"
 #include "clock/trajectory.hpp"
 #include "core/relations.hpp"
 #include "mmt/mmt_node.hpp"
+#include "obs/metrics.hpp"
+#include "obs/observatory.hpp"
+#include "obs/probes.hpp"
 #include "rw/algorithm.hpp"
 #include "rw/harness.hpp"
 #include "runtime/wheel.hpp"
@@ -493,6 +499,114 @@ void BM_WindowMeterMeasure(benchmark::State& state, MeterTrace model) {
 }
 BENCHMARK_CAPTURE(BM_WindowMeterMeasure, rw_clock, MeterTrace::kClock);
 BENCHMARK_CAPTURE(BM_WindowMeterMeasure, rw_mmt, MeterTrace::kMmt);
+
+// The online checkers replayed over a recorded register run (the runs
+// BM_WindowMeterMeasure cycles through, small enough to stay in cache):
+// one iteration is one pass over the trace with freshly built checkers
+// (built outside the timing), so every pass is a faithful replay. Each
+// checker alone measures with its own meter, as behind a forwarding
+// probe; kAll is the executor's shape, one measure per event handed to
+// all four.
+enum class Checker { kInvariant, kCert, kSlack, kLatency, kAll };
+
+void BM_CheckerReplay(benchmark::State& state, Checker which,
+                      MeterTrace model) {
+  RwRunConfig cfg = bench_config();
+  cfg.ops_per_node = 8;
+  const ZigzagDrift drift(0.25);
+  const bool mmt = model == MeterTrace::kMmt;
+  const Duration ell = microseconds(5);
+  RwAssembly a = mmt ? assemble_rw_mmt(cfg, drift, ell, cfg.num_nodes + 2)
+                     : assemble_rw_clock(cfg, drift);
+  a.exec->run();
+  const TimedTrace& events = a.exec->events();
+  const std::vector<const Machine*> machines = a.exec->composition();
+  TraceCheckOptions tco;
+  tco.eps = cfg.eps;
+  tco.d1 = cfg.d1;
+  tco.d2 = cfg.d2;
+  tco.ell = mmt ? ell : -1;
+  tco.num_nodes = cfg.num_nodes;
+  BoundCertOptions bco;
+  bco.eps = cfg.eps;
+  bco.d1 = cfg.d1;
+  bco.d2 = cfg.d2;
+  bco.ell = tco.ell;
+  const SlackOptions so{
+      .eps = cfg.eps, .d1 = cfg.d1, .d2 = cfg.d2, .ell = tco.ell};
+  for (auto _ : state) {
+    state.PauseTiming();
+    MetricsRegistry reg;
+    InvariantProbe lint(tco);
+    CertificateProbe cert(bco);
+    cert.harvest(machines);
+    BoundSlackProbe slack(reg, so);
+    ChannelLatencyProbe latency(reg, cfg.d1, cfg.d2);
+    MeteredProbe* const one[] = {&lint, &cert, &slack, &latency};
+    WindowMeter meter(/*mmt_gaps=*/mmt);
+    state.ResumeTiming();
+    if (which == Checker::kAll) {
+      for (const TimedEvent& e : events) {
+        const Machine& owner = *machines[static_cast<std::size_t>(e.owner)];
+        const Measurement& m = meter.measure(e);
+        for (MeteredProbe* p : one) p->on_measured(e, m, owner);
+      }
+    } else {
+      MeteredProbe* const p = one[static_cast<std::size_t>(which)];
+      for (const TimedEvent& e : events) {
+        p->on_event(e, *machines[static_cast<std::size_t>(e.owner)]);
+      }
+    }
+    benchmark::DoNotOptimize(slack.min_slack());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(events.size()));
+  state.SetLabel("events=" + std::to_string(events.size()));
+}
+BENCHMARK_CAPTURE(BM_CheckerReplay, invariant_rw_clock, Checker::kInvariant,
+                  MeterTrace::kClock);
+BENCHMARK_CAPTURE(BM_CheckerReplay, cert_rw_clock, Checker::kCert,
+                  MeterTrace::kClock);
+BENCHMARK_CAPTURE(BM_CheckerReplay, slack_rw_clock, Checker::kSlack,
+                  MeterTrace::kClock);
+BENCHMARK_CAPTURE(BM_CheckerReplay, latency_rw_clock, Checker::kLatency,
+                  MeterTrace::kClock);
+BENCHMARK_CAPTURE(BM_CheckerReplay, all_one_meter_rw_clock, Checker::kAll,
+                  MeterTrace::kClock);
+BENCHMARK_CAPTURE(BM_CheckerReplay, invariant_rw_mmt, Checker::kInvariant,
+                  MeterTrace::kMmt);
+BENCHMARK_CAPTURE(BM_CheckerReplay, cert_rw_mmt, Checker::kCert,
+                  MeterTrace::kMmt);
+BENCHMARK_CAPTURE(BM_CheckerReplay, slack_rw_mmt, Checker::kSlack,
+                  MeterTrace::kMmt);
+BENCHMARK_CAPTURE(BM_CheckerReplay, latency_rw_mmt, Checker::kLatency,
+                  MeterTrace::kMmt);
+BENCHMARK_CAPTURE(BM_CheckerReplay, all_one_meter_rw_mmt, Checker::kAll,
+                  MeterTrace::kMmt);
+
+// Histogram::add on the slack histograms' zero-centred doubling ladder
+// (slack_bounds()), as BoundSlackProbe feeds it: cycling through 4,096
+// Durations of every magnitude from 0 to 2^30 ns, either sign.
+void BM_HistogramAdd(benchmark::State& state) {
+  Histogram h(slack_bounds());
+  Rng rng(1);
+  std::vector<Duration> samples(4096);
+  for (Duration& x : samples) {
+    const Duration mag =
+        rng.uniform(0, (Duration{1} << rng.uniform(0, 30)) - 1);
+    x = rng.uniform(0, 1) == 0 ? mag : -mag;
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    h.add(samples[k]);
+    benchmark::DoNotOptimize(&h);
+    benchmark::ClobberMemory();
+    k = (k + 1) & (samples.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistogramAdd);
 
 void BM_GammaConstruction(benchmark::State& state) {
   RwRunConfig cfg = bench_config();

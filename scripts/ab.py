@@ -25,7 +25,13 @@ ratio of the medians (B / A), in how many pairs B was better than A in
 the metric's own direction, a 95% bootstrap confidence interval of B / A
 (pairs resampled with replacement, seeded, so the output is reproducible)
 and a verdict: `better` or `worse` when the interval lies wholly on one
-side of 1, else `inconclusive`. It exits 1 when any iteration fails a
+side of 1, else `inconclusive`. Beside it a `rule` column applies the
+acceptance rule for a performance claim: `gain` (or `loss`) only when B is
+better (or worse) than A in at least 9 of every 10 pairs and the medians
+differ, in that direction, by more than A's interquartile distance; else
+`unresolved`. One 10-pair bootstrap verdict has flipped between
+back-to-back runs on a shared host; the rule asks for more than that, and
+is meant for 20 or more pairs. It exits 1 when any iteration fails a
 check, or when the determinism fingerprint (psc_bench/run.py's
 FINGERPRINT counts) differs between or within the arms.
 """
@@ -186,6 +192,20 @@ def verdict(ci, better):
     return "better" if (hi < 1) == (better == "lower") else "worse"
 
 
+def rule(a, b, better):
+    """The acceptance rule for a claimed change of B over A (paired runs)."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(1 for x, y in zip(a, b) if sign * (x - y) > 0)
+    losses = sum(1 for x, y in zip(a, b) if sign * (y - x) > 0)
+    q1, q3 = quartiles(a)
+    gap = sign * (statistics.median(a) - statistics.median(b))
+    if 10 * wins >= 9 * len(a) and gap > q3 - q1:
+        return "gain"
+    if 10 * losses >= 9 * len(a) and -gap > q3 - q1:
+        return "loss"
+    return "unresolved"
+
+
 def compare(binaries, workload, seed, pairs, metrics):
     """Runs the pairs; returns (failed checks, fingerprint mismatches)."""
     runs = {arm: {"plain": [], "traced": []} for arm in binaries}
@@ -225,7 +245,7 @@ def compare(binaries, workload, seed, pairs, metrics):
           + ("  MISMATCH" if mismatched else "  identical"))
     print(f"{'metric':30s} {'A median [q1, q3]':>30s} "
           f"{'B median [q1, q3]':>30s} {'B/A':>6s} {'B wins':>7s} "
-          f"{'95% CI of B/A':>16s}  verdict")
+          f"{'95% CI of B/A':>16s}  {'verdict':12s}  rule")
     for name, better, mode in metrics:
         a = [r["values"][name] for r in runs[arms[0]][mode]]
         b = [r["values"][name] for r in runs[arms[1]][mode]]
@@ -237,7 +257,8 @@ def compare(binaries, workload, seed, pairs, metrics):
         print(f"{name:30s} {cell(ma, quartiles(a)):>30s} "
               f"{cell(mb, quartiles(b)):>30s} {ratio:6.3f} "
               f"{wins:>4d}/{pairs} "
-              f"{f'[{ci[0]:.3f}, {ci[1]:.3f}]':>16s}  {verdict(ci, better)}")
+              f"{f'[{ci[0]:.3f}, {ci[1]:.3f}]':>16s}  "
+              f"{verdict(ci, better):12s}  {rule(a, b, better)}")
     return failed, mismatched
 
 

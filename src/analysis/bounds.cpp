@@ -333,7 +333,9 @@ void write_bound_cert_jsonl(std::ostream& os, const BoundCert& cert,
 
 CertificateProbe::CertificateProbe(BoundCertOptions bopts,
                                    CertProbeOptions popts)
-    : bopts_(std::move(bopts)), popts_(std::move(popts)) {}
+    : MeteredProbe(/*mmt_gaps=*/false),
+      bopts_(std::move(bopts)),
+      popts_(std::move(popts)) {}
 
 void CertificateProbe::harvest(const std::vector<const Machine*>& machines) {
   const InterferenceGraph g = build_interference_graph(machines);
@@ -369,8 +371,9 @@ void CertificateProbe::emit(DiagCode code, std::string message,
   report_.add(code, std::move(message), std::move(machine), time);
 }
 
-void CertificateProbe::on_event(const TimedEvent& e, const Machine&) {
-  const Delivery& d = meter_.measure(e).delivery;
+void CertificateProbe::on_measured(const TimedEvent& e, const Measurement& m,
+                                   const Machine& /*owner*/) {
+  const Delivery& d = m.delivery;
   // Unmatched deliveries are PSC107's business.
   if (d.leg == Delivery::Leg::kNone || d.leg == Delivery::Leg::kUnmatched) {
     return;

@@ -120,7 +120,7 @@ struct CertProbeOptions {
 // latency. harvest() must run before the executor starts (RunObserver::
 // attach does it when wired through ObsOptions::cert); the harvest-time
 // derivation diagnostics and the online PSC206s accumulate in one report.
-class CertificateProbe final : public Probe {
+class CertificateProbe final : public MeteredProbe {
  public:
   explicit CertificateProbe(BoundCertOptions bopts = {},
                             CertProbeOptions popts = {});
@@ -136,7 +136,8 @@ class CertificateProbe final : public Probe {
   // Booked to the microprofiler's lint phase alongside InvariantProbe: both
   // answer "what does online conformance checking cost".
   std::string_view profile_name() const override { return "lint"; }
-  void on_event(const TimedEvent& e, const Machine& owner) override;
+  void on_measured(const TimedEvent& e, const Measurement& m,
+                   const Machine& owner) override;
 
  private:
   struct EdgeCert {
@@ -157,7 +158,6 @@ class CertificateProbe final : public Probe {
   BoundCert cert_;
   DiagnosticReport report_;
   std::unordered_map<std::uint64_t, EdgeCert> by_edge_;
-  WindowMeter meter_{/*mmt_gaps=*/false};
   bool harvested_ = false;
 };
 

@@ -107,8 +107,9 @@ class DiagnosticReport {
 };
 
 // Code-range versions. Bumped whenever the meaning of a code in the range
-// changes, so archived JSONL dumps (the regression corpus of ROADMAP item 4)
-// stay interpretable against the tool that wrote them.
+// changes, so archived JSONL dumps (the regression corpus of ROADMAP's
+// "Adversarial search over one decision stream") stay interpretable against
+// the tool that wrote them.
 inline constexpr int kPsc0xxVersion = 1;
 inline constexpr int kPsc1xxVersion = 1;
 inline constexpr int kPsc2xxVersion = 1;

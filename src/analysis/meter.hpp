@@ -15,10 +15,15 @@
 //
 // The meter owns the only per-message record and last-tick / last-step
 // state of the online checkers; an event's name class is its interned
-// name's (ActionName::msg_class, core/action.hpp). TraceChecker
-// (pass/fail with a grid tolerance), BoundSlackProbe (BoundWindow::slack
-// histograms) and CertificateProbe (per-edge certificates) each hold one
-// and only evaluate their windows on its output.
+// name's (ActionName::msg_class, core/action.hpp). The checkers —
+// InvariantProbe (pass/fail with a grid tolerance), CertificateProbe
+// (per-edge certificates), BoundSlackProbe (BoundWindow::slack histograms)
+// and ChannelLatencyProbe — are MeteredProbes: they only evaluate their
+// windows on a Measurement. On an executor, the executor's one meter
+// measures each event once and hands the result to every metered probe
+// (see Executor::record_event); a metered probe driven any other way —
+// replayed by hand, or behind a forwarding probe — measures with a meter of
+// its own.
 //
 // The tag rule: a message's clock tag is the one its ESENDMSG carried,
 // refreshed by the ERECVMSG that delivers it (the receive buffer strips the
@@ -35,6 +40,7 @@
 #include "analysis/uid_index.hpp"
 #include "core/msg_class.hpp"
 #include "core/trace.hpp"
+#include "obs/probe.hpp"
 
 namespace psc {
 
@@ -68,11 +74,15 @@ class WindowMeter {
   // gaps.
   explicit WindowMeter(bool mmt_gaps = true) : mmt_gaps_(mmt_gaps) {}
 
+  bool mmt_gaps() const { return mmt_gaps_; }
+  // Measures gaps from the next event on (each node's and owner's first
+  // gap then runs from time 0, as on a fresh meter).
+  void enable_mmt_gaps() { mmt_gaps_ = true; }
+
   // Events must arrive in execution order; the result is valid until the
-  // next call. Every online checker calls this on every event, so the
-  // result is written in place (value-initializing a fresh one per event
-  // cost more than the measuring) and only the message legs run out of
-  // line.
+  // next call. This runs on every event, so the result is written in place
+  // (value-initializing a fresh one per event cost more than the
+  // measuring) and only the message legs run out of line.
   const Measurement& measure(const TimedEvent& e) {
     Measurement& m = last_;
     m.skew = e.clock != kNoClockTag ? std::optional<Duration>(e.clock - e.time)
@@ -127,6 +137,31 @@ class WindowMeter {
   UidIndex<MsgRecord> msgs_;
   std::vector<Time> last_tick_;          // node -> last TICK time
   std::vector<OwnerSteps> owner_steps_;  // owner -> step state
+};
+
+// A probe that evaluates the window meter's measurements. on_measured is
+// its only evaluation hook: the executor measures each event once and calls
+// it on every metered probe it runs, while on_event — the path of every
+// other driver (a forwarding probe, the test-side reference loop, a replay
+// by hand) — feeds the probe's own meter. A consumer must ignore the gaps
+// it did not ask for: the executor's meter measures them when any of its
+// metered probes wants them.
+class MeteredProbe : public Probe {
+ public:
+  explicit MeteredProbe(bool mmt_gaps) : meter_(mmt_gaps) {}
+
+  // Whether on_measured reads Measurement::tick_gap / step_gap.
+  bool wants_mmt_gaps() const { return meter_.mmt_gaps(); }
+
+  virtual void on_measured(const TimedEvent& e, const Measurement& m,
+                           const Machine& owner) = 0;
+
+  void on_event(const TimedEvent& e, const Machine& owner) final {
+    on_measured(e, meter_.measure(e), owner);
+  }
+
+ private:
+  WindowMeter meter_;
 };
 
 }  // namespace psc

@@ -8,7 +8,7 @@
 namespace psc {
 
 TraceChecker::TraceChecker(TraceCheckOptions opts)
-    : opts_(std::move(opts)), meter_(opts_.ell >= 0) {
+    : opts_(std::move(opts)) {
   if (opts_.num_nodes > 0 && opts_.eps >= 0) {
     order_band_ = opts_.eps + (opts_.ell > 0 ? opts_.ell : 0) + opts_.slack;
     node_order_.resize(static_cast<std::size_t>(opts_.num_nodes));
@@ -24,8 +24,7 @@ void TraceChecker::emit(DiagCode code, std::string message,
   report_.add(code, std::move(message), std::move(machine), time);
 }
 
-void TraceChecker::observe(const TimedEvent& e) {
-  const Measurement& m = meter_.measure(e);
+void TraceChecker::observe(const TimedEvent& e, const Measurement& m) {
   // PSC101: recorded clock readings stay within the C_eps band (plus ell
   // under MMT, where the node's clock is the last *ticked* value and may
   // lag by one tick interval on top of the drift).
@@ -185,7 +184,8 @@ void TraceChecker::finalize() {
 DiagnosticReport check_trace(const TimedTrace& trace,
                              const TraceCheckOptions& opts) {
   TraceChecker checker(opts);
-  for (const TimedEvent& e : trace) checker.observe(e);
+  WindowMeter meter(/*mmt_gaps=*/opts.ell >= 0);
+  for (const TimedEvent& e : trace) checker.observe(e, meter.measure(e));
   checker.finalize();
   return checker.report();
 }

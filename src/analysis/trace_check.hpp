@@ -32,8 +32,8 @@
 // runs meaningfully on any model: a timed-model trace gets PSC102 only, a
 // clock-model trace adds PSC101/103/104/106, an MMT trace adds PSC105.
 // PSC101-105 and PSC107 are window evaluations on the window meter's
-// measurements (analysis/meter.hpp), which also feeds BoundSlackProbe and
-// CertificateProbe. Action names follow the library's conventions
+// measurements (analysis/meter.hpp), the same ones BoundSlackProbe and
+// CertificateProbe evaluate. Action names follow the library's conventions
 // (core/msg_class.hpp); renamed systems need their traces translated back
 // before checking.
 #pragma once
@@ -78,12 +78,14 @@ struct TraceCheckOptions {
   std::function<void(const Diagnostic&)> on_violation;
 };
 
-// Streaming checker: feed events in execution order, then finalize().
+// Streaming checker: feed events in execution order, each with its window
+// meter measurement (a meter with gaps when opts.ell >= 0; gaps are
+// ignored otherwise), then finalize().
 class TraceChecker {
  public:
   explicit TraceChecker(TraceCheckOptions opts = {});
 
-  void observe(const TimedEvent& e);
+  void observe(const TimedEvent& e, const Measurement& m);
   // Reports PSC106, after every online diagnostic. Idempotent.
   void finalize();
 
@@ -114,7 +116,6 @@ class TraceChecker {
 
   TraceCheckOptions opts_;
   DiagnosticReport report_;
-  WindowMeter meter_;
   Duration order_band_ = 0;            // PSC106 band: eps + ell + slack
   std::vector<NodeOrder> node_order_;  // empty when PSC106 is off
   // Clocked events outside every node's class (node kNoNode or >=
@@ -132,9 +133,10 @@ DiagnosticReport check_trace(const TimedTrace& trace,
 
 // Online form: attach to an Executor (directly or via ObsOptions::lint) and
 // read the report after the run. finalize() fires at on_run_end.
-class InvariantProbe final : public Probe {
+class InvariantProbe final : public MeteredProbe {
  public:
-  explicit InvariantProbe(TraceCheckOptions opts = {}) : checker_(opts) {}
+  explicit InvariantProbe(TraceCheckOptions opts = {})
+      : MeteredProbe(/*mmt_gaps=*/opts.ell >= 0), checker_(std::move(opts)) {}
 
   // Invariants are checked per event — opt out of the per-advance dispatch.
   bool observes_time() const override { return false; }
@@ -144,8 +146,9 @@ class InvariantProbe final : public Probe {
   // instead of inferred from the PSC_LINT A/B bench arm.
   std::string_view profile_name() const override { return "lint"; }
 
-  void on_event(const TimedEvent& e, const Machine& /*owner*/) override {
-    checker_.observe(e);
+  void on_measured(const TimedEvent& e, const Measurement& m,
+                   const Machine& /*owner*/) override {
+    checker_.observe(e, m);
   }
   void on_run_end(Time /*now*/) override { checker_.finalize(); }
 

@@ -39,7 +39,7 @@ void TickSource::enabled_into(Time t, Candidates& out) const {
   out.clear();
   if (t >= next_tick_) {
     Action& a = out.slot(names::kTick, node_);
-    a.args.emplace_back(traj_->clock_at(t));
+    a.args.emplace_back(clock_now(t));
     a.msg.reset();
   }
 }
@@ -56,6 +56,6 @@ Time TickSource::next_enabled(Time t) const {
   return next_tick_ > t ? next_tick_ : kTimeMax;
 }
 
-Time TickSource::clock_reading(Time t) const { return traj_->clock_at(t); }
+Time TickSource::clock_reading(Time t) const { return clock_now(t); }
 
 }  // namespace psc

@@ -42,6 +42,18 @@ class TickSource final : public Machine {
 
  private:
   Duration draw_gap();
+  // c(t), memoized on the last t asked, as ClockedMachine::clock_now does:
+  // a TICK reads its clock for the argument when polled and again for the
+  // event's clock reading, both at the same t. Mutable state behind const
+  // methods, safe because one executor owns the machine and calls it from
+  // one thread; it starts at (0, 0), which axiom C1 makes exact.
+  Time clock_now(Time t) const {
+    if (t != memo_t_) {
+      memo_c_ = traj_->clock_at(t);
+      memo_t_ = t;
+    }
+    return memo_c_;
+  }
 
   int node_;
   std::shared_ptr<const ClockTrajectory> traj_;
@@ -50,6 +62,8 @@ class TickSource final : public Machine {
   double min_gap_frac_;
   Time next_tick_;
   std::size_t ticks_ = 0;
+  mutable Time memo_t_ = 0;
+  mutable Time memo_c_ = 0;
 };
 
 }  // namespace psc

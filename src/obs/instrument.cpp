@@ -108,12 +108,6 @@ void RunObserver::attach(Executor& exec) {
     }
   }
   for (const auto& p : probes_) exec.attach_probe(p.get());
-  if (opts_.timeseries != nullptr) {
-    // Last, so each cadence sample (taken after the metric probes ran for
-    // that instant) and the final on_run_end sample see settled state.
-    if (!ts_probe_) ts_probe_ = std::make_unique<TimeSeriesProbe>(*opts_.timeseries);
-    exec.attach_probe(ts_probe_.get());
-  }
 }
 
 }  // namespace psc

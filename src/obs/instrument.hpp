@@ -66,11 +66,6 @@ struct ObsOptions {
   // which is a no-op unless this is set. Off by default so runs that pin
   // exact registry contents are unaffected.
   bool slack = false;
-  // Caller-owned windowed time-series sink, sampled on its configured
-  // simulated-time cadence by a probe attach() creates (after every metric
-  // probe, so each boundary snapshot sees that instant's final state). The
-  // caller keeps it to export or inspect the windows after the run.
-  TimeSeries* timeseries = nullptr;
   // Caller-owned binary flight recorder (obs/flight.hpp). attach() hands it
   // to Executor::attach_flight — not a Probe: the executor writes its ring
   // directly from the record path. The caller keeps it to snapshot/dump
@@ -86,8 +81,8 @@ struct ObsOptions {
 
   bool enabled() const {
     return registry != nullptr || chrome_out != nullptr || causal != nullptr ||
-           lint != nullptr || cert != nullptr || timeseries != nullptr ||
-           flight != nullptr || profile != nullptr;
+           lint != nullptr || cert != nullptr || flight != nullptr ||
+           profile != nullptr;
   }
 };
 
@@ -133,7 +128,6 @@ class RunObserver {
   ObsOptions opts_;
   std::unique_ptr<ChromeTraceProbe> chrome_probe_;   // when chrome_out
   std::unique_ptr<MetricsRegistry> scratch_;
-  std::unique_ptr<TimeSeriesProbe> ts_probe_;        // when opts_.timeseries
   BoundSlackProbe* slack_probe_ = nullptr;           // owned via probes_
   std::vector<std::unique_ptr<Probe>> probes_;
 };

@@ -9,43 +9,43 @@
 
 namespace psc {
 
-void Gauge::set(double v) {
-  last_ = v;
-  if (n_ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  sum_ += v;
-  ++n_;
-}
-
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1, 0) {
   PSC_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()) &&
                 std::adjacent_find(bounds_.begin(), bounds_.end()) ==
                     bounds_.end(),
             "histogram bounds must be strictly increasing");
-  // Recognize the zero-centered doubling ladder slack_bounds() builds
-  // (-lo*2^(m-1) ... -lo, 0, lo ... lo*2^(m-1)): its bucket index is a
-  // function of the sample's binary exponent, which add() computes in a
-  // handful of arithmetic ops instead of a binary search whose serially
-  // dependent loads dominate the probe hot path. Doubling is exact in
-  // floating point, so the equality tests below are not brittle.
+  // Recognize the zero-centred doubling ladder slack_bounds() builds
+  // (-lo*2^(m-1) ... -lo, 0, lo ... lo*2^(m-1)) with an integral lo: an
+  // integral sample's bucket is then a function of its bit width (see
+  // rungs_below). Doubling is exact in floating point, so the equality
+  // tests below are not brittle.
   const std::size_t n = bounds_.size();
-  if (n >= 3 && n % 2 == 1) {
-    const std::size_t m = n / 2;
-    const double lo = bounds_[m + 1];
-    bool ok = bounds_[m] == 0.0 && lo > 0.0 && std::isfinite(bounds_[n - 1]);
-    double expect = lo;
-    for (std::size_t k = 0; ok && k < m; ++k) {
-      ok = bounds_[m + 1 + k] == expect && bounds_[m - 1 - k] == -expect;
-      expect *= 2.0;
-    }
-    if (ok) {
-      pow2_mid_ = m;
-      pow2_inv_lo_ = 1.0 / lo;
+  if (n < 3 || n % 2 == 0) return;
+  const std::size_t m = n / 2;
+  const double lo = bounds_[m + 1];
+  if (bounds_[m] != 0.0 || !(lo >= 1.0) || lo != std::floor(lo) ||
+      !(bounds_[n - 1] <= static_cast<double>(kLadderLimit))) {
+    return;
+  }
+  double expect = lo;
+  for (std::size_t k = 0; k < m; ++k) {
+    if (bounds_[m + 1 + k] != expect || bounds_[m - 1 - k] != -expect) return;
+    expect *= 2.0;
+  }
+  const auto lo_int = static_cast<std::uint64_t>(lo);
+  const int lo_width = std::bit_width(lo_int);
+  ladder_mid_ = m;
+  rungs_.resize(65);
+  for (int b = 0; b <= 64; ++b) {
+    const int k = b - lo_width;
+    Rung& r = rungs_[static_cast<std::size_t>(b)];
+    if (k < 0) {
+      r = {UINT64_MAX, 0};
+    } else if (static_cast<std::size_t>(k) < m) {
+      r = {lo_int << k, static_cast<std::uint32_t>(k)};
+    } else {
+      r = {UINT64_MAX, static_cast<std::uint32_t>(m)};
     }
   }
 }

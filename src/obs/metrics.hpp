@@ -12,13 +12,15 @@
 //     requesting an existing name as a different kind is a CheckError).
 //
 // Histograms use fixed bucket bounds chosen at registration (linear or
-// exponential helpers provided): per-sample cost is a branchless-ish
-// upper_bound over a small vector, memory is O(buckets) regardless of
-// sample count, and percentile estimates are bucket-interpolated.
+// exponential helpers provided): per-sample cost is an upper_bound over a
+// small vector, or a table lookup on the zero-centred doubling ladder the
+// slack histograms use; memory is O(buckets) regardless of sample count,
+// and percentile estimates are bucket-interpolated.
 #pragma once
 
 #include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
@@ -44,7 +46,17 @@ class Counter {
 // Last/min/max/mean over set() calls — a sampled instantaneous quantity.
 class Gauge {
  public:
-  void set(double v);
+  void set(double v) {
+    last_ = v;
+    if (n_ == 0) {
+      min_ = max_ = v;
+    } else {
+      min_ = std::min(min_, v);
+      max_ = std::max(max_, v);
+    }
+    sum_ += v;
+    ++n_;
+  }
   std::size_t samples() const { return n_; }
   double last() const { return last_; }
   double min() const { return n_ ? min_ : 0.0; }
@@ -72,19 +84,37 @@ class Histogram {
 
   // Inline: runs once per observed sample on probe hot paths (the
   // bench_executor overhead gates hold attached probes under 5% of
-  // scheduler ns/event). Zero-centered doubling ladders (slack_bounds())
-  // are indexed arithmetically from the sample's binary exponent; anything
-  // else falls back to binary search, whose serially dependent loads cost
-  // ~4x more per sample.
-  void add(double x) {
-    const std::size_t i =
-        pow2_mid_ != 0 ? pow2_index(x) : search_index(x);
-    ++buckets_[i];
-    ++n_;
-    sum_ += x;
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
+  // scheduler ns/event).
+  void add(double x) { count(bucket(x), x); }
+  // An integral sample — every Duration the slack probe feeds — lands in
+  // the bucket its double would, without the float-to-integer round trip.
+  template <std::signed_integral T>
+  void add(T x) {
+    count(bucket(static_cast<std::int64_t>(x)), static_cast<double>(x));
   }
+  // Index of the bucket `x` lands in: the first bound >= x, or
+  // bounds().size() (the overflow bucket) past the last bound and for NaN.
+  // On a zero-centred doubling ladder (slack_bounds()) an integral sample
+  // takes its rung from its bit width; anything else binary-searches, whose
+  // serially dependent loads cost ~4x more per sample.
+  std::size_t bucket(double x) const {
+    constexpr auto kLimit = static_cast<double>(kLadderLimit);
+    if (!rungs_.empty() && x >= -kLimit && x <= kLimit) {
+      const auto i = static_cast<std::int64_t>(x);
+      if (static_cast<double>(i) == x) return ladder_index(i);
+    }
+    return search_index(x);
+  }
+  // The bucket of static_cast<double>(x), which is x itself within the
+  // ladder's range.
+  std::size_t bucket(std::int64_t x) const {
+    if (!rungs_.empty() && x >= -kLadderLimit && x <= kLadderLimit) {
+      return ladder_index(x);
+    }
+    return search_index(static_cast<double>(x));
+  }
+  // Whether bucket() takes integral samples' rungs from the ladder table.
+  bool doubling_ladder() const { return !rungs_.empty(); }
   std::uint64_t count() const { return n_; }
   double sum() const { return sum_; }
   double min() const { return n_ ? min_ : 0.0; }
@@ -113,41 +143,37 @@ class Histogram {
     return static_cast<std::size_t>(it - bounds_.begin());
   }
 
-  // Same result for a zero-centered doubling ladder
-  // (-lo*2^(m-1) .. -lo, 0, lo .. lo*2^(m-1)), detected at construction:
-  // bounds_[pow2_mid_] == 0 and positive bounds double from lo. The raw
-  // exponent of |x|/lo lands within one step of the exact rung (1/lo and
-  // the product both round), so two predictable nudges against the stored
-  // bounds make it exact.
-  std::size_t pow2_index(double x) const {
-    const double y = x < 0 ? -x : x;
-    const double lo = bounds_[pow2_mid_ + 1];
-    if (y <= lo) {
-      // |x| inside the innermost rung: 0 maps to the zero bound, (0, lo]
-      // to the first positive bound, [-lo, 0) to -lo only when exact.
-      if (x == 0.0) return pow2_mid_;
-      if (x > 0.0) return pow2_mid_ + 1;
-      return pow2_mid_ - (y == lo ? 1 : 0);
-    }
-    if (y != y) return bounds_.size();  // NaN: overflow, as search_index
-    const int top = static_cast<int>(pow2_mid_) - 1;
-    int e = static_cast<int>((std::bit_cast<std::uint64_t>(y * pow2_inv_lo_)
-                              >> 52) & 0x7ff) - 1023;
-    if (e < 0) e = 0;
-    if (e > top) e = top;
-    const double* pos = bounds_.data() + pow2_mid_ + 1;
-    if (e > 0 && pos[e] > y) --e;
-    if (e < top && pos[e + 1] <= y) ++e;
-    // e is now the exact floor of log2(y/lo), clamped to [0, top].
-    if (x > 0) {
-      // First rung >= y is e, or e+1 when y overshoots it; e+1 past the
-      // top rung is bounds_.size(), the overflow bucket.
-      return pow2_mid_ + 1 + static_cast<std::size_t>(e) +
-             (pos[e] < y ? 1u : 0u);
-    }
-    // Negative side mirrors: x <= -lo*2^k first holds at the largest
-    // k <= floor(log2(y/lo)), stored at index pow2_mid_ - 1 - e.
-    return pow2_mid_ - 1 - static_cast<std::size_t>(e);
+  // Integral samples within +-2^53, where a double holds every integer,
+  // take the ladder path; a ladder's rungs are integers up to 2^53, so
+  // every comparison on it is exact.
+  static constexpr std::int64_t kLadderLimit = std::int64_t{1} << 53;
+
+  void count(std::size_t bucket, double x) {
+    ++buckets_[bucket];
+    ++n_;
+    sum_ += x;
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
+
+  // The bucket of an integral sample within +-kLadderLimit on the ladder.
+  std::size_t ladder_index(std::int64_t x) const {
+    const auto u = static_cast<std::uint64_t>(x);
+    // x > 0 lies above the zero bound and the positive rungs below it;
+    // x <= 0 lies above the negative rungs -r with r > -x, i.e. all but
+    // the rungs <= -x (the rungs < 1 - x, as rungs are integral).
+    return x > 0 ? ladder_mid_ + 1 + rungs_below(u)
+                 : ladder_mid_ - rungs_below(1 - u);
+  }
+
+  // The number of positive rungs lo*2^k strictly below z. A z of bit width
+  // b has only rung k = b - bit_width(lo) in its range [2^(b-1), 2^b): every
+  // lower rung is below z and every higher one above it, so the count is
+  // that rung's index plus one compare against it (clamped to the ladder;
+  // a bound of UINT64_MAX never compares below).
+  std::size_t rungs_below(std::uint64_t z) const {
+    const Rung& r = rungs_[static_cast<std::size_t>(std::bit_width(z))];
+    return r.base + (z > r.bound ? 1u : 0u);
   }
 
   std::vector<double> bounds_;
@@ -156,10 +182,16 @@ class Histogram {
   double sum_ = 0;
   double min_ = std::numeric_limits<double>::max();
   double max_ = std::numeric_limits<double>::lowest();
-  // pow2_index parameters; pow2_mid_ == 0 means "no fast path" (a ladder
-  // always has at least one negative bound, so its mid is >= 1).
-  std::size_t pow2_mid_ = 0;
-  double pow2_inv_lo_ = 0;
+  // The zero-centred doubling ladder -lo*2^(m-1) .. -lo, 0, lo ..
+  // lo*2^(m-1) with integral lo >= 1, recognized at construction:
+  // ladder_mid_ == m indexes the zero bound, and rungs_ holds one Rung per
+  // bit width 0..64 (empty for any other bounds).
+  struct Rung {
+    std::uint64_t bound;  // the one rung of this bit width's range
+    std::uint32_t base;   // rungs below every z of this bit width
+  };
+  std::size_t ladder_mid_ = 0;
+  std::vector<Rung> rungs_;
 };
 
 class MetricsRegistry {

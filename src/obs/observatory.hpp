@@ -1,34 +1,22 @@
 // The bound-slack observatory: measure *how close* a run comes to the
 // paper's quantitative bounds, not just whether it stayed inside them.
 //
-// Two pieces, both executor Probes writing into a MetricsRegistry:
-//
-//   TimeSeries / TimeSeriesProbe
-//     Samples every registered counter/gauge/histogram on a simulated-time
-//     cadence into per-series ring-buffered windows (the last `window`
-//     samples are kept), exported as JSONL for plotting. The registry stays
-//     the aggregate story; the time series is its evolution.
-//
-//   BoundSlackProbe
-//     For every clock reading, delivery, Simulation-1 release, and MMT
-//     tick/step the window meter measures (analysis/meter.hpp, shared with
-//     TraceChecker and CertificateProbe) it computes the *signed distance
-//     to the governing theoretical bound* (analysis/windows.hpp): the C_eps
-//     drift envelope, the [d1, d2] delivery band, the Theorem 4.7
-//     clock-time window, and the MMT [0, ell] boundmap. Positive slack is
-//     adversarial room left unused, zero is a tight schedule, negative is
-//     a bound violation (the same condition PSC101/102/104/105 report).
-//     Slack distributions land in per-kind histograms plus per-node /
-//     per-channel min-tracking gauges, so "minimize slack" is a
-//     first-class search signal for adversarial schedule hunting (ROADMAP
-//     item 4) and "min slack >= 0" is a sweep-cell gate for report
-//     generation (tools/psc-report).
+// BoundSlackProbe is a MeteredProbe writing into a MetricsRegistry. For
+// every clock reading, delivery, Simulation-1 release, and MMT tick/step
+// the window meter measures (analysis/meter.hpp, the measurement
+// TraceChecker and CertificateProbe evaluate) it computes the *signed
+// distance to the governing theoretical bound* (analysis/windows.hpp): the
+// C_eps drift envelope, the [d1, d2] delivery band, the Theorem 4.7
+// clock-time window, and the MMT [0, ell] boundmap. Positive slack is
+// adversarial room left unused, zero is a tight schedule, negative is a
+// bound violation (the same condition PSC101/102/104/105 report). Slack
+// distributions land in per-kind histograms plus per-node / per-channel
+// min-tracking gauges, so "minimize slack" is a first-class search signal
+// for adversarial schedule hunting and "min slack >= 0" is a sweep-cell
+// gate for report generation (tools/psc-report).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -38,85 +26,6 @@
 #include "obs/probe.hpp"
 
 namespace psc {
-
-struct TimeSeriesOptions {
-  // Simulated-time sampling period.
-  Duration cadence = milliseconds(1);
-  // Ring capacity per series: the last `window` samples are kept, older
-  // points are overwritten (counted in `dropped`).
-  std::size_t window = 4096;
-};
-
-// Windowed sink over a MetricsRegistry. sample(now) snapshots every
-// registered metric: a counter contributes its value under its own name, a
-// gauge its last set value, a histogram its `.count`, `.p50` and `.p99`
-// sub-series. Metrics registered mid-run join at the next sample.
-class TimeSeries {
- public:
-  explicit TimeSeries(const MetricsRegistry& reg, TimeSeriesOptions opts = {});
-
-  TimeSeries(const TimeSeries&) = delete;
-  TimeSeries& operator=(const TimeSeries&) = delete;
-
-  void sample(Time now);
-
-  struct Point {
-    Time t = 0;
-    double v = 0;
-  };
-
-  const TimeSeriesOptions& options() const { return opts_; }
-  std::size_t samples_taken() const { return samples_; }
-  std::size_t series_count() const { return order_.size(); }
-  // Retained points of one series, oldest first (empty when unknown).
-  std::vector<Point> points(std::string_view series) const;
-  // Points dropped from one series' ring (0 when unknown or never full).
-  std::uint64_t dropped(std::string_view series) const;
-
-  // One JSON object per line per series:
-  //   {"type":"timeseries","name":"channel.delivered","cadence_ns":...,
-  //    "dropped":0,"points":[[t_ns,value],...]}
-  // Non-finite values (empty-histogram percentiles) render as null.
-  void write_jsonl(std::ostream& os) const;
-
- private:
-  struct Ring {
-    std::vector<Point> buf;    // capacity options().window
-    std::size_t next = 0;      // write cursor once full
-    std::uint64_t dropped = 0;
-  };
-
-  void record(const std::string& name, Time t, double v);
-
-  const MetricsRegistry& reg_;
-  TimeSeriesOptions opts_;
-  std::size_t samples_ = 0;
-  std::vector<std::string> order_;  // first-seen order, for stable export
-  std::unordered_map<std::string, Ring> series_;
-};
-
-// Drives a TimeSeries on the simulated clock: one sample per elapsed
-// cadence period (taken at the period boundary — state is constant inside a
-// time-passage step, so the boundary snapshot is exact), plus a final
-// sample at run end.
-class TimeSeriesProbe final : public Probe {
- public:
-  explicit TimeSeriesProbe(TimeSeries& ts) : ts_(ts) {}
-
-  // Samples on time passage only — opt out of the per-event dispatch.
-  bool observes_events() const override { return false; }
-  // Only the advance that crosses the next sample boundary matters; let
-  // the executor skip the dispatch for every advance before it.
-  Time next_time_interest() const override { return next_; }
-
-  void on_run_begin(Time now) override;
-  void on_time_advance(Time from, Time to) override;
-  void on_run_end(Time now) override;
-
- private:
-  TimeSeries& ts_;
-  Time next_ = 0;
-};
 
 struct SlackOptions {
   // C_eps accuracy; negative disables skew slack.
@@ -134,14 +43,15 @@ struct SlackOptions {
   bool per_entity = true;
 };
 
-class BoundSlackProbe final : public Probe {
+class BoundSlackProbe final : public MeteredProbe {
  public:
   BoundSlackProbe(MetricsRegistry& reg, SlackOptions opts);
 
   // Slack is measured per event — opt out of the per-advance dispatch.
   bool observes_time() const override { return false; }
 
-  void on_event(const TimedEvent& e, const Machine& owner) override;
+  void on_measured(const TimedEvent& e, const Measurement& m,
+                   const Machine& owner) override;
 
   // Minimum observed slack per bound kind; kTimeMax when that bound was
   // never measured (disabled, or no matching events).
@@ -159,12 +69,23 @@ class BoundSlackProbe final : public Probe {
   // of a Simulation 1 buffer release.
   void feed_delivery(const TimedEvent& e, const Delivery& d,
                      const Machine& owner);
-  void feed(Histogram* hist, Duration* min_seen, Duration slack);
+  void feed(Histogram& hist, Duration& min_seen, Duration slack) {
+    hist.add(slack);
+    if (slack < min_seen) min_seen = slack;
+    if (slack < 0) violations_->add();
+  }
   // Per-entity gauges are cached by node id / machine identity so the hot
   // path never builds a name string; the registry name is built once on
-  // first sight ("<prefix>.node<i>", "<prefix>.<channel name>").
-  Gauge* node_gauge(std::unordered_map<int, Gauge*>& cache,
-                    const char* prefix, int node);
+  // first sight ("<prefix>.node<i>", "<prefix>.<channel name>"), so the
+  // registry keeps first-sight order.
+  Gauge& node_gauge(std::vector<Gauge*>& by_node, const char* prefix,
+                    int node) {
+    const auto i = static_cast<std::size_t>(node);
+    if (i < by_node.size() && by_node[i] != nullptr) return *by_node[i];
+    return add_node_gauge(by_node, prefix, node);
+  }
+  Gauge& add_node_gauge(std::vector<Gauge*>& by_node, const char* prefix,
+                        int node);
   Gauge* channel_gauge(const Machine& owner);
 
   MetricsRegistry& reg_;
@@ -181,8 +102,8 @@ class BoundSlackProbe final : public Probe {
   Duration min_thm47_ = kTimeMax;
   Duration min_mmt_ = kTimeMax;
 
-  WindowMeter meter_;
-  std::unordered_map<int, Gauge*> ceps_gauges_, thm47_gauges_, mmt_gauges_;
+  // Per-node gauges by node id (nullptr until first sight).
+  std::vector<Gauge*> ceps_gauges_, thm47_gauges_, mmt_gauges_;
   std::unordered_map<const Machine*, Gauge*> channel_gauges_;
 };
 

@@ -49,11 +49,11 @@ class Probe {
 
   // Earliest time this probe needs its next on_time_advance, re-read after
   // every delivered advance. The default (0, i.e. "immediately") delivers
-  // every time-passage step. A cadence-driven probe (TimeSeriesProbe)
-  // returns its next sample boundary instead, and the executor skips the
-  // virtual dispatch for the advances in between — the probe then sees
-  // only the advance that crosses the boundary, which is the only one it
-  // would have acted on anyway.
+  // every time-passage step. A cadence-driven probe (ProfCounterProbe,
+  // obs/prof.hpp) returns its next sample boundary instead, and the
+  // executor skips the virtual dispatch for the advances in between — the
+  // probe then sees only the advance that crosses the boundary, which is
+  // the only one it would have acted on anyway.
   virtual Time next_time_interest() const { return 0; }
 
   // Called once when Executor::run() starts (now = current time, usually 0).

@@ -73,7 +73,7 @@ void ClockSkewProbe::on_event(const TimedEvent& e, const Machine& /*owner*/) {
 
 ChannelLatencyProbe::ChannelLatencyProbe(MetricsRegistry& reg, Duration d1,
                                          Duration d2)
-    : d1_(d1), d2_(d2) {
+    : MeteredProbe(/*mmt_gaps=*/false), d1_(d1), d2_(d2) {
   const double lo = static_cast<double>(d1);
   const double hi = static_cast<double>(std::max(d2, d1 + 1));
   latency_ = &reg.histogram("channel.latency_ns",
@@ -84,12 +84,13 @@ ChannelLatencyProbe::ChannelLatencyProbe(MetricsRegistry& reg, Duration d1,
   reg.gauge("channel.d2_ns").set(static_cast<double>(d2));
 }
 
-void ChannelLatencyProbe::on_event(const TimedEvent& e,
-                                   const Machine& /*owner*/) {
+void ChannelLatencyProbe::on_measured(const TimedEvent& /*e*/,
+                                      const Measurement& m,
+                                      const Machine& /*owner*/) {
   // Only the channel's own delivery is bound by [d1, d2]; the Simulation 1
   // release (receive buffer -> algorithm RECVMSG) is the meter's kRelease
   // leg and may be held longer.
-  const Delivery& d = meter_.measure(e).delivery;
+  const Delivery& d = m.delivery;
   if (d.leg != Delivery::Leg::kTimed && d.leg != Delivery::Leg::kPhysical) {
     return;
   }

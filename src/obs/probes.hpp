@@ -70,20 +70,20 @@ class ClockSkewProbe final : public Probe {
   Duration max_abs_skew_ = 0;
 };
 
-class ChannelLatencyProbe final : public Probe {
+class ChannelLatencyProbe final : public MeteredProbe {
  public:
   // [d1, d2] are the *physical* bounds of the channels in the composition
   // (what Channel was constructed with), not the algorithm's design bounds.
   ChannelLatencyProbe(MetricsRegistry& reg, Duration d1, Duration d2);
 
-  void on_event(const TimedEvent& e, const Machine& owner) override;
+  void on_measured(const TimedEvent& e, const Measurement& m,
+                   const Machine& owner) override;
 
   std::uint64_t delivered() const { return delivered_->value(); }
   std::uint64_t violations() const { return violations_->value(); }
 
  private:
   Duration d1_, d2_;
-  WindowMeter meter_{/*mmt_gaps=*/false};
   Histogram* latency_;
   Counter* delivered_;
   Counter* violations_;

@@ -283,15 +283,30 @@ void Executor::record_event(TimedEvent& e, std::size_t machine,
       t0 = t1;
     }
   }
+  // One measurement for every metered probe, handed out in attach order.
+  const Measurement* m = metered_run_ ? &meter_.measure(e) : nullptr;
+  const auto notify = [&](const EventProbe& p) {
+    if (p.metered != nullptr) {
+      p.metered->on_measured(e, *m, *owner);
+    } else {
+      p.probe->on_event(e, *owner);
+    }
+  };
   if (pr == nullptr) {
-    for (Probe* p : event_probes_) p->on_event(e, *owner);
+    for (const EventProbe& p : event_probes_) notify(p);
   } else {
     // Sampled iteration: bracket each probe individually so lint probes
-    // (profile_name() == "lint") book to their own phase.
-    for (std::size_t i = 0; i < event_probes_.size(); ++i) {
-      event_probes_[i]->on_event(e, *owner);
+    // (profile_name() == "lint") book to their own phase; the shared
+    // measure is booked to the lint phase.
+    if (m != nullptr) {
       const std::uint64_t t1 = Profiler::ticks();
-      pr->add(static_cast<ProfPhase>(event_probe_phase_[i]), t1 - t0);
+      pr->add(ProfPhase::kLint, t1 - t0);
+      t0 = t1;
+    }
+    for (const EventProbe& p : event_probes_) {
+      notify(p);
+      const std::uint64_t t1 = Profiler::ticks();
+      pr->add(static_cast<ProfPhase>(p.phase), t1 - t0);
       t0 = t1;
     }
   }
@@ -502,22 +517,31 @@ void Executor::begin_run() {
   }
   // Split probes_ by the observes_* hints once per run, so the per-event
   // and per-advance loops only make virtual calls that do something (a
-  // TimeSeriesProbe never sees events, a BoundSlackProbe never sees time
-  // passage — paying an empty virtual call per event for each would cost
-  // a measurable slice of the probe overhead budget).
+  // profiler counter probe never sees events, a BoundSlackProbe never sees
+  // time passage — paying an empty virtual call per event for each would
+  // cost a measurable slice of the probe overhead budget).
   event_probes_.clear();
-  event_probe_phase_.clear();
   time_probes_.clear();
+  metered_run_ = false;
+  bool gaps = false;
   for (Probe* p : probes_) {
     if (p->observes_events()) {
-      event_probes_.push_back(p);
+      auto* metered = dynamic_cast<MeteredProbe*>(p);
+      if (metered != nullptr) {
+        metered_run_ = true;
+        gaps = gaps || metered->wants_mmt_gaps();
+      }
       // Profiler attribution: lint probes book to their own phase so the
       // online checker's cost is measured directly, not A/B-inferred.
-      event_probe_phase_.push_back(static_cast<std::uint8_t>(
-          p->profile_name() == "lint" ? ProfPhase::kLint : ProfPhase::kProbe));
+      event_probes_.push_back(
+          {p, metered,
+           static_cast<std::uint8_t>(p->profile_name() == "lint"
+                                         ? ProfPhase::kLint
+                                         : ProfPhase::kProbe)});
     }
     if (p->observes_time()) time_probes_.push_back(p);
   }
+  if (gaps) meter_.enable_mmt_gaps();
   sink_events_ =
       options_.record_events || !event_probes_.empty() || flight_ != nullptr;
   if (flight_ != nullptr) flight_->bind(exec_uid_);

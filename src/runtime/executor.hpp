@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "analysis/lint.hpp"
+#include "analysis/meter.hpp"
 #include "core/machine.hpp"
 #include "core/trace.hpp"
 #include "obs/probe.hpp"
@@ -97,7 +98,8 @@ struct ExecutorStats {
   // Interned-action routing.
   // Always 0: every machine declares its signature, so no event is routed
   // through classify(). Kept because psc_bench reports it; it goes with the
-  // next benchmark-definition change (ROADMAP item 10).
+  // next benchmark-definition change (ROADMAP, "Housekeeping for the next
+  // benchmark-definition PR").
   std::uint64_t route_classify = 0;
   std::uint64_t fanout_inputs = 0;   // inputs applied via the subscriber index
   std::uint64_t kind_hits = 0;       // executions served by a resolved kind
@@ -306,8 +308,9 @@ class Executor {
   bool advance_time_wheel();
   void execute_fast(std::size_t slot, std::size_t offset);
   // Finishes an event the caller already owns: fills in the scalar fields
-  // (time, clock, owner, visibility), notifies probes, and appends it to
-  // the trace when recording. The action is never moved or copied here —
+  // (time, clock, owner, visibility), notifies probes — measuring the event
+  // once for every metered probe — and appends it to the trace when
+  // recording. The action is never moved or copied here —
   // execute_fast consumes its candidate directly into the TimedEvent — so
   // attaching a probe adds no per-event Action traffic.
   void record_event(TimedEvent& e, std::size_t machine, ActionRole role,
@@ -327,9 +330,6 @@ class Executor {
   // per-phase cost of an unsampled iteration is one pointer test.
   Profiler* prof_ = nullptr;
   Profiler* prof_iter_ = nullptr;
-  // Parallel to event_probes_: the profiler phase (ProfPhase as uint8_t)
-  // each probe's on_event time is booked to, from Probe::profile_name().
-  std::vector<std::uint8_t> event_probe_phase_;
   // record_event has a consumer this run (trace recording, event probes,
   // or the flight recorder); computed once at run() start so the per-event
   // branch is one boolean load.
@@ -339,8 +339,23 @@ class Executor {
   // probes_ filtered by the observes_events()/observes_time() hints,
   // rebuilt at each run() start: the per-event and per-advance loops
   // dispatch only to probes that implement that hook.
-  std::vector<Probe*> event_probes_;
+  struct EventProbe {
+    Probe* probe;
+    // The probe as a MeteredProbe (analysis/meter.hpp), else nullptr: it is
+    // handed meter_'s measurement instead of measuring on its own.
+    MeteredProbe* metered;
+    // The profiler phase (ProfPhase as uint8_t) its time is booked to,
+    // from Probe::profile_name().
+    std::uint8_t phase;
+  };
+  std::vector<EventProbe> event_probes_;
   std::vector<Probe*> time_probes_;
+  // The one window meter of every metered probe, kept with the executor:
+  // its message ledger is keyed by this executor's uids, so a later run()'s
+  // deliveries still match their sends. Gaps are on from the first run
+  // with a metered probe that wants them.
+  WindowMeter meter_{/*mmt_gaps=*/false};
+  bool metered_run_ = false;  // this run has a metered event probe
   // Earliest next_time_interest() across time_probes_; advances that stop
   // short of it skip probe notification entirely (kTimeMax = no probes).
   Time time_probe_wake_ = kTimeMax;

@@ -69,7 +69,8 @@ struct WheelStats {
   std::uint64_t due = 0;       // entries drained by advance_to
   // Always 0: entries are moved or unlinked in place, so none goes stale.
   // Kept because psc_bench reports it; it goes with the next
-  // benchmark-definition change (ROADMAP item 10).
+  // benchmark-definition change (ROADMAP, "Housekeeping for the next
+  // benchmark-definition PR").
   std::uint64_t stale_drops = 0;
   std::uint64_t cascades = 0;  // entries re-filed at a lower level
 

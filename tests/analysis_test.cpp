@@ -953,5 +953,222 @@ TEST(MeterAgreementTest, ReleaseIsMeasuredAgainstTheDeliveredTag) {
   expect_agreement(trace, opts, v.slack, v.lint, v.cert);
 }
 
+// --- one meter per run ------------------------------------------------------
+//
+// On an executor the four metered probes evaluate the executor's one
+// measurement per event; behind a forwarding probe, which hides their
+// MeteredProbe face, each measures with a meter of its own. The two must
+// give the same diagnostics, registry and slack minima.
+
+// Forwards every call to `inner` unchanged, as a timing wrapper does.
+class Forwarding final : public Probe {
+ public:
+  explicit Forwarding(Probe& inner) : inner_(inner) {}
+  std::string_view profile_name() const override {
+    return inner_.profile_name();
+  }
+  bool observes_events() const override { return inner_.observes_events(); }
+  bool observes_time() const override { return inner_.observes_time(); }
+  Time next_time_interest() const override {
+    return inner_.next_time_interest();
+  }
+  void on_run_begin(Time now) override { inner_.on_run_begin(now); }
+  void on_event(const TimedEvent& e, const Machine& owner) override {
+    inner_.on_event(e, owner);
+  }
+  void on_time_advance(Time from, Time to) override {
+    inner_.on_time_advance(from, to);
+  }
+  void on_run_end(Time now) override { inner_.on_run_end(now); }
+
+ private:
+  Probe& inner_;
+};
+
+enum class Scenario { kRwTimed, kRwClock, kRwMmt, kQueue };
+
+constexpr Duration kSharedEll = microseconds(10);
+
+struct Assembled {
+  std::unique_ptr<Executor> exec;
+  bool clocked = false;
+  bool mmt = false;
+  // The MMT model's stop condition: every client finished.
+  std::vector<RwClient*> clients;
+};
+
+Assembled assemble(Scenario s, std::uint64_t seed) {
+  const ZigzagDrift drift(0.3);
+  if (s == Scenario::kQueue) {
+    QueueRunConfig q;
+    q.d1 = microseconds(20);
+    q.d2 = microseconds(300);
+    q.eps = microseconds(50);
+    q.ops_per_node = 6;
+    q.think_max = microseconds(300);
+    q.seed = seed;
+    return {assemble_queue_clock(q, drift).exec, true, false, {}};
+  }
+  RwRunConfig cfg = small_cfg();
+  cfg.validate = false;
+  cfg.seed = seed;
+  switch (s) {
+    case Scenario::kRwTimed:
+      return {assemble_rw_timed(cfg).exec, false, false, {}};
+    case Scenario::kRwClock:
+      return {assemble_rw_clock(cfg, drift).exec, true, false, {}};
+    default: {
+      cfg.ops_per_node = 4;
+      RwAssembly mmt =
+          assemble_rw_mmt(cfg, drift, kSharedEll, cfg.num_nodes + 2);
+      return {std::move(mmt.exec), true, true, mmt.clients};
+    }
+  }
+}
+
+// Which metered probes read MMT gaps (when the scenario has them).
+struct GapModes {
+  bool lint = true;
+  bool slack = true;
+};
+
+struct MeteredOutcome {
+  std::string lint, cert, registry;
+  Duration ceps = 0, delivery = 0, thm47 = 0, mmt = 0;
+  std::uint64_t events = 0;
+  std::size_t unmatched = 0;  // PSC107: deliveries whose send was not seen
+  bool operator==(const MeteredOutcome&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const MeteredOutcome& o) {
+  return os << o.events << " events, slack " << o.ceps << "/" << o.delivery
+            << "/" << o.thm47 << "/" << o.mmt << "\n"
+            << o.lint << o.cert << o.registry;
+}
+
+// Runs one scenario with the invariant, certificate, slack and channel
+// latency probes attached directly or each behind a Forwarding probe.
+// `split_at` > 0 stops the first run() after that many events and runs
+// the rest in a second run() with the same probes.
+MeteredOutcome run_metered(Scenario s, std::uint64_t seed, bool forwarded,
+                           GapModes gaps = {}, std::uint64_t split_at = 0) {
+  Assembled a = assemble(s, seed);
+  Executor& exec = *a.exec;
+  const Duration d1 = microseconds(20);
+  const Duration d2 = microseconds(300);
+  const Duration eps = a.clocked ? microseconds(50) : -1;
+  TraceCheckOptions tco;
+  tco.eps = eps;
+  tco.d1 = d1;
+  tco.d2 = d2;
+  tco.ell = a.mmt && gaps.lint ? kSharedEll : -1;
+  tco.num_nodes = 3;
+  InvariantProbe lint(tco);
+  CertificateProbe cert(cert_opts(tco));
+  cert.harvest(exec.composition());
+  MetricsRegistry reg;
+  BoundSlackProbe slack(reg, SlackOptions{
+                                 .eps = eps,
+                                 .d1 = d1,
+                                 .d2 = d2,
+                                 .ell = a.mmt && gaps.slack ? kSharedEll : -1,
+                             });
+  ChannelLatencyProbe latency(reg, d1, d2);
+  std::vector<std::unique_ptr<Forwarding>> wrappers;
+  for (Probe* p : std::initializer_list<Probe*>{&lint, &cert, &slack,
+                                                &latency}) {
+    if (forwarded) {
+      wrappers.push_back(std::make_unique<Forwarding>(*p));
+      p = wrappers.back().get();
+    }
+    exec.attach_probe(p);
+  }
+  std::uint64_t limit = split_at;
+  if (split_at > 0) {
+    exec.stop_when([&exec, &limit, &clients = a.clients] {
+      return exec.stats().events >= limit ||
+             (!clients.empty() &&
+              std::all_of(clients.begin(), clients.end(),
+                          [](const RwClient* c) { return c->finished(); }));
+    });
+    exec.run();
+    EXPECT_EQ(exec.stats().events, split_at);
+    limit = UINT64_MAX;
+  }
+  exec.run();
+  MeteredOutcome o;
+  o.lint = lint.report().to_text();
+  o.cert = cert.report().to_text();
+  std::ostringstream jsonl;
+  reg.write_jsonl(jsonl);
+  o.registry = jsonl.str();
+  o.ceps = slack.min_ceps();
+  o.delivery = slack.min_delivery();
+  o.thm47 = slack.min_thm47();
+  o.mmt = slack.min_mmt();
+  o.events = exec.stats().events;
+  o.unmatched = lint.report().count(DiagCode::kUnknownDelivery);
+  return o;
+}
+
+const char* scenario_name(Scenario s) {
+  switch (s) {
+    case Scenario::kRwTimed: return "rw-timed";
+    case Scenario::kRwClock: return "rw-clock";
+    case Scenario::kRwMmt: return "rw-mmt";
+    case Scenario::kQueue: return "queue";
+  }
+  return "?";
+}
+
+TEST(SharedMeterTest, ExecutorMeterMatchesEachProbesOwn) {
+  for (const Scenario s : {Scenario::kRwTimed, Scenario::kRwClock,
+                           Scenario::kRwMmt, Scenario::kQueue}) {
+    for (const std::uint64_t seed : {1u, 7919u}) {
+      SCOPED_TRACE(std::string(scenario_name(s)) + " seed " +
+                   std::to_string(seed));
+      const MeteredOutcome shared = run_metered(s, seed, false);
+      EXPECT_EQ(shared, run_metered(s, seed, true));
+      // Every kind the model exposes was measured.
+      EXPECT_NE(shared.delivery, kTimeMax);
+      EXPECT_EQ(shared.ceps == kTimeMax, s == Scenario::kRwTimed);
+      EXPECT_EQ(shared.mmt == kTimeMax, s != Scenario::kRwMmt);
+      EXPECT_NE(shared.registry.find("channel.latency_ns"), std::string::npos);
+    }
+  }
+}
+
+TEST(SharedMeterTest, ConsumersIgnoreGapsTheyDidNotAskFor) {
+  // In the MMT model the executor's meter measures gaps when any metered
+  // probe wants them; the others must read as with a gapless meter of
+  // their own.
+  for (const GapModes gaps : {GapModes{.lint = true, .slack = false},
+                              GapModes{.lint = false, .slack = true},
+                              GapModes{.lint = false, .slack = false}}) {
+    SCOPED_TRACE(std::string("lint gaps ") + (gaps.lint ? "on" : "off") +
+                 ", slack gaps " + (gaps.slack ? "on" : "off"));
+    const MeteredOutcome shared = run_metered(Scenario::kRwMmt, 1, false, gaps);
+    EXPECT_EQ(shared, run_metered(Scenario::kRwMmt, 1, true, gaps));
+    EXPECT_EQ(shared.mmt == kTimeMax, !gaps.slack);
+  }
+}
+
+TEST(SharedMeterTest, ProbesKeptAcrossTwoRunsSeeOneLedger) {
+  // The executor's meter lives as long as the executor, as a probe's own
+  // meter outlives a run: a message sent in the first run() and delivered
+  // in the second is matched across the cut, and the two runs measure what
+  // the uncut run measures.
+  for (const Scenario s : {Scenario::kRwClock, Scenario::kRwMmt}) {
+    SCOPED_TRACE(scenario_name(s));
+    const MeteredOutcome whole = run_metered(s, 7919, false);
+    const std::uint64_t cut = whole.events / 2;
+    const MeteredOutcome split = run_metered(s, 7919, false, {}, cut);
+    EXPECT_EQ(split, run_metered(s, 7919, true, {}, cut));
+    EXPECT_GT(split.events, cut);
+    EXPECT_EQ(split.unmatched, 0u) << split.lint;
+    EXPECT_EQ(split.registry, whole.registry);
+  }
+}
+
 }  // namespace
 }  // namespace psc

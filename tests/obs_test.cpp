@@ -4,8 +4,12 @@
 // JSONL line and the whole Chrome trace must parse as JSON).
 #include <gtest/gtest.h>
 
-#include <cctype>
+#include <algorithm>
 #include <array>
+#include <cctype>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -15,6 +19,7 @@
 #include "obs/causal.hpp"
 #include "obs/instrument.hpp"
 #include "obs/metrics.hpp"
+#include "obs/observatory.hpp"
 #include "obs/probes.hpp"
 #include "obs/prof.hpp"
 #include "obs/trace_export.hpp"
@@ -196,6 +201,82 @@ TEST(Metrics, HistogramBucketsAndPercentiles) {
   ASSERT_EQ(exp.size(), 5u);
   EXPECT_DOUBLE_EQ(exp[0], 100.0);
   EXPECT_DOUBLE_EQ(exp[4], 1600.0);
+}
+
+// A zero-centred doubling ladder -lo*2^(m-1) .. -lo, 0, lo .. lo*2^(m-1).
+std::vector<double> doubling_ladder(double lo, std::size_t m) {
+  const std::vector<double> pos = Histogram::exponential_bounds(lo, 2.0, m);
+  std::vector<double> out(pos.rbegin(), pos.rend());
+  for (double& b : out) b = -b;
+  out.push_back(0.0);
+  out.insert(out.end(), pos.begin(), pos.end());
+  return out;
+}
+
+TEST(Metrics, DoublingLadderBucketsMatchBinarySearch) {
+  // The ladder's table lookup must land every sample in the bucket a
+  // binary search over the bounds picks: every integer in [-2^20, 2^20],
+  // +-3 around every rung on both sides, the int64 extremes, and the
+  // non-integral / non-finite samples that take the search path.
+  for (const auto& bounds :
+       {slack_bounds(), doubling_ladder(1, 40), doubling_ladder(3, 7),
+        doubling_ladder(std::ldexp(1.0, 20), 34)}) {
+    const Histogram h(bounds);
+    ASSERT_TRUE(h.doubling_ladder());
+    SCOPED_TRACE("lo " + std::to_string(bounds[bounds.size() / 2 + 1]));
+    const auto expected = [&bounds](double x) {
+      const auto it = std::upper_bound(
+          bounds.begin(), bounds.end(), x,
+          [](double v, double b) { return v <= b; });
+      return static_cast<std::size_t>(it - bounds.begin());
+    };
+    std::size_t mismatches = 0;
+    const auto check = [&](double x) {
+      if (h.bucket(x) != expected(x) && ++mismatches <= 5) {
+        ADD_FAILURE() << "sample " << x << ": bucket " << h.bucket(x)
+                      << ", binary search " << expected(x);
+      }
+    };
+    // An integral sample goes both ways: as a double, and as an integer
+    // (Histogram::add's integral overload), which must land where its
+    // double does.
+    const auto check_integral = [&](std::int64_t x) {
+      check(static_cast<double>(x));
+      if (h.bucket(x) != h.bucket(static_cast<double>(x)) &&
+          ++mismatches <= 5) {
+        ADD_FAILURE() << "integral sample " << x << ": bucket "
+                      << h.bucket(x) << ", as a double "
+                      << h.bucket(static_cast<double>(x));
+      }
+    };
+    constexpr std::int64_t kSpan = std::int64_t{1} << 20;
+    for (std::int64_t x = -kSpan; x <= kSpan; ++x) check_integral(x);
+    for (const double b : bounds) {
+      for (int d = -3; d <= 3; ++d) {
+        check(b + d);
+        check_integral(static_cast<std::int64_t>(b) + d);
+      }
+    }
+    using Limits = std::numeric_limits<std::int64_t>;
+    for (const std::int64_t x :
+         {Limits::min(), Limits::min() + 1, Limits::max() - 1, Limits::max(),
+          std::int64_t{1} << 62, -(std::int64_t{1} << 62),
+          (std::int64_t{1} << 53) + 1, -(std::int64_t{1} << 53) - 1}) {
+      check_integral(x);
+    }
+    for (const double x : {0.5, -0.5, 99.5, -100.5, -0.0, 1e300, -1e300,
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+      check(x);
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+  // Ladders the table cannot take exactly fall back to the search.
+  EXPECT_FALSE(Histogram(doubling_ladder(0.5, 8)).doubling_ladder());
+  EXPECT_FALSE(Histogram(doubling_ladder(1.5, 8)).doubling_ladder());
+  EXPECT_FALSE(Histogram(doubling_ladder(1, 55)).doubling_ladder());
+  EXPECT_FALSE(Histogram(Histogram::linear_bounds(-3, 3, 6)).doubling_ladder());
 }
 
 TEST(Metrics, JsonlLinesAreValidJson) {

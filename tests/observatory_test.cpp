@@ -26,109 +26,6 @@
 namespace psc {
 namespace {
 
-// --- TimeSeries -----------------------------------------------------------
-
-TEST(TimeSeries, SamplesEveryRegisteredMetricKind) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("events");
-  Gauge& g = reg.gauge("depth");
-  Histogram& h = reg.histogram("lat", Histogram::linear_bounds(0, 100, 10));
-
-  TimeSeries ts(reg);
-  c.add(3);
-  g.set(1.5);
-  ts.sample(microseconds(10));
-  c.add(2);
-  g.set(2.5);
-  h.add(50);
-  ts.sample(microseconds(20));
-
-  EXPECT_EQ(ts.samples_taken(), 2u);
-  // counter + gauge + 3 histogram sub-series.
-  EXPECT_EQ(ts.series_count(), 5u);
-
-  const auto counter_pts = ts.points("events");
-  ASSERT_EQ(counter_pts.size(), 2u);
-  EXPECT_EQ(counter_pts[0].t, microseconds(10));
-  EXPECT_EQ(counter_pts[0].v, 3.0);
-  EXPECT_EQ(counter_pts[1].t, microseconds(20));
-  EXPECT_EQ(counter_pts[1].v, 5.0);
-
-  const auto gauge_pts = ts.points("depth");
-  ASSERT_EQ(gauge_pts.size(), 2u);
-  EXPECT_EQ(gauge_pts[1].v, 2.5);
-
-  // Histogram expands to .count/.p50/.p99; the first sample saw it empty,
-  // so its percentile is NaN (satellite: empty percentiles are NaN).
-  const auto count_pts = ts.points("lat.count");
-  ASSERT_EQ(count_pts.size(), 2u);
-  EXPECT_EQ(count_pts[0].v, 0.0);
-  EXPECT_EQ(count_pts[1].v, 1.0);
-  const auto p50_pts = ts.points("lat.p50");
-  ASSERT_EQ(p50_pts.size(), 2u);
-  EXPECT_TRUE(std::isnan(p50_pts[0].v));
-  EXPECT_DOUBLE_EQ(p50_pts[1].v, 50.0);
-
-  EXPECT_TRUE(ts.points("no.such.series").empty());
-}
-
-TEST(TimeSeries, RingKeepsLastWindowSamplesOldestFirst) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("n");
-  TimeSeries ts(reg, {.cadence = microseconds(1), .window = 4});
-  for (int k = 1; k <= 7; ++k) {
-    c.add();
-    ts.sample(microseconds(k));
-  }
-  const auto pts = ts.points("n");
-  ASSERT_EQ(pts.size(), 4u);
-  for (int k = 0; k < 4; ++k) {
-    EXPECT_EQ(pts[k].t, microseconds(4 + k));
-    EXPECT_EQ(pts[k].v, 4.0 + k);
-  }
-  EXPECT_EQ(ts.dropped("n"), 3u);
-  EXPECT_EQ(ts.dropped("unknown"), 0u);
-}
-
-TEST(TimeSeries, JsonlRendersPointsAndNullForNonFinite) {
-  MetricsRegistry reg;
-  reg.counter("n").add(7);
-  reg.histogram("lat", Histogram::linear_bounds(0, 100, 4));  // stays empty
-  TimeSeries ts(reg, {.cadence = microseconds(5), .window = 8});
-  ts.sample(microseconds(5));
-
-  std::ostringstream os;
-  ts.write_jsonl(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("{\"type\":\"timeseries\",\"name\":\"n\","
-                     "\"cadence_ns\":5000,\"dropped\":0,"
-                     "\"points\":[[5000,7]]}"),
-            std::string::npos)
-      << out;
-  // Empty-histogram percentiles are NaN -> null in the export.
-  EXPECT_NE(out.find("\"name\":\"lat.p50\""), std::string::npos);
-  EXPECT_NE(out.find("[5000,null]"), std::string::npos) << out;
-}
-
-TEST(TimeSeriesProbe, SamplesOnCadenceBoundariesPlusEndpoints) {
-  MetricsRegistry reg;
-  reg.counter("n");
-  TimeSeries ts(reg, {.cadence = microseconds(10), .window = 64});
-  TimeSeriesProbe probe(ts);
-
-  probe.on_run_begin(0);
-  probe.on_time_advance(0, microseconds(35));  // one jump across 3 boundaries
-  probe.on_run_end(microseconds(35));
-
-  const auto pts = ts.points("n");
-  ASSERT_EQ(pts.size(), 5u);
-  EXPECT_EQ(pts[0].t, 0);
-  EXPECT_EQ(pts[1].t, microseconds(10));
-  EXPECT_EQ(pts[2].t, microseconds(20));
-  EXPECT_EQ(pts[3].t, microseconds(30));
-  EXPECT_EQ(pts[4].t, microseconds(35));
-}
-
 // --- BoundSlackProbe on the Section 6 harnesses ---------------------------
 
 RwRunConfig slack_cfg(std::uint64_t seed) {
@@ -272,34 +169,6 @@ TEST(BoundSlack, ChannelLatencyAndDeliverySlackCountTheSameDeliveries) {
     EXPECT_GT(delivered->value(), 0u);
     EXPECT_EQ(delivered->value(), slack->count());
     EXPECT_EQ(violations->value() == 0, run.min_slack_delivery >= 0);
-  }
-}
-
-// End-to-end: a TimeSeries wired through ObsOptions samples the slack
-// histograms as they fill; the final boundary sample must agree with the
-// registry's end-of-run state.
-TEST(BoundSlack, TimeSeriesTracksSlackHistogramDuringRun) {
-  MetricsRegistry reg;
-  TimeSeries ts(reg, {.cadence = milliseconds(1), .window = 256});
-  ObsOptions oo;
-  oo.registry = &reg;
-  oo.slack = true;
-  oo.timeseries = &ts;
-
-  RwRunConfig cfg = slack_cfg(9);
-  cfg.obs = &oo;
-  const RwRunResult run = run_rw_timed(cfg);
-  EXPECT_FALSE(run.ops.empty());
-
-  EXPECT_GT(ts.samples_taken(), 2u);
-  const auto pts = ts.points("slack.delivery_ns.count");
-  ASSERT_FALSE(pts.empty());
-  const Histogram* h = reg.find_histogram("slack.delivery_ns");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(pts.back().v, static_cast<double>(h->count()));
-  // Counts are cumulative, so the sampled series is non-decreasing.
-  for (std::size_t k = 1; k < pts.size(); ++k) {
-    EXPECT_LE(pts[k - 1].v, pts[k].v);
   }
 }
 

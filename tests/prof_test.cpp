@@ -183,7 +183,9 @@ TEST(Profiler, BindResetsPerExecutorMemosButKeepsTotals) {
 
 TEST(Profiler, LintProbePhaseAttribution) {
   // An InvariantProbe attached alongside the profiler lands in the kLint
-  // phase (profile_name() == "lint"), not kProbe.
+  // phase (profile_name() == "lint"), not kProbe, and so does the
+  // executor's one window-meter measure that feeds it: two lint brackets
+  // per sampled event.
   Profiler prof(ProfOptions{.sample_every = 1});
   TraceCheckOptions lo;
   lo.d1 = microseconds(50);
@@ -203,7 +205,7 @@ TEST(Profiler, LintProbePhaseAttribution) {
   const ExecutorReport report = exec.run();
   ASSERT_GT(report.steps, 0u);
   EXPECT_FALSE(lint.report().has_errors());
-  EXPECT_EQ(prof.phase_hits(ProfPhase::kLint), report.steps);
+  EXPECT_EQ(prof.phase_hits(ProfPhase::kLint), 2 * report.steps);
   EXPECT_EQ(prof.phase_hits(ProfPhase::kProbe), 0u);
   EXPECT_GT(prof.phase_ticks(ProfPhase::kLint), 0u);
 }
